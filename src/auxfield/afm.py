@@ -82,6 +82,8 @@ class PotentialModel:
     def __post_init__(self):
         if self.family not in ("linear", "log", "exp"):
             raise DomainError(f"unknown family {self.family!r}")
+        if not all(math.isfinite(x) for x in (self.m, self.a, self.k)):
+            raise DomainError("potential parameters m, a and k must be finite")
         if self.family == "linear" and (self.m <= 0 or self.a <= 0):
             raise DomainError("linear family requires m > 0 and a > 0")
         if self.family == "exp" and not self.k > 0:

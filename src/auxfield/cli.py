@@ -88,6 +88,14 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _json(record) -> str:
+    """Strict JSON text: a non-finite number is a numeric failure, not output."""
+    try:
+        return json.dumps(record, indent=1, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise NumericalFailure("non-finite value in the result") from None
+
+
 def _cmd_solve(args) -> int:
     v = _model(args.family, args.k)
     q = QuantumNumbers(args.n, args.l)
@@ -119,7 +127,7 @@ def _cmd_solve(args) -> int:
         record["k"] = args.k
     for k_exp, val in sorted(obs.r_moments.items()):
         record[f"r_moment_{k_exp}"] = val
-    _emit(json.dumps(record, indent=1, sort_keys=True) + "\n", args.out)
+    _emit(_json(record), args.out)
     return EX_OK
 
 
@@ -132,6 +140,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_wavefunction(args) -> int:
+    if not args.r_max > 0:
+        raise DomainError("--r-max must be positive")
     samples = args.samples
     grid = np.linspace(0.0, args.r_max, samples)
     if args.aux == "exact":
@@ -179,7 +189,7 @@ def _cmd_oracle(args) -> int:
         record["k"] = args.k
     for k_exp, val in sorted(obs.r_moments.items()):
         record[f"r_moment_{k_exp}"] = val
-    _emit(json.dumps(record, indent=1, sort_keys=True) + "\n", args.out)
+    _emit(_json(record), args.out)
     return EX_OK
 
 
@@ -246,7 +256,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except NoBoundState as exc:
         sys.stdout.write(json.dumps(
-            {"error": "no-bound-state", "reason": exc.reason}) + "\n")
+            {"error": "no-bound-state", "reason": exc.reason}, allow_nan=False) + "\n")
         return EX_NOSTATE
     except (DomainError, NoSolution) as exc:
         print(f"auxfield: error: {exc}", file=sys.stderr)

@@ -1,11 +1,15 @@
-"""Independent numeric radial eigensolver (Numerov shooting).
+"""Independent numeric radial eigensolver (Sturm count plus Cooley corrector).
 
 Solves -u'' + [2m (V(r) - E) + l(l+1)/r^2] u = 0 on a uniform grid for
-the three potential families, locating the eigenvalue with exactly n
-radial nodes by node-count bisection followed by a secant/Brent refine
-of the derivative mismatch at the outer classical turning point.
-Quadrature observables for the converged states are provided as the
-reference side of every table comparison.
+the three potential families.  The start value is the eigenvalue with
+index n of the 3-point Dirichlet Hamiltonian on the same grid, found by
+LAPACK's Sturm-sequence bisection (Barth, Martin & Wilkinson, Numer.
+Math. 9 (1967) 386), so the node count is exact by construction.
+Cooley's corrector (Math. Comp. 15 (1961) 363) then moves it to the
+eigenvalue of the 4th-order Numerov equation, whose outward and inward
+solutions, matched at the outer classical turning point, give the
+returned vector.  Quadrature observables for the converged states are
+provided as the reference side of every table comparison.
 """
 
 from __future__ import annotations
@@ -16,22 +20,16 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.optimize import brentq
+from scipy.linalg import eigh_tridiagonal
 
 from .afm import PotentialModel
 from .errors import DomainError, NoBoundState, NumericalFailure, QuadratureFailure
 from .exact import ObservableSet, QuantumNumbers
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a hard dependency, but stay usable
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
+__all__ = ["RadialFunction", "SolverConfig", "solve_radial", "numeric_observables"]
 
-__all__ = ["RadialFunction", "SolverConfig", "solve_radial",
-           "numeric_observables", "count_nodes"]
+_CORRECTOR_TOL = 1e-12     # converged step, relative to max(1, |E|)
+_CORRECTOR_MAX_ITER = 20
 
 
 @dataclass(frozen=True)
@@ -48,144 +46,51 @@ class RadialFunction:
 class SolverConfig:
     r_max: Optional[float] = None     # None: choose per family/state
     grid_points: int = 20000
-    energy_tol: float = 1e-11
-    max_bisections: int = 200
 
     def __post_init__(self):
         if self.r_max is not None and self.r_max <= 0:
             raise DomainError("r_max must be positive")
         if self.grid_points < 2000:
             raise DomainError("grid_points must be >= 2000")
-        if self.energy_tol > 1e-10:
-            raise DomainError("energy_tol must be <= 1e-10")
 
 
 # ----------------------------------------------------------------------
-# Numerov kernels.  W is the full coefficient array of u'' = W u.
+# Numerov kernel.  W is the full coefficient array of u'' = W u.
 # ----------------------------------------------------------------------
 
 _RESCALE = 1e250
 
 
-@njit(cache=True)
-def _numerov_nodes(w, h, l):
-    """Nodes of the outward solution over the whole grid."""
+def _numerov_assemble(w, h, l, m):
+    """Matched solution (unnormalized): outward to index m, inward beyond.
+
+    The outward sweep starts where the Numerov denominator 1 - h^2 w/12
+    is at least 1/2 (index 2 for l = 0, at least 3 otherwise); every
+    earlier point is seeded with the regular series (i h)^(l+1).
+    """
     n = w.shape[0]
     c = h * h / 12.0
-    u_prev = 0.0
-    u_cur = h ** (l + 1)
-    nodes = 0
-    sign = 1.0
-    start = 2
-    if l > 0:
-        u_prev = u_cur
-        u_cur = (2.0 * h) ** (l + 1)
-        start = 3
-    for i in range(start, n):
-        u_next = ((2.0 + 10.0 * c * w[i - 1]) * u_cur
-                  - (1.0 - c * w[i - 2]) * u_prev) / (1.0 - c * w[i])
-        if u_next != 0.0 and u_next * sign < 0.0:
-            nodes += 1
-            sign = -sign
-        if abs(u_next) > _RESCALE:
-            u_next *= 1e-250
-            u_cur *= 1e-250
-        u_prev = u_cur
-        u_cur = u_next
-    return nodes
-
-
-@njit(cache=True)
-def _numerov_match(w, h, l, m):
-    """Derivative-mismatch measure at grid index m (sign carries the root)."""
-    n = w.shape[0]
-    c = h * h / 12.0
-    # outward sweep to m+1
-    u_prev = 0.0
-    u_cur = h ** (l + 1)
-    start = 2
-    if l > 0:
-        u_prev = u_cur
-        u_cur = (2.0 * h) ** (l + 1)
-        start = 3
-    out_m = 0.0
-    out_mp = 0.0
-    for i in range(start, m + 2):
-        u_next = ((2.0 + 10.0 * c * w[i - 1]) * u_cur
-                  - (1.0 - c * w[i - 2]) * u_prev) / (1.0 - c * w[i])
-        if abs(u_next) > _RESCALE:
-            u_next *= 1e-250
-            u_cur *= 1e-250
-        u_prev = u_cur
-        u_cur = u_next
-        if i == m:
-            out_m = u_cur
-        elif i == m + 1:
-            out_mp = u_cur
-    if m < start:
-        return 0.0
-    # inward sweep from the far end to m
-    kappa = math.sqrt(max(w[n - 1], 1e-30))
-    v_far = 1e-140
-    v_cur = v_far * math.exp(kappa * h)
-    in_m = 0.0
-    in_mp = 0.0
-    if m + 1 == n - 1:
-        in_mp = v_far
-    for i in range(n - 3, m - 1, -1):
-        v_next = ((2.0 + 10.0 * c * w[i + 1]) * v_cur
-                  - (1.0 - c * w[i + 2]) * v_far) / (1.0 - c * w[i])
-        if abs(v_next) > _RESCALE:
-            v_next *= 1e-250
-            v_cur *= 1e-250
-        v_far = v_cur
-        v_cur = v_next
-        if i == m + 1:
-            in_mp = v_cur
-        elif i == m:
-            in_m = v_cur
-    # normalize the two pairs separately so the cross products stay finite
-    so = max(abs(out_m), abs(out_mp)) + 1e-300
-    si = max(abs(in_m), abs(in_mp)) + 1e-300
-    out_m /= so
-    out_mp /= so
-    in_m /= si
-    in_mp /= si
-    denom = abs(out_m * in_m) + abs(out_mp * in_mp) + 1e-300
-    return (out_mp * in_m - in_mp * out_m) / denom
-
-
-@njit(cache=True)
-def _numerov_assemble(w, h, l, m, u):
-    """Fill u with the matched solution (unnormalized)."""
-    n = w.shape[0]
-    c = h * h / 12.0
-    u[0] = 0.0
-    u[1] = h ** (l + 1)
-    start = 2
-    if l > 0:
-        u[2] = (2.0 * h) ** (l + 1)
-        start = 3
+    start = 2 if l == 0 else 3
+    while c * w[start] > 0.5:
+        start += 1
+    a = (1.0 - c * w).tolist()
+    b = (2.0 + 10.0 * c * w).tolist()
+    out = [(i * h) ** (l + 1) for i in range(start)]
     for i in range(start, m + 1):
-        u[i] = ((2.0 + 10.0 * c * w[i - 1]) * u[i - 1]
-                - (1.0 - c * w[i - 2]) * u[i - 2]) / (1.0 - c * w[i])
-        if abs(u[i]) > _RESCALE:
-            for j in range(i + 1):
-                u[j] *= 1e-250
+        out.append((b[i - 1] * out[i - 1] - a[i - 2] * out[i - 2]) / a[i])
+        if abs(out[i]) > _RESCALE:
+            out = [x * 1e-250 for x in out]
     kappa = math.sqrt(max(w[n - 1], 1e-30))
-    v = np.zeros(n - m)
-    v[n - m - 1] = 1e-140
-    v[n - m - 2] = 1e-140 * math.exp(kappa * h)
-    for i in range(n - m - 3, -1, -1):
-        gi = i + m
-        v[i] = ((2.0 + 10.0 * c * w[gi + 1]) * v[i + 1]
-                - (1.0 - c * w[gi + 2]) * v[i + 2]) / (1.0 - c * w[gi])
-        if abs(v[i]) > _RESCALE:
-            for j in range(i, n - m):
-                v[j] *= 1e-250
-    ratio = u[m] / v[0]
-    for i in range(1, n - m):
-        u[m + i] = v[i] * ratio
+    inward = [1e-140, 1e-140 * math.exp(kappa * h)]     # indices n-1, n-2
+    for i in range(n - 3, m - 1, -1):
+        inward.append((b[i + 1] * inward[-1] - a[i + 2] * inward[-2]) / a[i])
+        if abs(inward[-1]) > _RESCALE:
+            inward = [x * 1e-250 for x in inward]
+    u = np.empty(n)
+    u[:m + 1] = out[:m + 1]
+    u[m + 1:] = inward[-2::-1]
+    u[m + 1:] *= out[m] / inward[-1]
+    return u
 
 
 # ----------------------------------------------------------------------
@@ -217,13 +122,6 @@ def _effective_w(v: PotentialModel, grid: np.ndarray, q: QuantumNumbers,
     return w
 
 
-def count_nodes(v: PotentialModel, grid: np.ndarray, q: QuantumNumbers,
-                energy: float) -> int:
-    """Radial node count of the outward shooting solution at this energy."""
-    w = _effective_w(v, grid, q, energy)
-    return int(_numerov_nodes(w, float(grid[1] - grid[0]), q.l))
-
-
 def _match_index(w: np.ndarray) -> int:
     allowed = np.nonzero(w < 0.0)[0]
     if allowed.size == 0:
@@ -231,61 +129,33 @@ def _match_index(w: np.ndarray) -> int:
     return int(min(max(allowed[-1], 4), w.shape[0] - 5))
 
 
-def _solve_on_grid(v, q, grid, energy_tol, e_lo, e_hi, max_bisections):
-    """Node-count bisection then Brent on the matching mismatch."""
+def _sturm_start(v: PotentialModel, q: QuantumNumbers, grid: np.ndarray) -> float:
+    """Eigenvalue q.n of the 3-point Dirichlet Hamiltonian on the grid."""
     h = float(grid[1] - grid[0])
-    n_target = q.n
+    diag = _effective_w(v, grid, q, 0.0)[1:-1] + 2.0 / (h * h)
+    off = np.full(diag.shape[0] - 1, -1.0 / (h * h))
+    lam = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                           select_range=(q.n, q.n))
+    return float(lam[0]) / v.kinetic_2m
 
-    def nodes(e):
-        return int(_numerov_nodes(_effective_w(v, grid, q, e), h, q.l))
 
-    if nodes(e_lo) > n_target:
-        raise NumericalFailure("lower bracket already above the target node count")
-    if nodes(e_hi) <= n_target:
-        raise NoBoundState("not-supported",
-                           f"only {nodes(e_hi)} node(s) available below E={e_hi:.3g}")
-    scale = max(1.0, abs(e_lo), abs(e_hi))
-    lo, hi = e_lo, e_hi
-    for _ in range(max_bisections):
-        if hi - lo <= 1e-5 * scale:
-            break
-        mid = 0.5 * (lo + hi)
-        if nodes(mid) > n_target:
-            hi = mid
-        else:
-            lo = mid
-
-    w_mid = _effective_w(v, grid, q, 0.5 * (lo + hi))
-    m = _match_index(w_mid)
+def _solve_on_grid(v, q, grid, energy):
+    """Cooley's corrector from the start energy, then the normalized vector."""
+    h = float(grid[1] - grid[0])
+    m = _match_index(_effective_w(v, grid, q, energy))
     if m < 0:
-        raise NumericalFailure("no classically allowed region at the bracket center")
-
-    def mismatch(e):
-        return float(_numerov_match(_effective_w(v, grid, q, e), h, q.l, m))
-
-    f_lo, f_hi = mismatch(lo), mismatch(hi)
-    if f_lo == 0.0:
-        energy = lo
-    elif f_hi == 0.0:
-        energy = hi
-    elif f_lo * f_hi < 0.0:
-        energy = brentq(mismatch, lo, hi, xtol=energy_tol, rtol=8.9e-16)
+        raise NumericalFailure("no classically allowed region at the start energy")
+    for _ in range(_CORRECTOR_MAX_ITER):
+        w = _effective_w(v, grid, q, energy)
+        u = _numerov_assemble(w, h, q.l, m)
+        y = (1.0 - h * h * w[m - 1:m + 2] / 12.0) * u[m - 1:m + 2]
+        resid = (y[2] - 2.0 * y[1] + y[0]) / (h * h) - w[m] * u[m]
+        step = u[m] * resid / (v.kinetic_2m * float(np.dot(u, u)))
+        energy -= step
+        if abs(step) <= _CORRECTOR_TOL * max(1.0, abs(energy)):
+            break
     else:
-        # mismatch did not change sign (match point sits on a node);
-        # fall back to plain node-count bisection at full precision
-        for _ in range(max_bisections):
-            if hi - lo <= energy_tol:
-                break
-            mid = 0.5 * (lo + hi)
-            if nodes(mid) > n_target:
-                hi = mid
-            else:
-                lo = mid
-        energy = 0.5 * (lo + hi)
-
-    w = _effective_w(v, grid, q, energy)
-    u = np.empty_like(grid)
-    _numerov_assemble(w, h, q.l, m, u)
+        raise NumericalFailure("Cooley corrector did not converge")
     norm = simpson(u * u, x=grid)
     if not norm > 0:
         raise NumericalFailure("degenerate norm after assembly")
@@ -303,64 +173,46 @@ def solve_radial(v: PotentialModel, q: QuantumNumbers,
                  cfg: SolverConfig = SolverConfig()) -> RadialFunction:
     """Eigenpair with exactly q.n radial nodes for the given family.
 
-    Confining families bracket the energy on a doubling ladder above the
-    potential minimum; the exponential family works inside (-k, 0) and
-    auto-extends the domain for near-threshold states.
+    The Sturm count of the 3-point Hamiltonian on the grid gives the
+    start energy of level q.n; Cooley's corrector refines it to the
+    Numerov eigenvalue.  The exponential family requires that start
+    below the threshold and auto-extends the domain for near-threshold
+    states.
     """
     r_max = cfg.r_max or _characteristic_r_max(v, q)
     if v.family == "exp":
         return _solve_exponential(v, q, cfg, r_max)
     grid = np.linspace(0.0, r_max, cfg.grid_points)
-    v_eff = v.v(grid[1:]) + (q.big_l / (v.kinetic_2m * grid[1:] ** 2)
-                             if q.l else 0.0)
-    e_lo = float(np.min(v_eff)) - 1e-9
-    step = 1.0
-    e_hi = e_lo + step
-    h = float(grid[1] - grid[0])
-    for _ in range(80):
-        if _numerov_nodes(_effective_w(v, grid, q, e_hi), h, q.l) > q.n:
-            break
-        step *= 2.0
-        e_hi = e_lo + step
-    else:
-        raise NumericalFailure("energy ladder failed to reach the target state")
-    energy, u = _solve_on_grid(v, q, grid, cfg.energy_tol, e_lo, e_hi,
-                               cfg.max_bisections)
-    out = RadialFunction(grid=grid, values=u, energy=energy, q=q)
+    energy, u = _solve_on_grid(v, q, grid, _sturm_start(v, q, grid))
+    return _checked(grid, u, energy, q)
+
+
+def _checked(grid, u, energy, q) -> RadialFunction:
     if _interior_nodes(u) != q.n:
         raise NumericalFailure(
             f"converged solution has {_interior_nodes(u)} nodes, expected {q.n}")
-    return out
+    return RadialFunction(grid=grid, values=u, energy=float(energy), q=q)
 
 
 def _solve_exponential(v, q, cfg, r_max0):
     k = v.k
     r_max = r_max0 if cfg.r_max else max(r_max0, 80.0)
-    energy = None
-    u = None
-    grid = None
+    e_hi = -1e-12 * max(1.0, k)
     for _ in range(4):
         grid = np.linspace(0.0, r_max, cfg.grid_points)
-        e_lo = -1.05 * k
-        e_hi = -1e-12 * max(1.0, k)
-        try:
-            energy, u = _solve_on_grid(v, q, grid, cfg.energy_tol, e_lo, e_hi,
-                                       cfg.max_bisections)
-        except NoBoundState:
+        start = _sturm_start(v, q, grid)
+        if not start < e_hi:
             raise NoBoundState(
                 "not-supported",
                 f"exponential well k={k} has no state with n={q.n}, l={q.l}")
+        energy, u = _solve_on_grid(v, q, grid, start)
         if cfg.r_max is not None:
             break
         needed = 20.0 / math.sqrt(abs(energy)) if energy < 0 else math.inf
         if needed <= r_max or not math.isfinite(needed):
             break
         r_max = min(needed * 1.25, 4000.0)
-    out = RadialFunction(grid=grid, values=u, energy=energy, q=q)
-    if _interior_nodes(u) != q.n:
-        raise NumericalFailure(
-            f"converged solution has {_interior_nodes(u)} nodes, expected {q.n}")
-    return out
+    return _checked(grid, u, energy, q)
 
 
 # ----------------------------------------------------------------------

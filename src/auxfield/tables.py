@@ -66,7 +66,7 @@ class Row:
             return True  # both sides agree the state does not exist
         if self.computed is None or self.published is None:
             return False
-        return self.diff <= self.tol
+        return bool(self.diff <= self.tol)
 
 
 # ----------------------------------------------------------------------

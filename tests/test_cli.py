@@ -5,6 +5,13 @@ import numpy as np
 import pytest
 
 from auxfield.cli import main
+from auxfield.tables import TABLE_IDS
+
+
+def _strict_loads(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
 
 
 def _run(capsys, *argv):
@@ -82,6 +89,14 @@ class TestTable:
         assert len(rows) == 6
         assert all(r["ok"] for r in rows)
 
+    @pytest.mark.parametrize("table_id", TABLE_IDS)
+    def test_every_table_is_strict_json(self, table_id, capsys):
+        code, out, _ = _run(capsys, "table", table_id, "--format", "json")
+        assert code == 0
+        rows = _strict_loads(out)
+        assert rows
+        assert all(type(r["ok"]) is bool for r in rows if "ok" in r)
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "t.csv"
         code, out, _ = _run(capsys, "table", "overlap-ho", "--out", str(target))
@@ -137,3 +152,27 @@ class TestOracleCommand:
         code, out, _ = _run(capsys, "oracle", "exp", "1", "0", "--k", "5")
         assert code == 2
         assert json.loads(out)["error"] == "no-bound-state"
+
+
+class TestBoundaries:
+    def test_infinite_depth_is_usage_error(self, capsys):
+        code, out, err = _run(capsys, "solve", "exp", "coulomb", "0", "0",
+                              "--k", "inf")
+        assert code == 64
+        assert out == ""
+        assert "finite" in err
+
+    def test_overflowing_depth_is_numeric_failure(self, capsys):
+        # k = 1e308 is finite but overflows the closed form; no Infinity in JSON
+        code, out, err = _run(capsys, "solve", "exp", "coulomb", "0", "0",
+                              "--k", "1e308")
+        assert code == 70
+        assert out == ""
+        assert "non-finite" in err
+
+    def test_nonpositive_r_max_is_usage_error(self, capsys):
+        code, out, err = _run(capsys, "wavefunction", "linear", "coulomb", "0",
+                              "0", "--r-max", "-1")
+        assert code == 64
+        assert out == ""
+        assert "--r-max" in err

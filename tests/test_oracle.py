@@ -93,13 +93,11 @@ class TestConvergenceAndConfig:
             f1 = solve_radial(model, q)
             cfg = SolverConfig(r_max=2 * float(f1.grid[-1]), grid_points=40000)
             f2 = solve_radial(model, q, cfg)
-            assert abs(f2.energy - f1.energy) < 10 * SolverConfig().energy_tol
+            assert abs(f2.energy - f1.energy) < 1e-10
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
             SolverConfig(grid_points=100)
-        with pytest.raises(DomainError):
-            SolverConfig(energy_tol=1e-6)
         with pytest.raises(DomainError):
             SolverConfig(r_max=-1.0)
 
@@ -123,3 +121,17 @@ class TestVariationalConsistency:
                 hi = afm_solve(LINEAR, AuxiliaryKind.QUADRATIC, q).energy
                 assert lo <= f.energy + 1e-6
                 assert hi >= f.energy - 1e-6
+
+
+@pytest.mark.parametrize("family", ["linear", "log"])
+@pytest.mark.parametrize("n,l", [(0, 10), (2, 11), (0, 40), (3, 20), (5, 40)])
+def test_high_l_bracketed_by_afm_bounds(family, n, l):
+    # the outward sweep must start where 1 - h^2 w/12 stays positive
+    from auxfield.afm import AuxiliaryKind, afm_solve
+    v = LINEAR if family == "linear" else PotentialModel.logarithmic()
+    q = QuantumNumbers(n, l)
+    f = solve_radial(v, q)
+    assert type(f.energy) is float
+    assert _nodes(f) == n
+    assert afm_solve(v, AuxiliaryKind.COULOMB, q).energy <= f.energy
+    assert f.energy <= afm_solve(v, AuxiliaryKind.QUADRATIC, q).energy
