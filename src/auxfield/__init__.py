@@ -5,7 +5,8 @@ linear, logarithmic and exponential potentials, validated against exact
 solutions and an independent Numerov eigensolver.
 """
 
-from .afm import (AfmSolution, AuxiliaryKind, Bound, PotentialModel,
+from .afm import (AfmSolution, AuxiliaryKind, Bound, ExpPotential,
+                  LinearPotential, LogPotential, PotentialModel,
                   TangentReport, afm_solve, bound_direction, critical_coupling,
                   energy_at_aux, improved_linear_energy, principal_number,
                   tangent_check)
@@ -24,12 +25,13 @@ from .overlaps import (DilationOverlap, afm_pair_overlap, numeric_overlap,
                        overlap_hydrogen_dilated, overlap_oscillator_dilated,
                        sample_radial)
 from .specfun import (WBranch, airy_ai, airy_zero, airy_zero_estimate,
-                      binomial, lambert_w, laguerre, ln_gamma, solve_w_power)
+                      lambert_w, laguerre, solve_w_power)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AfmSolution", "AuxiliaryKind", "Bound", "PotentialModel", "TangentReport",
+    "AfmSolution", "AuxiliaryKind", "Bound", "PotentialModel", "LinearPotential",
+    "LogPotential", "ExpPotential", "TangentReport",
     "afm_solve", "bound_direction", "critical_coupling", "energy_at_aux",
     "improved_linear_energy", "principal_number", "tangent_check",
     "AuxFieldError", "DomainError", "GridMismatch", "NoBoundState",
@@ -43,7 +45,7 @@ __all__ = [
     "RadialFunction", "SolverConfig", "numeric_observables", "solve_radial",
     "DilationOverlap", "afm_pair_overlap", "numeric_overlap",
     "overlap_hydrogen_dilated", "overlap_oscillator_dilated", "sample_radial",
-    "WBranch", "airy_ai", "airy_zero", "airy_zero_estimate", "binomial",
-    "lambert_w", "laguerre", "ln_gamma", "solve_w_power",
+    "WBranch", "airy_ai", "airy_zero", "airy_zero_estimate",
+    "lambert_w", "laguerre", "solve_w_power",
     "__version__",
 ]

@@ -5,9 +5,10 @@ exponential potentials with a Coulomb (-1/r) or quadratic (r^2) basis
 potential, extremizes over the auxiliary parameter and returns scaled
 trial states, energies and variational bound classifications.
 
-Reduced units per family: linear defaults to 2m = a = 1 but accepts
-general (m, a) through the exact scaling laws; the logarithmic family is
-fixed to H = p^2/4 + ln r and the exponential one to H = p^2 - k e^{-r}.
+Each family is one ``PotentialModel`` subclass in reduced units:
+``LinearPotential`` defaults to 2m = a = 1 but accepts general (m, a)
+through the exact scaling laws; ``LogPotential`` is fixed to
+H = p^2/4 + ln r and ``ExpPotential`` to H = p^2 - k e^{-r}.
 """
 
 from __future__ import annotations
@@ -15,18 +16,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import ClassVar, Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import specfun
-from .errors import DomainError, NoBoundState, NumericalFailure
-from .exact import HydrogenScale, OscillatorScale, QuantumNumbers
+from .errors import DomainError, NoBoundState
+from .exact import HydrogenScale, OscillatorScale, QuantumNumbers, linear_s_state
 
 __all__ = [
     "AuxiliaryKind",
     "PotentialModel",
+    "LinearPotential",
+    "LogPotential",
+    "ExpPotential",
     "Bound",
     "AfmSolution",
     "TangentReport",
@@ -40,8 +43,6 @@ __all__ = [
 ]
 
 _W0 = specfun.WBranch.PRINCIPAL
-# W0(T) = -2/3 marks zero AFM energy for the exponential potential
-_T_ZERO_ENERGY = -(2.0 / 3.0) * math.exp(-2.0 / 3.0)
 _NEG_INV_E = -math.exp(-1.0)
 
 
@@ -67,45 +68,47 @@ class Bound(Enum):
 
 @dataclass(frozen=True)
 class PotentialModel:
-    """One of the three Hamiltonian families in reduced units.
+    """Base of the three Hamiltonian families in reduced units.
 
-    family "linear":  H = p^2/(2m) + a r   (m, a configurable)
-    family "log":     H = p^2/4 + ln r     (no parameters)
-    family "exp":     H = p^2 - k exp(-r)  (depth k > 0)
+    Each family is one subclass that holds its own parameters and their
+    validation, V and V' (``_v``, ``_v_prime`` on float arrays), the mass,
+    ``afm_extremum(kind, N)`` -> (energy, nu0, r0, scale) in closed form,
+    ``mean_point(kind, nu)`` = I(nu), the radius where V'/P' equals nu > 0,
+    the bound direction, and the oracle's ``default_r_max(q)`` and
+    ``continuum_threshold``: None when V confines, else the largest start
+    energy the oracle accepts below the continuum at E = 0.
+
+    ``LinearPotential(m, a)``:  H = p^2/(2m) + a r   (m, a configurable)
+    ``LogPotential()``:         H = p^2/4 + ln r     (no parameters)
+    ``ExpPotential(k)``:        H = p^2 - k exp(-r)  (depth k > 0)
     """
 
-    family: str
-    m: float = 0.5
-    a: float = 1.0
-    k: float = 0.0
-
-    def __post_init__(self):
-        if self.family not in ("linear", "log", "exp"):
-            raise DomainError(f"unknown family {self.family!r}")
-        if not all(math.isfinite(x) for x in (self.m, self.a, self.k)):
-            raise DomainError("potential parameters m, a and k must be finite")
-        if self.family == "linear" and (self.m <= 0 or self.a <= 0):
-            raise DomainError("linear family requires m > 0 and a > 0")
-        if self.family == "exp" and not self.k > 0:
-            raise DomainError("exponential family requires depth k > 0")
+    family: ClassVar[str]
+    continuum_threshold: ClassVar[Optional[float]] = None
 
     @classmethod
-    def linear(cls, m: float = 0.5, a: float = 1.0) -> "PotentialModel":
-        return cls(family="linear", m=m, a=a)
+    def linear(cls, m: float = 0.5, a: float = 1.0) -> "LinearPotential":
+        return LinearPotential(m, a)
 
     @classmethod
-    def logarithmic(cls) -> "PotentialModel":
-        return cls(family="log")
+    def logarithmic(cls) -> "LogPotential":
+        return LogPotential()
 
     @classmethod
-    def exponential(cls, k: float) -> "PotentialModel":
-        return cls(family="exp", k=k)
+    def exponential(cls, k: float) -> "ExpPotential":
+        return ExpPotential(k)
 
-    @property
-    def mass(self) -> float:
-        if self.family == "linear":
-            return self.m
-        return 2.0 if self.family == "log" else 0.5
+    @staticmethod
+    def from_name(name: str, k: Optional[float] = None) -> "PotentialModel":
+        """Reduced-unit model of the family called ``name``; ``k`` is the
+        depth of the exponential family, given for it and only for it."""
+        family = _FAMILIES.get(name)
+        if family is None:
+            raise DomainError(f"unknown family {name!r}; choose from {list(_FAMILIES)}")
+        if (k is not None) != (family is ExpPotential):
+            raise DomainError("the depth k (--k) is required for the exponential "
+                              "family and rejected for the others")
+        return family() if k is None else family(k)
 
     @property
     def kinetic_2m(self) -> float:
@@ -113,18 +116,191 @@ class PotentialModel:
         return 2.0 * self.mass
 
     def v(self, r):
-        if self.family == "linear":
-            return self.a * np.asarray(r, dtype=float)
-        if self.family == "log":
-            return np.log(r)
-        return -self.k * np.exp(-np.asarray(r, dtype=float))
+        """V(r); the single entry point that evaluates the potential."""
+        return self._v(np.asarray(r, dtype=float))
 
     def v_prime(self, r):
-        if self.family == "linear":
-            return self.a * np.ones_like(np.asarray(r, dtype=float))
-        if self.family == "log":
-            return 1.0 / np.asarray(r, dtype=float)
-        return self.k * np.exp(-np.asarray(r, dtype=float))
+        return self._v_prime(np.asarray(r, dtype=float))
+
+    def bound(self, kind: AuxiliaryKind, q: QuantumNumbers):
+        """(Bound, condition_met) from the convexity of g in V = g(P).
+
+        For the linear and logarithmic potentials g is convex in the
+        Coulomb basis (a lower bound) and concave in the quadratic one
+        (an upper bound).
+        """
+        if kind is AuxiliaryKind.COULOMB:
+            return Bound.LOWER, None
+        return Bound.UPPER, None
+
+    def tangent_branch_end(self, kind: AuxiliaryKind) -> float:
+        """Largest nu for which the mean point I(nu) exists."""
+        return math.inf
+
+    def trial_mean_v(self, obs) -> Optional[float]:
+        """<V> of a trial state from its moment set, when closed-form."""
+        return None
+
+    def exact_wavefunction(self, q: QuantumNumbers):
+        """psi(r) of the exact eigenstate when it is known in closed form."""
+        return None
+
+
+@dataclass(frozen=True)
+class LinearPotential(PotentialModel):
+    """H = p^2/(2m) + a r, solved through the power-law scaling laws."""
+
+    family: ClassVar[str] = "linear"
+    m: float = 0.5
+    a: float = 1.0
+
+    def __post_init__(self):
+        if not all(math.isfinite(x) and x > 0 for x in (self.m, self.a)):
+            raise DomainError("linear family requires finite m > 0 and a > 0")
+
+    @property
+    def mass(self) -> float:
+        return self.m
+
+    def _v(self, r):
+        return self.a * r
+
+    def _v_prime(self, r):
+        return self.a * np.ones_like(r)
+
+    def afm_extremum(self, kind: AuxiliaryKind, big_n: float):
+        m, a = self.m, self.a
+        sigma_e = (a * a / (2.0 * m)) ** (1.0 / 3.0)
+        sigma_r = (2.0 * m * a) ** (-1.0 / 3.0)
+        energy = 3.0 * big_n ** (2.0 / 3.0) / 2.0 ** (2.0 / 3.0) * sigma_e
+        if kind is AuxiliaryKind.COULOMB:
+            nu_red = 2.0 ** (2.0 / 3.0) * big_n ** (4.0 / 3.0)
+            r0 = math.sqrt(nu_red) * sigma_r
+            nu0 = nu_red * sigma_e * sigma_r
+            return energy, nu0, r0, HydrogenScale(eta=(nu_red / 2.0) / sigma_r)
+        nu_red = 2.0 ** (-4.0 / 3.0) * big_n ** (-2.0 / 3.0)
+        r0 = sigma_r / (2.0 * nu_red)
+        nu0 = nu_red * sigma_e / sigma_r ** 2
+        return energy, nu0, r0, OscillatorScale(lam=nu_red ** 0.25 / sigma_r)
+
+    def mean_point(self, kind: AuxiliaryKind, nu: float) -> float:
+        if kind is AuxiliaryKind.COULOMB:
+            return math.sqrt(nu / self.a)
+        return self.a / (2.0 * nu)
+
+    def default_r_max(self, q: QuantumNumbers) -> float:
+        big_n = 2 * q.n + q.l + 1.5
+        sigma_r = (2.0 * self.m * self.a) ** (-1.0 / 3.0)
+        e_red = 3.0 * (big_n / 2.0) ** (2.0 / 3.0) * 1.1
+        return sigma_r * max(30.0, 2.2 * e_red + 12.0)
+
+    def trial_mean_v(self, obs) -> float:
+        return self.a * obs.r_moments[1]
+
+    def exact_wavefunction(self, q: QuantumNumbers):
+        if q.l != 0:
+            return None
+        return linear_s_state(self.m, self.a, q.n).wavefunction
+
+
+@dataclass(frozen=True)
+class LogPotential(PotentialModel):
+    """H = p^2/4 + ln r in its fixed reduced form."""
+
+    family: ClassVar[str] = "log"
+    mass: ClassVar[float] = 2.0
+
+    def _v(self, r):
+        return np.log(r)
+
+    def _v_prime(self, r):
+        return 1.0 / r
+
+    def afm_extremum(self, kind: AuxiliaryKind, big_n: float):
+        energy = 0.5 + math.log(big_n) - 0.5 * math.log(2.0)
+        if kind is AuxiliaryKind.COULOMB:
+            nu0 = big_n / math.sqrt(2.0)
+            return energy, nu0, nu0, HydrogenScale(eta=math.sqrt(2.0) * big_n)
+        nu0 = 1.0 / big_n ** 2
+        r0 = 1.0 / math.sqrt(2.0 * nu0)
+        return energy, nu0, r0, OscillatorScale(lam=math.sqrt(2.0 / big_n))
+
+    def mean_point(self, kind: AuxiliaryKind, nu: float) -> float:
+        if kind is AuxiliaryKind.COULOMB:
+            return nu
+        return 1.0 / math.sqrt(2.0 * nu)
+
+    def default_r_max(self, q: QuantumNumbers) -> float:
+        r_turn = 1.2 * math.sqrt(math.e / 2.0) * (2 * q.n + q.l + 1.5)
+        return max(30.0, 1.3 * r_turn + 45.0)
+
+
+@dataclass(frozen=True)
+class ExpPotential(PotentialModel):
+    """H = p^2 - k exp(-r), solved through the Lambert W function."""
+
+    family: ClassVar[str] = "exp"
+    mass: ClassVar[float] = 0.5
+    k: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.k) and self.k > 0):
+            raise DomainError("exponential family requires a finite depth k > 0")
+
+    @property
+    def continuum_threshold(self) -> float:
+        return -1e-12 * max(1.0, self.k)
+
+    def _v(self, r):
+        return -self.k * np.exp(-r)
+
+    def _v_prime(self, r):
+        return self.k * np.exp(-r)
+
+    def bound(self, kind: AuxiliaryKind, q: QuantumNumbers):
+        """The Coulomb lower-bound proof only covers n + l + 1 <= sqrt(k / (2 e))."""
+        if kind is AuxiliaryKind.QUADRATIC:
+            return Bound.UPPER, None
+        met = (q.n + q.l + 1) <= math.sqrt(self.k / (2.0 * math.e))
+        return Bound.CONDITIONAL, met
+
+    def afm_extremum(self, kind: AuxiliaryKind, big_n: float):
+        k = self.k
+        t_arg = -((2.0 * big_n * big_n / k) ** (1.0 / 3.0)) / 3.0
+        if t_arg < _NEG_INV_E:
+            raise NoBoundState("state-not-allowed",
+                               f"N={big_n}: Lambert argument {t_arg:.6f} < -1/e")
+        w = specfun.lambert_w(_W0, t_arg)
+        energy = -k * t_arg ** 3 * (1.0 / w ** 3 + 1.5 / w ** 2)
+        if energy >= 0.0:
+            raise NoBoundState("nonnegative-energy",
+                               f"N={big_n}: AFM energy {energy:.6f} >= 0")
+        r0 = -3.0 * w
+        if kind is AuxiliaryKind.COULOMB:
+            eta = 4.5 * k * t_arg ** 3 / w
+            return energy, 2.0 * eta, r0, HydrogenScale(eta=eta)
+        nu0 = -(k / 6.0) * t_arg ** 3 / w ** 4
+        return energy, nu0, r0, OscillatorScale(lam=nu0 ** 0.25)
+
+    def mean_point(self, kind: AuxiliaryKind, nu: float) -> float:
+        if kind is AuxiliaryKind.COULOMB:
+            # k r^2 e^{-r} = nu on the increasing branch r in (0, 2]
+            return -2.0 * specfun.lambert_w(_W0, -0.5 * math.sqrt(nu / self.k))
+        # (k/2) e^{-r} / r = nu, i.e. r e^r = k / (2 nu)
+        return specfun.lambert_w(_W0, self.k / (2.0 * nu))
+
+    def tangent_branch_end(self, kind: AuxiliaryKind) -> float:
+        """k r^2 e^{-r} peaks at 4k/e^2 (r = 2), where W0's argument is -1/e."""
+        if kind is AuxiliaryKind.COULOMB:
+            return 4.0 * self.k / math.e ** 2
+        return math.inf
+
+    def default_r_max(self, q: QuantumNumbers) -> float:
+        return max(30.0 + 5.0 * (q.n + q.l), 80.0)
+
+
+_FAMILIES = {"linear": LinearPotential, "log": LogPotential, "logarithmic": LogPotential,
+             "exp": ExpPotential, "exponential": ExpPotential}
 
 
 @dataclass(frozen=True)
@@ -152,76 +328,18 @@ def bound_direction(v: PotentialModel, kind: AuxiliaryKind,
                     q: QuantumNumbers):
     """Variational direction from the convexity of g in V = g(P).
 
-    Returns (Bound, condition_met); condition_met is None except for the
-    exponential potential with the Coulomb basis, whose lower-bound proof
-    only covers n + l + 1 <= sqrt(k / (2 e)).
+    Returns (Bound, condition_met) from ``v.bound``; condition_met is None
+    except for the exponential potential with the Coulomb basis.
     """
-    if v.family in ("linear", "log"):
-        if kind is AuxiliaryKind.COULOMB:
-            return Bound.LOWER, None
-        return Bound.UPPER, None
-    if kind is AuxiliaryKind.QUADRATIC:
-        return Bound.UPPER, None
-    met = (q.n + q.l + 1) <= math.sqrt(v.k / (2.0 * math.e))
-    return Bound.CONDITIONAL, met
-
-
-def _exp_lambert_factor(k: float, big_n: float) -> tuple[float, float]:
-    """(T, W0(T)) for the exponential family; raises NoBoundState."""
-    t_arg = -((2.0 * big_n * big_n / k) ** (1.0 / 3.0)) / 3.0
-    if t_arg < _NEG_INV_E:
-        raise NoBoundState("state-not-allowed",
-                           f"N={big_n}: Lambert argument {t_arg:.6f} < -1/e")
-    return t_arg, specfun.lambert_w(_W0, t_arg)
+    return v.bound(kind, q)
 
 
 def afm_solve(v: PotentialModel, kind: AuxiliaryKind,
               q: QuantumNumbers) -> AfmSolution:
     """Extremize the auxiliary parameter and return the closed-form solution."""
     big_n = principal_number(kind, q)
-    bound, met = bound_direction(v, kind, q)
-
-    if v.family == "linear":
-        m, a = v.m, v.a
-        sigma_e = (a * a / (2.0 * m)) ** (1.0 / 3.0)
-        sigma_r = (2.0 * m * a) ** (-1.0 / 3.0)
-        energy = 3.0 * big_n ** (2.0 / 3.0) / 2.0 ** (2.0 / 3.0) * sigma_e
-        if kind is AuxiliaryKind.COULOMB:
-            nu_red = 2.0 ** (2.0 / 3.0) * big_n ** (4.0 / 3.0)
-            r0 = math.sqrt(nu_red) * sigma_r
-            nu0 = nu_red * sigma_e * sigma_r
-            scale = HydrogenScale(eta=(nu_red / 2.0) / sigma_r)
-        else:
-            nu_red = 2.0 ** (-4.0 / 3.0) * big_n ** (-2.0 / 3.0)
-            r0 = sigma_r / (2.0 * nu_red)
-            nu0 = nu_red * sigma_e / sigma_r ** 2
-            scale = OscillatorScale(lam=nu_red ** 0.25 / sigma_r)
-    elif v.family == "log":
-        energy = 0.5 + math.log(big_n) - 0.5 * math.log(2.0)
-        if kind is AuxiliaryKind.COULOMB:
-            nu0 = big_n / math.sqrt(2.0)
-            r0 = nu0
-            scale = HydrogenScale(eta=math.sqrt(2.0) * big_n)
-        else:
-            nu0 = 1.0 / big_n ** 2
-            r0 = 1.0 / math.sqrt(2.0 * nu0)
-            scale = OscillatorScale(lam=math.sqrt(2.0 / big_n))
-    else:
-        k = v.k
-        t_arg, w = _exp_lambert_factor(k, big_n)
-        energy = -k * t_arg ** 3 * (1.0 / w ** 3 + 1.5 / w ** 2)
-        if energy >= 0.0:
-            raise NoBoundState("nonnegative-energy",
-                               f"N={big_n}: AFM energy {energy:.6f} >= 0")
-        r0 = -3.0 * w
-        if kind is AuxiliaryKind.COULOMB:
-            eta = 4.5 * k * t_arg ** 3 / w
-            nu0 = 2.0 * eta
-            scale = HydrogenScale(eta=eta)
-        else:
-            nu0 = -(k / 6.0) * t_arg ** 3 / w ** 4
-            scale = OscillatorScale(lam=nu0 ** 0.25)
-
+    bound, met = v.bound(kind, q)
+    energy, nu0, r0, scale = v.afm_extremum(kind, big_n)
     offset = float(v.v(r0) - nu0 * kind.p(r0))
     return AfmSolution(nu0=nu0, r0=r0, scale=scale, energy=energy,
                        offset=offset, bound=bound, principal_n=big_n,
@@ -235,21 +353,10 @@ def improved_linear_energy(q: QuantumNumbers) -> float:
 
 
 def critical_coupling(q: QuantumNumbers, kind: AuxiliaryKind) -> float:
-    """Depth k at which the exponential-potential AFM energy crosses zero."""
+    """Depth k = e^2 N^2 / 4 at which the exponential-potential AFM energy
+    crosses zero (there W0(T) = -2/3)."""
     big_n = principal_number(kind, q)
-    # the energy formula only exists for k >= k_min (Lambert argument >= -1/e)
-    k_min = 2.0 * big_n * big_n * math.e ** 3 / 27.0
-
-    def eps(k):
-        t_arg = -((2.0 * big_n * big_n / k) ** (1.0 / 3.0)) / 3.0
-        w = specfun.lambert_w(_W0, max(t_arg, _NEG_INV_E))
-        return -k * t_arg ** 3 * (1.0 / w ** 3 + 1.5 / w ** 2)
-
-    lo = max(k_min * (1.0 + 1e-9), 1e-6)
-    hi = 1e6
-    if eps(lo) * eps(hi) > 0.0:
-        raise NumericalFailure("no sign change of the AFM energy in [1e-6, 1e6]")
-    return brentq(eps, lo, hi, xtol=1e-12, rtol=8.9e-16)
+    return math.e ** 2 * big_n * big_n / 4.0
 
 
 # ----------------------------------------------------------------------
@@ -258,31 +365,9 @@ def critical_coupling(q: QuantumNumbers, kind: AuxiliaryKind) -> float:
 
 def _mean_point(v: PotentialModel, kind: AuxiliaryKind, nu: float) -> float:
     """I(nu): radius where V'(r)/P'(r) equals nu."""
-    if nu <= 0:
-        raise DomainError("auxiliary parameter must be positive")
-    if v.family == "linear":
-        if kind is AuxiliaryKind.COULOMB:
-            return math.sqrt(nu / v.a)
-        return v.a / (2.0 * nu)
-    if v.family == "log":
-        if kind is AuxiliaryKind.COULOMB:
-            return nu
-        return 1.0 / math.sqrt(2.0 * nu)
-    k = v.k
-    if kind is AuxiliaryKind.COULOMB:
-        # k r^2 e^{-r} = nu, increasing branch r in (0, 2)
-        f = lambda r: k * r * r * math.exp(-r) - nu
-        if f(2.0) < 0.0:
-            raise DomainError("auxiliary parameter outside the tangent branch")
-        return brentq(f, 1e-14, 2.0, xtol=1e-14, rtol=8.9e-16)
-    # (k/2) e^{-r} / r = nu, decreasing on r > 0
-    f = lambda r: 0.5 * k * math.exp(-r) / r - nu
-    hi = 2.0
-    while f(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e6:
-            raise NumericalFailure("mean-point bracketing failed")
-    return brentq(f, 1e-14, hi, xtol=1e-14, rtol=8.9e-16)
+    if not 0 < nu <= v.tangent_branch_end(kind):
+        raise DomainError(f"auxiliary parameter {nu} outside the tangent branch")
+    return v.mean_point(kind, nu)
 
 
 def _energy_at_aux_n(v: PotentialModel, kind: AuxiliaryKind,
@@ -321,9 +406,7 @@ def tangent_check(v: PotentialModel, kind: AuxiliaryKind, sol: AfmSolution,
     r0, nu0 = sol.r0, sol.nu0
     v_tilde = lambda r: nu0 * kind.p(r) + sol.offset
     value_gap = abs(float(v_tilde(r0) - v.v(r0)))
-    h = 1e-5 * r0
-    slope_num = (v_tilde(r0 + h) - v_tilde(r0 - h) - (v.v(r0 + h) - v.v(r0 - h))) / (2 * h)
-    slope_gap = abs(float(slope_num))
+    slope_gap = abs(float(nu0 * kind.p_prime(r0) - v.v_prime(r0)))
 
     expect = None
     if sol.bound is Bound.LOWER:
@@ -341,13 +424,15 @@ def tangent_check(v: PotentialModel, kind: AuxiliaryKind, sol: AfmSolution,
             if expect * diff < -1e-10 * max(1.0, abs(v.v(r))):
                 violations += 1
 
-    dnu = 1e-4 * nu0
-    try:
-        deriv = (_energy_at_aux_n(v, kind, sol.principal_n, nu0 + dnu)
-                 - _energy_at_aux_n(v, kind, sol.principal_n, nu0 - dnu)) / (2.0 * dnu)
+    # 5-point dE/dnu whose reach 2 dnu stays within a tenth of the tangent
+    # branch left above nu0, where E(nu) has a square-root end point
+    dnu = min(1e-4 * nu0, (v.tangent_branch_end(kind) - nu0) / 20.0)
+    residual = math.inf  # reported, never raised
+    if dnu > 0:
+        e = [_energy_at_aux_n(v, kind, sol.principal_n, nu0 + j * dnu)
+             for j in (-2, -1, 1, 2)]
+        deriv = (8.0 * (e[2] - e[1]) - (e[3] - e[0])) / (12.0 * dnu)
         residual = abs(deriv) * nu0 / abs(sol.energy)  # dimensionless
-    except (DomainError, NumericalFailure):
-        residual = math.inf  # reported, never raised
     ok = (value_gap <= 1e-10 * max(1.0, abs(v.v(r0)))
           and slope_gap <= 1e-8
           and violations == 0

@@ -8,8 +8,10 @@ Subcommands::
     auxfield oracle <family> <n> <l> [--k K] [--r-max R] [--grid-points N]
 
 Exit codes: 0 success, 2 no bound state (machine-readable reason on
-stdout), 64 usage error, 70 numeric failure.  All data streams are
-deterministic; units are reduced per family (see --help-units).
+stdout), 64 usage error, 70 numeric failure or any other internal
+error.  All data streams are deterministic; units are reduced per family
+(see --help-units).  ``--k`` is the exponential depth and is rejected for
+the other families.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ import numpy as np
 
 from . import observables, tables
 from .afm import AuxiliaryKind, PotentialModel, afm_solve
-from .errors import (AuxFieldError, DomainError, NoBoundState, NoSolution,
-                     NumericalFailure)
-from .exact import HydrogenScale, QuantumNumbers, linear_s_state
+from .errors import DomainError, NoBoundState, NoSolution, NumericalFailure
+from .exact import HydrogenScale, QuantumNumbers
 from .oracle import SolverConfig, numeric_observables, solve_radial
 
 EX_OK = 0
@@ -53,59 +54,40 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
-def _family(value: str) -> str:
-    aliases = {"linear": "linear", "log": "log", "logarithmic": "log",
-               "exp": "exp", "exponential": "exp"}
-    if value not in aliases:
-        raise argparse.ArgumentTypeError(
-            f"family must be one of {sorted(set(aliases))}")
-    return aliases[value]
-
-
-def _model(family: str, k: Optional[float]) -> PotentialModel:
-    if family == "exp":
-        if k is None:
-            raise DomainError("the exponential family requires --k")
-        return PotentialModel.exponential(k)
-    if family == "log":
-        return PotentialModel.logarithmic()
-    return PotentialModel.linear()
-
-
-def _aux(value: str) -> AuxiliaryKind:
-    if value == "coulomb":
-        return AuxiliaryKind.COULOMB
-    if value == "quadratic":
-        return AuxiliaryKind.QUADRATIC
-    raise argparse.ArgumentTypeError("aux must be 'coulomb' or 'quadratic'")
-
-
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write --out {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
 
-def _json(record) -> str:
-    """Strict JSON text: a non-finite number is a numeric failure, not output."""
+def _emit_record(record: dict, obs, args) -> int:
+    """Add --k and the r moments, then emit strict JSON: a non-finite
+    number is a numeric failure, not output."""
+    if args.k is not None:
+        record["k"] = args.k
+    for k_exp, val in sorted(obs.r_moments.items()):
+        record[f"r_moment_{k_exp}"] = val
     try:
-        return json.dumps(record, indent=1, sort_keys=True, allow_nan=False) + "\n"
+        text = json.dumps(record, indent=1, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:
         raise NumericalFailure("non-finite value in the result") from None
+    _emit(text, args.out)
+    return EX_OK
 
 
 def _cmd_solve(args) -> int:
-    v = _model(args.family, args.k)
+    v = PotentialModel.from_name(args.family, args.k)
     q = QuantumNumbers(args.n, args.l)
-    sol = afm_solve(v, args.aux, q)
+    sol = afm_solve(v, AuxiliaryKind(args.aux), q)
     obs = observables.afm_observable_set(v, sol, q)
-    mean_h = (obs.mean_h if obs.mean_h is not None
-              else observables.mean_hamiltonian(v, sol, q))
     record = {
-        "family": args.family,
-        "aux": args.aux.value,
+        "family": v.family,
+        "aux": args.aux,
         "n": args.n,
         "l": args.l,
         "nu0": sol.nu0,
@@ -121,14 +103,9 @@ def _cmd_solve(args) -> int:
         "p2": obs.p2,
         "p4": obs.p4,
         "psi0_sq": obs.psi0_sq,
-        "mean_h": mean_h,
+        "mean_h": observables.mean_hamiltonian(v, sol, q),
     }
-    if args.family == "exp":
-        record["k"] = args.k
-    for k_exp, val in sorted(obs.r_moments.items()):
-        record[f"r_moment_{k_exp}"] = val
-    _emit(_json(record), args.out)
-    return EX_OK
+    return _emit_record(record, obs, args)
 
 
 def _cmd_table(args) -> int:
@@ -140,28 +117,28 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_wavefunction(args) -> int:
-    if not args.r_max > 0:
-        raise DomainError("--r-max must be positive")
-    samples = args.samples
-    grid = np.linspace(0.0, args.r_max, samples)
+    if not (args.r_max > 0 and math.isfinite(args.r_max)):
+        raise DomainError("--r-max must be positive and finite")
+    if args.samples < 2:
+        raise DomainError("--samples must be at least 2")
+    grid = np.linspace(0.0, args.r_max, args.samples)
+    v = PotentialModel.from_name(args.family, args.k)
+    q = QuantumNumbers(args.n, args.l)
     if args.aux == "exact":
-        if args.family == "linear" and args.l == 0:
-            state = linear_s_state(0.5, 1.0, args.n)
-            psi = np.asarray(state.wavefunction(grid))
+        exact = v.exact_wavefunction(q)
+        if exact is not None:
+            psi = np.asarray(exact(grid))
         else:
-            v = _model(args.family, args.k)
-            f = solve_radial(v, QuantumNumbers(args.n, args.l),
-                             SolverConfig(r_max=max(args.r_max, 30.0)))
+            f = solve_radial(v, q, SolverConfig(r_max=max(args.r_max, 30.0)))
             u_interp = np.interp(grid, f.grid, f.values)
             psi = np.empty_like(grid)
             psi[1:] = u_interp[1:] / (grid[1:] * math.sqrt(4.0 * math.pi))
-            psi[0] = psi[1]
+            # psi(0) = u'(0) / sqrt(4 pi) for l = 0 and vanishes for l > 0
+            psi[0] = f.slope_at_origin() / math.sqrt(4.0 * math.pi) if q.l == 0 else 0.0
     else:
         if args.aux not in ("coulomb", "quadratic"):
             raise DomainError("aux must be 'coulomb', 'quadratic' or 'exact'")
-        v = _model(args.family, args.k)
-        q = QuantumNumbers(args.n, args.l)
-        sol = afm_solve(v, _aux(args.aux), q)
+        sol = afm_solve(v, AuxiliaryKind(args.aux), q)
         radial, _ = observables.trial_radial(sol, q)
         psi = np.asarray(radial(grid)) / math.sqrt(4.0 * math.pi)
     lines = ["r,psi"]
@@ -172,12 +149,12 @@ def _cmd_wavefunction(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    v = _model(args.family, args.k)
+    v = PotentialModel.from_name(args.family, args.k)
     cfg = SolverConfig(r_max=args.r_max, grid_points=args.grid_points)
     f = solve_radial(v, QuantumNumbers(args.n, args.l), cfg)
     obs = numeric_observables(f, v)
     record = {
-        "family": args.family,
+        "family": v.family,
         "n": args.n,
         "l": args.l,
         "energy": f.energy,
@@ -185,12 +162,7 @@ def _cmd_oracle(args) -> int:
         "p4": obs.p4,
         "psi0_sq": obs.psi0_sq,
     }
-    if args.family == "exp":
-        record["k"] = args.k
-    for k_exp, val in sorted(obs.r_moments.items()):
-        record[f"r_moment_{k_exp}"] = val
-    _emit(_json(record), args.out)
-    return EX_OK
+    return _emit_record(record, obs, args)
 
 
 def _build_parser() -> _Parser:
@@ -201,8 +173,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("solve", help="closed-form AFM solution as JSON")
-    p.add_argument("family", type=_family)
-    p.add_argument("aux", type=_aux)
+    p.add_argument("family")
+    p.add_argument("aux", choices=[kind.value for kind in AuxiliaryKind])
     p.add_argument("n", type=int)
     p.add_argument("l", type=int)
     p.add_argument("--k", type=float, default=None)
@@ -218,7 +190,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("wavefunction", help="sample a wavefunction as CSV")
-    p.add_argument("family", type=_family)
+    p.add_argument("family")
     p.add_argument("aux", help="'coulomb', 'quadratic' or 'exact'")
     p.add_argument("n", type=int)
     p.add_argument("l", type=int)
@@ -229,7 +201,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_wavefunction)
 
     p = sub.add_parser("oracle", help="numeric eigensolver result as JSON")
-    p.add_argument("family", type=_family)
+    p.add_argument("family")
     p.add_argument("n", type=int)
     p.add_argument("l", type=int)
     p.add_argument("--k", type=float, default=None)
@@ -264,8 +236,8 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"auxfield: numeric failure: {exc}", file=sys.stderr)
         return EX_SOFTWARE
-    except AuxFieldError as exc:  # unexpected domain failure
-        print(f"auxfield: error: {exc}", file=sys.stderr)
+    except Exception as exc:  # any other failure is a defect, never a traceback
+        print(f"auxfield: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EX_SOFTWARE
 
 

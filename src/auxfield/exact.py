@@ -94,7 +94,6 @@ class ObservableSet:
     p4: float
     psi0_sq: Optional[float] = None
     mean_h: Optional[float] = None
-    provenance: str = "analytic"
 
 
 # ----------------------------------------------------------------------
@@ -182,8 +181,8 @@ def hydrogen_radial(scale: HydrogenScale, q: QuantumNumbers):
     gam = scale.gamma(q)
     big_n = n + l + 1
     log_norm = 1.5 * math.log(2.0 * gam) + 0.5 * (
-        specfun.ln_gamma(n + 1.0) - math.log(2.0 * big_n)
-        - specfun.ln_gamma(n + 2 * l + 2.0))
+        math.lgamma(n + 1.0) - math.log(2.0 * big_n)
+        - math.lgamma(n + 2 * l + 2.0))
     norm = math.exp(log_norm)
 
     def radial(r):
@@ -283,7 +282,7 @@ def oscillator_radial(scale: OscillatorScale, q: QuantumNumbers):
     n, l = q.n, q.l
     lam = scale.lam
     log_norm = 1.5 * math.log(lam) + 0.5 * (
-        math.log(2.0) + specfun.ln_gamma(n + 1.0) - specfun.ln_gamma(n + l + 1.5))
+        math.log(2.0) + math.lgamma(n + 1.0) - math.lgamma(n + l + 1.5))
     norm = math.exp(log_norm)
     alpha = l + 0.5
 
@@ -360,7 +359,7 @@ def oscillator_observables(scale: OscillatorScale, q: QuantumNumbers) -> Observa
     big_n = 2 * n + l + 1.5
     big_l = q.big_l
     if l == 0:
-        gr = math.exp(specfun.ln_gamma(n + 1.5) - specfun.ln_gamma(n + 1.0))
+        gr = math.exp(math.lgamma(n + 1.5) - math.lgamma(n + 1.0))
         r1 = 4.0 * gr / (math.pi * lam)
         r3 = 8.0 * (4 * n + 3) * gr / (3.0 * math.pi * lam ** 3)
         psi0 = lam ** 3 * 2.0 * gr / (math.pi ** 2)

@@ -48,15 +48,17 @@ def afm_observable_set(v: PotentialModel, sol: AfmSolution,
                        q: QuantumNumbers) -> ObservableSet:
     """Moment set of the AFM trial state behind ``sol``.
 
-    For the linear family <H> = <p^2>/(2m) + a <r> is filled in closed
-    form; the other families get it from ``mean_hamiltonian``.
+    <H> = <p^2>/(2m) + <V> is filled in when the model gives <V> in
+    closed form (the linear family); the other families get it from
+    ``mean_hamiltonian``.
     """
     if isinstance(sol.scale, HydrogenScale):
         obs = hydrogen_observables(sol.scale, q)
     else:
         obs = oscillator_observables(sol.scale, q)
-    if v.family == "linear":
-        obs.mean_h = obs.p2 / (2.0 * v.m) + v.a * obs.r_moments[1]
+    mean_v = v.trial_mean_v(obs)
+    if mean_v is not None:
+        obs.mean_h = obs.p2 / v.kinetic_2m + mean_v
     return obs
 
 
@@ -97,10 +99,9 @@ def mean_hamiltonian(v: PotentialModel, sol: AfmSolution,
     """<H> of the trial state: kinetic part from closed forms, potential
     part analytic for the linear family and by quadrature otherwise."""
     obs = afm_observable_set(v, sol, q)
-    if v.family == "linear":
+    if obs.mean_h is not None:
         return obs.mean_h
-    kinetic = obs.p2 / v.kinetic_2m
-    return kinetic + mean_potential(v, sol, q, power=1)
+    return obs.p2 / v.kinetic_2m + mean_potential(v, sol, q, power=1)
 
 
 def power_law_moments(lambda_exp: float, a: float, m: float, energy: float,

@@ -25,6 +25,7 @@ from scipy.linalg import eigh_tridiagonal
 from .afm import PotentialModel
 from .errors import DomainError, NoBoundState, NumericalFailure, QuadratureFailure
 from .exact import ObservableSet, QuantumNumbers
+from .observables import p2_p4_from_potential
 
 __all__ = ["RadialFunction", "SolverConfig", "solve_radial", "numeric_observables"]
 
@@ -41,15 +42,22 @@ class RadialFunction:
     energy: float
     q: QuantumNumbers
 
+    def slope_at_origin(self) -> float:
+        """u'(0) from the one-sided 5-point formula."""
+        u = self.values
+        h = float(self.grid[1] - self.grid[0])
+        return (-25.0 * u[0] + 48.0 * u[1] - 36.0 * u[2]
+                + 16.0 * u[3] - 3.0 * u[4]) / (12.0 * h)
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    r_max: Optional[float] = None     # None: choose per family/state
+    r_max: Optional[float] = None     # None: the family's default domain
     grid_points: int = 20000
 
     def __post_init__(self):
-        if self.r_max is not None and self.r_max <= 0:
-            raise DomainError("r_max must be positive")
+        if self.r_max is not None and not (self.r_max > 0 and math.isfinite(self.r_max)):
+            raise DomainError("r_max must be positive and finite")
         if self.grid_points < 2000:
             raise DomainError("grid_points must be >= 2000")
 
@@ -96,20 +104,6 @@ def _numerov_assemble(w, h, l, m):
 # ----------------------------------------------------------------------
 # driver
 # ----------------------------------------------------------------------
-
-def _characteristic_r_max(v: PotentialModel, q: QuantumNumbers) -> float:
-    """Generous default domain per family and state."""
-    n, l = q.n, q.l
-    big_n = 2 * n + l + 1.5
-    if v.family == "linear":
-        sigma_r = (2.0 * v.m * v.a) ** (-1.0 / 3.0)
-        e_red = 3.0 * (big_n / 2.0) ** (2.0 / 3.0) * 1.1
-        return sigma_r * max(30.0, 2.2 * e_red + 12.0)
-    if v.family == "log":
-        r_turn = 1.2 * math.sqrt(math.e / 2.0) * big_n
-        return max(30.0, 1.3 * r_turn + 45.0)
-    return 30.0 + 5.0 * (n + l)
-
 
 def _effective_w(v: PotentialModel, grid: np.ndarray, q: QuantumNumbers,
                  energy: float) -> np.ndarray:
@@ -175,56 +169,35 @@ def solve_radial(v: PotentialModel, q: QuantumNumbers,
 
     The Sturm count of the 3-point Hamiltonian on the grid gives the
     start energy of level q.n; Cooley's corrector refines it to the
-    Numerov eigenvalue.  The exponential family requires that start
-    below the threshold and auto-extends the domain for near-threshold
-    states.
+    Numerov eigenvalue.  A potential with a continuum requires that start
+    below the model's continuum threshold and, on its default domain,
+    extends the domain for near-threshold states.
     """
-    r_max = cfg.r_max or _characteristic_r_max(v, q)
-    if v.family == "exp":
-        return _solve_exponential(v, q, cfg, r_max)
-    grid = np.linspace(0.0, r_max, cfg.grid_points)
-    energy, u = _solve_on_grid(v, q, grid, _sturm_start(v, q, grid))
-    return _checked(grid, u, energy, q)
-
-
-def _checked(grid, u, energy, q) -> RadialFunction:
+    r_max = cfg.r_max or v.default_r_max(q)
+    threshold = v.continuum_threshold
+    for _ in range(4):
+        grid = np.linspace(0.0, r_max, cfg.grid_points)
+        start = _sturm_start(v, q, grid)
+        if threshold is not None and not start < threshold:
+            raise NoBoundState(
+                "not-supported", f"{v} has no bound state with n={q.n}, l={q.l}")
+        energy, u = _solve_on_grid(v, q, grid, start)
+        if threshold is None or cfg.r_max is not None:
+            break
+        # twenty decay lengths 1/sqrt(2m |E|) below the continuum at E = 0
+        needed = 20.0 / math.sqrt(v.kinetic_2m * -energy) if energy < 0 else math.inf
+        if needed <= r_max or not math.isfinite(needed):
+            break
+        r_max = min(needed * 1.25, 4000.0)
     if _interior_nodes(u) != q.n:
         raise NumericalFailure(
             f"converged solution has {_interior_nodes(u)} nodes, expected {q.n}")
     return RadialFunction(grid=grid, values=u, energy=float(energy), q=q)
 
 
-def _solve_exponential(v, q, cfg, r_max0):
-    k = v.k
-    r_max = r_max0 if cfg.r_max else max(r_max0, 80.0)
-    e_hi = -1e-12 * max(1.0, k)
-    for _ in range(4):
-        grid = np.linspace(0.0, r_max, cfg.grid_points)
-        start = _sturm_start(v, q, grid)
-        if not start < e_hi:
-            raise NoBoundState(
-                "not-supported",
-                f"exponential well k={k} has no state with n={q.n}, l={q.l}")
-        energy, u = _solve_on_grid(v, q, grid, start)
-        if cfg.r_max is not None:
-            break
-        needed = 20.0 / math.sqrt(abs(energy)) if energy < 0 else math.inf
-        if needed <= r_max or not math.isfinite(needed):
-            break
-        r_max = min(needed * 1.25, 4000.0)
-    return _checked(grid, u, energy, q)
-
-
 # ----------------------------------------------------------------------
 # observables by quadrature
 # ----------------------------------------------------------------------
-
-def _derivative_at_origin(f: RadialFunction) -> float:
-    u = f.values
-    h = float(f.grid[1] - f.grid[0])
-    return (-25.0 * u[0] + 48.0 * u[1] - 36.0 * u[2]
-            + 16.0 * u[3] - 3.0 * u[4]) / (12.0 * h)
-
 
 def numeric_observables(f: RadialFunction, v: PotentialModel) -> ObservableSet:
     """Simpson moments, virial <p^2>/<p^4> and |psi(0)|^2 for an oracle state."""
@@ -242,12 +215,10 @@ def numeric_observables(f: RadialFunction, v: PotentialModel) -> ObservableSet:
     for k in (-2, -1, 1, 2, 3, 4):
         integrand = np.empty_like(u2)
         integrand[1:] = u2[1:] * grid[1:] ** float(k)
-        if k > 0:
-            integrand[0] = 0.0
-        elif k == -1:
+        if k >= -1:
             integrand[0] = 0.0
         else:
-            integrand[0] = _derivative_at_origin(f) ** 2 if f.q.l == 0 else 0.0
+            integrand[0] = f.slope_at_origin() ** 2 if f.q.l == 0 else 0.0
         r_mom[k] = float(simpson(integrand, x=grid))
 
     vv = np.empty_like(u2)
@@ -255,11 +226,9 @@ def numeric_observables(f: RadialFunction, v: PotentialModel) -> ObservableSet:
     vv[0] = 0.0  # u^2 V -> 0 at the origin for all three families
     mean_v = float(simpson(u2 * vv, x=grid))
     mean_v2 = float(simpson(u2 * vv * vv, x=grid))
-    c = v.kinetic_2m
-    p2 = c * (f.energy - mean_v)
-    p4 = c * c * (f.energy ** 2 - 2.0 * f.energy * mean_v + mean_v2)
+    p2, p4 = p2_p4_from_potential(f.energy, mean_v, mean_v2, v.mass)
     psi0 = None
     if f.q.l == 0:
-        psi0 = _derivative_at_origin(f) ** 2 / (4.0 * math.pi)
+        psi0 = f.slope_at_origin() ** 2 / (4.0 * math.pi)
     return ObservableSet(r_moments=r_mom, p2=p2, p4=p4, psi0_sq=psi0,
-                         mean_h=f.energy, provenance="quadrature")
+                         mean_h=f.energy)

@@ -22,7 +22,6 @@ from .afm import AuxiliaryKind
 from .errors import DomainError, GridMismatch
 from .exact import QuantumNumbers
 from .oracle import RadialFunction
-from .specfun import ln_gamma
 
 __all__ = [
     "DilationOverlap",
@@ -67,8 +66,8 @@ def overlap_hydrogen_dilated(n: int, n_prime: int, l: int, a: float) -> float:
     sign_q = 1.0 if q_a >= 0.0 else -1.0
     log4ann = math.log(4.0 * a * big_n * big_np)
 
-    base = (0.5 * (math.log(a) + ln_gamma(n + 1.0) + ln_gamma(big_n + l + 1.0)
-                   + ln_gamma(n_prime + 1.0) + ln_gamma(big_np + l + 1.0))
+    base = (0.5 * (math.log(a) + math.lgamma(n + 1.0) + math.lgamma(big_n + l + 1.0)
+                   + math.lgamma(n_prime + 1.0) + math.lgamma(big_np + l + 1.0))
             + big_n * log4ann - (big_n + big_np + 1.0) * math.log(s_a))
 
     terms = []
@@ -76,8 +75,8 @@ def overlap_hydrogen_dilated(n: int, n_prime: int, l: int, a: float) -> float:
         shift = n_prime - n + k
         if shift + 1 < 0:
             continue  # 1/(negative factorial) = 0
-        denom = (ln_gamma(k + 1.0) + ln_gamma(n - k + 1.0)
-                 + ln_gamma(big_n - k + l + 1.0) + ln_gamma(shift + 2.0))
+        denom = (math.lgamma(k + 1.0) + math.lgamma(n - k + 1.0)
+                 + math.lgamma(big_n - k + l + 1.0) + math.lgamma(shift + 2.0))
         k_sign = -1.0 if k % 2 else 1.0
         common = base - k * log4ann - denom
         # piece 1: 2 (N-k)(n'-n+k+1) * Q^(n'-n+2k)
@@ -110,8 +109,8 @@ def overlap_oscillator_dilated(n: int, n_prime: int, l: int, a: float) -> float:
     log_d = math.log(abs(d)) if d != 0.0 else -math.inf
     sign_d = 1.0 if d >= 0.0 else -1.0
     log2a = math.log(2.0 * a)
-    base = (0.5 * (ln_gamma(n + 1.0) + ln_gamma(n_prime + 1.0)
-                   + ln_gamma(n + l + 1.5) + ln_gamma(n_prime + l + 1.5))
+    base = (0.5 * (math.lgamma(n + 1.0) + math.lgamma(n_prime + 1.0)
+                   + math.lgamma(n + l + 1.5) + math.lgamma(n_prime + l + 1.5))
             + (2 * n + l + 1.5) * log2a
             - (n + n_prime + l + 1.5) * math.log(1.0 + a * a))
     terms = []
@@ -123,8 +122,8 @@ def overlap_oscillator_dilated(n: int, n_prime: int, l: int, a: float) -> float:
         if log_d == -math.inf and power > 0:
             continue
         logmag = (base + (power * log_d if power else 0.0) - 2.0 * k * log2a
-                  - ln_gamma(k + 1.0) - ln_gamma(n - k + 1.0)
-                  - ln_gamma(shift + 1.0) - ln_gamma(n - k + l + 1.5))
+                  - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
+                  - math.lgamma(shift + 1.0) - math.lgamma(n - k + l + 1.5))
         sign = (-1.0 if k % 2 else 1.0) * (sign_d ** (power % 2))
         terms.append((sign, logmag))
     return _log_sum(terms)

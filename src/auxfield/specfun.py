@@ -1,8 +1,8 @@
 """Self-contained special-function kernel.
 
 Provides the Airy function Ai and its zeros, both real branches of the
-Lambert W function, generalized Laguerre polynomials, log-gamma /
-binomial helpers and the inversion of z = W(x) * x**alpha.  Everything
+Lambert W function, generalized Laguerre polynomials and the inversion
+of z = W(x) * x**alpha.  Everything
 is double precision and free of external special-function libraries;
 only numpy is used for vectorization.
 """
@@ -26,8 +26,6 @@ __all__ = [
     "lambert_w",
     "solve_w_power",
     "laguerre",
-    "ln_gamma",
-    "binomial",
 ]
 
 _NEG_INV_E = -math.exp(-1.0)
@@ -429,18 +427,3 @@ def laguerre(n: int, alpha: float, x):
         l_prev, l_cur = l_cur, l_next
     return l_cur if l_cur.ndim else float(l_cur)
 
-
-def ln_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    if x <= 0.0:
-        raise DomainError("ln_gamma requires x > 0")
-    return math.lgamma(x)
-
-
-def binomial(n: int, k: int) -> float:
-    """Binomial coefficient C(n, k) as a float; 0 when k > n or k < 0."""
-    if n < 0:
-        raise DomainError("binomial requires n >= 0")
-    if k < 0 or k > n:
-        return 0.0
-    return float(math.comb(n, k))

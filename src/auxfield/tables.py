@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
@@ -27,10 +27,6 @@ from .oracle import RadialFunction, SolverConfig, numeric_observables, solve_rad
 __all__ = ["TABLE_IDS", "golden", "build_table", "format_rows",
            "oracle_state", "linear_exact_function", "afm_trial_function",
            "linear_afm_overlap_sq", "wavefunction_samples"]
-
-TABLE_IDS = ("overlap-hy", "obs-hy", "ratios-hy", "overlap-ho", "obs-ho",
-             "ratios-ho", "eckart", "log-results", "exp-results",
-             "fig-wavefunctions")
 
 _KINDS = {"hy": AuxiliaryKind.COULOMB, "ho": AuxiliaryKind.QUADRATIC}
 
@@ -73,19 +69,16 @@ class Row:
 # shared state caches (pure recomputations, memoized for table reuse)
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _model(family: str, k: float = 0.0) -> PotentialModel:
-    if family == "linear":
-        return PotentialModel.linear()
-    if family == "log":
-        return PotentialModel.logarithmic()
-    return PotentialModel.exponential(k)
+_LINEAR = PotentialModel.linear()
 
 
 @lru_cache(maxsize=None)
 def oracle_state(family: str, k: float, n: int, l: int) -> Tuple[RadialFunction, object]:
-    """Converged oracle eigenstate and its quadrature observables."""
-    v = _model(family, k)
+    """Converged oracle eigenstate and its quadrature observables.
+
+    ``k`` is the exponential depth; 0.0 (or None) for the other families.
+    """
+    v = PotentialModel.from_name(family, k or None)
     f = solve_radial(v, QuantumNumbers(n, l), SolverConfig())
     return f, numeric_observables(f, v)
 
@@ -112,7 +105,7 @@ def afm_trial_function(v: PotentialModel, kind: AuxiliaryKind,
 def linear_afm_overlap_sq(kind_key: str, n: int) -> float:
     """|<exact linear n | AFM trial n>|^2 (reduced units, l = 0)."""
     exact_f = linear_exact_function(n)
-    trial = afm_trial_function(_model("linear"), _KINDS[kind_key],
+    trial = afm_trial_function(_LINEAR, _KINDS[kind_key],
                                QuantumNumbers(n, 0), exact_f.grid)
     return overlaps.numeric_overlap(exact_f, trial) ** 2
 
@@ -136,7 +129,7 @@ _OBS_KEYS = ("psi0", "r1", "r2", "r3", "r4", "p2", "p4", "mean_h", "eps")
 
 def _obs_ratios(kind: AuxiliaryKind, n: int) -> Dict[str, float]:
     """AFM / exact observable ratios for the reduced linear potential."""
-    v = _model("linear")
+    v = _LINEAR
     q = QuantumNumbers(n, 0)
     sol = afm_solve(v, kind, q)
     obs = observables.afm_observable_set(v, sol, q)
@@ -170,7 +163,7 @@ def _build_obs(kind_key: str) -> Tuple[List[str], List[Row]]:
 
 def _build_ratios(kind_key: str) -> Tuple[List[str], List[Row]]:
     gold = golden()[f"ratios_{kind_key}"]
-    v = _model("linear")
+    v = _LINEAR
     rows = []
     for quantity in ("eps", "r1"):
         tol = 0.002 if (quantity == "eps" or kind_key == "ho") else 0.003
@@ -194,7 +187,7 @@ def _build_ratios(kind_key: str) -> Tuple[List[str], List[Row]]:
 
 def _build_eckart() -> Tuple[List[str], List[Row]]:
     gold = golden()["eckart"]
-    v = _model("linear")
+    v = _LINEAR
     e0 = linear_s_observables(0.5, 1.0, 0).mean_h
     e1 = linear_s_observables(0.5, 1.0, 1).mean_h
     q0 = QuantumNumbers(0, 0)
@@ -219,26 +212,35 @@ def _build_eckart() -> Tuple[List[str], List[Row]]:
     return ["trial", "column"], rows
 
 
+_RATIO_COLS = ("re", "rr2", "rp2", "overlap")
+
+
+def _afm_vs_oracle(v: PotentialModel, kind: AuxiliaryKind, q: QuantumNumbers,
+                   fn: RadialFunction, oobs) -> Dict[str, float]:
+    """AFM / oracle ratios of E, <r^2> and <p^2>, and the squared overlap."""
+    sol = afm_solve(v, kind, q)
+    obs = observables.afm_observable_set(v, sol, q)
+    trial = afm_trial_function(v, kind, q, fn.grid)
+    return {
+        "re": sol.energy / fn.energy,
+        "rr2": obs.r_moments[2] / oobs.r_moments[2],
+        "rp2": obs.p2 / oobs.p2,
+        "overlap": overlaps.numeric_overlap(fn, trial) ** 2,
+    }
+
+
 def _build_log() -> Tuple[List[str], List[Row]]:
-    v = _model("log")
+    v = PotentialModel.logarithmic()
     rows = []
     for rec in golden()["log_results"]:
         n, l, basis = rec["n"], rec["l"], rec["basis"]
         q = QuantumNumbers(n, l)
         try:
-            sol = afm_solve(v, _KINDS[basis], q)
-            obs = observables.afm_observable_set(v, sol, q)
             fn, oobs = oracle_state("log", 0.0, n, l)
-            trial = afm_trial_function(v, _KINDS[basis], q, fn.grid)
-            values = {
-                "re": sol.energy / fn.energy,
-                "rr2": obs.r_moments[2] / oobs.r_moments[2],
-                "rp2": obs.p2 / oobs.p2,
-                "overlap": overlaps.numeric_overlap(fn, trial) ** 2,
-            }
+            values = _afm_vs_oracle(v, _KINDS[basis], q, fn, oobs)
         except AuxFieldError:
-            values = {c: None for c in ("re", "rr2", "rp2", "overlap")}
-        for col in ("re", "rr2", "rp2", "overlap"):
+            values = dict.fromkeys(_RATIO_COLS)
+        for col in _RATIO_COLS:
             rows.append(Row({"l": l, "n": n, "basis": basis, "quantity": col},
                             values[col], rec[col], 0.003))
     return ["l", "n", "basis", "quantity"], rows
@@ -258,7 +260,7 @@ def _build_exp() -> Tuple[List[str], List[Row]]:
     rows = []
     for rec in golden()["exp_results"]:
         k, n, l = float(rec["k"]), rec["n"], rec["l"]
-        v = _model("exp", k)
+        v = PotentialModel.exponential(k)
         q = QuantumNumbers(n, l)
         try:
             fn, oobs = oracle_state("exp", k, n, l)
@@ -270,25 +272,14 @@ def _build_exp() -> Tuple[List[str], List[Row]]:
                         fn.energy if fn is not None else None,
                         rec["energy"], e_tol))
         for basis in ("ho", "hy"):
-            gold_cols = rec[basis]
-            try:
-                sol = afm_solve(v, _KINDS[basis], q)
-            except NoBoundState:
-                sol = None
-            if sol is None or fn is None:
-                computed = {c: None for c in ("re", "rr2", "rp2", "overlap")}
-            else:
-                obs = observables.afm_observable_set(v, sol, q)
-                trial = afm_trial_function(v, _KINDS[basis], q, fn.grid)
-                computed = {
-                    "re": sol.energy / fn.energy,
-                    "rr2": obs.r_moments[2] / oobs.r_moments[2],
-                    "rp2": obs.p2 / oobs.p2,
-                    "overlap": overlaps.numeric_overlap(fn, trial) ** 2,
-                }
-            if gold_cols is None:
-                gold_cols = {c: None for c in ("re", "rr2", "rp2", "overlap")}
-            for col in ("re", "rr2", "rp2", "overlap"):
+            computed = dict.fromkeys(_RATIO_COLS)
+            if fn is not None:
+                try:
+                    computed = _afm_vs_oracle(v, _KINDS[basis], q, fn, oobs)
+                except NoBoundState:
+                    pass
+            gold_cols = rec[basis] or dict.fromkeys(_RATIO_COLS)
+            for col in _RATIO_COLS:
                 printed = gold_cols[col]
                 tol = _exp_tol(col, printed) if printed is not None else None
                 rows.append(Row({"k": rec["k"], "l": l, "n": n, "basis": basis,
@@ -300,7 +291,7 @@ def wavefunction_samples(n_values=(0, 1), r_max: float = 12.0,
                          samples: int = 601) -> Tuple[List[str], List[Row]]:
     """Radial wavefunction curves behind the two published figures."""
     grid = np.linspace(0.0, r_max, samples)
-    v = _model("linear")
+    v = _LINEAR
     cols: Dict[str, np.ndarray] = {"r": grid}
     for n in n_values:
         state = linear_s_state(0.5, 1.0, n)
@@ -317,28 +308,25 @@ def wavefunction_samples(n_values=(0, 1), r_max: float = 12.0,
     return header, rows
 
 
+_BUILDERS = {
+    "overlap-hy": partial(_build_overlap, "hy"),
+    "obs-hy": partial(_build_obs, "hy"),
+    "ratios-hy": partial(_build_ratios, "hy"),
+    "overlap-ho": partial(_build_overlap, "ho"),
+    "obs-ho": partial(_build_obs, "ho"),
+    "ratios-ho": partial(_build_ratios, "ho"),
+    "eckart": _build_eckart,
+    "log-results": _build_log,
+    "exp-results": _build_exp,
+    "fig-wavefunctions": wavefunction_samples,
+}
+TABLE_IDS = tuple(_BUILDERS)
+
+
 def build_table(table_id: str) -> Tuple[List[str], List[Row]]:
-    if table_id == "overlap-hy":
-        return _build_overlap("hy")
-    if table_id == "overlap-ho":
-        return _build_overlap("ho")
-    if table_id == "obs-hy":
-        return _build_obs("hy")
-    if table_id == "obs-ho":
-        return _build_obs("ho")
-    if table_id == "ratios-hy":
-        return _build_ratios("hy")
-    if table_id == "ratios-ho":
-        return _build_ratios("ho")
-    if table_id == "eckart":
-        return _build_eckart()
-    if table_id == "log-results":
-        return _build_log()
-    if table_id == "exp-results":
-        return _build_exp()
-    if table_id == "fig-wavefunctions":
-        return wavefunction_samples()
-    raise ValueError(f"unknown table id {table_id!r}; choose from {TABLE_IDS}")
+    if table_id not in _BUILDERS:
+        raise ValueError(f"unknown table id {table_id!r}; choose from {TABLE_IDS}")
+    return _BUILDERS[table_id]()
 
 
 # ----------------------------------------------------------------------

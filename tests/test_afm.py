@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from auxfield.afm import (AuxiliaryKind, Bound, PotentialModel, afm_solve,
-                          bound_direction, critical_coupling, energy_at_aux,
-                          improved_linear_energy, principal_number,
-                          tangent_check)
+from auxfield.afm import (AuxiliaryKind, Bound, PotentialModel, _mean_point,
+                          afm_solve, bound_direction, critical_coupling,
+                          energy_at_aux, improved_linear_energy,
+                          principal_number, tangent_check)
 from auxfield.errors import DomainError, NoBoundState
 from auxfield.exact import (QuantumNumbers, hydrogen_observables,
                             hydrogen_state, oscillator_observables,
@@ -182,6 +182,28 @@ class TestConsistencyIdentities:
             assert report.ok, (v.family, kind.value, q.n, q.l, report)
             assert report.extremality_residual < 1e-6
 
+    @pytest.mark.parametrize("n,l,k", [(0, 2, 1000.0), (7, 2, 200.0), (8, 14, 1000.0),
+                                       (6, 0, 100.0), (0, 6, 100.0)])
+    def test_tangency_of_deep_and_near_branch_end_exp_states(self, n, l, k):
+        # a finite-difference slope lost digits to V ~ k, and a 3-point
+        # dE/dnu stencil reached too close to the tangent branch's end
+        v, q = PotentialModel.exponential(k), QuantumNumbers(n, l)
+        sol = afm_solve(v, AuxiliaryKind.COULOMB, q)
+        report = tangent_check(v, AuxiliaryKind.COULOMB, sol,
+                               sol.r0 * np.linspace(0.1, 3.0, 9))
+        assert report.ok, report
+
+    @pytest.mark.parametrize("kind", list(AuxiliaryKind))
+    def test_exp_mean_point_closed_form(self, kind):
+        v = PotentialModel.exponential(50.0)
+        end = 4.0 * 50.0 / math.e ** 2 if kind is AuxiliaryKind.COULOMB else 1e4
+        for nu in np.geomspace(1e-3, end, 40):
+            r = _mean_point(v, kind, nu)
+            assert v.v_prime(r) / kind.p_prime(r) == pytest.approx(nu, rel=1e-12)
+        if kind is AuxiliaryKind.COULOMB:
+            with pytest.raises(DomainError):
+                _mean_point(v, kind, end * (1.0 + 1e-9))
+
     def test_energy_at_aux_is_extremal_value(self):
         for v, kind, q, sol in _solutions([LINEAR, LOG,
                                            PotentialModel.exponential(10.0)],
@@ -243,4 +265,14 @@ class TestValidation:
         with pytest.raises(DomainError):
             PotentialModel.linear(m=0.0)
         with pytest.raises(DomainError):
-            PotentialModel(family="coulomb")
+            PotentialModel.from_name("coulomb")
+
+    @pytest.mark.parametrize("name,k", [("linear", 5.0), ("log", 0.5), ("exp", None)])
+    def test_name_constructor_takes_depth_only_for_exp(self, name, k):
+        with pytest.raises(DomainError):
+            PotentialModel.from_name(name, k)
+
+    def test_families_are_classes(self):
+        assert PotentialModel.from_name("logarithmic") == PotentialModel.logarithmic()
+        assert PotentialModel.from_name("exp", 20.0).family == "exp"
+        assert not hasattr(PotentialModel.logarithmic(), "k")

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from auxfield import cli
 from auxfield.cli import main
 from auxfield.tables import TABLE_IDS
 
@@ -139,6 +140,16 @@ class TestWavefunction:
         assert code == 0
         assert len(out.splitlines()) == 302
 
+    def test_exact_oracle_path_value_at_origin(self, capsys):
+        _, out, _ = _run(capsys, "oracle", "log", "0", "0")
+        psi0 = math.sqrt(json.loads(out)["psi0_sq"])
+        _, out, _ = _run(capsys, "wavefunction", "log", "exact", "0", "0",
+                         "--samples", "3")
+        assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(psi0, rel=1e-3)
+        _, out, _ = _run(capsys, "wavefunction", "exp", "exact", "0", "1",
+                         "--k", "20", "--samples", "3")
+        assert out.splitlines()[1] == "0,0"
+
 
 class TestOracleCommand:
     def test_linear_json(self, capsys):
@@ -169,6 +180,49 @@ class TestBoundaries:
         assert code == 70
         assert out == ""
         assert "non-finite" in err
+
+    @pytest.mark.parametrize("family", ["linear", "log"])
+    def test_depth_for_non_exp_family_is_usage_error(self, family, capsys):
+        code, out, err = _run(capsys, "solve", family, "coulomb", "0", "0",
+                              "--k", "5")
+        assert code == 64
+        assert out == ""
+        assert "--k" in err
+
+    @pytest.mark.parametrize("samples", ["-3", "0", "1"])
+    def test_too_few_samples_is_usage_error(self, samples, capsys):
+        code, out, err = _run(capsys, "wavefunction", "linear", "coulomb", "0",
+                              "0", "--samples", samples)
+        assert code == 64
+        assert out == ""
+        assert "--samples" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("oracle", "linear", "0", "0", "--r-max", "inf", "--grid-points", "2000"),
+        ("wavefunction", "linear", "coulomb", "0", "0", "--r-max", "inf"),
+        ("wavefunction", "log", "exact", "0", "0", "--r-max", "nan"),
+    ])
+    def test_non_finite_r_max_is_usage_error(self, argv, capsys):
+        code, out, err = _run(capsys, *argv)
+        assert code == 64
+        assert out == ""
+        assert "finite" in err
+
+    def test_out_into_missing_directory_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "t.csv"
+        code, out, err = _run(capsys, "table", "overlap-ho", "--out", str(target))
+        assert code == 64
+        assert out == ""
+        assert "cannot write" in err
+
+    def test_unexpected_exception_maps_to_70(self, monkeypatch, capsys):
+        def boom(args):
+            raise KeyError("defect")
+        monkeypatch.setattr(cli, "_cmd_solve", boom)
+        code, out, err = _run(capsys, "solve", "linear", "coulomb", "0", "0")
+        assert code == 70
+        assert out == ""
+        assert "KeyError" in err
 
     def test_nonpositive_r_max_is_usage_error(self, capsys):
         code, out, err = _run(capsys, "wavefunction", "linear", "coulomb", "0",

@@ -8,8 +8,7 @@ from scipy import special
 
 from auxfield.errors import DomainError, NoSolution
 from auxfield.specfun import (WBranch, airy_ai, airy_zero, airy_zero_estimate,
-                              binomial, lambert_w, laguerre, ln_gamma,
-                              solve_w_power)
+                              lambert_w, laguerre, solve_w_power)
 
 
 class TestAiry:
@@ -214,26 +213,3 @@ class TestLaguerre:
             expect += (-1.0) ** k * c * xs ** k / math.factorial(k)
         got = laguerre(n, alpha, xs)
         assert np.allclose(got, expect, rtol=1e-12, atol=1e-12)
-
-
-class TestGammaBinomial:
-    def test_ln_gamma_basics(self):
-        assert ln_gamma(1.0) == 0.0
-        with pytest.raises(DomainError):
-            ln_gamma(0.0)
-
-    def test_half_integer_product_oracle(self):
-        # Gamma(n + 3/2) from Gamma(1/2) = sqrt(pi) by the recurrence
-        for n in range(11):
-            prod = math.sqrt(math.pi)
-            for j in range(n + 1):
-                prod *= (j + 0.5)
-            assert ln_gamma(n + 1.5) == pytest.approx(math.log(prod), rel=1e-13)
-
-    def test_binomial(self):
-        assert binomial(4, 2) == 6.0
-        assert binomial(5, 7) == 0.0
-        assert binomial(5, -1) == 0.0
-        for n in range(0, 61, 5):
-            for k in range(0, n + 1, 3):
-                assert binomial(n, k) == float(math.comb(n, k))
