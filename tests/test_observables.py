@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
 
+from auxfield import observables
 from auxfield.afm import AuxiliaryKind, PotentialModel, afm_solve
-from auxfield.errors import DomainError
+from auxfield.errors import DomainError, NoBoundState, QuadratureFailure
 from auxfield.exact import (QuantumNumbers, hydrogen_observables,
                             linear_s_observables)
 from auxfield.observables import (EckartInput, afm_observable_set, eckart_bound,
@@ -87,6 +88,49 @@ class TestMeanHamiltonian:
         gam = sol.scale.eta
         mean_ln = (1.5 - 0.5772156649015329) - math.log(2.0 * gam)
         assert mh == pytest.approx(0.5 + mean_ln, rel=1e-9)
+
+
+
+def _quad_mean_potential(v, sol, q, power):
+    # adaptive-quadrature reference on the same [0, r_hi]
+    radial, _ = trial_radial(sol, q)
+    r_hi = observables._density_cutoff(sol, q)
+
+    def integrand(r):
+        return float(v.v(r)) ** power * float(radial(r)) ** 2 * r * r
+
+    val, _ = quad(integrand, 0.0, r_hi, limit=200, epsabs=1e-13, epsrel=1e-11)
+    return val
+
+
+class TestMeanPotential:
+    @pytest.mark.parametrize("v", [LOG] + [PotentialModel.exponential(k)
+                                           for k in (5.0, 50.0, 1000.0)],
+                             ids=["log", "exp5", "exp50", "exp1000"])
+    @pytest.mark.parametrize("kind", list(AuxiliaryKind), ids=lambda k: k.value)
+    def test_gauss_legendre_matches_adaptive_quadrature(self, v, kind):
+        compared = 0
+        for n in (0, 1, 5, 20):
+            for l in (0, 1, 10, 40):
+                q = QuantumNumbers(n, l)
+                try:
+                    sol = afm_solve(v, kind, q)
+                except NoBoundState:
+                    continue
+                for power in (1, 2):
+                    ref = _quad_mean_potential(v, sol, q, power)
+                    got = mean_potential(v, sol, q, power)
+                    assert got == pytest.approx(ref, rel=1e-11)
+                    compared += 1
+        assert compared >= 2
+
+    def test_under_resolved_rule_raises(self, monkeypatch):
+        # 64 panels cannot resolve a density confined to 1e-6 of [0, r_hi]
+        monkeypatch.setattr(observables, "_density_cutoff", lambda sol, q: 1e6)
+        q = QuantumNumbers(0, 0)
+        sol = afm_solve(LOG, AuxiliaryKind.COULOMB, q)
+        with pytest.raises(QuadratureFailure):
+            mean_potential(LOG, sol, q)
 
 
 class TestPowerLawMoments:

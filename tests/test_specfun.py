@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +113,65 @@ class TestLambert:
     def test_residual_property(self, x):
         w = lambert_w(WBranch.PRINCIPAL, x)
         assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
+
+
+
+def _mp(f, x, **kw):
+    with mpmath.workdps(40):
+        return float(f(mpmath.mpf(float(x)), **kw))
+
+
+class TestAgainstMpmath:
+    """Accuracy claims checked against mpmath at 40 significant digits."""
+
+    def test_airy_negative_axis_relative_to_envelope(self):
+        x = np.linspace(-40.0, -0.01, 161)
+        v, d = airy_ai(x)
+        ref_v = np.array([_mp(mpmath.airyai, t) for t in x])
+        ref_d = np.array([_mp(mpmath.airyai, t, derivative=1) for t in x])
+        env = np.hypot(ref_v, ref_d / np.abs(x) ** 0.5)
+        assert np.max(np.abs(v - ref_v) / env) <= 5e-13
+        assert np.max(np.abs(d - ref_d) / (env * np.abs(x) ** 0.5)) <= 5e-13
+
+    def test_airy_positive_axis_relative(self):
+        x = np.linspace(0.0, 40.0, 161)
+        v, d = airy_ai(x)
+        ref_v = np.array([_mp(mpmath.airyai, t) for t in x])
+        ref_d = np.array([_mp(mpmath.airyai, t, derivative=1) for t in x])
+        assert np.max(np.abs(v - ref_v) / np.abs(ref_v)) <= 5e-13
+        assert np.max(np.abs(d - ref_d) / np.abs(ref_d)) <= 5e-13
+
+    def test_airy_zeros(self):
+        for n in range(31):
+            with mpmath.workdps(40):
+                ref = float(mpmath.airyaizero(n + 1))
+            assert abs(airy_zero(n) - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("branch, k, xs", [
+        (WBranch.PRINCIPAL, 0, np.concatenate([
+            -math.exp(-1) + np.logspace(-6, -0.44, 60), -np.logspace(-300, -1, 30),
+            np.logspace(-300, 300, 61)])),
+        (WBranch.LOWER, -1, np.concatenate([
+            -math.exp(-1) + np.logspace(-6, -0.44, 60),
+            -np.logspace(-280, -1, 60)])),
+    ], ids=["W0", "W-1"])
+    def test_lambert_relative(self, branch, k, xs):
+        bound = 1e-13 if branch is WBranch.PRINCIPAL else 5e-13
+        for x in xs:
+            ref = _mp(mpmath.lambertw, x, k=k)
+            assert abs(lambert_w(branch, float(x)) - ref) <= bound * abs(ref)
+
+    @pytest.mark.parametrize("branch, k", [(WBranch.PRINCIPAL, 0),
+                                           (WBranch.LOWER, -1)],
+                             ids=["W0", "W-1"])
+    def test_lambert_near_branch_point_within_conditioning(self, branch, k):
+        # relative condition number 1/|1 + W| diverges at x = -1/e: the
+        # error is bounded by a few ulps times it
+        for d in np.logspace(-14, -6, 17):
+            x = -math.exp(-1) + d
+            ref = _mp(mpmath.lambertw, x, k=k)
+            err = abs(lambert_w(branch, x) - ref) / abs(ref)
+            assert err * abs(1.0 + ref) <= 1e-15
 
 
 class TestSolveWPower:
