@@ -7,7 +7,7 @@ solutions and an independent Numerov eigensolver.
 
 from .afm import (AfmSolution, AuxiliaryKind, Bound, ExpPotential,
                   LinearPotential, LogPotential, PotentialModel,
-                  TangentReport, afm_solve, bound_direction, critical_coupling,
+                  TangentReport, afm_solve, critical_coupling,
                   energy_at_aux, improved_linear_energy, principal_number,
                   tangent_check)
 from .errors import (AuxFieldError, DomainError, GridMismatch, NoBoundState,
@@ -21,9 +21,8 @@ from .observables import (EckartInput, afm_observable_set, eckart_bound,
                           mean_hamiltonian, p2_p4_from_potential,
                           power_law_moments, psi0_from_force)
 from .oracle import RadialFunction, SolverConfig, numeric_observables, solve_radial
-from .overlaps import (DilationOverlap, afm_pair_overlap, numeric_overlap,
-                       overlap_hydrogen_dilated, overlap_oscillator_dilated,
-                       sample_radial)
+from .overlaps import (afm_pair_overlap, numeric_overlap, overlap_hydrogen_dilated,
+                       overlap_oscillator_dilated, sample_radial)
 from .specfun import (WBranch, airy_ai, airy_zero, airy_zero_estimate,
                       lambert_w, laguerre, solve_w_power)
 
@@ -32,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AfmSolution", "AuxiliaryKind", "Bound", "PotentialModel", "LinearPotential",
     "LogPotential", "ExpPotential", "TangentReport",
-    "afm_solve", "bound_direction", "critical_coupling", "energy_at_aux",
+    "afm_solve", "critical_coupling", "energy_at_aux",
     "improved_linear_energy", "principal_number", "tangent_check",
     "AuxFieldError", "DomainError", "GridMismatch", "NoBoundState",
     "NoSolution", "NumericalFailure", "QuadratureFailure",
@@ -43,7 +42,7 @@ __all__ = [
     "EckartInput", "afm_observable_set", "eckart_bound", "mean_hamiltonian",
     "p2_p4_from_potential", "power_law_moments", "psi0_from_force",
     "RadialFunction", "SolverConfig", "numeric_observables", "solve_radial",
-    "DilationOverlap", "afm_pair_overlap", "numeric_overlap",
+    "afm_pair_overlap", "numeric_overlap",
     "overlap_hydrogen_dilated", "overlap_oscillator_dilated", "sample_radial",
     "WBranch", "airy_ai", "airy_zero", "airy_zero_estimate",
     "lambert_w", "laguerre", "solve_w_power",

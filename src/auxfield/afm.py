@@ -21,7 +21,7 @@ from typing import ClassVar, Optional, Sequence, Union
 import numpy as np
 
 from . import specfun
-from .errors import DomainError, NoBoundState
+from .errors import DomainError, NoBoundState, NumericalFailure
 from .exact import HydrogenScale, OscillatorScale, QuantumNumbers, linear_s_state
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "TangentReport",
     "principal_number",
     "afm_solve",
-    "bound_direction",
     "improved_linear_energy",
     "critical_coupling",
     "tangent_check",
@@ -278,8 +277,15 @@ class ExpPotential(PotentialModel):
         r0 = -3.0 * w
         if kind is AuxiliaryKind.COULOMB:
             eta = 4.5 * k * t_arg ** 3 / w
-            return energy, 2.0 * eta, r0, HydrogenScale(eta=eta)
-        nu0 = -(k / 6.0) * t_arg ** 3 / w ** 4
+            nu0 = 2.0 * eta
+        else:
+            w4 = w ** 4   # underflows to 0 for k beyond ~1e238
+            nu0 = -(k / 6.0) * t_arg ** 3 / w4 if w4 > 0.0 else math.inf
+        if not (math.isfinite(energy) and math.isfinite(nu0)):
+            raise NumericalFailure(
+                f"k={k}: the AFM closed form is non-finite in double precision")
+        if kind is AuxiliaryKind.COULOMB:
+            return energy, nu0, r0, HydrogenScale(eta=eta)
         return energy, nu0, r0, OscillatorScale(lam=nu0 ** 0.25)
 
     def mean_point(self, kind: AuxiliaryKind, nu: float) -> float:
@@ -322,16 +328,6 @@ def principal_number(kind: AuxiliaryKind, q: QuantumNumbers) -> float:
     if kind is AuxiliaryKind.COULOMB:
         return float(q.n + q.l + 1)
     return 2.0 * q.n + q.l + 1.5
-
-
-def bound_direction(v: PotentialModel, kind: AuxiliaryKind,
-                    q: QuantumNumbers):
-    """Variational direction from the convexity of g in V = g(P).
-
-    Returns (Bound, condition_met) from ``v.bound``; condition_met is None
-    except for the exponential potential with the Coulomb basis.
-    """
-    return v.bound(kind, q)
 
 
 def afm_solve(v: PotentialModel, kind: AuxiliaryKind,

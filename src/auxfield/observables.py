@@ -11,7 +11,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .afm import AfmSolution, PotentialModel
-from .errors import DomainError, QuadratureFailure
+from .errors import DomainError, NumericalFailure, QuadratureFailure
 from .exact import (HydrogenScale, ObservableSet, QuantumNumbers,
                     hydrogen_observables, hydrogen_radial,
                     oscillator_observables, oscillator_radial)
@@ -53,10 +53,13 @@ def afm_observable_set(v: PotentialModel, sol: AfmSolution,
     closed form (the linear family); the other families get it from
     ``mean_hamiltonian``.
     """
-    if isinstance(sol.scale, HydrogenScale):
-        obs = hydrogen_observables(sol.scale, q)
-    else:
-        obs = oscillator_observables(sol.scale, q)
+    try:
+        if isinstance(sol.scale, HydrogenScale):
+            obs = hydrogen_observables(sol.scale, q)
+        else:
+            obs = oscillator_observables(sol.scale, q)
+    except OverflowError as exc:
+        raise NumericalFailure("moments of the trial state overflow double precision") from exc
     mean_v = v.trial_mean_v(obs)
     if mean_v is not None:
         obs.mean_h = obs.p2 / v.kinetic_2m + mean_v
@@ -96,12 +99,14 @@ def mean_potential(v: PotentialModel, sol: AfmSolution, q: QuantumNumbers,
     ln r is singular); the error is the change from 32 to 64 panels."""
     radial, _ = trial_radial(sol, q)
     r_hi = _density_cutoff(sol, q)
-    if not 0.0 < r_hi < math.inf:
-        raise QuadratureFailure(f"<V^{power}> over a trial density of non-finite scale")
 
     def integrand(t):
         r = r_hi * t * t
-        return v.v(r) ** power * radial(r) ** 2 * r * r * (2.0 * r_hi * t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = v.v(r) ** power * radial(r) ** 2 * r * r * (2.0 * r_hi * t)
+        if not np.all(np.isfinite(f)):
+            raise QuadratureFailure(f"<V^{power}> integrand is non-finite")
+        return f
 
     coarse = _composite_gauss_legendre(integrand, 32)
     val = _composite_gauss_legendre(integrand, 64)

@@ -11,7 +11,6 @@ algebraically (every term carries an explicit power of Q(a) = aN - N').
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,22 +21,12 @@ from .exact import QuantumNumbers
 from .oracle import RadialFunction
 
 __all__ = [
-    "DilationOverlap",
     "overlap_hydrogen_dilated",
     "overlap_oscillator_dilated",
     "afm_pair_overlap",
     "numeric_overlap",
     "sample_radial",
 ]
-
-
-@dataclass(frozen=True)
-class DilationOverlap:
-    n: int
-    n_prime: int
-    l: int
-    a: float
-    value: float
 
 
 def _log_sum(terms):

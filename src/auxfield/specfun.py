@@ -30,10 +30,6 @@ __all__ = [
 
 _NEG_INV_E = -math.exp(-1.0)
 
-# Ai(0) and -Ai'(0)
-_C1 = 0.35502805388781723926006318600418317640
-_C2 = 0.25881940379280679840518356018920396348
-
 
 class WBranch(Enum):
     """Real branches of the Lambert W function."""
@@ -51,45 +47,19 @@ class AiryValue(NamedTuple):
 # Airy function
 #
 # Evaluation regions:
-#   [-6, 3]            Maclaurin series (cancellation stays below ~1e-13)
-#   (3, 8), (-8, -6)   single Taylor step of the ODE y'' = x*y from a
-#                      cached checkpoint table (spacing 0.25)
-#   x >= 8, x <= -8    asymptotic expansions (optimal truncation is below
-#                      double rounding there)
+#   |x| < 8    one Taylor step of the ODE y'' = x*y (|h| <= 0.125) from the
+#              nearest point of a cached checkpoint table on [-8, 8],
+#              spacing 0.25
+#   |x| >= 8   asymptotic expansions (optimal truncation is below double
+#              rounding there)
 # The checkpoint table is seeded at x = 8 by the asymptotic branch and
-# marched inward, which is the stable direction for Ai.
+# marched down to x = -8, which is the stable direction for Ai.  Against
+# mpmath at 40 digits, Ai and Ai' on [-8.5, 8.5] are within 5e-15.
 # ----------------------------------------------------------------------
 
-_SERIES_LO = -6.0
-_SERIES_HI = 3.0
 _ASYM = 8.0
 _STEP = 0.25
-
-
-def _airy_series(x):
-    """Maclaurin evaluation of (Ai, Ai'); x is an ndarray."""
-    f = np.ones_like(x)
-    g = x.copy()
-    fp = np.zeros_like(x)
-    gp = np.ones_like(x)
-    ta = np.ones_like(x)          # terms of f
-    tg = x.copy()                 # terms of g
-    tb = 0.5 * x * x              # terms of f'
-    tgp = np.ones_like(x)         # terms of g'
-    fp = fp + tb
-    x3 = x * x * x
-    for k in range(45):
-        ta = ta * x3 / ((3 * k + 2) * (3 * k + 3))
-        tg = tg * x3 / ((3 * k + 3) * (3 * k + 4))
-        tgp = tgp * x3 / ((3 * k + 1) * (3 * k + 3))
-        f = f + ta
-        g = g + tg
-        gp = gp + tgp
-        if k >= 1:
-            tb = tb * x3 / ((3 * k) * (3 * k + 2))
-            fp = fp + tb
-    # f' series starts at k=1 with x^2/2; the loop above advances it from there
-    return _C1 * f - _C2 * g, _C1 * fp - _C2 * gp
+_TAYLOR_TERMS = 26
 
 
 def _u_v_coefficients(nmax=40):
@@ -149,82 +119,47 @@ def _airy_asym_neg(x):
     return ai, aip
 
 
-def _taylor_ode(x0, y, yp, h, terms=20):
-    """Advance y'' = x*y by h from x0; vectorized over points."""
+def _taylor_ode(x0, y, yp, h):
+    """Advance y'' = x*y by the array h from x0; vectorized over points."""
     c_km1 = np.zeros_like(y)
-    c_k = y
-    c_kp1 = yp
+    c_k, c_kp1 = y, yp
     val = y + yp * h
-    der = yp.copy()
-    hpow = h.copy() if isinstance(h, np.ndarray) else np.full_like(y, h)
-    hk = hpow.copy()
-    for k in range(terms):
+    der = yp
+    hk = h                          # h**(k+1)
+    for k in range(_TAYLOR_TERMS):
         c_kp2 = (x0 * c_k + c_km1) / ((k + 1) * (k + 2))
-        hk = hk * hpow
+        der = der + c_kp2 * (k + 2) * hk
+        hk = hk * h
         val = val + c_kp2 * hk
-        der = der + c_kp2 * (k + 2) * hk / np.where(hpow == 0.0, 1.0, hpow)
         c_km1, c_k, c_kp1 = c_k, c_kp1, c_kp2
     return val, der
 
 
-_BRIDGE_TABLE = None
+_CHECKPOINTS = None
 
 
-def _bridge_table():
-    """Checkpoint values of (Ai, Ai') on [3, 8] and [-8, -6], spacing 0.25."""
-    global _BRIDGE_TABLE
-    if _BRIDGE_TABLE is not None:
-        return _BRIDGE_TABLE
-    pos_x = np.arange(3.0, 8.0 + 1e-9, _STEP)
-    neg_x = np.arange(-8.0, -6.0 + 1e-9, _STEP)
-
-    pos_ai = np.empty_like(pos_x)
-    pos_aip = np.empty_like(pos_x)
-    ai, aip = _airy_asym_pos(np.array([8.0]))
-    y, yp = float(ai[0]), float(aip[0])
-    pos_ai[-1], pos_aip[-1] = y, yp
-    for i in range(pos_x.size - 2, -1, -1):
-        v, d = _taylor_ode(np.array([pos_x[i] + _STEP]), np.array([y]),
-                           np.array([yp]), np.array([-_STEP]), terms=26)
-        y, yp = float(v[0]), float(d[0])
-        pos_ai[i], pos_aip[i] = y, yp
-
-    neg_ai = np.empty_like(neg_x)
-    neg_aip = np.empty_like(neg_x)
-    ai, aip = _airy_series(np.array([-6.0]))
-    y, yp = float(ai[0]), float(aip[0])
-    neg_ai[-1], neg_aip[-1] = y, yp
-    for i in range(neg_x.size - 2, -1, -1):
-        v, d = _taylor_ode(np.array([neg_x[i] + _STEP]), np.array([y]),
-                           np.array([yp]), np.array([-_STEP]), terms=26)
-        y, yp = float(v[0]), float(d[0])
-        neg_ai[i], neg_aip[i] = y, yp
-
-    _BRIDGE_TABLE = (pos_x, pos_ai, pos_aip, neg_x, neg_ai, neg_aip)
-    return _BRIDGE_TABLE
+def _checkpoints():
+    """Checkpoint values (x, Ai, Ai') on [-8, 8], spacing 0.25."""
+    global _CHECKPOINTS
+    if _CHECKPOINTS is None:
+        xs = np.arange(-_ASYM, _ASYM + 1e-9, _STEP)
+        ai = np.empty_like(xs)
+        aip = np.empty_like(xs)
+        ai[-1:], aip[-1:] = _airy_asym_pos(xs[-1:])
+        down = np.array([-_STEP])
+        for i in range(xs.size - 2, -1, -1):
+            ai[i:i + 1], aip[i:i + 1] = _taylor_ode(
+                xs[i + 1], ai[i + 1:i + 2], aip[i + 1:i + 2], down)
+        _CHECKPOINTS = (xs, ai, aip)
+    return _CHECKPOINTS
 
 
-def _airy_bridge(x):
-    """Single Taylor step from the nearest checkpoint; x in the gap regions."""
-    pos_x, pos_ai, pos_aip, neg_x, neg_ai, neg_aip = _bridge_table()
-    val = np.empty_like(x)
-    der = np.empty_like(x)
-    pos = x > 0
-    if np.any(pos):
-        idx = np.clip(np.rint((x[pos] - pos_x[0]) / _STEP).astype(int),
-                      0, pos_x.size - 1)
-        x0 = pos_x[idx]
-        v, d = _taylor_ode(x0, pos_ai[idx].copy(), pos_aip[idx].copy(),
-                           x[pos] - x0)
-        val[pos], der[pos] = v, d
-    if np.any(~pos):
-        idx = np.clip(np.rint((x[~pos] - neg_x[0]) / _STEP).astype(int),
-                      0, neg_x.size - 1)
-        x0 = neg_x[idx]
-        v, d = _taylor_ode(x0, neg_ai[idx].copy(), neg_aip[idx].copy(),
-                           x[~pos] - x0)
-        val[~pos], der[~pos] = v, d
-    return val, der
+def _airy_taylor(x):
+    """Single Taylor step from the nearest checkpoint; |x| < 8."""
+    xs, ai, aip = _checkpoints()
+    idx = np.rint((x - xs[0]) / _STEP).astype(int)
+    x0 = xs[idx]
+    return _taylor_ode(x0, ai[idx], aip[idx], x - x0)
 
 
 def airy_ai(x):
@@ -232,9 +167,8 @@ def airy_ai(x):
 
     Accepts a float or ndarray; returns an ``AiryValue`` pair (arrays in,
     arrays out).  Against mpmath at 40 digits on [-40, 40] the error is
-    below 2e-13 relative to the oscillation envelope on the negative axis,
-    and on the positive axis below 2e-13 relative to Ai and 4e-13
-    relative to Ai'.
+    below 3e-14 relative to the oscillation envelope on the negative axis
+    and below 4e-14 relative to Ai and to Ai' on the positive axis.
     """
     scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
@@ -243,18 +177,15 @@ def airy_ai(x):
     val = np.empty_like(xa)
     der = np.empty_like(xa)
 
-    core = (xa >= _SERIES_LO) & (xa <= _SERIES_HI)
     hi = xa >= _ASYM
     lo = xa <= -_ASYM
-    gap = ~(core | hi | lo)
-    if np.any(core):
-        val[core], der[core] = _airy_series(xa[core])
+    near = ~(hi | lo)
+    if np.any(near):
+        val[near], der[near] = _airy_taylor(xa[near])
     if np.any(hi):
         val[hi], der[hi] = _airy_asym_pos(xa[hi])
     if np.any(lo):
         val[lo], der[lo] = _airy_asym_neg(xa[lo])
-    if np.any(gap):
-        val[gap], der[gap] = _airy_bridge(xa[gap])
     if scalar:
         return AiryValue(float(val[0]), float(der[0]))
     return AiryValue(val, der)
@@ -300,6 +231,18 @@ def _halley_w(w: float, x: float) -> float:
     raise NumericalFailure(f"Lambert W iteration stalled at x={x}")
 
 
+def _newton_log_w(log_minus_x: float) -> float:
+    """W_-1 by Newton on w + ln(-w) = ln(-x), which keeps full relative
+    accuracy for |x| down to the smallest subnormal."""
+    w = log_minus_x - math.log(-log_minus_x)
+    for _ in range(60):
+        step = w * (w + math.log(-w) - log_minus_x) / (w + 1.0)
+        w -= step
+        if abs(step) <= 4e-16 * abs(w):
+            return w
+    raise NumericalFailure(f"Lambert W_-1 iteration stalled at ln(-x)={log_minus_x}")
+
+
 def lambert_w(branch: WBranch, x: float) -> float:
     """Real Lambert W on the requested branch, solving w*exp(w) = x."""
     x = float(x)
@@ -329,11 +272,8 @@ def lambert_w(branch: WBranch, x: float) -> float:
         if x >= 0.0:
             raise DomainError("lower branch requires -1/e <= x < 0")
         if x < -0.27:
-            w0 = -1.0 - p - p * p / 3.0
-        else:
-            l1 = math.log(-x)
-            w0 = l1 - math.log(-l1)
-        return _halley_w(w0, x)
+            return _halley_w(-1.0 - p - p * p / 3.0, x)
+        return _newton_log_w(math.log(-x))
     raise DomainError(f"unknown branch {branch!r}")
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from auxfield.afm import (AuxiliaryKind, Bound, PotentialModel, _mean_point,
-                          afm_solve, bound_direction, critical_coupling,
+                          afm_solve, critical_coupling,
                           energy_at_aux, improved_linear_energy,
                           principal_number, tangent_check)
 from auxfield.errors import DomainError, NoBoundState
@@ -141,18 +141,18 @@ class TestExponentialSolutions:
 
 class TestBoundDirection:
     def test_classifications(self):
-        assert bound_direction(LINEAR, AuxiliaryKind.COULOMB,
-                               QuantumNumbers(3, 1))[0] is Bound.LOWER
-        assert bound_direction(LOG, AuxiliaryKind.QUADRATIC,
-                               QuantumNumbers(0, 0))[0] is Bound.UPPER
+        assert LINEAR.bound(AuxiliaryKind.COULOMB,
+                            QuantumNumbers(3, 1))[0] is Bound.LOWER
+        assert LOG.bound(AuxiliaryKind.QUADRATIC,
+                         QuantumNumbers(0, 0))[0] is Bound.UPPER
         v = PotentialModel.exponential(20.0)
-        kind, met = bound_direction(v, AuxiliaryKind.COULOMB, QuantumNumbers(0, 0))
+        kind, met = v.bound(AuxiliaryKind.COULOMB, QuantumNumbers(0, 0))
         assert kind is Bound.CONDITIONAL and met is True
         assert math.sqrt(20.0 / (2 * math.e)) == pytest.approx(1.918, abs=1e-3)
-        _, met = bound_direction(v, AuxiliaryKind.COULOMB, QuantumNumbers(1, 0))
+        _, met = v.bound(AuxiliaryKind.COULOMB, QuantumNumbers(1, 0))
         assert met is False
-        assert bound_direction(v, AuxiliaryKind.QUADRATIC,
-                               QuantumNumbers(0, 0))[0] is Bound.UPPER
+        assert v.bound(AuxiliaryKind.QUADRATIC,
+                       QuantumNumbers(0, 0))[0] is Bound.UPPER
 
 
 class TestConsistencyIdentities:

@@ -237,6 +237,21 @@ class TestBoundaries:
         assert "numeric failure" in err
         assert "2000 points" in err
 
+    @pytest.mark.parametrize("aux", ["coulomb", "quadratic"])
+    @pytest.mark.parametrize("k", ["1e150", "1e200", "1e250", "1e308"])
+    def test_deep_exp_well_is_numeric_failure(self, k, aux, capsys):
+        # the moments (p4 ~ k^(4/3)), the <V> integrand or the closed form
+        # itself leave the float range; only Coulomb at 1e150 still fits
+        code, out, err = _run(capsys, "solve", "exp", aux, "0", "0", "--k", k)
+        assert "internal error" not in err
+        if (k, aux) == ("1e150", "coulomb"):
+            assert code == 0
+            assert math.isfinite(_strict_loads(out)["mean_h"])
+        else:
+            assert code == 70
+            assert out == ""
+            assert "numeric failure" in err
+
     def test_nonpositive_r_max_is_usage_error(self, capsys):
         code, out, err = _run(capsys, "wavefunction", "linear", "coulomb", "0",
                               "0", "--r-max", "-1")

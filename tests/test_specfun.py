@@ -130,22 +130,22 @@ class TestAgainstMpmath:
         ref_v = np.array([_mp(mpmath.airyai, t) for t in x])
         ref_d = np.array([_mp(mpmath.airyai, t, derivative=1) for t in x])
         env = np.hypot(ref_v, ref_d / np.abs(x) ** 0.5)
-        assert np.max(np.abs(v - ref_v) / env) <= 5e-13
-        assert np.max(np.abs(d - ref_d) / (env * np.abs(x) ** 0.5)) <= 5e-13
+        assert np.max(np.abs(v - ref_v) / env) <= 1e-13
+        assert np.max(np.abs(d - ref_d) / (env * np.abs(x) ** 0.5)) <= 1e-13
 
     def test_airy_positive_axis_relative(self):
         x = np.linspace(0.0, 40.0, 161)
         v, d = airy_ai(x)
         ref_v = np.array([_mp(mpmath.airyai, t) for t in x])
         ref_d = np.array([_mp(mpmath.airyai, t, derivative=1) for t in x])
-        assert np.max(np.abs(v - ref_v) / np.abs(ref_v)) <= 5e-13
-        assert np.max(np.abs(d - ref_d) / np.abs(ref_d)) <= 5e-13
+        assert np.max(np.abs(v - ref_v) / np.abs(ref_v)) <= 1e-13
+        assert np.max(np.abs(d - ref_d) / np.abs(ref_d)) <= 1e-13
 
     def test_airy_zeros(self):
         for n in range(31):
             with mpmath.workdps(40):
                 ref = float(mpmath.airyaizero(n + 1))
-            assert abs(airy_zero(n) - ref) <= 1e-14 * abs(ref)
+            assert abs(airy_zero(n) - ref) <= 1e-15 * abs(ref)
 
     @pytest.mark.parametrize("branch, k, xs", [
         (WBranch.PRINCIPAL, 0, np.concatenate([
@@ -153,7 +153,7 @@ class TestAgainstMpmath:
             np.logspace(-300, 300, 61)])),
         (WBranch.LOWER, -1, np.concatenate([
             -math.exp(-1) + np.logspace(-6, -0.44, 60),
-            -np.logspace(-280, -1, 60)])),
+            -np.logspace(-280, -1, 60), -np.logspace(-323, -285, 12), [-5e-324]])),
     ], ids=["W0", "W-1"])
     def test_lambert_relative(self, branch, k, xs):
         bound = 1e-13 if branch is WBranch.PRINCIPAL else 5e-13
