@@ -10,13 +10,12 @@ from .afm import (AfmSolution, AuxiliaryKind, Bound, ExpPotential,
                   TangentReport, afm_solve, critical_coupling,
                   energy_at_aux, improved_linear_energy, principal_number,
                   tangent_check)
-from .errors import (AuxFieldError, DomainError, GridMismatch, NoBoundState,
-                     NoSolution, NumericalFailure, QuadratureFailure)
+from .errors import (AuxFieldError, DomainError, NoBoundState, NoSolution,
+                     NumericalFailure, QuadratureFailure)
 from .exact import (HydrogenScale, ObservableSet, OscillatorScale,
                     QuantumNumbers, hydrogen_observables, hydrogen_r_moment,
-                    hydrogen_state, linear_s_observables, linear_s_state,
-                    oscillator_observables, oscillator_r_moment,
-                    oscillator_state)
+                    linear_s_observables, linear_s_state,
+                    oscillator_observables, oscillator_r_moment)
 from .observables import (EckartInput, afm_observable_set, eckart_bound,
                           mean_hamiltonian, p2_p4_from_potential,
                           power_law_moments, psi0_from_force)
@@ -33,12 +32,12 @@ __all__ = [
     "LogPotential", "ExpPotential", "TangentReport",
     "afm_solve", "critical_coupling", "energy_at_aux",
     "improved_linear_energy", "principal_number", "tangent_check",
-    "AuxFieldError", "DomainError", "GridMismatch", "NoBoundState",
-    "NoSolution", "NumericalFailure", "QuadratureFailure",
+    "AuxFieldError", "DomainError", "NoBoundState", "NoSolution",
+    "NumericalFailure", "QuadratureFailure",
     "HydrogenScale", "ObservableSet", "OscillatorScale", "QuantumNumbers",
-    "hydrogen_observables", "hydrogen_r_moment", "hydrogen_state",
+    "hydrogen_observables", "hydrogen_r_moment",
     "linear_s_observables", "linear_s_state", "oscillator_observables",
-    "oscillator_r_moment", "oscillator_state",
+    "oscillator_r_moment",
     "EckartInput", "afm_observable_set", "eckart_bound", "mean_hamiltonian",
     "p2_p4_from_potential", "power_law_moments", "psi0_from_force",
     "RadialFunction", "SolverConfig", "numeric_observables", "solve_radial",

@@ -139,7 +139,7 @@ def _cmd_wavefunction(args) -> int:
         if args.aux not in ("coulomb", "quadratic"):
             raise DomainError("aux must be 'coulomb', 'quadratic' or 'exact'")
         sol = afm_solve(v, AuxiliaryKind(args.aux), q)
-        radial, _ = observables.trial_radial(sol, q)
+        radial = observables.trial_radial(sol, q)
         psi = np.asarray(radial(grid)) / math.sqrt(4.0 * math.pi)
     lines = ["r,psi"]
     for r, p in zip(grid, psi):

@@ -36,7 +36,3 @@ class NumericalFailure(AuxFieldError, RuntimeError):
 
 class QuadratureFailure(NumericalFailure):
     """A quadrature did not reach the requested accuracy."""
-
-
-class GridMismatch(AuxFieldError, ValueError):
-    """Two sampled radial functions do not share enough common support."""

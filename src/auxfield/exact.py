@@ -24,15 +24,11 @@ __all__ = [
     "OscillatorScale",
     "ObservableSet",
     "LinearSState",
-    "HydrogenState",
-    "OscillatorState",
     "linear_s_state",
     "linear_s_observables",
-    "hydrogen_state",
     "hydrogen_observables",
     "hydrogen_r_moment",
     "hydrogen_radial",
-    "oscillator_state",
     "oscillator_observables",
     "oscillator_r_moment",
     "oscillator_radial",
@@ -166,17 +162,8 @@ def linear_s_observables(m: float, a: float, n: int) -> ObservableSet:
 # Hydrogen-like systems
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HydrogenState:
-    energy: float
-    scale: HydrogenScale
-    radial: Callable[[np.ndarray], np.ndarray]
-    radial_deriv: Callable[[np.ndarray], np.ndarray]
-    q: QuantumNumbers
-
-
 def hydrogen_radial(scale: HydrogenScale, q: QuantumNumbers):
-    """Normalized radial function R(r) and dR/dr for the given eta."""
+    """Normalized radial function R(r) for the given eta."""
     n, l = q.n, q.l
     gam = scale.gamma(q)
     big_n = n + l + 1
@@ -191,29 +178,7 @@ def hydrogen_radial(scale: HydrogenScale, q: QuantumNumbers):
         out = norm * x ** l * np.exp(-0.5 * x) * specfun.laguerre(n, 2 * l + 1, x)
         return out if out.ndim else float(out)
 
-    def radial_deriv(r):
-        r = np.asarray(r, dtype=float)
-        x = 2.0 * gam * r
-        lag = specfun.laguerre(n, 2 * l + 1, x)
-        dlag = -specfun.laguerre(n - 1, 2 * l + 2, x) if n >= 1 else 0.0
-        core = (-gam * lag + 2.0 * gam * dlag) * x ** l
-        if l > 0:
-            core = core + 2.0 * gam * l * x ** (l - 1) * lag
-        out = norm * np.exp(-0.5 * x) * core
-        return out if out.ndim else float(out)
-
-    return radial, radial_deriv
-
-
-def hydrogen_state(m: float, nu: float, q: QuantumNumbers) -> HydrogenState:
-    """Eigenstate of H = p^2/(2m) - nu/r."""
-    if m <= 0 or nu <= 0:
-        raise DomainError("mass and coupling must be positive")
-    big_n = q.n + q.l + 1
-    energy = -m * nu * nu / (2.0 * big_n * big_n)
-    scale = HydrogenScale(eta=m * nu)
-    radial, radial_deriv = hydrogen_radial(scale, q)
-    return HydrogenState(energy, scale, radial, radial_deriv, q)
+    return radial
 
 
 def hydrogen_r_moment(scale: HydrogenScale, q: QuantumNumbers, k: int) -> float:
@@ -268,17 +233,8 @@ def hydrogen_observables(scale: HydrogenScale, q: QuantumNumbers) -> ObservableS
 # Harmonic oscillator
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OscillatorState:
-    energy: float
-    scale: OscillatorScale
-    radial: Callable[[np.ndarray], np.ndarray]
-    radial_deriv: Callable[[np.ndarray], np.ndarray]
-    q: QuantumNumbers
-
-
 def oscillator_radial(scale: OscillatorScale, q: QuantumNumbers):
-    """Normalized radial function R(r) and dR/dr for the given lambda."""
+    """Normalized radial function R(r) for the given lambda."""
     n, l = q.n, q.l
     lam = scale.lam
     log_norm = 1.5 * math.log(lam) + 0.5 * (
@@ -293,30 +249,7 @@ def oscillator_radial(scale: OscillatorScale, q: QuantumNumbers):
         out = norm * x ** l * np.exp(-0.5 * t) * specfun.laguerre(n, alpha, t)
         return out if out.ndim else float(out)
 
-    def radial_deriv(r):
-        r = np.asarray(r, dtype=float)
-        x = lam * r
-        t = x * x
-        lag = specfun.laguerre(n, alpha, t)
-        dlag = -specfun.laguerre(n - 1, alpha + 1.0, t) if n >= 1 else 0.0
-        core = x ** l * (-x * lag + 2.0 * x * dlag)
-        if l > 0:
-            core = core + l * x ** (l - 1) * lag
-        out = norm * lam * np.exp(-0.5 * t) * core
-        return out if out.ndim else float(out)
-
-    return radial, radial_deriv
-
-
-def oscillator_state(m: float, nu: float, q: QuantumNumbers) -> OscillatorState:
-    """Eigenstate of H = p^2/(2m) + nu*r^2."""
-    if m <= 0 or nu <= 0:
-        raise DomainError("mass and strength must be positive")
-    big_n = 2 * q.n + q.l + 1.5
-    energy = math.sqrt(2.0 * nu / m) * big_n
-    scale = OscillatorScale(lam=(2.0 * m * nu) ** 0.25)
-    radial, radial_deriv = oscillator_radial(scale, q)
-    return OscillatorState(energy, scale, radial, radial_deriv, q)
+    return radial
 
 
 def _gamma_rational(twice_x: int):

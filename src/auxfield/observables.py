@@ -67,7 +67,7 @@ def afm_observable_set(v: PotentialModel, sol: AfmSolution,
 
 
 def trial_radial(sol: AfmSolution, q: QuantumNumbers):
-    """Radial evaluator (R, dR/dr) of the trial state behind an AfmSolution."""
+    """Radial evaluator R(r) of the trial state behind an AfmSolution."""
     if isinstance(sol.scale, HydrogenScale):
         return hydrogen_radial(sol.scale, q)
     return oscillator_radial(sol.scale, q)
@@ -97,7 +97,7 @@ def mean_potential(v: PotentialModel, sol: AfmSolution, q: QuantumNumbers,
     """<V^power> over the trial density by composite Gauss-Legendre
     quadrature in t, r = r_hi t^2 (nodes cluster at the origin, where
     ln r is singular); the error is the change from 32 to 64 panels."""
-    radial, _ = trial_radial(sol, q)
+    radial = trial_radial(sol, q)
     r_hi = _density_cutoff(sol, q)
 
     def integrand(t):

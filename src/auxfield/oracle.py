@@ -6,10 +6,11 @@ index n of the 3-point Dirichlet Hamiltonian on the same grid, found by
 LAPACK's Sturm-sequence bisection (Barth, Martin & Wilkinson, Numer.
 Math. 9 (1967) 386), so the node count is exact by construction.
 Cooley's corrector (Math. Comp. 15 (1961) 363) then moves it to the
-eigenvalue of the 4th-order Numerov equation, whose outward and inward
-solutions, matched at the outer classical turning point, give the
-returned vector.  Quadrature observables for the converged states are
-provided as the reference side of every table comparison.
+eigenvalue of the 4th-order Numerov equation, reading the residual at the
+outer classical turning point m of the vector that one banded LAPACK
+solve of the Numerov system A(E) u = e_m returns (B. R. Johnson, J. Chem.
+Phys. 67 (1977) 4086).  Quadrature observables for the converged states
+are provided as the reference side of every table comparison.
 """
 
 from __future__ import annotations
@@ -64,44 +65,39 @@ class SolverConfig:
 # Numerov kernel.  W is the full coefficient array of u'' = W u.
 # ----------------------------------------------------------------------
 
-_RESCALE = 1e250
-
-
 def _numerov_assemble(w, h, l, m):
-    """Matched solution (unnormalized): outward to index m, inward beyond.
+    """Matched solution (unnormalized): the solution of A(E) u = e_m.
 
-    The outward sweep starts where the Numerov denominator 1 - h^2 w/12
-    is at least 1/2 (index 2 for l = 0, at least 3 otherwise); every
-    earlier point is seeded with the regular series (i h)^(l+1).  A grid
-    too coarse to find such a start before the matching index is a
-    NumericalFailure.
+    Row i of the tridiagonal A is a[i-1] u[i-1] - b[i] u[i] + a[i+1] u[i+1]
+    with a = 1 - h^2 w/12, b = 2 + 10 h^2 w/12.  The unknowns start after
+    the last index up to m where h^2 w/12 > 1/2 (none left is a
+    NumericalFailure), u = 0 before them; the last row is the decaying
+    tail u[n-2] = exp(kappa h) u[n-1].
     """
+    from scipy.linalg import solve_banded
+
     n = w.shape[0]
     c = h * h / 12.0
-    start = 2 if l == 0 else 3
-    while start <= m and c * w[start] > 0.5:
-        start += 1
+    coarse = np.nonzero(c * w[1:m + 1] > 0.5)[0]
+    start = int(coarse[-1]) + 2 if coarse.size else 1
     if start > m:
         raise NumericalFailure(
             f"grid of {n} points with h = {h:.3g} is too coarse: h^2 w/12 > 1/2 "
             "up to the matching point")
-    a = (1.0 - c * w).tolist()
-    b = (2.0 + 10.0 * c * w).tolist()
-    out = [(i * h) ** (l + 1) for i in range(start)]
-    for i in range(start, m + 1):
-        out.append((b[i - 1] * out[i - 1] - a[i - 2] * out[i - 2]) / a[i])
-        if abs(out[i]) > _RESCALE:
-            out = [x * 1e-250 for x in out]
+    a = 1.0 - c * w[start:]
+    ab = np.zeros((3, n - start))
+    ab[0, 1:] = a[1:]                    # a[i+1] above the diagonal
+    ab[1] = -2.0 - 10.0 * c * w[start:]  # -b[i] on it
+    ab[2, :-1] = a[:-1]                  # a[i-1] below it
+    if start == 1 and l == 1:
+        ab[1, 0] -= 1.0 / 6.0            # a[0] u[0] -> -u[1]/6 for u ~ C r^2
     kappa = math.sqrt(max(w[n - 1], 1e-30))
-    inward = [1e-140, 1e-140 * math.exp(kappa * h)]     # indices n-1, n-2
-    for i in range(n - 3, m - 1, -1):
-        inward.append((b[i + 1] * inward[-1] - a[i + 2] * inward[-2]) / a[i])
-        if abs(inward[-1]) > _RESCALE:
-            inward = [x * 1e-250 for x in inward]
-    u = np.empty(n)
-    u[:m + 1] = out[:m + 1]
-    u[m + 1:] = inward[-2::-1]
-    u[m + 1:] *= out[m] / inward[-1]
+    ab[1, -1] = -math.exp(kappa * h)
+    ab[2, -2] = 1.0
+    rhs = np.zeros(n - start)
+    rhs[m - start] = 1.0
+    u = np.zeros(n)
+    u[start:] = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True)
     return u
 
 

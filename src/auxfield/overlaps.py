@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .afm import AuxiliaryKind
-from .errors import DomainError, GridMismatch
+from .errors import DomainError
 from .exact import QuantumNumbers
 from .oracle import RadialFunction
 
@@ -146,37 +146,14 @@ def sample_radial(radial: Callable, grid: np.ndarray, *, energy: float = math.na
                           q=q if q is not None else QuantumNumbers(0, 0))
 
 
-def _outside_mass(f: RadialFunction, lo: float, hi: float) -> float:
-    u2 = f.values * f.values
-    mask = (f.grid < lo) | (f.grid > hi)
-    if not np.any(mask):
-        return 0.0
-    return float(np.trapezoid(np.where(mask, u2, 0.0), f.grid))
-
-
 def numeric_overlap(f: RadialFunction, g: RadialFunction) -> float:
     """integral of u_f u_g dr (== integral R_f R_g r^2 dr) by Simpson.
 
-    Functions sampled on distinct grids are brought to a fine union grid
-    by cubic interpolation; raises GridMismatch when either carries more
-    than 1e-10 probability outside the common support.
+    Both functions must be sampled on the same grid; raises DomainError
+    otherwise.
     """
     from scipy.integrate import simpson
-    from scipy.interpolate import CubicSpline
 
-    if f.grid.shape == g.grid.shape and np.array_equal(f.grid, g.grid):
-        return float(simpson(f.values * g.values, x=f.grid))
-    lo = max(f.grid[0], g.grid[0])
-    hi = min(f.grid[-1], g.grid[-1])
-    if hi <= lo:
-        raise GridMismatch("no common support")
-    for part in (f, g):
-        mass = _outside_mass(part, lo, hi)
-        if mass > 1e-10:
-            raise GridMismatch(
-                f"{mass:.2e} probability outside the common support [{lo}, {hi}]")
-    npts = 2 * max(f.grid.size, g.grid.size) + 1
-    grid = np.linspace(lo, hi, npts)
-    uf = CubicSpline(f.grid, f.values)(grid)
-    ug = CubicSpline(g.grid, g.values)(grid)
-    return float(simpson(uf * ug, x=grid))
+    if not (f.grid.shape == g.grid.shape and np.array_equal(f.grid, g.grid)):
+        raise DomainError("numeric_overlap needs both functions on one grid")
+    return float(simpson(f.values * g.values, x=f.grid))

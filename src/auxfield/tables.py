@@ -97,7 +97,7 @@ def afm_trial_function(v: PotentialModel, kind: AuxiliaryKind,
                        q: QuantumNumbers, grid: np.ndarray) -> RadialFunction:
     """AFM trial state for (v, kind, q) sampled on the given grid."""
     sol = afm_solve(v, kind, q)
-    radial, _ = observables.trial_radial(sol, q)
+    radial = observables.trial_radial(sol, q)
     return overlaps.sample_radial(radial, grid, energy=sol.energy, q=q)
 
 
@@ -298,7 +298,7 @@ def wavefunction_samples(n_values=(0, 1), r_max: float = 12.0,
         cols[f"exact_n{n}"] = np.asarray(state.wavefunction(grid))
         for key, kind in _KINDS.items():
             sol = afm_solve(v, kind, QuantumNumbers(n, 0))
-            radial, _ = observables.trial_radial(sol, QuantumNumbers(n, 0))
+            radial = observables.trial_radial(sol, QuantumNumbers(n, 0))
             cols[f"{key}_n{n}"] = np.asarray(radial(grid)) / math.sqrt(4 * math.pi)
     header = list(cols)
     rows = []

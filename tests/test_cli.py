@@ -10,7 +10,7 @@ import pytest
 
 from auxfield import cli
 from auxfield.cli import main
-from auxfield.tables import TABLE_IDS
+from auxfield.tables import TABLE_IDS, oracle_state
 
 
 def _strict_loads(text):
@@ -236,6 +236,14 @@ class TestBoundaries:
         assert out == ""
         assert "numeric failure" in err
         assert "2000 points" in err
+
+    def test_fine_grid_oracle_converges(self, capsys):
+        code, out, err = _run(capsys, "oracle", "exp", "1", "1", "--k", "20",
+                              "--grid-points", "320000")
+        assert code == 0, err
+        energy = _strict_loads(out)["energy"]
+        default = oracle_state("exp", 20.0, 1, 1)[0].energy
+        assert abs(energy - default) <= 1e-9 * abs(default)
 
     @pytest.mark.parametrize("aux", ["coulomb", "quadratic"])
     @pytest.mark.parametrize("k", ["1e150", "1e200", "1e250", "1e308"])

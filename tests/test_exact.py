@@ -7,10 +7,9 @@ from scipy import integrate
 from auxfield.errors import DomainError
 from auxfield.exact import (HydrogenScale, OscillatorScale, QuantumNumbers,
                             hydrogen_observables, hydrogen_r_moment,
-                            hydrogen_radial, hydrogen_state,
-                            linear_s_observables, linear_s_state,
-                            oscillator_observables, oscillator_r_moment,
-                            oscillator_radial, oscillator_state)
+                            hydrogen_radial, linear_s_observables,
+                            linear_s_state, oscillator_observables,
+                            oscillator_r_moment, oscillator_radial)
 from auxfield.specfun import airy_zero
 
 
@@ -87,31 +86,25 @@ class TestLinearSStates:
 
 class TestHydrogen:
     def test_ground_state_units(self):
-        st = hydrogen_state(1.0, 1.0, QuantumNumbers(0, 0))
-        assert st.energy == -0.5
-        assert st.scale.eta == 1.0
+        # m = nu = 1: E = <p^2>/2 - <1/r> = -1/2
+        obs = hydrogen_observables(HydrogenScale(eta=1.0), QuantumNumbers(0, 0))
+        assert obs.p2 / 2 - obs.r_moments[-1] == pytest.approx(-0.5, rel=1e-14)
 
     @pytest.mark.parametrize("n,l", [(0, 0), (1, 1), (2, 3), (4, 3), (4, 0)])
     def test_node_count(self, n, l):
-        st = hydrogen_state(1.0, 1.0, QuantumNumbers(n, l))
-        r_hi = 3.0 * (n + l + 1) ** 2 / st.scale.gamma(st.q) / (n + l + 1)
-        assert _count_radial_nodes(st.radial, r_hi) == n
+        q = QuantumNumbers(n, l)
+        sc = HydrogenScale(eta=1.0)
+        r_hi = 3.0 * (n + l + 1) ** 2 / sc.gamma(q) / (n + l + 1)
+        assert _count_radial_nodes(hydrogen_radial(sc, q), r_hi) == n
 
     @pytest.mark.parametrize("n,l", [(0, 0), (2, 1), (5, 4), (3, 2)])
     def test_normalization(self, n, l):
-        st = hydrogen_state(1.0, 1.0, QuantumNumbers(n, l))
-        gam = st.scale.gamma(st.q)
-        r_hi = (45.0 + 16.0 * n + 6.0 * l) / gam
+        q = QuantumNumbers(n, l)
+        sc = HydrogenScale(eta=1.0)
+        r_hi = (45.0 + 16.0 * n + 6.0 * l) / sc.gamma(q)
         grid = np.linspace(0.0, r_hi, 60001)
-        u = grid * st.radial(grid)
+        u = grid * hydrogen_radial(sc, q)(grid)
         assert integrate.simpson(u * u, x=grid) == pytest.approx(1.0, abs=1e-10)
-
-    def test_radial_derivative(self):
-        st = hydrogen_state(1.0, 1.3, QuantumNumbers(2, 1))
-        for r0 in (0.4, 1.7, 6.0):
-            h = 1e-5
-            fd = (st.radial(r0 + h) - st.radial(r0 - h)) / (2 * h)
-            assert st.radial_deriv(r0) == pytest.approx(fd, rel=1e-7, abs=1e-12)
 
     def test_textbook_moments(self):
         sc = HydrogenScale(eta=2.2)
@@ -121,10 +114,11 @@ class TestHydrogen:
 
     def test_virial_identity(self):
         # <p^2>/2m = -E from the closed forms
+        m, nu = 1.3, 0.7
         for n, l in [(0, 0), (3, 2)]:
-            st = hydrogen_state(1.3, 0.7, QuantumNumbers(n, l))
-            obs = hydrogen_observables(st.scale, st.q)
-            assert obs.p2 / (2 * 1.3) == pytest.approx(-st.energy, rel=1e-14)
+            energy = -m * nu ** 2 / (2 * (n + l + 1) ** 2)
+            obs = hydrogen_observables(HydrogenScale(eta=m * nu), QuantumNumbers(n, l))
+            assert obs.p2 / (2 * m) == pytest.approx(-energy, rel=1e-14)
 
     def test_general_moment_matches_closed_forms(self):
         sc = HydrogenScale(eta=1.37)
@@ -143,7 +137,7 @@ class TestHydrogen:
     def test_moment_vs_quadrature_negative_k(self):
         sc = HydrogenScale(eta=1.0)
         q = QuantumNumbers(2, 1)
-        radial, _ = hydrogen_radial(sc, q)
+        radial = hydrogen_radial(sc, q)
         for k in (-2, -1):
             val, _ = integrate.quad(lambda r: radial(r) ** 2 * r ** (2 + k),
                                     0.0, 200.0, limit=400)
@@ -152,16 +146,18 @@ class TestHydrogen:
 
 class TestOscillator:
     def test_ground_state_units(self):
-        st = oscillator_state(1.0, 0.5, QuantumNumbers(0, 0))
-        assert st.energy == pytest.approx(1.5, rel=1e-14)
+        # m = 1, nu = 1/2, lambda = (2 m nu)^(1/4) = 1: E = <p^2>/2 + <r^2>/2 = 3/2
+        obs = oscillator_observables(OscillatorScale(lam=1.0), QuantumNumbers(0, 0))
+        assert obs.p2 / 2 + obs.r_moments[2] / 2 == pytest.approx(1.5, rel=1e-14)
 
     @pytest.mark.parametrize("n,l", [(0, 0), (1, 2), (4, 3), (3, 0)])
     def test_node_count_and_norm(self, n, l):
-        st = oscillator_state(1.0, 0.5, QuantumNumbers(n, l))
-        r_hi = math.sqrt(40 + 22 * n + 8 * l) / st.scale.lam
-        assert _count_radial_nodes(st.radial, r_hi) == n
+        sc = OscillatorScale(lam=1.0)
+        radial = oscillator_radial(sc, QuantumNumbers(n, l))
+        r_hi = math.sqrt(40 + 22 * n + 8 * l) / sc.lam
+        assert _count_radial_nodes(radial, r_hi) == n
         grid = np.linspace(0.0, r_hi, 40001)
-        u = grid * st.radial(grid)
+        u = grid * radial(grid)
         assert integrate.simpson(u * u, x=grid) == pytest.approx(1.0, abs=1e-10)
 
     def test_r2_and_momentum_scaling(self):
@@ -172,10 +168,12 @@ class TestOscillator:
         assert obs.p4 == pytest.approx(sc.lam ** 8 * obs.r_moments[4], rel=1e-14)
 
     def test_virial_identity(self):
+        m, nu = 0.7, 1.1
+        sc = OscillatorScale(lam=(2 * m * nu) ** 0.25)
         for n, l in [(0, 0), (2, 2)]:
-            st = oscillator_state(0.7, 1.1, QuantumNumbers(n, l))
-            obs = oscillator_observables(st.scale, st.q)
-            assert obs.p2 / (2 * 0.7) == pytest.approx(st.energy / 2, rel=1e-13)
+            energy = math.sqrt(2 * nu / m) * (2 * n + l + 1.5)
+            obs = oscillator_observables(sc, QuantumNumbers(n, l))
+            assert obs.p2 / (2 * m) == pytest.approx(energy / 2, rel=1e-13)
 
     def test_general_moment_matches_closed_forms(self):
         sc = OscillatorScale(lam=0.83)
@@ -194,7 +192,7 @@ class TestOscillator:
     def test_psi0(self):
         sc = OscillatorScale(lam=1.2)
         obs = oscillator_observables(sc, QuantumNumbers(1, 0))
-        radial, _ = oscillator_radial(sc, QuantumNumbers(1, 0))
+        radial = oscillator_radial(sc, QuantumNumbers(1, 0))
         assert obs.psi0_sq == pytest.approx(radial(0.0) ** 2 / (4 * math.pi),
                                             rel=1e-12)
 

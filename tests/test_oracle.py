@@ -13,6 +13,48 @@ from auxfield.tables import oracle_state
 
 LINEAR = PotentialModel.linear()
 
+# Energies of the 37 states the tables solve (default 20000-point grid),
+# as the earlier two-sweep Numerov assembly gave them.
+TABLE_STATE_ENERGIES = {
+    ("linear", 0.0, 0, 0): 2.338107410462119,
+    ("linear", 0.0, 1, 0): 4.087949444130844,
+    ("linear", 0.0, 2, 0): 5.520559828095662,
+    ("linear", 0.0, 3, 0): 6.7867080900716275,
+    ("linear", 0.0, 4, 0): 7.944133587119943,
+    ("linear", 0.0, 5, 0): 9.02265085333696,
+    ("linear", 0.0, 0, 1): 3.36125452297568,
+    ("linear", 0.0, 1, 1): 4.884451844097047,
+    ("linear", 0.0, 2, 1): 6.20762329369246,
+    ("linear", 0.0, 3, 1): 7.4056654355215406,
+    ("linear", 0.0, 4, 1): 8.515234302554605,
+    ("linear", 0.0, 5, 1): 9.557615912816061,
+    ("linear", 0.0, 0, 2): 4.248182257153203,
+    ("linear", 0.0, 1, 2): 5.629708376961398,
+    ("linear", 0.0, 2, 2): 6.8688826894040504,
+    ("linear", 0.0, 3, 2): 8.009702922677777,
+    ("linear", 0.0, 4, 2): 9.07700305076061,
+    ("linear", 0.0, 5, 2): 10.086459801785155,
+    ("log", 0.0, 0, 0): 0.35118508918225294,
+    ("log", 0.0, 1, 0): 1.1542954011931106,
+    ("log", 0.0, 2, 0): 1.5964685348463492,
+    ("log", 0.0, 0, 1): 0.9479941559592427,
+    ("log", 0.0, 1, 1): 1.457799607413536,
+    ("log", 0.0, 2, 1): 1.797795031131166,
+    ("log", 0.0, 0, 2): 1.3201614614947563,
+    ("log", 0.0, 1, 2): 1.6942856699058704,
+    ("log", 0.0, 2, 2): 1.9693448601451606,
+    ("exp", 5.0, 0, 0): -0.5503161029352848,
+    ("exp", 10.0, 0, 0): -2.1824076313956193,
+    ("exp", 10.0, 0, 1): -0.3340547192375848,
+    ("exp", 10.0, 1, 0): -0.06963158683395972,
+    ("exp", 20.0, 0, 0): -6.62410352661536,
+    ("exp", 20.0, 0, 1): -2.7148175108952275,
+    ("exp", 20.0, 1, 0): -1.4256208822926109,
+    ("exp", 20.0, 0, 2): -0.4313647316577519,
+    ("exp", 20.0, 1, 1): -0.1632651442792873,
+    ("exp", 20.0, 2, 0): -0.00869451755377946,
+}
+
 
 def _nodes(f: RadialFunction) -> int:
     s = np.sign(f.values[1:])
@@ -101,6 +143,21 @@ class TestConvergenceAndConfig:
         with pytest.raises(DomainError):
             SolverConfig(r_max=-1.0)
 
+    def test_l1_origin_row_has_no_grid_error(self):
+        # same r_max with a 4x finer step: the l = 1 row at the origin
+        # (a[0] u[0] -> -u[1]/6) must not add an error beyond Numerov's
+        v = PotentialModel.exponential(20.0)
+        q = QuantumNumbers(0, 1)
+        f1 = solve_radial(v, q)
+        f2 = solve_radial(v, q, SolverConfig(r_max=float(f1.grid[-1]),
+                                             grid_points=80000))
+        assert abs(f2.energy - f1.energy) <= 1e-9 * abs(f1.energy)
+
+    def test_table_state_energies_pinned(self):
+        for (family, k, n, l), energy in TABLE_STATE_ENERGIES.items():
+            f, _ = oracle_state(family, k, n, l)
+            assert abs(f.energy - energy) <= 1e-9 * abs(energy), (family, k, n, l)
+
     def test_tail_mass_flagged(self):
         # a deliberately truncated domain must be rejected by observables
         from auxfield.errors import QuadratureFailure
@@ -126,7 +183,7 @@ class TestVariationalConsistency:
 @pytest.mark.parametrize("family", ["linear", "log"])
 @pytest.mark.parametrize("n,l", [(0, 10), (2, 11), (0, 40), (3, 20), (5, 40)])
 def test_high_l_bracketed_by_afm_bounds(family, n, l):
-    # the outward sweep must start where 1 - h^2 w/12 stays positive
+    # the unknowns of the banded solve must start where h^2 w/12 <= 1/2
     from auxfield.afm import AuxiliaryKind, afm_solve
     v = LINEAR if family == "linear" else PotentialModel.logarithmic()
     q = QuantumNumbers(n, l)
