@@ -2,15 +2,23 @@
 
 Solves -u'' + [2m (V(r) - E) + l(l+1)/r^2] u = 0 on a uniform grid for
 the three potential families.  The start value is the eigenvalue with
-index n of the 3-point Dirichlet Hamiltonian on the same grid, found by
-LAPACK's Sturm-sequence bisection (Barth, Martin & Wilkinson, Numer.
-Math. 9 (1967) 386), so the node count is exact by construction.
-Cooley's corrector (Math. Comp. 15 (1961) 363) then moves it to the
-eigenvalue of the 4th-order Numerov equation, reading the residual at the
-outer classical turning point m of the vector that one banded LAPACK
-solve of the Numerov system A(E) u = e_m returns (B. R. Johnson, J. Chem.
-Phys. 67 (1977) 4086).  Quadrature observables for the converged states
-are provided as the reference side of every table comparison.
+index n of the 3-point Dirichlet Hamiltonian, found by LAPACK's
+Sturm-sequence bisection (Barth, Martin & Wilkinson, Numer. Math. 9
+(1967) 386), so the node count is exact by construction.  The bisection
+runs on a leading window of the grid that holds the state: up to where
+the WKB decay action, the integral of sqrt(W) dr beyond the outer
+turning point, reaches a fixed value.  The window's matrix is a leading
+principal submatrix of the full-grid one, so by Cauchy interlacing its
+eigenvalue n lies at or above the full-grid start, and the action rule
+keeps the gap below the corrector's reach; a window too short for its
+own eigenvalue is grown, up to the full grid.  Cooley's corrector (Math.
+Comp. 15 (1961) 363) then moves the start to the eigenvalue of the
+4th-order Numerov equation, reading the residual at the outer classical
+turning point m of the vector that one banded LAPACK solve of the
+Numerov system A(E) u = e_m returns (B. R. Johnson, J. Chem. Phys. 67
+(1977) 4086).  Quadrature observables for the converged states are
+provided as the reference side of every table comparison; every
+integral is one dot product with the Simpson weights of the grid.
 """
 
 from __future__ import annotations
@@ -30,6 +38,9 @@ __all__ = ["RadialFunction", "SolverConfig", "solve_radial", "numeric_observable
 
 _CORRECTOR_TOL = 1e-12     # converged step, relative to max(1, |E|)
 _CORRECTOR_MAX_ITER = 20
+_WINDOW_ACTION = 12.0      # decay action beyond the turning point a start window holds
+_WINDOW_PAD = 2.0          # extra action when a window is sized or grown
+_GUESS_STRIDE = 10         # grid stride of the Sturm count that sizes the first window
 
 
 @dataclass(frozen=True)
@@ -105,56 +116,124 @@ def _numerov_assemble(w, h, l, m):
 # driver
 # ----------------------------------------------------------------------
 
-def _effective_w(v: PotentialModel, grid: np.ndarray, q: QuantumNumbers,
-                 energy: float) -> np.ndarray:
-    c = v.kinetic_2m
-    w = np.empty_like(grid)
-    w[1:] = c * (v.v(grid[1:]) - energy)
+def _base_w(v: PotentialModel, grid: np.ndarray, q: QuantumNumbers) -> np.ndarray:
+    """2m V + l(l+1)/r^2 on the grid, so that W(E) = w0 - 2m E off the origin."""
+    w0 = np.empty_like(grid)
+    w0[1:] = v.kinetic_2m * v.v(grid[1:])
     if q.l > 0:
-        w[1:] += q.big_l / grid[1:] ** 2
-    w[0] = 0.0  # never used: u[0] = 0 by construction
-    return w
+        w0[1:] += q.big_l / grid[1:] ** 2
+    w0[0] = 0.0  # never used: u[0] = 0 by construction
+    return w0
 
 
 def _match_index(w: np.ndarray) -> int:
-    allowed = np.nonzero(w < 0.0)[0]
+    allowed = np.nonzero(w[1:] < 0.0)[0]
     if allowed.size == 0:
         return -1
-    return int(min(max(allowed[-1], 4), w.shape[0] - 5))
+    return int(min(max(allowed[-1] + 1, 4), w.shape[0] - 5))
 
 
-def _sturm_start(v: PotentialModel, q: QuantumNumbers, grid: np.ndarray) -> float:
-    """Eigenvalue q.n of the 3-point Dirichlet Hamiltonian on the grid."""
+def _window_rows(w0: np.ndarray, h: float, lam: float, action: float) -> int:
+    """Interior rows up to where the decay action beyond lam's turning point
+    reaches ``action``.
+
+    The turning point is the last interior point with w0 < lam; the count
+    exceeds the interior when the grid ends before the action is reached.
+    """
+    w = w0[1:-1] - lam
+    allowed = np.nonzero(w < 0.0)[0]
+    t = int(allowed[-1]) + 1 if allowed.size else 0
+    decay = h * np.cumsum(np.sqrt(w[t:]))
+    return t + int(np.searchsorted(decay, action)) + 1
+
+
+def _sturm_start(w0: np.ndarray, h: float, n: int) -> float:
+    """Eigenvalue n of the 3-point Dirichlet matrix -D2 + diag(w0) on the grid.
+
+    A Sturm count on every _GUESS_STRIDE-th grid point guesses the
+    eigenvalue; the bisection then runs on the leading rows up to where
+    the guess's decay action reaches _WINDOW_ACTION + _WINDOW_PAD.  That
+    matrix is a leading principal submatrix of the full one, so by Cauchy
+    interlacing its eigenvalue n is at or above the full-grid one.  It is
+    accepted when the action from its own turning point to the window end
+    is at least _WINDOW_ACTION, the truncation then shifting it by about
+    exp(-2 _WINDOW_ACTION); otherwise the window grows to the end that
+    eigenvalue asks for.  A lower eigenvalue only lengthens its action, so
+    the grown window passes; the full grid is always accepted.
+    """
     from scipy.linalg import eigh_tridiagonal
 
-    h = float(grid[1] - grid[0])
-    diag = _effective_w(v, grid, q, 0.0)[1:-1] + 2.0 / (h * h)
-    off = np.full(diag.shape[0] - 1, -1.0 / (h * h))
-    lam = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                           select_range=(q.n, q.n))
-    return float(lam[0]) / v.kinetic_2m
+    def eigenvalue(diag_w, step):
+        diag = diag_w + 2.0 / (step * step)
+        off = np.full(diag.shape[0] - 1, -1.0 / (step * step))
+        return float(eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                      select_range=(n, n))[0])
+
+    inner = w0[1:-1]
+    coarse = w0[_GUESS_STRIDE:-1:_GUESS_STRIDE]
+    rows = inner.shape[0]
+    if coarse.shape[0] > n:
+        guess = eigenvalue(coarse, _GUESS_STRIDE * h)
+        rows = _window_rows(w0, h, guess, _WINDOW_ACTION + _WINDOW_PAD)
+    while True:
+        rows = min(max(rows, n + 1), inner.shape[0])
+        lam = eigenvalue(inner[:rows], h)
+        if (rows == inner.shape[0]
+                or _window_rows(w0, h, lam, _WINDOW_ACTION) <= rows):
+            return lam
+        rows = _window_rows(w0, h, lam, _WINDOW_ACTION + _WINDOW_PAD)
 
 
-def _solve_on_grid(v, q, grid, energy):
+def _simpson_weights(grid: np.ndarray) -> np.ndarray:
+    """Weights w with w @ y equal to scipy.integrate.simpson(y, x=grid).
+
+    Composite Simpson on pairs of intervals of any spacing; for an even
+    number of points the last interval takes Cartwright's correction.
+    """
+    n = grid.shape[0]
+    h = np.diff(grid)
+    wts = np.zeros(n)
+    if n == 2:
+        wts[:] = 0.5 * h[0]
+        return wts
+    stop = n - 1 if n % 2 else n - 2      # Simpson covers points 0..stop
+    h0, h1 = h[0:stop:2], h[1:stop:2]
+    sixth = (h0 + h1) / 6.0
+    wts[0:stop:2] += sixth * (2.0 - h1 / h0)
+    wts[1:stop:2] += sixth * (h0 + h1) ** 2 / (h0 * h1)
+    wts[2:stop + 1:2] += sixth * (2.0 - h0 / h1)
+    if n % 2 == 0:
+        ha, hb = h[-2], h[-1]
+        wts[-1] += (2.0 * hb * hb + 3.0 * ha * hb) / (6.0 * (ha + hb))
+        wts[-2] += (hb * hb + 3.0 * ha * hb) / (6.0 * ha)
+        wts[-3] -= hb ** 3 / (6.0 * ha * (ha + hb))
+    return wts
+
+
+def _solve_on_grid(w0, grid, q, c, energy):
     """Cooley's corrector from the start energy, then the normalized vector."""
-    from scipy.integrate import simpson
-
     h = float(grid[1] - grid[0])
-    m = _match_index(_effective_w(v, grid, q, energy))
+    w = w0 - c * energy
+    if w[-1] < 0.0:
+        raise NumericalFailure(
+            f"r_max = {grid[-1]:.6g} ends inside the classically allowed region: "
+            f"the outer turning point at the start energy {energy:.6g} lies "
+            "beyond it")
+    m = _match_index(w)
     if m < 0:
         raise NumericalFailure("no classically allowed region at the start energy")
     for _ in range(_CORRECTOR_MAX_ITER):
-        w = _effective_w(v, grid, q, energy)
+        w = w0 - c * energy
         u = _numerov_assemble(w, h, q.l, m)
         y = (1.0 - h * h * w[m - 1:m + 2] / 12.0) * u[m - 1:m + 2]
         resid = (y[2] - 2.0 * y[1] + y[0]) / (h * h) - w[m] * u[m]
-        step = u[m] * resid / (v.kinetic_2m * float(np.dot(u, u)))
+        step = u[m] * resid / (c * float(np.dot(u, u)))
         energy -= step
         if abs(step) <= _CORRECTOR_TOL * max(1.0, abs(energy)):
             break
     else:
         raise NumericalFailure("Cooley corrector did not converge")
-    norm = simpson(u * u, x=grid)
+    norm = _simpson_weights(grid) @ (u * u)
     if not norm > 0:
         raise NumericalFailure("degenerate norm after assembly")
     u /= math.sqrt(norm)
@@ -172,20 +251,23 @@ def solve_radial(v: PotentialModel, q: QuantumNumbers,
     """Eigenpair with exactly q.n radial nodes for the given family.
 
     The Sturm count of the 3-point Hamiltonian on the grid gives the
-    start energy of level q.n; Cooley's corrector refines it to the
-    Numerov eigenvalue.  A potential with a continuum requires that start
-    below the model's continuum threshold and, on its default domain,
-    extends the domain for near-threshold states.
+    start energy of level q.n, on the leading part of the grid that holds
+    the state; Cooley's corrector refines it to the Numerov eigenvalue.  A
+    potential with a continuum requires that start below the model's
+    continuum threshold and, on its default domain, extends the domain for
+    near-threshold states.
     """
     r_max = cfg.r_max or v.default_r_max(q)
     threshold = v.continuum_threshold
+    c = v.kinetic_2m
     for _ in range(4):
         grid = np.linspace(0.0, r_max, cfg.grid_points)
-        start = _sturm_start(v, q, grid)
+        w0 = _base_w(v, grid, q)
+        start = _sturm_start(w0, float(grid[1] - grid[0]), q.n) / c
         if threshold is not None and not start < threshold:
             raise NoBoundState(
                 "not-supported", f"{v} has no bound state with n={q.n}, l={q.l}")
-        energy, u = _solve_on_grid(v, q, grid, start)
+        energy, u = _solve_on_grid(w0, grid, q, c, start)
         if threshold is None or cfg.r_max is not None:
             break
         # twenty decay lengths 1/sqrt(2m |E|) below the continuum at E = 0
@@ -205,18 +287,21 @@ def solve_radial(v: PotentialModel, q: QuantumNumbers,
 
 def numeric_observables(f: RadialFunction, v: PotentialModel) -> ObservableSet:
     """Simpson moments, virial <p^2>/<p^4> and |psi(0)|^2 for an oracle state."""
-    from scipy.integrate import simpson
-
     grid, u = f.grid, f.values
     u2 = u * u
+    vv = np.empty_like(u2)
+    vv[1:] = v.v(grid[1:])
+    vv[0] = 0.0  # u^2 V -> 0 at the origin for all three families
     # extrapolated probability mass beyond the grid end
-    w_end = float(_effective_w(v, grid, f.q, f.energy)[-1])
+    w_end = (v.kinetic_2m * (float(vv[-1]) - f.energy)
+             + f.q.big_l / float(grid[-1]) ** 2)
     kappa = math.sqrt(max(w_end, 1e-12))
     tail = u2[-1] / (2.0 * kappa)
     if tail > 1e-8:
         raise QuadratureFailure(
             f"tail mass {tail:.2e} beyond r_max: state under-resolved")
 
+    wts = _simpson_weights(grid)
     r_mom = {}
     for k in (-2, -1, 1, 2, 3, 4):
         integrand = np.empty_like(u2)
@@ -225,13 +310,10 @@ def numeric_observables(f: RadialFunction, v: PotentialModel) -> ObservableSet:
             integrand[0] = 0.0
         else:
             integrand[0] = f.slope_at_origin() ** 2 if f.q.l == 0 else 0.0
-        r_mom[k] = float(simpson(integrand, x=grid))
+        r_mom[k] = float(wts @ integrand)
 
-    vv = np.empty_like(u2)
-    vv[1:] = v.v(grid[1:])
-    vv[0] = 0.0  # u^2 V -> 0 at the origin for all three families
-    mean_v = float(simpson(u2 * vv, x=grid))
-    mean_v2 = float(simpson(u2 * vv * vv, x=grid))
+    mean_v = float(wts @ (u2 * vv))
+    mean_v2 = float(wts @ (u2 * vv * vv))
     p2, p4 = p2_p4_from_potential(f.energy, mean_v, mean_v2, v.mass)
     psi0 = None
     if f.q.l == 0:

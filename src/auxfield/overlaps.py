@@ -18,7 +18,7 @@ import numpy as np
 from .afm import AuxiliaryKind
 from .errors import DomainError
 from .exact import QuantumNumbers
-from .oracle import RadialFunction
+from .oracle import RadialFunction, _simpson_weights
 
 __all__ = [
     "overlap_hydrogen_dilated",
@@ -152,8 +152,6 @@ def numeric_overlap(f: RadialFunction, g: RadialFunction) -> float:
     Both functions must be sampled on the same grid; raises DomainError
     otherwise.
     """
-    from scipy.integrate import simpson
-
     if not (f.grid.shape == g.grid.shape and np.array_equal(f.grid, g.grid)):
         raise DomainError("numeric_overlap needs both functions on one grid")
-    return float(simpson(f.values * g.values, x=f.grid))
+    return float(_simpson_weights(f.grid) @ (f.values * g.values))

@@ -237,6 +237,14 @@ class TestBoundaries:
         assert "numeric failure" in err
         assert "2000 points" in err
 
+    def test_r_max_inside_allowed_region_is_numeric_failure(self, capsys):
+        # the turning point of linear (0, 0) is near r = 2.3, beyond r_max
+        code, out, err = _run(capsys, "oracle", "linear", "0", "0", "--r-max", "1")
+        assert code == 70
+        assert out == ""
+        assert "r_max = 1 ends inside the classically allowed region" in err
+        assert "turning point" in err
+
     def test_fine_grid_oracle_converges(self, capsys):
         code, out, err = _run(capsys, "oracle", "exp", "1", "1", "--k", "20",
                               "--grid-points", "320000")
@@ -290,9 +298,13 @@ closed_form = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 f = auxfield.solve_radial(auxfield.PotentialModel.linear(),
                           auxfield.QuantumNumbers(0, 0),
                           auxfield.SolverConfig(grid_points=2000))
+auxfield.numeric_observables(f, auxfield.PotentialModel.linear())
+overlap = auxfield.numeric_overlap(f, f)
 print(json.dumps({"codes": codes, "closed_form": closed_form,
                   "oracle_loads_scipy": "scipy.linalg" in sys.modules,
-                  "energy": f.energy}))
+                  "integrate": sorted(m for m in sys.modules
+                                      if m.startswith("scipy.integrate")),
+                  "energy": f.energy, "overlap": overlap}))
 """
 
 
@@ -306,5 +318,8 @@ class TestColdStart:
         assert rec["codes"] == [0] * 10 + [2]
         assert rec["closed_form"] == []
         assert rec["oracle_loads_scipy"]
+        # the oracle and numeric_overlap integrate without scipy.integrate
+        assert rec["integrate"] == []
+        assert rec["overlap"] == pytest.approx(1.0, rel=1e-12)
         # Numerov eigenvalue of linear (0, 0) on 2000 points
         assert rec["energy"] == pytest.approx(2.3381074103757413, rel=1e-12)

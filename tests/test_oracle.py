@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from auxfield import oracle
 from auxfield.afm import PotentialModel
-from auxfield.errors import DomainError, NoBoundState
+from auxfield.errors import AuxFieldError, DomainError, NoBoundState
 from auxfield.exact import QuantumNumbers
 from auxfield.oracle import (RadialFunction, SolverConfig, numeric_observables,
                              solve_radial)
@@ -192,3 +193,116 @@ def test_high_l_bracketed_by_afm_bounds(family, n, l):
     assert _nodes(f) == n
     assert afm_solve(v, AuxiliaryKind.COULOMB, q).energy <= f.energy
     assert f.energy <= afm_solve(v, AuxiliaryKind.QUADRATIC, q).energy
+
+
+@pytest.mark.parametrize("points", [2000, 2001, 12001, 20000])
+@pytest.mark.parametrize("spacing", ["uniform", "quadratic"])
+def test_simpson_weights_match_scipy(points, spacing):
+    from scipy.integrate import simpson
+    rng = np.random.default_rng(points)
+    x = np.linspace(0.0, 37.5, points)
+    if spacing == "quadratic":
+        x = x * x / 37.5
+    y = rng.random(points)
+    ref = simpson(y, x=x)
+    assert abs(oracle._simpson_weights(x) @ y - ref) <= 1e-14 * abs(ref)
+
+
+def _full_grid_start(w0, h, n):
+    """Eigenvalue n of the 3-point Dirichlet matrix on the whole grid."""
+    from scipy.linalg import eigh_tridiagonal
+    diag = w0[1:-1] + 2.0 / (h * h)
+    off = np.full(diag.shape[0] - 1, -1.0 / (h * h))
+    lam = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                           select_range=(n, n))
+    return float(lam[0])
+
+
+def _window_states():
+    """Seeded (family, k, n, l, grid points): 150 draws plus three hard wells."""
+    rng = np.random.default_rng(20261018)
+    critical = math.e ** 2 / 4.0
+    states = []
+    for i in range(150):
+        family = ("linear", "log", "exp")[i % 3]
+        n, l = int(rng.integers(0, 11)), int(rng.integers(0, 41))
+        k = None
+        if family == "exp":
+            k = float(rng.uniform(2.0, 30.0) * critical * (2 * n + l + 1.5) ** 2)
+        states.append((family, k, n, l, int(rng.choice([2000, 8000, 20000]))))
+    # two deep wells the default grid under-resolves, one near threshold
+    states += [("exp", 33265.0, 10, 3, 20000), ("exp", 8659.0, 5, 1, 20000),
+               ("exp", 1.6, 0, 0, 20000)]
+    return states
+
+
+def test_windowed_start_matches_full_grid(monkeypatch):
+    # the window changes only where the bisection runs: its start stays
+    # within the bisection noise of the full-grid start, and the solve
+    # from it agrees with the solve from the full-grid start
+    windowed = oracle._sturm_start
+    starts = []
+
+    def full_grid_reference(w0, h, n):
+        full = _full_grid_start(w0, h, n)
+        starts.append((windowed(w0, h, n), full))
+        return full
+
+    for family, k, n, l, points in _window_states():
+        v = PotentialModel.from_name(family, k)
+        q = QuantumNumbers(n, l)
+        cfg = SolverConfig(grid_points=points)
+        outcomes = []
+        for start in (windowed, full_grid_reference):
+            monkeypatch.setattr(oracle, "_sturm_start", start)
+            try:
+                outcomes.append(solve_radial(v, q, cfg).energy)
+            except AuxFieldError as exc:
+                outcomes.append(type(exc))
+        got, ref = outcomes
+        if isinstance(ref, float):
+            assert isinstance(got, float), (family, k, n, l, points, got)
+            assert abs(got - ref) <= 1e-11 * abs(ref), (family, k, n, l, points)
+        else:
+            assert got is ref, (family, k, n, l, points, got, ref)
+    assert len(starts) >= 153
+    for lam, full in starts:
+        assert abs(lam - full) <= 1e-8 * max(1.0, abs(full))
+
+
+def test_window_grows_when_the_guess_misleads():
+    # a one-point dip on a guess grid point: the stride-10 guess sees a wide,
+    # deep well and sizes a window that ends before the real ground state;
+    # the window's own eigenvalue then has allowed points beyond its end
+    grid = np.linspace(0.0, 100.0, 2001)
+    h = float(grid[1])
+    w0 = (grid - 20.0) ** 2
+    w0[200] = -200.0
+    lam = oracle._sturm_start(w0, h, 0)
+    full = _full_grid_start(w0, h, 0)
+    assert 0.0 < full < 2.0  # the harmonic ground state, not the dip's
+    assert abs(lam - full) <= 1e-8 * max(1.0, abs(full))
+
+
+def test_windowed_start_bisects_under_half_the_grid(monkeypatch):
+    # guards against a silent fall-back to the full grid on the table states;
+    # the rows include the guess's
+    import scipy.linalg
+    eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
+    windowed = oracle._sturm_start
+    rows, grid_rows = [], []
+
+    def bisect(d, e, **kwargs):
+        rows.append(d.shape[0])
+        return eigh_tridiagonal(d, e, **kwargs)
+
+    def start(w0, h, n):
+        grid_rows.append(w0.shape[0] - 2)
+        return windowed(w0, h, n)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", bisect)
+    monkeypatch.setattr(oracle, "_sturm_start", start)
+    for family, k, n, l in TABLE_STATE_ENERGIES:
+        solve_radial(PotentialModel.from_name(family, k or None), QuantumNumbers(n, l))
+    assert len(grid_rows) == 38  # exp k = 20 (2, 0) extends its domain once
+    assert sum(rows) < 0.5 * sum(grid_rows)
