@@ -2,23 +2,29 @@
 
 Solves -u'' + [2m (V(r) - E) + l(l+1)/r^2] u = 0 on a uniform grid for
 the three potential families.  The start value is the eigenvalue with
-index n of the 3-point Dirichlet Hamiltonian, found by LAPACK's
+index n of a 3-point Dirichlet Hamiltonian, found by LAPACK's
 Sturm-sequence bisection (Barth, Martin & Wilkinson, Numer. Math. 9
-(1967) 386), so the node count is exact by construction.  The bisection
-runs on a leading window of the grid that holds the state: up to where
-the WKB decay action, the integral of sqrt(W) dr beyond the outer
-turning point, reaches a fixed value.  The window's matrix is a leading
-principal submatrix of the full-grid one, so by Cauchy interlacing its
-eigenvalue n lies at or above the full-grid start, and the action rule
-keeps the gap below the corrector's reach; a window too short for its
-own eigenvalue is grown, up to the full grid.  Cooley's corrector (Math.
-Comp. 15 (1961) 363) then moves the start to the eigenvalue of the
-4th-order Numerov equation, reading the residual at the outer classical
-turning point m of the vector that one banded LAPACK solve of the
-Numerov system A(E) u = e_m returns (B. R. Johnson, J. Chem. Phys. 67
-(1977) 4086).  Quadrature observables for the converged states are
-provided as the reference side of every table comparison; every
-integral is one dot product with the Simpson weights of the grid.
+(1967) 386), so its level is exact by construction.  The first count
+runs on every 10th grid point.  When that grid resolves the state, its
+eigenvalue is the start: it is then O(h^2) away from the Numerov
+eigenvalue, well within the corrector's reach, and the node check of the
+converged vector stays a hard failure.  Otherwise (deep wells) the
+bisection runs on a leading window of the full grid that holds the
+state: up to where the WKB decay action, the integral of sqrt(W) dr
+beyond the outer turning point, reaches a fixed value.  The window's
+matrix is a leading principal submatrix of the full-grid one, so by
+Cauchy interlacing its eigenvalue n lies at or above the full-grid
+start, and the action rule keeps the gap below the corrector's reach; a
+window too short for its own eigenvalue is grown, up to the full grid.
+Cooley's corrector (Math. Comp. 15 (1961) 363) then moves the start to
+the eigenvalue of the 4th-order Numerov equation, reading the residual
+at the outer classical turning point m of the vector that one banded
+LAPACK solve of the Numerov system A(E) u = e_m returns (B. R. Johnson,
+J. Chem. Phys. 67 (1977) 4086); that vector is signed positive before
+its first node, like the closed forms.  Quadrature observables for the
+converged states are provided as the reference side of every table
+comparison; every integral is one dot product with the Simpson weights
+of the grid.
 """
 
 from __future__ import annotations
@@ -40,7 +46,8 @@ _CORRECTOR_TOL = 1e-12     # converged step, relative to max(1, |E|)
 _CORRECTOR_MAX_ITER = 20
 _WINDOW_ACTION = 12.0      # decay action beyond the turning point a start window holds
 _WINDOW_PAD = 2.0          # extra action when a window is sized or grown
-_GUESS_STRIDE = 10         # grid stride of the Sturm count that sizes the first window
+_GUESS_STRIDE = 10         # grid stride of the Sturm count that guesses the start
+_GUESS_RESOLVED = 0.1      # largest resolution number rho at which the guess is the start
 
 
 @dataclass(frozen=True)
@@ -148,11 +155,16 @@ def _window_rows(w0: np.ndarray, h: float, lam: float, action: float) -> int:
 
 
 def _sturm_start(w0: np.ndarray, h: float, n: int) -> float:
-    """Eigenvalue n of the 3-point Dirichlet matrix -D2 + diag(w0) on the grid.
+    """Eigenvalue n of a 3-point Dirichlet matrix -D2 + diag(w0), the start.
 
-    A Sturm count on every _GUESS_STRIDE-th grid point guesses the
-    eigenvalue; the bisection then runs on the leading rows up to where
-    the guess's decay action reaches _WINDOW_ACTION + _WINDOW_PAD.  That
+    A Sturm count on every _GUESS_STRIDE-th grid point (step H) gives a
+    guess.  Its resolution number rho = H^2 max(guess - w0) (n + 1) / 12
+    is the guess grid's relative error in the largest local kinetic
+    energy, scaled by the level spacing (about 1/(n + 1)); when rho is at
+    most _GUESS_RESOLVED the guess is returned.  This assumes w0 smooth
+    on the guess grid, as the three families are.  Otherwise the
+    bisection runs on the leading rows of the full grid up to where the
+    guess's decay action reaches _WINDOW_ACTION + _WINDOW_PAD.  That
     matrix is a leading principal submatrix of the full one, so by Cauchy
     interlacing its eigenvalue n is at or above the full-grid one.  It is
     accepted when the action from its own turning point to the window end
@@ -173,7 +185,10 @@ def _sturm_start(w0: np.ndarray, h: float, n: int) -> float:
     coarse = w0[_GUESS_STRIDE:-1:_GUESS_STRIDE]
     rows = inner.shape[0]
     if coarse.shape[0] > n:
-        guess = eigenvalue(coarse, _GUESS_STRIDE * h)
+        step = _GUESS_STRIDE * h
+        guess = eigenvalue(coarse, step)
+        if step * step * float(np.max(guess - w0[1:])) * (n + 1) / 12.0 <= _GUESS_RESOLVED:
+            return guess
         rows = _window_rows(w0, h, guess, _WINDOW_ACTION + _WINDOW_PAD)
     while True:
         rows = min(max(rows, n + 1), inner.shape[0])
@@ -236,7 +251,8 @@ def _solve_on_grid(w0, grid, q, c, energy):
     norm = _simpson_weights(grid) @ (u * u)
     if not norm > 0:
         raise NumericalFailure("degenerate norm after assembly")
-    u /= math.sqrt(norm)
+    # the solve's sign is that of 1/(lambda - E); make u > 0 before its first node
+    u /= math.copysign(math.sqrt(norm), u[np.flatnonzero(u)[0]])
     return energy, u
 
 

@@ -154,6 +154,13 @@ class TestWavefunction:
                          "--k", "20", "--samples", "3")
         assert out.splitlines()[1] == "0,0"
 
+    def test_exact_oracle_path_positive_at_origin(self, capsys):
+        # the oracle state has the sign of the closed forms: u > 0 before
+        # its first node
+        _, out, _ = _run(capsys, "wavefunction", "log", "exact", "1", "0",
+                         "--samples", "3")
+        assert float(out.splitlines()[1].split(",")[1]) > 0.0
+
 
 class TestOracleCommand:
     def test_linear_json(self, capsys):

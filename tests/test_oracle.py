@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from auxfield import oracle
 from auxfield.afm import PotentialModel
@@ -210,7 +211,6 @@ def test_simpson_weights_match_scipy(points, spacing):
 
 def _full_grid_start(w0, h, n):
     """Eigenvalue n of the 3-point Dirichlet matrix on the whole grid."""
-    from scipy.linalg import eigh_tridiagonal
     diag = w0[1:-1] + 2.0 / (h * h)
     off = np.full(diag.shape[0] - 1, -1.0 / (h * h))
     lam = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
@@ -236,38 +236,112 @@ def _window_states():
     return states
 
 
-def test_windowed_start_matches_full_grid(monkeypatch):
-    # the window changes only where the bisection runs: its start stays
-    # within the bisection noise of the full-grid start, and the solve
-    # from it agrees with the solve from the full-grid start
-    windowed = oracle._sturm_start
+@pytest.fixture
+def traced_start(monkeypatch):
+    """Patch the oracle's start to log each call.
+
+    An entry holds the start's value, the interior rows of its grid and
+    the rows it bisected on that grid (``fine``) and on the stride-10
+    guess grid (``guess``).
+    """
+    import scipy.linalg
+    shipped = oracle._sturm_start
+    log = []
+
+    def bisect(d, e, **kwargs):
+        # the off-diagonal is -1/step^2: the grid's own step or the guess's
+        entry = log[-1]
+        entry["fine" if -e[0] * entry["h"] ** 2 > 0.5 else "guess"].append(d.shape[0])
+        return eigh_tridiagonal(d, e, **kwargs)
+
+    def start(w0, h, n):
+        entry = {"h": h, "grid_rows": w0.shape[0] - 2, "fine": [], "guess": []}
+        log.append(entry)
+        entry["value"] = shipped(w0, h, n)
+        return entry["value"]
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", bisect)
+    monkeypatch.setattr(oracle, "_sturm_start", start)
+    return log
+
+
+def _solve_outcome(v, q, cfg):
+    try:
+        return solve_radial(v, q, cfg).energy
+    except AuxFieldError as exc:
+        return type(exc)
+
+
+def _assert_solves_match_full_grid_start(monkeypatch, log, states):
+    """The solve from the traced start equals the solve from the full-grid start.
+
+    Equal means energies within 1e-11 relative or the same error class.
+    Returns (log entry, full-grid start) for each start of the reference
+    solves, which evaluate the traced start and discard it.
+    """
+    traced = oracle._sturm_start
     starts = []
 
     def full_grid_reference(w0, h, n):
-        full = _full_grid_start(w0, h, n)
-        starts.append((windowed(w0, h, n), full))
-        return full
+        traced(w0, h, n)
+        starts.append((log[-1], _full_grid_start(w0, h, n)))
+        return starts[-1][1]
 
-    for family, k, n, l, points in _window_states():
+    for family, k, n, l, points in states:
         v = PotentialModel.from_name(family, k)
         q = QuantumNumbers(n, l)
         cfg = SolverConfig(grid_points=points)
-        outcomes = []
-        for start in (windowed, full_grid_reference):
-            monkeypatch.setattr(oracle, "_sturm_start", start)
-            try:
-                outcomes.append(solve_radial(v, q, cfg).energy)
-            except AuxFieldError as exc:
-                outcomes.append(type(exc))
-        got, ref = outcomes
+        monkeypatch.setattr(oracle, "_sturm_start", traced)
+        got = _solve_outcome(v, q, cfg)
+        monkeypatch.setattr(oracle, "_sturm_start", full_grid_reference)
+        ref = _solve_outcome(v, q, cfg)
         if isinstance(ref, float):
             assert isinstance(got, float), (family, k, n, l, points, got)
             assert abs(got - ref) <= 1e-11 * abs(ref), (family, k, n, l, points)
         else:
             assert got is ref, (family, k, n, l, points, got, ref)
+    return starts
+
+
+def test_windowed_start_matches_full_grid(monkeypatch, traced_start):
+    # the solve from the shipped start agrees with the solve from the
+    # full-grid start, and every start the fine window produced stays
+    # within the bisection noise of the full-grid start; the deep wells
+    # take the window, so the gap check covers at least that many starts
+    states = _window_states()
+    starts = _assert_solves_match_full_grid_start(monkeypatch, traced_start, states)
     assert len(starts) >= 153
-    for lam, full in starts:
+    windowed = [(entry["value"], full) for entry, full in starts if entry["fine"]]
+    deep_wells = sum(1 for family, k, n, l, _ in states if family == "exp"
+                     and k >= 2.0 * math.e ** 2 / 4.0 * (2 * n + l + 1.5) ** 2)
+    assert len(windowed) >= deep_wells
+    for lam, full in windowed:
         assert abs(lam - full) <= 1e-8 * max(1.0, abs(full))
+
+
+def _gate_states():
+    """Seeded (family, k, n, l, grid points) over a wider range than the window set."""
+    rng = np.random.default_rng(20261019)
+    critical = math.e ** 2 / 4.0
+    states = []
+    for i in range(150):
+        family = ("linear", "log", "exp")[i % 3]
+        n, l = int(rng.integers(0, 41)), int(rng.integers(0, 61))
+        k = None
+        if family == "exp":
+            k = float(rng.uniform(1.0, 40.0) * critical * (2 * n + l + 1.5) ** 2)
+        states.append((family, k, n, l, int(rng.choice([2000, 5000, 8000, 20000]))))
+    return states
+
+
+def test_resolution_gate_matches_full_grid(monkeypatch, traced_start):
+    # a start taken from the stride-10 guess must lead the corrector to the
+    # same Numerov eigenvalue (or the same failure) as the full-grid start;
+    # both sides of the gate are exercised
+    starts = _assert_solves_match_full_grid_start(monkeypatch, traced_start,
+                                                  _gate_states())
+    assert any(not entry["fine"] for entry, _ in starts)
+    assert any(entry["guess"] and entry["fine"] for entry, _ in starts)
 
 
 def test_window_grows_when_the_guess_misleads():
@@ -284,25 +358,47 @@ def test_window_grows_when_the_guess_misleads():
     assert abs(lam - full) <= 1e-8 * max(1.0, abs(full))
 
 
-def test_windowed_start_bisects_under_half_the_grid(monkeypatch):
-    # guards against a silent fall-back to the full grid on the table states;
-    # the rows include the guess's
-    import scipy.linalg
-    eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
-    windowed = oracle._sturm_start
-    rows, grid_rows = [], []
-
-    def bisect(d, e, **kwargs):
-        rows.append(d.shape[0])
-        return eigh_tridiagonal(d, e, **kwargs)
-
-    def start(w0, h, n):
-        grid_rows.append(w0.shape[0] - 2)
-        return windowed(w0, h, n)
-
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", bisect)
-    monkeypatch.setattr(oracle, "_sturm_start", start)
+def test_windowed_start_bisects_under_half_the_grid(traced_start):
+    # guards against a silent fall-back to a fine-grid bisection on the
+    # table states: their stride-10 grid resolves them, so each start
+    # bisects only that grid, about a tenth of the rows
     for family, k, n, l in TABLE_STATE_ENERGIES:
         solve_radial(PotentialModel.from_name(family, k or None), QuantumNumbers(n, l))
-    assert len(grid_rows) == 38  # exp k = 20 (2, 0) extends its domain once
-    assert sum(rows) < 0.5 * sum(grid_rows)
+    assert len(traced_start) == 38  # exp k = 20 (2, 0) extends its domain once
+    for entry in traced_start:
+        assert entry["fine"] == [], entry
+        assert sum(entry["guess"]) <= 0.11 * entry["grid_rows"], entry
+
+
+def test_corrector_assemblies_on_table_states(monkeypatch):
+    # a start that lets the corrector wander shows as a repeatable count of
+    # Numerov assemblies, not as timing noise (119 for the 38 solves)
+    assemble = oracle._numerov_assemble
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return assemble(*args)
+
+    monkeypatch.setattr(oracle, "_numerov_assemble", counted)
+    for family, k, n, l in TABLE_STATE_ENERGIES:
+        solve_radial(PotentialModel.from_name(family, k or None), QuantumNumbers(n, l))
+    assert len(calls) <= 130
+
+
+def _positive_before_first_node(u):
+    positive, negative = np.flatnonzero(u > 0.0), np.flatnonzero(u < 0.0)
+    return positive.size > 0 and (negative.size == 0 or positive[0] < negative[0])
+
+
+def test_oracle_vector_positive_before_first_node():
+    # like the Airy, hydrogen and oscillator closed forms; the banded solve
+    # alone gives u the sign of 1/(lambda - E), which depends on the start
+    for family, k, n, l in TABLE_STATE_ENERGIES:
+        f, _ = oracle_state(family, k, n, l)
+        assert _positive_before_first_node(f.values), (family, k, n, l)
+        if l == 0:
+            assert f.slope_at_origin() > 0.0, (family, k, n, l)
+    for v in (LINEAR, PotentialModel.logarithmic()):
+        f = solve_radial(v, QuantumNumbers(2, 40))
+        assert _positive_before_first_node(f.values), v
