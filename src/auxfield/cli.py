@@ -129,7 +129,10 @@ def _cmd_wavefunction(args) -> int:
         if exact is not None:
             psi = np.asarray(exact(grid))
         else:
-            f = solve_radial(v, q, SolverConfig(r_max=max(args.r_max, 30.0)))
+            # the oracle's own domain, which extends as the state needs
+            f = solve_radial(v, q)
+            if f.grid[-1] < args.r_max:
+                f = solve_radial(v, q, SolverConfig(r_max=args.r_max))
             u_interp = np.interp(grid, f.grid, f.values)
             psi = np.empty_like(grid)
             psi[1:] = u_interp[1:] / (grid[1:] * math.sqrt(4.0 * math.pi))

@@ -9,27 +9,21 @@ runs on every 10th grid point.  When that grid resolves the state, its
 eigenvalue is the start: it is then O(h^2) away from the Numerov
 eigenvalue, well within the corrector's reach, and the node check of the
 converged vector stays a hard failure.  Otherwise (deep wells) the
-bisection runs on a leading window of the full grid that holds the
-state: up to where the WKB decay action, the integral of sqrt(W) dr
-beyond the outer turning point, reaches a fixed value.  The window's
-matrix is a leading principal submatrix of the full-grid one, so by
-Cauchy interlacing its eigenvalue n lies at or above the full-grid
-start, and the action rule keeps the gap below the corrector's reach; a
-window too short for its own eigenvalue is grown, up to the full grid.
-Cooley's corrector (Math. Comp. 15 (1961) 363) then moves the start to
-the eigenvalue of the 4th-order Numerov equation, reading the residual
-at the outer classical turning point m of the vector that one banded
-LAPACK solve of the Numerov system A(E) u = e_m returns (B. R. Johnson,
-J. Chem. Phys. 67 (1977) 4086); that vector is signed positive before
-its first node, like the closed forms.  Quadrature observables for the
-converged states are provided as the reference side of every table
-comparison; every integral is one dot product with the Simpson weights
-of the grid.
+count runs on the full grid.  Cooley's corrector (Math. Comp. 15 (1961)
+363) then moves the start to the eigenvalue of the 4th-order Numerov
+equation, reading the residual at the outer classical turning point m
+of the vector that one banded LAPACK solve of the Numerov system
+A(E) u = e_m returns (B. R. Johnson, J. Chem. Phys. 67 (1977) 4086);
+that vector is signed positive before its first node, like the closed
+forms.  Quadrature observables for the converged states are provided as
+the reference side of every table comparison; every integral is one dot
+product with the Simpson weights of the grid.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -44,8 +38,6 @@ __all__ = ["RadialFunction", "SolverConfig", "solve_radial", "numeric_observable
 
 _CORRECTOR_TOL = 1e-12     # converged step, relative to max(1, |E|)
 _CORRECTOR_MAX_ITER = 20
-_WINDOW_ACTION = 12.0      # decay action beyond the turning point a start window holds
-_WINDOW_PAD = 2.0          # extra action when a window is sized or grown
 _GUESS_STRIDE = 10         # grid stride of the Sturm count that guesses the start
 _GUESS_RESOLVED = 0.1      # largest resolution number rho at which the guess is the start
 
@@ -140,20 +132,6 @@ def _match_index(w: np.ndarray) -> int:
     return int(min(max(allowed[-1] + 1, 4), w.shape[0] - 5))
 
 
-def _window_rows(w0: np.ndarray, h: float, lam: float, action: float) -> int:
-    """Interior rows up to where the decay action beyond lam's turning point
-    reaches ``action``.
-
-    The turning point is the last interior point with w0 < lam; the count
-    exceeds the interior when the grid ends before the action is reached.
-    """
-    w = w0[1:-1] - lam
-    allowed = np.nonzero(w < 0.0)[0]
-    t = int(allowed[-1]) + 1 if allowed.size else 0
-    decay = h * np.cumsum(np.sqrt(w[t:]))
-    return t + int(np.searchsorted(decay, action)) + 1
-
-
 def _sturm_start(w0: np.ndarray, h: float, n: int) -> float:
     """Eigenvalue n of a 3-point Dirichlet matrix -D2 + diag(w0), the start.
 
@@ -162,41 +140,30 @@ def _sturm_start(w0: np.ndarray, h: float, n: int) -> float:
     is the guess grid's relative error in the largest local kinetic
     energy, scaled by the level spacing (about 1/(n + 1)); when rho is at
     most _GUESS_RESOLVED the guess is returned.  This assumes w0 smooth
-    on the guess grid, as the three families are.  Otherwise the
-    bisection runs on the leading rows of the full grid up to where the
-    guess's decay action reaches _WINDOW_ACTION + _WINDOW_PAD.  That
-    matrix is a leading principal submatrix of the full one, so by Cauchy
-    interlacing its eigenvalue n is at or above the full-grid one.  It is
-    accepted when the action from its own turning point to the window end
-    is at least _WINDOW_ACTION, the truncation then shifting it by about
-    exp(-2 _WINDOW_ACTION); otherwise the window grows to the end that
-    eigenvalue asks for.  A lower eigenvalue only lengthens its action, so
-    the grown window passes; the full grid is always accepted.
+    on the guess grid, as the three families are.  Otherwise, and when
+    the guess grid has no row n, the count runs on the full grid.
     """
     from scipy.linalg import eigh_tridiagonal
 
     def eigenvalue(diag_w, step):
+        # the Sturm count squares the entries; peak is the largest times step^2
+        peak = float(np.max(np.abs(diag_w))) * step * step + 2.0
+        if not peak < step * step * math.sqrt(sys.float_info.max):
+            raise NumericalFailure(
+                f"the 3-point matrix on the grid step {step:.3g} has entries up to "
+                f"{peak:.3g}/step^2, whose squares overflow in the Sturm count")
         diag = diag_w + 2.0 / (step * step)
         off = np.full(diag.shape[0] - 1, -1.0 / (step * step))
         return float(eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
                                       select_range=(n, n))[0])
 
-    inner = w0[1:-1]
     coarse = w0[_GUESS_STRIDE:-1:_GUESS_STRIDE]
-    rows = inner.shape[0]
     if coarse.shape[0] > n:
         step = _GUESS_STRIDE * h
         guess = eigenvalue(coarse, step)
         if step * step * float(np.max(guess - w0[1:])) * (n + 1) / 12.0 <= _GUESS_RESOLVED:
             return guess
-        rows = _window_rows(w0, h, guess, _WINDOW_ACTION + _WINDOW_PAD)
-    while True:
-        rows = min(max(rows, n + 1), inner.shape[0])
-        lam = eigenvalue(inner[:rows], h)
-        if (rows == inner.shape[0]
-                or _window_rows(w0, h, lam, _WINDOW_ACTION) <= rows):
-            return lam
-        rows = _window_rows(w0, h, lam, _WINDOW_ACTION + _WINDOW_PAD)
+    return eigenvalue(w0[1:-1], h)
 
 
 def _simpson_weights(grid: np.ndarray) -> np.ndarray:
@@ -267,11 +234,10 @@ def solve_radial(v: PotentialModel, q: QuantumNumbers,
     """Eigenpair with exactly q.n radial nodes for the given family.
 
     The Sturm count of the 3-point Hamiltonian on the grid gives the
-    start energy of level q.n, on the leading part of the grid that holds
-    the state; Cooley's corrector refines it to the Numerov eigenvalue.  A
-    potential with a continuum requires that start below the model's
-    continuum threshold and, on its default domain, extends the domain for
-    near-threshold states.
+    start energy of level q.n; Cooley's corrector refines it to the
+    Numerov eigenvalue.  A potential with a continuum requires that start
+    below the model's continuum threshold and, on its default domain,
+    extends the domain for near-threshold states.
     """
     r_max = cfg.r_max or v.default_r_max(q)
     threshold = v.continuum_threshold

@@ -154,6 +154,26 @@ class TestWavefunction:
                          "--k", "20", "--samples", "3")
         assert out.splitlines()[1] == "0,0"
 
+    def test_exact_oracle_path_solves_on_the_oracle_domain(self, capsys):
+        # exp k = 20 (2, 0) extends its domain to r ~ 268; boxed at r = 30
+        # it loses 0.8% of its mass and u is 0.4% too large
+        code, out, _ = _run(capsys, "wavefunction", "exp", "exact", "2", "0",
+                            "--k", "20", "--samples", "4")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        r = np.array([float(a) for a, _ in rows])
+        psi = np.array([float(b) for _, b in rows])
+        f = oracle_state("exp", 20.0, 2, 0)[0]
+        ref = np.empty_like(r)
+        ref[1:] = np.interp(r[1:], f.grid, f.values) / r[1:]
+        ref[0] = f.slope_at_origin()
+        assert np.max(np.abs(psi - ref / math.sqrt(4.0 * math.pi))) <= 1e-6
+        # an --r-max beyond the oracle's domain is solved on [0, --r-max]
+        code, out, _ = _run(capsys, "wavefunction", "log", "exact", "0", "1",
+                            "--r-max", "200", "--samples", "5")
+        assert code == 0
+        assert out.splitlines()[-1].startswith("200,")
+
     def test_exact_oracle_path_positive_at_origin(self, capsys):
         # the oracle state has the sign of the closed forms: u > 0 before
         # its first node
@@ -251,6 +271,14 @@ class TestBoundaries:
         assert out == ""
         assert "r_max = 1 ends inside the classically allowed region" in err
         assert "turning point" in err
+        # grid steps whose 3-point matrix leaves the float range of the
+        # Sturm count, down to one whose 1/h^2 divides by zero
+        for r_max in ("1e-100", "1e-155", "1e-160"):
+            code, out, err = _run(capsys, "oracle", "linear", "0", "0", "--r-max", r_max)
+            assert code == 70, (r_max, err)
+            assert out == ""
+            assert "numeric failure" in err and "grid step" in err, (r_max, err)
+            assert "internal error" not in err, (r_max, err)
 
     def test_fine_grid_oracle_converges(self, capsys):
         code, out, err = _run(capsys, "oracle", "exp", "1", "1", "--k", "20",

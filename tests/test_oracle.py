@@ -218,7 +218,7 @@ def _full_grid_start(w0, h, n):
     return float(lam[0])
 
 
-def _window_states():
+def _start_states():
     """Seeded (family, k, n, l, grid points): 150 draws plus three hard wells."""
     rng = np.random.default_rng(20261018)
     critical = math.e ** 2 / 4.0
@@ -303,24 +303,25 @@ def _assert_solves_match_full_grid_start(monkeypatch, log, states):
     return starts
 
 
-def test_windowed_start_matches_full_grid(monkeypatch, traced_start):
+def test_rejected_starts_are_the_full_grid_start(monkeypatch, traced_start):
     # the solve from the shipped start agrees with the solve from the
-    # full-grid start, and every start the fine window produced stays
-    # within the bisection noise of the full-grid start; the deep wells
-    # take the window, so the gap check covers at least that many starts
-    states = _window_states()
+    # full-grid start, and every start that ran a fine bisection is the
+    # full-grid start itself; the deep wells fail the resolution gate, so
+    # the identity covers at least that many starts
+    states = _start_states()
     starts = _assert_solves_match_full_grid_start(monkeypatch, traced_start, states)
     assert len(starts) >= 153
-    windowed = [(entry["value"], full) for entry, full in starts if entry["fine"]]
+    rejected = [(entry, full) for entry, full in starts if entry["fine"]]
     deep_wells = sum(1 for family, k, n, l, _ in states if family == "exp"
                      and k >= 2.0 * math.e ** 2 / 4.0 * (2 * n + l + 1.5) ** 2)
-    assert len(windowed) >= deep_wells
-    for lam, full in windowed:
-        assert abs(lam - full) <= 1e-8 * max(1.0, abs(full))
+    assert len(rejected) >= deep_wells
+    for entry, full in rejected:
+        assert entry["fine"] == [entry["grid_rows"]], entry
+        assert entry["value"] == full, entry
 
 
 def _gate_states():
-    """Seeded (family, k, n, l, grid points) over a wider range than the window set."""
+    """Seeded (family, k, n, l, grid points) over a wider range than the start set."""
     rng = np.random.default_rng(20261019)
     critical = math.e ** 2 / 4.0
     states = []
@@ -344,10 +345,10 @@ def test_resolution_gate_matches_full_grid(monkeypatch, traced_start):
     assert any(entry["guess"] and entry["fine"] for entry, _ in starts)
 
 
-def test_window_grows_when_the_guess_misleads():
-    # a one-point dip on a guess grid point: the stride-10 guess sees a wide,
-    # deep well and sizes a window that ends before the real ground state;
-    # the window's own eigenvalue then has allowed points beyond its end
+def test_gate_rejects_a_misleading_guess(traced_start):
+    # a one-point dip on a guess grid point: the stride-10 guess sees a
+    # wide, deep well far below the real ground state; the gate rejects it
+    # (rho = 0.16) and the start bisects the whole interior instead
     grid = np.linspace(0.0, 100.0, 2001)
     h = float(grid[1])
     w0 = (grid - 20.0) ** 2
@@ -355,11 +356,13 @@ def test_window_grows_when_the_guess_misleads():
     lam = oracle._sturm_start(w0, h, 0)
     full = _full_grid_start(w0, h, 0)
     assert 0.0 < full < 2.0  # the harmonic ground state, not the dip's
-    assert abs(lam - full) <= 1e-8 * max(1.0, abs(full))
+    [entry] = traced_start
+    assert entry["guess"] == [199] and entry["fine"] == [1999], entry
+    assert lam == full
 
 
-def test_windowed_start_bisects_under_half_the_grid(traced_start):
-    # guards against a silent fall-back to a fine-grid bisection on the
+def test_table_starts_bisect_only_the_guess_grid(traced_start):
+    # guards against a silent fall-back to a full-grid bisection on the
     # table states: their stride-10 grid resolves them, so each start
     # bisects only that grid, about a tenth of the rows
     for family, k, n, l in TABLE_STATE_ENERGIES:
