@@ -57,12 +57,21 @@ class AuxiliaryKind(Enum):
     def p_prime(self, r):
         return 1.0 / (r * r) if self is AuxiliaryKind.COULOMB else 2.0 * r
 
+    def basis_energy(self, m: float, big_n: float, nu: float) -> float:
+        """E_A(nu): level N of p^2/(2m) + nu P(r)."""
+        return (-m * nu * nu / (2.0 * big_n * big_n) if self is AuxiliaryKind.COULOMB
+                else math.sqrt(2.0 * nu / m) * big_n)
+
+    def basis_slope(self, m: float, big_n: float, nu: float) -> float:
+        """<P>_nu = dE_A/dnu, the mean of P in that level (Hellmann-Feynman)."""
+        return (-m * nu / (big_n * big_n) if self is AuxiliaryKind.COULOMB
+                else self.basis_energy(m, big_n, nu) / (2.0 * nu))
+
 
 class Bound(Enum):
     LOWER = "lower"
     UPPER = "upper"
     CONDITIONAL = "conditional"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -366,21 +375,12 @@ def _mean_point(v: PotentialModel, kind: AuxiliaryKind, nu: float) -> float:
     return v.mean_point(kind, nu)
 
 
-def _energy_at_aux_n(v: PotentialModel, kind: AuxiliaryKind,
-                     big_n: float, nu: float) -> float:
-    m = v.mass
-    if kind is AuxiliaryKind.COULOMB:
-        e_basis = -m * nu * nu / (2.0 * big_n * big_n)
-    else:
-        e_basis = math.sqrt(2.0 * nu / m) * big_n
-    r_i = _mean_point(v, kind, nu)
-    return float(e_basis + v.v(r_i) - nu * kind.p(r_i))
-
-
 def energy_at_aux(v: PotentialModel, kind: AuxiliaryKind,
                   q: QuantumNumbers, nu: float) -> float:
     """E(nu) = E_A(nu) + V(I(nu)) - nu P(I(nu)) away from the extremum."""
-    return _energy_at_aux_n(v, kind, principal_number(kind, q), nu)
+    r_i = _mean_point(v, kind, nu)
+    e_basis = kind.basis_energy(v.mass, principal_number(kind, q), nu)
+    return float(e_basis + v.v(r_i) - nu * kind.p(r_i))
 
 
 @dataclass(frozen=True)
@@ -397,7 +397,8 @@ def tangent_check(v: PotentialModel, kind: AuxiliaryKind, sol: AfmSolution,
                   r_samples: Sequence[float]) -> TangentReport:
     """Verify tangency at r0, the bound-direction sign pattern and extremality.
 
-    Reports violations instead of raising.
+    Reports violations instead of raising.  The extremality residual is
+    |<P>_nu0 - P(r0)| nu0 / |E|, dE/dnu at nu0 made dimensionless.
     """
     r0, nu0 = sol.r0, sol.nu0
     v_tilde = lambda r: nu0 * kind.p(r) + sol.offset
@@ -420,15 +421,10 @@ def tangent_check(v: PotentialModel, kind: AuxiliaryKind, sol: AfmSolution,
             if expect * diff < -1e-10 * max(1.0, abs(v.v(r))):
                 violations += 1
 
-    # 5-point dE/dnu whose reach 2 dnu stays within a tenth of the tangent
-    # branch left above nu0, where E(nu) has a square-root end point
-    dnu = min(1e-4 * nu0, (v.tangent_branch_end(kind) - nu0) / 20.0)
-    residual = math.inf  # reported, never raised
-    if dnu > 0:
-        e = [_energy_at_aux_n(v, kind, sol.principal_n, nu0 + j * dnu)
-             for j in (-2, -1, 1, 2)]
-        deriv = (8.0 * (e[2] - e[1]) - (e[3] - e[0])) / (12.0 * dnu)
-        residual = abs(deriv) * nu0 / abs(sol.energy)  # dimensionless
+    # dE/dnu = <P>_nu - P(I(nu)) because V'(I) = nu P'(I); the slope gap
+    # already holds r0 at I(nu0), so extremality is <P>_nu0 = P(r0)
+    mean_p = kind.basis_slope(v.mass, sol.principal_n, nu0)
+    residual = abs(mean_p - float(kind.p(r0))) * nu0 / abs(sol.energy)
     ok = (value_gap <= 1e-10 * max(1.0, abs(v.v(r0)))
           and slope_gap <= 1e-8
           and violations == 0

@@ -123,27 +123,7 @@ def _cmd_wavefunction(args) -> int:
         raise DomainError("--samples must be at least 2")
     grid = np.linspace(0.0, args.r_max, args.samples)
     v = PotentialModel.from_name(args.family, args.k)
-    q = QuantumNumbers(args.n, args.l)
-    if args.aux == "exact":
-        exact = v.exact_wavefunction(q)
-        if exact is not None:
-            psi = np.asarray(exact(grid))
-        else:
-            # the oracle's own domain, which extends as the state needs
-            f = solve_radial(v, q)
-            if f.grid[-1] < args.r_max:
-                f = solve_radial(v, q, SolverConfig(r_max=args.r_max))
-            u_interp = np.interp(grid, f.grid, f.values)
-            psi = np.empty_like(grid)
-            psi[1:] = u_interp[1:] / (grid[1:] * math.sqrt(4.0 * math.pi))
-            # psi(0) = u'(0) / sqrt(4 pi) for l = 0 and vanishes for l > 0
-            psi[0] = f.slope_at_origin() / math.sqrt(4.0 * math.pi) if q.l == 0 else 0.0
-    else:
-        if args.aux not in ("coulomb", "quadratic"):
-            raise DomainError("aux must be 'coulomb', 'quadratic' or 'exact'")
-        sol = afm_solve(v, AuxiliaryKind(args.aux), q)
-        radial = observables.trial_radial(sol, q)
-        psi = np.asarray(radial(grid)) / math.sqrt(4.0 * math.pi)
+    psi = tables.sample_psi(v, args.aux, QuantumNumbers(args.n, args.l), grid)
     lines = ["r,psi"]
     for r, p in zip(grid, psi):
         lines.append(f"{r:.6g},{p:.6g}")

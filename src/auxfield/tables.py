@@ -20,13 +20,13 @@ import numpy as np
 
 from . import observables, overlaps
 from .afm import AuxiliaryKind, PotentialModel, afm_solve
-from .errors import AuxFieldError, NoBoundState
+from .errors import AuxFieldError, DomainError, NoBoundState
 from .exact import QuantumNumbers, linear_s_observables, linear_s_state
 from .oracle import RadialFunction, SolverConfig, numeric_observables, solve_radial
 
 __all__ = ["TABLE_IDS", "golden", "build_table", "format_rows",
            "oracle_state", "linear_exact_function", "afm_trial_function",
-           "linear_afm_overlap_sq", "wavefunction_samples"]
+           "linear_afm_overlap_sq", "sample_psi", "wavefunction_samples"]
 
 _KINDS = {"hy": AuxiliaryKind.COULOMB, "ho": AuxiliaryKind.QUADRATIC}
 
@@ -287,25 +287,44 @@ def _build_exp() -> Tuple[List[str], List[Row]]:
     return ["k", "l", "n", "basis", "quantity"], rows
 
 
-def wavefunction_samples(n_values=(0, 1), r_max: float = 12.0,
-                         samples: int = 601) -> Tuple[List[str], List[Row]]:
+def sample_psi(v: PotentialModel, aux: str, q: QuantumNumbers,
+               grid: np.ndarray) -> np.ndarray:
+    """psi(r) on ``grid`` (from r = 0) of the AFM trial state (``aux``
+    'coulomb' or 'quadratic') or of the exact state ('exact'): the closed
+    form where one exists, else the oracle state interpolated, solved on
+    its own domain or on the grid's when that is larger."""
+    norm = math.sqrt(4.0 * math.pi)
+    if aux in ("coulomb", "quadratic"):
+        sol = afm_solve(v, AuxiliaryKind(aux), q)
+        return np.asarray(observables.trial_radial(sol, q)(grid)) / norm
+    if aux != "exact":
+        raise DomainError("aux must be 'coulomb', 'quadratic' or 'exact'")
+    exact = v.exact_wavefunction(q)
+    if exact is not None:
+        return np.asarray(exact(grid))
+    f = solve_radial(v, q)
+    if f.grid[-1] < grid[-1]:
+        f = solve_radial(v, q, SolverConfig(r_max=float(grid[-1])))
+    u_interp = np.interp(grid, f.grid, f.values)
+    psi = np.empty_like(grid)
+    psi[1:] = u_interp[1:] / (grid[1:] * norm)
+    # psi(0) = u'(0) / sqrt(4 pi) for l = 0 and vanishes for l > 0
+    psi[0] = f.slope_at_origin() / norm if q.l == 0 else 0.0
+    return psi
+
+
+def wavefunction_samples() -> Tuple[List[str], List[Row]]:
     """Radial wavefunction curves behind the two published figures."""
-    grid = np.linspace(0.0, r_max, samples)
-    v = _LINEAR
+    grid = np.linspace(0.0, 12.0, 601)
     cols: Dict[str, np.ndarray] = {"r": grid}
-    for n in n_values:
-        state = linear_s_state(0.5, 1.0, n)
-        cols[f"exact_n{n}"] = np.asarray(state.wavefunction(grid))
+    for n in (0, 1):
+        q = QuantumNumbers(n, 0)
+        cols[f"exact_n{n}"] = sample_psi(_LINEAR, "exact", q, grid)
         for key, kind in _KINDS.items():
-            sol = afm_solve(v, kind, QuantumNumbers(n, 0))
-            radial = observables.trial_radial(sol, QuantumNumbers(n, 0))
-            cols[f"{key}_n{n}"] = np.asarray(radial(grid)) / math.sqrt(4 * math.pi)
-    header = list(cols)
-    rows = []
-    for i in range(grid.size):
-        rows.append(Row({key: float(cols[key][i]) for key in header},
-                        None, None, None))
-    return header, rows
+            cols[f"{key}_n{n}"] = sample_psi(_LINEAR, kind.value, q, grid)
+    rows = [Row({key: float(col[i]) for key, col in cols.items()}, None, None, None)
+            for i in range(grid.size)]
+    return list(cols), rows
 
 
 _BUILDERS = {

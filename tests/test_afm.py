@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -183,15 +184,33 @@ class TestConsistencyIdentities:
             assert report.extremality_residual < 1e-6
 
     @pytest.mark.parametrize("n,l,k", [(0, 2, 1000.0), (7, 2, 200.0), (8, 14, 1000.0),
-                                       (6, 0, 100.0), (0, 6, 100.0)])
+                                       (6, 0, 100.0), (0, 6, 100.0), (15, 0, 473.0),
+                                       (54, 0, 5588.0), (92, 0, 15977.0)])
     def test_tangency_of_deep_and_near_branch_end_exp_states(self, n, l, k):
-        # a finite-difference slope lost digits to V ~ k, and a 3-point
-        # dE/dnu stencil reached too close to the tangent branch's end
+        # a finite-difference slope lost digits to V ~ k, and a dE/dnu
+        # stencil reached too close to the tangent branch's end, where the
+        # mean point I(nu) is ill-conditioned
         v, q = PotentialModel.exponential(k), QuantumNumbers(n, l)
         sol = afm_solve(v, AuxiliaryKind.COULOMB, q)
         report = tangent_check(v, AuxiliaryKind.COULOMB, sol,
                                sol.r0 * np.linspace(0.1, 3.0, 9))
         assert report.ok, report
+
+    @pytest.mark.parametrize("kind", list(AuxiliaryKind))
+    @pytest.mark.parametrize("v", [LINEAR, LOG, PotentialModel.exponential(20.0)],
+                             ids=lambda v: v.family)
+    def test_tangent_off_the_extremum_is_not_extremal(self, v, kind):
+        # a tangent at I(nu) for nu a little past nu0: value and slope
+        # match, but dE/dnu = <P>_nu - P(I(nu)) no longer vanishes
+        q = QuantumNumbers(0, 0)
+        sol = afm_solve(v, kind, q)
+        nu = sol.nu0 * (1.0 + 1e-5)
+        r = _mean_point(v, kind, nu)
+        off = replace(sol, nu0=nu, r0=r, offset=float(v.v(r) - nu * kind.p(r)),
+                      energy=energy_at_aux(v, kind, q, nu))
+        report = tangent_check(v, kind, off, r * np.linspace(0.1, 3.0, 9))
+        assert not report.ok, report
+        assert report.extremality_residual >= 1e-6
 
     @pytest.mark.parametrize("kind", list(AuxiliaryKind))
     def test_exp_mean_point_closed_form(self, kind):
