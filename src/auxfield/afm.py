@@ -6,9 +6,11 @@ potential, extremizes over the auxiliary parameter and returns scaled
 trial states, energies and variational bound classifications.
 
 Each family is one ``PotentialModel`` subclass in reduced units:
-``LinearPotential`` defaults to 2m = a = 1 but accepts general (m, a)
-through the exact scaling laws; ``LogPotential`` is fixed to
-H = p^2/4 + ln r and ``ExpPotential`` to H = p^2 - k e^{-r}.
+``LinearPotential`` defaults to 2m = a = 1 but accepts general (m, a);
+``LogPotential`` is fixed to H = p^2/4 + ln r and ``ExpPotential`` to
+H = p^2 - k e^{-r}.  A family defines the AFM only through
+``afm_radius(N)``, the r0 solving m r0^3 V'(r0) = N^2; for both bases the
+extremum is then E = N^2/(2m r0^2) + V(r0) with nu0 = V'(r0)/P'(r0).
 """
 
 from __future__ import annotations
@@ -67,6 +69,11 @@ class AuxiliaryKind(Enum):
         return (-m * nu / (big_n * big_n) if self is AuxiliaryKind.COULOMB
                 else self.basis_energy(m, big_n, nu) / (2.0 * nu))
 
+    def scale(self, m: float, nu: float) -> Union[HydrogenScale, OscillatorScale]:
+        """Length scale of the eigenstates of p^2/(2m) + nu P(r)."""
+        return (HydrogenScale(eta=m * nu) if self is AuxiliaryKind.COULOMB
+                else OscillatorScale(lam=(2.0 * m * nu) ** 0.25))
+
 
 class Bound(Enum):
     LOWER = "lower"
@@ -80,7 +87,7 @@ class PotentialModel:
 
     Each family is one subclass that holds its own parameters and their
     validation, V and V' (``_v``, ``_v_prime`` on float arrays), the mass,
-    ``afm_extremum(kind, N)`` -> (energy, nu0, r0, scale) in closed form,
+    ``afm_radius(N)``, the r0 solving m r0^3 V'(r0) = N^2 in closed form,
     ``mean_point(kind, nu)`` = I(nu), the radius where V'/P' equals nu > 0,
     the bound direction, and the oracle's ``default_r_max(q)`` and
     ``continuum_threshold``: None when V confines, else the largest start
@@ -156,7 +163,7 @@ class PotentialModel:
 
 @dataclass(frozen=True)
 class LinearPotential(PotentialModel):
-    """H = p^2/(2m) + a r, solved through the power-law scaling laws."""
+    """H = p^2/(2m) + a r with configurable mass and slope."""
 
     family: ClassVar[str] = "linear"
     m: float = 0.5
@@ -176,20 +183,8 @@ class LinearPotential(PotentialModel):
     def _v_prime(self, r):
         return self.a * np.ones_like(r)
 
-    def afm_extremum(self, kind: AuxiliaryKind, big_n: float):
-        m, a = self.m, self.a
-        sigma_e = (a * a / (2.0 * m)) ** (1.0 / 3.0)
-        sigma_r = (2.0 * m * a) ** (-1.0 / 3.0)
-        energy = 3.0 * big_n ** (2.0 / 3.0) / 2.0 ** (2.0 / 3.0) * sigma_e
-        if kind is AuxiliaryKind.COULOMB:
-            nu_red = 2.0 ** (2.0 / 3.0) * big_n ** (4.0 / 3.0)
-            r0 = math.sqrt(nu_red) * sigma_r
-            nu0 = nu_red * sigma_e * sigma_r
-            return energy, nu0, r0, HydrogenScale(eta=(nu_red / 2.0) / sigma_r)
-        nu_red = 2.0 ** (-4.0 / 3.0) * big_n ** (-2.0 / 3.0)
-        r0 = sigma_r / (2.0 * nu_red)
-        nu0 = nu_red * sigma_e / sigma_r ** 2
-        return energy, nu0, r0, OscillatorScale(lam=nu_red ** 0.25 / sigma_r)
+    def afm_radius(self, big_n: float) -> float:
+        return (big_n * big_n / (self.m * self.a)) ** (1.0 / 3.0)
 
     def mean_point(self, kind: AuxiliaryKind, nu: float) -> float:
         if kind is AuxiliaryKind.COULOMB:
@@ -224,14 +219,8 @@ class LogPotential(PotentialModel):
     def _v_prime(self, r):
         return 1.0 / r
 
-    def afm_extremum(self, kind: AuxiliaryKind, big_n: float):
-        energy = 0.5 + math.log(big_n) - 0.5 * math.log(2.0)
-        if kind is AuxiliaryKind.COULOMB:
-            nu0 = big_n / math.sqrt(2.0)
-            return energy, nu0, nu0, HydrogenScale(eta=math.sqrt(2.0) * big_n)
-        nu0 = 1.0 / big_n ** 2
-        r0 = 1.0 / math.sqrt(2.0 * nu0)
-        return energy, nu0, r0, OscillatorScale(lam=math.sqrt(2.0 / big_n))
+    def afm_radius(self, big_n: float) -> float:
+        return big_n / math.sqrt(self.mass)
 
     def mean_point(self, kind: AuxiliaryKind, nu: float) -> float:
         if kind is AuxiliaryKind.COULOMB:
@@ -272,30 +261,18 @@ class ExpPotential(PotentialModel):
         met = (q.n + q.l + 1) <= math.sqrt(self.k / (2.0 * math.e))
         return Bound.CONDITIONAL, met
 
-    def afm_extremum(self, kind: AuxiliaryKind, big_n: float):
-        k = self.k
-        t_arg = -((2.0 * big_n * big_n / k) ** (1.0 / 3.0)) / 3.0
+    def afm_radius(self, big_n: float) -> float:
+        """Root r0 e^{-r0/3} = (N^2/(m k))^(1/3) on W0's branch r0 <= 3;
+        E = N^2 (r0 - 2)/(2m r0^3) there, so the state is bound for r0 < 2."""
+        t_arg = -((big_n * big_n / (self.mass * self.k)) ** (1.0 / 3.0)) / 3.0
         if t_arg < _NEG_INV_E:
             raise NoBoundState("state-not-allowed",
                                f"N={big_n}: Lambert argument {t_arg:.6f} < -1/e")
-        w = specfun.lambert_w(_W0, t_arg)
-        energy = -k * t_arg ** 3 * (1.0 / w ** 3 + 1.5 / w ** 2)
-        if energy >= 0.0:
+        r0 = -3.0 * specfun.lambert_w(_W0, t_arg)
+        if r0 >= 2.0:
             raise NoBoundState("nonnegative-energy",
-                               f"N={big_n}: AFM energy {energy:.6f} >= 0")
-        r0 = -3.0 * w
-        if kind is AuxiliaryKind.COULOMB:
-            eta = 4.5 * k * t_arg ** 3 / w
-            nu0 = 2.0 * eta
-        else:
-            w4 = w ** 4   # underflows to 0 for k beyond ~1e238
-            nu0 = -(k / 6.0) * t_arg ** 3 / w4 if w4 > 0.0 else math.inf
-        if not (math.isfinite(energy) and math.isfinite(nu0)):
-            raise NumericalFailure(
-                f"k={k}: the AFM closed form is non-finite in double precision")
-        if kind is AuxiliaryKind.COULOMB:
-            return energy, nu0, r0, HydrogenScale(eta=eta)
-        return energy, nu0, r0, OscillatorScale(lam=nu0 ** 0.25)
+                               f"N={big_n}: AFM radius {r0:.6f} >= 2, so E >= 0")
+        return r0
 
     def mean_point(self, kind: AuxiliaryKind, nu: float) -> float:
         if kind is AuxiliaryKind.COULOMB:
@@ -341,11 +318,19 @@ def principal_number(kind: AuxiliaryKind, q: QuantumNumbers) -> float:
 
 def afm_solve(v: PotentialModel, kind: AuxiliaryKind,
               q: QuantumNumbers) -> AfmSolution:
-    """Extremize the auxiliary parameter and return the closed-form solution."""
+    """Extremize the auxiliary parameter: E = N^2/(2m r0^2) + V(r0) at
+    r0 = v.afm_radius(N), and nu0 = V'(r0)/P'(r0) sets the trial scale."""
     big_n = principal_number(kind, q)
     bound, met = v.bound(kind, q)
-    energy, nu0, r0, scale = v.afm_extremum(kind, big_n)
-    offset = float(v.v(r0) - nu0 * kind.p(r0))
+    r0 = v.afm_radius(big_n)
+    v0 = float(v.v(r0))
+    energy = big_n * big_n / (2.0 * v.mass * r0 * r0) + v0
+    nu0 = float(v.v_prime(r0)) / kind.p_prime(r0)
+    if not (math.isfinite(energy) and math.isfinite(nu0)):
+        raise NumericalFailure(
+            f"{v}: the AFM extremum is non-finite in double precision")
+    scale = kind.scale(v.mass, nu0)
+    offset = v0 - nu0 * kind.p(r0)
     return AfmSolution(nu0=nu0, r0=r0, scale=scale, energy=energy,
                        offset=offset, bound=bound, principal_n=big_n,
                        condition_met=met)

@@ -59,7 +59,8 @@ def afm_observable_set(v: PotentialModel, sol: AfmSolution,
         else:
             obs = oscillator_observables(sol.scale, q)
     except OverflowError as exc:
-        raise NumericalFailure("moments of the trial state overflow double precision") from exc
+        raise NumericalFailure(
+            "moments of the trial state are non-finite in double precision") from exc
     mean_v = v.trial_mean_v(obs)
     if mean_v is not None:
         obs.mean_h = obs.p2 / v.kinetic_2m + mean_v

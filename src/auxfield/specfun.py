@@ -82,13 +82,14 @@ def _airy_asym_pos(x):
     sp = np.zeros_like(x)
     stop = np.zeros(x.shape, dtype=bool)
     prev = np.full_like(x, np.inf)
-    for k in range(_UK.size):
-        term = _UK[k] / zeta ** k
-        stop |= term > prev
-        sgn = -1.0 if k % 2 else 1.0
-        s = np.where(stop, s, s + sgn * term)
-        sp = np.where(stop, sp, sp + sgn * _VK[k] / zeta ** k)
-        prev = term
+    with np.errstate(over="ignore"):  # zeta**k = inf makes the term 0
+        for k in range(_UK.size):
+            term = _UK[k] / zeta ** k
+            stop |= term > prev
+            sgn = -1.0 if k % 2 else 1.0
+            s = np.where(stop, s, s + sgn * term)
+            sp = np.where(stop, sp, sp + sgn * _VK[k] / zeta ** k)
+            prev = term
     pref = np.exp(-zeta) / (2.0 * math.sqrt(math.pi))
     return pref * s / x ** 0.25, -pref * sp * x ** 0.25
 
@@ -103,15 +104,16 @@ def _airy_asym_neg(x):
     rs = np.zeros_like(z)   # cos sum for Ai'
     stop = np.zeros(z.shape, dtype=bool)
     prev = np.full_like(z, np.inf)
-    for k in range(_UK.size // 2):
-        t_even = _UK[2 * k] / zeta ** (2 * k)
-        stop |= t_even > prev
-        sgn = -1.0 if k % 2 else 1.0
-        pc = np.where(stop, pc, pc + sgn * t_even)
-        ps = np.where(stop, ps, ps + sgn * _UK[2 * k + 1] / zeta ** (2 * k + 1))
-        rc = np.where(stop, rc, rc + sgn * _VK[2 * k] / zeta ** (2 * k))
-        rs = np.where(stop, rs, rs + sgn * _VK[2 * k + 1] / zeta ** (2 * k + 1))
-        prev = t_even
+    with np.errstate(over="ignore"):  # zeta**k = inf makes the term 0
+        for k in range(_UK.size // 2):
+            t_even = _UK[2 * k] / zeta ** (2 * k)
+            stop |= t_even > prev
+            sgn = -1.0 if k % 2 else 1.0
+            pc = np.where(stop, pc, pc + sgn * t_even)
+            ps = np.where(stop, ps, ps + sgn * _UK[2 * k + 1] / zeta ** (2 * k + 1))
+            rc = np.where(stop, rc, rc + sgn * _VK[2 * k] / zeta ** (2 * k))
+            rs = np.where(stop, rs, rs + sgn * _VK[2 * k + 1] / zeta ** (2 * k + 1))
+            prev = t_even
     arg = zeta - 0.25 * math.pi
     root_pi = math.sqrt(math.pi)
     ai = (np.cos(arg) * pc + np.sin(arg) * ps) / (root_pi * z ** 0.25)

@@ -73,13 +73,9 @@ _LINEAR = PotentialModel.linear()
 
 
 @lru_cache(maxsize=None)
-def oracle_state(family: str, k: float, n: int, l: int) -> Tuple[RadialFunction, object]:
-    """Converged oracle eigenstate and its quadrature observables.
-
-    ``k`` is the exponential depth; 0.0 (or None) for the other families.
-    """
-    v = PotentialModel.from_name(family, k or None)
-    f = solve_radial(v, QuantumNumbers(n, l), SolverConfig())
+def oracle_state(v: PotentialModel, q: QuantumNumbers) -> Tuple[RadialFunction, object]:
+    """Converged oracle eigenstate of ``v`` and its quadrature observables."""
+    f = solve_radial(v, q, SolverConfig())
     return f, numeric_observables(f, v)
 
 
@@ -172,7 +168,7 @@ def _build_ratios(kind_key: str) -> Tuple[List[str], List[Row]]:
                 q = QuantumNumbers(n, l)
                 try:
                     sol = afm_solve(v, _KINDS[kind_key], q)
-                    _, oobs = oracle_state("linear", 0.0, n, l)
+                    _, oobs = oracle_state(v, q)
                     if quantity == "eps":
                         val = sol.energy / oobs.mean_h
                     else:
@@ -236,7 +232,7 @@ def _build_log() -> Tuple[List[str], List[Row]]:
         n, l, basis = rec["n"], rec["l"], rec["basis"]
         q = QuantumNumbers(n, l)
         try:
-            fn, oobs = oracle_state("log", 0.0, n, l)
+            fn, oobs = oracle_state(v, q)
             values = _afm_vs_oracle(v, _KINDS[basis], q, fn, oobs)
         except AuxFieldError:
             values = dict.fromkeys(_RATIO_COLS)
@@ -259,11 +255,11 @@ def _exp_tol(col: str, printed: str) -> float:
 def _build_exp() -> Tuple[List[str], List[Row]]:
     rows = []
     for rec in golden()["exp_results"]:
-        k, n, l = float(rec["k"]), rec["n"], rec["l"]
-        v = PotentialModel.exponential(k)
+        n, l = rec["n"], rec["l"]
+        v = PotentialModel.exponential(float(rec["k"]))
         q = QuantumNumbers(n, l)
         try:
-            fn, oobs = oracle_state("exp", k, n, l)
+            fn, oobs = oracle_state(v, q)
         except AuxFieldError:
             fn = oobs = None
         e_tol = 0.001 if abs(float(rec["energy"])) < 0.1 else 0.002

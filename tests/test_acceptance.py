@@ -103,7 +103,7 @@ def test_criterion_6_logarithmic_table():
             else:
                 p2 = oscillator_observables(sol.scale, q).p2
             machine_ok &= abs(p2 - 2.0) < 1e-12
-    oracle_ok = all(abs(oracle_state("log", 0.0, n, l)[1].p2 - 2.0) < 1e-6
+    oracle_ok = all(abs(oracle_state(LOG, QuantumNumbers(n, l))[1].p2 - 2.0) < 1e-6
                     for n, l in itertools.product(range(3), range(3)))
     _report("6 (logarithmic table)", ok and machine_ok and oracle_ok, detail)
 
@@ -133,7 +133,7 @@ def test_criterion_8_airy_machinery():
     oracle_ok = True
     worst = 0.0
     for n in range(9):
-        f, _ = oracle_state("linear", 0.0, n, 0)
+        f, _ = oracle_state(LINEAR, QuantumNumbers(n, 0))
         rel = abs(f.energy + airy_zero(n)) / abs(airy_zero(n))
         worst = max(worst, rel)
         oracle_ok &= rel < 1e-7
@@ -178,19 +178,19 @@ def test_criterion_9_property_suites():
     # bound directions against the oracle for every tabulated state
     bound_ok = True
     for n, l in itertools.product(range(6), range(3)):
-        e = oracle_state("linear", 0.0, n, l)[0].energy
         q = QuantumNumbers(n, l)
+        e = oracle_state(LINEAR, q)[0].energy
         bound_ok &= afm_solve(LINEAR, AuxiliaryKind.COULOMB, q).energy <= e + 1e-6
         bound_ok &= afm_solve(LINEAR, AuxiliaryKind.QUADRATIC, q).energy >= e - 1e-6
     for n, l in itertools.product(range(3), range(3)):
-        e = oracle_state("log", 0.0, n, l)[0].energy
         q = QuantumNumbers(n, l)
+        e = oracle_state(LOG, q)[0].energy
         bound_ok &= afm_solve(LOG, AuxiliaryKind.COULOMB, q).energy <= e + 1e-6
         bound_ok &= afm_solve(LOG, AuxiliaryKind.QUADRATIC, q).energy >= e - 1e-6
     for rec in tables.golden()["exp_results"]:
         v = PotentialModel.exponential(float(rec["k"]))
         q = QuantumNumbers(rec["n"], rec["l"])
-        e = oracle_state("exp", float(rec["k"]), rec["n"], rec["l"])[0].energy
+        e = oracle_state(v, q)[0].energy
         if rec["hy"] is not None:
             bound_ok &= afm_solve(v, AuxiliaryKind.COULOMB, q).energy <= e + 1e-6
         if rec["ho"] is not None:

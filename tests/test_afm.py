@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from auxfield.afm import (AuxiliaryKind, Bound, PotentialModel, _mean_point,
                           afm_solve, critical_coupling,
                           energy_at_aux, improved_linear_energy,
                           principal_number, tangent_check)
-from auxfield.errors import DomainError, NoBoundState
-from auxfield.exact import (QuantumNumbers, hydrogen_observables,
-                            oscillator_observables)
+from auxfield.errors import DomainError, NoBoundState, NumericalFailure
+from auxfield.exact import (HydrogenScale, OscillatorScale, QuantumNumbers,
+                            hydrogen_observables, hydrogen_r_moment,
+                            oscillator_observables, oscillator_r_moment)
 from auxfield.specfun import WBranch, lambert_w, solve_w_power
 
 LINEAR = PotentialModel.linear()
@@ -231,6 +233,75 @@ class TestConsistencyIdentities:
                 sol.energy, rel=1e-12)
 
 
+def _wide_states():
+    """Seeded (model, kind, q) with n, l <= 40: linear with random (m, a),
+    log, and exp with k log-spaced from just above the state's critical
+    coupling up to 1e12."""
+    rng = np.random.default_rng(20261020)
+    kinds = list(AuxiliaryKind)
+    states = []
+    for i in range(64):
+        kind = kinds[i % 2]
+        q = QuantumNumbers(int(rng.integers(0, 41)), int(rng.integers(0, 41)))
+        if i % 4 == 0:
+            m, a = 10.0 ** rng.uniform(-2.0, 2.0, size=2)
+            states.append((PotentialModel.linear(float(m), float(a)), kind, q))
+        elif i % 4 == 1:
+            states.append((LOG, kind, q))
+        else:
+            kc = critical_coupling(q, kind)
+            states += [(PotentialModel.exponential(float(k)), kind, q)
+                       for k in np.geomspace(kc * (1.0 + 1e-9), 1e12, 8)]
+    return states
+
+
+@lru_cache(maxsize=None)
+def _unit_mean_p(kind, q):
+    """<P> of level q of the basis at unit scale, from the exact moments."""
+    if kind is AuxiliaryKind.COULOMB:
+        return -hydrogen_r_moment(HydrogenScale(1.0), q, -1)
+    return oscillator_r_moment(OscillatorScale(1.0), q, 2)
+
+
+class TestWideSeededSet:
+    """The defining identities over n, l <= 40 and k up to 1e12.
+
+    Energy residuals are relative to |N^2/(2m r0^2)| + |V(r0)|, not to
+    |E|, which cancels near threshold; each bound is 3-6 times the worst
+    case measured on this set.
+    """
+
+    def test_defining_identities(self):
+        for v, kind, q in _wide_states():
+            sol = afm_solve(v, kind, q)
+            r0, nu0, big_n = sol.r0, sol.nu0, sol.principal_n
+            label = (v, kind.value, q.n, q.l)
+            scale = big_n ** 2 / (2 * v.mass * r0 ** 2) + abs(float(v.v(r0)))
+            report = tangent_check(v, kind, sol, r0 * np.linspace(0.1, 3.0, 9))
+            assert report.sign_violations == 0, label
+            assert report.value_gap <= 1e-15 * scale, label
+            assert report.slope_gap <= 1e-15 * float(v.v_prime(r0)), label
+            # <P>_nu0 = P(r0), with the moment rescaled from unit scale
+            unit = _unit_mean_p(kind, q)
+            mean_p = (unit * sol.scale.eta if kind is AuxiliaryKind.COULOMB
+                      else unit / sol.scale.lam ** 2)
+            assert abs(mean_p / kind.p(r0) - 1.0) <= 8e-15, label
+            e_basis = kind.basis_energy(v.mass, big_n, nu0)
+            assert abs(e_basis + sol.offset - sol.energy) <= 1e-15 * scale, label
+            assert abs(energy_at_aux(v, kind, q, nu0) - sol.energy) <= 1e-15 * scale, label
+
+    def test_deepest_finite_well(self):
+        # the Coulomb extremum of k = 1e308 is finite (E ~ -k); the
+        # quadratic one has nu0 = V'(r0)/(2 r0) beyond double precision
+        v, q = PotentialModel.exponential(1e308), QuantumNumbers(0, 0)
+        sol = afm_solve(v, AuxiliaryKind.COULOMB, q)
+        assert all(math.isfinite(x) for x in (sol.energy, sol.nu0, sol.r0,
+                                              sol.scale.eta, sol.offset))
+        assert sol.energy == pytest.approx(-1e308, rel=1e-12)
+        with pytest.raises(NumericalFailure):
+            afm_solve(v, AuxiliaryKind.QUADRATIC, q)
+
+
 class TestImprovedEnergy:
     def test_reduces_to_zero_expansion_at_l0(self):
         for n in range(9):
@@ -244,7 +315,7 @@ class TestImprovedEnergy:
 
     def test_l1_against_oracle(self):
         from auxfield.tables import oracle_state
-        f, _ = oracle_state("linear", 0.0, 0, 1)
+        f, _ = oracle_state(LINEAR, QuantumNumbers(0, 1))
         value = improved_linear_energy(QuantumNumbers(0, 1))
         assert value == pytest.approx(3.35031, abs=1e-5)
         assert abs(value - f.energy) / f.energy < 0.015

@@ -1,14 +1,19 @@
 """The public API stays what the package and README say it is."""
 
+import csv
 import importlib
+import io
+import json
 import math
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import auxfield
+from auxfield import cli
 
 _MODULES = sorted(m.name for m in pkgutil.iter_modules(auxfield.__path__)
                   if not m.ispkg)
@@ -30,3 +35,25 @@ def test_readme_library_example_runs(capsys):
     exec(compile(code, "README.md", "exec"), {})
     printed = capsys.readouterr().out.split()
     assert printed and all(math.isfinite(float(x)) for x in printed)
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [shlex.split(line, comments=True) for line in block.splitlines()
+            if line.startswith("auxfield ")]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_lines(), ids=" ".join)
+def test_readme_cli_example_runs(argv, capsys):
+    assert cli.main(argv[1:]) == 0
+    out = capsys.readouterr().out
+    if argv[1:] == ["--help-units"]:
+        assert "reduced units" in out
+    elif out.startswith(("{", "[")):
+        json.loads(out, parse_constant=lambda token: pytest.fail(token))
+    else:
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) > 1 and len(rows[0]) > 1
+        assert all(len(row) == len(rows[0]) for row in rows)

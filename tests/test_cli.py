@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from auxfield import cli
+from auxfield.afm import PotentialModel
 from auxfield.cli import main
+from auxfield.exact import QuantumNumbers
 from auxfield.tables import TABLE_IDS, oracle_state
 
 
@@ -138,6 +140,18 @@ class TestWavefunction:
         psi_c = np.array([float(l.split(",")[1]) for l in out_c.splitlines()[1:]])
         assert np.max(np.abs(psi_e - psi_c)) > 0.05 * np.max(np.abs(psi_e))
 
+    def test_far_linear_exact_samples_write_nothing_to_stderr(self):
+        # Ai(r - alpha) at r ~ 1e6 ran its asymptotic series into an
+        # overflowing zeta**k, which printed RuntimeWarnings
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-m", "auxfield.cli", "wavefunction",
+                               "linear", "exact", "0", "0", "--r-max", "1e6"],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[-1] == "1e+06,0"
+
     def test_exact_oracle_path(self, capsys):
         code, out, _ = _run(capsys, "wavefunction", "log", "exact", "0", "1",
                             "--r-max", "10", "--samples", "301")
@@ -163,7 +177,7 @@ class TestWavefunction:
         rows = [line.split(",") for line in out.splitlines()[1:]]
         r = np.array([float(a) for a, _ in rows])
         psi = np.array([float(b) for _, b in rows])
-        f = oracle_state("exp", 20.0, 2, 0)[0]
+        f = oracle_state(PotentialModel.exponential(20.0), QuantumNumbers(2, 0))[0]
         ref = np.empty_like(r)
         ref[1:] = np.interp(r[1:], f.grid, f.values) / r[1:]
         ref[0] = f.slope_at_origin()
@@ -285,7 +299,8 @@ class TestBoundaries:
                               "--grid-points", "320000")
         assert code == 0, err
         energy = _strict_loads(out)["energy"]
-        default = oracle_state("exp", 20.0, 1, 1)[0].energy
+        f, _ = oracle_state(PotentialModel.exponential(20.0), QuantumNumbers(1, 1))
+        default = f.energy
         assert abs(energy - default) <= 1e-9 * abs(default)
 
     @pytest.mark.parametrize("aux", ["coulomb", "quadratic"])

@@ -153,7 +153,7 @@ class TestPowerLawMoments:
         assert mom[3] == pytest.approx((16 * e0 ** 3 + 15) / 35, rel=1e-13)
 
     def test_l1_chain_with_oracle_seed(self):
-        f, obs = oracle_state("linear", 0.0, 0, 1)
+        f, obs = oracle_state(PotentialModel.linear(), QuantumNumbers(0, 1))
         mom = power_law_moments(1.0, 1.0, 0.5, f.energy, QuantumNumbers(0, 1), 4,
                                 seeds={-1: obs.r_moments[-1]})
         for k in (1, 2, 3, 4):
@@ -186,7 +186,7 @@ class TestP2P4:
 
     def test_exp_p4_against_direct_quadrature(self):
         v = PotentialModel.exponential(5.0)
-        f, obs = oracle_state("exp", 5.0, 0, 0)
+        f, obs = oracle_state(PotentialModel.exponential(5.0), QuantumNumbers(0, 0))
         grid, u = f.grid, f.values
         h = grid[1] - grid[0]
         upp = np.zeros_like(u)
@@ -258,7 +258,7 @@ class TestPsi0FromForce:
             sol = afm_solve(LOG, AuxiliaryKind.COULOMB, q)
             mean_vp = hydrogen_observables(sol.scale, q).r_moments[-1]
             approx = psi0_from_force(2.0, mean_vp)
-            _, obs = oracle_state("log", 0.0, n, 0)
+            _, obs = oracle_state(PotentialModel.logarithmic(), QuantumNumbers(n, 0))
             assert approx == pytest.approx(obs.psi0_sq, rel=tol)
 
     def test_exp_against_oracle(self):
@@ -268,7 +268,7 @@ class TestPsi0FromForce:
             sol = afm_solve(v, AuxiliaryKind.COULOMB, q)
             mean_vp = -mean_potential(v, sol, q, power=1)  # V' = -V here
             approx = psi0_from_force(0.5, mean_vp)
-            _, obs = oracle_state("exp", k, 0, 0)
+            _, obs = oracle_state(PotentialModel.exponential(k), QuantumNumbers(0, 0))
             assert approx == pytest.approx(obs.psi0_sq, rel=tol)
 
 

@@ -58,6 +58,11 @@ TABLE_STATE_ENERGIES = {
 }
 
 
+def _table_state(family, k, n, l):
+    """(model, quantum numbers) of a TABLE_STATE_ENERGIES key."""
+    return PotentialModel.from_name(family, k or None), QuantumNumbers(n, l)
+
+
 def _nodes(f: RadialFunction) -> int:
     s = np.sign(f.values[1:])
     s = s[s != 0]
@@ -67,22 +72,22 @@ def _nodes(f: RadialFunction) -> int:
 class TestLinearFamily:
     @pytest.mark.parametrize("n", range(9))
     def test_matches_airy_zeros(self, n):
-        f, _ = oracle_state("linear", 0.0, n, 0)
+        f, _ = oracle_state(LINEAR, QuantumNumbers(n, 0))
         exact = -airy_zero(n)
         assert abs(f.energy - exact) / exact < 1e-7
 
     def test_node_counts(self):
         for n, l in [(0, 0), (3, 0), (2, 2), (5, 1)]:
-            f, _ = oracle_state("linear", 0.0, n, l)
+            f, _ = oracle_state(LINEAR, QuantumNumbers(n, l))
             assert _nodes(f) == n
 
     def test_normalization(self):
         from scipy.integrate import simpson
-        f, _ = oracle_state("linear", 0.0, 2, 1)
+        f, _ = oracle_state(LINEAR, QuantumNumbers(2, 1))
         assert simpson(f.values ** 2, x=f.grid) == pytest.approx(1.0, abs=1e-9)
 
     def test_observables_vs_closed_forms(self):
-        f, obs = oracle_state("linear", 0.0, 0, 0)
+        f, obs = oracle_state(LINEAR, QuantumNumbers(0, 0))
         a0 = abs(airy_zero(0))
         assert obs.r_moments[2] == pytest.approx(8 * a0 ** 2 / 15, rel=1e-7)
         assert obs.p2 == pytest.approx(a0 / 3, rel=1e-7)
@@ -93,23 +98,24 @@ class TestLinearFamily:
 class TestLogFamily:
     @pytest.mark.parametrize("n,l", [(0, 0), (1, 0), (2, 0), (0, 2), (2, 2)])
     def test_virial_p2(self, n, l):
-        _, obs = oracle_state("log", 0.0, n, l)
+        _, obs = oracle_state(PotentialModel.logarithmic(), QuantumNumbers(n, l))
         assert obs.p2 == pytest.approx(2.0, abs=1e-6)
 
     def test_spectrum_ordering(self):
-        energies = [oracle_state("log", 0.0, n, 0)[0].energy for n in range(3)]
+        log = PotentialModel.logarithmic()
+        energies = [oracle_state(log, QuantumNumbers(n, 0))[0].energy for n in range(3)]
         assert energies[0] < energies[1] < energies[2]
 
 
 class TestExponentialFamily:
     def test_published_energies(self):
-        f, _ = oracle_state("exp", 5.0, 0, 0)
+        f, _ = oracle_state(PotentialModel.exponential(5.0), QuantumNumbers(0, 0))
         assert f.energy == pytest.approx(-0.550, abs=0.001)
-        f, _ = oracle_state("exp", 20.0, 2, 0)
+        f, _ = oracle_state(PotentialModel.exponential(20.0), QuantumNumbers(2, 0))
         assert f.energy == pytest.approx(-0.009, abs=0.001)
 
     def test_near_threshold_state_resolved(self):
-        f, obs = oracle_state("exp", 20.0, 2, 0)
+        f, obs = oracle_state(PotentialModel.exponential(20.0), QuantumNumbers(2, 0))
         assert _nodes(f) == 2
         assert f.grid[-1] > 150.0  # auto-extended domain
 
@@ -125,7 +131,7 @@ class TestExponentialFamily:
         q = QuantumNumbers(0, 0)
         sol = afm_solve(v, AuxiliaryKind.COULOMB, q)
         obs = afm_observable_set(v, sol, q)
-        _, oobs = oracle_state("exp", 10.0, 0, 0)
+        _, oobs = oracle_state(PotentialModel.exponential(10.0), QuantumNumbers(0, 0))
         assert obs.r_moments[2] / oobs.r_moments[2] == pytest.approx(1.136,
                                                                      abs=0.012)
 
@@ -157,7 +163,7 @@ class TestConvergenceAndConfig:
 
     def test_table_state_energies_pinned(self):
         for (family, k, n, l), energy in TABLE_STATE_ENERGIES.items():
-            f, _ = oracle_state(family, k, n, l)
+            f, _ = oracle_state(*_table_state(family, k, n, l))
             assert abs(f.energy - energy) <= 1e-9 * abs(energy), (family, k, n, l)
 
     def test_tail_mass_flagged(self):
@@ -175,7 +181,7 @@ class TestVariationalConsistency:
         for n in range(4):
             for l in range(3):
                 q = QuantumNumbers(n, l)
-                f, _ = oracle_state("linear", 0.0, n, l)
+                f, _ = oracle_state(LINEAR, QuantumNumbers(n, l))
                 lo = afm_solve(LINEAR, AuxiliaryKind.COULOMB, q).energy
                 hi = afm_solve(LINEAR, AuxiliaryKind.QUADRATIC, q).energy
                 assert lo <= f.energy + 1e-6
@@ -366,7 +372,7 @@ def test_table_starts_bisect_only_the_guess_grid(traced_start):
     # table states: their stride-10 grid resolves them, so each start
     # bisects only that grid, about a tenth of the rows
     for family, k, n, l in TABLE_STATE_ENERGIES:
-        solve_radial(PotentialModel.from_name(family, k or None), QuantumNumbers(n, l))
+        solve_radial(*_table_state(family, k, n, l))
     assert len(traced_start) == 38  # exp k = 20 (2, 0) extends its domain once
     for entry in traced_start:
         assert entry["fine"] == [], entry
@@ -385,7 +391,7 @@ def test_corrector_assemblies_on_table_states(monkeypatch):
 
     monkeypatch.setattr(oracle, "_numerov_assemble", counted)
     for family, k, n, l in TABLE_STATE_ENERGIES:
-        solve_radial(PotentialModel.from_name(family, k or None), QuantumNumbers(n, l))
+        solve_radial(*_table_state(family, k, n, l))
     assert len(calls) <= 130
 
 
@@ -398,7 +404,7 @@ def test_oracle_vector_positive_before_first_node():
     # like the Airy, hydrogen and oscillator closed forms; the banded solve
     # alone gives u the sign of 1/(lambda - E), which depends on the start
     for family, k, n, l in TABLE_STATE_ENERGIES:
-        f, _ = oracle_state(family, k, n, l)
+        f, _ = oracle_state(*_table_state(family, k, n, l))
         assert _positive_before_first_node(f.values), (family, k, n, l)
         if l == 0:
             assert f.slope_at_origin() > 0.0, (family, k, n, l)

@@ -43,6 +43,25 @@ class TestAiry:
         assert np.max(np.abs(v - ref_v) / env) < 1e-12
         assert np.max(np.abs(d - ref_d) / (env * np.abs(x) ** 0.5)) < 1e-12
 
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_far_arguments_are_finite_without_overflow_warnings(self, as_array):
+        # zeta**k overflows for |x| >~ 2e5; the suite turns warnings into
+        # errors, so this fails if the overflow still warns
+        x = np.array([-1e6, -3e5, 3e5, 1e6])
+        if as_array:
+            v, d = airy_ai(x)
+        else:
+            v, d = map(np.array, zip(*(airy_ai(float(xi)) for xi in x)))
+        assert np.all(np.isfinite(v)) and np.all(np.isfinite(d))
+        assert np.all(v[2:] == 0.0) and np.all(d[2:] == 0.0)
+        # on the negative axis the phase zeta = (2/3)|x|^1.5 carries a
+        # rounding error ~ zeta * eps (0.39 of it measured at x = -3e5)
+        for xi, vi, di in zip(x[:2], v[:2], d[:2]):
+            zeta = 2.0 / 3.0 * abs(xi) ** 1.5
+            tol = zeta * np.finfo(float).eps / (math.sqrt(math.pi) * abs(xi) ** 0.25)
+            assert abs(vi - _mp(mpmath.airyai, xi)) <= tol
+            assert abs(di - _mp(mpmath.airyai, xi, derivative=1)) <= tol * abs(xi) ** 0.5
+
     def test_zero_estimate_first(self):
         assert airy_zero_estimate(0) == pytest.approx(
             -(9 * math.pi / 8) ** (2 / 3) * (1 + 5 / 48 * (9 * math.pi / 8) ** -2
