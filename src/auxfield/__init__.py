@@ -10,12 +10,11 @@ from .afm import (AfmSolution, AuxiliaryKind, Bound, ExpPotential,
                   TangentReport, afm_solve, critical_coupling,
                   energy_at_aux, improved_linear_energy, principal_number,
                   tangent_check)
-from .errors import (AuxFieldError, DomainError, NoBoundState, NoSolution,
+from .errors import (AuxFieldError, DomainError, NoBoundState,
                      NumericalFailure, QuadratureFailure)
 from .exact import (HydrogenScale, ObservableSet, OscillatorScale,
-                    QuantumNumbers, hydrogen_observables, hydrogen_r_moment,
-                    linear_s_observables, linear_s_state,
-                    oscillator_observables, oscillator_r_moment)
+                    QuantumNumbers, hydrogen_observables, linear_s_observables,
+                    linear_s_state, oscillator_observables)
 from .observables import (EckartInput, afm_observable_set, eckart_bound,
                           mean_hamiltonian, p2_p4_from_potential,
                           power_law_moments, psi0_from_force)
@@ -23,7 +22,7 @@ from .oracle import RadialFunction, SolverConfig, numeric_observables, solve_rad
 from .overlaps import (afm_pair_overlap, numeric_overlap, overlap_hydrogen_dilated,
                        overlap_oscillator_dilated, sample_radial)
 from .specfun import (WBranch, airy_ai, airy_zero, airy_zero_estimate,
-                      lambert_w, laguerre, solve_w_power)
+                      lambert_w, laguerre)
 
 __version__ = "0.1.0"
 
@@ -32,18 +31,17 @@ __all__ = [
     "LogPotential", "ExpPotential", "TangentReport",
     "afm_solve", "critical_coupling", "energy_at_aux",
     "improved_linear_energy", "principal_number", "tangent_check",
-    "AuxFieldError", "DomainError", "NoBoundState", "NoSolution",
+    "AuxFieldError", "DomainError", "NoBoundState",
     "NumericalFailure", "QuadratureFailure",
     "HydrogenScale", "ObservableSet", "OscillatorScale", "QuantumNumbers",
-    "hydrogen_observables", "hydrogen_r_moment",
-    "linear_s_observables", "linear_s_state", "oscillator_observables",
-    "oscillator_r_moment",
+    "hydrogen_observables", "linear_s_observables", "linear_s_state",
+    "oscillator_observables",
     "EckartInput", "afm_observable_set", "eckart_bound", "mean_hamiltonian",
     "p2_p4_from_potential", "power_law_moments", "psi0_from_force",
     "RadialFunction", "SolverConfig", "numeric_observables", "solve_radial",
     "afm_pair_overlap", "numeric_overlap",
     "overlap_hydrogen_dilated", "overlap_oscillator_dilated", "sample_radial",
     "WBranch", "airy_ai", "airy_zero", "airy_zero_estimate",
-    "lambert_w", "laguerre", "solve_w_power",
+    "lambert_w", "laguerre",
     "__version__",
 ]

@@ -382,8 +382,10 @@ def tangent_check(v: PotentialModel, kind: AuxiliaryKind, sol: AfmSolution,
                   r_samples: Sequence[float]) -> TangentReport:
     """Verify tangency at r0, the bound-direction sign pattern and extremality.
 
-    Reports violations instead of raising.  The extremality residual is
-    |<P>_nu0 - P(r0)| nu0 / |E|, dE/dnu at nu0 made dimensionless.
+    Reports violations instead of raising.  The value and slope gaps are
+    judged relative to max(1, |V(r0)|) and max(1, |V'(r0)|).  The
+    extremality residual is |<P>_nu0 - P(r0)| / |P(r0)|, dE/dnu at nu0
+    scaled by nu0 |P(r0)| rather than by |E|, which vanishes at threshold.
     """
     r0, nu0 = sol.r0, sol.nu0
     v_tilde = lambda r: nu0 * kind.p(r) + sol.offset
@@ -409,9 +411,10 @@ def tangent_check(v: PotentialModel, kind: AuxiliaryKind, sol: AfmSolution,
     # dE/dnu = <P>_nu - P(I(nu)) because V'(I) = nu P'(I); the slope gap
     # already holds r0 at I(nu0), so extremality is <P>_nu0 = P(r0)
     mean_p = kind.basis_slope(v.mass, sol.principal_n, nu0)
-    residual = abs(mean_p - float(kind.p(r0))) * nu0 / abs(sol.energy)
+    p0 = float(kind.p(r0))
+    residual = abs(mean_p - p0) / abs(p0)
     ok = (value_gap <= 1e-10 * max(1.0, abs(v.v(r0)))
-          and slope_gap <= 1e-8
+          and slope_gap <= 1e-8 * max(1.0, abs(v.v_prime(r0)))
           and violations == 0
           and residual <= 1e-6)
     return TangentReport(value_gap=value_gap, slope_gap=slope_gap,

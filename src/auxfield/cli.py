@@ -26,7 +26,7 @@ import numpy as np
 
 from . import observables, tables
 from .afm import AuxiliaryKind, PotentialModel, afm_solve
-from .errors import DomainError, NoBoundState, NoSolution, NumericalFailure
+from .errors import DomainError, NoBoundState, NumericalFailure
 from .exact import HydrogenScale, QuantumNumbers
 from .oracle import SolverConfig, numeric_observables, solve_radial
 
@@ -213,7 +213,7 @@ def main(argv=None) -> int:
         sys.stdout.write(json.dumps(
             {"error": "no-bound-state", "reason": exc.reason}, allow_nan=False) + "\n")
         return EX_NOSTATE
-    except (DomainError, NoSolution) as exc:
+    except DomainError as exc:
         print(f"auxfield: error: {exc}", file=sys.stderr)
         return EX_USAGE
     except NumericalFailure as exc:

@@ -9,10 +9,6 @@ class DomainError(AuxFieldError, ValueError):
     """Argument lies outside the mathematical domain of an operation."""
 
 
-class NoSolution(AuxFieldError, ValueError):
-    """The requested inversion has no real solution."""
-
-
 class NoBoundState(AuxFieldError):
     """No bound state exists for the requested quantum numbers.
 

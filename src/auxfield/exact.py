@@ -1,16 +1,16 @@
 """Closed-form solutions for the three solvable reference systems.
 
 Linear-potential S states (Airy), hydrogen-like systems and harmonic
-oscillators, with their moment sets.  All radial evaluators return the
-reduced radial part normalized as integral(R^2 r^2 dr) = 1; spherical
-harmonics are dropped throughout.
+oscillators, with their moment sets; every <r^k> of both trial bases
+is one Laguerre moment sum.  All radial evaluators return the reduced
+radial part normalized as integral(R^2 r^2 dr) = 1; spherical harmonics
+are dropped throughout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -27,10 +27,8 @@ __all__ = [
     "linear_s_state",
     "linear_s_observables",
     "hydrogen_observables",
-    "hydrogen_r_moment",
     "hydrogen_radial",
     "oscillator_observables",
-    "oscillator_r_moment",
     "oscillator_radial",
 ]
 
@@ -159,70 +157,73 @@ def linear_s_observables(m: float, a: float, n: int) -> ObservableSet:
 
 
 # ----------------------------------------------------------------------
+# Laguerre moments, shared by both trial bases
+# ----------------------------------------------------------------------
+
+def _laguerre_moment(n: int, alpha: float, s: float) -> float:
+    """<x^s> over the normalized density x^alpha e^-x [L_n^alpha(x)]^2.
+
+    Expanding L_n^alpha in the L_j^(alpha+s) gives a sum of positive
+    terms, sum_j C(s, n-j)^2 Gamma(alpha+s+j+1)/j! over
+    Gamma(alpha+n+1)/n!, with C the generalized binomial.  The j = n term
+    is Gamma(b+s)/Gamma(b), b = alpha+n+1: math.gamma at b - shift <= 150,
+    below its overflow, then Gamma(x+1) = x Gamma(x) up to b.  Each lower
+    term follows from the one above by their ratio.  Requires
+    alpha + s > -1.
+    """
+    b = alpha + n + 1.0
+    shift = max(0, math.ceil(b) - 150)
+    term = math.gamma(b - shift + s) / math.gamma(b - shift)
+    for i in range(shift):
+        term *= (b - shift + i + s) / (b - shift + i)
+    terms = [term]
+    for j in range(n, 0, -1):  # term j - 1 from term j
+        term *= ((s - n + j) / (n - j + 1)) ** 2 * j / (alpha + s + j)
+        terms.append(term)
+    return math.fsum(terms)
+
+
+# ----------------------------------------------------------------------
 # Hydrogen-like systems
 # ----------------------------------------------------------------------
 
 def hydrogen_radial(scale: HydrogenScale, q: QuantumNumbers):
-    """Normalized radial function R(r) for the given eta."""
+    """Normalized radial function R(r) for the given eta.
+
+    The prefactor norm * x^l * e^(-x/2) is one exponential, so high l
+    neither underflows norm nor overflows x^l.
+    """
     n, l = q.n, q.l
     gam = scale.gamma(q)
     big_n = n + l + 1
     log_norm = 1.5 * math.log(2.0 * gam) + 0.5 * (
         math.lgamma(n + 1.0) - math.log(2.0 * big_n)
         - math.lgamma(n + 2 * l + 2.0))
-    norm = math.exp(log_norm)
 
     def radial(r):
         r = np.asarray(r, dtype=float)
         x = 2.0 * gam * r
-        out = norm * x ** l * np.exp(-0.5 * x) * specfun.laguerre(n, 2 * l + 1, x)
+        with np.errstate(divide="ignore"):  # l ln(0) = -inf gives 0
+            power = l * np.log(x) if l else 0.0
+        out = np.exp(log_norm + power - 0.5 * x) * specfun.laguerre(n, 2 * l + 1, x)
         return out if out.ndim else float(out)
 
     return radial
 
 
-def hydrogen_r_moment(scale: HydrogenScale, q: QuantumNumbers, k: int) -> float:
-    """<r^k> from the general double sum over Laguerre expansion terms.
-
-    The alternating sum is evaluated in exact rational arithmetic (the
-    summands are ratios of factorials), so the result is correctly
-    rounded for any n; only the final scale factor is floating point.
-    """
-    n, l = q.n, q.l
-    if k < -(2 * l + 2):
-        raise DomainError(f"<r^{k}> diverges (or has negative factorials) at l={l}")
-    big_n = n + l + 1
-    acc = Fraction(0)
-    for p in range(n + 1):
-        for qq in range(n + 1):
-            fact_arg = p + qq + k + 2 * l + 2
-            if fact_arg < 0:
-                raise DomainError("negative factorial argument in moment sum")
-            term = Fraction(
-                math.comb(n, p) * math.comb(n, qq) * math.factorial(fact_arg),
-                math.factorial(p + 2 * l + 1) * math.factorial(qq + 2 * l + 1))
-            acc += -term if (p + qq) % 2 else term
-    acc *= Fraction(big_n) ** (k - 1) * Fraction(
-        math.factorial(n + 2 * l + 1), 2 * math.factorial(n))
-    return float(acc) / (2.0 * scale.eta) ** k
-
-
 def hydrogen_observables(scale: HydrogenScale, q: QuantumNumbers) -> ObservableSet:
-    """Closed-form moment set of a hydrogen-like state."""
+    """Closed-form moment set of a hydrogen-like state.
+
+    r^2 R^2 is proportional to x^(alpha+1) e^-x [L_n^alpha(x)]^2 in
+    x = 2 gamma r with alpha = 2l + 1, and <x> = 2N over the Laguerre
+    density, so <r^k> = I(k+1) / (2N) / (2 gamma)^k.
+    """
     n, l = q.n, q.l
     eta = scale.eta
     big_n = float(n + l + 1)
-    big_l = q.big_l
-    r_mom = {
-        -1: eta / big_n ** 2,
-        -2: 2.0 * eta ** 2 / ((2 * l + 1) * big_n ** 3),
-        1: (3.0 * big_n ** 2 - big_l) / (2.0 * eta),
-        2: big_n ** 2 * (5.0 * big_n ** 2 - 3.0 * big_l + 1.0) / (2.0 * eta ** 2),
-        3: big_n ** 2 * (35.0 * big_n ** 4 + 5.0 * big_n ** 2 * (5.0 - 6.0 * big_l)
-                         + 3.0 * big_l * (big_l - 2.0)) / (8.0 * eta ** 3),
-        4: big_n ** 4 * (63.0 * big_n ** 4 + 35.0 * big_n ** 2 * (3.0 - 2.0 * big_l)
-                         + 5.0 * big_l * (3.0 * big_l - 10.0) + 12.0) / (8.0 * eta ** 4),
-    }
+    inv_two_gamma = 1.0 / (2.0 * scale.gamma(q))
+    r_mom = {k: _laguerre_moment(n, 2 * l + 1, k + 1) / (2.0 * big_n)
+             * inv_two_gamma ** k for k in (-2, -1, 1, 2, 3, 4)}
     p2 = eta ** 2 / big_n ** 2
     p4 = eta ** 4 * (8 * n + 2 * l + 5) / ((2 * l + 1) * big_n ** 4)
     psi0 = eta ** 3 / (math.pi * (n + 1) ** 3) if l == 0 else None
@@ -234,78 +235,39 @@ def hydrogen_observables(scale: HydrogenScale, q: QuantumNumbers) -> ObservableS
 # ----------------------------------------------------------------------
 
 def oscillator_radial(scale: OscillatorScale, q: QuantumNumbers):
-    """Normalized radial function R(r) for the given lambda."""
+    """Normalized radial function R(r) for the given lambda; as for
+    hydrogen, norm * x^l * e^(-t/2) is one exponential."""
     n, l = q.n, q.l
     lam = scale.lam
     log_norm = 1.5 * math.log(lam) + 0.5 * (
         math.log(2.0) + math.lgamma(n + 1.0) - math.lgamma(n + l + 1.5))
-    norm = math.exp(log_norm)
     alpha = l + 0.5
 
     def radial(r):
         r = np.asarray(r, dtype=float)
         x = lam * r
         t = x * x
-        out = norm * x ** l * np.exp(-0.5 * t) * specfun.laguerre(n, alpha, t)
+        with np.errstate(divide="ignore"):  # l ln(0) = -inf gives 0
+            power = l * np.log(x) if l else 0.0
+        out = np.exp(log_norm + power - 0.5 * t) * specfun.laguerre(n, alpha, t)
         return out if out.ndim else float(out)
 
     return radial
 
 
-def _gamma_rational(twice_x: int):
-    """Gamma(twice_x / 2) as (rational, power of sqrt(pi)); twice_x >= 1."""
-    if twice_x % 2 == 0:
-        return Fraction(math.factorial(twice_x // 2 - 1)), 0
-    m = (twice_x - 1) // 2
-    return Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m)), 1
+def oscillator_observables(scale: OscillatorScale, q: QuantumNumbers) -> ObservableSet:
+    """Closed-form moment set of an oscillator state.
 
-
-def oscillator_r_moment(scale: OscillatorScale, q: QuantumNumbers, k: int) -> float:
-    """<r^k> from the general double sum for oscillator states.
-
-    Half-integer gamma functions are carried as exact rationals times
-    powers of sqrt(pi), making the alternating sum cancellation-free.
+    r^2 R^2 dr is proportional to t^alpha e^-t [L_n^alpha(t)]^2 dt in
+    t = lambda^2 r^2 with alpha = l + 1/2, so <r^k> = I(k/2) / lambda^k.
+    The state has the same form in momentum space: <p^k> = lambda^(2k) <r^k>.
     """
     n, l = q.n, q.l
-    if k <= -(2 * l + 3):
-        raise DomainError(f"<r^{k}> diverges at l={l}")
-    acc = Fraction(0)
-    pi_power = None
-    for p in range(n + 1):
-        for qq in range(n + 1):
-            num, s_num = _gamma_rational(2 * l + 2 * p + 2 * qq + k + 3)
-            d1, s_d1 = _gamma_rational(2 * p + 2 * l + 3)
-            d2, s_d2 = _gamma_rational(2 * qq + 2 * l + 3)
-            term = num / (d1 * d2) * (math.comb(n, p) * math.comb(n, qq))
-            pi_power = s_num - s_d1 - s_d2  # constant across the sum
-            acc += -term if (p + qq) % 2 else term
-    pref, s_pref = _gamma_rational(2 * n + 2 * l + 3)
-    acc *= pref / math.factorial(n)
-    total_pi = (s_pref + (pi_power if pi_power is not None else 0)) * 0.5
-    return float(acc) * math.pi ** total_pi / scale.lam ** k
-
-
-def oscillator_observables(scale: OscillatorScale, q: QuantumNumbers) -> ObservableSet:
-    """Closed-form moment set of an oscillator state."""
-    n, l = q.n, q.l
     lam = scale.lam
-    big_n = 2 * n + l + 1.5
-    big_l = q.big_l
-    if l == 0:
-        gr = math.exp(math.lgamma(n + 1.5) - math.lgamma(n + 1.0))
-        r1 = 4.0 * gr / (math.pi * lam)
-        r3 = 8.0 * (4 * n + 3) * gr / (3.0 * math.pi * lam ** 3)
-        psi0 = lam ** 3 * 2.0 * gr / (math.pi ** 2)
-    else:
-        r1 = oscillator_r_moment(scale, q, 1)
-        r3 = oscillator_r_moment(scale, q, 3)
-        psi0 = None
-    r_mom = {
-        1: r1,
-        2: big_n / lam ** 2,
-        3: r3,
-        4: (6.0 * big_n ** 2 - 2.0 * big_l + 1.5) / (4.0 * lam ** 4),
-    }
+    r_mom = {k: _laguerre_moment(n, l + 0.5, k / 2) * (1.0 / lam) ** k
+             for k in (1, 2, 3, 4)}
     p2 = lam ** 4 * r_mom[2]
     p4 = lam ** 8 * r_mom[4]
+    psi0 = (lam ** 3 * 2.0 * math.exp(math.lgamma(n + 1.5) - math.lgamma(n + 1.0))
+            / math.pi ** 2 if l == 0 else None)
     return ObservableSet(r_moments=r_mom, p2=p2, p4=p4, psi0_sq=psi0)

@@ -1,10 +1,9 @@
 """Self-contained special-function kernel.
 
 Provides the Airy function Ai and its zeros, both real branches of the
-Lambert W function, generalized Laguerre polynomials and the inversion
-of z = W(x) * x**alpha.  Everything
-is double precision and free of external special-function libraries;
-only numpy is used for vectorization.
+Lambert W function and generalized Laguerre polynomials.  Everything is
+double precision and free of external special-function libraries; only
+numpy is used for vectorization.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NoSolution, NumericalFailure
+from .errors import DomainError, NumericalFailure
 
 __all__ = [
     "WBranch",
@@ -24,7 +23,6 @@ __all__ = [
     "airy_zero",
     "airy_zero_estimate",
     "lambert_w",
-    "solve_w_power",
     "laguerre",
 ]
 
@@ -279,81 +277,8 @@ def lambert_w(branch: WBranch, x: float) -> float:
     raise DomainError(f"unknown branch {branch!r}")
 
 
-def _signed_root(z: float, alpha_plus_1: float) -> float:
-    """Real z**(1/alpha_plus_1), allowing negative z for odd integer roots."""
-    if z >= 0.0:
-        return z ** (1.0 / alpha_plus_1)
-    k = round(alpha_plus_1)
-    if abs(alpha_plus_1 - k) < 1e-12 and k % 2 != 0:
-        return -((-z) ** (1.0 / alpha_plus_1))
-    raise NoSolution(
-        f"z**(1/(alpha+1)) undefined for z={z} with alpha+1={alpha_plus_1}")
-
-
-def _in_branch_range(branch: WBranch, y: float) -> bool:
-    if branch is WBranch.PRINCIPAL:
-        return y >= -1.0 - 1e-12
-    return y <= -1.0 + 1e-12
-
-
-def solve_w_power(z: float, alpha: float, branch: WBranch = WBranch.PRINCIPAL) -> float:
-    """Solve z = W(x) * x**alpha for x, with W on the requested branch.
-
-    Uses the closed-form cases alpha = 0 and alpha = -1, otherwise the
-    substitution x = y e^y, which maps the problem onto an inner Lambert
-    evaluation.  The branch of the inner evaluation is not always the
-    requested one; both are tried and each candidate is validated against
-    the defining relation, so the returned x always satisfies
-    W_branch(x) x^alpha = z.  DomainError is raised when the inner
-    argument leaves both branch domains (or the candidate W value leaves
-    the requested branch's range), NoSolution when z^(1/(alpha+1)) does
-    not exist for the sign of z.
-    """
-    z = float(z)
-    alpha = float(alpha)
-    if alpha == 0.0:
-        # here z is the W value itself; enforce branch range
-        if not _in_branch_range(branch, z):
-            raise DomainError(f"z={z} outside the {branch.name} range")
-        return z * math.exp(z)
-    if alpha == -1.0:
-        if z <= 0.0:
-            raise NoSolution("alpha = -1 requires z > 0")
-        y = -math.log(z)
-        if not _in_branch_range(branch, y):
-            raise DomainError(f"z={z} outside the {branch.name} range for alpha=-1")
-        return y / z
-    roots = [_signed_root(z, alpha + 1.0)]
-    k = round(alpha + 1.0)
-    if z > 0.0 and abs(alpha + 1.0 - k) < 1e-12 and k % 2 == 0:
-        roots.append(-roots[0])  # even integer root: both signs are real
-    other = WBranch.LOWER if branch is WBranch.PRINCIPAL else WBranch.PRINCIPAL
-    domain_failure = None
-    for root in roots:
-        inner = alpha / (alpha + 1.0) * root
-        for inner_branch in (branch, other):
-            try:
-                u = lambert_w(inner_branch, inner)
-            except DomainError as exc:
-                domain_failure = exc
-                continue
-            y = (alpha + 1.0) / alpha * u
-            if not _in_branch_range(branch, y):
-                continue
-            # the candidate must reproduce z^(1/(alpha+1))
-            recon = y * math.exp(alpha * y / (alpha + 1.0))
-            if abs(recon - root) <= 1e-9 * max(abs(root), 1e-30):
-                return y * math.exp(y)
-    if domain_failure is not None:
-        raise DomainError(
-            f"inner Lambert argument outside both branch domains for z={z}, "
-            f"alpha={alpha}") from domain_failure
-    raise DomainError(
-        f"no W value on the {branch.name} branch solves z={z}, alpha={alpha}")
-
-
 # ----------------------------------------------------------------------
-# Laguerre polynomials and combinatorial helpers
+# Laguerre polynomials
 # ----------------------------------------------------------------------
 
 def laguerre(n: int, alpha: float, x):

@@ -1,0 +1,149 @@
+"""Independent references the tests compare the package against.
+
+The r-moments here are the general double sums over the Laguerre
+expansion terms, evaluated in exact rational arithmetic; the package
+computes the same moments from one floating-point sum of positive terms
+(``exact._laguerre_moment``).  ``solve_w_power`` inverts z = W(x) x^alpha
+for the Lambert round-trip checks.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from auxfield.errors import DomainError
+from auxfield.exact import HydrogenScale, OscillatorScale, QuantumNumbers
+from auxfield.specfun import WBranch, lambert_w
+
+
+def hydrogen_r_moment(scale: HydrogenScale, q: QuantumNumbers, k: int) -> float:
+    """<r^k> from the general double sum over Laguerre expansion terms.
+
+    The alternating sum is evaluated in exact rational arithmetic (the
+    summands are ratios of factorials), so the result is correctly
+    rounded for any n; only the final scale factor is floating point.
+    """
+    n, l = q.n, q.l
+    if k < -(2 * l + 2):
+        raise DomainError(f"<r^{k}> diverges (or has negative factorials) at l={l}")
+    big_n = n + l + 1
+    acc = Fraction(0)
+    for p in range(n + 1):
+        for qq in range(n + 1):
+            fact_arg = p + qq + k + 2 * l + 2
+            if fact_arg < 0:
+                raise DomainError("negative factorial argument in moment sum")
+            term = Fraction(
+                math.comb(n, p) * math.comb(n, qq) * math.factorial(fact_arg),
+                math.factorial(p + 2 * l + 1) * math.factorial(qq + 2 * l + 1))
+            acc += -term if (p + qq) % 2 else term
+    acc *= Fraction(big_n) ** (k - 1) * Fraction(
+        math.factorial(n + 2 * l + 1), 2 * math.factorial(n))
+    return float(acc) / (2.0 * scale.eta) ** k
+
+
+def _gamma_rational(twice_x: int):
+    """Gamma(twice_x / 2) as (rational, power of sqrt(pi)); twice_x >= 1."""
+    if twice_x % 2 == 0:
+        return Fraction(math.factorial(twice_x // 2 - 1)), 0
+    m = (twice_x - 1) // 2
+    return Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m)), 1
+
+
+def oscillator_r_moment(scale: OscillatorScale, q: QuantumNumbers, k: int) -> float:
+    """<r^k> from the general double sum for oscillator states.
+
+    Half-integer gamma functions are carried as exact rationals times
+    powers of sqrt(pi), making the alternating sum cancellation-free.
+    """
+    n, l = q.n, q.l
+    if k <= -(2 * l + 3):
+        raise DomainError(f"<r^{k}> diverges at l={l}")
+    acc = Fraction(0)
+    pi_power = None
+    for p in range(n + 1):
+        for qq in range(n + 1):
+            num, s_num = _gamma_rational(2 * l + 2 * p + 2 * qq + k + 3)
+            d1, s_d1 = _gamma_rational(2 * p + 2 * l + 3)
+            d2, s_d2 = _gamma_rational(2 * qq + 2 * l + 3)
+            term = num / (d1 * d2) * (math.comb(n, p) * math.comb(n, qq))
+            pi_power = s_num - s_d1 - s_d2  # constant across the sum
+            acc += -term if (p + qq) % 2 else term
+    pref, s_pref = _gamma_rational(2 * n + 2 * l + 3)
+    acc *= pref / math.factorial(n)
+    total_pi = (s_pref + (pi_power if pi_power is not None else 0)) * 0.5
+    return float(acc) * math.pi ** total_pi / scale.lam ** k
+
+
+def _signed_root(z: float, alpha_plus_1: float) -> float:
+    """Real z**(1/alpha_plus_1), allowing negative z for odd integer roots."""
+    if z >= 0.0:
+        return z ** (1.0 / alpha_plus_1)
+    k = round(alpha_plus_1)
+    if abs(alpha_plus_1 - k) < 1e-12 and k % 2 != 0:
+        return -((-z) ** (1.0 / alpha_plus_1))
+    raise DomainError(
+        f"z**(1/(alpha+1)) undefined for z={z} with alpha+1={alpha_plus_1}")
+
+
+def _in_branch_range(branch: WBranch, y: float) -> bool:
+    if branch is WBranch.PRINCIPAL:
+        return y >= -1.0 - 1e-12
+    return y <= -1.0 + 1e-12
+
+
+def solve_w_power(z: float, alpha: float, branch: WBranch = WBranch.PRINCIPAL) -> float:
+    """Solve z = W(x) * x**alpha for x, with W on the requested branch.
+
+    Uses the closed-form cases alpha = 0 and alpha = -1, otherwise the
+    substitution x = y e^y, which maps the problem onto an inner Lambert
+    evaluation.  The branch of the inner evaluation is not always the
+    requested one; both are tried and each candidate is validated against
+    the defining relation, so the returned x always satisfies
+    W_branch(x) x^alpha = z.  DomainError is raised when the inner
+    argument leaves both branch domains (or the candidate W value leaves
+    the requested branch's range), and when z^(1/(alpha+1)) does not
+    exist for the sign of z.
+    """
+    z = float(z)
+    alpha = float(alpha)
+    if alpha == 0.0:
+        # here z is the W value itself; enforce branch range
+        if not _in_branch_range(branch, z):
+            raise DomainError(f"z={z} outside the {branch.name} range")
+        return z * math.exp(z)
+    if alpha == -1.0:
+        if z <= 0.0:
+            raise DomainError("alpha = -1 requires z > 0")
+        y = -math.log(z)
+        if not _in_branch_range(branch, y):
+            raise DomainError(f"z={z} outside the {branch.name} range for alpha=-1")
+        return y / z
+    roots = [_signed_root(z, alpha + 1.0)]
+    k = round(alpha + 1.0)
+    if z > 0.0 and abs(alpha + 1.0 - k) < 1e-12 and k % 2 == 0:
+        roots.append(-roots[0])  # even integer root: both signs are real
+    other = WBranch.LOWER if branch is WBranch.PRINCIPAL else WBranch.PRINCIPAL
+    domain_failure = None
+    for root in roots:
+        inner = alpha / (alpha + 1.0) * root
+        for inner_branch in (branch, other):
+            try:
+                u = lambert_w(inner_branch, inner)
+            except DomainError as exc:
+                domain_failure = exc
+                continue
+            y = (alpha + 1.0) / alpha * u
+            if not _in_branch_range(branch, y):
+                continue
+            # the candidate must reproduce z^(1/(alpha+1))
+            recon = y * math.exp(alpha * y / (alpha + 1.0))
+            if abs(recon - root) <= 1e-9 * max(abs(root), 1e-30):
+                return y * math.exp(y)
+    if domain_failure is not None:
+        raise DomainError(
+            f"inner Lambert argument outside both branch domains for z={z}, "
+            f"alpha={alpha}") from domain_failure
+    raise DomainError(
+        f"no W value on the {branch.name} branch solves z={z}, alpha={alpha}")

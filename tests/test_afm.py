@@ -11,9 +11,9 @@ from auxfield.afm import (AuxiliaryKind, Bound, PotentialModel, _mean_point,
                           principal_number, tangent_check)
 from auxfield.errors import DomainError, NoBoundState, NumericalFailure
 from auxfield.exact import (HydrogenScale, OscillatorScale, QuantumNumbers,
-                            hydrogen_observables, hydrogen_r_moment,
-                            oscillator_observables, oscillator_r_moment)
-from auxfield.specfun import WBranch, lambert_w, solve_w_power
+                            hydrogen_observables, oscillator_observables)
+from auxfield.specfun import WBranch, lambert_w
+from reference import hydrogen_r_moment, oscillator_r_moment, solve_w_power
 
 LINEAR = PotentialModel.linear()
 LOG = PotentialModel.logarithmic()
@@ -187,11 +187,14 @@ class TestConsistencyIdentities:
 
     @pytest.mark.parametrize("n,l,k", [(0, 2, 1000.0), (7, 2, 200.0), (8, 14, 1000.0),
                                        (6, 0, 100.0), (0, 6, 100.0), (15, 0, 473.0),
-                                       (54, 0, 5588.0), (92, 0, 15977.0)])
+                                       (54, 0, 5588.0), (92, 0, 15977.0),
+                                       (37, 40, 1e12), (37, 40, 11238.754337712273)])
     def test_tangency_of_deep_and_near_branch_end_exp_states(self, n, l, k):
         # a finite-difference slope lost digits to V ~ k, and a dE/dnu
         # stencil reached too close to the tangent branch's end, where the
-        # mean point I(nu) is ill-conditioned
+        # mean point I(nu) is ill-conditioned; an absolute slope gate
+        # failed on rounding in V'(r0) ~ 1e12, and a residual relative to
+        # |E| failed just above k_c (1e-9 above it here), where E ~ -1.5e-6
         v, q = PotentialModel.exponential(k), QuantumNumbers(n, l)
         sol = afm_solve(v, AuxiliaryKind.COULOMB, q)
         report = tangent_check(v, AuxiliaryKind.COULOMB, sol,

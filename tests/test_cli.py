@@ -45,6 +45,17 @@ class TestSolve:
         assert rec["bound"] == "lower"
         assert rec["p2"] == pytest.approx(2.0, rel=1e-12)
 
+    @pytest.mark.parametrize("argv", [
+        ("solve", "linear", "quadratic", "400", "400"),
+        ("solve", "log", "coulomb", "0", "150"),
+    ], ids=" ".join)
+    def test_high_quantum_numbers_are_strict_finite_json(self, argv, capsys):
+        # the moment sums cost O(n), and the trial state's x^l and its
+        # normalization are one exponential, so neither leaves the float range
+        code, out, err = _run(capsys, *argv)
+        assert code == 0, err
+        assert _strict_loads(out)["l"] == int(argv[4])
+
     def test_exp_not_allowed_exits_2(self, capsys):
         code, out, _ = _run(capsys, "solve", "exp", "coulomb", "1", "0",
                             "--k", "5")

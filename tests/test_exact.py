@@ -6,11 +6,11 @@ from scipy import integrate
 
 from auxfield.errors import DomainError
 from auxfield.exact import (HydrogenScale, OscillatorScale, QuantumNumbers,
-                            hydrogen_observables, hydrogen_r_moment,
-                            hydrogen_radial, linear_s_observables,
-                            linear_s_state, oscillator_observables,
-                            oscillator_r_moment, oscillator_radial)
+                            hydrogen_observables, hydrogen_radial,
+                            linear_s_observables, linear_s_state,
+                            oscillator_observables, oscillator_radial)
 from auxfield.specfun import airy_zero
+from reference import hydrogen_r_moment, oscillator_r_moment
 
 
 def _norm_quad(radial, r_hi):
@@ -97,7 +97,9 @@ class TestHydrogen:
         r_hi = 3.0 * (n + l + 1) ** 2 / sc.gamma(q) / (n + l + 1)
         assert _count_radial_nodes(hydrogen_radial(sc, q), r_hi) == n
 
-    @pytest.mark.parametrize("n,l", [(0, 0), (2, 1), (5, 4), (3, 2)])
+    # at (0, 150) and (2, 300) norm underflows and x^l overflows on their own
+    @pytest.mark.parametrize("n,l", [(0, 0), (2, 1), (5, 4), (3, 2),
+                                     (0, 150), (2, 300)])
     def test_normalization(self, n, l):
         q = QuantumNumbers(n, l)
         sc = HydrogenScale(eta=1.0)
@@ -150,7 +152,8 @@ class TestOscillator:
         obs = oscillator_observables(OscillatorScale(lam=1.0), QuantumNumbers(0, 0))
         assert obs.p2 / 2 + obs.r_moments[2] / 2 == pytest.approx(1.5, rel=1e-14)
 
-    @pytest.mark.parametrize("n,l", [(0, 0), (1, 2), (4, 3), (3, 0)])
+    @pytest.mark.parametrize("n,l", [(0, 0), (1, 2), (4, 3), (3, 0),
+                                     (0, 150), (2, 300)])
     def test_node_count_and_norm(self, n, l):
         sc = OscillatorScale(lam=1.0)
         radial = oscillator_radial(sc, QuantumNumbers(n, l))
@@ -195,6 +198,23 @@ class TestOscillator:
         radial = oscillator_radial(sc, QuantumNumbers(1, 0))
         assert obs.psi0_sq == pytest.approx(radial(0.0) ** 2 / (4 * math.pi),
                                             rel=1e-12)
+
+
+def test_moments_match_exact_rational_sums():
+    # every <r^k> both bases report, from the one floating-point Laguerre
+    # sum, against the exact-rational double sums on seeded n, l <= 40
+    rng = np.random.default_rng(20261018)
+    states = [(40, 40), *rng.integers(0, 41, size=(2, 2))]
+    for n, l in states:
+        q = QuantumNumbers(int(n), int(l))
+        hy = HydrogenScale(eta=float(10.0 ** rng.uniform(-1.0, 1.0)))
+        ho = OscillatorScale(lam=float(10.0 ** rng.uniform(-1.0, 1.0)))
+        for scale, obs, reference in (
+                (hy, hydrogen_observables(hy, q), hydrogen_r_moment),
+                (ho, oscillator_observables(ho, q), oscillator_r_moment)):
+            for k, got in obs.r_moments.items():
+                want = reference(scale, q, k)
+                assert abs(got / want - 1.0) <= 1e-13, (q, scale, k)
 
 
 class TestMomentInequalities:
