@@ -97,7 +97,8 @@ def mean_potential(v: PotentialModel, sol: AfmSolution, q: QuantumNumbers,
                    power: int = 1) -> float:
     """<V^power> over the trial density by composite Gauss-Legendre
     quadrature in t, r = r_hi t^2 (nodes cluster at the origin, where
-    ln r is singular); the error is the change from 32 to 64 panels."""
+    ln r is singular); the error is the change from 32 ceil((n+1)/32)
+    panels, 32 for n < 32, to twice that."""
     radial = trial_radial(sol, q)
     r_hi = _density_cutoff(sol, q)
 
@@ -109,8 +110,9 @@ def mean_potential(v: PotentialModel, sol: AfmSolution, q: QuantumNumbers,
             raise QuadratureFailure(f"<V^{power}> integrand is non-finite")
         return f
 
-    coarse = _composite_gauss_legendre(integrand, 32)
-    val = _composite_gauss_legendre(integrand, 64)
+    panels = 32 * math.ceil((q.n + 1) / 32)
+    coarse = _composite_gauss_legendre(integrand, panels)
+    val = _composite_gauss_legendre(integrand, 2 * panels)
     err = abs(val - coarse)
     if err > max(1e-9 * abs(val), 1e-12):
         raise QuadratureFailure(

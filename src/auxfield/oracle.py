@@ -12,12 +12,16 @@ converged vector stays a hard failure.  Otherwise (deep wells) the
 count runs on the full grid.  Cooley's corrector (Math. Comp. 15 (1961)
 363) then moves the start to the eigenvalue of the 4th-order Numerov
 equation, reading the residual at the outer classical turning point m
-of the vector that one banded LAPACK solve of the Numerov system
-A(E) u = e_m returns (B. R. Johnson, J. Chem. Phys. 67 (1977) 4086);
-that vector is signed positive before its first node, like the closed
-forms.  Quadrature observables for the converged states are provided as
-the reference side of every table comparison; every integral is one dot
-product with the Simpson weights of the grid.
+of the vector that one LAPACK tridiagonal solve (dgtsv) of the Numerov
+system A(E) u = e_m returns (B. R. Johnson, J. Chem. Phys. 67 (1977)
+4086); that vector is signed positive before its first node, like the
+closed forms.  The system holds only the live rows: those up to where
+the WKB decay action past m, at the start energy, reaches
+_LIVE_ACTION = 40, so that |u| has fallen below e^-40 of its value at m,
+far below the vector's rounding noise; u is 0 beyond them.  Quadrature
+observables for the converged states are provided as the reference side
+of every table comparison; every integral is one dot product with the
+Simpson weights of the grid prefix that carries the integrand.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ _CORRECTOR_TOL = 1e-12     # converged step, relative to max(1, |E|)
 _CORRECTOR_MAX_ITER = 20
 _GUESS_STRIDE = 10         # grid stride of the Sturm count that guesses the start
 _GUESS_RESOLVED = 0.1      # largest resolution number rho at which the guess is the start
+_LIVE_ACTION = 40.0        # WKB decay action past the matching point beyond which u is 0
 
 
 @dataclass(frozen=True)
@@ -80,11 +85,11 @@ def _numerov_assemble(w, h, l, m):
 
     Row i of the tridiagonal A is a[i-1] u[i-1] - b[i] u[i] + a[i+1] u[i+1]
     with a = 1 - h^2 w/12, b = 2 + 10 h^2 w/12.  The unknowns start after
-    the last index up to m where h^2 w/12 > 1/2 (none left is a
-    NumericalFailure), u = 0 before them; the last row is the decaying
-    tail u[n-2] = exp(kappa h) u[n-1].
+    the last index up to m where h^2 w/12 > 1/2, u = 0 before them; the
+    last row is the decaying tail u[n-2] = exp(kappa h) u[n-1].  One
+    LAPACK dgtsv call solves the system.
     """
-    from scipy.linalg import solve_banded
+    from scipy.linalg.lapack import dgtsv
 
     n = w.shape[0]
     c = h * h / 12.0
@@ -92,22 +97,23 @@ def _numerov_assemble(w, h, l, m):
     start = int(coarse[-1]) + 2 if coarse.size else 1
     if start > m:
         raise NumericalFailure(
-            f"grid of {n} points with h = {h:.3g} is too coarse: h^2 w/12 > 1/2 "
-            "up to the matching point")
-    a = 1.0 - c * w[start:]
-    ab = np.zeros((3, n - start))
-    ab[0, 1:] = a[1:]                    # a[i+1] above the diagonal
-    ab[1] = -2.0 - 10.0 * c * w[start:]  # -b[i] on it
-    ab[2, :-1] = a[:-1]                  # a[i-1] below it
+            f"h = {h:.3g} is too coarse: h^2 w/12 > 1/2 at the matching point")
+    cw = c * w[start:]
+    d = -2.0 - 10.0 * cw                 # -b[i] on the diagonal
+    du = 1.0 - cw                        # a[i+1] above it, from du[1:]
+    dl = du[:-1].copy()                  # a[i-1] below it
     if start == 1 and l == 1:
-        ab[1, 0] -= 1.0 / 6.0            # a[0] u[0] -> -u[1]/6 for u ~ C r^2
-    kappa = math.sqrt(max(w[n - 1], 1e-30))
-    ab[1, -1] = -math.exp(kappa * h)
-    ab[2, -2] = 1.0
+        d[0] -= 1.0 / 6.0                # a[0] u[0] -> -u[1]/6 for u ~ C r^2
+    d[-1] = -math.exp(math.sqrt(max(w[n - 1], 1e-30)) * h)
+    dl[-1] = 1.0
     rhs = np.zeros(n - start)
     rhs[m - start] = 1.0
+    *_, x, info = dgtsv(dl, d, du[1:], rhs, overwrite_dl=1, overwrite_d=1,
+                        overwrite_du=1, overwrite_b=1)
+    if info != 0:
+        raise NumericalFailure(f"LAPACK dgtsv failed on the Numerov system (info = {info})")
     u = np.zeros(n)
-    u[start:] = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True)
+    u[start:] = x
     return u
 
 
@@ -192,8 +198,38 @@ def _simpson_weights(grid: np.ndarray) -> np.ndarray:
     return wts
 
 
+def _prefix_weights(grid: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Weights w whose dot product with y[:len(w)] has the terms of
+    _simpson_weights(grid) @ y.
+
+    y holds the leading samples of an integrand on the grid and is 0
+    beyond them.  The weights are those of the shortest odd-length prefix
+    of the grid past which y is 0; that prefix ends on a zero of y, and
+    before its end its weights are the full grid's.  When it would end
+    within 3 points of the grid end, where Cartwright's correction acts,
+    they are the full grid's weights.
+    """
+    last = y.shape[0] - 1 - int(np.argmax(y[::-1] != 0.0))   # y == 0: the full grid
+    points = last // 2 * 2 + 3
+    if points > grid.shape[0] - 3:
+        points = grid.shape[0]
+    return _simpson_weights(grid[:points])[:y.shape[0]]
+
+
+def _live_end(w: np.ndarray, h: float, m: int) -> int:
+    """End of the rows that carry the state: 4 rows past the first row
+    beyond m where the WKB decay action of w reaches _LIVE_ACTION, capped
+    at the grid end.  There |u| < exp(-_LIVE_ACTION) of its value at m."""
+    action = np.cumsum(np.sqrt(np.maximum(w[m:], 0.0))) * h
+    return min(m + int(np.searchsorted(action, _LIVE_ACTION)) + 4, w.shape[0])
+
+
 def _solve_on_grid(w0, grid, q, c, energy):
-    """Cooley's corrector from the start energy, then the normalized vector."""
+    """Cooley's corrector from the start energy, then the normalized vector.
+
+    The corrector assembles only the rows up to the live end found at the
+    start energy; u is 0 beyond them.
+    """
     h = float(grid[1] - grid[0])
     w = w0 - c * energy
     if w[-1] < 0.0:
@@ -204,6 +240,12 @@ def _solve_on_grid(w0, grid, q, c, energy):
     m = _match_index(w)
     if m < 0:
         raise NumericalFailure("no classically allowed region at the start energy")
+    if h * h / 12.0 * w[m] > 0.5:
+        raise NumericalFailure(
+            f"grid of {grid.shape[0]} points with h = {h:.3g} is too coarse: "
+            "h^2 w/12 > 1/2 up to the matching point")
+    live = _live_end(w, h, m)
+    w0 = w0[:live]
     for _ in range(_CORRECTOR_MAX_ITER):
         w = w0 - c * energy
         u = _numerov_assemble(w, h, q.l, m)
@@ -215,12 +257,15 @@ def _solve_on_grid(w0, grid, q, c, energy):
             break
     else:
         raise NumericalFailure("Cooley corrector did not converge")
-    norm = _simpson_weights(grid) @ (u * u)
+    wts = _prefix_weights(grid, u)
+    k = wts.shape[0]
+    norm = wts @ (u[:k] * u[:k])
     if not norm > 0:
         raise NumericalFailure("degenerate norm after assembly")
     # the solve's sign is that of 1/(lambda - E); make u > 0 before its first node
-    u /= math.copysign(math.sqrt(norm), u[np.flatnonzero(u)[0]])
-    return energy, u
+    values = np.zeros(grid.shape[0])
+    values[:live] = u / math.copysign(math.sqrt(norm), u[np.flatnonzero(u)[0]])
+    return energy, values
 
 
 def _interior_nodes(u: np.ndarray) -> int:
@@ -245,6 +290,10 @@ def solve_radial(v: PotentialModel, q: QuantumNumbers,
     for _ in range(4):
         grid = np.linspace(0.0, r_max, cfg.grid_points)
         w0 = _base_w(v, grid, q)
+        finite = np.isfinite(w0)
+        if not finite.all():
+            raise NumericalFailure(
+                f"2m V + l(l+1)/r^2 is non-finite at r = {grid[np.argmin(finite)]:.6g}")
         start = _sturm_start(w0, float(grid[1] - grid[0]), q.n) / c
         if threshold is not None and not start < threshold:
             raise NoBoundState(
@@ -268,34 +317,39 @@ def solve_radial(v: PotentialModel, q: QuantumNumbers,
 # ----------------------------------------------------------------------
 
 def numeric_observables(f: RadialFunction, v: PotentialModel) -> ObservableSet:
-    """Simpson moments, virial <p^2>/<p^4> and |psi(0)|^2 for an oracle state."""
+    """Simpson moments, virial <p^2>/<p^4> and |psi(0)|^2 for an oracle state.
+
+    The integrals run over the grid prefix that carries u (_prefix_weights).
+    """
     grid, u = f.grid, f.values
-    u2 = u * u
-    vv = np.empty_like(u2)
-    vv[1:] = v.v(grid[1:])
-    vv[0] = 0.0  # u^2 V -> 0 at the origin for all three families
     # extrapolated probability mass beyond the grid end
-    w_end = (v.kinetic_2m * (float(vv[-1]) - f.energy)
-             + f.q.big_l / float(grid[-1]) ** 2)
+    r_end = float(grid[-1])
+    w_end = (v.kinetic_2m * (float(v.v(r_end)) - f.energy)
+             + f.q.big_l / r_end ** 2)
     kappa = math.sqrt(max(w_end, 1e-12))
-    tail = u2[-1] / (2.0 * kappa)
+    tail = u[-1] * u[-1] / (2.0 * kappa)
     if tail > 1e-8:
         raise QuadratureFailure(
             f"tail mass {tail:.2e} beyond r_max: state under-resolved")
 
-    wts = _simpson_weights(grid)
-    r_mom = {}
-    for k in (-2, -1, 1, 2, 3, 4):
-        integrand = np.empty_like(u2)
-        integrand[1:] = u2[1:] * grid[1:] ** float(k)
-        if k >= -1:
-            integrand[0] = 0.0
-        else:
-            integrand[0] = f.slope_at_origin() ** 2 if f.q.l == 0 else 0.0
-        r_mom[k] = float(wts @ integrand)
+    wts = _prefix_weights(grid, u)
+    points = wts.shape[0]
+    r = grid[1:points]
+    u2 = u[1:points] * u[1:points]
+    inv = 1.0 / r
+    powers = {-2: inv * inv, -1: inv, 1: r, 2: r * r}
+    powers[3] = powers[2] * r
+    powers[4] = powers[2] * powers[2]
+    r_mom = {k: float(wts[1:] @ (u2 * rk)) for k, rk in powers.items()}
+    # every integrand vanishes at the origin but u^2/r^2 -> u'(0)^2 for l = 0
+    if f.q.l == 0:
+        r_mom[-2] += float(wts[0]) * f.slope_at_origin() ** 2
 
-    mean_v = float(wts @ (u2 * vv))
-    mean_v2 = float(wts @ (u2 * vv * vv))
+    # u^2 V -> 0 at the origin for all three families
+    vv = v.v(r)
+    vu2 = u2 * vv
+    mean_v = float(wts[1:] @ vu2)
+    mean_v2 = float(wts[1:] @ (vu2 * vv))
     p2, p4 = p2_p4_from_potential(f.energy, mean_v, mean_v2, v.mass)
     psi0 = None
     if f.q.l == 0:

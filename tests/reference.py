@@ -4,7 +4,9 @@ The r-moments here are the general double sums over the Laguerre
 expansion terms, evaluated in exact rational arithmetic; the package
 computes the same moments from one floating-point sum of positive terms
 (``exact._laguerre_moment``).  ``solve_w_power`` inverts z = W(x) x^alpha
-for the Lambert round-trip checks.
+for the Lambert round-trip checks.  ``numerov_assemble_banded`` solves
+the oracle's Numerov system on every row it is given, through scipy's
+band-storage solver.
 """
 
 from __future__ import annotations
@@ -12,7 +14,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from auxfield.errors import DomainError
+import numpy as np
+from scipy.linalg import solve_banded
+
+from auxfield.errors import DomainError, NumericalFailure
 from auxfield.exact import HydrogenScale, OscillatorScale, QuantumNumbers
 from auxfield.specfun import WBranch, lambert_w
 
@@ -147,3 +152,33 @@ def solve_w_power(z: float, alpha: float, branch: WBranch = WBranch.PRINCIPAL) -
             f"alpha={alpha}") from domain_failure
     raise DomainError(
         f"no W value on the {branch.name} branch solves z={z}, alpha={alpha}")
+
+
+def numerov_assemble_banded(w, h, l, m):
+    """Solution of the oracle's Numerov system A(E) u = e_m on all rows of w.
+
+    The rows are those of ``oracle._numerov_assemble``: a = 1 - h^2 w/12
+    off the diagonal, -(2 + 10 h^2 w/12) on it, unknowns after the last
+    index up to m where h^2 w/12 > 1/2, and the decaying tail
+    u[n-2] = exp(kappa h) u[n-1] as the last row.
+    """
+    n = w.shape[0]
+    c = h * h / 12.0
+    coarse = np.nonzero(c * w[1:m + 1] > 0.5)[0]
+    start = int(coarse[-1]) + 2 if coarse.size else 1
+    if start > m:
+        raise NumericalFailure("h^2 w/12 > 1/2 at the matching point")
+    a = 1.0 - c * w[start:]
+    ab = np.zeros((3, n - start))
+    ab[0, 1:] = a[1:]
+    ab[1] = -2.0 - 10.0 * c * w[start:]
+    ab[2, :-1] = a[:-1]
+    if start == 1 and l == 1:
+        ab[1, 0] -= 1.0 / 6.0
+    ab[1, -1] = -math.exp(math.sqrt(max(w[n - 1], 1e-30)) * h)
+    ab[2, -2] = 1.0
+    rhs = np.zeros(n - start)
+    rhs[m - start] = 1.0
+    u = np.zeros(n)
+    u[start:] = solve_banded((1, 1), ab, rhs)
+    return u

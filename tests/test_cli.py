@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from auxfield import cli
-from auxfield.afm import PotentialModel
+from auxfield.afm import LinearPotential, PotentialModel
 from auxfield.cli import main
 from auxfield.exact import QuantumNumbers
 from auxfield.tables import TABLE_IDS, oracle_state
@@ -48,10 +48,14 @@ class TestSolve:
     @pytest.mark.parametrize("argv", [
         ("solve", "linear", "quadratic", "400", "400"),
         ("solve", "log", "coulomb", "0", "150"),
+        ("solve", "log", "coulomb", "150", "0"),
+        ("solve", "log", "quadratic", "150", "0"),
+        ("solve", "exp", "coulomb", "150", "0", "--k", "1e6"),
     ], ids=" ".join)
     def test_high_quantum_numbers_are_strict_finite_json(self, argv, capsys):
         # the moment sums cost O(n), and the trial state's x^l and its
-        # normalization are one exponential, so neither leaves the float range
+        # normalization are one exponential, so neither leaves the float
+        # range; the <V> quadrature takes more panels for more nodes
         code, out, err = _run(capsys, *argv)
         assert code == 0, err
         assert _strict_loads(out)["l"] == int(argv[4])
@@ -279,6 +283,26 @@ class TestBoundaries:
         assert code == 70
         assert out == ""
         assert "KeyError" in err
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_potential_is_numeric_failure(self, bad, monkeypatch, capsys):
+        # V is non-finite at grid row 14 alone, off the stride-10 rows of
+        # the Sturm guess: the oracle names that r instead of failing later
+        class Poisoned(LinearPotential):
+            def _v(self, r):
+                out = self.a * r
+                out[13] = bad
+                return out
+
+        monkeypatch.setattr(PotentialModel, "from_name",
+                            staticmethod(lambda name, k=None: Poisoned()))
+        code, out, err = _run(capsys, "oracle", "linear", "0", "0",
+                              "--grid-points", "2000")
+        r_max = Poisoned().default_r_max(QuantumNumbers(0, 0))
+        assert code == 70
+        assert out == ""
+        assert "numeric failure" in err
+        assert f"non-finite at r = {np.linspace(0.0, r_max, 2000)[14]:.6g}" in err
 
     def test_grid_too_coarse_for_deep_well_is_numeric_failure(self, capsys):
         # h^2 w/12 > 1/2 at every point up to the matching index

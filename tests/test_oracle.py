@@ -6,12 +6,13 @@ from scipy.linalg import eigh_tridiagonal
 
 from auxfield import oracle
 from auxfield.afm import PotentialModel
-from auxfield.errors import AuxFieldError, DomainError, NoBoundState
+from auxfield.errors import AuxFieldError, DomainError, NoBoundState, NumericalFailure
 from auxfield.exact import QuantumNumbers
 from auxfield.oracle import (RadialFunction, SolverConfig, numeric_observables,
                              solve_radial)
 from auxfield.specfun import airy_zero
 from auxfield.tables import oracle_state
+from reference import numerov_assemble_banded
 
 LINEAR = PotentialModel.linear()
 
@@ -215,6 +216,27 @@ def test_simpson_weights_match_scipy(points, spacing):
     assert abs(oracle._simpson_weights(x) @ y - ref) <= 1e-14 * abs(ref)
 
 
+@pytest.mark.parametrize("points", [2000, 2001, 20000])
+@pytest.mark.parametrize("spacing", ["uniform", "quadratic"])
+def test_prefix_weights_give_the_full_grid_integral(points, spacing):
+    # y is 0 past a cut: the prefix weights have the full grid's terms,
+    # also when the cut falls inside the last 3 points (Cartwright's
+    # correction) and when y is given only up to the cut
+    rng = np.random.default_rng(points)
+    x = np.linspace(0.0, 37.5, points)
+    if spacing == "quadratic":
+        x = x * x / 37.5
+    full = oracle._simpson_weights(x)
+    for cut in (1, 2, 3, points // 3, points // 3 + 1, points - 5, points - 4,
+                points - 3, points - 2, points - 1, points):
+        y = np.zeros(points)
+        y[:cut] = rng.random(cut)
+        ref = full @ y
+        for given in (y, y[:cut]):
+            wts = oracle._prefix_weights(x, given)
+            assert abs(wts @ given[:wts.shape[0]] - ref) <= 1e-15 * abs(ref), cut
+
+
 def _full_grid_start(w0, h, n):
     """Eigenvalue n of the 3-point Dirichlet matrix on the whole grid."""
     diag = w0[1:-1] + 2.0 / (h * h)
@@ -224,22 +246,28 @@ def _full_grid_start(w0, h, n):
     return float(lam[0])
 
 
-def _start_states():
-    """Seeded (family, k, n, l, grid points): 150 draws plus three hard wells."""
-    rng = np.random.default_rng(20261018)
+def _draws(seed, count):
+    """Seeded (family, k, n, l, grid points): n <= 10, l <= 40, exp depths
+    2-30 times critical, 2000, 8000 or 20000 points."""
+    rng = np.random.default_rng(seed)
     critical = math.e ** 2 / 4.0
     states = []
-    for i in range(150):
+    for i in range(count):
         family = ("linear", "log", "exp")[i % 3]
         n, l = int(rng.integers(0, 11)), int(rng.integers(0, 41))
         k = None
         if family == "exp":
             k = float(rng.uniform(2.0, 30.0) * critical * (2 * n + l + 1.5) ** 2)
         states.append((family, k, n, l, int(rng.choice([2000, 8000, 20000]))))
-    # two deep wells the default grid under-resolves, one near threshold
-    states += [("exp", 33265.0, 10, 3, 20000), ("exp", 8659.0, 5, 1, 20000),
-               ("exp", 1.6, 0, 0, 20000)]
     return states
+
+
+def _start_states():
+    """Seeded (family, k, n, l, grid points): 150 draws plus three hard wells."""
+    # two deep wells the default grid under-resolves, one near threshold
+    return _draws(20261018, 150) + [("exp", 33265.0, 10, 3, 20000),
+                                    ("exp", 8659.0, 5, 1, 20000),
+                                    ("exp", 1.6, 0, 0, 20000)]
 
 
 @pytest.fixture
@@ -393,6 +421,85 @@ def test_corrector_assemblies_on_table_states(monkeypatch):
     for family, k, n, l in TABLE_STATE_ENERGIES:
         solve_radial(*_table_state(family, k, n, l))
     assert len(calls) <= 130
+
+
+def test_table_assemblies_solve_only_live_rows(monkeypatch):
+    # guards against a return to full-grid assembly: past the live window
+    # of each table state u is 0 and no row is assembled (0.645 of the
+    # grid rows are)
+    assemble = oracle._numerov_assemble
+    rows = []
+
+    def counted(w, h, l, m):
+        rows.append(w.shape[0])
+        return assemble(w, h, l, m)
+
+    monkeypatch.setattr(oracle, "_numerov_assemble", counted)
+    for family, k, n, l in TABLE_STATE_ENERGIES:
+        solve_radial(*_table_state(family, k, n, l))
+    assert sum(rows) <= 0.7 * SolverConfig().grid_points * len(rows)
+
+
+def _state_outcome(v, q, cfg):
+    """(state, observables) of a solve, or the error it raised."""
+    try:
+        f = solve_radial(v, q, cfg)
+        return f, numeric_observables(f, v)
+    except AuxFieldError as exc:
+        return exc
+
+
+def _off_by_grid_error(v, q, f):
+    """Whether the energy of f differs from a 160000-point solve on its
+    domain by Numerov's h^4 error: 16/15 of its step to a twice finer grid."""
+    r_max, points = float(f.grid[-1]), f.grid.shape[0]
+    finer = solve_radial(v, q, SolverConfig(r_max=r_max, grid_points=2 * points)).energy
+    fine = solve_radial(v, q, SolverConfig(r_max=r_max, grid_points=160000)).energy
+    return abs(f.energy - fine) <= 1.1 * abs(f.energy - finer)
+
+
+def test_live_window_matches_full_system(monkeypatch):
+    # past the live window |u| < e^-40 of its turning-point value, so the
+    # full-system solve (every grid row, scipy's band solver) has the same
+    # energy to rounding and the same moments to the vector's noise.  The
+    # one change of outcome: the full system fails the node check on deep
+    # wells whose extra nodes all lie past the window, where h^2 W/12 > 1
+    # lets the Numerov recursion oscillate; the windowed state is then
+    # the level's Numerov eigenvalue, as its grid error shows
+    changed = 0
+    for family, k, n, l, points in _draws(20261020, 240):
+        v, q = PotentialModel.from_name(family, k), QuantumNumbers(n, l)
+        cfg = SolverConfig(grid_points=points)
+        got = _state_outcome(v, q, cfg)
+        with monkeypatch.context() as full:
+            full.setattr(oracle, "_LIVE_ACTION", math.inf)
+            full.setattr(oracle, "_numerov_assemble", numerov_assemble_banded)
+            ref = _state_outcome(v, q, cfg)
+        case = (family, k, n, l, points, got, ref)
+        if isinstance(ref, AuxFieldError) and not isinstance(got, AuxFieldError):
+            assert isinstance(ref, NumericalFailure) and "nodes" in str(ref), case
+            assert _nodes(got[0]) == n and _off_by_grid_error(v, q, got[0]), case
+            changed += 1
+        elif isinstance(ref, AuxFieldError):
+            assert type(got) is type(ref), case
+        else:
+            (f, obs), (f_ref, obs_ref) = got, ref
+            assert abs(f.energy - f_ref.energy) <= 1e-14 * max(1.0, abs(f_ref.energy)), case
+            for key, value in obs_ref.r_moments.items():
+                assert abs(obs.r_moments[key] - value) <= 1e-12 * abs(value), (case, key)
+            assert abs(obs.p2 - obs_ref.p2) <= 1e-12 * abs(obs_ref.p2), case
+    assert changed > 0
+
+
+@pytest.mark.parametrize("k,l", [(70076.0, 36), (52978.0, 39)])
+def test_deep_well_ignores_tail_oscillation(k, l):
+    # at 8000 points h^2 W/12 > 1 past the live window of these ground
+    # states; the full system oscillates there and fails the node check
+    v, q = PotentialModel.exponential(k), QuantumNumbers(0, l)
+    f = solve_radial(v, q, SolverConfig(grid_points=8000))
+    fine = solve_radial(v, q, SolverConfig(r_max=float(f.grid[-1]), grid_points=160000))
+    assert _nodes(f) == 0
+    assert abs(f.energy - fine.energy) <= 1e-5 * abs(fine.energy)
 
 
 def _positive_before_first_node(u):
