@@ -16,8 +16,7 @@ from .exact import (HydrogenScale, ObservableSet, OscillatorScale,
                     QuantumNumbers, hydrogen_observables, linear_s_observables,
                     linear_s_state, oscillator_observables)
 from .observables import (EckartInput, afm_observable_set, eckart_bound,
-                          mean_hamiltonian, p2_p4_from_potential,
-                          power_law_moments, psi0_from_force)
+                          mean_hamiltonian, p2_p4_from_potential)
 from .oracle import RadialFunction, SolverConfig, numeric_observables, solve_radial
 from .overlaps import (afm_pair_overlap, numeric_overlap, overlap_hydrogen_dilated,
                        overlap_oscillator_dilated, sample_radial)
@@ -37,7 +36,7 @@ __all__ = [
     "hydrogen_observables", "linear_s_observables", "linear_s_state",
     "oscillator_observables",
     "EckartInput", "afm_observable_set", "eckart_bound", "mean_hamiltonian",
-    "p2_p4_from_potential", "power_law_moments", "psi0_from_force",
+    "p2_p4_from_potential",
     "RadialFunction", "SolverConfig", "numeric_observables", "solve_radial",
     "afm_pair_overlap", "numeric_overlap",
     "overlap_hydrogen_dilated", "overlap_oscillator_dilated", "sample_radial",

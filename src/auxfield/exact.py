@@ -191,7 +191,9 @@ def hydrogen_radial(scale: HydrogenScale, q: QuantumNumbers):
     """Normalized radial function R(r) for the given eta.
 
     The prefactor norm * x^l * e^(-x/2) is one exponential, so high l
-    neither underflows norm nor overflows x^l.
+    neither underflows norm nor overflows x^l; its exponent is the weight
+    of the Laguerre recurrence, so at high n L does not overflow where
+    the prefactor underflows.
     """
     n, l = q.n, q.l
     gam = scale.gamma(q)
@@ -205,8 +207,7 @@ def hydrogen_radial(scale: HydrogenScale, q: QuantumNumbers):
         x = 2.0 * gam * r
         with np.errstate(divide="ignore"):  # l ln(0) = -inf gives 0
             power = l * np.log(x) if l else 0.0
-        out = np.exp(log_norm + power - 0.5 * x) * specfun.laguerre(n, 2 * l + 1, x)
-        return out if out.ndim else float(out)
+        return specfun.laguerre(n, 2 * l + 1, x, log_norm + power - 0.5 * x)
 
     return radial
 
@@ -236,7 +237,8 @@ def hydrogen_observables(scale: HydrogenScale, q: QuantumNumbers) -> ObservableS
 
 def oscillator_radial(scale: OscillatorScale, q: QuantumNumbers):
     """Normalized radial function R(r) for the given lambda; as for
-    hydrogen, norm * x^l * e^(-t/2) is one exponential."""
+    hydrogen, norm * x^l * e^(-t/2) is one exponential, the weight of the
+    Laguerre recurrence."""
     n, l = q.n, q.l
     lam = scale.lam
     log_norm = 1.5 * math.log(lam) + 0.5 * (
@@ -249,8 +251,7 @@ def oscillator_radial(scale: OscillatorScale, q: QuantumNumbers):
         t = x * x
         with np.errstate(divide="ignore"):  # l ln(0) = -inf gives 0
             power = l * np.log(x) if l else 0.0
-        out = np.exp(log_norm + power - 0.5 * t) * specfun.laguerre(n, alpha, t)
-        return out if out.ndim else float(out)
+        return specfun.laguerre(n, alpha, t, log_norm + power - 0.5 * t)
 
     return radial
 

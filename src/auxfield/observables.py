@@ -1,11 +1,11 @@
 """Observables of AFM trial states: moment sets, <H> re-evaluation,
-the generalized virial recurrence and Eckart overlap bounds."""
+the virial <p^2>/<p^4> and Eckart overlap bounds."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -22,10 +22,8 @@ __all__ = [
     "trial_radial",
     "mean_hamiltonian",
     "mean_potential",
-    "power_law_moments",
     "p2_p4_from_potential",
     "eckart_bound",
-    "psi0_from_force",
 ]
 
 
@@ -93,9 +91,8 @@ def _composite_gauss_legendre(f, panels: int) -> float:
     return 0.5 / panels * float(np.dot(np.tile(_GL_WEIGHTS, panels), f(t)))
 
 
-def mean_potential(v: PotentialModel, sol: AfmSolution, q: QuantumNumbers,
-                   power: int = 1) -> float:
-    """<V^power> over the trial density by composite Gauss-Legendre
+def mean_potential(v: PotentialModel, sol: AfmSolution, q: QuantumNumbers) -> float:
+    """<V> over the trial density by composite Gauss-Legendre
     quadrature in t, r = r_hi t^2 (nodes cluster at the origin, where
     ln r is singular); the error is the change from 32 ceil((n+1)/32)
     panels, 32 for n < 32, to twice that."""
@@ -105,9 +102,9 @@ def mean_potential(v: PotentialModel, sol: AfmSolution, q: QuantumNumbers,
     def integrand(t):
         r = r_hi * t * t
         with np.errstate(over="ignore", invalid="ignore"):
-            f = v.v(r) ** power * radial(r) ** 2 * r * r * (2.0 * r_hi * t)
+            f = v.v(r) * radial(r) ** 2 * r * r * (2.0 * r_hi * t)
         if not np.all(np.isfinite(f)):
-            raise QuadratureFailure(f"<V^{power}> integrand is non-finite")
+            raise QuadratureFailure("<V> integrand is non-finite")
         return f
 
     panels = 32 * math.ceil((q.n + 1) / 32)
@@ -116,7 +113,7 @@ def mean_potential(v: PotentialModel, sol: AfmSolution, q: QuantumNumbers,
     err = abs(val - coarse)
     if err > max(1e-9 * abs(val), 1e-12):
         raise QuadratureFailure(
-            f"<V^{power}> quadrature error {err:.2e} for value {val:.6e}")
+            f"<V> quadrature error {err:.2e} for value {val:.6e}")
     return val
 
 
@@ -127,45 +124,7 @@ def mean_hamiltonian(v: PotentialModel, sol: AfmSolution,
     obs = afm_observable_set(v, sol, q)
     if obs.mean_h is not None:
         return obs.mean_h
-    return obs.p2 / v.kinetic_2m + mean_potential(v, sol, q, power=1)
-
-
-def power_law_moments(lambda_exp: float, a: float, m: float, energy: float,
-                      q: QuantumNumbers, s_max: int,
-                      seeds: Optional[Dict[int, float]] = None) -> Dict[int, float]:
-    """Moments <r^s> from the generalized virial recurrence.
-
-    For V(r) = sgn(lambda) a r^lambda the relation
-    2(s+1) E <r^s> - sgn(lambda) a (2s+lambda+2) <r^{lambda+s}>
-    + s/(4m) (s^2 - 1 - 4 l(l+1)) <r^{s-2}> = 0
-    is stepped forward from s = 0.  For l > 0 (and lambda > 1) some low
-    moments cannot be generated and must be supplied through ``seeds``.
-    """
-    if abs(lambda_exp - round(lambda_exp)) > 1e-12:
-        raise DomainError("the moment recurrence closes only for integer exponents")
-    lam = int(round(lambda_exp))
-    if lam < 1:
-        raise DomainError("forward moment chain requires a positive exponent")
-    moments: Dict[int, float] = {0: 1.0}
-    if seeds:
-        moments.update(seeds)
-    big_l = q.big_l
-    for s in range(0, s_max - lam + 1):
-        target = lam + s
-        if target in moments:
-            continue
-        coeff_back = s / (4.0 * m) * (s * s - 1.0 - 4.0 * big_l)
-        back = 0.0
-        if coeff_back != 0.0:
-            if s - 2 not in moments:
-                raise DomainError(
-                    f"moment <r^{s - 2}> required as a seed for l={q.l}")
-            back = coeff_back * moments[s - 2]
-        if s not in moments:
-            raise DomainError(f"moment <r^{s}> required as a seed")
-        moments[target] = (2.0 * (s + 1) * energy * moments[s] + back) / (
-            a * (2.0 * s + lam + 2.0))
-    return {s: moments[s] for s in sorted(moments) if s <= s_max}
+    return obs.p2 / v.kinetic_2m + mean_potential(v, sol, q)
 
 
 def p2_p4_from_potential(energy: float, mean_v: float, mean_v2: float,
@@ -195,8 +154,3 @@ def eckart_bound(inp: EckartInput) -> Tuple[Optional[float], Optional[float]]:
             raise DomainError("degenerate E1^U - E0^L in the Eckart bound")
         b_e_prime = (inp.e1 - inp.h_trial) / denom
     return b_e, b_e_prime
-
-
-def psi0_from_force(m: float, mean_vprime: float) -> float:
-    """|psi(0)|^2 of an l = 0 state from the mean force, m <V'> / (2 pi)."""
-    return m * mean_vprime / (2.0 * math.pi)

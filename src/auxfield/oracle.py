@@ -18,10 +18,12 @@ system A(E) u = e_m returns (B. R. Johnson, J. Chem. Phys. 67 (1977)
 closed forms.  The system holds only the live rows: those up to where
 the WKB decay action past m, at the start energy, reaches
 _LIVE_ACTION = 40, so that |u| has fallen below e^-40 of its value at m,
-far below the vector's rounding noise; u is 0 beyond them.  Quadrature
-observables for the converged states are provided as the reference side
-of every table comparison; every integral is one dot product with the
-Simpson weights of the grid prefix that carries the integrand.
+far below the vector's rounding noise.  The state ends there: its grid
+holds the live rows and the first zero past them, or the whole grid when
+the live rows reach its end.  Quadrature observables for the converged
+states are provided as the reference side of every table comparison;
+every integral is one dot product with the Simpson weights of the
+state's own grid.
 """
 
 from __future__ import annotations
@@ -49,7 +51,10 @@ _LIVE_ACTION = 40.0        # WKB decay action past the matching point beyond whi
 
 @dataclass(frozen=True)
 class RadialFunction:
-    """Reduced radial function u(r) = r R(r) sampled on a uniform grid."""
+    """Reduced radial function u(r) = r R(r) sampled on a uniform grid.
+
+    An oracle state's grid stops at the first zero past its live rows.
+    """
 
     grid: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
@@ -198,24 +203,6 @@ def _simpson_weights(grid: np.ndarray) -> np.ndarray:
     return wts
 
 
-def _prefix_weights(grid: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Weights w whose dot product with y[:len(w)] has the terms of
-    _simpson_weights(grid) @ y.
-
-    y holds the leading samples of an integrand on the grid and is 0
-    beyond them.  The weights are those of the shortest odd-length prefix
-    of the grid past which y is 0; that prefix ends on a zero of y, and
-    before its end its weights are the full grid's.  When it would end
-    within 3 points of the grid end, where Cartwright's correction acts,
-    they are the full grid's weights.
-    """
-    last = y.shape[0] - 1 - int(np.argmax(y[::-1] != 0.0))   # y == 0: the full grid
-    points = last // 2 * 2 + 3
-    if points > grid.shape[0] - 3:
-        points = grid.shape[0]
-    return _simpson_weights(grid[:points])[:y.shape[0]]
-
-
 def _live_end(w: np.ndarray, h: float, m: int) -> int:
     """End of the rows that carry the state: 4 rows past the first row
     beyond m where the WKB decay action of w reaches _LIVE_ACTION, capped
@@ -228,7 +215,7 @@ def _solve_on_grid(w0, grid, q, c, energy):
     """Cooley's corrector from the start energy, then the normalized vector.
 
     The corrector assembles only the rows up to the live end found at the
-    start energy; u is 0 beyond them.
+    start energy; u holds those rows and the first zero past them.
     """
     h = float(grid[1] - grid[0])
     w = w0 - c * energy
@@ -257,15 +244,12 @@ def _solve_on_grid(w0, grid, q, c, energy):
             break
     else:
         raise NumericalFailure("Cooley corrector did not converge")
-    wts = _prefix_weights(grid, u)
-    k = wts.shape[0]
-    norm = wts @ (u[:k] * u[:k])
+    u = np.append(u, 0.0)[:grid.shape[0]]
+    norm = _simpson_weights(grid[:u.shape[0]]) @ (u * u)
     if not norm > 0:
         raise NumericalFailure("degenerate norm after assembly")
     # the solve's sign is that of 1/(lambda - E); make u > 0 before its first node
-    values = np.zeros(grid.shape[0])
-    values[:live] = u / math.copysign(math.sqrt(norm), u[np.flatnonzero(u)[0]])
-    return energy, values
+    return energy, u / math.copysign(math.sqrt(norm), u[np.flatnonzero(u)[0]])
 
 
 def _interior_nodes(u: np.ndarray) -> int:
@@ -309,7 +293,9 @@ def solve_radial(v: PotentialModel, q: QuantumNumbers,
     if _interior_nodes(u) != q.n:
         raise NumericalFailure(
             f"converged solution has {_interior_nodes(u)} nodes, expected {q.n}")
-    return RadialFunction(grid=grid, values=u, energy=float(energy), q=q)
+    # a copy: a view of the prefix would keep the whole grid alive in caches
+    return RadialFunction(grid=grid[:u.shape[0]].copy(), values=u,
+                          energy=float(energy), q=q)
 
 
 # ----------------------------------------------------------------------
@@ -317,10 +303,8 @@ def solve_radial(v: PotentialModel, q: QuantumNumbers,
 # ----------------------------------------------------------------------
 
 def numeric_observables(f: RadialFunction, v: PotentialModel) -> ObservableSet:
-    """Simpson moments, virial <p^2>/<p^4> and |psi(0)|^2 for an oracle state.
-
-    The integrals run over the grid prefix that carries u (_prefix_weights).
-    """
+    """Simpson moments, virial <p^2>/<p^4> and |psi(0)|^2 for an oracle state,
+    each one dot product with the Simpson weights of the state's grid."""
     grid, u = f.grid, f.values
     # extrapolated probability mass beyond the grid end
     r_end = float(grid[-1])
@@ -332,10 +316,9 @@ def numeric_observables(f: RadialFunction, v: PotentialModel) -> ObservableSet:
         raise QuadratureFailure(
             f"tail mass {tail:.2e} beyond r_max: state under-resolved")
 
-    wts = _prefix_weights(grid, u)
-    points = wts.shape[0]
-    r = grid[1:points]
-    u2 = u[1:points] * u[1:points]
+    wts = _simpson_weights(grid)
+    r = grid[1:]
+    u2 = u[1:] * u[1:]
     inv = 1.0 / r
     powers = {-2: inv * inv, -1: inv, 1: r, 2: r * r}
     powers[3] = powers[2] * r

@@ -18,7 +18,7 @@ import numpy as np
 from .afm import AuxiliaryKind
 from .errors import DomainError
 from .exact import QuantumNumbers
-from .oracle import RadialFunction, _prefix_weights
+from .oracle import RadialFunction, _simpson_weights
 
 __all__ = [
     "overlap_hydrogen_dilated",
@@ -147,14 +147,12 @@ def sample_radial(radial: Callable, grid: np.ndarray, *, energy: float = math.na
 
 
 def numeric_overlap(f: RadialFunction, g: RadialFunction) -> float:
-    """integral of u_f u_g dr (== integral R_f R_g r^2 dr) by Simpson,
-    over the grid prefix past which the product is 0.
+    """integral of u_f u_g dr (== integral R_f R_g r^2 dr) by Simpson
+    over their grid.
 
     Both functions must be sampled on the same grid; raises DomainError
     otherwise.
     """
     if not (f.grid.shape == g.grid.shape and np.array_equal(f.grid, g.grid)):
         raise DomainError("numeric_overlap needs both functions on one grid")
-    y = f.values * g.values
-    wts = _prefix_weights(f.grid, y)
-    return float(wts @ y[:wts.shape[0]])
+    return float(_simpson_weights(f.grid) @ (f.values * g.values))

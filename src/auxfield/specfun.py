@@ -84,6 +84,8 @@ def _airy_asym_pos(x):
         for k in range(_UK.size):
             term = _UK[k] / zeta ** k
             stop |= term > prev
+            if stop.all():
+                break
             sgn = -1.0 if k % 2 else 1.0
             s = np.where(stop, s, s + sgn * term)
             sp = np.where(stop, sp, sp + sgn * _VK[k] / zeta ** k)
@@ -106,6 +108,8 @@ def _airy_asym_neg(x):
         for k in range(_UK.size // 2):
             t_even = _UK[2 * k] / zeta ** (2 * k)
             stop |= t_even > prev
+            if stop.all():
+                break
             sgn = -1.0 if k % 2 else 1.0
             pc = np.where(stop, pc, pc + sgn * t_even)
             ps = np.where(stop, ps, ps + sgn * _UK[2 * k + 1] / zeta ** (2 * k + 1))
@@ -281,17 +285,27 @@ def lambert_w(branch: WBranch, x: float) -> float:
 # Laguerre polynomials
 # ----------------------------------------------------------------------
 
-def laguerre(n: int, alpha: float, x):
-    """Generalized Laguerre polynomial L_n^alpha(x) by the three-term recurrence."""
+def laguerre(n: int, alpha: float, x, log_weight=0.0):
+    """exp(log_weight) times the generalized Laguerre polynomial L_n^alpha(x),
+    by the three-term recurrence.
+
+    Whenever |L| passes 2^500, both recurrence terms are scaled by 2^-500,
+    which is exact, and 500 ln 2 joins the weight's exponent; where the
+    weight underflows and L overflows, their product stays finite.
+    """
     if n < 0:
         raise DomainError("laguerre degree must be >= 0")
     x = np.asarray(x, dtype=float)
     l_prev = np.ones_like(x)
-    if n == 0:
-        return l_prev if l_prev.ndim else float(l_prev)
-    l_cur = 1.0 + alpha - x
+    l_cur = 1.0 + alpha - x if n else l_prev
+    twos = np.zeros_like(x)             # L = l_cur * 2^twos
     for k in range(1, n):
         l_next = ((2 * k + 1 + alpha - x) * l_cur - (k + alpha) * l_prev) / (k + 1)
         l_prev, l_cur = l_cur, l_next
-    return l_cur if l_cur.ndim else float(l_cur)
-
+        big = np.abs(l_cur) > 2.0 ** 500
+        if big.any():
+            l_prev = np.where(big, l_prev * 2.0 ** -500, l_prev)
+            l_cur = np.where(big, l_cur * 2.0 ** -500, l_cur)
+            twos += 500.0 * big
+    out = np.exp(log_weight + twos * math.log(2.0)) * l_cur
+    return out if out.ndim else float(out)

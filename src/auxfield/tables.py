@@ -287,8 +287,9 @@ def sample_psi(v: PotentialModel, aux: str, q: QuantumNumbers,
                grid: np.ndarray) -> np.ndarray:
     """psi(r) on ``grid`` (from r = 0) of the AFM trial state (``aux``
     'coulomb' or 'quadratic') or of the exact state ('exact'): the closed
-    form where one exists, else the oracle state interpolated, solved on
-    its own domain or on the grid's when that is larger."""
+    form where one exists, else the oracle state interpolated and 0 past
+    its end.  A state that reaches the end of its domain is solved again
+    on the grid's when that is larger."""
     norm = math.sqrt(4.0 * math.pi)
     if aux in ("coulomb", "quadratic"):
         sol = afm_solve(v, AuxiliaryKind(aux), q)
@@ -299,9 +300,9 @@ def sample_psi(v: PotentialModel, aux: str, q: QuantumNumbers,
     if exact is not None:
         return np.asarray(exact(grid))
     f = solve_radial(v, q)
-    if f.grid[-1] < grid[-1]:
+    if f.values[-1] != 0.0 and f.grid[-1] < grid[-1]:
         f = solve_radial(v, q, SolverConfig(r_max=float(grid[-1])))
-    u_interp = np.interp(grid, f.grid, f.values)
+    u_interp = np.interp(grid, f.grid, f.values, right=0.0)
     psi = np.empty_like(grid)
     psi[1:] = u_interp[1:] / (grid[1:] * norm)
     # psi(0) = u'(0) / sqrt(4 pi) for l = 0 and vanishes for l > 0

@@ -6,13 +6,16 @@ computes the same moments from one floating-point sum of positive terms
 (``exact._laguerre_moment``).  ``solve_w_power`` inverts z = W(x) x^alpha
 for the Lambert round-trip checks.  ``numerov_assemble_banded`` solves
 the oracle's Numerov system on every row it is given, through scipy's
-band-storage solver.
+band-storage solver.  ``power_law_moments`` steps the generalized virial
+recurrence and ``psi0_from_force`` gives |psi(0)|^2 from the mean
+force, two relations the observables are checked against.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Dict, Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -182,3 +185,46 @@ def numerov_assemble_banded(w, h, l, m):
     u = np.zeros(n)
     u[start:] = solve_banded((1, 1), ab, rhs)
     return u
+
+
+def power_law_moments(lambda_exp: float, a: float, m: float, energy: float,
+                      q: QuantumNumbers, s_max: int,
+                      seeds: Optional[Dict[int, float]] = None) -> Dict[int, float]:
+    """Moments <r^s> from the generalized virial recurrence.
+
+    For V(r) = sgn(lambda) a r^lambda the relation
+    2(s+1) E <r^s> - sgn(lambda) a (2s+lambda+2) <r^{lambda+s}>
+    + s/(4m) (s^2 - 1 - 4 l(l+1)) <r^{s-2}> = 0
+    is stepped forward from s = 0.  For l > 0 (and lambda > 1) some low
+    moments cannot be generated and must be supplied through ``seeds``.
+    """
+    if abs(lambda_exp - round(lambda_exp)) > 1e-12:
+        raise DomainError("the moment recurrence closes only for integer exponents")
+    lam = int(round(lambda_exp))
+    if lam < 1:
+        raise DomainError("forward moment chain requires a positive exponent")
+    moments: Dict[int, float] = {0: 1.0}
+    if seeds:
+        moments.update(seeds)
+    big_l = q.big_l
+    for s in range(0, s_max - lam + 1):
+        target = lam + s
+        if target in moments:
+            continue
+        coeff_back = s / (4.0 * m) * (s * s - 1.0 - 4.0 * big_l)
+        back = 0.0
+        if coeff_back != 0.0:
+            if s - 2 not in moments:
+                raise DomainError(
+                    f"moment <r^{s - 2}> required as a seed for l={q.l}")
+            back = coeff_back * moments[s - 2]
+        if s not in moments:
+            raise DomainError(f"moment <r^{s}> required as a seed")
+        moments[target] = (2.0 * (s + 1) * energy * moments[s] + back) / (
+            a * (2.0 * s + lam + 2.0))
+    return {s: moments[s] for s in sorted(moments) if s <= s_max}
+
+
+def psi0_from_force(m: float, mean_vprime: float) -> float:
+    """|psi(0)|^2 of an l = 0 state from the mean force, m <V'> / (2 pi)."""
+    return m * mean_vprime / (2.0 * math.pi)

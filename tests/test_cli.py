@@ -51,11 +51,17 @@ class TestSolve:
         ("solve", "log", "coulomb", "150", "0"),
         ("solve", "log", "quadratic", "150", "0"),
         ("solve", "exp", "coulomb", "150", "0", "--k", "1e6"),
+        ("solve", "log", "coulomb", "400", "0"),
+        ("solve", "log", "quadratic", "400", "0"),
+        ("solve", "exp", "coulomb", "400", "0", "--k", "1e9"),
+        ("solve", "exp", "quadratic", "400", "0", "--k", "1e9"),
     ], ids=" ".join)
     def test_high_quantum_numbers_are_strict_finite_json(self, argv, capsys):
         # the moment sums cost O(n), and the trial state's x^l and its
         # normalization are one exponential, so neither leaves the float
-        # range; the <V> quadrature takes more panels for more nodes
+        # range; that exponential rides through the Laguerre recurrence,
+        # so L does not overflow where it underflows; the <V> quadrature
+        # takes more panels for more nodes
         code, out, err = _run(capsys, *argv)
         assert code == 0, err
         assert _strict_loads(out)["l"] == int(argv[4])
@@ -197,11 +203,43 @@ class TestWavefunction:
         ref[1:] = np.interp(r[1:], f.grid, f.values) / r[1:]
         ref[0] = f.slope_at_origin()
         assert np.max(np.abs(psi - ref / math.sqrt(4.0 * math.pi))) <= 1e-6
-        # an --r-max beyond the oracle's domain is solved on [0, --r-max]
+        # an --r-max beyond the oracle's domain reads 0 past the state's end
         code, out, _ = _run(capsys, "wavefunction", "log", "exact", "0", "1",
                             "--r-max", "200", "--samples", "5")
         assert code == 0
-        assert out.splitlines()[-1].startswith("200,")
+        assert out.splitlines()[-1] == "200,0"
+
+    def test_exact_oracle_path_solves_again_only_a_state_cut_at_its_domain_end(
+            self, capsys):
+        # log (0, 0) ends well inside its default domain: ψ is that state,
+        # interpolated, and 0 past its end, not a solve on [0, 60]
+        from auxfield.oracle import SolverConfig, solve_radial
+        norm = math.sqrt(4.0 * math.pi)
+        code, out, _ = _run(capsys, "wavefunction", "log", "exact", "0", "0",
+                            "--r-max", "60")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        r = np.array([float(a) for a, _ in rows])
+        psi = np.array([float(b) for _, b in rows])
+        f = oracle_state(PotentialModel.logarithmic(), QuantumNumbers(0, 0))[0]
+        assert f.values[-1] == 0.0 and f.grid[-1] < 60.0
+        past = r > f.grid[-1]
+        assert past.any() and np.all(psi[past] == 0.0)
+        ref = np.interp(r[1:], f.grid, f.values) / (r[1:] * norm)
+        assert np.max(np.abs(psi[1:] - ref)) <= 1e-6
+        # exp k = 20 (2, 0) is live up to the end of its domain (r ~ 268),
+        # so it is solved again on [0, 300]
+        v, q = PotentialModel.exponential(20.0), QuantumNumbers(2, 0)
+        assert oracle_state(v, q)[0].values[-1] != 0.0
+        code, out, _ = _run(capsys, "wavefunction", "exp", "exact", "2", "0",
+                            "--k", "20", "--r-max", "300")
+        assert code == 0
+        g = solve_radial(v, q, SolverConfig(r_max=300.0))
+        r = np.linspace(0.0, 300.0, 601)
+        psi = np.empty_like(r)
+        psi[1:] = np.interp(r[1:], g.grid, g.values, right=0.0) / (r[1:] * norm)
+        psi[0] = g.slope_at_origin() / norm
+        assert out.splitlines()[1:] == [f"{a:.6g},{b:.6g}" for a, b in zip(r, psi)]
 
     def test_exact_oracle_path_positive_at_origin(self, capsys):
         # the oracle state has the sign of the closed forms: u > 0 before

@@ -142,7 +142,7 @@ class TestConvergenceAndConfig:
         for model, q in [(LINEAR, QuantumNumbers(0, 0)),
                          (PotentialModel.exponential(5.0), QuantumNumbers(0, 0))]:
             f1 = solve_radial(model, q)
-            cfg = SolverConfig(r_max=2 * float(f1.grid[-1]), grid_points=40000)
+            cfg = SolverConfig(r_max=2 * model.default_r_max(q), grid_points=40000)
             f2 = solve_radial(model, q, cfg)
             assert abs(f2.energy - f1.energy) < 1e-10
 
@@ -158,7 +158,7 @@ class TestConvergenceAndConfig:
         v = PotentialModel.exponential(20.0)
         q = QuantumNumbers(0, 1)
         f1 = solve_radial(v, q)
-        f2 = solve_radial(v, q, SolverConfig(r_max=float(f1.grid[-1]),
+        f2 = solve_radial(v, q, SolverConfig(r_max=v.default_r_max(q),
                                              grid_points=80000))
         assert abs(f2.energy - f1.energy) <= 1e-9 * abs(f1.energy)
 
@@ -216,25 +216,58 @@ def test_simpson_weights_match_scipy(points, spacing):
     assert abs(oracle._simpson_weights(x) @ y - ref) <= 1e-14 * abs(ref)
 
 
+def _padded(f, grid):
+    """f zero-padded to the grid that its own grid is a prefix of."""
+    assert np.array_equal(f.grid, grid[:f.grid.shape[0]])
+    values = np.zeros(grid.shape[0])
+    values[:f.values.shape[0]] = f.values
+    return RadialFunction(grid=grid, values=values, energy=f.energy, q=f.q)
+
+
+def _assert_integrals_match_padded(v, q, f, grid):
+    # norm, moments and the overlap with a trial state over the state's
+    # own grid against the same integrals over the full grid
+    from auxfield.afm import AuxiliaryKind
+    from auxfield.overlaps import numeric_overlap
+    from auxfield.tables import afm_trial_function
+    full = _padded(f, grid)
+    norm = oracle._simpson_weights(f.grid) @ (f.values * f.values)
+    ref = oracle._simpson_weights(grid) @ (full.values * full.values)
+    assert abs(norm - ref) <= 1e-15 * ref
+    obs, obs_ref = numeric_observables(f, v), numeric_observables(full, v)
+    for key, value in obs_ref.r_moments.items():
+        assert abs(obs.r_moments[key] - value) <= 1e-15 * abs(value), key
+    assert abs(obs.p2 - obs_ref.p2) <= 1e-15 * abs(obs_ref.p2)
+    kind = AuxiliaryKind.COULOMB
+    got = numeric_overlap(f, afm_trial_function(v, kind, q, f.grid))
+    ref = numeric_overlap(full, afm_trial_function(v, kind, q, grid))
+    assert abs(got - ref) <= 1e-15 * abs(ref)
+
+
 @pytest.mark.parametrize("points", [2000, 2001, 20000])
-@pytest.mark.parametrize("spacing", ["uniform", "quadratic"])
-def test_prefix_weights_give_the_full_grid_integral(points, spacing):
-    # y is 0 past a cut: the prefix weights have the full grid's terms,
-    # also when the cut falls inside the last 3 points (Cartwright's
-    # correction) and when y is given only up to the cut
-    rng = np.random.default_rng(points)
-    x = np.linspace(0.0, 37.5, points)
-    if spacing == "quadratic":
-        x = x * x / 37.5
-    full = oracle._simpson_weights(x)
-    for cut in (1, 2, 3, points // 3, points // 3 + 1, points - 5, points - 4,
-                points - 3, points - 2, points - 1, points):
-        y = np.zeros(points)
-        y[:cut] = rng.random(cut)
-        ref = full @ y
-        for given in (y, y[:cut]):
-            wts = oracle._prefix_weights(x, given)
-            assert abs(wts @ given[:wts.shape[0]] - ref) <= 1e-15 * abs(ref), cut
+def test_state_integrals_match_the_zero_padded_full_grid(points):
+    # a state's grid ends at the first zero past its live rows; Simpson
+    # over that grid gives the full grid's integrals of the padded state,
+    # also when its length is even (Cartwright's last-interval correction)
+    lengths = set()
+    for family, k, n, l in [("linear", None, 2, 1), ("log", None, 0, 0),
+                            ("exp", 20.0, 0, 1), ("exp", 20.0, 1, 0)]:
+        v, q = PotentialModel.from_name(family, k), QuantumNumbers(n, l)
+        f = solve_radial(v, q, SolverConfig(grid_points=points))
+        assert f.values.shape == f.grid.shape and f.values[-1] == 0.0
+        assert f.grid.shape[0] < points
+        lengths.add(f.grid.shape[0] % 2)
+        _assert_integrals_match_padded(
+            v, q, f, np.linspace(0.0, v.default_r_max(q), points))
+    assert lengths == {0, 1}
+
+
+def test_state_reaching_the_grid_end_keeps_the_whole_grid():
+    # exp k = 20 (2, 0) is live up to the end of its extended domain
+    v, q = PotentialModel.exponential(20.0), QuantumNumbers(2, 0)
+    f = solve_radial(v, q)
+    assert f.grid.shape[0] == SolverConfig().grid_points and f.values[-1] != 0.0
+    _assert_integrals_match_padded(v, q, f, f.grid)
 
 
 def _full_grid_start(w0, h, n):
@@ -440,6 +473,29 @@ def test_table_assemblies_solve_only_live_rows(monkeypatch):
     assert sum(rows) <= 0.7 * SolverConfig().grid_points * len(rows)
 
 
+def test_table_states_store_only_live_rows(monkeypatch):
+    # guards against a return to zero-padded full-grid states: the 37 table
+    # states hold 0.625 of the grid points on average, and the trial states
+    # of the log and exp tables are sampled on the oracle state's own grid
+    from auxfield import tables
+    points = [oracle_state(*_table_state(*key))[0].grid.shape[0]
+              for key in TABLE_STATE_ENERGIES]
+    assert sum(points) <= 0.7 * SolverConfig().grid_points * len(points)
+    shipped = tables.afm_trial_function
+    sampled = []
+
+    def trial(v, kind, q, grid):
+        sampled.append((v, q, grid))
+        return shipped(v, kind, q, grid)
+
+    monkeypatch.setattr(tables, "afm_trial_function", trial)
+    for table_id in ("log-results", "exp-results"):
+        tables.build_table(table_id)
+    assert len(sampled) >= 30
+    for v, q, grid in sampled:
+        assert grid is oracle_state(v, q)[0].grid, (v, q)
+
+
 def _state_outcome(v, q, cfg):
     """(state, observables) of a solve, or the error it raised."""
     try:
@@ -449,10 +505,12 @@ def _state_outcome(v, q, cfg):
         return exc
 
 
-def _off_by_grid_error(v, q, f):
-    """Whether the energy of f differs from a 160000-point solve on its
-    domain by Numerov's h^4 error: 16/15 of its step to a twice finer grid."""
-    r_max, points = float(f.grid[-1]), f.grid.shape[0]
+def _off_by_grid_error(v, q, f, cfg):
+    """Whether the energy of f, solved with cfg on the default domain,
+    differs from a 160000-point solve on that domain by Numerov's h^4
+    error: 16/15 of its step to a twice finer grid."""
+    r_max, points = v.default_r_max(q), cfg.grid_points
+    assert np.array_equal(f.grid, np.linspace(0.0, r_max, points)[:f.grid.shape[0]])
     finer = solve_radial(v, q, SolverConfig(r_max=r_max, grid_points=2 * points)).energy
     fine = solve_radial(v, q, SolverConfig(r_max=r_max, grid_points=160000)).energy
     return abs(f.energy - fine) <= 1.1 * abs(f.energy - finer)
@@ -478,7 +536,7 @@ def test_live_window_matches_full_system(monkeypatch):
         case = (family, k, n, l, points, got, ref)
         if isinstance(ref, AuxFieldError) and not isinstance(got, AuxFieldError):
             assert isinstance(ref, NumericalFailure) and "nodes" in str(ref), case
-            assert _nodes(got[0]) == n and _off_by_grid_error(v, q, got[0]), case
+            assert _nodes(got[0]) == n and _off_by_grid_error(v, q, got[0], cfg), case
             changed += 1
         elif isinstance(ref, AuxFieldError):
             assert type(got) is type(ref), case
@@ -497,7 +555,7 @@ def test_deep_well_ignores_tail_oscillation(k, l):
     # states; the full system oscillates there and fails the node check
     v, q = PotentialModel.exponential(k), QuantumNumbers(0, l)
     f = solve_radial(v, q, SolverConfig(grid_points=8000))
-    fine = solve_radial(v, q, SolverConfig(r_max=float(f.grid[-1]), grid_points=160000))
+    fine = solve_radial(v, q, SolverConfig(r_max=v.default_r_max(q), grid_points=160000))
     assert _nodes(f) == 0
     assert abs(f.energy - fine.energy) <= 1e-5 * abs(fine.energy)
 
