@@ -5,25 +5,25 @@ the three potential families.  The start value is the eigenvalue with
 index n of a 3-point Dirichlet Hamiltonian, found by LAPACK's
 Sturm-sequence bisection (Barth, Martin & Wilkinson, Numer. Math. 9
 (1967) 386), so its level is exact by construction.  The first count
-runs on every 10th grid point.  When that grid resolves the state, its
-eigenvalue is the start: it is then O(h^2) away from the Numerov
+runs on every 10th grid point (step H), bisected only to 1e-10 of that
+grid's 3-point scale 4/H^2.  When that grid resolves the state, its
+eigenvalue is the start: it is then O(H^2) away from the Numerov
 eigenvalue, well within the corrector's reach, and the node check of the
-converged vector stays a hard failure.  Otherwise (deep wells) the
-count runs on the full grid.  Cooley's corrector (Math. Comp. 15 (1961)
-363) then moves the start to the eigenvalue of the 4th-order Numerov
-equation, reading the residual at the outer classical turning point m
-of the vector that one LAPACK tridiagonal solve (dgtsv) of the Numerov
-system A(E) u = e_m returns (B. R. Johnson, J. Chem. Phys. 67 (1977)
-4086); that vector is signed positive before its first node, like the
-closed forms.  The system holds only the live rows: those up to where
-the WKB decay action past m, at the start energy, reaches
-_LIVE_ACTION = 40, so that |u| has fallen below e^-40 of its value at m,
-far below the vector's rounding noise.  The state ends there: its grid
-holds the live rows and the first zero past them, or the whole grid when
-the live rows reach its end.  Quadrature observables for the converged
-states are provided as the reference side of every table comparison;
-every integral is one dot product with the Simpson weights of the
-state's own grid.
+converged vector stays a hard failure.  Otherwise (deep wells) the count
+runs on the full grid, to machine precision.  Cooley's corrector (Math.
+Comp. 15 (1961) 363) then moves the start to the eigenvalue of the
+4th-order Numerov equation, reading the residual at the outer classical
+turning point m of the vector that one LAPACK tridiagonal solve (dgtsv)
+of the Numerov system A(E) u = e_m returns (B. R. Johnson, J. Chem.
+Phys. 67 (1977) 4086); that vector is signed positive before its first
+node, like the closed forms.  The system holds only the live rows: those
+up to where the WKB decay action past m, at the start energy, reaches
+_LIVE_ACTION = 30, so that |u| has fallen below e^-30 (about 9e-14) of
+its value at m, the vector's own rounding noise.  The state ends there:
+its grid holds the live rows and the first zero past them, or the whole
+grid when the live rows reach its end.  Every integral over a converged
+state, the reference side of each table comparison, is one dot product
+with the Simpson weights of the state's own grid.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ _CORRECTOR_TOL = 1e-12     # converged step, relative to max(1, |E|)
 _CORRECTOR_MAX_ITER = 20
 _GUESS_STRIDE = 10         # grid stride of the Sturm count that guesses the start
 _GUESS_RESOLVED = 0.1      # largest resolution number rho at which the guess is the start
-_LIVE_ACTION = 40.0        # WKB decay action past the matching point beyond which u is 0
+_LIVE_ACTION = 30.0        # WKB decay action past the matching point beyond which u is 0
 
 
 @dataclass(frozen=True)
@@ -117,9 +117,7 @@ def _numerov_assemble(w, h, l, m):
                         overwrite_du=1, overwrite_b=1)
     if info != 0:
         raise NumericalFailure(f"LAPACK dgtsv failed on the Numerov system (info = {info})")
-    u = np.zeros(n)
-    u[start:] = x
-    return u
+    return np.concatenate((np.zeros(start), x))
 
 
 # ----------------------------------------------------------------------
@@ -146,17 +144,18 @@ def _match_index(w: np.ndarray) -> int:
 def _sturm_start(w0: np.ndarray, h: float, n: int) -> float:
     """Eigenvalue n of a 3-point Dirichlet matrix -D2 + diag(w0), the start.
 
-    A Sturm count on every _GUESS_STRIDE-th grid point (step H) gives a
-    guess.  Its resolution number rho = H^2 max(guess - w0) (n + 1) / 12
-    is the guess grid's relative error in the largest local kinetic
-    energy, scaled by the level spacing (about 1/(n + 1)); when rho is at
-    most _GUESS_RESOLVED the guess is returned.  This assumes w0 smooth
-    on the guess grid, as the three families are.  Otherwise, and when
-    the guess grid has no row n, the count runs on the full grid.
+    A Sturm count on every _GUESS_STRIDE-th grid point (step H), bisected
+    to 1e-10 of its 3-point scale 4/H^2, gives a guess.  Its resolution
+    number rho = H^2 max(guess - w0) (n + 1) / 12 is the guess grid's
+    relative error in the largest local kinetic energy, scaled by the
+    level spacing (about 1/(n + 1)); when rho is at most _GUESS_RESOLVED
+    the guess is returned.  This assumes w0 smooth on the guess grid, as
+    the three families are.  Otherwise, and when the guess grid has no
+    row n, the count runs on the full grid, to machine precision.
     """
     from scipy.linalg import eigh_tridiagonal
 
-    def eigenvalue(diag_w, step):
+    def eigenvalue(diag_w, step, rel_tol=0.0):
         # the Sturm count squares the entries; peak is the largest times step^2
         peak = float(np.max(np.abs(diag_w))) * step * step + 2.0
         if not peak < step * step * math.sqrt(sys.float_info.max):
@@ -166,12 +165,12 @@ def _sturm_start(w0: np.ndarray, h: float, n: int) -> float:
         diag = diag_w + 2.0 / (step * step)
         off = np.full(diag.shape[0] - 1, -1.0 / (step * step))
         return float(eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                                      select_range=(n, n))[0])
+                                      select_range=(n, n), tol=4 * rel_tol / step**2)[0])
 
     coarse = w0[_GUESS_STRIDE:-1:_GUESS_STRIDE]
     if coarse.shape[0] > n:
         step = _GUESS_STRIDE * h
-        guess = eigenvalue(coarse, step)
+        guess = eigenvalue(coarse, step, 1e-10)
         if step * step * float(np.max(guess - w0[1:])) * (n + 1) / 12.0 <= _GUESS_RESOLVED:
             return guess
     return eigenvalue(w0[1:-1], h)
@@ -206,7 +205,7 @@ def _simpson_weights(grid: np.ndarray) -> np.ndarray:
 def _live_end(w: np.ndarray, h: float, m: int) -> int:
     """End of the rows that carry the state: 4 rows past the first row
     beyond m where the WKB decay action of w reaches _LIVE_ACTION, capped
-    at the grid end.  There |u| < exp(-_LIVE_ACTION) of its value at m."""
+    at the grid end.  There |u| < exp(-_LIVE_ACTION) of u[m], rounding noise."""
     action = np.cumsum(np.sqrt(np.maximum(w[m:], 0.0))) * h
     return min(m + int(np.searchsorted(action, _LIVE_ACTION)) + 4, w.shape[0])
 
@@ -249,7 +248,7 @@ def _solve_on_grid(w0, grid, q, c, energy):
     if not norm > 0:
         raise NumericalFailure("degenerate norm after assembly")
     # the solve's sign is that of 1/(lambda - E); make u > 0 before its first node
-    return energy, u / math.copysign(math.sqrt(norm), u[np.flatnonzero(u)[0]])
+    return energy, u / math.copysign(math.sqrt(norm), next(x for x in u if x))
 
 
 def _interior_nodes(u: np.ndarray) -> int:
@@ -324,9 +323,12 @@ def numeric_observables(f: RadialFunction, v: PotentialModel) -> ObservableSet:
     powers[3] = powers[2] * r
     powers[4] = powers[2] * powers[2]
     r_mom = {k: float(wts[1:] @ (u2 * rk)) for k, rk in powers.items()}
+    psi0 = None
     # every integrand vanishes at the origin but u^2/r^2 -> u'(0)^2 for l = 0
     if f.q.l == 0:
-        r_mom[-2] += float(wts[0]) * f.slope_at_origin() ** 2
+        slope_sq = f.slope_at_origin() ** 2
+        r_mom[-2] += float(wts[0]) * slope_sq
+        psi0 = slope_sq / (4.0 * math.pi)
 
     # u^2 V -> 0 at the origin for all three families
     vv = v.v(r)
@@ -334,8 +336,5 @@ def numeric_observables(f: RadialFunction, v: PotentialModel) -> ObservableSet:
     mean_v = float(wts[1:] @ vu2)
     mean_v2 = float(wts[1:] @ (vu2 * vv))
     p2, p4 = p2_p4_from_potential(f.energy, mean_v, mean_v2, v.mass)
-    psi0 = None
-    if f.q.l == 0:
-        psi0 = f.slope_at_origin() ** 2 / (4.0 * math.pi)
     return ObservableSet(r_moments=r_mom, p2=p2, p4=p4, psi0_sq=psi0,
                          mean_h=f.energy)

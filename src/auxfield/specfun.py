@@ -70,26 +70,41 @@ def _u_v_coefficients(nmax=40):
     return u, v
 
 
-_UK, _VK = _u_v_coefficients()
+_UV = np.array(_u_v_coefficients())     # rows u_k and v_k
+
+
+def _asym_sums(zeta, rows, count, terms_at):
+    """Sums over k < count of (-1)^k terms_at(zeta, k), one per row.
+
+    An entry stops before its row-0 term grows (optimal truncation), or
+    once every term is below 2^-55 of its partial sum.  That is under a
+    quarter ulp, half the gap to either neighbour, so neither that term
+    nor any smaller later one changes the sum.  Stopped entries leave the
+    working arrays.
+    """
+    out = np.zeros((rows, zeta.size))
+    idx, z, part, prev = np.arange(zeta.size), zeta, out.copy(), np.inf
+    with np.errstate(over="ignore"):  # zeta**k = inf makes the term 0
+        for k in range(count):
+            terms = terms_at(z, k)
+            done = (terms[0] > prev) | np.all(
+                np.abs(terms) < 2.0 ** -55 * np.abs(part), axis=0)
+            if done.any():
+                out[:, idx[done]] = np.compress(done, part, axis=1)
+                idx, z = idx[~done], z[~done]
+                part, terms = np.compress(~done, part, axis=1), np.compress(~done, terms, axis=1)
+                if not idx.size:
+                    return out
+            part += (-1.0 if k % 2 else 1.0) * terms
+            prev = terms[0]
+    out[:, idx] = part
+    return out
 
 
 def _airy_asym_pos(x):
     """Asymptotic (Ai, Ai') for x >= 8, truncated at the smallest term."""
     zeta = (2.0 / 3.0) * x ** 1.5
-    s = np.zeros_like(x)
-    sp = np.zeros_like(x)
-    stop = np.zeros(x.shape, dtype=bool)
-    prev = np.full_like(x, np.inf)
-    with np.errstate(over="ignore"):  # zeta**k = inf makes the term 0
-        for k in range(_UK.size):
-            term = _UK[k] / zeta ** k
-            stop |= term > prev
-            if stop.all():
-                break
-            sgn = -1.0 if k % 2 else 1.0
-            s = np.where(stop, s, s + sgn * term)
-            sp = np.where(stop, sp, sp + sgn * _VK[k] / zeta ** k)
-            prev = term
+    s, sp = _asym_sums(zeta, 2, _UV.shape[1], lambda z, k: _UV[:, k, None] / z ** k)
     pref = np.exp(-zeta) / (2.0 * math.sqrt(math.pi))
     return pref * s / x ** 0.25, -pref * sp * x ** 0.25
 
@@ -98,24 +113,9 @@ def _airy_asym_neg(x):
     """Asymptotic (Ai, Ai') for x <= -8 (oscillatory phase form)."""
     z = -x
     zeta = (2.0 / 3.0) * z ** 1.5
-    pc = np.zeros_like(z)   # cos sum for Ai
-    ps = np.zeros_like(z)   # sin sum for Ai
-    rc = np.zeros_like(z)   # sin sum for Ai'
-    rs = np.zeros_like(z)   # cos sum for Ai'
-    stop = np.zeros(z.shape, dtype=bool)
-    prev = np.full_like(z, np.inf)
-    with np.errstate(over="ignore"):  # zeta**k = inf makes the term 0
-        for k in range(_UK.size // 2):
-            t_even = _UK[2 * k] / zeta ** (2 * k)
-            stop |= t_even > prev
-            if stop.all():
-                break
-            sgn = -1.0 if k % 2 else 1.0
-            pc = np.where(stop, pc, pc + sgn * t_even)
-            ps = np.where(stop, ps, ps + sgn * _UK[2 * k + 1] / zeta ** (2 * k + 1))
-            rc = np.where(stop, rc, rc + sgn * _VK[2 * k] / zeta ** (2 * k))
-            rs = np.where(stop, rs, rs + sgn * _VK[2 * k + 1] / zeta ** (2 * k + 1))
-            prev = t_even
+    # the cos and sin sums for Ai (pc, ps) and the sin and cos sums for Ai' (rc, rs)
+    pc, rc, ps, rs = _asym_sums(zeta, 4, _UV.shape[1] // 2, lambda zt, k: np.concatenate(
+        (_UV[:, 2 * k, None] / zt ** (2 * k), _UV[:, 2 * k + 1, None] / zt ** (2 * k + 1))))
     arg = zeta - 0.25 * math.pi
     root_pi = math.sqrt(math.pi)
     ai = (np.cos(arg) * pc + np.sin(arg) * ps) / (root_pi * z ** 0.25)

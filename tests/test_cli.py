@@ -431,6 +431,26 @@ print(json.dumps({"codes": codes, "closed_form": closed_form,
 """
 
 
+_QUADRATURE_SCRIPT = """
+import json, math, sys
+import numpy as np
+import auxfield
+from auxfield.exact import linear_s_observables, linear_s_state
+v = auxfield.PotentialModel.linear()
+state = linear_s_state(v.m, v.a, 1)
+grid = np.linspace(0.0, 20.0, 4001)
+u = math.sqrt(4.0 * math.pi) * grid * state.wavefunction(grid)
+f = auxfield.RadialFunction(grid=grid, values=u, energy=state.energy,
+                            q=auxfield.QuantumNumbers(1, 0))
+obs = auxfield.numeric_observables(f, v)
+exact = linear_s_observables(v.m, v.a, 1)
+print(json.dumps({"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "norm": auxfield.numeric_overlap(f, f),
+                  "r1": [obs.r_moments[1], exact.r_moments[1]],
+                  "psi0": [obs.psi0_sq, exact.psi0_sq]}))
+"""
+
+
 class TestColdStart:
     def test_closed_form_commands_do_not_import_scipy(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -446,3 +466,17 @@ class TestColdStart:
         assert rec["overlap"] == pytest.approx(1.0, rel=1e-12)
         # Numerov eigenvalue of linear (0, 0) on 2000 points
         assert rec["energy"] == pytest.approx(2.3381074103757413, rel=1e-12)
+
+    def test_quadrature_of_a_given_state_does_not_import_scipy(self):
+        # only solve_radial loads scipy.linalg: numeric_observables and
+        # numeric_overlap of a hand-built state (the exact linear (1, 0)
+        # state on 4001 points) need numpy alone
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", _QUADRATURE_SCRIPT], check=True,
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        rec = json.loads(proc.stdout)
+        assert rec["scipy"] == []
+        assert rec["norm"] == pytest.approx(1.0, rel=1e-12)
+        assert rec["r1"][0] == pytest.approx(rec["r1"][1], rel=1e-10)
+        assert rec["psi0"][0] == pytest.approx(rec["psi0"][1], rel=1e-7)
