@@ -46,6 +46,7 @@ _CORRECTOR_TOL = 1e-12     # converged step, relative to max(1, |E|)
 _CORRECTOR_MAX_ITER = 20
 _GUESS_STRIDE = 10         # grid stride of the Sturm count that guesses the start
 _GUESS_RESOLVED = 0.1      # largest resolution number rho at which the guess is the start
+_GUESS_TOL = 1e-10         # bisection tolerance of the guess, relative to its 3-point scale 4/H^2
 _LIVE_ACTION = 30.0        # WKB decay action past the matching point beyond which u is 0
 
 
@@ -145,7 +146,7 @@ def _sturm_start(w0: np.ndarray, h: float, n: int) -> float:
     """Eigenvalue n of a 3-point Dirichlet matrix -D2 + diag(w0), the start.
 
     A Sturm count on every _GUESS_STRIDE-th grid point (step H), bisected
-    to 1e-10 of its 3-point scale 4/H^2, gives a guess.  Its resolution
+    to _GUESS_TOL of its 3-point scale 4/H^2, gives a guess.  Its resolution
     number rho = H^2 max(guess - w0) (n + 1) / 12 is the guess grid's
     relative error in the largest local kinetic energy, scaled by the
     level spacing (about 1/(n + 1)); when rho is at most _GUESS_RESOLVED
@@ -170,7 +171,7 @@ def _sturm_start(w0: np.ndarray, h: float, n: int) -> float:
     coarse = w0[_GUESS_STRIDE:-1:_GUESS_STRIDE]
     if coarse.shape[0] > n:
         step = _GUESS_STRIDE * h
-        guess = eigenvalue(coarse, step, 1e-10)
+        guess = eigenvalue(coarse, step, _GUESS_TOL)
         if step * step * float(np.max(guess - w0[1:])) * (n + 1) / 12.0 <= _GUESS_RESOLVED:
             return guess
     return eigenvalue(w0[1:-1], h)

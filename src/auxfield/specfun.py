@@ -76,29 +76,20 @@ _UV = np.array(_u_v_coefficients())     # rows u_k and v_k
 def _asym_sums(zeta, rows, count, terms_at):
     """Sums over k < count of (-1)^k terms_at(zeta, k), one per row.
 
-    An entry stops before its row-0 term grows (optimal truncation), or
-    once every term is below 2^-55 of its partial sum.  That is under a
-    quarter ulp, half the gap to either neighbour, so neither that term
-    nor any smaller later one changes the sum.  Stopped entries leave the
-    working arrays.
+    An entry stops before its row-0 term grows (optimal truncation).
     """
-    out = np.zeros((rows, zeta.size))
-    idx, z, part, prev = np.arange(zeta.size), zeta, out.copy(), np.inf
+    sums = np.zeros((rows, zeta.size))
+    stop = np.zeros(zeta.size, dtype=bool)
+    prev = np.inf
     with np.errstate(over="ignore"):  # zeta**k = inf makes the term 0
         for k in range(count):
-            terms = terms_at(z, k)
-            done = (terms[0] > prev) | np.all(
-                np.abs(terms) < 2.0 ** -55 * np.abs(part), axis=0)
-            if done.any():
-                out[:, idx[done]] = np.compress(done, part, axis=1)
-                idx, z = idx[~done], z[~done]
-                part, terms = np.compress(~done, part, axis=1), np.compress(~done, terms, axis=1)
-                if not idx.size:
-                    return out
-            part += (-1.0 if k % 2 else 1.0) * terms
+            terms = terms_at(zeta, k)
+            stop |= terms[0] > prev
+            if stop.all():
+                break
+            sums = np.where(stop, sums, sums + (-1.0 if k % 2 else 1.0) * terms)
             prev = terms[0]
-    out[:, idx] = part
-    return out
+    return sums
 
 
 def _airy_asym_pos(x):
