@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Tuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .afm import AfmSolution, PotentialModel
 from .errors import DomainError, NumericalFailure, QuadratureFailure
@@ -81,14 +81,18 @@ def _density_cutoff(sol: AfmSolution, q: QuantumNumbers) -> float:
     return math.sqrt(45.0 + 25.0 * q.n + 8.0 * q.l) / lam
 
 
-_GL_NODES, _GL_WEIGHTS = leggauss(24)
+@cache
+def _gauss_legendre_24():
+    from numpy.polynomial.legendre import leggauss  # on first use: not at import
+    return leggauss(24)
 
 
 def _composite_gauss_legendre(f, panels: int) -> float:
     """Integral of the vectorized f over [0, 1] by ``panels`` equal
     panels of the 24-node Gauss-Legendre rule."""
-    t = ((np.arange(panels)[:, None] + 0.5 * (_GL_NODES + 1.0)) / panels).ravel()
-    return 0.5 / panels * float(np.dot(np.tile(_GL_WEIGHTS, panels), f(t)))
+    nodes, weights = _gauss_legendre_24()
+    t = ((np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)) / panels).ravel()
+    return 0.5 / panels * float(np.dot(np.tile(weights, panels), f(t)))
 
 
 def mean_potential(v: PotentialModel, sol: AfmSolution, q: QuantumNumbers) -> float:

@@ -23,14 +23,18 @@ its value at m, the vector's own rounding noise.  The state ends there:
 its grid holds the live rows and the first zero past them, or the whole
 grid when the live rows reach its end.  Every integral over a converged
 state, the reference side of each table comparison, is one dot product
-with the Simpson weights of the state's own grid.
+with the Simpson weights of the state's own grid.  Both LAPACK routines,
+dstebz and dgtsv, are called directly from scipy's f2py extension, which
+_lapack loads without the import-heavy scipy.linalg package.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass, field
+from importlib import machinery, util
 from typing import Optional
 
 import numpy as np
@@ -48,6 +52,20 @@ _GUESS_STRIDE = 10         # grid stride of the Sturm count that guesses the sta
 _GUESS_RESOLVED = 0.1      # largest resolution number rho at which the guess is the start
 _GUESS_TOL = 1e-10         # bisection tolerance of the guess, relative to its 3-point scale 4/H^2
 _LIVE_ACTION = 30.0        # WKB decay action past the matching point beyond which u is 0
+
+
+def _lapack():
+    """scipy's f2py LAPACK extension without scipy.linalg's __init__, whose
+    array-API layer imports numpy.f2py, numpy.testing and numpy's other lazy
+    submodules (about 0.1 s and 23 MB per process, none of it used here).
+    Registered under its own name, so a later `import scipy.linalg` reuses it."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        import scipy  # cheap: scipy's own __init__ and distributor hook
+        spec = machinery.PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "linalg")])
+        sys.modules[name] = util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
 @dataclass(frozen=True)
@@ -78,8 +96,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.r_max is not None and not (self.r_max > 0 and math.isfinite(self.r_max)):
             raise DomainError("r_max must be positive and finite")
-        if self.grid_points < 2000:
-            raise DomainError("grid_points must be >= 2000")
+        if not 2000 <= self.grid_points <= 2_000_000:
+            raise DomainError("grid_points must be between 2000 and 2000000")
 
 
 # ----------------------------------------------------------------------
@@ -95,8 +113,6 @@ def _numerov_assemble(w, h, l, m):
     last row is the decaying tail u[n-2] = exp(kappa h) u[n-1].  One
     LAPACK dgtsv call solves the system.
     """
-    from scipy.linalg.lapack import dgtsv
-
     n = w.shape[0]
     c = h * h / 12.0
     coarse = np.nonzero(c * w[1:m + 1] > 0.5)[0]
@@ -114,8 +130,8 @@ def _numerov_assemble(w, h, l, m):
     dl[-1] = 1.0
     rhs = np.zeros(n - start)
     rhs[m - start] = 1.0
-    *_, x, info = dgtsv(dl, d, du[1:], rhs, overwrite_dl=1, overwrite_d=1,
-                        overwrite_du=1, overwrite_b=1)
+    *_, x, info = _lapack().dgtsv(dl, d, du[1:], rhs, overwrite_dl=1, overwrite_d=1,
+                                 overwrite_du=1, overwrite_b=1)
     if info != 0:
         raise NumericalFailure(f"LAPACK dgtsv failed on the Numerov system (info = {info})")
     return np.concatenate((np.zeros(start), x))
@@ -152,9 +168,11 @@ def _sturm_start(w0: np.ndarray, h: float, n: int) -> float:
     level spacing (about 1/(n + 1)); when rho is at most _GUESS_RESOLVED
     the guess is returned.  This assumes w0 smooth on the guess grid, as
     the three families are.  Otherwise, and when the guess grid has no
-    row n, the count runs on the full grid, to machine precision.
+    row n, the count runs on the full grid, to machine precision.  Each
+    count is one direct LAPACK dstebz call (range 2, il = iu = n + 1, order
+    E); the overflow check, which also rejects non-finite w0, is its input check.
     """
-    from scipy.linalg import eigh_tridiagonal
+    dstebz = _lapack().dstebz
 
     def eigenvalue(diag_w, step, rel_tol=0.0):
         # the Sturm count squares the entries; peak is the largest times step^2
@@ -165,8 +183,11 @@ def _sturm_start(w0: np.ndarray, h: float, n: int) -> float:
                 f"{peak:.3g}/step^2, whose squares overflow in the Sturm count")
         diag = diag_w + 2.0 / (step * step)
         off = np.full(diag.shape[0] - 1, -1.0 / (step * step))
-        return float(eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                                      select_range=(n, n), tol=4 * rel_tol / step**2)[0])
+        m, w, *_, info = dstebz(diag, off, 2, 0.0, 1.0, n + 1, n + 1,
+                                tol=4 * rel_tol / step**2, order="E")
+        if info != 0 or m != 1:
+            raise NumericalFailure(f"LAPACK dstebz failed (info = {info}, m = {m})")
+        return float(w[0])
 
     coarse = w0[_GUESS_STRIDE:-1:_GUESS_STRIDE]
     if coarse.shape[0] > n:

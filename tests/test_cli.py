@@ -403,7 +403,7 @@ _COLD_SCRIPT = """
 import contextlib, io, json, sys
 import auxfield
 from auxfield import cli
-codes = []
+codes, polynomial = [], []
 for argv in (["--help-units"],
              ["solve", "linear", "coulomb", "2", "1"],
              ["solve", "linear", "quadratic", "0", "3"],
@@ -415,16 +415,21 @@ for argv in (["--help-units"],
              ["wavefunction", "linear", "exact", "1", "0"],
              ["wavefunction", "exp", "coulomb", "0", "0", "--k", "20"],
              ["solve", "exp", "quadratic", "0", "0", "--k", "2"]):
+    polynomial.append(any(m.startswith("numpy.polynomial") for m in sys.modules))
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(argv))
 closed_form = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+polynomial.append(any(m.startswith("numpy.polynomial") for m in sys.modules))
 f = auxfield.solve_radial(auxfield.PotentialModel.linear(),
                           auxfield.QuantumNumbers(0, 0),
                           auxfield.SolverConfig(grid_points=2000))
 auxfield.numeric_observables(f, auxfield.PotentialModel.linear())
 overlap = auxfield.numeric_overlap(f, f)
 print(json.dumps({"codes": codes, "closed_form": closed_form,
-                  "oracle_loads_scipy": "scipy.linalg" in sys.modules,
+                  "polynomial": polynomial,
+                  "oracle_modules": [m in sys.modules for m in (
+                      "scipy.linalg._flapack", "scipy.linalg", "scipy._lib._array_api",
+                      "numpy.f2py")],
                   "integrate": sorted(m for m in sys.modules
                                       if m.startswith("scipy.integrate")),
                   "energy": f.energy, "overlap": overlap}))
@@ -451,6 +456,34 @@ print(json.dumps({"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "
 """
 
 
+_IMPORT_ORDER_SCRIPT = """
+import json, sys
+import numpy as np
+import auxfield
+from auxfield import oracle
+def solve():
+    return auxfield.solve_radial(auxfield.PotentialModel.linear(),
+                                 auxfield.QuantumNumbers(0, 0),
+                                 auxfield.SolverConfig(grid_points=2000)).energy
+if sys.argv[1] == "oracle-first":
+    energy = solve()
+    import scipy.linalg
+else:
+    import scipy.linalg
+    energy = solve()
+import scipy.linalg.lapack
+flapack = sys.modules["scipy.linalg._flapack"]
+# the tridiagonal system 2 x0 + x1 = 3, x0 + 2 x1 + x2 = 4, x1 + 2 x2 = 3
+*_, x, info = scipy.linalg.lapack.dgtsv(np.ones(2), np.full(3, 2.0), np.ones(2),
+                                        np.array([3.0, 4.0, 3.0]))
+print(json.dumps({"energy": energy,
+                  "shared": [oracle._lapack() is flapack,
+                             scipy.linalg.lapack._flapack is flapack,
+                             scipy.linalg.lapack.dgtsv is flapack.dgtsv],
+                  "dgtsv": [x.tolist(), info]}))
+"""
+
+
 class TestColdStart:
     def test_closed_form_commands_do_not_import_scipy(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -460,7 +493,12 @@ class TestColdStart:
         rec = json.loads(proc.stdout)
         assert rec["codes"] == [0] * 10 + [2]
         assert rec["closed_form"] == []
-        assert rec["oracle_loads_scipy"]
+        # numpy.polynomial (the Gauss-Legendre nodes) loads on the first
+        # log or exp <V> quadrature: not at import, --help-units or solve linear
+        assert rec["polynomial"] == [False] * 4 + [True] * 8
+        # the oracle loads scipy's LAPACK extension alone, not the
+        # scipy.linalg package with its array-API layer and numpy.f2py
+        assert rec["oracle_modules"] == [True, False, False, False]
         # the oracle and numeric_overlap integrate without scipy.integrate
         assert rec["integrate"] == []
         assert rec["overlap"] == pytest.approx(1.0, rel=1e-12)
@@ -480,3 +518,16 @@ class TestColdStart:
         assert rec["norm"] == pytest.approx(1.0, rel=1e-12)
         assert rec["r1"][0] == pytest.approx(rec["r1"][1], rel=1e-10)
         assert rec["psi0"][0] == pytest.approx(rec["psi0"][1], rel=1e-7)
+
+    @pytest.mark.parametrize("order", ["oracle-first", "scipy-first"])
+    def test_oracle_and_scipy_linalg_share_one_lapack_module(self, order):
+        # the oracle's LAPACK extension is the one scipy.linalg uses, in
+        # either import order, and scipy.linalg.lapack keeps working
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_ORDER_SCRIPT, order],
+                              check=True, capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        rec = json.loads(proc.stdout)
+        assert rec["shared"] == [True, True, True]
+        assert rec["dgtsv"] == [[1.0, 1.0, 1.0], 0]
+        assert rec["energy"] == pytest.approx(2.3381074103757413, rel=1e-12)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -151,6 +152,12 @@ class TestConvergenceAndConfig:
             SolverConfig(grid_points=100)
         with pytest.raises(DomainError):
             SolverConfig(r_max=-1.0)
+        # an oversized grid is refused before anything is allocated
+        # (1e8 points used to run 45 s before failing)
+        for points in (2_000_001, 100_000_000):
+            with pytest.raises(DomainError, match="2000000"):
+                SolverConfig(grid_points=points)
+        assert SolverConfig(grid_points=2_000_000).grid_points == 2_000_000
 
     def test_l1_origin_row_has_no_grid_error(self):
         # same r_max with a 4x finer step: the l = 1 row at the origin
@@ -309,17 +316,20 @@ def traced_start(monkeypatch):
 
     An entry holds the start's value, the interior rows of its grid and
     the rows it bisected on that grid (``fine``) and on the stride-10
-    guess grid (``guess``).
+    guess grid (``guess``).  Each bisection is one dstebz call, intercepted
+    where the oracle gets its LAPACK module, so that scipy's own
+    eigh_tridiagonal, the tests' reference, stays untraced.
     """
-    import scipy.linalg
+    lapack = oracle._lapack()
+    dstebz = lapack.dstebz
     shipped = oracle._sturm_start
     log = []
 
-    def bisect(d, e, **kwargs):
+    def bisect(d, e, *args, **kwargs):
         # the off-diagonal is -1/step^2: the grid's own step or the guess's
         entry = log[-1]
         entry["fine" if -e[0] * entry["h"] ** 2 > 0.5 else "guess"].append(d.shape[0])
-        return eigh_tridiagonal(d, e, **kwargs)
+        return dstebz(d, e, *args, **kwargs)
 
     def start(w0, h, n):
         entry = {"h": h, "grid_rows": w0.shape[0] - 2, "fine": [], "guess": []}
@@ -327,7 +337,8 @@ def traced_start(monkeypatch):
         entry["value"] = shipped(w0, h, n)
         return entry["value"]
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", bisect)
+    monkeypatch.setattr(oracle, "_lapack", lambda: SimpleNamespace(
+        dgtsv=lapack.dgtsv, dstebz=bisect))
     monkeypatch.setattr(oracle, "_sturm_start", start)
     return log
 
@@ -446,52 +457,66 @@ def test_tolerant_guess_keeps_its_level_and_decisions(monkeypatch):
     # eigenvalue; it must lie within that tolerance of the machine-precision
     # guess, still be eigenvalue n of its grid, and lead to the same
     # resolution-gate and bound-state decisions; the full-grid count keeps
-    # LAPACK's machine-precision default
-    import scipy.linalg
+    # LAPACK's machine-precision default.  Every count is one dstebz call
+    # with eigh_tridiagonal's arguments (range 2, il = iu = n + 1, order E),
+    # intercepted where the oracle gets its LAPACK module
+    lapack = oracle._lapack()
+    dstebz = lapack.dstebz
     shipped = oracle._sturm_start
-    calls, starts = [], []
+    calls, starts, starts_with_guess = [], [], []
 
-    def bisect(d, e, **kwargs):
-        calls.append((d, e, kwargs))
-        return eigh_tridiagonal(d, e, **kwargs)
+    def bisect(d, e, rng, vl, vu, il, iu, tol, order):
+        out = dstebz(d, e, rng, vl, vu, il, iu, tol, order)
+        calls.append((d, e, (rng, vl, vu, il, iu, order), tol, out))
+        return out
 
-    def machine_precision(d, e, tol=0.0, **kwargs):
-        return eigh_tridiagonal(d, e, **kwargs)
+    def machine_precision(d, e, rng, vl, vu, il, iu, tol, order):
+        return dstebz(d, e, rng, vl, vu, il, iu, 0.0, order)
 
     def start(w0, h, n):
         del calls[:]
         value = shipped(w0, h, n)
-        guesses = [c for c in calls if c[2]["tol"] > 0.0]
-        assert len(guesses) <= 1 and all(c[2]["tol"] == 0.0 for c in calls[len(guesses):])
+        assert calls
+        for *_, select, _, _ in calls:
+            assert select == (2, 0.0, 1.0, n + 1, n + 1, "E"), (n, select)
+        guesses = [c for c in calls if c[3] > 0.0]
+        assert len(guesses) <= 1 and all(c[3] == 0.0 for c in calls[len(guesses):])
         tol = 0.0
         if guesses:
-            [(d, e, kwargs)] = guesses
-            tol = kwargs["tol"]
+            [(d, e, _, tol, out)] = guesses
             assert tol == pytest.approx(-4e-10 * e[0], rel=1e-12)  # e = -1/H^2
             lo, hi = max(n - 1, 0), min(n + 1, d.shape[0] - 1)
             lam = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
                                    select_range=(lo, hi))
-            guess = float(eigh_tridiagonal(d, e, **kwargs)[0])
+            guess = float(out[1][0])
+            # the direct call gives what eigh_tridiagonal gives at that tolerance
+            assert guess == float(eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                                   select_range=(n, n), tol=tol)[0])
             assert abs(guess - lam[n - lo]) <= tol, (n, guess, lam)
             assert all(guess > x for x in lam[:n - lo]), (n, guess, lam)
             assert all(guess < x for x in lam[n - lo + 1:]), (n, guess, lam)
+            starts_with_guess.append(n)
         with monkeypatch.context() as exact:
-            exact.setattr(scipy.linalg, "eigh_tridiagonal", machine_precision)
+            exact.setattr(oracle, "_lapack", lambda: SimpleNamespace(
+                dgtsv=lapack.dgtsv, dstebz=machine_precision))
             reference = shipped(w0, h, n)
         # the gate takes the same branch: the guess, or the same full-grid start
         assert abs(value - reference) <= tol, (n, value, reference)
         starts.append((value, reference))
         return value
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", bisect)
+    monkeypatch.setattr(oracle, "_lapack", lambda: SimpleNamespace(
+        dgtsv=lapack.dgtsv, dstebz=bisect))
     monkeypatch.setattr(oracle, "_sturm_start", start)
     states = [(family, k or None, n, l, SolverConfig().grid_points)
               for family, k, n, l in TABLE_STATE_ENERGIES] + _start_states()
     for family, k, n, l, points in states:
         v = PotentialModel.from_name(family, k)
-        del starts[:]
+        del starts[:], starts_with_guess[:]
         _solve_outcome(v, QuantumNumbers(n, l), SolverConfig(grid_points=points))
         assert starts, (family, k, n, l, points)
+        # n <= 10 on at least 2000 points: every start has a stride-10 guess
+        assert len(starts_with_guess) == len(starts), (family, k, n, l, points)
         if v.continuum_threshold is not None:
             for value, reference in starts:
                 c = v.kinetic_2m
