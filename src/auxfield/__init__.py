@@ -15,8 +15,8 @@ from .errors import (AuxFieldError, DomainError, NoBoundState,
 from .exact import (HydrogenScale, ObservableSet, OscillatorScale,
                     QuantumNumbers, hydrogen_observables, linear_s_observables,
                     linear_s_state, oscillator_observables)
-from .observables import (EckartInput, afm_observable_set, eckart_bound,
-                          mean_hamiltonian, p2_p4_from_potential)
+from .observables import (afm_observable_set, eckart_bound, mean_hamiltonian,
+                          p2_p4_from_potential)
 from .oracle import RadialFunction, SolverConfig, numeric_observables, solve_radial
 from .overlaps import (afm_pair_overlap, numeric_overlap, overlap_hydrogen_dilated,
                        overlap_oscillator_dilated, sample_radial)
@@ -35,7 +35,7 @@ __all__ = [
     "HydrogenScale", "ObservableSet", "OscillatorScale", "QuantumNumbers",
     "hydrogen_observables", "linear_s_observables", "linear_s_state",
     "oscillator_observables",
-    "EckartInput", "afm_observable_set", "eckart_bound", "mean_hamiltonian",
+    "afm_observable_set", "eckart_bound", "mean_hamiltonian",
     "p2_p4_from_potential",
     "RadialFunction", "SolverConfig", "numeric_observables", "solve_radial",
     "afm_pair_overlap", "numeric_overlap",

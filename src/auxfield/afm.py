@@ -392,21 +392,16 @@ def tangent_check(v: PotentialModel, kind: AuxiliaryKind, sol: AfmSolution,
     value_gap = abs(float(v_tilde(r0) - v.v(r0)))
     slope_gap = abs(float(nu0 * kind.p_prime(r0) - v.v_prime(r0)))
 
-    expect = None
-    if sol.bound is Bound.LOWER:
-        expect = -1.0
-    elif sol.bound is Bound.UPPER:
-        expect = 1.0
-    elif sol.bound is Bound.CONDITIONAL and sol.condition_met:
-        expect = -1.0
+    # sign of V~ - V on r > 0: a conditional bound is a lower one when met
+    expect = {Bound.LOWER: -1.0, Bound.UPPER: 1.0,
+              Bound.CONDITIONAL: -1.0 if sol.condition_met else None}[sol.bound]
     violations = 0
     if expect is not None:
-        for r in r_samples:
-            if r <= 0:
-                continue
-            diff = float(v_tilde(r) - v.v(r))
-            if expect * diff < -1e-10 * max(1.0, abs(v.v(r))):
-                violations += 1
+        r = np.asarray(r_samples, dtype=float)
+        r = r[r > 0]
+        v_r = v.v(r)
+        violations = int(np.count_nonzero(
+            expect * (v_tilde(r) - v_r) < -1e-10 * np.maximum(1.0, np.abs(v_r))))
 
     # dE/dnu = <P>_nu - P(I(nu)) because V'(I) = nu P'(I); the slope gap
     # already holds r0 at I(nu0), so extremality is <P>_nu0 = P(r0)

@@ -75,12 +75,14 @@ class OscillatorScale:
             raise DomainError("lambda must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObservableSet:
     """Bundle of radial moments and momentum moments for one state.
 
     ``r_moments`` maps the integer exponent k to <r^k>; ``psi0_sq`` is
-    |psi(0)|^2 and is present only for l = 0 states.
+    |psi(0)|^2 and is present only for l = 0 states.  ``mean_h`` is the
+    eigenvalue of an exact or oracle set and None for a trial set, whose
+    <H> comes from ``observables.mean_hamiltonian``.
     """
 
     r_moments: Dict[int, float]

@@ -1,12 +1,13 @@
-"""Observables of AFM trial states: moment sets, <H> re-evaluation,
-the virial <p^2>/<p^4> and Eckart overlap bounds."""
+"""Observables of AFM trial states: moment sets, the trial <H> (formed
+only by ``mean_hamiltonian``), the virial <p^2>/<p^4> and the Eckart
+bound (E1^L - <H>)/(E1^U - E0^L), one formula for B_E (exact E0, E1)
+and B'_E (AFM bounds on them)."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -17,7 +18,6 @@ from .exact import (HydrogenScale, ObservableSet, QuantumNumbers,
                     oscillator_observables, oscillator_radial)
 
 __all__ = [
-    "EckartInput",
     "afm_observable_set",
     "trial_radial",
     "mean_hamiltonian",
@@ -27,42 +27,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EckartInput:
-    """Energies feeding the Eckart overlap bounds.
-
-    ``e0``/``e1`` are the exact ground and first-excited energies (for
-    B_E); ``e1`` doubles as the lower bound on E_1 when the coarser
-    bound B'_E is requested together with ``e1_upper`` and ``e0_lower``.
-    """
-
-    h_trial: float
-    e0: Optional[float] = None
-    e1: Optional[float] = None
-    e1_upper: Optional[float] = None
-    e0_lower: Optional[float] = None
-
-
 def afm_observable_set(v: PotentialModel, sol: AfmSolution,
                        q: QuantumNumbers) -> ObservableSet:
-    """Moment set of the AFM trial state behind ``sol``.
-
-    <H> = <p^2>/(2m) + <V> is filled in when the model gives <V> in
-    closed form (the linear family); the other families get it from
-    ``mean_hamiltonian``.
-    """
+    """Moment set of the AFM trial state behind ``sol`` (``mean_h`` is
+    None: the trial <H> comes from ``mean_hamiltonian``)."""
     try:
         if isinstance(sol.scale, HydrogenScale):
-            obs = hydrogen_observables(sol.scale, q)
-        else:
-            obs = oscillator_observables(sol.scale, q)
+            return hydrogen_observables(sol.scale, q)
+        return oscillator_observables(sol.scale, q)
     except OverflowError as exc:
         raise NumericalFailure(
             "moments of the trial state are non-finite in double precision") from exc
-    mean_v = v.trial_mean_v(obs)
-    if mean_v is not None:
-        obs.mean_h = obs.p2 / v.kinetic_2m + mean_v
-    return obs
 
 
 def trial_radial(sol: AfmSolution, q: QuantumNumbers):
@@ -123,12 +98,14 @@ def mean_potential(v: PotentialModel, sol: AfmSolution, q: QuantumNumbers) -> fl
 
 def mean_hamiltonian(v: PotentialModel, sol: AfmSolution,
                      q: QuantumNumbers) -> float:
-    """<H> of the trial state: kinetic part from closed forms, potential
-    part analytic for the linear family and by quadrature otherwise."""
+    """<H> = <p^2>/(2m) + <V> of the trial state: <p^2> in closed form,
+    <V> from ``v.trial_mean_v`` where the family has it (linear) and by
+    quadrature otherwise."""
     obs = afm_observable_set(v, sol, q)
-    if obs.mean_h is not None:
-        return obs.mean_h
-    return obs.p2 / v.kinetic_2m + mean_potential(v, sol, q)
+    mean_v = v.trial_mean_v(obs)
+    if mean_v is None:
+        mean_v = mean_potential(v, sol, q)
+    return obs.p2 / v.kinetic_2m + mean_v
 
 
 def p2_p4_from_potential(energy: float, mean_v: float, mean_v2: float,
@@ -139,22 +116,15 @@ def p2_p4_from_potential(energy: float, mean_v: float, mean_v2: float,
     return p2, p4
 
 
-def eckart_bound(inp: EckartInput) -> Tuple[Optional[float], Optional[float]]:
-    """Eckart lower bounds (B_E, B'_E) on the squared ground-state overlap.
+def eckart_bound(h_trial: float, e1_lower: float, e1_upper: float,
+                 e0_lower: float) -> float:
+    """Eckart lower bound (E1^L - <H>)/(E1^U - E0^L) on the squared
+    ground-state overlap of a trial state with energy ``h_trial``.
 
-    Either bound may come out negative (vacuous); values are returned
-    unclamped.  Bounds whose inputs are missing are returned as None.
+    Exact E0, E1 (E1^L = E1^U = E1) give B_E; bounds on them give B'_E.
+    The value is unclamped: a negative bound is vacuous.
     """
-    b_e = None
-    b_e_prime = None
-    if inp.e0 is not None and inp.e1 is not None:
-        denom = inp.e1 - inp.e0
-        if denom == 0.0:
-            raise DomainError("degenerate E1 - E0 in the Eckart bound")
-        b_e = (inp.e1 - inp.h_trial) / denom
-    if inp.e1 is not None and inp.e1_upper is not None and inp.e0_lower is not None:
-        denom = inp.e1_upper - inp.e0_lower
-        if denom == 0.0:
-            raise DomainError("degenerate E1^U - E0^L in the Eckart bound")
-        b_e_prime = (inp.e1 - inp.h_trial) / denom
-    return b_e, b_e_prime
+    denom = e1_upper - e0_lower
+    if denom == 0.0:
+        raise DomainError("degenerate E1^U - E0^L in the Eckart bound")
+    return (e1_lower - h_trial) / denom

@@ -24,7 +24,7 @@ from .errors import AuxFieldError, DomainError, NoBoundState
 from .exact import QuantumNumbers, linear_s_observables, linear_s_state
 from .oracle import RadialFunction, SolverConfig, numeric_observables, solve_radial
 
-__all__ = ["TABLE_IDS", "golden", "build_table", "format_rows",
+__all__ = ["TABLE_IDS", "Row", "golden", "build_table", "format_rows",
            "oracle_state", "linear_exact_function", "afm_trial_function",
            "linear_afm_overlap_sq", "sample_psi", "wavefunction_samples"]
 
@@ -139,7 +139,7 @@ def _obs_ratios(kind: AuxiliaryKind, n: int) -> Dict[str, float]:
         "r4": obs.r_moments[4] / ref.r_moments[4],
         "p2": obs.p2 / ref.p2,
         "p4": obs.p4 / ref.p4,
-        "mean_h": obs.mean_h / energy,
+        "mean_h": observables.mean_hamiltonian(v, sol, q) / energy,
         "eps": sol.energy / energy,
     }
 
@@ -195,13 +195,11 @@ def _build_eckart() -> Tuple[List[str], List[Row]]:
         kind = _KINDS[trial_key[:2]]
         sol = afm_solve(v, kind, q0)
         h_trial = observables.mean_hamiltonian(v, sol, q0)
-        b_e, _ = observables.eckart_bound(
-            observables.EckartInput(h_trial=h_trial, e0=e0, e1=e1))
         # B'_E only sees the AFM two-sided bounds, not the exact energies
-        _, b_e_prime = observables.eckart_bound(observables.EckartInput(
-            h_trial=h_trial, e1=eps1_hy, e1_upper=eps1_ho, e0_lower=eps0_hy))
         values = {"overlap": linear_afm_overlap_sq(trial_key[:2], 0),
-                  "b_e": b_e, "b_e_prime": b_e_prime}
+                  "b_e": observables.eckart_bound(h_trial, e1, e1, e0),
+                  "b_e_prime": observables.eckart_bound(h_trial, eps1_hy,
+                                                        eps1_ho, eps0_hy)}
         for col in ("overlap", "b_e", "b_e_prime"):
             rows.append(Row({"trial": trial_key, "column": col}, values[col],
                             gold[trial_key][col], 0.003))

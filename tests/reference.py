@@ -9,6 +9,8 @@ the oracle's Numerov system on every row it is given, through scipy's
 band-storage solver.  ``power_law_moments`` steps the generalized virial
 recurrence and ``psi0_from_force`` gives |psi(0)|^2 from the mean
 force, two relations the observables are checked against.
+``tangent_sign_violations`` counts the AFM tangent's sign violations one
+sample at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Dict, Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
+from auxfield.afm import Bound
 from auxfield.errors import DomainError, NumericalFailure
 from auxfield.exact import HydrogenScale, OscillatorScale, QuantumNumbers
 from auxfield.specfun import WBranch, lambert_w
@@ -228,3 +231,19 @@ def power_law_moments(lambda_exp: float, a: float, m: float, energy: float,
 def psi0_from_force(m: float, mean_vprime: float) -> float:
     """|psi(0)|^2 of an l = 0 state from the mean force, m <V'> / (2 pi)."""
     return m * mean_vprime / (2.0 * math.pi)
+
+
+def tangent_sign_violations(v, kind, sol, r_samples) -> Optional[int]:
+    """Samples r > 0 where V~ = nu0 P + offset lies on the wrong side of V
+    for the bound direction; None when no side is expected (a conditional
+    bound whose condition is not met)."""
+    if sol.bound is Bound.CONDITIONAL and not sol.condition_met:
+        return None
+    expect = 1.0 if sol.bound is Bound.UPPER else -1.0
+    count = 0
+    for r in r_samples:
+        if r > 0:
+            diff = float(sol.nu0 * kind.p(r) + sol.offset - v.v(r))
+            if expect * diff < -1e-10 * max(1.0, abs(float(v.v(r)))):
+                count += 1
+    return count

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 from functools import lru_cache
@@ -13,7 +14,8 @@ from auxfield.errors import DomainError, NoBoundState, NumericalFailure
 from auxfield.exact import (HydrogenScale, OscillatorScale, QuantumNumbers,
                             hydrogen_observables, oscillator_observables)
 from auxfield.specfun import WBranch, lambert_w
-from reference import hydrogen_r_moment, oscillator_r_moment, solve_w_power
+from reference import (hydrogen_r_moment, oscillator_r_moment, solve_w_power,
+                       tangent_sign_violations)
 
 LINEAR = PotentialModel.linear()
 LOG = PotentialModel.logarithmic()
@@ -216,6 +218,24 @@ class TestConsistencyIdentities:
         report = tangent_check(v, kind, off, r * np.linspace(0.1, 3.0, 9))
         assert not report.ok, report
         assert report.extremality_residual >= 1e-6
+
+    def test_sign_violations_match_the_per_sample_loop(self):
+        # every bound direction, a conditional one met or not, on the
+        # tangent and on it shifted up and down so that samples violate;
+        # a 1e-9 shift is within the tolerance only where |V| > 10
+        total = 0
+        for v, kind, q, sol in _solutions(ALL_MODELS, n_max=2, l_max=2):
+            samples = sol.r0 * np.linspace(0.0, 4.0, 17)
+            for bound, met, shift in itertools.product(
+                    Bound, (True, False), (0.0, 1e-9, -1e-9, 1e-3, -1e-3)):
+                s = replace(sol, bound=bound, condition_met=met,
+                            offset=sol.offset + shift)
+                want = tangent_sign_violations(v, kind, s, samples)
+                report = tangent_check(v, kind, s, samples)
+                assert report.sign_checked == (want is not None)
+                assert report.sign_violations == (want or 0)
+                total += want or 0
+        assert total > 0
 
     @pytest.mark.parametrize("kind", list(AuxiliaryKind))
     def test_exp_mean_point_closed_form(self, kind):

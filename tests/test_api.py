@@ -2,6 +2,7 @@
 
 import csv
 import importlib
+import inspect
 import io
 import json
 import math
@@ -26,6 +27,29 @@ def test_every_exported_name_resolves(name):
     assert len(set(exported)) == len(exported), f"{name}.__all__ repeats a name"
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def _star_exports(module):
+    """The names ``from module import *`` binds: ``__all__``, else every public name."""
+    return getattr(module, "__all__", None) or [n for n in vars(module)
+                                                if not n.startswith("_")]
+
+
+@pytest.mark.parametrize("name", [f"auxfield.{m}" for m in _MODULES])
+def test_every_public_definition_is_exported(name):
+    module = importlib.import_module(name)
+    defined = [n for n, obj in vars(module).items() if not n.startswith("_")
+               and (inspect.isclass(obj) or inspect.isfunction(obj))
+               and obj.__module__ == name]
+    unlisted = sorted(set(defined) - set(_star_exports(module)))
+    assert not unlisted, f"{name} defines public names missing from __all__: {unlisted}"
+
+
+def test_package_names_are_exported_by_their_modules():
+    for n in auxfield.__all__:
+        home = getattr(getattr(auxfield, n), "__module__", "")
+        if home.startswith("auxfield."):
+            assert n in _star_exports(importlib.import_module(home)), (n, home)
 
 
 def test_readme_library_example_runs(capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
 from auxfield import observables
@@ -9,7 +11,7 @@ from auxfield.afm import AuxiliaryKind, PotentialModel, afm_solve
 from auxfield.errors import DomainError, NoBoundState, QuadratureFailure
 from auxfield.exact import (QuantumNumbers, hydrogen_observables,
                             linear_s_observables)
-from auxfield.observables import (EckartInput, afm_observable_set, eckart_bound,
+from auxfield.observables import (afm_observable_set, eckart_bound,
                                   mean_hamiltonian, mean_potential,
                                   p2_p4_from_potential, trial_radial)
 from auxfield.specfun import airy_zero
@@ -203,8 +205,7 @@ class TestP2P4:
 
 class TestEckart:
     def test_exact_trial_gives_one(self):
-        b_e, _ = eckart_bound(EckartInput(h_trial=1.0, e0=1.0, e1=2.0))
-        assert b_e == 1.0
+        assert eckart_bound(1.0, 2.0, 2.0, 1.0) == 1.0
 
     def test_published_values(self):
         e0 = abs(airy_zero(0))
@@ -216,33 +217,52 @@ class TestEckart:
         eps1_ho = afm_solve(LINEAR, AuxiliaryKind.QUADRATIC, QuantumNumbers(1, 0)).energy
         h_hy = mean_hamiltonian(LINEAR, sol_hy, q)
         h_ho = mean_hamiltonian(LINEAR, sol_ho, q)
-        b_e, _ = eckart_bound(EckartInput(h_trial=h_hy, e0=e0, e1=e1))
-        assert b_e == pytest.approx(0.896, abs=5e-4)
-        _, b_e_p = eckart_bound(EckartInput(
-            h_trial=h_hy, e1=eps1_hy, e1_upper=eps1_ho, e0_lower=sol_hy.energy))
-        assert b_e_p == pytest.approx(0.195, abs=5e-4)
-        b_e, _ = eckart_bound(EckartInput(h_trial=h_ho, e0=e0, e1=e1))
-        assert b_e == pytest.approx(0.995, abs=5e-4)
-        _, b_e_p = eckart_bound(EckartInput(
-            h_trial=h_ho, e1=eps1_hy, e1_upper=eps1_ho, e0_lower=sol_hy.energy))
-        assert b_e_p == pytest.approx(0.265, abs=5e-4)
+        assert eckart_bound(h_hy, e1, e1, e0) == pytest.approx(0.896, abs=5e-4)
+        assert eckart_bound(h_hy, eps1_hy, eps1_ho, sol_hy.energy) == pytest.approx(
+            0.195, abs=5e-4)
+        assert eckart_bound(h_ho, e1, e1, e0) == pytest.approx(0.995, abs=5e-4)
+        assert eckart_bound(h_ho, eps1_hy, eps1_ho, sol_hy.energy) == pytest.approx(
+            0.265, abs=5e-4)
 
     def test_monotone_in_trial_energy(self):
-        values = [eckart_bound(EckartInput(h_trial=h, e0=1.0, e1=3.0))[0]
-                  for h in np.linspace(2.8, 1.0, 12)]
+        values = [eckart_bound(h, 3.0, 3.0, 1.0) for h in np.linspace(2.8, 1.0, 12)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_vacuous_bound_returned_unclamped(self):
-        b_e, _ = eckart_bound(EckartInput(h_trial=5.0, e0=1.0, e1=2.0))
-        assert b_e < 0.0
+        assert eckart_bound(5.0, 2.0, 2.0, 1.0) < 0.0
 
     def test_degenerate_denominator(self):
         with pytest.raises(DomainError):
-            eckart_bound(EckartInput(h_trial=1.0, e0=2.0, e1=2.0))
+            eckart_bound(1.0, 2.0, 2.0, 2.0)
 
-    def test_missing_inputs_give_none(self):
-        b_e, b_e_p = eckart_bound(EckartInput(h_trial=1.0))
-        assert b_e is None and b_e_p is None
+    @given(st.floats(-100.0, 100.0), st.floats(0.01, 100.0),
+           st.lists(st.floats(0.0, 100.0), min_size=4, max_size=4))
+    def test_bounded_energies_never_beat_the_exact_bound(self, e0, gap, slack):
+        # <H> <= E1^L <= E1 <= E1^U and E0^L <= E0 < E1 give B'_E <= B_E
+        e1 = e0 + gap
+        e1_lower, e1_upper, e0_lower = e1 - slack[0], e1 + slack[1], e0 - slack[2]
+        h_trial = e1_lower - slack[3]
+        assert (eckart_bound(h_trial, e1_lower, e1_upper, e0_lower)
+                <= eckart_bound(h_trial, e1, e1, e0))
+
+
+class TestTrialHamiltonian:
+    @pytest.mark.parametrize("v", [LINEAR, LOG, PotentialModel.exponential(20.0)],
+                             ids=["linear", "log", "exp20"])
+    @pytest.mark.parametrize("kind", list(AuxiliaryKind), ids=lambda k: k.value)
+    def test_trial_moment_set_carries_no_mean_h(self, v, kind):
+        q = QuantumNumbers(0, 1)
+        assert afm_observable_set(v, afm_solve(v, kind, q), q).mean_h is None
+
+    @pytest.mark.parametrize("kind", list(AuxiliaryKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("n", range(3))
+    def test_linear_mean_hamiltonian_is_p2_over_2m_plus_a_r(self, kind, n):
+        # the six states of the obs-hy and obs-ho tables
+        q = QuantumNumbers(n, 0)
+        sol = afm_solve(LINEAR, kind, q)
+        obs = afm_observable_set(LINEAR, sol, q)
+        want = obs.p2 / (2.0 * LINEAR.m) + LINEAR.a * obs.r_moments[1]
+        assert mean_hamiltonian(LINEAR, sol, q) == want
 
 
 class TestPsi0FromForce:

@@ -161,6 +161,24 @@ class TestAgainstMpmath:
         assert np.max(np.abs(v - ref_v) / np.abs(ref_v)) <= 1e-13
         assert np.max(np.abs(d - ref_d) / np.abs(ref_d)) <= 1e-13
 
+    @pytest.mark.parametrize("x", [8.0, 8.0001, 8.5, 9.3, 12.0, 40.0])
+    def test_airy_asymptotic_branch_within_docstring_bounds(self, x):
+        # the fixed 32-term series is the optimal truncation at |x| = 8
+        # and tighter beyond: 4e-14 relative for x > 0, 3e-14 of the
+        # envelope for x < 0; a scalar gives the bits of a 1-element array
+        v, d = airy_ai(x)
+        assert abs(v - _mp(mpmath.airyai, x)) <= 4e-14 * abs(_mp(mpmath.airyai, x))
+        ref_d = _mp(mpmath.airyai, x, derivative=1)
+        assert abs(d - ref_d) <= 4e-14 * abs(ref_d)
+        v, d = airy_ai(-x)
+        ref_v, ref_d = _mp(mpmath.airyai, -x), _mp(mpmath.airyai, -x, derivative=1)
+        env = math.hypot(ref_v, ref_d / math.sqrt(x))
+        assert abs(v - ref_v) <= 3e-14 * env
+        assert abs(d - ref_d) <= 3e-14 * env * math.sqrt(x)
+        for xi in (x, -x):
+            array = airy_ai(np.array([xi]))
+            assert airy_ai(xi) == (array.value[0], array.derivative[0])
+
     def test_airy_zeros(self):
         for n in range(31):
             with mpmath.workdps(40):
