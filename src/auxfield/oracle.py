@@ -21,11 +21,11 @@ up to where the WKB decay action past m, at the start energy, reaches
 _LIVE_ACTION = 30, so that |u| has fallen below e^-30 (about 9e-14) of
 its value at m, the vector's own rounding noise.  The state ends there:
 its grid holds the live rows and the first zero past them, or the whole
-grid when the live rows reach its end.  Every integral over a converged
-state, the reference side of each table comparison, is one dot product
-with the Simpson weights of the state's own grid.  Both LAPACK routines,
-dstebz and dgtsv, are called directly from scipy's f2py extension, which
-_lapack loads without the import-heavy scipy.linalg package.
+grid when the live rows reach its end.  Its eight moments, the reference
+side of each table comparison, are one product with the density wts u^2,
+wts the Simpson weights of its grid.  Both LAPACK routines, dstebz and
+dgtsv, are called directly from scipy's f2py extension, which _lapack
+loads without the import-heavy scipy.linalg package.
 """
 
 from __future__ import annotations
@@ -121,20 +121,20 @@ def _numerov_assemble(w, h, l, m):
         raise NumericalFailure(
             f"h = {h:.3g} is too coarse: h^2 w/12 > 1/2 at the matching point")
     cw = c * w[start:]
-    d = -2.0 - 10.0 * cw                 # -b[i] on the diagonal
     du = 1.0 - cw                        # a[i+1] above it, from du[1:]
     dl = du[:-1].copy()                  # a[i-1] below it
+    d = np.subtract(-2.0, np.multiply(10.0, cw, out=cw), out=cw)   # -b[i], in cw's buffer
     if start == 1 and l == 1:
         d[0] -= 1.0 / 6.0                # a[0] u[0] -> -u[1]/6 for u ~ C r^2
     d[-1] = -math.exp(math.sqrt(max(w[n - 1], 1e-30)) * h)
     dl[-1] = 1.0
-    rhs = np.zeros(n - start)
-    rhs[m - start] = 1.0
-    *_, x, info = _lapack().dgtsv(dl, d, du[1:], rhs, overwrite_dl=1, overwrite_d=1,
-                                 overwrite_du=1, overwrite_b=1)
+    u = np.zeros(n)
+    u[m] = 1.0                           # dgtsv overwrites the tail u[start:] with x
+    *_, info = _lapack().dgtsv(dl, d, du[1:], u[start:], overwrite_dl=1, overwrite_d=1,
+                               overwrite_du=1, overwrite_b=1)
     if info != 0:
         raise NumericalFailure(f"LAPACK dgtsv failed on the Numerov system (info = {info})")
-    return np.concatenate((np.zeros(start), x))
+    return u
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +228,9 @@ def _live_end(w: np.ndarray, h: float, m: int) -> int:
     """End of the rows that carry the state: 4 rows past the first row
     beyond m where the WKB decay action of w reaches _LIVE_ACTION, capped
     at the grid end.  There |u| < exp(-_LIVE_ACTION) of u[m], rounding noise."""
-    action = np.cumsum(np.sqrt(np.maximum(w[m:], 0.0))) * h
+    action = np.maximum(w[m:], 0.0)
+    np.cumsum(np.sqrt(action, out=action), out=action)
+    action *= h
     return min(m + int(np.searchsorted(action, _LIVE_ACTION)) + 4, w.shape[0])
 
 
@@ -255,7 +257,7 @@ def _solve_on_grid(w0, grid, q, c, energy):
     live = _live_end(w, h, m)
     w0 = w0[:live]
     for _ in range(_CORRECTOR_MAX_ITER):
-        w = w0 - c * energy
+        w = np.subtract(w0, c * energy, out=w[:live])
         u = _numerov_assemble(w, h, q.l, m)
         y = (1.0 - h * h * w[m - 1:m + 2] / 12.0) * u[m - 1:m + 2]
         resid = (y[2] - 2.0 * y[1] + y[0]) / (h * h) - w[m] * u[m]
@@ -270,7 +272,7 @@ def _solve_on_grid(w0, grid, q, c, energy):
     if not norm > 0:
         raise NumericalFailure("degenerate norm after assembly")
     # the solve's sign is that of 1/(lambda - E); make u > 0 before its first node
-    return energy, u / math.copysign(math.sqrt(norm), next(x for x in u if x))
+    return energy, np.divide(u, math.copysign(math.sqrt(norm), next(x for x in u if x)), out=u)
 
 
 def _interior_nodes(u: np.ndarray) -> int:
@@ -325,7 +327,7 @@ def solve_radial(v: PotentialModel, q: QuantumNumbers,
 
 def numeric_observables(f: RadialFunction, v: PotentialModel) -> ObservableSet:
     """Simpson moments, virial <p^2>/<p^4> and |psi(0)|^2 for an oracle state,
-    each one dot product with the Simpson weights of the state's grid."""
+    the eight integrals one product with the density u^2 times Simpson weights."""
     grid, u = f.grid, f.values
     # extrapolated probability mass beyond the grid end
     r_end = float(grid[-1])
@@ -339,12 +341,16 @@ def numeric_observables(f: RadialFunction, v: PotentialModel) -> ObservableSet:
 
     wts = _simpson_weights(grid)
     r = grid[1:]
-    u2 = u[1:] * u[1:]
-    inv = 1.0 / r
-    powers = {-2: inv * inv, -1: inv, 1: r, 2: r * r}
-    powers[3] = powers[2] * r
-    powers[4] = powers[2] * powers[2]
-    r_mom = {k: float(wts[1:] @ (u2 * rk)) for k, rk in powers.items()}
+    density = u[1:] * u[1:]
+    density *= wts[1:]            # wts u^2 off the origin, where u^2 V -> 0 for all three families
+    rows = np.empty((8, r.shape[0]))                  # r^-2, r^-1, r .. r^4, V, V^2
+    rows[1], rows[2], rows[6] = 1.0 / r, r, v.v(r)
+    np.multiply(rows[1], rows[1], out=rows[0])
+    np.multiply(rows[2], rows[2], out=rows[3])
+    np.multiply(rows[3], rows[2:4], out=rows[4:6])
+    np.multiply(rows[6], rows[6], out=rows[7])
+    moments = (rows @ density).tolist()
+    r_mom = dict(zip((-2, -1, 1, 2, 3, 4), moments[:6]))
     psi0 = None
     # every integrand vanishes at the origin but u^2/r^2 -> u'(0)^2 for l = 0
     if f.q.l == 0:
@@ -352,11 +358,6 @@ def numeric_observables(f: RadialFunction, v: PotentialModel) -> ObservableSet:
         r_mom[-2] += float(wts[0]) * slope_sq
         psi0 = slope_sq / (4.0 * math.pi)
 
-    # u^2 V -> 0 at the origin for all three families
-    vv = v.v(r)
-    vu2 = u2 * vv
-    mean_v = float(wts[1:] @ vu2)
-    mean_v2 = float(wts[1:] @ (vu2 * vv))
-    p2, p4 = p2_p4_from_potential(f.energy, mean_v, mean_v2, v.mass)
+    p2, p4 = p2_p4_from_potential(f.energy, moments[6], moments[7], v.mass)
     return ObservableSet(r_moments=r_mom, p2=p2, p4=p4, psi0_sq=psi0,
                          mean_h=f.energy)

@@ -153,6 +153,6 @@ def numeric_overlap(f: RadialFunction, g: RadialFunction) -> float:
     Both functions must be sampled on the same grid; raises DomainError
     otherwise.
     """
-    if not (f.grid.shape == g.grid.shape and np.array_equal(f.grid, g.grid)):
+    if f.grid is not g.grid and not np.array_equal(f.grid, g.grid):
         raise DomainError("numeric_overlap needs both functions on one grid")
     return float(_simpson_weights(f.grid) @ (f.values * g.values))

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import observables, overlaps
 from .afm import AuxiliaryKind, PotentialModel, afm_solve
-from .errors import AuxFieldError, DomainError, NoBoundState
+from .errors import AuxFieldError, DomainError, NoBoundState, NumericalFailure
 from .exact import QuantumNumbers, linear_s_observables, linear_s_state
 from .oracle import RadialFunction, SolverConfig, numeric_observables, solve_radial
 
@@ -356,7 +356,9 @@ def _fmt(x) -> str:
 
 
 def format_rows(header: List[str], rows: List[Row], fmt: str) -> str:
-    """Render a built table as CSV or JSON text (deterministic)."""
+    """Render a built table as CSV or JSON text (deterministic).  The JSON is
+    strict, a non-finite value raising NumericalFailure, and json's C encoder
+    output re-indented to json.dumps(payload, indent=1, sort_keys=True), byte for byte."""
     with_golden = any(r.published is not None or r.tol is not None for r in rows)
     if fmt == "csv":
         lines = []
@@ -379,5 +381,12 @@ def format_rows(header: List[str], rows: List[Row], fmt: str) -> str:
             if with_golden:
                 rec.update(computed=r.computed, published=r.published, diff=r.diff, ok=r.ok)
             payload.append(rec)
-        return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+        try:
+            text = json.dumps(payload, sort_keys=True, allow_nan=False, separators=(",\n  ", ": "))
+        except ValueError:
+            raise NumericalFailure("non-finite value in the table") from None
+        if payload:  # escaped strings hold no raw newline, so "},\n  {" is a record join
+            text = ("[\n {\n  " + text[2:-2].replace("},\n  {", "\n },\n {\n  ")
+                    + "\n }\n]").replace("{\n  \n }", "{}")
+        return text + "\n"
     raise ValueError(f"unknown format {fmt!r}")

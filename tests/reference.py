@@ -10,7 +10,8 @@ band-storage solver.  ``power_law_moments`` steps the generalized virial
 recurrence and ``psi0_from_force`` gives |psi(0)|^2 from the mean
 force, two relations the observables are checked against.
 ``tangent_sign_violations`` counts the AFM tangent's sign violations one
-sample at a time.
+sample at a time.  ``numeric_observables_per_moment`` integrates an oracle
+state's moments one Simpson dot product at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from scipy.linalg import solve_banded
 
 from auxfield.afm import Bound
 from auxfield.errors import DomainError, NumericalFailure
-from auxfield.exact import HydrogenScale, OscillatorScale, QuantumNumbers
+from auxfield.exact import HydrogenScale, ObservableSet, OscillatorScale, QuantumNumbers
+from auxfield.observables import p2_p4_from_potential
+from auxfield.oracle import _simpson_weights
 from auxfield.specfun import WBranch, lambert_w
 
 
@@ -247,3 +250,30 @@ def tangent_sign_violations(v, kind, sol, r_samples) -> Optional[int]:
             if expect * diff < -1e-10 * max(1.0, abs(float(v.v(r)))):
                 count += 1
     return count
+
+
+def numeric_observables_per_moment(f, v) -> ObservableSet:
+    """``oracle.numeric_observables`` with each moment, <V> and <V^2> its
+    own dot product of the Simpson weights with u^2 times the integrand
+    (no tail-mass check)."""
+    grid, u = f.grid, f.values
+    wts = _simpson_weights(grid)
+    r = grid[1:]
+    u2 = u[1:] * u[1:]
+    inv = 1.0 / r
+    powers = {-2: inv * inv, -1: inv, 1: r, 2: r * r}
+    powers[3] = powers[2] * r
+    powers[4] = powers[2] * powers[2]
+    r_mom = {k: float(wts[1:] @ (u2 * rk)) for k, rk in powers.items()}
+    psi0 = None
+    if f.q.l == 0:
+        slope_sq = f.slope_at_origin() ** 2
+        r_mom[-2] += float(wts[0]) * slope_sq
+        psi0 = slope_sq / (4.0 * math.pi)
+    vv = v.v(r)
+    vu2 = u2 * vv
+    mean_v = float(wts[1:] @ vu2)
+    mean_v2 = float(wts[1:] @ (vu2 * vv))
+    p2, p4 = p2_p4_from_potential(f.energy, mean_v, mean_v2, v.mass)
+    return ObservableSet(r_moments=r_mom, p2=p2, p4=p4, psi0_sq=psi0,
+                         mean_h=f.energy)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from auxfield import cli
+from auxfield import cli, tables
 from auxfield.afm import LinearPotential, PotentialModel
 from auxfield.cli import main
 from auxfield.exact import QuantumNumbers
@@ -124,6 +124,16 @@ class TestTable:
         rows = _strict_loads(out)
         assert rows
         assert all(type(r["ok"]) is bool for r in rows if "ok" in r)
+
+    def test_non_finite_cell_exits_70_in_json_and_prints_in_csv(self, monkeypatch, capsys):
+        row = tables.Row({"trial": "hy0", "column": "overlap"}, math.nan, "0.99", 0.003)
+        monkeypatch.setitem(tables._BUILDERS, "eckart", lambda: (["trial", "column"], [row]))
+        code, out, err = _run(capsys, "table", "eckart", "--format", "json")
+        assert (code, out) == (70, "")
+        assert err == "auxfield: numeric failure: non-finite value in the table\n"
+        code, out, _ = _run(capsys, "table", "eckart")
+        assert (code, out) == (0, "trial,column,computed,published,diff,ok\n"
+                                  "hy0,overlap,nan,0.99,nan,false\n")
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "t.csv"
@@ -402,7 +412,7 @@ class TestBoundaries:
 _COLD_SCRIPT = """
 import contextlib, io, json, sys
 import auxfield
-from auxfield import cli
+from auxfield import cli, tables
 codes, polynomial = [], []
 for argv in (["--help-units"],
              ["solve", "linear", "coulomb", "2", "1"],

@@ -13,6 +13,8 @@ from auxfield.oracle import (RadialFunction, SolverConfig, numeric_observables,
                              solve_radial)
 from auxfield.specfun import airy_zero
 from auxfield.tables import oracle_state
+import reference
+from auxfield.observables import p2_p4_from_potential
 from reference import numerov_assemble_banded
 
 LINEAR = PotentialModel.linear()
@@ -538,6 +540,95 @@ def test_corrector_assemblies_on_table_states(monkeypatch):
     for family, k, n, l in TABLE_STATE_ENERGIES:
         solve_radial(*_table_state(family, k, n, l))
     assert len(calls) <= 130
+
+
+def test_assembly_solves_its_numerov_system_in_place(monkeypatch):
+    # dgtsv writes the solution into the tail of the vector it returns; were
+    # that right-hand side ever copied, the vector would silently stay e_m
+    assemble = oracle._numerov_assemble
+    checked = []
+
+    def checked_assemble(w, h, l, m):
+        u = assemble(w, h, l, m)
+        n, c = w.shape[0], h * h / 12.0
+        coarse = np.nonzero(c * w[1:m + 1] > 0.5)[0]
+        start = int(coarse[-1]) + 2 if coarse.size else 1
+        assert not u[:start].any(), (h, l, m)
+        a, b = 1.0 - c * w, 2.0 + 10.0 * c * w
+        if start == 1 and l == 1:
+            b[1] += 1.0 / 6.0
+        i = np.arange(start, n - 1)
+        terms = np.stack((a[i - 1] * u[i - 1], -b[i] * u[i], a[i + 1] * u[i + 1]))
+        delta = (i == m).astype(float)
+        scale = np.abs(terms).sum(axis=0) + delta
+        assert np.all(np.abs(terms.sum(axis=0) - delta) <= 1e-12 * scale), (h, l, m)
+        tail = (u[n - 2], -math.exp(math.sqrt(max(w[n - 1], 1e-30)) * h) * u[n - 1])
+        assert abs(sum(tail)) <= 1e-12 * sum(map(abs, tail)), (h, l, m)
+        checked.append(m)
+        return u
+
+    monkeypatch.setattr(oracle, "_numerov_assemble", checked_assemble)
+    for family, k, n, l in TABLE_STATE_ENERGIES:
+        solve_radial(*_table_state(family, k, n, l))
+    assert len(checked) >= len(TABLE_STATE_ENERGIES)
+
+
+def _moment_sets(monkeypatch, f, v):
+    """The eight integrals of f, with its p2 and p4, from the shipped
+    product and from the per-moment reference; <V> and <V^2> as each
+    passes them to the virial relations."""
+    passed = []
+
+    def virial(energy, mean_v, mean_v2, m):
+        passed.append({"V": mean_v, "V2": mean_v2})
+        return p2_p4_from_potential(energy, mean_v, mean_v2, m)
+
+    monkeypatch.setattr(oracle, "p2_p4_from_potential", virial)
+    monkeypatch.setattr(reference, "p2_p4_from_potential", virial)
+    sets = []
+    for observables in (numeric_observables, reference.numeric_observables_per_moment):
+        obs = observables(f, v)
+        sets.append({**obs.r_moments, **passed.pop(), "p2": obs.p2, "p4": obs.p4,
+                     "psi0": obs.psi0_sq})
+    return sets
+
+
+def _assert_fused_moments_match(monkeypatch, f, v, case):
+    """Each of the eight integrals within 1e-14 relative of the reference;
+    p2 and p4, which the virial relations form from E, <V> and <V^2> with
+    cancellation, within 1e-14 of the size of their terms."""
+    got, ref = _moment_sets(monkeypatch, f, v)
+    assert got["psi0"] == ref["psi0"], case
+    for key in (-2, -1, 1, 2, 3, 4, "V", "V2"):
+        assert abs(got[key] - ref[key]) <= 1e-14 * abs(ref[key]), (case, key)
+    e, c = f.energy, 2.0 * v.mass
+    terms = {"p2": c * (abs(e) + abs(ref["V"])),
+             "p4": c * c * (e * e + 2.0 * abs(e * ref["V"]) + ref["V2"])}
+    for key, size in terms.items():
+        assert abs(got[key] - ref[key]) <= 1e-14 * size, (case, key)
+    return got, ref
+
+
+def test_fused_moments_match_per_moment_on_table_states(monkeypatch):
+    for key in TABLE_STATE_ENERGIES:
+        v = _table_state(*key)[0]
+        got, ref = _assert_fused_moments_match(
+            monkeypatch, oracle_state(*_table_state(*key))[0], v, key)
+        for name in ("p2", "p4"):
+            assert abs(got[name] - ref[name]) <= 1e-14 * abs(ref[name]), (key, name)
+
+
+def test_fused_moments_match_per_moment_on_drawn_states(monkeypatch):
+    families = set()
+    for family, k, n, l, points in _draws(20261021, 90):
+        v, q = PotentialModel.from_name(family, k), QuantumNumbers(n, l)
+        try:
+            f = solve_radial(v, q, SolverConfig(grid_points=points))
+        except AuxFieldError:
+            continue
+        _assert_fused_moments_match(monkeypatch, f, v, (family, k, n, l, points))
+        families.add(family)
+    assert families == {"linear", "log", "exp"}
 
 
 def test_table_assemblies_solve_only_live_rows(monkeypatch):

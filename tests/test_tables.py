@@ -1,0 +1,84 @@
+"""Table serialization: the JSON encoder against json's indented one, strict
+JSON, and a snapshot of every table cell but the ``diff`` column.
+
+A change that moves a 4-digit cell on purpose rewrites the snapshot with
+``PYTHONPATH=src python tests/test_tables.py`` and names the cell in
+CHANGES.md.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from auxfield import tables
+from auxfield.errors import NumericalFailure
+from auxfield.tables import TABLE_IDS, Row, build_table, format_rows
+
+SNAPSHOTS = Path(__file__).resolve().parent / "snapshots"
+
+
+def _payload(rows):
+    """The records format_rows serializes: the labels, and the golden
+    columns when any row of the table has a published value or tolerance."""
+    graded = any(r.published is not None or r.tol is not None for r in rows)
+    return [dict(r.labels, **({"computed": r.computed, "published": r.published,
+                               "diff": r.diff, "ok": r.ok} if graded else {}))
+            for r in rows]
+
+
+@pytest.mark.parametrize("table_id", TABLE_IDS)
+def test_json_is_indented_dumps_byte_for_byte(table_id):
+    header, rows = build_table(table_id)
+    expected = json.dumps(_payload(rows), indent=1, sort_keys=True) + "\n"
+    assert format_rows(header, rows, "json") == expected
+
+
+def test_json_of_no_rows():
+    assert format_rows(["n"], [], "json") == json.dumps([], indent=1) + "\n"
+
+
+_TEXT = st.one_of(st.text(max_size=8),
+                  st.sampled_from(["\n", '"', "},\n  {", "{\n  \n }", "ψ(0)²", "r ≥ 0"]))
+_VALUE = st.one_of(_TEXT, st.integers(), st.booleans(), st.none(),
+                   st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([-0.0, 1e308, -1e308, 5e-324]))
+
+
+@given(st.lists(st.dictionaries(_TEXT, _VALUE, max_size=5), max_size=5))
+def test_json_of_flat_records_is_indented_dumps(records):
+    rows = [Row(rec, None, None, None) for rec in records]
+    assert format_rows([], rows, "json") == json.dumps(records, indent=1, sort_keys=True) + "\n"
+
+
+def test_non_finite_value_is_a_numeric_failure(monkeypatch):
+    for bad in (math.nan, math.inf):
+        row = Row({"trial": "hy0", "column": "overlap"}, bad, "0.99", 0.003)
+        with pytest.raises(NumericalFailure):
+            format_rows(["trial", "column"], [row], "json")
+        assert format_rows(["trial", "column"], [row], "csv").splitlines()[1].startswith(
+            f"hy0,overlap,{bad},0.99,")
+
+
+def _cells(table_id):
+    """The table's CSV without its diff column: every computed, published
+    and ok cell, or the whole of a table with no published values."""
+    header, rows = build_table(table_id)
+    lines = [line.split(",") for line in format_rows(header, rows, "csv").splitlines()]
+    if "diff" in lines[0]:
+        col = lines[0].index("diff")
+        lines = [line[:col] + line[col + 1:] for line in lines]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("table_id", TABLE_IDS)
+def test_table_cells_match_the_snapshot(table_id):
+    assert _cells(table_id) == (SNAPSHOTS / f"{table_id}.csv").read_text()
+
+
+if __name__ == "__main__":
+    for table_id in TABLE_IDS:
+        (SNAPSHOTS / f"{table_id}.csv").write_text(_cells(table_id))
