@@ -27,7 +27,7 @@ import numpy as np
 from . import observables, tables
 from .afm import AuxiliaryKind, PotentialModel, afm_solve
 from .errors import DomainError, NoBoundState, NumericalFailure
-from .exact import HydrogenScale, QuantumNumbers
+from .exact import QuantumNumbers
 from .oracle import SolverConfig, numeric_observables, solve_radial
 
 EX_OK = 0
@@ -92,9 +92,8 @@ def _cmd_solve(args) -> int:
         "l": args.l,
         "nu0": sol.nu0,
         "r0": sol.r0,
-        "scale_kind": "eta" if isinstance(sol.scale, HydrogenScale) else "lambda",
-        "scale": (sol.scale.eta if isinstance(sol.scale, HydrogenScale)
-                  else sol.scale.lam),
+        "scale_kind": sol.scale.label,
+        "scale": sol.scale.value,
         "energy": sol.energy,
         "offset": sol.offset,
         "bound": sol.bound.value,

@@ -1,17 +1,18 @@
 """Closed-form solutions for the three solvable reference systems.
 
-Linear-potential S states (Airy), hydrogen-like systems and harmonic
-oscillators, with their moment sets; every <r^k> of both trial bases
-is one Laguerre moment sum.  All radial evaluators return the reduced
-radial part normalized as integral(R^2 r^2 dr) = 1; spherical harmonics
-are dropped throughout.
+Linear-potential S states (Airy), and the hydrogen-like and oscillator
+trial states, each owned by its scale class (``HydrogenScale``,
+``OscillatorScale``): radial function, moment set and density cutoff.
+Every <r^k> of both bases is one Laguerre moment sum, and both radial
+functions come from one weighted-Laguerre evaluator, normalized as
+integral(R^2 r^2 dr) = 1; spherical harmonics are dropped throughout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, ClassVar, Dict, Optional
 
 import numpy as np
 
@@ -50,32 +51,6 @@ class QuantumNumbers:
 
 
 @dataclass(frozen=True)
-class HydrogenScale:
-    """Inverse-length scale eta of a hydrogen-like family."""
-
-    eta: float
-
-    def __post_init__(self):
-        if not self.eta > 0.0:
-            raise DomainError("eta must be positive")
-
-    def gamma(self, q: QuantumNumbers) -> float:
-        """Per-state decay constant eta / (n + l + 1)."""
-        return self.eta / (q.n + q.l + 1)
-
-
-@dataclass(frozen=True)
-class OscillatorScale:
-    """Inverse-length scale lambda of a harmonic-oscillator family."""
-
-    lam: float
-
-    def __post_init__(self):
-        if not self.lam > 0.0:
-            raise DomainError("lambda must be positive")
-
-
-@dataclass(frozen=True)
 class ObservableSet:
     """Bundle of radial moments and momentum moments for one state.
 
@@ -90,6 +65,72 @@ class ObservableSet:
     p4: float
     psi0_sq: Optional[float] = None
     mean_h: Optional[float] = None
+
+
+@dataclass(frozen=True)
+class HydrogenScale:
+    """Inverse-length scale eta of a hydrogen-like family."""
+
+    eta: float
+    label: ClassVar[str] = "eta"
+
+    def __post_init__(self):
+        if not self.eta > 0.0:
+            raise DomainError("eta must be positive")
+
+    @property
+    def value(self) -> float:
+        return self.eta
+
+    def gamma(self, q: QuantumNumbers) -> float:
+        """Per-state decay constant eta / (n + l + 1)."""
+        return self.eta / (q.n + q.l + 1)
+
+    def radial(self, q: QuantumNumbers):
+        """Normalized radial function R(r), in x = 2 gamma r."""
+        n, l = q.n, q.l
+        gam = self.gamma(q)
+        log_norm = 1.5 * math.log(2.0 * gam) + 0.5 * (
+            math.lgamma(n + 1.0) - math.log(2.0 * (n + l + 1))
+            - math.lgamma(n + 2 * l + 2.0))
+        return _laguerre_radial(n, 2 * l + 1, l, log_norm, 2.0 * gam, False)
+
+    def moments(self, q: QuantumNumbers) -> ObservableSet:
+        return hydrogen_observables(self, q)
+
+    def cutoff(self, q: QuantumNumbers) -> float:
+        """Radius beyond which the trial density is < ~1e-14 of its peak."""
+        return (40.0 + 14.0 * q.n + 6.0 * q.l) / (2.0 * self.gamma(q))
+
+
+@dataclass(frozen=True)
+class OscillatorScale:
+    """Inverse-length scale lambda of a harmonic-oscillator family."""
+
+    lam: float
+    label: ClassVar[str] = "lambda"
+
+    def __post_init__(self):
+        if not self.lam > 0.0:
+            raise DomainError("lambda must be positive")
+
+    @property
+    def value(self) -> float:
+        return self.lam
+
+    def radial(self, q: QuantumNumbers):
+        """Normalized radial function R(r), in t = (lambda r)^2."""
+        n, l = q.n, q.l
+        log_norm = 1.5 * math.log(self.lam) + 0.5 * (
+            math.log(2.0) + math.lgamma(n + 1.0) - math.lgamma(n + l + 1.5))
+        return _laguerre_radial(n, l + 0.5, l, log_norm, self.lam, True)
+
+    def moments(self, q: QuantumNumbers) -> ObservableSet:
+        return oscillator_observables(self, q)
+
+    def cutoff(self, q: QuantumNumbers) -> float:
+        """Radius beyond which the trial density is < ~1e-14 of its peak."""
+        return math.sqrt(45.0 + 25.0 * q.n + 8.0 * q.l) / self.lam
 
 
 # ----------------------------------------------------------------------
@@ -159,7 +200,8 @@ def linear_s_observables(m: float, a: float, n: int) -> ObservableSet:
 
 
 # ----------------------------------------------------------------------
-# Laguerre moments, shared by both trial bases
+# Hydrogen-like and oscillator trial states: one Laguerre moment sum and
+# one weighted-Laguerre evaluator
 # ----------------------------------------------------------------------
 
 def _laguerre_moment(n: int, alpha: float, s: float) -> float:
@@ -185,33 +227,24 @@ def _laguerre_moment(n: int, alpha: float, s: float) -> float:
     return math.fsum(terms)
 
 
-# ----------------------------------------------------------------------
-# Hydrogen-like systems
-# ----------------------------------------------------------------------
-
-def hydrogen_radial(scale: HydrogenScale, q: QuantumNumbers):
-    """Normalized radial function R(r) for the given eta.
-
-    The prefactor norm * x^l * e^(-x/2) is one exponential, so high l
-    neither underflows norm nor overflows x^l; its exponent is the weight
-    of the Laguerre recurrence, so at high n L does not overflow where
-    the prefactor underflows.
-    """
-    n, l = q.n, q.l
-    gam = scale.gamma(q)
-    big_n = n + l + 1
-    log_norm = 1.5 * math.log(2.0 * gam) + 0.5 * (
-        math.lgamma(n + 1.0) - math.log(2.0 * big_n)
-        - math.lgamma(n + 2 * l + 2.0))
-
+def _laguerre_radial(n: int, alpha: float, l: int, log_norm: float,
+                     k: float, squared: bool):
+    """R(r) = norm x^l e^(-t/2) L_n^alpha(t), x = k r and t = x or x^2.
+    The prefactor is one exponential, the weight of the Laguerre
+    recurrence: high l neither underflows norm nor overflows x^l, and at
+    high n L does not overflow where the prefactor underflows."""
     def radial(r):
-        r = np.asarray(r, dtype=float)
-        x = 2.0 * gam * r
+        x = k * np.asarray(r, dtype=float)
+        t = x * x if squared else x
         with np.errstate(divide="ignore"):  # l ln(0) = -inf gives 0
             power = l * np.log(x) if l else 0.0
-        return specfun.laguerre(n, 2 * l + 1, x, log_norm + power - 0.5 * x)
+        return specfun.laguerre(n, alpha, t, log_norm + power - 0.5 * t)
 
     return radial
+
+
+hydrogen_radial = HydrogenScale.radial
+oscillator_radial = OscillatorScale.radial
 
 
 def hydrogen_observables(scale: HydrogenScale, q: QuantumNumbers) -> ObservableSet:
@@ -231,31 +264,6 @@ def hydrogen_observables(scale: HydrogenScale, q: QuantumNumbers) -> ObservableS
     p4 = eta ** 4 * (8 * n + 2 * l + 5) / ((2 * l + 1) * big_n ** 4)
     psi0 = eta ** 3 / (math.pi * (n + 1) ** 3) if l == 0 else None
     return ObservableSet(r_moments=r_mom, p2=p2, p4=p4, psi0_sq=psi0)
-
-
-# ----------------------------------------------------------------------
-# Harmonic oscillator
-# ----------------------------------------------------------------------
-
-def oscillator_radial(scale: OscillatorScale, q: QuantumNumbers):
-    """Normalized radial function R(r) for the given lambda; as for
-    hydrogen, norm * x^l * e^(-t/2) is one exponential, the weight of the
-    Laguerre recurrence."""
-    n, l = q.n, q.l
-    lam = scale.lam
-    log_norm = 1.5 * math.log(lam) + 0.5 * (
-        math.log(2.0) + math.lgamma(n + 1.0) - math.lgamma(n + l + 1.5))
-    alpha = l + 0.5
-
-    def radial(r):
-        r = np.asarray(r, dtype=float)
-        x = lam * r
-        t = x * x
-        with np.errstate(divide="ignore"):  # l ln(0) = -inf gives 0
-            power = l * np.log(x) if l else 0.0
-        return specfun.laguerre(n, alpha, t, log_norm + power - 0.5 * t)
-
-    return radial
 
 
 def oscillator_observables(scale: OscillatorScale, q: QuantumNumbers) -> ObservableSet:

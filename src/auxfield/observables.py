@@ -1,7 +1,7 @@
-"""Observables of AFM trial states: moment sets, the trial <H> (formed
-only by ``mean_hamiltonian``), the virial <p^2>/<p^4> and the Eckart
-bound (E1^L - <H>)/(E1^U - E0^L), one formula for B_E (exact E0, E1)
-and B'_E (AFM bounds on them)."""
+"""Observables of AFM trial states, whose scale class in ``exact`` owns
+their moment sets: the trial <H> (formed only by ``mean_hamiltonian``),
+the virial <p^2>/<p^4> and the Eckart bound (E1^L - <H>)/(E1^U - E0^L),
+one formula for B_E (exact E0, E1) and B'_E (AFM bounds on them)."""
 
 from __future__ import annotations
 
@@ -13,13 +13,10 @@ import numpy as np
 
 from .afm import AfmSolution, PotentialModel
 from .errors import DomainError, NumericalFailure, QuadratureFailure
-from .exact import (HydrogenScale, ObservableSet, QuantumNumbers,
-                    hydrogen_observables, hydrogen_radial,
-                    oscillator_observables, oscillator_radial)
+from .exact import ObservableSet, QuantumNumbers
 
 __all__ = [
     "afm_observable_set",
-    "trial_radial",
     "mean_hamiltonian",
     "mean_potential",
     "p2_p4_from_potential",
@@ -32,28 +29,10 @@ def afm_observable_set(v: PotentialModel, sol: AfmSolution,
     """Moment set of the AFM trial state behind ``sol`` (``mean_h`` is
     None: the trial <H> comes from ``mean_hamiltonian``)."""
     try:
-        if isinstance(sol.scale, HydrogenScale):
-            return hydrogen_observables(sol.scale, q)
-        return oscillator_observables(sol.scale, q)
+        return sol.scale.moments(q)
     except OverflowError as exc:
         raise NumericalFailure(
             "moments of the trial state are non-finite in double precision") from exc
-
-
-def trial_radial(sol: AfmSolution, q: QuantumNumbers):
-    """Radial evaluator R(r) of the trial state behind an AfmSolution."""
-    if isinstance(sol.scale, HydrogenScale):
-        return hydrogen_radial(sol.scale, q)
-    return oscillator_radial(sol.scale, q)
-
-
-def _density_cutoff(sol: AfmSolution, q: QuantumNumbers) -> float:
-    """Radius beyond which the trial density is < ~1e-14 of its peak."""
-    if isinstance(sol.scale, HydrogenScale):
-        gam = sol.scale.gamma(q)
-        return (40.0 + 14.0 * q.n + 6.0 * q.l) / (2.0 * gam)
-    lam = sol.scale.lam
-    return math.sqrt(45.0 + 25.0 * q.n + 8.0 * q.l) / lam
 
 
 @cache
@@ -75,8 +54,8 @@ def mean_potential(v: PotentialModel, sol: AfmSolution, q: QuantumNumbers) -> fl
     quadrature in t, r = r_hi t^2 (nodes cluster at the origin, where
     ln r is singular); the error is the change from 32 ceil((n+1)/32)
     panels, 32 for n < 32, to twice that."""
-    radial = trial_radial(sol, q)
-    r_hi = _density_cutoff(sol, q)
+    radial = sol.scale.radial(q)
+    r_hi = sol.scale.cutoff(q)
 
     def integrand(t):
         r = r_hi * t * t

@@ -93,8 +93,7 @@ def afm_trial_function(v: PotentialModel, kind: AuxiliaryKind,
                        q: QuantumNumbers, grid: np.ndarray) -> RadialFunction:
     """AFM trial state for (v, kind, q) sampled on the given grid."""
     sol = afm_solve(v, kind, q)
-    radial = observables.trial_radial(sol, q)
-    return overlaps.sample_radial(radial, grid, energy=sol.energy, q=q)
+    return overlaps.sample_radial(sol.scale.radial(q), grid, energy=sol.energy, q=q)
 
 
 @lru_cache(maxsize=None)
@@ -291,7 +290,7 @@ def sample_psi(v: PotentialModel, aux: str, q: QuantumNumbers,
     norm = math.sqrt(4.0 * math.pi)
     if aux in ("coulomb", "quadratic"):
         sol = afm_solve(v, AuxiliaryKind(aux), q)
-        return np.asarray(observables.trial_radial(sol, q)(grid)) / norm
+        return np.asarray(sol.scale.radial(q)(grid)) / norm
     if aux != "exact":
         raise DomainError("aux must be 'coulomb', 'quadratic' or 'exact'")
     exact = v.exact_wavefunction(q)

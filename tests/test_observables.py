@@ -6,14 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
-from auxfield import observables
 from auxfield.afm import AuxiliaryKind, PotentialModel, afm_solve
 from auxfield.errors import DomainError, NoBoundState, QuadratureFailure
-from auxfield.exact import (QuantumNumbers, hydrogen_observables,
+from auxfield.exact import (HydrogenScale, QuantumNumbers, hydrogen_observables,
                             linear_s_observables)
 from auxfield.observables import (afm_observable_set, eckart_bound,
                                   mean_hamiltonian, mean_potential,
-                                  p2_p4_from_potential, trial_radial)
+                                  p2_p4_from_potential)
 from auxfield.specfun import airy_zero
 from auxfield.tables import oracle_state
 from reference import power_law_moments, psi0_from_force
@@ -72,7 +71,7 @@ class TestMeanHamiltonian:
         for kind in AuxiliaryKind:
             q = QuantumNumbers(1, 0)
             sol = afm_solve(LINEAR, kind, q)
-            radial = trial_radial(sol, q)
+            radial = sol.scale.radial(q)
             r_hi = 40.0 if kind is AuxiliaryKind.COULOMB else 12.0
             grid = np.linspace(0.0, r_hi, 120001)
             u = grid * radial(grid)
@@ -98,8 +97,8 @@ class TestMeanHamiltonian:
 
 def _quad_mean_potential(v, sol, q):
     # adaptive-quadrature reference on the same [0, r_hi]
-    radial = trial_radial(sol, q)
-    r_hi = observables._density_cutoff(sol, q)
+    radial = sol.scale.radial(q)
+    r_hi = sol.scale.cutoff(q)
 
     def integrand(r):
         return float(v.v(r)) * float(radial(r)) ** 2 * r * r
@@ -130,7 +129,7 @@ class TestMeanPotential:
 
     def test_under_resolved_rule_raises(self, monkeypatch):
         # 64 panels cannot resolve a density confined to 1e-6 of [0, r_hi]
-        monkeypatch.setattr(observables, "_density_cutoff", lambda sol, q: 1e6)
+        monkeypatch.setattr(HydrogenScale, "cutoff", lambda self, q: 1e6)
         q = QuantumNumbers(0, 0)
         sol = afm_solve(LOG, AuxiliaryKind.COULOMB, q)
         with pytest.raises(QuadratureFailure):
