@@ -235,7 +235,8 @@ def _live_end(w: np.ndarray, h: float, m: int) -> int:
 
 
 def _solve_on_grid(w0, grid, q, c, energy):
-    """Cooley's corrector from the start energy, then the normalized vector.
+    """Cooley's corrector from the start energy, then the normalized vector
+    and the energy it was assembled at.
 
     The corrector assembles only the rows up to the live end found at the
     start energy; u holds those rows and the first zero past them.
@@ -262,9 +263,9 @@ def _solve_on_grid(w0, grid, q, c, energy):
         y = (1.0 - h * h * w[m - 1:m + 2] / 12.0) * u[m - 1:m + 2]
         resid = (y[2] - 2.0 * y[1] + y[0]) / (h * h) - w[m] * u[m]
         step = u[m] * resid / (c * float(np.dot(u, u)))
+        if abs(step) <= _CORRECTOR_TOL * max(1.0, abs(energy - step)):
+            break  # the last step is rounding noise: keep u's own energy
         energy -= step
-        if abs(step) <= _CORRECTOR_TOL * max(1.0, abs(energy)):
-            break
     else:
         raise NumericalFailure("Cooley corrector did not converge")
     u = np.append(u, 0.0)[:grid.shape[0]]

@@ -542,6 +542,28 @@ def test_corrector_assemblies_on_table_states(monkeypatch):
     assert len(calls) <= 130
 
 
+def test_returned_vector_is_the_assembly_at_the_returned_energy(monkeypatch):
+    # the corrector stops once its step is rounding noise and returns the
+    # energy its last vector was assembled at, not that energy less the step
+    assemble = oracle._numerov_assemble
+    last = []
+
+    def recorded(w, h, l, m):
+        u = assemble(w, h, l, m)
+        last[:] = [w.copy(), m, u.copy()]
+        return u
+
+    monkeypatch.setattr(oracle, "_numerov_assemble", recorded)
+    for family, k, n, l in TABLE_STATE_ENERGIES:
+        v, q = _table_state(family, k, n, l)
+        f = solve_radial(v, q)
+        w, m, u = last
+        w_at_energy = oracle._base_w(v, f.grid, q)[:w.size] - v.kinetic_2m * f.energy
+        assert np.array_equal(w, w_at_energy), (family, k, n, l)
+        scaled = f.values[:u.size] * (u[m] / f.values[m])
+        assert np.allclose(scaled, u, rtol=1e-14, atol=0.0), (family, k, n, l)
+
+
 def test_assembly_solves_its_numerov_system_in_place(monkeypatch):
     # dgtsv writes the solution into the tail of the vector it returns; were
     # that right-hand side ever copied, the vector would silently stay e_m
