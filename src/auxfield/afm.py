@@ -152,8 +152,8 @@ class PotentialModel:
         """Largest nu for which the mean point I(nu) exists."""
         return math.inf
 
-    def trial_mean_v(self, obs) -> Optional[float]:
-        """<V> of a trial state from its moment set, when closed-form."""
+    def trial_mean_v(self, scale, q: QuantumNumbers, obs) -> Optional[float]:
+        """<V> of trial state q at ``scale``, moment set ``obs``, if closed-form."""
         return None
 
     def exact_wavefunction(self, q: QuantumNumbers):
@@ -197,7 +197,7 @@ class LinearPotential(PotentialModel):
         e_red = 3.0 * (big_n / 2.0) ** (2.0 / 3.0) * 1.1
         return sigma_r * max(30.0, 2.2 * e_red + 12.0)
 
-    def trial_mean_v(self, obs) -> float:
+    def trial_mean_v(self, scale, q: QuantumNumbers, obs) -> float:
         return self.a * obs.r_moments[1]
 
     def exact_wavefunction(self, q: QuantumNumbers):
@@ -230,6 +230,9 @@ class LogPotential(PotentialModel):
     def default_r_max(self, q: QuantumNumbers) -> float:
         r_turn = 1.2 * math.sqrt(math.e / 2.0) * (2 * q.n + q.l + 1.5)
         return max(30.0, 1.3 * r_turn + 45.0)
+
+    def trial_mean_v(self, scale, q: QuantumNumbers, obs) -> float:
+        return scale.mean_log_r(q)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 Linear-potential S states (Airy), and the hydrogen-like and oscillator
 trial states, each owned by its scale class (``HydrogenScale``,
-``OscillatorScale``): radial function, moment set and density cutoff.
-Every <r^k> of both bases is one Laguerre moment sum, and both radial
-functions come from one weighted-Laguerre evaluator, normalized as
+``OscillatorScale``): radial function, moment set, density cutoff and
+<ln r>.  Every <r^k> of both bases is one Laguerre moment sum, and both
+radial functions come from one weighted-Laguerre evaluator, normalized as
 integral(R^2 r^2 dr) = 1; spherical harmonics are dropped throughout.
 """
 
@@ -72,15 +72,12 @@ class HydrogenScale:
     """Inverse-length scale eta of a hydrogen-like family."""
 
     eta: float
-    label: ClassVar[str] = "eta"
+    label: ClassVar[str] = "eta"   # the printed name of ``value``
+    value = property(lambda self: self.eta)
 
     def __post_init__(self):
         if not self.eta > 0.0:
             raise DomainError("eta must be positive")
-
-    @property
-    def value(self) -> float:
-        return self.eta
 
     def gamma(self, q: QuantumNumbers) -> float:
         """Per-state decay constant eta / (n + l + 1)."""
@@ -102,6 +99,11 @@ class HydrogenScale:
         """Radius beyond which the trial density is < ~1e-14 of its peak."""
         return (40.0 + 14.0 * q.n + 6.0 * q.l) / (2.0 * self.gamma(q))
 
+    def mean_log_r(self, q: QuantumNumbers) -> float:
+        """<ln r> = psi(n + 2l + 2) + (2n + 1)/(2N) - ln(2 gamma)."""
+        return (_digamma(q.n + 2 * q.l + 2) + (2 * q.n + 1) / (2.0 * (q.n + q.l + 1))
+                - math.log(2.0 * self.gamma(q)))
+
 
 @dataclass(frozen=True)
 class OscillatorScale:
@@ -109,14 +111,11 @@ class OscillatorScale:
 
     lam: float
     label: ClassVar[str] = "lambda"
+    value = property(lambda self: self.lam)
 
     def __post_init__(self):
         if not self.lam > 0.0:
             raise DomainError("lambda must be positive")
-
-    @property
-    def value(self) -> float:
-        return self.lam
 
     def radial(self, q: QuantumNumbers):
         """Normalized radial function R(r), in t = (lambda r)^2."""
@@ -131,6 +130,10 @@ class OscillatorScale:
     def cutoff(self, q: QuantumNumbers) -> float:
         """Radius beyond which the trial density is < ~1e-14 of its peak."""
         return math.sqrt(45.0 + 25.0 * q.n + 8.0 * q.l) / self.lam
+
+    def mean_log_r(self, q: QuantumNumbers) -> float:
+        """<ln r> = psi(n + l + 3/2)/2 - ln lambda."""
+        return 0.5 * _digamma(q.n + q.l + 1.5) - math.log(self.lam)
 
 
 # ----------------------------------------------------------------------
@@ -227,12 +230,19 @@ def _laguerre_moment(n: int, alpha: float, s: float) -> float:
     return math.fsum(terms)
 
 
+def _digamma(x: float) -> float:
+    """psi(x) at x = x0 + k, x0 = 1 or 1/2: psi(x0) + sum_(j<k) 1/(x0 + j),
+    where psi(x0) = -gamma_E + 2 ln x0 holds at both."""
+    x0 = x % 1.0 or 1.0
+    return math.fsum([-0.5772156649015329, 2.0 * math.log(x0)]
+                     + [1.0 / (x0 + j) for j in range(int(x - x0))])
+
+
 def _laguerre_radial(n: int, alpha: float, l: int, log_norm: float,
                      k: float, squared: bool):
-    """R(r) = norm x^l e^(-t/2) L_n^alpha(t), x = k r and t = x or x^2.
-    The prefactor is one exponential, the weight of the Laguerre
-    recurrence: high l neither underflows norm nor overflows x^l, and at
-    high n L does not overflow where the prefactor underflows."""
+    """R(r) = norm x^l e^(-t/2) L_n^alpha(t), x = k r and t = x or x^2.  The
+    prefactor is one exponential, the weight of ``specfun.laguerre``: no
+    underflow of norm or overflow of x^l at high l, nor overflow of L at high n."""
     def radial(r):
         x = k * np.asarray(r, dtype=float)
         t = x * x if squared else x

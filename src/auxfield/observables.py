@@ -78,10 +78,10 @@ def mean_potential(v: PotentialModel, sol: AfmSolution, q: QuantumNumbers) -> fl
 def mean_hamiltonian(v: PotentialModel, sol: AfmSolution,
                      q: QuantumNumbers) -> float:
     """<H> = <p^2>/(2m) + <V> of the trial state: <p^2> in closed form,
-    <V> from ``v.trial_mean_v`` where the family has it (linear) and by
-    quadrature otherwise."""
+    <V> from ``v.trial_mean_v`` where the family has it (linear, log) and
+    by quadrature otherwise."""
     obs = afm_observable_set(v, sol, q)
-    mean_v = v.trial_mean_v(obs)
+    mean_v = v.trial_mean_v(sol.scale, q, obs)
     if mean_v is None:
         mean_v = mean_potential(v, sol, q)
     return obs.p2 / v.kinetic_2m + mean_v

@@ -235,8 +235,7 @@ def _live_end(w: np.ndarray, h: float, m: int) -> int:
 
 
 def _solve_on_grid(w0, grid, q, c, energy):
-    """Cooley's corrector from the start energy, then the normalized vector
-    and the energy it was assembled at.
+    """Cooley's corrector from the start energy, then the normalized vector and its energy.
 
     The corrector assembles only the rows up to the live end found at the
     start energy; u holds those rows and the first zero past them.

@@ -504,8 +504,9 @@ class TestColdStart:
         assert rec["codes"] == [0] * 10 + [2]
         assert rec["closed_form"] == []
         # numpy.polynomial (the Gauss-Legendre nodes) loads on the first
-        # log or exp <V> quadrature: not at import, --help-units or solve linear
-        assert rec["polynomial"] == [False] * 4 + [True] * 8
+        # exp <V> quadrature: not at import, --help-units, solve linear or
+        # solve log, whose trial <V> is closed-form
+        assert rec["polynomial"] == [False] * 6 + [True] * 6
         # the oracle loads scipy's LAPACK extension alone, not the
         # scipy.linalg package with its array-API layer and numpy.f2py
         assert rec["oracle_modules"] == [True, False, False, False]
