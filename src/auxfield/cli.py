@@ -7,9 +7,10 @@ Subcommands::
     auxfield wavefunction <family> <aux|exact> <n> <l> [--r-max R] [--samples N]
     auxfield oracle <family> <n> <l> [--k K] [--r-max R] [--grid-points N]
 
-Exit codes: 0 success, 2 no bound state (machine-readable reason on
-stdout), 64 usage error, 70 numeric failure or any other internal
-error.  All data streams are deterministic; units are reduced per family
+Exit codes: 0 success, 1 a row missed its tolerance under ``table
+--strict`` (the table is still written), 2 no bound state
+(machine-readable reason on stdout), 64 usage error, 70 numeric failure
+or any other internal error.  All data streams are deterministic; units are reduced per family
 (see --help-units).  ``--k`` is the exponential depth and is rejected for
 the other families.
 """
@@ -167,7 +168,7 @@ def _build_parser() -> _Parser:
     p.add_argument("id", choices=tables.TABLE_IDS)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--strict", action="store_true",
-                   help="exit nonzero when any row misses its tolerance")
+                   help="exit 1 when any row misses its tolerance")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_table)
 

@@ -125,6 +125,20 @@ class TestTable:
         assert rows
         assert all(type(r["ok"]) is bool for r in rows if "ok" in r)
 
+    def test_strict_exits_1_on_a_missing_row_and_still_prints_the_table(
+            self, monkeypatch, capsys):
+        # a row whose state the solver did not give (computed None) misses
+        # its tolerance: --strict exits 1, after the table is written
+        rows = [tables.Row({"trial": "hy0", "column": "overlap"}, 0.99, "0.99", 0.003),
+                tables.Row({"trial": "ho0", "column": "overlap"}, None, "0.99", 0.003)]
+        monkeypatch.setitem(tables._BUILDERS, "eckart", lambda: (["trial", "column"], rows))
+        code, out, err = _run(capsys, "table", "eckart", "--strict")
+        assert (code, err) == (1, "")
+        assert out == tables.format_rows(["trial", "column"], rows, "csv")
+        assert out.splitlines()[-1].endswith(",false")
+        code, out, _ = _run(capsys, "table", "eckart")
+        assert code == 0 and out.splitlines()[-1].endswith(",false")
+
     def test_non_finite_cell_exits_70_in_json_and_prints_in_csv(self, monkeypatch, capsys):
         row = tables.Row({"trial": "hy0", "column": "overlap"}, math.nan, "0.99", 0.003)
         monkeypatch.setitem(tables._BUILDERS, "eckart", lambda: (["trial", "column"], [row]))
