@@ -10,9 +10,9 @@ Subcommands::
 Exit codes: 0 success, 1 a row missed its tolerance under ``table
 --strict`` (the table is still written), 2 no bound state
 (machine-readable reason on stdout), 64 usage error, 70 numeric failure
-or any other internal error.  All data streams are deterministic; units are reduced per family
-(see --help-units).  ``--k`` is the exponential depth and is rejected for
-the other families.
+or any other internal error.  All data streams are deterministic; units
+are reduced per family (see --help-units).  ``--k`` is the exponential
+depth and is rejected for the other families.
 """
 
 from __future__ import annotations

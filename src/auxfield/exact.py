@@ -51,23 +51,6 @@ class QuantumNumbers:
 
 
 @dataclass(frozen=True)
-class ObservableSet:
-    """Bundle of radial moments and momentum moments for one state.
-
-    ``r_moments`` maps the integer exponent k to <r^k>; ``psi0_sq`` is
-    |psi(0)|^2 and is present only for l = 0 states.  ``mean_h`` is the
-    eigenvalue of an exact or oracle set and None for a trial set, whose
-    <H> comes from ``observables.mean_hamiltonian``.
-    """
-
-    r_moments: Dict[int, float]
-    p2: float
-    p4: float
-    psi0_sq: Optional[float] = None
-    mean_h: Optional[float] = None
-
-
-@dataclass(frozen=True)
 class HydrogenScale:
     """Inverse-length scale eta of a hydrogen-like family."""
 
@@ -134,6 +117,23 @@ class OscillatorScale:
     def mean_log_r(self, q: QuantumNumbers) -> float:
         """<ln r> = psi(n + l + 3/2)/2 - ln lambda."""
         return 0.5 * _digamma(q.n + q.l + 1.5) - math.log(self.lam)
+
+
+@dataclass(frozen=True)
+class ObservableSet:
+    """Bundle of radial moments and momentum moments for one state.
+
+    ``r_moments`` maps the integer exponent k to <r^k>; ``psi0_sq`` is
+    |psi(0)|^2 and is present only for l = 0 states.  ``mean_h`` is the
+    eigenvalue of an exact or oracle set and None for a trial set, whose
+    <H> comes from ``observables.mean_hamiltonian``.
+    """
+
+    r_moments: Dict[int, float]
+    p2: float
+    p4: float
+    psi0_sq: Optional[float] = None
+    mean_h: Optional[float] = None
 
 
 # ----------------------------------------------------------------------

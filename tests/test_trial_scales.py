@@ -42,20 +42,6 @@ def test_radial_matches_the_separate_closures_bit_for_bit():
         assert scale.radial(q)(r[100]) == want[100], (scale, q)
 
 
-def test_module_radial_names_are_the_scale_methods():
-    q = QuantumNumbers(3, 2)
-    r = np.linspace(0.0, 20.0, 41)
-    assert np.array_equal(exact.hydrogen_radial(HydrogenScale(0.7), q)(r),
-                          HydrogenScale(0.7).radial(q)(r))
-    assert np.array_equal(exact.oscillator_radial(OscillatorScale(0.7), q)(r),
-                          OscillatorScale(0.7).radial(q)(r))
-
-
-def test_labels_name_the_scale_the_cli_prints():
-    assert (HydrogenScale(0.5).label, HydrogenScale(0.5).value) == ("eta", 0.5)
-    assert (OscillatorScale(0.5).label, OscillatorScale(0.5).value) == ("lambda", 0.5)
-
-
 def test_moment_sets_come_through_the_exact_module_names(monkeypatch):
     # per-layer tracing patches module bindings, not class attributes: the
     # moments methods must reach these two functions through exact's namespace
