@@ -73,7 +73,7 @@ class HydrogenScale:
         log_norm = 1.5 * math.log(2.0 * gam) + 0.5 * (
             math.lgamma(n + 1.0) - math.log(2.0 * (n + l + 1))
             - math.lgamma(n + 2 * l + 2.0))
-        return _laguerre_radial(n, 2 * l + 1, l, log_norm, 2.0 * gam, False)
+        return _laguerre_radial(n, 2 * l + 1, l, log_norm, 2.0 * gam, squared=False)
 
     def moments(self, q: QuantumNumbers) -> ObservableSet:
         return hydrogen_observables(self, q)
@@ -105,7 +105,7 @@ class OscillatorScale:
         n, l = q.n, q.l
         log_norm = 1.5 * math.log(self.lam) + 0.5 * (
             math.log(2.0) + math.lgamma(n + 1.0) - math.lgamma(n + l + 1.5))
-        return _laguerre_radial(n, l + 0.5, l, log_norm, self.lam, True)
+        return _laguerre_radial(n, l + 0.5, l, log_norm, self.lam, squared=True)
 
     def moments(self, q: QuantumNumbers) -> ObservableSet:
         return oscillator_observables(self, q)
