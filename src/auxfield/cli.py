@@ -119,8 +119,8 @@ def _cmd_table(args) -> int:
 def _cmd_wavefunction(args) -> int:
     if not (args.r_max > 0 and math.isfinite(args.r_max)):
         raise DomainError("--r-max must be positive and finite")
-    if args.samples < 2:
-        raise DomainError("--samples must be at least 2")
+    if not 2 <= args.samples <= 2_000_000:
+        raise DomainError("--samples must be between 2 and 2000000")
     grid = np.linspace(0.0, args.r_max, args.samples)
     v = PotentialModel.from_name(args.family, args.k)
     psi = tables.sample_psi(v, args.aux, QuantumNumbers(args.n, args.l), grid)

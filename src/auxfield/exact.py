@@ -242,9 +242,11 @@ def _laguerre_radial(n: int, alpha: float, l: int, log_norm: float,
                      k: float, squared: bool):
     """R(r) = norm x^l e^(-t/2) L_n^alpha(t), x = k r and t = x or x^2.  The
     prefactor is one exponential, the weight of ``specfun.laguerre``: no
-    underflow of norm or overflow of x^l at high l, nor overflow of L at high n."""
+    underflow of norm or overflow of x^l at high l, nor overflow of L at high n;
+    r is clipped at t = 2^300, past which the weight underflows: R is 0 there."""
+    r_far = (2.0 ** 150 if squared else 2.0 ** 300) / k
     def radial(r):
-        x = k * np.asarray(r, dtype=float)
+        x = k * np.minimum(np.asarray(r, dtype=float), r_far)
         t = x * x if squared else x
         with np.errstate(divide="ignore"):  # l ln(0) = -inf gives 0
             power = l * np.log(x) if l else 0.0

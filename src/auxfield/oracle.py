@@ -23,9 +23,9 @@ its value at m, the vector's own rounding noise.  The state ends there:
 its grid holds the live rows and the first zero past them, or the whole
 grid when the live rows reach its end.  Its eight moments, the reference
 side of each table comparison, are one product with the density wts u^2,
-wts the Simpson weights of its grid.  Both LAPACK routines, dstebz and
-dgtsv, are called directly from scipy's f2py extension, which _lapack
-loads without the import-heavy scipy.linalg package.
+wts = f.weights(), the state's uniform Simpson weights.  Both LAPACK
+routines, dstebz and dgtsv, are called directly from scipy's f2py
+extension, which _lapack loads without the import-heavy scipy.linalg package.
 """
 
 from __future__ import annotations
@@ -68,17 +68,40 @@ def _lapack():
     return sys.modules[name]
 
 
+def _simpson(n: int, h: float) -> np.ndarray:
+    """Weights of n >= 3 points spaced h, w @ y = scipy.integrate.simpson(y, dx=h):
+    composite Simpson, for even n with Cartwright's correction on the last interval."""
+    wts = np.full(n, 2.0 * h / 3.0)
+    wts[1::2] = 4.0 * h / 3.0
+    wts[0] = wts[-1] = h / 3.0
+    if n % 2 == 0:
+        wts[-3:] = (5.0 * h / 4.0, h, 5.0 * h / 12.0)
+    return wts
+
+
 @dataclass(frozen=True)
 class RadialFunction:
     """Reduced radial function u(r) = r R(r) sampled on a uniform grid.
 
-    An oracle state's grid stops at the first zero past its live rows.
+    At least 3 points whose steps agree to 8 eps times the extent, as
+    np.linspace's do, else DomainError.  An oracle state's grid stops at
+    the first zero past its live rows.
     """
 
     grid: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
     energy: float
     q: QuantumNumbers
+
+    def __post_init__(self):
+        g = self.grid
+        if not (g.ndim == 1 and g.shape[0] >= 3 and g[1] > g[0] and np.ptp(g[1:] - g[:-1])
+                <= 8.0 * np.finfo(float).eps * max(abs(g[0]), abs(g[-1]))):
+            raise DomainError("RadialFunction needs a uniform increasing grid of >= 3 points")
+
+    def weights(self) -> np.ndarray:
+        """Simpson weights of the grid: w @ y integrates samples y over it."""
+        return _simpson(self.grid.shape[0], float(self.grid[1] - self.grid[0]))
 
     def slope_at_origin(self) -> float:
         """u'(0) from the one-sided 5-point formula."""
@@ -198,32 +221,6 @@ def _sturm_start(w0: np.ndarray, h: float, n: int) -> float:
     return eigenvalue(w0[1:-1], h)
 
 
-def _simpson_weights(grid: np.ndarray) -> np.ndarray:
-    """Weights w with w @ y equal to scipy.integrate.simpson(y, x=grid).
-
-    Composite Simpson on pairs of intervals of any spacing; for an even
-    number of points the last interval takes Cartwright's correction.
-    """
-    n = grid.shape[0]
-    h = np.diff(grid)
-    wts = np.zeros(n)
-    if n == 2:
-        wts[:] = 0.5 * h[0]
-        return wts
-    stop = n - 1 if n % 2 else n - 2      # Simpson covers points 0..stop
-    h0, h1 = h[0:stop:2], h[1:stop:2]
-    sixth = (h0 + h1) / 6.0
-    wts[0:stop:2] += sixth * (2.0 - h1 / h0)
-    wts[1:stop:2] += sixth * (h0 + h1) ** 2 / (h0 * h1)
-    wts[2:stop + 1:2] += sixth * (2.0 - h0 / h1)
-    if n % 2 == 0:
-        ha, hb = h[-2], h[-1]
-        wts[-1] += (2.0 * hb * hb + 3.0 * ha * hb) / (6.0 * (ha + hb))
-        wts[-2] += (hb * hb + 3.0 * ha * hb) / (6.0 * ha)
-        wts[-3] -= hb ** 3 / (6.0 * ha * (ha + hb))
-    return wts
-
-
 def _live_end(w: np.ndarray, h: float, m: int) -> int:
     """End of the rows that carry the state: 4 rows past the first row
     beyond m where the WKB decay action of w reaches _LIVE_ACTION, capped
@@ -268,7 +265,7 @@ def _solve_on_grid(w0, grid, q, c, energy):
     else:
         raise NumericalFailure("Cooley corrector did not converge")
     u = np.append(u, 0.0)[:grid.shape[0]]
-    norm = _simpson_weights(grid[:u.shape[0]]) @ (u * u)
+    norm = _simpson(u.shape[0], h) @ (u * u)
     if not norm > 0:
         raise NumericalFailure("degenerate norm after assembly")
     # the solve's sign is that of 1/(lambda - E); make u > 0 before its first node
@@ -339,7 +336,7 @@ def numeric_observables(f: RadialFunction, v: PotentialModel) -> ObservableSet:
         raise QuadratureFailure(
             f"tail mass {tail:.2e} beyond r_max: state under-resolved")
 
-    wts = _simpson_weights(grid)
+    wts = f.weights()
     r = grid[1:]
     density = u[1:] * u[1:]
     density *= wts[1:]            # wts u^2 off the origin, where u^2 V -> 0 for all three families

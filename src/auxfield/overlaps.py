@@ -18,7 +18,7 @@ import numpy as np
 from .afm import AuxiliaryKind
 from .errors import DomainError
 from .exact import QuantumNumbers
-from .oracle import RadialFunction, _simpson_weights
+from .oracle import RadialFunction
 
 __all__ = [
     "overlap_hydrogen_dilated",
@@ -135,7 +135,7 @@ def sample_radial(radial: Callable, grid: np.ndarray, *, energy: float = math.na
     """Sample a radial evaluator into a reduced RadialFunction u = r R(r).
 
     ``from_psi`` interprets the callable as the full wavefunction psi(r)
-    (then u = sqrt(4 pi) r psi).
+    (then u = sqrt(4 pi) r psi).  A non-uniform grid raises DomainError.
     """
     grid = np.asarray(grid, dtype=float)
     vals = np.asarray(radial(grid), dtype=float)
@@ -147,12 +147,10 @@ def sample_radial(radial: Callable, grid: np.ndarray, *, energy: float = math.na
 
 
 def numeric_overlap(f: RadialFunction, g: RadialFunction) -> float:
-    """integral of u_f u_g dr (== integral R_f R_g r^2 dr) by Simpson
-    over their grid.
+    """integral of u_f u_g dr (== integral R_f R_g r^2 dr), f.weights() @ (u_f u_g).
 
-    Both functions must be sampled on the same grid; raises DomainError
-    otherwise.
+    Both functions must be sampled on one grid; raises DomainError otherwise.
     """
     if f.grid is not g.grid and not np.array_equal(f.grid, g.grid):
         raise DomainError("numeric_overlap needs both functions on one grid")
-    return float(_simpson_weights(f.grid) @ (f.values * g.values))
+    return float(f.weights() @ (f.values * g.values))

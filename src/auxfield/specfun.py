@@ -77,7 +77,9 @@ _UV = np.array(_u_v_coefficients())[:, ::-1]
 
 
 def _airy_asym_pos(x):
-    """Asymptotic (Ai, Ai') for x >= 8: the series in -1/zeta."""
+    """Asymptotic (Ai, Ai') for x >= 8: the series in -1/zeta.  Past x = 108
+    exp(-zeta) underflows, so x is clipped at 128 and zeta cannot overflow."""
+    x = np.minimum(x, 128.0)
     zeta = (2.0 / 3.0) * x ** 1.5
     t = -1.0 / zeta
     pref = np.exp(-zeta) / (2.0 * math.sqrt(math.pi))

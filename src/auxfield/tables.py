@@ -301,7 +301,7 @@ def sample_psi(v: PotentialModel, aux: str, q: QuantumNumbers,
         f = solve_radial(v, q, SolverConfig(r_max=float(grid[-1])))
     u_interp = np.interp(grid, f.grid, f.values, right=0.0)
     psi = np.empty_like(grid)
-    psi[1:] = u_interp[1:] / (grid[1:] * norm)
+    psi[1:] = u_interp[1:] / norm / grid[1:]
     # psi(0) = u'(0) / sqrt(4 pi) for l = 0 and vanishes for l > 0
     psi[0] = f.slope_at_origin() / norm if q.l == 0 else 0.0
     return psi

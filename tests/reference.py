@@ -30,7 +30,6 @@ from auxfield.afm import Bound
 from auxfield.errors import DomainError, NumericalFailure
 from auxfield.exact import HydrogenScale, ObservableSet, OscillatorScale, QuantumNumbers
 from auxfield.observables import p2_p4_from_potential
-from auxfield.oracle import _simpson_weights
 from auxfield.specfun import WBranch, laguerre, lambert_w
 
 
@@ -260,7 +259,7 @@ def numeric_observables_per_moment(f, v) -> ObservableSet:
     own dot product of the Simpson weights with u^2 times the integrand
     (no tail-mass check)."""
     grid, u = f.grid, f.values
-    wts = _simpson_weights(grid)
+    wts = f.weights()
     r = grid[1:]
     u2 = u[1:] * u[1:]
     inv = 1.0 / r

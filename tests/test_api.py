@@ -1,5 +1,6 @@
 """The public API stays what the package and README say it is."""
 
+import ast
 import csv
 import importlib
 import inspect
@@ -50,6 +51,17 @@ def test_package_names_are_exported_by_their_modules():
         home = getattr(getattr(auxfield, n), "__module__", "")
         if home.startswith("auxfield."):
             assert n in _star_exports(importlib.import_module(home)), (n, home)
+
+
+@pytest.mark.parametrize("name", ["__init__"] + _MODULES)
+def test_no_module_imports_a_private_name_of_another(name):
+    # a private helper has one owner; another module reaches it through a
+    # public name, so each rule keeps one definition and one way in
+    tree = ast.parse((Path(auxfield.__file__).parent / f"{name}.py").read_text())
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, f"auxfield.{name} imports private names: {private}"
 
 
 def test_readme_library_example_runs(capsys):

@@ -197,6 +197,21 @@ class TestWavefunction:
         assert proc.stderr == ""
         assert proc.stdout.splitlines()[-1] == "1e+06,0"
 
+    @pytest.mark.parametrize("r_max", ["1e100", "1e200", "1e300", "1.7e308"])
+    @pytest.mark.parametrize("n,l", [(0, 0), (1, 1), (2, 0), (3, 2)])
+    @pytest.mark.parametrize("aux", ["coulomb", "quadratic", "exact"])
+    @pytest.mark.parametrize("family", ["linear", "log", "exp"])
+    def test_far_samples_are_finite_and_silent(self, family, aux, n, l, r_max, capsys):
+        # every state has underflowed past r = 0; any overflow warning
+        # would be an exception here, so exit 70
+        depth = ("--k", "300") if family == "exp" else ()
+        code, out, err = _run(capsys, "wavefunction", family, aux, str(n), str(l),
+                              "--r-max", r_max, "--samples", "5", *depth)
+        assert (code, err) == (0, "")
+        psi = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
+        assert len(psi) == 5 and all(math.isfinite(p) for p in psi)
+        assert psi[1:] == [0.0] * 4
+
     def test_exact_oracle_path(self, capsys):
         code, out, _ = _run(capsys, "wavefunction", "log", "exact", "0", "1",
                             "--r-max", "10", "--samples", "301")
@@ -318,6 +333,15 @@ class TestBoundaries:
         assert code == 64
         assert out == ""
         assert "--samples" in err
+
+    @pytest.mark.parametrize("samples", ["2000001", "1000000000000"])
+    def test_too_many_samples_is_usage_error(self, samples, capsys):
+        # refused before np.linspace allocates the grid
+        code, out, err = _run(capsys, "wavefunction", "linear", "coulomb", "0",
+                              "0", "--samples", samples)
+        assert code == 64
+        assert out == ""
+        assert "--samples" in err and "2000000" in err
 
     @pytest.mark.parametrize("argv", [
         ("oracle", "linear", "0", "0", "--r-max", "inf", "--grid-points", "2000"),

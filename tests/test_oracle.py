@@ -212,17 +212,42 @@ def test_high_l_bracketed_by_afm_bounds(family, n, l):
     assert f.energy <= afm_solve(v, AuxiliaryKind.QUADRATIC, q).energy
 
 
-@pytest.mark.parametrize("points", [2000, 2001, 12001, 20000])
-@pytest.mark.parametrize("spacing", ["uniform", "quadratic"])
-def test_simpson_weights_match_scipy(points, spacing):
+def _sampled(grid):
+    return RadialFunction(grid=grid, values=grid, energy=math.nan, q=QuantumNumbers(0, 0))
+
+
+@pytest.mark.parametrize("points", [3, 4, 5, 6, 2000, 2001, 12001, 20000],
+                         ids="uniform-{}".format)
+def test_simpson_weights_match_scipy(points):
     from scipy.integrate import simpson
     rng = np.random.default_rng(points)
     x = np.linspace(0.0, 37.5, points)
-    if spacing == "quadratic":
-        x = x * x / 37.5
     y = rng.random(points)
     ref = simpson(y, x=x)
-    assert abs(oracle._simpson_weights(x) @ y - ref) <= 1e-14 * abs(ref)
+    assert abs(_sampled(x).weights() @ y - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("points", [3, 4, 5, 6, 7, 8, 2000, 2001])
+def test_simpson_weights_exact_on_quadratics(points):
+    # Simpson is exact on cubics; Cartwright's last interval, for an even
+    # count, on quadratics
+    x = np.linspace(0.0, 2.5, points)
+    y = 1.5 - 0.75 * x + 2.0 * x * x
+    exact = 1.5 * 2.5 - 0.375 * 2.5 ** 2 + 2.0 * 2.5 ** 3 / 3.0
+    assert abs(_sampled(x).weights() @ y - exact) <= 4e-15 * exact
+
+
+@pytest.mark.parametrize("grid", [np.linspace(0.0, 6.0, 101) ** 2 / 6.0,
+                                  np.linspace(6.0, 0.0, 101),
+                                  np.array([0.0, 1.0, 2.0, 3.5]),
+                                  np.linspace(0.0, 1.0, 2),
+                                  np.array([0.0, 1.0, math.nan])])
+def test_non_uniform_grid_is_refused(grid):
+    from auxfield.overlaps import sample_radial
+    with pytest.raises(DomainError):
+        _sampled(grid)
+    with pytest.raises(DomainError):
+        sample_radial(np.exp, grid)
 
 
 def _padded(f, grid):
@@ -240,8 +265,8 @@ def _assert_integrals_match_padded(v, q, f, grid):
     from auxfield.overlaps import numeric_overlap
     from auxfield.tables import afm_trial_function
     full = _padded(f, grid)
-    norm = oracle._simpson_weights(f.grid) @ (f.values * f.values)
-    ref = oracle._simpson_weights(grid) @ (full.values * full.values)
+    norm = f.weights() @ (f.values * f.values)
+    ref = full.weights() @ (full.values * full.values)
     assert abs(norm - ref) <= 1e-15 * ref
     obs, obs_ref = numeric_observables(f, v), numeric_observables(full, v)
     for key, value in obs_ref.r_moments.items():
