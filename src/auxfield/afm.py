@@ -89,9 +89,10 @@ class PotentialModel:
     validation, V and V' (``_v``, ``_v_prime`` on float arrays), the mass,
     ``afm_radius(N)``, the r0 solving m r0^3 V'(r0) = N^2 in closed form,
     ``mean_point(kind, nu)`` = I(nu), the radius where V'/P' equals nu > 0,
-    the bound direction, and the oracle's ``default_r_max(q)`` and
-    ``continuum_threshold``: None when V confines, else the largest start
-    energy the oracle accepts below the continuum at E = 0.
+    ``trial_mean_v(scale, q, obs)``, the closed-form <V> of trial state q
+    (moment set ``obs``), the bound direction, and the oracle's
+    ``default_r_max(q)`` and ``continuum_threshold``: None when V confines,
+    else the largest start energy the oracle accepts below the continuum at E = 0.
 
     ``LinearPotential(m, a)``:  H = p^2/(2m) + a r   (m, a configurable)
     ``LogPotential()``:         H = p^2/4 + ln r     (no parameters)
@@ -151,10 +152,6 @@ class PotentialModel:
     def tangent_branch_end(self, kind: AuxiliaryKind) -> float:
         """Largest nu for which the mean point I(nu) exists."""
         return math.inf
-
-    def trial_mean_v(self, scale, q: QuantumNumbers, obs) -> Optional[float]:
-        """<V> of trial state q at ``scale``, moment set ``obs``, if closed-form."""
-        return None
 
     def exact_wavefunction(self, q: QuantumNumbers):
         """psi(r) of the exact eigenstate when it is known in closed form."""
@@ -292,6 +289,9 @@ class ExpPotential(PotentialModel):
 
     def default_r_max(self, q: QuantumNumbers) -> float:
         return max(30.0 + 5.0 * (q.n + q.l), 80.0)
+
+    def trial_mean_v(self, scale, q: QuantumNumbers, obs) -> float:
+        return -self.k * scale.mean_exp_neg_r(q)
 
 
 _FAMILIES = {"linear": LinearPotential, "log": LogPotential, "logarithmic": LogPotential,

@@ -103,7 +103,7 @@ def _cmd_solve(args) -> int:
         "p2": obs.p2,
         "p4": obs.p4,
         "psi0_sq": obs.psi0_sq,
-        "mean_h": observables.mean_hamiltonian(v, sol, q),
+        "mean_h": observables.mean_hamiltonian(v, sol, q, obs),
     }
     return _emit_record(record, obs, args)
 

@@ -2,10 +2,11 @@
 
 Linear-potential S states (Airy), and the hydrogen-like and oscillator
 trial states, each owned by its scale class (``HydrogenScale``,
-``OscillatorScale``): radial function, moment set, density cutoff and
-<ln r>.  Every <r^k> of both bases is one Laguerre moment sum, and both
-radial functions come from one weighted-Laguerre evaluator, normalized as
-integral(R^2 r^2 dr) = 1; spherical harmonics are dropped throughout.
+``OscillatorScale``): radial function, moment set, <ln r> and <e^-r>.
+Every <r^k> of both bases is one Laguerre moment sum, every <e^-r> one
+Laplace sum, and both radial functions come from one weighted-Laguerre
+evaluator, normalized as integral(R^2 r^2 dr) = 1; spherical harmonics
+are dropped throughout.
 """
 
 from __future__ import annotations
@@ -78,14 +79,15 @@ class HydrogenScale:
     def moments(self, q: QuantumNumbers) -> ObservableSet:
         return hydrogen_observables(self, q)
 
-    def cutoff(self, q: QuantumNumbers) -> float:
-        """Radius beyond which the trial density is < ~1e-14 of its peak."""
-        return (40.0 + 14.0 * q.n + 6.0 * q.l) / (2.0 * self.gamma(q))
-
     def mean_log_r(self, q: QuantumNumbers) -> float:
         """<ln r> = psi(n + 2l + 2) + (2n + 1)/(2N) - ln(2 gamma)."""
         return (_digamma(q.n + 2 * q.l + 2) + (2 * q.n + 1) / (2.0 * (q.n + q.l + 1))
                 - math.log(2.0 * self.gamma(q)))
+
+    def mean_exp_neg_r(self, q: QuantumNumbers) -> float:
+        """<e^-r> = <e^(-x/(2 gamma))>: the shifted Laplace sum times (n+2l+2)/(2N)."""
+        return (float(_laplace_sum(q.n, 2 * q.l + 1, 0.5 / self.gamma(q), shifted=True))
+                * (q.n + 2 * q.l + 2) / (2.0 * (q.n + q.l + 1)))
 
 
 @dataclass(frozen=True)
@@ -110,13 +112,24 @@ class OscillatorScale:
     def moments(self, q: QuantumNumbers) -> ObservableSet:
         return oscillator_observables(self, q)
 
-    def cutoff(self, q: QuantumNumbers) -> float:
-        """Radius beyond which the trial density is < ~1e-14 of its peak."""
-        return math.sqrt(45.0 + 25.0 * q.n + 8.0 * q.l) / self.lam
-
     def mean_log_r(self, q: QuantumNumbers) -> float:
         """<ln r> = psi(n + l + 3/2)/2 - ln lambda."""
         return 0.5 * _digamma(q.n + q.l + 1.5) - math.log(self.lam)
+
+    def mean_exp_neg_r(self, q: QuantumNumbers) -> float:
+        """<e^-r> = pi^(-1/2) int u^(-1/2) e^-u <e^(-r^2/4u)> du (subordination),
+        <e^(-r^2/4u)> the Laplace sum at beta = 1/(4 u lambda^2), by the
+        trapezoid rule on 512 nodes in s = ln u (Trefethen & Weideman, SIAM
+        Rev. 56 (2014) 385): exponentially convergent while the integrand
+        peaks, at u ~ <r>/2, below ~40.  The window starts 37 below where
+        <e^(-r^2/4u)> falls off (or at -90) and ends at u = <r^2>^(1/2) + 40."""
+        n, lam = q.n, self.lam
+        lo = max(-90.0, min(0.0, -math.log(4.0 * (n + 1) * lam * lam)) - 37.0)
+        hi = math.log(math.sqrt(2 * n + q.l + 1.5) / lam + 40.0)
+        s, h = np.linspace(lo, hi, 512, retstep=True)
+        u = np.exp(s)
+        f = np.sqrt(u) * np.exp(-u) * _laplace_sum(n, q.l + 0.5, 0.25 / (u * lam * lam), False)
+        return h * float(f.sum()) / math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -164,9 +177,10 @@ def linear_s_state(m: float, a: float, n: int) -> LinearSState:
     # phase chosen so psi(0+) > 0, matching the Laguerre-family convention
     norm = scale ** 0.5 / (math.sqrt(4.0 * math.pi) * aip_at_zero)
 
+    r_far = 2.0 ** 300 / scale  # Ai underflows to 0 long before x = 2^300
+
     def psi(r):
-        r = np.asarray(r, dtype=float)
-        x = scale * r
+        x = scale * np.minimum(np.asarray(r, dtype=float), r_far)
         out = np.empty_like(x)
         small = x < 1e-3
         if np.any(~small):
@@ -228,6 +242,30 @@ def _laguerre_moment(n: int, alpha: float, s: float) -> float:
         term *= ((s - n + j) / (n - j + 1)) ** 2 * j / (alpha + s + j)
         terms.append(term)
     return math.fsum(terms)
+
+
+def _laplace_sum(n: int, alpha: float, beta, shifted: bool):
+    """mu^g sum_k (c_k - c_(k+1))^2 Gamma(k+g)/k! over Gamma(n+g)/n!, g = alpha + 2,
+    at each beta of an array; unshifted, without c_(k+1) and with g = alpha + 1.
+    That is <e^(-beta y)> over y^(g-1) e^-y [L_n^alpha(y)]^2 times
+    Gamma(n+alpha+1)/Gamma(n+g), by L_n^alpha(mu y) = sum_k c_k L_k^alpha(y),
+    mu = 1/(1+beta), c_k = C(n+alpha, n-k) mu^k (1-mu)^(n-k) (DLMF 18.18(iii)),
+    and L_k^alpha = L_k^(alpha+1) - L_(k-1)^(alpha+1) (DLMF 18.9).  a_k = c_k
+    sqrt(Gamma(k+g)/k!) over a_n runs down from 1 by ratios, rescaled exactly by
+    2^-e past 2^200; a_n^2 = mu^(2n) Gamma(n+g)/n! returns at the end."""
+    beta = np.asarray(beta, dtype=float)
+    g = alpha + 1.0 + shifted
+    k = np.arange(n, 0, -1, dtype=float)
+    root = np.sqrt(k / (k + g - 1.0))  # a_(k-1)/a_k = beta (alpha+k)/(n-k+1) root_k
+    a, total, twos = np.ones_like(beta), np.ones_like(beta), np.zeros_like(beta)
+    for step, root_k in zip((alpha + k) / (n - k + 1.0) * root, root):
+        prev, a = a, a * (step * beta)
+        d = a - root_k * prev if shifted else a
+        total = total + d * d
+        if a.max() > 2.0 ** 200:
+            e = np.frexp(np.maximum(a, 0.5))[1]
+            a, total, twos = np.ldexp(a, -e), np.ldexp(total, -2 * e), twos + e
+    return total * np.exp(2.0 * math.log(2.0) * twos - (2 * n + g) * np.log1p(beta))
 
 
 def _digamma(x: float) -> float:

@@ -1,18 +1,14 @@
 """Observables of AFM trial states, whose scale class in ``exact`` owns
-their moment sets: the trial <H> (formed only by ``mean_hamiltonian``),
-the virial <p^2>/<p^4> and the Eckart bound (E1^L - <H>)/(E1^U - E0^L),
-one formula for B_E (exact E0, E1) and B'_E (AFM bounds on them)."""
+their moment sets: the closed-form trial <V> and <H> (formed only by
+``mean_hamiltonian``), the virial <p^2>/<p^4> and the Eckart bound
+(E1^L - <H>)/(E1^U - E0^L), one formula for B_E and B'_E."""
 
 from __future__ import annotations
 
-import math
-from functools import cache
-from typing import Tuple
-
-import numpy as np
+from typing import Optional, Tuple
 
 from .afm import AfmSolution, PotentialModel
-from .errors import DomainError, NumericalFailure, QuadratureFailure
+from .errors import DomainError, NumericalFailure
 from .exact import ObservableSet, QuantumNumbers
 
 __all__ = [
@@ -35,56 +31,20 @@ def afm_observable_set(v: PotentialModel, sol: AfmSolution,
             "moments of the trial state are non-finite in double precision") from exc
 
 
-@cache
-def _gauss_legendre_24():
-    from numpy.polynomial.legendre import leggauss  # on first use: not at import
-    return leggauss(24)
+def mean_potential(v: PotentialModel, sol: AfmSolution, q: QuantumNumbers,
+                   obs: Optional[ObservableSet] = None) -> float:
+    """Closed-form <V> of the trial state, ``v.trial_mean_v``; ``obs`` is
+    its moment set when the caller holds it."""
+    obs = obs or afm_observable_set(v, sol, q)
+    return v.trial_mean_v(sol.scale, q, obs)
 
 
-def _composite_gauss_legendre(f, panels: int) -> float:
-    """Integral of the vectorized f over [0, 1] by ``panels`` equal
-    panels of the 24-node Gauss-Legendre rule."""
-    nodes, weights = _gauss_legendre_24()
-    t = ((np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)) / panels).ravel()
-    return 0.5 / panels * float(np.dot(np.tile(weights, panels), f(t)))
-
-
-def mean_potential(v: PotentialModel, sol: AfmSolution, q: QuantumNumbers) -> float:
-    """<V> over the trial density by composite Gauss-Legendre
-    quadrature in t, r = r_hi t^2 (nodes cluster at the origin, where
-    ln r is singular); the error is the change from 32 ceil((n+1)/32)
-    panels, 32 for n < 32, to twice that."""
-    radial = sol.scale.radial(q)
-    r_hi = sol.scale.cutoff(q)
-
-    def integrand(t):
-        r = r_hi * t * t
-        with np.errstate(over="ignore", invalid="ignore"):
-            f = v.v(r) * radial(r) ** 2 * r * r * (2.0 * r_hi * t)
-        if not np.all(np.isfinite(f)):
-            raise QuadratureFailure("<V> integrand is non-finite")
-        return f
-
-    panels = 32 * math.ceil((q.n + 1) / 32)
-    coarse = _composite_gauss_legendre(integrand, panels)
-    val = _composite_gauss_legendre(integrand, 2 * panels)
-    err = abs(val - coarse)
-    if err > max(1e-9 * abs(val), 1e-12):
-        raise QuadratureFailure(
-            f"<V> quadrature error {err:.2e} for value {val:.6e}")
-    return val
-
-
-def mean_hamiltonian(v: PotentialModel, sol: AfmSolution,
-                     q: QuantumNumbers) -> float:
-    """<H> = <p^2>/(2m) + <V> of the trial state: <p^2> in closed form,
-    <V> from ``v.trial_mean_v`` where the family has it (linear, log) and
-    by quadrature otherwise."""
-    obs = afm_observable_set(v, sol, q)
-    mean_v = v.trial_mean_v(sol.scale, q, obs)
-    if mean_v is None:
-        mean_v = mean_potential(v, sol, q)
-    return obs.p2 / v.kinetic_2m + mean_v
+def mean_hamiltonian(v: PotentialModel, sol: AfmSolution, q: QuantumNumbers,
+                     obs: Optional[ObservableSet] = None) -> float:
+    """<H> = <p^2>/(2m) + <V> of the trial state, both in closed form;
+    ``obs`` is its moment set when the caller holds it."""
+    obs = obs or afm_observable_set(v, sol, q)
+    return obs.p2 / v.kinetic_2m + mean_potential(v, sol, q, obs)
 
 
 def p2_p4_from_potential(energy: float, mean_v: float, mean_v2: float,

@@ -138,7 +138,7 @@ def _obs_ratios(kind: AuxiliaryKind, n: int) -> Dict[str, float]:
         "r4": obs.r_moments[4] / ref.r_moments[4],
         "p2": obs.p2 / ref.p2,
         "p4": obs.p4 / ref.p4,
-        "mean_h": observables.mean_hamiltonian(v, sol, q) / energy,
+        "mean_h": observables.mean_hamiltonian(v, sol, q, obs) / energy,
         "eps": sol.energy / energy,
     }
 

@@ -15,22 +15,30 @@ state's moments one Simpson dot product at a time.
 ``hydrogen_radial_closure`` and ``oscillator_radial_closure`` are the two
 separate radial evaluators the scale classes' one weighted-Laguerre
 evaluator replaced, kept to hold it to them bit for bit.
+``linear_s_psi_unclipped`` is the Airy S-state evaluator before r was
+clipped where Ai underflows.  ``quadrature_mean_potential`` is the composite Gauss-Legendre rule that
+gave the trial <V> before every family had it in closed form, on the
+density cutoff ``trial_cutoff``; ``mean_exp_neg_r_mp`` is <e^-r> of a
+trial state by ``mpmath.quad``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from typing import Dict, Optional
 
+import mpmath
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.linalg import solve_banded
 
 from auxfield.afm import Bound
-from auxfield.errors import DomainError, NumericalFailure
+from auxfield.errors import DomainError, NumericalFailure, QuadratureFailure
 from auxfield.exact import HydrogenScale, ObservableSet, OscillatorScale, QuantumNumbers
 from auxfield.observables import p2_p4_from_potential
-from auxfield.specfun import WBranch, laguerre, lambert_w
+from auxfield.specfun import WBranch, airy_ai, airy_zero, laguerre, lambert_w
 
 
 def hydrogen_r_moment(scale: HydrogenScale, q: QuantumNumbers, k: int) -> float:
@@ -319,3 +327,116 @@ def oscillator_radial_closure(scale: OscillatorScale, q: QuantumNumbers):
         return laguerre(n, alpha, t, log_norm + power - 0.5 * t)
 
     return radial
+
+
+def linear_s_psi_unclipped(m: float, a: float, n: int):
+    """psi(r) of ``exact.linear_s_state(m, a, n)`` with x = (2 m a)^(1/3) r
+    unclipped, which overflows to inf for r near the largest double."""
+    alpha = airy_zero(n)
+    scale = (2.0 * m * a) ** (1.0 / 3.0)
+    _, aip_at_zero = airy_ai(alpha)
+    norm = scale ** 0.5 / (math.sqrt(4.0 * math.pi) * aip_at_zero)
+
+    def psi(r):
+        x = scale * np.asarray(r, dtype=float)
+        out = np.empty_like(x)
+        small = x < 1e-3
+        if np.any(~small):
+            out[~small] = norm * airy_ai(x[~small] + alpha)[0] / x[~small]
+        if np.any(small):
+            d = x[small]
+            out[small] = norm * aip_at_zero * (1.0 + alpha * d * d / 6.0 + d ** 3 / 12.0)
+        out *= scale
+        return out if out.ndim else float(out)
+
+    return psi
+
+
+def trial_cutoff(scale, q: QuantumNumbers) -> float:
+    """Radius beyond which the trial density is < ~1e-14 of its peak."""
+    if isinstance(scale, HydrogenScale):
+        return (40.0 + 14.0 * q.n + 6.0 * q.l) / (2.0 * scale.gamma(q))
+    return math.sqrt(45.0 + 25.0 * q.n + 8.0 * q.l) / scale.lam
+
+
+@cache
+def _gauss_legendre_24():
+    return leggauss(24)
+
+
+def _composite_gauss_legendre(f, panels: int) -> float:
+    """Integral of the vectorized f over [0, 1] by ``panels`` equal
+    panels of the 24-node Gauss-Legendre rule."""
+    nodes, weights = _gauss_legendre_24()
+    t = ((np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)) / panels).ravel()
+    return 0.5 / panels * float(np.dot(np.tile(weights, panels), f(t)))
+
+
+def quadrature_mean_potential(v, sol, q: QuantumNumbers) -> float:
+    """<V> over the trial density by composite Gauss-Legendre
+    quadrature in t, r = r_hi t^2 (nodes cluster at the origin, where
+    ln r is singular); the error is the change from 32 ceil((n+1)/32)
+    panels, 32 for n < 32, to twice that, accepted below 1e-9 relative
+    (1e-12 absolute) and raised as ``QuadratureFailure`` above."""
+    radial = sol.scale.radial(q)
+    r_hi = trial_cutoff(sol.scale, q)
+
+    def integrand(t):
+        r = r_hi * t * t
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = v.v(r) * radial(r) ** 2 * r * r * (2.0 * r_hi * t)
+        if not np.all(np.isfinite(f)):
+            raise QuadratureFailure("<V> integrand is non-finite")
+        return f
+
+    panels = 32 * math.ceil((q.n + 1) / 32)
+    coarse = _composite_gauss_legendre(integrand, panels)
+    val = _composite_gauss_legendre(integrand, 2 * panels)
+    err = abs(val - coarse)
+    if err > max(1e-9 * abs(val), 1e-12):
+        raise QuadratureFailure(
+            f"<V> quadrature error {err:.2e} for value {val:.6e}")
+    return val
+
+
+def mean_exp_neg_r_mp(scale, q: QuantumNumbers, dps: int = 30):
+    """<e^-r> of a trial state by ``mpmath.quad`` at ``dps`` digits, in
+    y = 2 gamma r (density y^(alpha+1) e^-y L^2, e^-r = e^(-c y)) or
+    y = lambda r (density 2 y^(2 alpha+1) e^(-y^2) L^2 at y^2,
+    e^-r = e^(-c y)), with L = L_n^alpha from its power series, over the
+    span where the integrand exceeds e^-80 of its peak (widened by 2 and
+    1.5), broken at octaves for the rise from y = 0 and into n + 16 equal
+    pieces for the oscillations."""
+    n, l = q.n, q.l
+    hydrogen = isinstance(scale, HydrogenScale)
+    with mpmath.workdps(dps):
+        alpha = mpmath.mpf(2 * l + 1) if hydrogen else l + mpmath.mpf(1) / 2
+        coef = [(-1) ** j * mpmath.binomial(n + alpha, n - j) / mpmath.factorial(j)
+                for j in range(n, -1, -1)]
+        norm = mpmath.gamma(n + alpha + 1) / mpmath.factorial(n)
+        if hydrogen:
+            norm *= 2 * n + alpha + 1
+            c = 1 / (2 * mpmath.mpf(scale.gamma(q)))
+            power, top = alpha + 1, 4 * n + 2 * alpha + 200
+            log_w = lambda y: power * mpmath.log(y) - y * (1 + c)
+            poly = lambda y: mpmath.polyval(coef, y)
+        else:
+            norm /= 2
+            c = 1 / mpmath.mpf(scale.lam)
+            power, top = 2 * alpha + 1, mpmath.sqrt(4 * n + 2 * alpha + 200)
+            log_w = lambda y: power * mpmath.log(y) - y * (y + c)
+            poly = lambda y: mpmath.polyval(coef, y * y)
+
+        def log_f(y):
+            return log_w(y) + 2 * mpmath.log(abs(poly(y)) + mpmath.mpf(10) ** -300)
+
+        scan = [top * mpmath.mpf(2) ** (-j / 4) for j in range(400)]
+        logs = [log_f(y) for y in scan]
+        peak = max(logs)
+        live = [y for y, lf in zip(scan, logs) if lf > peak - 80]
+        lo, hi = min(live) / 2, max(live) * 1.5
+        octaves = [lo * mpmath.mpf(2) ** j for j in range(int(mpmath.log(hi / lo, 2)))]
+        pts = sorted(set(octaves + [lo + (hi - lo) * j / (n + 16) for j in range(n + 17)]))
+        # mpmath stops on an absolute error of 10^-dps: scale the peak to 1
+        f = lambda y: mpmath.exp(log_w(y) - peak) * poly(y) ** 2
+        return mpmath.quad(f, pts, method="gauss-legendre") * mpmath.exp(peak) / norm

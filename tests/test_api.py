@@ -64,6 +64,37 @@ def test_no_module_imports_a_private_name_of_another(name):
     assert not private, f"auxfield.{name} imports private names: {private}"
 
 
+def _polynomial_imports(source: str):
+    """Imports of numpy.polynomial (or of a name from it) in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.startswith("numpy.polynomial")]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+            found += [n for n in names if n.startswith("numpy.polynomial")]
+    return found
+
+
+def test_no_module_imports_numpy_polynomial():
+    # every closed form is a finite sum or a fixed rule: the package needs no
+    # polynomial quadrature nodes, which the references in tests/ keep
+    src = Path(auxfield.__file__).parent
+    found = {p.name: _polynomial_imports(p.read_text()) for p in sorted(src.glob("*.py"))}
+    assert not {name: hits for name, hits in found.items() if hits}
+    assert _polynomial_imports("from numpy.polynomial.legendre import leggauss")
+    assert _polynomial_imports("from numpy import polynomial")
+    assert _polynomial_imports("import numpy.polynomial as P")
+
+
+def test_every_family_owns_its_trial_mean_v():
+    # no inherited default: mean_hamiltonian has one path for every family
+    from auxfield.afm import _FAMILIES, PotentialModel
+    assert not hasattr(PotentialModel, "trial_mean_v")
+    for name, family in _FAMILIES.items():
+        assert "trial_mean_v" in vars(family), name
+
+
 def test_readme_library_example_runs(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Library example", 1)[1]

@@ -427,11 +427,12 @@ class TestBoundaries:
     @pytest.mark.parametrize("aux", ["coulomb", "quadratic"])
     @pytest.mark.parametrize("k", ["1e150", "1e200", "1e250", "1e308"])
     def test_deep_exp_well_is_numeric_failure(self, k, aux, capsys):
-        # the moments (p4 ~ k^(4/3)), the <V> integrand or the closed form
-        # itself leave the float range; only Coulomb at 1e150 still fits
+        # the moments (p4 ~ k^(4/3)) or the closed form itself leave the
+        # float range; Coulomb at 1e150 and 1e200 still fits, since the
+        # trial <V> is closed-form and no <V> integrand can overflow
         code, out, err = _run(capsys, "solve", "exp", aux, "0", "0", "--k", k)
         assert "internal error" not in err
-        if (k, aux) == ("1e150", "coulomb"):
+        if (k, aux) in (("1e150", "coulomb"), ("1e200", "coulomb")):
             assert code == 0
             assert math.isfinite(_strict_loads(out)["mean_h"])
         else:
@@ -541,10 +542,9 @@ class TestColdStart:
         rec = json.loads(proc.stdout)
         assert rec["codes"] == [0] * 10 + [2]
         assert rec["closed_form"] == []
-        # numpy.polynomial (the Gauss-Legendre nodes) loads on the first
-        # exp <V> quadrature: not at import, --help-units, solve linear or
-        # solve log, whose trial <V> is closed-form
-        assert rec["polynomial"] == [False] * 6 + [True] * 6
+        # every family's trial <V> is closed-form, so numpy.polynomial
+        # loads neither at import nor for any solve, table or wavefunction
+        assert rec["polynomial"] == [False] * 12
         # the oracle loads scipy's LAPACK extension alone, not the
         # scipy.linalg package with its array-API layer and numpy.f2py
         assert rec["oracle_modules"] == [True, False, False, False]

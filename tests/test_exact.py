@@ -10,7 +10,7 @@ from auxfield.exact import (HydrogenScale, OscillatorScale, QuantumNumbers,
                             linear_s_observables, linear_s_state,
                             oscillator_observables, oscillator_radial)
 from auxfield.specfun import airy_zero
-from reference import hydrogen_r_moment, oscillator_r_moment
+from reference import hydrogen_r_moment, linear_s_psi_unclipped, oscillator_r_moment
 
 
 def _norm_quad(radial, r_hi):
@@ -82,6 +82,20 @@ class TestLinearSStates:
             lambda r: 4 * math.pi * st.wavefunction(r) ** 2 * r ** (2 + k),
             0.0, abs(st.alpha_n) + 16.0, limit=300)
         assert val == pytest.approx(obs.r_moments[k], rel=1e-8)
+
+    @pytest.mark.parametrize("m, a", [(0.5, 1.0), (4.0, 1.0), (0.01, 3.0)])
+    def test_far_samples_are_zero_and_near_ones_unchanged(self, m, a):
+        # x = (2 m a)^(1/3) r overflowed to inf (a warning, then DomainError)
+        # up to the largest double; r is clipped at x = 2^300 instead, where
+        # Ai has long underflowed.  Warnings are errors under pytest here
+        psi = linear_s_state(m, a, 0).wavefunction
+        far = np.geomspace(1e300, 1.7e308, 50)
+        assert np.array_equal(psi(far), np.zeros_like(far))
+        assert psi(1.7e308) == 0.0
+        scale = (2.0 * m * a) ** (1.0 / 3.0)
+        near = np.concatenate([np.linspace(0.0, 60.0, 2001),
+                               np.geomspace(1e-12, 0.99 * 2.0 ** 300 / scale, 400)])
+        assert np.array_equal(psi(near), linear_s_psi_unclipped(m, a, 0)(near))
 
 
 class TestHydrogen:

