@@ -2,11 +2,12 @@
 
 Linear-potential S states (Airy), and the hydrogen-like and oscillator
 trial states, each owned by its scale class (``HydrogenScale``,
-``OscillatorScale``): radial function, moment set, <ln r> and <e^-r>.
-Every <r^k> of both bases is one Laguerre moment sum, every <e^-r> one
-Laplace sum, and both radial functions come from one weighted-Laguerre
-evaluator, normalized as integral(R^2 r^2 dr) = 1; spherical harmonics
-are dropped throughout.
+``OscillatorScale``): radial function, moment set, <ln r>, <e^-r> and the
+overlap with a dilated state of the same l.  Every <r^k> of both bases is
+one Laguerre moment sum; every <e^-r> and every dilated overlap is one
+Laguerre multiplication-theorem sum, diagonal or cross; and both radial
+functions come from one weighted-Laguerre evaluator, normalized as
+integral(R^2 r^2 dr) = 1; spherical harmonics are dropped throughout.
 """
 
 from __future__ import annotations
@@ -89,6 +90,15 @@ class HydrogenScale:
         return (float(_laplace_sum(q.n, 2 * q.l + 1, 0.5 / self.gamma(q), shifted=True))
                 * (q.n + 2 * q.l + 2) / (2.0 * (q.n + q.l + 1)))
 
+    def overlap(self, q: QuantumNumbers, other: HydrogenScale, q_other: QuantumNumbers) -> float:
+        """<q|q_other> with a state of scale ``other`` and the same l: the shifted
+        cross sum at mu = 2 gamma/s, mu' = 2 gamma'/s, s = gamma + gamma', times
+        sqrt((n+2l+2)(n'+2l+2)/(4 N N')), to which both norms and the prefactor
+        (mu mu')^l / s^3 of y = s r reduce."""
+        n, n2, l = q.n, q_other.n, q.l
+        return (_overlap(q, q_other, 2 * l + 1, True, other.gamma(q_other) / self.gamma(q))
+                * math.sqrt((n + 2 * l + 2) * (n2 + 2 * l + 2) / (4.0 * (n + l + 1) * (n2 + l + 1))))
+
 
 @dataclass(frozen=True)
 class OscillatorScale:
@@ -130,6 +140,13 @@ class OscillatorScale:
         u = np.exp(s)
         f = np.sqrt(u) * np.exp(-u) * _laplace_sum(n, q.l + 0.5, 0.25 / (u * lam * lam), False)
         return h * float(f.sum()) / math.sqrt(math.pi)
+
+    def overlap(self, q: QuantumNumbers, other: OscillatorScale, q_other: QuantumNumbers) -> float:
+        """<q|q_other> with a state of scale ``other`` and the same l: the
+        unshifted cross sum at mu = lambda^2/s, mu' = lambda'^2/s, s = (lambda^2
+        + lambda'^2)/2, whose (mu mu')^(g/2) is all that is left of both norms
+        and the prefactor (lambda lambda')^l / (2 s^(l+3/2)) of t = s r^2."""
+        return _overlap(q, q_other, q.l + 0.5, False, (other.lam / self.lam) ** 2)
 
 
 @dataclass(frozen=True)
@@ -244,28 +261,67 @@ def _laguerre_moment(n: int, alpha: float, s: float) -> float:
     return math.fsum(terms)
 
 
-def _laplace_sum(n: int, alpha: float, beta, shifted: bool):
-    """mu^g sum_k (c_k - c_(k+1))^2 Gamma(k+g)/k! over Gamma(n+g)/n!, g = alpha + 2,
-    at each beta of an array; unshifted, without c_(k+1) and with g = alpha + 1.
-    That is <e^(-beta y)> over y^(g-1) e^-y [L_n^alpha(y)]^2 times
-    Gamma(n+alpha+1)/Gamma(n+g), by L_n^alpha(mu y) = sum_k c_k L_k^alpha(y),
-    mu = 1/(1+beta), c_k = C(n+alpha, n-k) mu^k (1-mu)^(n-k) (DLMF 18.18(iii)),
-    and L_k^alpha = L_k^(alpha+1) - L_(k-1)^(alpha+1) (DLMF 18.9).  a_k = c_k
-    sqrt(Gamma(k+g)/k!) over a_n runs down from 1 by ratios, rescaled exactly by
-    2^-e past 2^200; a_n^2 = mu^(2n) Gamma(n+g)/n! returns at the end."""
-    beta = np.asarray(beta, dtype=float)
-    g = alpha + 1.0 + shifted
+def _laplace_terms(n: int, alpha: float, g: float, beta, shifted: bool, top: int):
+    """d_k sqrt(Gamma(k+g)/k!) over a_n for k = top down to 0 (0 above n), each
+    with the exponents e taken out of a after it, or None.  a_k = c_k
+    sqrt(Gamma(k+g)/k!) over a_n runs down from 1 by ratios, rescaled exactly
+    by 2^-e when |a| passes 2^200; its terms alternate in sign when beta < 0."""
+    yield from ((0.0, None) for _ in range(top - n))
     k = np.arange(n, 0, -1, dtype=float)
     root = np.sqrt(k / (k + g - 1.0))  # a_(k-1)/a_k = beta (alpha+k)/(n-k+1) root_k
-    a, total, twos = np.ones_like(beta), np.ones_like(beta), np.zeros_like(beta)
+    a = np.ones_like(beta)
+    yield a, None
     for step, root_k in zip((alpha + k) / (n - k + 1.0) * root, root):
         prev, a = a, a * (step * beta)
         d = a - root_k * prev if shifted else a
-        total = total + d * d
-        if a.max() > 2.0 ** 200:
-            e = np.frexp(np.maximum(a, 0.5))[1]
-            a, total, twos = np.ldexp(a, -e), np.ldexp(total, -2 * e), twos + e
-    return total * np.exp(2.0 * math.log(2.0) * twos - (2 * n + g) * np.log1p(beta))
+        e = None
+        if np.abs(a).max() > 2.0 ** 200:
+            e = np.frexp(np.maximum(np.abs(a), 0.5))[1]
+            a = np.ldexp(a, -e)
+        yield d, e
+
+
+def _laplace_sum(n: int, alpha: float, beta, shifted: bool, n2=None, beta2=None):
+    """mu^(n+g/2) mu'^(n'+g/2) sum_k d_k(n, mu) d_k(n', mu') Gamma(k+g)/k! over
+    sqrt(Gamma(n+g)/n! Gamma(n'+g)/n'!), mu = 1/(1+beta), at each beta of an
+    array; d_k = c_k - c_(k+1) and g = alpha + 2, or unshifted d_k = c_k and
+    g = alpha + 1; n' = n and beta' = beta when not given.  By L_n^alpha(mu y)
+    = sum_k c_k L_k^alpha(y), c_k = C(n+alpha, n-k) mu^k (1-mu)^(n-k) (DLMF
+    18.18(iii)), and L_k^alpha = L_k^(alpha+1) - L_(k-1)^(alpha+1) (DLMF 18.9),
+    that is the integral of y^(g-1) e^-y L_n^alpha(mu y) L_n'^alpha(mu' y) over
+    the same square roots times (mu mu')^(g/2).  At n' = n, mu' = mu it is
+    <e^(-beta y)> over y^(g-1) e^-y [L_n^alpha(y)]^2 times Gamma(n+alpha+1)/Gamma(n+g);
+    at mu + mu' = 2 it is a dilated overlap, mu' > 1 alternating in sign."""
+    beta = np.asarray(beta, dtype=float)
+    g = alpha + 1.0 + shifted
+    if n2 is None:
+        pairs = ((d, e, d, e) for d, e in _laplace_terms(n, alpha, g, beta, shifted, n))
+        n2, beta2 = n, beta
+    else:
+        beta2 = np.asarray(beta2, dtype=float)
+        top = max(n, n2)
+        pairs = ((d, e, d2, e2) for (d, e), (d2, e2) in zip(
+            _laplace_terms(n, alpha, g, beta, shifted, top),
+            _laplace_terms(n2, alpha, g, beta2, shifted, top)))
+    total, twos = np.zeros_like(beta), np.zeros_like(beta)
+    for d, e, d2, e2 in pairs:
+        total = total + d * d2
+        if e is not None or e2 is not None:
+            e = (0 if e is None else e) + (0 if e2 is None else e2)
+            total, twos = np.ldexp(total, -e), twos + e
+    return total * np.exp(math.log(2.0) * twos - ((n + g / 2) * np.log1p(beta)
+                                                 + (n2 + g / 2) * np.log1p(beta2)))
+
+
+def _overlap(q: QuantumNumbers, q_other: QuantumNumbers, alpha: float, shifted: bool,
+             ratio: float) -> float:
+    """The cross Laplace sum of two same-l states whose widths (gamma, or
+    lambda^2) have the ratio w'/w, at 1/mu - 1 = (w'/w - 1)/2 and
+    1/mu' - 1 = (w/w' - 1)/2: mu + mu' = 2."""
+    if q.l != q_other.l:
+        raise DomainError("an overlap needs two states of the same l")
+    return float(_laplace_sum(q.n, alpha, (ratio - 1.0) / 2.0, shifted,
+                              q_other.n, (1.0 - ratio) / (2.0 * ratio)))
 
 
 def _digamma(x: float) -> float:

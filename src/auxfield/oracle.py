@@ -103,6 +103,15 @@ class RadialFunction:
         """Simpson weights of the grid: w @ y integrates samples y over it."""
         return _simpson(self.grid.shape[0], float(self.grid[1] - self.grid[0]))
 
+    def decay_rate(self, v: PotentialModel) -> float:
+        """kappa = sqrt(w) at the grid end, w = 2m (V - E) + l(l+1)/r^2, at
+        least 1e-6: past the end u decays as u_end e^(-kappa (r - r_end)),
+        the tail that the oracle's last Numerov row assumes."""
+        r_end = float(self.grid[-1])
+        w_end = (v.kinetic_2m * (float(v.v(r_end)) - self.energy)
+                 + self.q.big_l / r_end ** 2)
+        return math.sqrt(max(w_end, 1e-12))
+
     def slope_at_origin(self) -> float:
         """u'(0) from the one-sided 5-point formula."""
         u = self.values
@@ -312,7 +321,9 @@ def solve_radial(v: PotentialModel, q: QuantumNumbers,
         r_max = min(needed * 1.25, 4000.0)
     if _interior_nodes(u) != q.n:
         raise NumericalFailure(
-            f"converged solution has {_interior_nodes(u)} nodes, expected {q.n}")
+            f"converged solution has {_interior_nodes(u)} nodes, expected {q.n}, on "
+            f"{cfg.grid_points} grid points up to r_max = {r_max:.6g}; the grid may be "
+            "too coarse for the state, and more points (--grid-points) may resolve it")
     # a copy: a view of the prefix would keep the whole grid alive in caches
     return RadialFunction(grid=grid[:u.shape[0]].copy(), values=u,
                           energy=float(energy), q=q)
@@ -327,11 +338,7 @@ def numeric_observables(f: RadialFunction, v: PotentialModel) -> ObservableSet:
     the eight integrals one product with the density u^2 times Simpson weights."""
     grid, u = f.grid, f.values
     # extrapolated probability mass beyond the grid end
-    r_end = float(grid[-1])
-    w_end = (v.kinetic_2m * (float(v.v(r_end)) - f.energy)
-             + f.q.big_l / r_end ** 2)
-    kappa = math.sqrt(max(w_end, 1e-12))
-    tail = u[-1] * u[-1] / (2.0 * kappa)
+    tail = u[-1] * u[-1] / (2.0 * f.decay_rate(v))
     if tail > 1e-8:
         raise QuadratureFailure(
             f"tail mass {tail:.2e} beyond r_max: state under-resolved")

@@ -285,8 +285,8 @@ def sample_psi(v: PotentialModel, aux: str, q: QuantumNumbers,
     """psi(r) on ``grid`` (from r = 0) of the AFM trial state (``aux``
     'coulomb' or 'quadratic') or of the exact state ('exact'): the closed
     form where one exists, else the oracle state interpolated and 0 past
-    its end.  A state that reaches the end of its domain is solved again
-    on the grid's when that is larger."""
+    its end.  Past the end of a state that reaches the end of its domain,
+    u continues as the decaying tail its last Numerov row assumes."""
     norm = math.sqrt(4.0 * math.pi)
     if aux in ("coulomb", "quadratic"):
         sol = afm_solve(v, AuxiliaryKind(aux), q)
@@ -297,11 +297,12 @@ def sample_psi(v: PotentialModel, aux: str, q: QuantumNumbers,
     if exact is not None:
         return np.asarray(exact(grid))
     f = solve_radial(v, q)
-    if f.values[-1] != 0.0 and f.grid[-1] < grid[-1]:
-        f = solve_radial(v, q, SolverConfig(r_max=float(grid[-1])))
-    u_interp = np.interp(grid, f.grid, f.values, right=0.0)
+    r_end, kappa = float(f.grid[-1]), f.decay_rate(v)
+    # e^-1000 is 0: the clip keeps kappa (r - r_end) finite at any r
+    past = np.clip(grid - r_end, 0.0, 1e3 / kappa)
+    u = np.interp(grid, f.grid, f.values) * np.exp(-kappa * past)
     psi = np.empty_like(grid)
-    psi[1:] = u_interp[1:] / norm / grid[1:]
+    psi[1:] = u[1:] / norm / grid[1:]
     # psi(0) = u'(0) / sqrt(4 pi) for l = 0 and vanishes for l > 0
     psi[0] = f.slope_at_origin() / norm if q.l == 0 else 0.0
     return psi

@@ -19,7 +19,8 @@ evaluator replaced, kept to hold it to them bit for bit.
 clipped where Ai underflows.  ``quadrature_mean_potential`` is the composite Gauss-Legendre rule that
 gave the trial <V> before every family had it in closed form, on the
 density cutoff ``trial_cutoff``; ``mean_exp_neg_r_mp`` is <e^-r> of a
-trial state by ``mpmath.quad``.
+trial state by ``mpmath.quad``, and ``dilated_overlap_mp`` the overlap of
+two dilated states of one basis.
 """
 
 from __future__ import annotations
@@ -440,3 +441,49 @@ def mean_exp_neg_r_mp(scale, q: QuantumNumbers, dps: int = 30):
         # mpmath stops on an absolute error of 10^-dps: scale the peak to 1
         f = lambda y: mpmath.exp(log_w(y) - peak) * poly(y) ** 2
         return mpmath.quad(f, pts, method="gauss-legendre") * mpmath.exp(peak) / norm
+
+
+
+def dilated_overlap_mp(hydrogen: bool, n: int, n_prime: int, l: int, a: float,
+                       dps: int = 40):
+    """<n l|n' l> of two hydrogen-like (``hydrogen``) or oscillator states of
+    scales 1 and a, by Gauss-Legendre ``mpmath.quad`` at ``dps`` digits of
+    r^2 R R', each R from its textbook form, with L from its power series:
+    N x^l e^(-x/2) L_n^(2l+1)(x), x = 2 eta r/(n+l+1), or N (lambda r)^l
+    e^(-(lambda r)^2/2) L_n^(l+1/2)((lambda r)^2).  The product decays as e^-y
+    in y = s r, s the sum of the two gamma, or as e^(-y^2), s^2 the mean of the
+    two lambda^2: [0, y_top] in y, e^-200 past the peak, is cut into
+    (n + n')//4 + 4 equal pieces."""
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(a)
+        alpha = mpmath.mpf(2 * l + 1) if hydrogen else l + mpmath.mpf(1) / 2
+
+        def laguerre_mp(m):
+            coef = [(-1) ** j * mpmath.binomial(m + alpha, m - j) / mpmath.factorial(j)
+                    for j in range(m, -1, -1)]
+            return lambda x: mpmath.polyval(coef, x)
+
+        if hydrogen:
+            def radial(eta, m):
+                gam, lag = eta / (m + l + 1), laguerre_mp(m)
+                norm = mpmath.sqrt((2 * gam) ** 3 * mpmath.factorial(m)
+                                   / (2 * (m + l + 1) * mpmath.gamma(m + 2 * l + 2)))
+                return lambda r: (norm * (2 * gam * r) ** l * mpmath.exp(-gam * r)
+                                  * lag(2 * gam * r))
+
+            s = 1 / mpmath.mpf(n + l + 1) + a / (n_prime + l + 1)
+            y_top = 4 * max(n, n_prime) + 2 * alpha + 200
+        else:
+            def radial(lam, m):
+                lag = laguerre_mp(m)
+                norm = mpmath.sqrt(2 * lam ** 3 * mpmath.factorial(m)
+                                   / mpmath.gamma(m + l + mpmath.mpf(3) / 2))
+                return lambda r: (norm * (lam * r) ** l * mpmath.exp(-(lam * r) ** 2 / 2)
+                                  * lag((lam * r) ** 2))
+
+            s = mpmath.sqrt((1 + a * a) / 2)
+            y_top = mpmath.sqrt(4 * max(n, n_prime) + 2 * alpha + 200)
+        f, g = radial(mpmath.mpf(1), n), radial(a, n_prime)
+        pieces = (n + n_prime) // 4 + 4
+        pts = [y_top / s * j / pieces for j in range(pieces + 1)]
+        return mpmath.quad(lambda r: r * r * f(r) * g(r), pts, method="gauss-legendre")

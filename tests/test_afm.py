@@ -71,6 +71,18 @@ class TestLinearSolutions:
         assert sol.scale.eta == pytest.approx(ref.scale.eta / sr, rel=1e-13)
 
 
+    def test_scale_ratios_of_the_overlap_tables(self):
+        # the paper's dilation factors between two states of one l
+        for n, npr, l in itertools.product(range(8), range(8), range(6)):
+            q, q_prime = QuantumNumbers(n, l), QuantumNumbers(npr, l)
+            eta = [afm_solve(LINEAR, AuxiliaryKind.COULOMB, s).scale.eta for s in (q, q_prime)]
+            lam = [afm_solve(LINEAR, AuxiliaryKind.QUADRATIC, s).scale.lam for s in (q, q_prime)]
+            want = ((npr + l + 1) / (n + l + 1)) ** (4 / 3)
+            assert abs(eta[1] / eta[0] - want) <= 1e-14 * want, (n, npr, l)
+            want = ((4 * n + 2 * l + 3) / (4 * npr + 2 * l + 3)) ** (1 / 6)
+            assert abs(lam[1] / lam[0] - want) <= 1e-14 * want, (n, npr, l)
+
+
 class TestLogSolutions:
     def test_closed_forms(self):
         sol = afm_solve(LOG, AuxiliaryKind.COULOMB, QuantumNumbers(0, 0))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -12,6 +13,7 @@ from auxfield import cli, tables
 from auxfield.afm import LinearPotential, PotentialModel
 from auxfield.cli import main
 from auxfield.exact import QuantumNumbers
+from auxfield.oracle import solve_radial
 from auxfield.tables import TABLE_IDS, oracle_state
 
 
@@ -197,14 +199,20 @@ class TestWavefunction:
         assert proc.stderr == ""
         assert proc.stdout.splitlines()[-1] == "1e+06,0"
 
-    @pytest.mark.parametrize("r_max", ["1e100", "1e200", "1e300", "1.7e308"])
-    @pytest.mark.parametrize("n,l", [(0, 0), (1, 1), (2, 0), (3, 2)])
-    @pytest.mark.parametrize("aux", ["coulomb", "quadratic", "exact"])
-    @pytest.mark.parametrize("family", ["linear", "log", "exp"])
-    def test_far_samples_are_finite_and_silent(self, family, aux, n, l, r_max, capsys):
+    @pytest.mark.parametrize("family,aux,n,l,r_max,k", [
+        pytest.param(family, aux, n, l, r_max, "300" if family == "exp" else None,
+                     id=f"{family}-{aux}-{n}-{l}-{r_max}")
+        for family, aux, (n, l), r_max in itertools.product(
+            ["linear", "log", "exp"], ["coulomb", "quadratic", "exact"],
+            [(0, 0), (1, 1), (2, 0), (3, 2)], ["1e100", "1e200", "1e300", "1.7e308"])
+    ] + [
+        # live up to the end of its domain (r ~ 268), past which its tail decays
+        pytest.param("exp", "exact", 2, 0, "1e100", "20", id="exp-exact-2-0-1e100-k20"),
+    ])
+    def test_far_samples_are_finite_and_silent(self, family, aux, n, l, r_max, k, capsys):
         # every state has underflowed past r = 0; any overflow warning
         # would be an exception here, so exit 70
-        depth = ("--k", "300") if family == "exp" else ()
+        depth = ("--k", k) if k else ()
         code, out, err = _run(capsys, "wavefunction", family, aux, str(n), str(l),
                               "--r-max", r_max, "--samples", "5", *depth)
         assert (code, err) == (0, "")
@@ -248,11 +256,10 @@ class TestWavefunction:
         assert code == 0
         assert out.splitlines()[-1] == "200,0"
 
-    def test_exact_oracle_path_solves_again_only_a_state_cut_at_its_domain_end(
-            self, capsys):
+    def test_exact_oracle_path_reads_zero_or_the_tail_past_the_state_end(
+            self, monkeypatch, capsys):
         # log (0, 0) ends well inside its default domain: ψ is that state,
         # interpolated, and 0 past its end, not a solve on [0, 60]
-        from auxfield.oracle import SolverConfig, solve_radial
         norm = math.sqrt(4.0 * math.pi)
         code, out, _ = _run(capsys, "wavefunction", "log", "exact", "0", "0",
                             "--r-max", "60")
@@ -266,19 +273,29 @@ class TestWavefunction:
         assert past.any() and np.all(psi[past] == 0.0)
         ref = np.interp(r[1:], f.grid, f.values) / (r[1:] * norm)
         assert np.max(np.abs(psi[1:] - ref)) <= 1e-6
-        # exp k = 20 (2, 0) is live up to the end of its domain (r ~ 268),
-        # so it is solved again on [0, 300]
+        # exp k = 20 (2, 0) is live up to the end of its domain (r ~ 268): on
+        # [0, 300] it is that one solve, and past its end the decaying tail
+        # u_end e^(-kappa (r - r_end)), kappa^2 = -20 e^(-r_end) - E
         v, q = PotentialModel.exponential(20.0), QuantumNumbers(2, 0)
-        assert oracle_state(v, q)[0].values[-1] != 0.0
+        g = oracle_state(v, q)[0]
+        r_end = g.grid[-1]
+        assert g.values[-1] != 0.0 and r_end < 300.0
+        solves = []
+        monkeypatch.setattr(tables, "solve_radial",
+                            lambda *a: solves.append(a) or solve_radial(*a))
         code, out, _ = _run(capsys, "wavefunction", "exp", "exact", "2", "0",
                             "--k", "20", "--r-max", "300")
-        assert code == 0
-        g = solve_radial(v, q, SolverConfig(r_max=300.0))
+        assert (code, len(solves)) == (0, 1)
         r = np.linspace(0.0, 300.0, 601)
-        psi = np.empty_like(r)
-        psi[1:] = np.interp(r[1:], g.grid, g.values, right=0.0) / (r[1:] * norm)
-        psi[0] = g.slope_at_origin() / norm
-        assert out.splitlines()[1:] == [f"{a:.6g},{b:.6g}" for a, b in zip(r, psi)]
+        kappa = math.sqrt(-20.0 * math.exp(-r_end) - g.energy)
+        u = np.where(r <= r_end, np.interp(r, g.grid, g.values),
+                     g.values[-1] * np.exp(-kappa * np.maximum(r - r_end, 0.0)))
+        want = np.empty_like(r)
+        want[1:] = u[1:] / (r[1:] * norm)
+        want[0] = g.slope_at_origin() / norm
+        psi = np.array([float(line.split(",")[1]) for line in out.splitlines()[1:]])
+        assert np.all(psi[r > r_end] > 0.0)
+        assert np.allclose(psi, want, rtol=5e-6, atol=0.0)
 
     def test_exact_oracle_path_positive_at_origin(self, capsys):
         # the oracle state has the sign of the closed forms: u > 0 before
@@ -398,6 +415,13 @@ class TestBoundaries:
         assert out == ""
         assert "numeric failure" in err
         assert "2000 points" in err
+        # 20000 points hold too few per half-wave for 2000 nodes: the node
+        # check names the grid, r_max and the option that may resolve it
+        code, out, err = _run(capsys, "oracle", "linear", "2000", "0")
+        assert (code, out) == (70, "")
+        assert ("converged solution has 1923 nodes, expected 2000, on 20000 grid points "
+                "up to r_max = 1164.74" in err)
+        assert "--grid-points" in err
 
     def test_r_max_inside_allowed_region_is_numeric_failure(self, capsys):
         # the turning point of linear (0, 0) is near r = 2.3, beyond r_max
