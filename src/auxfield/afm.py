@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar, Optional, Sequence, Union
 
-import numpy as np
-
+from ._numpy import np
 from . import specfun
 from .errors import DomainError, NoBoundState, NumericalFailure
 from .exact import HydrogenScale, OscillatorScale, QuantumNumbers, linear_s_state
@@ -45,6 +44,12 @@ __all__ = [
 
 _W0 = specfun.WBranch.PRINCIPAL
 _NEG_INV_E = -math.exp(-1.0)
+
+
+def _xp(r):
+    """The namespace of a family's V and V' formula: math at a float r,
+    numpy at an array."""
+    return math if isinstance(r, float) else np
 
 
 class AuxiliaryKind(Enum):
@@ -86,8 +91,9 @@ class PotentialModel:
     """Base of the three Hamiltonian families in reduced units.
 
     Each family is one subclass that holds its own parameters and their
-    validation, V and V' (``_v``, ``_v_prime`` on float arrays), the mass,
-    ``afm_radius(N)``, the r0 solving m r0^3 V'(r0) = N^2 in closed form,
+    validation, V and V' (``_v``, ``_v_prime``: one formula each, for a
+    Python float and a float array alike), the mass, ``afm_radius(N)``,
+    the r0 solving m r0^3 V'(r0) = N^2 in closed form,
     ``mean_point(kind, nu)`` = I(nu), the radius where V'/P' equals nu > 0,
     ``trial_mean_v(scale, q, obs)``, the closed-form <V> of trial state q
     (moment set ``obs``), the bound direction, and the oracle's
@@ -132,11 +138,12 @@ class PotentialModel:
         return 2.0 * self.mass
 
     def v(self, r):
-        """V(r); the single entry point that evaluates the potential."""
-        return self._v(np.asarray(r, dtype=float))
+        """V(r); the single entry point that evaluates the potential: with
+        ``math`` at a Python float, else with numpy on a float array."""
+        return self._v(r if isinstance(r, float) else np.asarray(r, dtype=float))
 
     def v_prime(self, r):
-        return self._v_prime(np.asarray(r, dtype=float))
+        return self._v_prime(r if isinstance(r, float) else np.asarray(r, dtype=float))
 
     def bound(self, kind: AuxiliaryKind, q: QuantumNumbers):
         """(Bound, condition_met) from the convexity of g in V = g(P).
@@ -178,7 +185,7 @@ class LinearPotential(PotentialModel):
         return self.a * r
 
     def _v_prime(self, r):
-        return self.a * np.ones_like(r)
+        return self.a * r ** 0.0   # a, shaped like r
 
     def afm_radius(self, big_n: float) -> float:
         return (big_n * big_n / (self.m * self.a)) ** (1.0 / 3.0)
@@ -211,7 +218,7 @@ class LogPotential(PotentialModel):
     mass: ClassVar[float] = 2.0
 
     def _v(self, r):
-        return np.log(r)
+        return _xp(r).log(r)
 
     def _v_prime(self, r):
         return 1.0 / r
@@ -249,10 +256,10 @@ class ExpPotential(PotentialModel):
         return -1e-12 * max(1.0, self.k)
 
     def _v(self, r):
-        return -self.k * np.exp(-r)
+        return -self.k * _xp(r).exp(-r)
 
     def _v_prime(self, r):
-        return self.k * np.exp(-r)
+        return self.k * _xp(r).exp(-r)
 
     def bound(self, kind: AuxiliaryKind, q: QuantumNumbers):
         """The Coulomb lower-bound proof only covers n + l + 1 <= sqrt(k / (2 e))."""

@@ -23,8 +23,6 @@ import math
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import observables, tables
 from .afm import AuxiliaryKind, PotentialModel, afm_solve
 from .errors import DomainError, NoBoundState, NumericalFailure
@@ -121,9 +119,11 @@ def _cmd_wavefunction(args) -> int:
         raise DomainError("--r-max must be positive and finite")
     if not 2 <= args.samples <= 2_000_000:
         raise DomainError("--samples must be between 2 and 2000000")
-    grid = np.linspace(0.0, args.r_max, args.samples)
     v = PotentialModel.from_name(args.family, args.k)
-    psi = tables.sample_psi(v, args.aux, QuantumNumbers(args.n, args.l), grid)
+    q = QuantumNumbers(args.n, args.l)
+    import numpy as np  # local: cli has no __all__; probing its names must not load numpy
+    grid = np.linspace(0.0, args.r_max, args.samples)
+    psi = tables.sample_psi(v, args.aux, q, grid)
     lines = ["r,psi"]
     for r, p in zip(grid, psi):
         lines.append(f"{r:.6g},{p:.6g}")

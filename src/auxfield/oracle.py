@@ -37,8 +37,7 @@ from dataclasses import dataclass, field
 from importlib import machinery, util
 from typing import Optional
 
-import numpy as np
-
+from ._numpy import np
 from .afm import PotentialModel
 from .errors import DomainError, NoBoundState, NumericalFailure, QuadratureFailure
 from .exact import ObservableSet, QuantumNumbers

@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional
 
-import numpy as np
-
+from ._numpy import np
 from .afm import AuxiliaryKind, PotentialModel, afm_solve
 from .errors import DomainError
 from .exact import HydrogenScale, OscillatorScale, QuantumNumbers

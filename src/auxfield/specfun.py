@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DomainError, NumericalFailure
 
 __all__ = [
@@ -61,19 +61,17 @@ _STEP = 0.25
 _TAYLOR_TERMS = 26
 
 
-def _u_v_coefficients(nmax=31):
-    u = np.empty(nmax + 1)
-    v = np.empty(nmax + 1)
+@lru_cache(maxsize=1)
+def _uv():
+    """Rows u_k and v_k for k = 31, ..., 0 (np.polyval order), built at
+    first use; in a row the odd k sit at [::2] and the even k at [1::2]."""
+    u = np.empty(32)
+    v = np.empty(32)
     u[0] = v[0] = 1.0
-    for k in range(nmax):
+    for k in range(31):
         u[k + 1] = u[k] * (6 * k + 5) * (6 * k + 1) / (72.0 * (k + 1))
         v[k + 1] = u[k + 1] * (6 * (k + 1) + 1) / (1.0 - 6 * (k + 1))
-    return u, v
-
-
-# rows u_k and v_k for k = 31, ..., 0 (np.polyval order); in a row the
-# odd k sit at [::2] and the even k at [1::2]
-_UV = np.array(_u_v_coefficients())[:, ::-1]
+    return np.array([u, v])[:, ::-1]
 
 
 def _airy_asym_pos(x):
@@ -83,8 +81,8 @@ def _airy_asym_pos(x):
     zeta = (2.0 / 3.0) * x ** 1.5
     t = -1.0 / zeta
     pref = np.exp(-zeta) / (2.0 * math.sqrt(math.pi))
-    return (pref * np.polyval(_UV[0], t) / x ** 0.25,
-            -pref * np.polyval(_UV[1], t) * x ** 0.25)
+    u, v = _uv()
+    return pref * np.polyval(u, t) / x ** 0.25, -pref * np.polyval(v, t) * x ** 0.25
 
 
 def _airy_asym_neg(x):
@@ -93,7 +91,8 @@ def _airy_asym_neg(x):
     z = -x
     zeta = (2.0 / 3.0) * z ** 1.5
     t = -1.0 / (zeta * zeta)
-    (u_odd, v_odd), (u_even, v_even) = _UV[:, ::2], _UV[:, 1::2]
+    uv = _uv()
+    (u_odd, v_odd), (u_even, v_even) = uv[:, ::2], uv[:, 1::2]
     arg = zeta - 0.25 * math.pi
     cos, sin = np.cos(arg), np.sin(arg)
     root_pi = math.sqrt(math.pi)

@@ -16,8 +16,7 @@ from functools import lru_cache, partial
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
+from ._numpy import np
 from . import observables, overlaps
 from .afm import AuxiliaryKind, PotentialModel, afm_solve
 from .errors import AuxFieldError, DomainError, NoBoundState, NumericalFailure

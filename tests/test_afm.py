@@ -401,3 +401,23 @@ class TestValidation:
         assert PotentialModel.from_name("logarithmic") == PotentialModel.logarithmic()
         assert PotentialModel.from_name("exp", 20.0).family == "exp"
         assert not hasattr(PotentialModel.logarithmic(), "k")
+
+
+class TestScalarAndArrayPaths:
+    # V and V' evaluate a Python float with math and an array with numpy,
+    # from one formula per family: the two namespaces must not drift apart
+    _R = np.concatenate([10.0 ** np.random.default_rng(23).uniform(-300.0, 3.0, 1000),
+                         np.random.default_rng(24).uniform(1e-300, 1e3, 1000)]).tolist()
+
+    @pytest.mark.parametrize("v,ulps", [
+        (LINEAR, 0), (PotentialModel.linear(0.7, 3.3), 0), (LOG, 1),
+        # math.exp and numpy's exp differ by at most 1 ulp, which the product
+        # with k, rounded once more, can take to 2 ulp of V
+        (PotentialModel.exponential(1.0), 1), (PotentialModel.exponential(20.0), 2),
+        (PotentialModel.exponential(33265.0), 2)], ids=str)
+    def test_a_float_and_a_one_element_array_agree(self, v, ulps):
+        for f in (v.v, v.v_prime):
+            for x in self._R:
+                scalar, array = f(x), f(np.array([x]))[0]
+                assert type(scalar) is float
+                assert abs(scalar - array) <= ulps * math.ulp(array), (f.__name__, x)

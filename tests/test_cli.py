@@ -371,6 +371,28 @@ class TestBoundaries:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("solve", "linear", "coulomb", "99999999999999999999", "0"),
+        ("solve", "linear", "coulomb", "10000000", "0"),
+        ("solve", "log", "quadratic", "0", "100001"),
+        ("solve", "exp", "coulomb", "100001", "0", "--k", "1e12"),
+        ("oracle", "linear", "100001", "0"),
+        ("wavefunction", "linear", "coulomb", "0", "100001"),
+    ], ids=" ".join)
+    def test_quantum_numbers_above_the_cap_are_usage_errors(self, argv, capsys):
+        # the closed forms take time and memory linear in n + l (10^7 took
+        # 47 s and 411 MB, and 10^20 overflowed a Gamma argument): refused
+        # before any work
+        code, out, err = _run(capsys, *argv)
+        assert code == 64
+        assert out == ""
+        assert "above 100000" in err
+
+    def test_quantum_numbers_at_the_cap_are_answered(self, capsys):
+        code, out, err = _run(capsys, "solve", "linear", "quadratic", "0", "100000")
+        assert code == 0, err
+        assert _strict_loads(out)["l"] == 100000
+
     def test_out_into_missing_directory_is_usage_error(self, tmp_path, capsys):
         target = tmp_path / "missing" / "t.csv"
         code, out, err = _run(capsys, "table", "overlap-ho", "--out", str(target))
@@ -475,22 +497,29 @@ class TestBoundaries:
 _COLD_SCRIPT = """
 import contextlib, io, json, sys
 import auxfield
+numpy = ["numpy" in sys.modules]
 from auxfield import cli, tables
 codes, polynomial = [], []
+numpy.append("numpy" in sys.modules)
 for argv in (["--help-units"],
              ["solve", "linear", "coulomb", "2", "1"],
              ["solve", "linear", "quadratic", "0", "3"],
              ["solve", "log", "coulomb", "1", "2"],
              ["solve", "log", "quadratic", "3", "0"],
+             ["solve", "exp", "quadratic", "0", "0", "--k", "2"],
+             ["solve", "linear", "cubic", "0", "0"],
+             ["solve", "exp", "coulomb", "0", "0"],
+             ["table", "no-such-table"],
+             ["oracle", "log", "0", "0", "--grid-points", "100"],
+             ["table", "overlap-hy", "--format", "json"],
              ["solve", "exp", "coulomb", "1", "2", "--k", "200"],
              ["solve", "exp", "quadratic", "0", "1", "--k", "20"],
-             ["table", "overlap-hy", "--format", "json"],
              ["wavefunction", "linear", "exact", "1", "0"],
-             ["wavefunction", "exp", "coulomb", "0", "0", "--k", "20"],
-             ["solve", "exp", "quadratic", "0", "0", "--k", "2"]):
+             ["wavefunction", "exp", "coulomb", "0", "0", "--k", "20"]):
     polynomial.append(any(m.startswith("numpy.polynomial") for m in sys.modules))
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         codes.append(cli.main(argv))
+    numpy.append("numpy" in sys.modules)
 closed_form = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 polynomial.append(any(m.startswith("numpy.polynomial") for m in sys.modules))
 f = auxfield.solve_radial(auxfield.PotentialModel.linear(),
@@ -499,7 +528,7 @@ f = auxfield.solve_radial(auxfield.PotentialModel.linear(),
 auxfield.numeric_observables(f, auxfield.PotentialModel.linear())
 overlap = auxfield.numeric_overlap(f, f)
 print(json.dumps({"codes": codes, "closed_form": closed_form,
-                  "polynomial": polynomial,
+                  "polynomial": polynomial, "numpy": numpy,
                   "oracle_modules": [m in sys.modules for m in (
                       "scipy.linalg._flapack", "scipy.linalg", "scipy._lib._array_api",
                       "numpy.f2py")],
@@ -564,11 +593,16 @@ class TestColdStart:
                               capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=src))
         rec = json.loads(proc.stdout)
-        assert rec["codes"] == [0] * 10 + [2]
+        assert rec["codes"] == [0] * 5 + [2] + [64] * 4 + [0] * 5
         assert rec["closed_form"] == []
+        # the imports, --help-units, the linear and log solves, the exp state
+        # refused by its Lambert argument and the cold workload's four usage
+        # errors run with math alone; the Laplace sum of the overlap table
+        # is the first to load numpy
+        assert rec["numpy"] == [False] * 12 + [True] * 5
         # every family's trial <V> is closed-form, so numpy.polynomial
         # loads neither at import nor for any solve, table or wavefunction
-        assert rec["polynomial"] == [False] * 12
+        assert rec["polynomial"] == [False] * 16
         # the oracle loads scipy's LAPACK extension alone, not the
         # scipy.linalg package with its array-API layer and numpy.f2py
         assert rec["oracle_modules"] == [True, False, False, False]
