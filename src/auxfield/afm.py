@@ -97,8 +97,8 @@ class PotentialModel:
     ``mean_point(kind, nu)`` = I(nu), the radius where V'/P' equals nu > 0,
     ``trial_mean_v(scale, q, obs)``, the closed-form <V> of trial state q
     (moment set ``obs``), the bound direction, and the oracle's
-    ``default_r_max(q)`` and ``continuum_threshold``: None when V confines,
-    else the largest start energy the oracle accepts below the continuum at E = 0.
+    ``default_r_max(q)`` and ``continuum_threshold``: None when V confines, else the largest
+    start energy the oracle accepts below E = 0, and the |V| up to which a tail is in the continuum.
 
     ``LinearPotential(m, a)``:  H = p^2/(2m) + a r   (m, a configurable)
     ``LogPotential()``:         H = p^2/4 + ln r     (no parameters)

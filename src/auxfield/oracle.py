@@ -21,11 +21,14 @@ up to where the WKB decay action past m, at the start energy, reaches
 _LIVE_ACTION = 30, so that |u| has fallen below e^-30 (about 9e-14) of
 its value at m, the vector's own rounding noise.  The state ends there:
 its grid holds the live rows and the first zero past them, or the whole
-grid when the live rows reach its end.  Its eight moments, the reference
-side of each table comparison, are one product with the density wts u^2,
-wts = f.weights(), the state's uniform Simpson weights.  Both LAPACK
-routines, dstebz and dgtsv, are called directly from scipy's f2py
-extension, which _lapack loads without the import-heavy scipy.linalg package.
+grid when the live rows reach its end; past that end u continues as the
+decaying tail u_end e^(-kappa (r - r_end)) of the last Numerov row, whose
+mass u_end^2/(2 kappa) is part of the norm.  Its eight moments, the
+reference side of each table comparison, are one product with the
+density wts u^2, wts = f.weights(), the state's uniform Simpson weights,
+plus the tail's share.  Both LAPACK routines, dstebz and dgtsv, are
+called directly from scipy's f2py extension, which _lapack loads without
+the import-heavy scipy.linalg package.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .observables import p2_p4_from_potential
 
 __all__ = ["RadialFunction", "SolverConfig", "solve_radial", "numeric_observables"]
 
-_CORRECTOR_TOL = 1e-12     # converged step, relative to max(1, |E|)
+_CORRECTOR_TOL = 1e-12     # converged step, relative to |E| (to max(1, |E|) at the noise floor)
 _CORRECTOR_MAX_ITER = 20
 _GUESS_STRIDE = 10         # grid stride of the Sturm count that guesses the start
 _GUESS_RESOLVED = 0.1      # largest resolution number rho at which the guess is the start
@@ -103,13 +106,10 @@ class RadialFunction:
         return _simpson(self.grid.shape[0], float(self.grid[1] - self.grid[0]))
 
     def decay_rate(self, v: PotentialModel) -> float:
-        """kappa = sqrt(w) at the grid end, w = 2m (V - E) + l(l+1)/r^2, at
-        least 1e-6: past the end u decays as u_end e^(-kappa (r - r_end)),
-        the tail that the oracle's last Numerov row assumes."""
+        """kappa of the tail past the grid end, from w = 2m (V - E) + l(l+1)/r^2 there."""
         r_end = float(self.grid[-1])
-        w_end = (v.kinetic_2m * (float(v.v(r_end)) - self.energy)
-                 + self.q.big_l / r_end ** 2)
-        return math.sqrt(max(w_end, 1e-12))
+        return _decay_rate(v.kinetic_2m * (float(v.v(r_end)) - self.energy)
+                           + self.q.big_l / r_end ** 2)
 
     def slope_at_origin(self) -> float:
         """u'(0) from the one-sided 5-point formula."""
@@ -135,6 +135,11 @@ class SolverConfig:
 # Numerov kernel.  W is the full coefficient array of u'' = W u.
 # ----------------------------------------------------------------------
 
+def _decay_rate(w_end: float) -> float:
+    """kappa = sqrt(w_end), at least 1e-6, of the tail u_end e^(-kappa (r - r_end))."""
+    return math.sqrt(max(w_end, 1e-12))
+
+
 def _numerov_assemble(w, h, l, m):
     """Matched solution (unnormalized): the solution of A(E) u = e_m.
 
@@ -149,15 +154,15 @@ def _numerov_assemble(w, h, l, m):
     coarse = np.nonzero(c * w[1:m + 1] > 0.5)[0]
     start = int(coarse[-1]) + 2 if coarse.size else 1
     if start > m:
-        raise NumericalFailure(
-            f"h = {h:.3g} is too coarse: h^2 w/12 > 1/2 at the matching point")
+        raise NumericalFailure(f"h = {h:.3g} is too coarse: h^2 w/12 > 1/2 at the matching "
+                               "point; more grid points (--grid-points) may resolve it")
     cw = c * w[start:]
     du = 1.0 - cw                        # a[i+1] above it, from du[1:]
     dl = du[:-1].copy()                  # a[i-1] below it
     d = np.subtract(-2.0, np.multiply(10.0, cw, out=cw), out=cw)   # -b[i], in cw's buffer
     if start == 1 and l == 1:
         d[0] -= 1.0 / 6.0                # a[0] u[0] -> -u[1]/6 for u ~ C r^2
-    d[-1] = -math.exp(math.sqrt(max(w[n - 1], 1e-30)) * h)
+    d[-1] = -math.exp(_decay_rate(w[n - 1]) * h)
     dl[-1] = 1.0
     u = np.zeros(n)
     u[m] = 1.0                           # dgtsv overwrites the tail u[start:] with x
@@ -203,6 +208,8 @@ def _sturm_start(w0: np.ndarray, h: float, n: int) -> float:
     count is one direct LAPACK dstebz call (range 2, il = iu = n + 1, order
     E); the overflow check, which also rejects non-finite w0, is its input check.
     """
+    if w0.shape[0] < n + 3:  # one level per interior point: refused before any count
+        raise NumericalFailure(f"level n = {n} needs at least {n + 3} grid points (--grid-points)")
     dstebz = _lapack().dstebz
 
     def eigenvalue(diag_w, step, rel_tol=0.0):
@@ -255,25 +262,26 @@ def _solve_on_grid(w0, grid, q, c, energy):
     m = _match_index(w)
     if m < 0:
         raise NumericalFailure("no classically allowed region at the start energy")
-    if h * h / 12.0 * w[m] > 0.5:
-        raise NumericalFailure(
-            f"grid of {grid.shape[0]} points with h = {h:.3g} is too coarse: "
-            "h^2 w/12 > 1/2 up to the matching point")
-    live = _live_end(w, h, m)
+    live, last = _live_end(w, h, m), math.inf
     w0 = w0[:live]
     for _ in range(_CORRECTOR_MAX_ITER):
         w = np.subtract(w0, c * energy, out=w[:live])
-        u = _numerov_assemble(w, h, q.l, m)
+        try:
+            u = _numerov_assemble(w, h, q.l, m)
+        except NumericalFailure as exc:
+            raise NumericalFailure(f"grid of {grid.shape[0]} points: {exc}") from None
         y = (1.0 - h * h * w[m - 1:m + 2] / 12.0) * u[m - 1:m + 2]
         resid = (y[2] - 2.0 * y[1] + y[0]) / (h * h) - w[m] * u[m]
-        step = u[m] * resid / (c * float(np.dot(u, u)))
-        if abs(step) <= _CORRECTOR_TOL * max(1.0, abs(energy - step)):
+        tail = u[-1] * u[-1] / (2.0 * _decay_rate(w[-1]) * h)   # its mass, over h as the sum
+        step = u[m] * resid / (c * float(np.dot(u, u) + tail))
+        if abs(step) <= _CORRECTOR_TOL * abs(energy - step) or (
+                abs(step) <= _CORRECTOR_TOL and abs(step) >= abs(last)):
             break  # the last step is rounding noise: keep u's own energy
-        energy -= step
+        energy, last = energy - step, step
     else:
         raise NumericalFailure("Cooley corrector did not converge")
     u = np.append(u, 0.0)[:grid.shape[0]]
-    norm = _simpson(u.shape[0], h) @ (u * u)
+    norm = _simpson(u.shape[0], h) @ (u * u) + u[-1] * u[-1] / (2.0 * _decay_rate(w[-1]))
     if not norm > 0:
         raise NumericalFailure("degenerate norm after assembly")
     # the solve's sign is that of 1/(lambda - E); make u > 0 before its first node
@@ -290,34 +298,24 @@ def solve_radial(v: PotentialModel, q: QuantumNumbers,
                  cfg: SolverConfig = SolverConfig()) -> RadialFunction:
     """Eigenpair with exactly q.n radial nodes for the given family.
 
-    The Sturm count of the 3-point Hamiltonian on the grid gives the
-    start energy of level q.n; Cooley's corrector refines it to the
-    Numerov eigenvalue.  A potential with a continuum requires that start
-    below the model's continuum threshold and, on its default domain,
-    extends the domain for near-threshold states.
+    The Sturm count of the 3-point Hamiltonian on the grid of cfg.r_max, or
+    of the family's default domain, gives the start energy of level q.n;
+    Cooley's corrector refines it to the Numerov eigenvalue.  A potential
+    with a continuum requires that start below the model's continuum
+    threshold.  A state live up to the grid end carries its decaying tail.
     """
     r_max = cfg.r_max or v.default_r_max(q)
-    threshold = v.continuum_threshold
+    grid = np.linspace(0.0, r_max, cfg.grid_points)
+    w0 = _base_w(v, grid, q)
+    finite = np.isfinite(w0)
+    if not finite.all():
+        raise NumericalFailure(f"2m V + l(l+1)/r^2 is non-finite at r = "
+                               f"{grid[np.argmin(finite)]:.6g}")
     c = v.kinetic_2m
-    for _ in range(4):
-        grid = np.linspace(0.0, r_max, cfg.grid_points)
-        w0 = _base_w(v, grid, q)
-        finite = np.isfinite(w0)
-        if not finite.all():
-            raise NumericalFailure(
-                f"2m V + l(l+1)/r^2 is non-finite at r = {grid[np.argmin(finite)]:.6g}")
-        start = _sturm_start(w0, float(grid[1] - grid[0]), q.n) / c
-        if threshold is not None and not start < threshold:
-            raise NoBoundState(
-                "not-supported", f"{v} has no bound state with n={q.n}, l={q.l}")
-        energy, u = _solve_on_grid(w0, grid, q, c, start)
-        if threshold is None or cfg.r_max is not None:
-            break
-        # twenty decay lengths 1/sqrt(2m |E|) below the continuum at E = 0
-        needed = 20.0 / math.sqrt(v.kinetic_2m * -energy) if energy < 0 else math.inf
-        if needed <= r_max or not math.isfinite(needed):
-            break
-        r_max = min(needed * 1.25, 4000.0)
+    start = _sturm_start(w0, float(grid[1] - grid[0]), q.n) / c
+    if v.continuum_threshold is not None and not start < v.continuum_threshold:
+        raise NoBoundState("not-supported", f"{v} has no bound state with n={q.n}, l={q.l}")
+    energy, u = _solve_on_grid(w0, grid, q, c, start)
     if _interior_nodes(u) != q.n:
         raise NumericalFailure(
             f"converged solution has {_interior_nodes(u)} nodes, expected {q.n}, on "
@@ -334,14 +332,10 @@ def solve_radial(v: PotentialModel, q: QuantumNumbers,
 
 def numeric_observables(f: RadialFunction, v: PotentialModel) -> ObservableSet:
     """Simpson moments, virial <p^2>/<p^4> and |psi(0)|^2 for an oracle state,
-    the eight integrals one product with the density u^2 times Simpson weights."""
+    the eight integrals one product with the density u^2 times Simpson weights,
+    plus the tail's share: exact for r^1 .. r^4, the integrand at r_end times the
+    tail's mass for the others.  A tail of mass above 1e-8 must start in the continuum."""
     grid, u = f.grid, f.values
-    # extrapolated probability mass beyond the grid end
-    tail = u[-1] * u[-1] / (2.0 * f.decay_rate(v))
-    if tail > 1e-8:
-        raise QuadratureFailure(
-            f"tail mass {tail:.2e} beyond r_max: state under-resolved")
-
     wts = f.weights()
     r = grid[1:]
     density = u[1:] * u[1:]
@@ -352,7 +346,16 @@ def numeric_observables(f: RadialFunction, v: PotentialModel) -> ObservableSet:
     np.multiply(rows[2], rows[2], out=rows[3])
     np.multiply(rows[3], rows[2:4], out=rows[4:6])
     np.multiply(rows[6], rows[6], out=rows[7])
-    moments = (rows @ density).tolist()
+    r_end, s = float(grid[-1]), 0.5 / f.decay_rate(v)
+    tail = float(u[-1]) ** 2 * s                      # the mass of u_end e^(-(r - r_end)/(2 s))
+    bound = v.continuum_threshold
+    if tail > 1e-8 and not (bound is not None and abs(rows[6, -1]) <= -bound):
+        raise QuadratureFailure(f"tail mass {tail:.2e} beyond r_max = {r_end:.6g}, where "
+                                "V has not reached the continuum: state under-resolved")
+    shares = rows[:, -1].tolist()
+    for k in range(1, 5):   # int_0^inf (r_end + x)^k e^(-x/s) dx / s
+        shares[k + 1] = sum(math.perm(k, j) * r_end ** (k - j) * s ** j for j in range(k + 1))
+    moments = [x + tail * share for x, share in zip((rows @ density).tolist(), shares)]
     r_mom = dict(zip((-2, -1, 1, 2, 3, 4), moments[:6]))
     psi0 = None
     # every integrand vanishes at the origin but u^2/r^2 -> u'(0)^2 for l = 0

@@ -20,7 +20,8 @@ clipped where Ai underflows.  ``quadrature_mean_potential`` is the composite Gau
 gave the trial <V> before every family had it in closed form, on the
 density cutoff ``trial_cutoff``; ``mean_exp_neg_r_mp`` is <e^-r> of a
 trial state by ``mpmath.quad``, and ``dilated_overlap_mp`` the overlap of
-two dilated states of one basis.
+two dilated states of one basis.  ``exp_s_energy`` is the exact energy of
+an S-state of the exponential well, from a zero of a Bessel function.
 """
 
 from __future__ import annotations
@@ -266,7 +267,9 @@ def tangent_sign_violations(v, kind, sol, r_samples) -> Optional[int]:
 def numeric_observables_per_moment(f, v) -> ObservableSet:
     """``oracle.numeric_observables`` with each moment, <V> and <V^2> its
     own dot product of the Simpson weights with u^2 times the integrand
-    (no tail-mass check)."""
+    (no tail-mass check), plus the share of the tail past the grid end:
+    r^1 .. r^4 by ``mpmath.quad``, r^-2, r^-1, V and V^2 as their value at
+    the grid end times the tail's mass."""
     grid, u = f.grid, f.values
     wts = f.weights()
     r = grid[1:]
@@ -285,6 +288,16 @@ def numeric_observables_per_moment(f, v) -> ObservableSet:
     vu2 = u2 * vv
     mean_v = float(wts[1:] @ vu2)
     mean_v2 = float(wts[1:] @ (vu2 * vv))
+    if u[-1]:
+        r_end, u2_end, kappa = float(grid[-1]), float(u[-1]) ** 2, f.decay_rate(v)
+        for k in (1, 2, 3, 4):
+            r_mom[k] += u2_end * float(mpmath.quad(
+                lambda x: (r_end + x) ** k * mpmath.exp(-2 * kappa * x), [0, mpmath.inf]))
+        mass, v_end = u2_end / (2 * kappa), float(v.v(r_end))
+        r_mom[-2] += mass / r_end ** 2
+        r_mom[-1] += mass / r_end
+        mean_v += mass * v_end
+        mean_v2 += mass * v_end * v_end
     p2, p4 = p2_p4_from_potential(f.energy, mean_v, mean_v2, v.mass)
     return ObservableSet(r_moments=r_mom, p2=p2, p4=p4, psi0_sq=psi0,
                          mean_h=f.energy)
@@ -487,3 +500,27 @@ def dilated_overlap_mp(hydrogen: bool, n: int, n_prime: int, l: int, a: float,
         pieces = (n + n_prime) // 4 + 4
         pts = [y_top / s * j / pieces for j in range(pieces + 1)]
         return mpmath.quad(lambda r: r * r * f(r) * g(r), pts, method="gauss-legendre")
+
+
+def exp_s_energy(k: float, n: int, nu: float) -> float:
+    """Exact energy of S-state n of H = p^2 - k e^-r, the textbook exponential
+    well (Flugge, Practical Quantum Mechanics, 1971).
+
+    x = 2 sqrt(k) e^(-r/2) turns the radial equation into Bessel's equation
+    of order nu = 2 sqrt(-E), and u(0) = 0 makes 2 sqrt(k) the (n+1)-th zero
+    of J_nu, so E = -nu^2/4.  ``mpmath.findroot`` finds the root of
+    nu -> J_nu(2 sqrt(k)) from the approximate ``nu``; n sign changes of J_nu
+    below 2 sqrt(k) confirm its level.  No zero of J_nu lies below nu, and
+    consecutive zeros lie more than 3 apart, so a step of 1 from nu to
+    2 sqrt(k) - 1 sees each zero below 2 sqrt(k) once.
+    """
+    with mpmath.workdps(30):
+        x = 2 * mpmath.sqrt(mpmath.mpf(k))
+        root = mpmath.findroot(lambda t: mpmath.besselj(t, x), mpmath.mpf(nu))
+        points = mpmath.linspace(root, x - 1, max(2, int(x - 1 - root) + 2))
+        signs = [mpmath.sign(mpmath.besselj(root, t)) for t in points]
+    changes = sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+    if not (root > 0 and changes == n):
+        raise NumericalFailure(f"J_nu(2 sqrt({k})) = 0 at nu = {root} is zero "
+                               f"{changes + 1}, not {n + 1}")
+    return float(-root * root / 4)

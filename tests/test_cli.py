@@ -206,7 +206,7 @@ class TestWavefunction:
             ["linear", "log", "exp"], ["coulomb", "quadratic", "exact"],
             [(0, 0), (1, 1), (2, 0), (3, 2)], ["1e100", "1e200", "1e300", "1.7e308"])
     ] + [
-        # live up to the end of its domain (r ~ 268), past which its tail decays
+        # live up to the end of its domain (r = 80), past which its tail decays
         pytest.param("exp", "exact", 2, 0, "1e100", "20", id="exp-exact-2-0-1e100-k20"),
     ])
     def test_far_samples_are_finite_and_silent(self, family, aux, n, l, r_max, k, capsys):
@@ -237,7 +237,7 @@ class TestWavefunction:
         assert out.splitlines()[1] == "0,0"
 
     def test_exact_oracle_path_solves_on_the_oracle_domain(self, capsys):
-        # exp k = 20 (2, 0) extends its domain to r ~ 268; boxed at r = 30
+        # exp k = 20 (2, 0) is solved on [0, 80]; boxed at r = 30
         # it loses 0.8% of its mass and u is 0.4% too large
         code, out, _ = _run(capsys, "wavefunction", "exp", "exact", "2", "0",
                             "--k", "20", "--samples", "4")
@@ -273,7 +273,7 @@ class TestWavefunction:
         assert past.any() and np.all(psi[past] == 0.0)
         ref = np.interp(r[1:], f.grid, f.values) / (r[1:] * norm)
         assert np.max(np.abs(psi[1:] - ref)) <= 1e-6
-        # exp k = 20 (2, 0) is live up to the end of its domain (r ~ 268): on
+        # exp k = 20 (2, 0) is live up to the end of its domain (r = 80): on
         # [0, 300] it is that one solve, and past its end the decaying tail
         # u_end e^(-kappa (r - r_end)), kappa^2 = -20 e^(-r_end) - E
         v, q = PotentialModel.exponential(20.0), QuantumNumbers(2, 0)
@@ -428,6 +428,19 @@ class TestBoundaries:
         assert out == ""
         assert "numeric failure" in err
         assert f"non-finite at r = {np.linspace(0.0, r_max, 2000)[14]:.6g}" in err
+
+    @pytest.mark.parametrize("argv,points", [
+        (("linear", "2000", "0", "--grid-points", "2000"), 2003),
+        (("linear", "100000", "0"), 100003),
+    ])
+    def test_level_without_a_grid_row_is_refused_before_lapack(self, capfd, argv, points):
+        # LAPACK writes its own error text to the process's stdout, which
+        # capsys does not see; the refusal comes before any Sturm count
+        code = main(["oracle", *argv])
+        out, err = capfd.readouterr()
+        assert (code, out) == (70, "")
+        assert f"needs at least {points} grid points (--grid-points)" in err
+        assert "DSTEBZ" not in err and "LAPACK" not in err
 
     def test_grid_too_coarse_for_deep_well_is_numeric_failure(self, capsys):
         # h^2 w/12 > 1/2 at every point up to the matching index

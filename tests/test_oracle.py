@@ -1,6 +1,7 @@
 import math
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -20,7 +21,8 @@ from reference import numerov_assemble_banded
 LINEAR = PotentialModel.linear()
 
 # Energies of the 37 states the tables solve (default 20000-point grid),
-# as the earlier two-sweep Numerov assembly gave them.
+# as the earlier two-sweep Numerov assembly gave them; exp k = 20 (2, 0) as
+# its one solve on [0, 80] gives it, 1.4e-9 off the exact energy.
 TABLE_STATE_ENERGIES = {
     ("linear", 0.0, 0, 0): 2.338107410462119,
     ("linear", 0.0, 1, 0): 4.087949444130844,
@@ -58,7 +60,7 @@ TABLE_STATE_ENERGIES = {
     ("exp", 20.0, 1, 0): -1.4256208822926109,
     ("exp", 20.0, 0, 2): -0.4313647316577519,
     ("exp", 20.0, 1, 1): -0.1632651442792873,
-    ("exp", 20.0, 2, 0): -0.00869451755377946,
+    ("exp", 20.0, 2, 0): -0.00869451607352125,
 }
 
 
@@ -119,9 +121,12 @@ class TestExponentialFamily:
         assert f.energy == pytest.approx(-0.009, abs=0.001)
 
     def test_near_threshold_state_resolved(self):
+        # one solve on [0, 80], where V has reached the continuum; the
+        # decaying tail past r = 80 is part of the state
         f, obs = oracle_state(PotentialModel.exponential(20.0), QuantumNumbers(2, 0))
         assert _nodes(f) == 2
-        assert f.grid[-1] > 150.0  # auto-extended domain
+        exact = reference.exp_s_energy(20.0, 2, 2.0 * math.sqrt(-f.energy))
+        assert abs(f.energy - exact) <= 5e-9 * abs(exact)
 
     def test_no_bound_state(self):
         with pytest.raises(NoBoundState):
@@ -177,12 +182,32 @@ class TestConvergenceAndConfig:
             assert abs(f.energy - energy) <= 1e-9 * abs(energy), (family, k, n, l)
 
     def test_tail_mass_flagged(self):
-        # a deliberately truncated domain must be rejected by observables
+        # a domain cut where V has not vanished must be rejected by
+        # observables: exp k = 20 (0, 0) past its turning point r = 1.1, where
+        # V = -1.0 and the tail holds 5e-5, and linear (0, 0) at r = 5
         from auxfield.errors import QuadratureFailure
-        v = PotentialModel.exponential(20.0)
-        f = solve_radial(v, QuantumNumbers(2, 0), SolverConfig(r_max=60.0))
-        with pytest.raises(QuadratureFailure):
-            numeric_observables(f, v)
+        for v, r_max in [(PotentialModel.exponential(20.0), 3.0), (LINEAR, 5.0)]:
+            f = solve_radial(v, QuantumNumbers(0, 0), SolverConfig(r_max=r_max))
+            with pytest.raises(QuadratureFailure, match="tail mass"):
+                numeric_observables(f, v)
+
+    def test_state_cut_in_the_continuum_keeps_its_tail(self):
+        # exp k = 20 (2, 0) cut at r = 60, where V = -1.7e-25, carries a tail
+        # of mass 2.9e-5 and agrees with its solve on [0, 80].  The tail's
+        # share of r^-1 and r^-2 is f(r_end) times its mass, an upper bound,
+        # which for this tail puts <r^-1> 2.1e-7 high
+        v, q = PotentialModel.exponential(20.0), QuantumNumbers(2, 0)
+        f, obs = oracle_state(v, q)
+        cut = solve_radial(v, q, SolverConfig(r_max=60.0))
+        assert cut.grid[-1] == 60.0 and cut.values[-1] ** 2 / (2 * cut.decay_rate(v)) > 1e-5
+        cut_obs = numeric_observables(cut, v)
+        assert abs(cut.energy - f.energy) <= 2e-9 * abs(f.energy)
+        for key in (1, 2, 3, 4):
+            assert abs(cut_obs.r_moments[key] - obs.r_moments[key]) <= 2e-9 * obs.r_moments[key]
+        for key in (-2, -1):
+            assert 0.0 < cut_obs.r_moments[key] - obs.r_moments[key] <= 3e-7 * obs.r_moments[key]
+        for got, ref in [(cut_obs.p2, obs.p2), (cut_obs.p4, obs.p4)]:
+            assert abs(got - ref) <= 2e-9 * ref
 
 
 class TestVariationalConsistency:
@@ -210,6 +235,56 @@ def test_high_l_bracketed_by_afm_bounds(family, n, l):
     assert _nodes(f) == n
     assert afm_solve(v, AuxiliaryKind.COULOMB, q).energy <= f.energy
     assert f.energy <= afm_solve(v, AuxiliaryKind.QUADRATIC, q).energy
+
+
+@pytest.mark.parametrize("k,n", [(20.0, 2), (35.403505370140465, 3)])
+def test_near_threshold_state_is_solved_once(monkeypatch, k, n):
+    # one Sturm start and one corrector solve, on the default domain, where
+    # the state is live up to the grid end and carries its tail
+    calls = []
+    for name in ("_sturm_start", "_solve_on_grid"):
+        shipped = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name,
+                            lambda *args, _f=shipped, _name=name: calls.append(_name) or _f(*args))
+    v, q = PotentialModel.exponential(k), QuantumNumbers(n, 0)
+    f = solve_radial(v, q)
+    assert calls == ["_sturm_start", "_solve_on_grid"]
+    assert f.grid[-1] == v.default_r_max(q) and f.values[-1] != 0.0
+    exact = reference.exp_s_energy(k, n, 2.0 * math.sqrt(-f.energy))
+    assert abs(f.energy - exact) <= 1e-7 * abs(exact)
+
+
+def _exp_s_states():
+    """Seeded exp S-states (k, n): the table's, the state the removed domain
+    extension moved most, k = 2, two deep wells and 30 draws with k
+    log-uniform on [2, 4e4] and n <= 15."""
+    rng = np.random.default_rng(20261025)
+    draws = [(float(math.exp(rng.uniform(math.log(2.0), math.log(4e4)))),
+              int(rng.integers(0, 16))) for _ in range(30)]
+    table = [(k, n) for family, k, n, l in TABLE_STATE_ENERGIES if family == "exp" and l == 0]
+    return table + [(35.403505370140465, 3), (2.0, 0), (33265.0, 10), (8659.0, 5)] + draws
+
+
+def test_exp_s_states_match_the_exact_energy():
+    # 2 sqrt(k) is the (n+1)-th zero of J_nu and E = -nu^2/4.  Wells the
+    # default grid resolves (phase step h sqrt(k) <= 0.1 at the bottom) hold
+    # 3e-8, worst 2.2e-8 at k = 35.4 (3, 0); deeper wells keep Numerov's grid
+    # error, worst 2.6e-5.  A state whose 2 sqrt(k) lies below the (n+1)-th
+    # zero of J_0 does not exist
+    regimes = {True: [], False: []}
+    for k, n in _exp_s_states():
+        v, q = PotentialModel.exponential(k), QuantumNumbers(n, 0)
+        if mpmath.besseljzero(0, n + 1) >= 2.0 * math.sqrt(k):
+            with pytest.raises(NoBoundState):
+                solve_radial(v, q)
+            continue
+        f = solve_radial(v, q)
+        exact = reference.exp_s_energy(k, n, 2.0 * math.sqrt(-f.energy))
+        resolved = float(f.grid[1]) * math.sqrt(k) <= 0.1
+        regimes[resolved].append((abs(f.energy - exact) / abs(exact), k, n))
+    assert len(regimes[True]) >= 10 and len(regimes[False]) >= 10
+    assert max(regimes[True]) <= (3e-8,), max(regimes[True])
+    assert max(regimes[False]) <= (3e-5,), max(regimes[False])
 
 
 def _sampled(grid):
@@ -297,7 +372,7 @@ def test_state_integrals_match_the_zero_padded_full_grid(points):
 
 
 def test_state_reaching_the_grid_end_keeps_the_whole_grid():
-    # exp k = 20 (2, 0) is live up to the end of its extended domain
+    # exp k = 20 (2, 0) is live up to the end of its domain, r = 80
     v, q = PotentialModel.exponential(20.0), QuantumNumbers(2, 0)
     f = solve_radial(v, q)
     assert f.grid.shape[0] == SolverConfig().grid_points and f.values[-1] != 0.0
@@ -472,7 +547,7 @@ def test_table_starts_bisect_only_the_guess_grid(traced_start):
     # bisects only that grid, about a tenth of the rows
     for family, k, n, l in TABLE_STATE_ENERGIES:
         solve_radial(*_table_state(family, k, n, l))
-    assert len(traced_start) == 38  # exp k = 20 (2, 0) extends its domain once
+    assert len(traced_start) == 37  # one start per state
     for entry in traced_start:
         assert entry["fine"] == [], entry
         assert sum(entry["guess"]) <= 0.11 * entry["grid_rows"], entry
@@ -553,7 +628,7 @@ def test_tolerant_guess_keeps_its_level_and_decisions(monkeypatch):
 
 def test_corrector_assemblies_on_table_states(monkeypatch):
     # a start that lets the corrector wander shows as a repeatable count of
-    # Numerov assemblies, not as timing noise (118 for the 38 solves)
+    # Numerov assemblies, not as timing noise (121 for the 37 solves)
     assemble = oracle._numerov_assemble
     calls = []
 
@@ -680,7 +755,7 @@ def test_fused_moments_match_per_moment_on_drawn_states(monkeypatch):
 
 def test_table_assemblies_solve_only_live_rows(monkeypatch):
     # guards against a return to full-grid assembly: past the live window
-    # of each table state u is 0 and no row is assembled (0.563 of the
+    # of each table state u is 0 and no row is assembled (0.565 of the
     # grid rows are)
     assemble = oracle._numerov_assemble
     rows = []
