@@ -7,8 +7,7 @@ solutions and an independent Numerov eigensolver.
 
 from .afm import (AfmSolution, AuxiliaryKind, Bound, ExpPotential,
                   LinearPotential, LogPotential, PotentialModel,
-                  TangentReport, afm_solve, critical_coupling,
-                  energy_at_aux, improved_linear_energy, principal_number,
+                  TangentReport, afm_solve, energy_at_aux, principal_number,
                   tangent_check)
 from .errors import (AuxFieldError, DomainError, NoBoundState,
                      NumericalFailure, QuadratureFailure)
@@ -18,18 +17,15 @@ from .exact import (HydrogenScale, ObservableSet, OscillatorScale,
 from .observables import (afm_observable_set, eckart_bound, mean_hamiltonian,
                           p2_p4_from_potential)
 from .oracle import RadialFunction, SolverConfig, numeric_observables, solve_radial
-from .overlaps import (afm_pair_overlap, numeric_overlap, overlap_hydrogen_dilated,
-                       overlap_oscillator_dilated, sample_radial)
-from .specfun import (WBranch, airy_ai, airy_zero, airy_zero_estimate,
-                      lambert_w, laguerre)
+from .overlaps import afm_pair_overlap, numeric_overlap, sample_radial
+from .specfun import airy_ai, airy_zero, airy_zero_estimate, lambert_w, laguerre
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AfmSolution", "AuxiliaryKind", "Bound", "PotentialModel", "LinearPotential",
     "LogPotential", "ExpPotential", "TangentReport",
-    "afm_solve", "critical_coupling", "energy_at_aux",
-    "improved_linear_energy", "principal_number", "tangent_check",
+    "afm_solve", "energy_at_aux", "principal_number", "tangent_check",
     "AuxFieldError", "DomainError", "NoBoundState",
     "NumericalFailure", "QuadratureFailure",
     "HydrogenScale", "ObservableSet", "OscillatorScale", "QuantumNumbers",
@@ -38,9 +34,7 @@ __all__ = [
     "afm_observable_set", "eckart_bound", "mean_hamiltonian",
     "p2_p4_from_potential",
     "RadialFunction", "SolverConfig", "numeric_observables", "solve_radial",
-    "afm_pair_overlap", "numeric_overlap",
-    "overlap_hydrogen_dilated", "overlap_oscillator_dilated", "sample_radial",
-    "WBranch", "airy_ai", "airy_zero", "airy_zero_estimate",
-    "lambert_w", "laguerre",
+    "afm_pair_overlap", "numeric_overlap", "sample_radial",
+    "airy_ai", "airy_zero", "airy_zero_estimate", "lambert_w", "laguerre",
     "__version__",
 ]

@@ -36,13 +36,10 @@ __all__ = [
     "TangentReport",
     "principal_number",
     "afm_solve",
-    "improved_linear_energy",
-    "critical_coupling",
     "tangent_check",
     "energy_at_aux",
 ]
 
-_W0 = specfun.WBranch.PRINCIPAL
 _NEG_INV_E = -math.exp(-1.0)
 
 
@@ -188,7 +185,8 @@ class LinearPotential(PotentialModel):
         return self.a * r ** 0.0   # a, shaped like r
 
     def afm_radius(self, big_n: float) -> float:
-        return (big_n * big_n / (self.m * self.a)) ** (1.0 / 3.0)
+        # divided in turn: m a may underflow to 0 where N^2/m/a overflows
+        return (big_n * big_n / self.m / self.a) ** (1.0 / 3.0)
 
     def mean_point(self, kind: AuxiliaryKind, nu: float) -> float:
         if kind is AuxiliaryKind.COULOMB:
@@ -270,12 +268,13 @@ class ExpPotential(PotentialModel):
 
     def afm_radius(self, big_n: float) -> float:
         """Root r0 e^{-r0/3} = (N^2/(m k))^(1/3) on W0's branch r0 <= 3;
-        E = N^2 (r0 - 2)/(2m r0^3) there, so the state is bound for r0 < 2."""
-        t_arg = -((big_n * big_n / (self.mass * self.k)) ** (1.0 / 3.0)) / 3.0
+        E = N^2 (r0 - 2)/(2m r0^3) there, so the state is bound for r0 < 2.
+        N^2/m/k is divided in turn: m k underflows to 0 at k = 5e-324."""
+        t_arg = -((big_n * big_n / self.mass / self.k) ** (1.0 / 3.0)) / 3.0
         if t_arg < _NEG_INV_E:
             raise NoBoundState("state-not-allowed",
                                f"N={big_n}: Lambert argument {t_arg:.6f} < -1/e")
-        r0 = -3.0 * specfun.lambert_w(_W0, t_arg)
+        r0 = -3.0 * specfun.lambert_w(t_arg)
         if r0 >= 2.0:
             raise NoBoundState("nonnegative-energy",
                                f"N={big_n}: AFM radius {r0:.6f} >= 2, so E >= 0")
@@ -284,9 +283,9 @@ class ExpPotential(PotentialModel):
     def mean_point(self, kind: AuxiliaryKind, nu: float) -> float:
         if kind is AuxiliaryKind.COULOMB:
             # k r^2 e^{-r} = nu on the increasing branch r in (0, 2]
-            return -2.0 * specfun.lambert_w(_W0, -0.5 * math.sqrt(nu / self.k))
+            return -2.0 * specfun.lambert_w(-0.5 * math.sqrt(nu / self.k))
         # (k/2) e^{-r} / r = nu, i.e. r e^r = k / (2 nu)
-        return specfun.lambert_w(_W0, self.k / (2.0 * nu))
+        return specfun.lambert_w(self.k / (2.0 * nu))
 
     def tangent_branch_end(self, kind: AuxiliaryKind) -> float:
         """k r^2 e^{-r} peaks at 4k/e^2 (r = 2), where W0's argument is -1/e."""
@@ -333,6 +332,9 @@ def afm_solve(v: PotentialModel, kind: AuxiliaryKind,
     big_n = principal_number(kind, q)
     bound, met = v.bound(kind, q)
     r0 = v.afm_radius(big_n)
+    if not 0.0 < r0 < math.inf:
+        raise NumericalFailure(
+            f"{v}: the AFM radius r0 = {r0} is outside double precision")
     v0 = float(v.v(r0))
     energy = big_n * big_n / (2.0 * v.mass * r0 * r0) + v0
     nu0 = float(v.v_prime(r0)) / kind.p_prime(r0)
@@ -344,19 +346,6 @@ def afm_solve(v: PotentialModel, kind: AuxiliaryKind,
     return AfmSolution(nu0=nu0, r0=r0, scale=scale, energy=energy,
                        offset=offset, bound=bound, principal_n=big_n,
                        condition_met=met)
-
-
-def improved_linear_energy(q: QuantumNumbers) -> float:
-    """Refined linear-potential energy formula (reduced units 2m = a = 1)."""
-    base = q.n + math.sqrt(3.0) / math.pi * q.l + 0.75
-    return (1.5 * math.pi) ** (2.0 / 3.0) * base ** (2.0 / 3.0)
-
-
-def critical_coupling(q: QuantumNumbers, kind: AuxiliaryKind) -> float:
-    """Depth k = e^2 N^2 / 4 at which the exponential-potential AFM energy
-    crosses zero (there W0(T) = -2/3)."""
-    big_n = principal_number(kind, q)
-    return math.e ** 2 * big_n * big_n / 4.0
 
 
 # ----------------------------------------------------------------------

@@ -29,9 +29,7 @@ __all__ = [
     "linear_s_state",
     "linear_s_observables",
     "hydrogen_observables",
-    "hydrogen_radial",
     "oscillator_observables",
-    "oscillator_radial",
 ]
 
 
@@ -356,10 +354,6 @@ def _laguerre_radial(n: int, alpha: float, l: int, log_norm: float,
         return specfun.laguerre(n, alpha, t, log_norm + power - 0.5 * t)
 
     return radial
-
-
-hydrogen_radial = HydrogenScale.radial
-oscillator_radial = OscillatorScale.radial
 
 
 def hydrogen_observables(scale: HydrogenScale, q: QuantumNumbers) -> ObservableSet:

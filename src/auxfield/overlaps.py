@@ -1,9 +1,9 @@
-"""Dilated overlaps of hydrogen-like and oscillator trial states, plus
-numeric overlap quadrature between sampled radial functions.
+"""Overlaps of AFM trial states, plus numeric overlap quadrature between
+sampled radial functions.
 
-F_{n,n',l}(a) is the scalar product of two same-family radial states
-whose length scales differ by the factor a.  Both bases take it from
-their scale class's ``overlap``: the signed cross term of the Laguerre
+The dilated overlap F_{n,n',l}(a), the scalar product of two same-family
+radial states whose length scales differ by the factor a, is the scale
+class's ``overlap``: the signed cross term of the Laguerre
 multiplication-theorem sum that also gives <e^-r>, at mu + mu' = 2.
 """
 
@@ -15,28 +15,14 @@ from typing import Callable, Optional
 from ._numpy import np
 from .afm import AuxiliaryKind, PotentialModel, afm_solve
 from .errors import DomainError
-from .exact import HydrogenScale, OscillatorScale, QuantumNumbers
+from .exact import QuantumNumbers
 from .oracle import RadialFunction
 
 __all__ = [
-    "overlap_hydrogen_dilated",
-    "overlap_oscillator_dilated",
     "afm_pair_overlap",
     "numeric_overlap",
     "sample_radial",
 ]
-
-
-def overlap_hydrogen_dilated(n: int, n_prime: int, l: int, a: float) -> float:
-    """Overlap of hydrogen-like radial states (n,l) and (n',l) with scale ratio a."""
-    return HydrogenScale(1.0).overlap(QuantumNumbers(n, l), HydrogenScale(a),
-                                      QuantumNumbers(n_prime, l))
-
-
-def overlap_oscillator_dilated(n: int, n_prime: int, l: int, a: float) -> float:
-    """Overlap of oscillator radial states (n,l) and (n',l) with scale ratio a."""
-    return OscillatorScale(1.0).overlap(QuantumNumbers(n, l), OscillatorScale(a),
-                                        QuantumNumbers(n_prime, l))
 
 
 def afm_pair_overlap(kind: AuxiliaryKind, n: int, n_prime: int, l: int) -> float:

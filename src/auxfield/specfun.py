@@ -1,6 +1,6 @@
 """Self-contained special-function kernel.
 
-Provides the Airy function Ai and its zeros, both real branches of the
+Provides the Airy function Ai and its zeros, the principal branch of the
 Lambert W function and generalized Laguerre polynomials.  Everything is
 double precision and free of external special-function libraries; only
 numpy is used for vectorization.
@@ -9,7 +9,6 @@ numpy is used for vectorization.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -17,7 +16,6 @@ from ._numpy import np
 from .errors import DomainError, NumericalFailure
 
 __all__ = [
-    "WBranch",
     "AiryValue",
     "airy_ai",
     "airy_zero",
@@ -27,13 +25,6 @@ __all__ = [
 ]
 
 _NEG_INV_E = -math.exp(-1.0)
-
-
-class WBranch(Enum):
-    """Real branches of the Lambert W function."""
-
-    PRINCIPAL = 0   # W_0, defined for x >= -1/e, values >= -1
-    LOWER = -1      # W_-1, defined for -1/e <= x < 0, values <= -1
 
 
 class AiryValue(NamedTuple):
@@ -199,36 +190,9 @@ def airy_zero(n: int) -> float:
 # Lambert W
 # ----------------------------------------------------------------------
 
-def _halley_w(w: float, x: float) -> float:
-    for _ in range(60):
-        ew = math.exp(w)
-        f = w * ew - x
-        if abs(f) <= 1e-15 * max(abs(x), 1e-290):
-            return w
-        denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)
-        w_next = w - f / denom
-        if w_next == w:
-            return w
-        w = w_next
-    if abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x)):
-        return w
-    raise NumericalFailure(f"Lambert W iteration stalled at x={x}")
-
-
-def _newton_log_w(log_minus_x: float) -> float:
-    """W_-1 by Newton on w + ln(-w) = ln(-x), which keeps full relative
-    accuracy for |x| down to the smallest subnormal."""
-    w = log_minus_x - math.log(-log_minus_x)
-    for _ in range(60):
-        step = w * (w + math.log(-w) - log_minus_x) / (w + 1.0)
-        w -= step
-        if abs(step) <= 4e-16 * abs(w):
-            return w
-    raise NumericalFailure(f"Lambert W_-1 iteration stalled at ln(-x)={log_minus_x}")
-
-
-def lambert_w(branch: WBranch, x: float) -> float:
-    """Real Lambert W on the requested branch, solving w*exp(w) = x."""
+def lambert_w(x: float) -> float:
+    """Principal branch W_0 of the real Lambert W function: the root
+    w >= -1 of w*exp(w) = x, for x >= -1/e."""
     x = float(x)
     if math.isnan(x):
         raise DomainError("lambert_w requires a finite argument")
@@ -240,25 +204,26 @@ def lambert_w(branch: WBranch, x: float) -> float:
             raise DomainError(f"x={x} below the branch point -1/e")
     if abs(x - _NEG_INV_E) <= 5e-17:
         return -1.0
-
-    p2 = 2.0 * (math.e * x + 1.0)
-    p = math.sqrt(max(p2, 0.0))
-    if branch is WBranch.PRINCIPAL:
-        if x < -0.28:
-            w0 = -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p ** 3
-        elif x < math.e:
-            w0 = math.log1p(x) if x > -0.5 else x
-        else:
-            lx = math.log(x)
-            w0 = lx - math.log(lx)
-        return _halley_w(w0, x)
-    if branch is WBranch.LOWER:
-        if x >= 0.0:
-            raise DomainError("lower branch requires -1/e <= x < 0")
-        if x < -0.27:
-            return _halley_w(-1.0 - p - p * p / 3.0, x)
-        return _newton_log_w(math.log(-x))
-    raise DomainError(f"unknown branch {branch!r}")
+    if x < -0.28:
+        p = math.sqrt(max(2.0 * (math.e * x + 1.0), 0.0))
+        w = -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p ** 3
+    elif x < math.e:
+        w = math.log1p(x)
+    else:
+        lx = math.log(x)
+        w = lx - math.log(lx)
+    for _ in range(60):     # Halley's iteration
+        ew = math.exp(w)
+        f = w * ew - x
+        if abs(f) <= 1e-15 * max(abs(x), 1e-290):
+            return w
+        w_next = w - f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+        if w_next == w:
+            return w
+        w = w_next
+    if abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x)):
+        return w
+    raise NumericalFailure(f"Lambert W iteration stalled at x={x}")
 
 
 # ----------------------------------------------------------------------

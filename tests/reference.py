@@ -4,7 +4,8 @@ The r-moments here are the general double sums over the Laguerre
 expansion terms, evaluated in exact rational arithmetic; the package
 computes the same moments from one floating-point sum of positive terms
 (``exact._laguerre_moment``).  ``solve_w_power`` inverts z = W(x) x^alpha
-for the Lambert round-trip checks.  ``numerov_assemble_banded`` solves
+for the Lambert round-trip checks, from both real branches of
+``mpmath.lambertw``.  ``numerov_assemble_banded`` solves
 the oracle's Numerov system on every row it is given, through scipy's
 band-storage solver.  ``power_law_moments`` steps the generalized virial
 recurrence and ``psi0_from_force`` gives |psi(0)|^2 from the mean
@@ -22,6 +23,9 @@ density cutoff ``trial_cutoff``; ``mean_exp_neg_r_mp`` is <e^-r> of a
 trial state by ``mpmath.quad``, and ``dilated_overlap_mp`` the overlap of
 two dilated states of one basis.  ``exp_s_energy`` is the exact energy of
 an S-state of the exponential well, from a zero of a Bessel function.
+``improved_linear_energy`` is the refined linear-potential energy formula
+and ``critical_coupling`` the depth at which an exponential-well AFM
+energy crosses zero.
 """
 
 from __future__ import annotations
@@ -36,11 +40,11 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import solve_banded
 
-from auxfield.afm import Bound
+from auxfield.afm import AuxiliaryKind, Bound, principal_number
 from auxfield.errors import DomainError, NumericalFailure, QuadratureFailure
 from auxfield.exact import HydrogenScale, ObservableSet, OscillatorScale, QuantumNumbers
 from auxfield.observables import p2_p4_from_potential
-from auxfield.specfun import WBranch, airy_ai, airy_zero, laguerre, lambert_w
+from auxfield.specfun import airy_ai, airy_zero, laguerre
 
 
 def hydrogen_r_moment(scale: HydrogenScale, q: QuantumNumbers, k: int) -> float:
@@ -113,55 +117,60 @@ def _signed_root(z: float, alpha_plus_1: float) -> float:
         f"z**(1/(alpha+1)) undefined for z={z} with alpha+1={alpha_plus_1}")
 
 
-def _in_branch_range(branch: WBranch, y: float) -> bool:
-    if branch is WBranch.PRINCIPAL:
-        return y >= -1.0 - 1e-12
-    return y <= -1.0 + 1e-12
+_NEG_INV_E = -math.exp(-1.0)
 
 
-def solve_w_power(z: float, alpha: float, branch: WBranch = WBranch.PRINCIPAL) -> float:
-    """Solve z = W(x) * x**alpha for x, with W on the requested branch.
+def _lambert_w_real(x: float, branch: int) -> float:
+    """Real W_branch(x), branch 0 or -1, from ``mpmath.lambertw``; an argument
+    a few ulp below -1/e is taken as -1/e."""
+    if x < _NEG_INV_E - 4e-16 or (branch == -1 and x >= 0.0):
+        raise DomainError(f"x={x} outside the real domain of W_{branch}")
+    with mpmath.workdps(30):
+        return float(mpmath.re(mpmath.lambertw(max(x, _NEG_INV_E), branch)))
+
+
+def solve_w_power(z: float, alpha: float) -> float:
+    """Solve z = W_0(x) * x**alpha for x.
 
     Uses the closed-form cases alpha = 0 and alpha = -1, otherwise the
     substitution x = y e^y, which maps the problem onto an inner Lambert
     evaluation.  The branch of the inner evaluation is not always the
-    requested one; both are tried and each candidate is validated against
-    the defining relation, so the returned x always satisfies
-    W_branch(x) x^alpha = z.  DomainError is raised when the inner
+    principal one; both real branches are tried and each candidate is
+    validated against the defining relation, so the returned x always
+    satisfies W_0(x) x^alpha = z.  DomainError is raised when the inner
     argument leaves both branch domains (or the candidate W value leaves
-    the requested branch's range), and when z^(1/(alpha+1)) does not
-    exist for the sign of z.
+    W_0's range, w >= -1), and when z^(1/(alpha+1)) does not exist for
+    the sign of z.
     """
     z = float(z)
     alpha = float(alpha)
     if alpha == 0.0:
         # here z is the W value itself; enforce branch range
-        if not _in_branch_range(branch, z):
-            raise DomainError(f"z={z} outside the {branch.name} range")
+        if z < -1.0 - 1e-12:
+            raise DomainError(f"z={z} outside the W_0 range")
         return z * math.exp(z)
     if alpha == -1.0:
         if z <= 0.0:
             raise DomainError("alpha = -1 requires z > 0")
         y = -math.log(z)
-        if not _in_branch_range(branch, y):
-            raise DomainError(f"z={z} outside the {branch.name} range for alpha=-1")
+        if y < -1.0 - 1e-12:
+            raise DomainError(f"z={z} outside the W_0 range for alpha=-1")
         return y / z
     roots = [_signed_root(z, alpha + 1.0)]
     k = round(alpha + 1.0)
     if z > 0.0 and abs(alpha + 1.0 - k) < 1e-12 and k % 2 == 0:
         roots.append(-roots[0])  # even integer root: both signs are real
-    other = WBranch.LOWER if branch is WBranch.PRINCIPAL else WBranch.PRINCIPAL
     domain_failure = None
     for root in roots:
         inner = alpha / (alpha + 1.0) * root
-        for inner_branch in (branch, other):
+        for inner_branch in (0, -1):
             try:
-                u = lambert_w(inner_branch, inner)
+                u = _lambert_w_real(inner, inner_branch)
             except DomainError as exc:
                 domain_failure = exc
                 continue
             y = (alpha + 1.0) / alpha * u
-            if not _in_branch_range(branch, y):
+            if y < -1.0 - 1e-12:
                 continue
             # the candidate must reproduce z^(1/(alpha+1))
             recon = y * math.exp(alpha * y / (alpha + 1.0))
@@ -172,7 +181,7 @@ def solve_w_power(z: float, alpha: float, branch: WBranch = WBranch.PRINCIPAL) -
             f"inner Lambert argument outside both branch domains for z={z}, "
             f"alpha={alpha}") from domain_failure
     raise DomainError(
-        f"no W value on the {branch.name} branch solves z={z}, alpha={alpha}")
+        f"no W_0 value solves z={z}, alpha={alpha}")
 
 
 def numerov_assemble_banded(w, h, l, m):
@@ -524,3 +533,16 @@ def exp_s_energy(k: float, n: int, nu: float) -> float:
         raise NumericalFailure(f"J_nu(2 sqrt({k})) = 0 at nu = {root} is zero "
                                f"{changes + 1}, not {n + 1}")
     return float(-root * root / 4)
+
+
+def improved_linear_energy(q: QuantumNumbers) -> float:
+    """Refined linear-potential energy formula (reduced units 2m = a = 1)."""
+    base = q.n + math.sqrt(3.0) / math.pi * q.l + 0.75
+    return (1.5 * math.pi) ** (2.0 / 3.0) * base ** (2.0 / 3.0)
+
+
+def critical_coupling(q: QuantumNumbers, kind: AuxiliaryKind) -> float:
+    """Depth k = e^2 N^2 / 4 at which the exponential-potential AFM energy
+    crosses zero (there W0(T) = -2/3)."""
+    big_n = principal_number(kind, q)
+    return math.e ** 2 * big_n * big_n / 4.0

@@ -12,13 +12,13 @@ import math
 import numpy as np
 
 import auxfield.tables as tables
-from auxfield import overlaps
 from auxfield.afm import (AuxiliaryKind, PotentialModel, afm_solve,
                           tangent_check)
 from auxfield.errors import NoBoundState
 from auxfield.exact import (HydrogenScale, OscillatorScale, QuantumNumbers,
                             hydrogen_observables, oscillator_observables)
-from auxfield.specfun import WBranch, airy_zero, airy_zero_estimate, lambert_w
+from auxfield.overlaps import afm_pair_overlap
+from auxfield.specfun import airy_zero, airy_zero_estimate, lambert_w
 from auxfield.tables import linear_afm_overlap_sq, oracle_state
 from reference import hydrogen_r_moment, oscillator_r_moment, solve_w_power
 
@@ -61,7 +61,7 @@ def test_criterion_3_overlap_tables():
     for kind, key in ((AuxiliaryKind.COULOMB, "overlap_hy_lseq"),
                       (AuxiliaryKind.QUADRATIC, "overlap_ho_lseq")):
         for l, printed in enumerate(gold[key]):
-            val = overlaps.afm_pair_overlap(kind, 0, 1, l) ** 2
+            val = afm_pair_overlap(kind, 0, 1, l) ** 2
             tol = tables._last_digit_tol(printed)
             if abs(val - float(printed)) > tol:
                 seq_ok = False
@@ -198,35 +198,32 @@ def test_criterion_9_property_suites():
 
     # overlap properties on the stated grids
     ov_ok = True
-    for n, npr, l in itertools.product(range(6), range(6), range(4)):
+    for n, npr, l, basis in itertools.product(range(6), range(6), range(4),
+                                              (HydrogenScale, OscillatorScale)):
+        q, q_prime = QuantumNumbers(n, l), QuantumNumbers(npr, l)
+        f = lambda a: basis(1.0).overlap(q, basis(a), q_prime)
         for a in (0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0):
-            for f in (overlaps.overlap_hydrogen_dilated,
-                      overlaps.overlap_oscillator_dilated):
-                val = f(n, npr, l, a)
-                ov_ok &= abs(val) <= 1.0 + 1e-12
-                ov_ok &= abs(f(npr, n, l, 1.0 / a) - val) < 1e-9
-        want = 1.0 if n == npr else 0.0
-        ov_ok &= abs(overlaps.overlap_hydrogen_dilated(n, npr, l, 1.0) - want) < 1e-12
-        ov_ok &= abs(overlaps.overlap_oscillator_dilated(n, npr, l, 1.0) - want) < 1e-12
+            ov_ok &= abs(f(a)) <= 1.0 + 1e-12
+            ov_ok &= abs(basis(1.0).overlap(q_prime, basis(1.0 / a), q) - f(a)) < 1e-9
+        ov_ok &= abs(f(1.0) - (1.0 if n == npr else 0.0)) < 1e-12
         for a in (1e-4, 1e4):
-            ov_ok &= abs(overlaps.overlap_hydrogen_dilated(n, npr, l, a)) < 1e-3
-            ov_ok &= abs(overlaps.overlap_oscillator_dilated(n, npr, l, a)) < 1e-3
+            ov_ok &= abs(f(a)) < 1e-3
 
     # Lambert / inversion round trips to 1e-10
     lw_ok = True
     for x in np.linspace(-0.36, 25.0, 60):
-        w = lambert_w(WBranch.PRINCIPAL, float(x))
+        w = lambert_w(float(x))
         lw_ok &= abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
     for alpha in (0.5, 2.0, 3.0, -0.25):
         for x in np.linspace(0.1, 20.0, 25):
-            y = lambert_w(WBranch.PRINCIPAL, float(x))
+            y = lambert_w(float(x))
             if alpha == -0.25 and y > 3.0:
                 continue
-            back = solve_w_power(y * x ** alpha, alpha, WBranch.PRINCIPAL)
+            back = solve_w_power(y * x ** alpha, alpha)
             lw_ok &= abs(back - x) <= 1e-10 * x
     for x in np.linspace(-0.36, -0.01, 25):
-        y = lambert_w(WBranch.PRINCIPAL, float(x))
-        back = solve_w_power(y * x ** 2, 2.0, WBranch.PRINCIPAL)
+        y = lambert_w(float(x))
+        back = solve_w_power(y * x ** 2, 2.0)
         lw_ok &= abs(back - x) <= 1e-10 * abs(x)
 
     # generic moment sums against closed forms to 1e-11

@@ -7,15 +7,12 @@ import numpy as np
 import pytest
 
 from auxfield.afm import (AuxiliaryKind, Bound, PotentialModel, _mean_point,
-                          afm_solve, critical_coupling,
-                          energy_at_aux, improved_linear_energy,
-                          principal_number, tangent_check)
-from auxfield.errors import DomainError, NoBoundState, NumericalFailure
+                          afm_solve, energy_at_aux, principal_number, tangent_check)
+from auxfield.errors import AuxFieldError, DomainError, NoBoundState, NumericalFailure
 from auxfield.exact import (HydrogenScale, OscillatorScale, QuantumNumbers,
                             hydrogen_observables, oscillator_observables)
-from auxfield.specfun import WBranch, lambert_w
-from reference import (hydrogen_r_moment, oscillator_r_moment, solve_w_power,
-                       tangent_sign_violations)
+from reference import (critical_coupling, hydrogen_r_moment, improved_linear_energy,
+                       oscillator_r_moment, solve_w_power, tangent_sign_violations)
 
 LINEAR = PotentialModel.linear()
 LOG = PotentialModel.logarithmic()
@@ -142,16 +139,14 @@ class TestExponentialSolutions:
                     except NoBoundState:
                         continue
                     big_n = n + l + 1
-                    u0 = solve_w_power(-big_n ** 2 / (4 * k), 2.0,
-                                       WBranch.PRINCIPAL)
+                    u0 = solve_w_power(-big_n ** 2 / (4 * k), 2.0)
                     assert 4 * k * u0 ** 2 == pytest.approx(sol.nu0, rel=1e-12)
                     try:
                         sol = afm_solve(v, AuxiliaryKind.QUADRATIC, q)
                     except NoBoundState:
                         continue
                     big_n = 2 * n + l + 1.5
-                    u0 = solve_w_power((2 * big_n ** 2 / k) ** 0.25, -0.25,
-                                       WBranch.PRINCIPAL)
+                    u0 = solve_w_power((2 * big_n ** 2 / k) ** 0.25, -0.25)
                     assert k / (2 * u0) == pytest.approx(sol.nu0, rel=1e-12)
 
 
@@ -169,6 +164,55 @@ class TestBoundDirection:
         assert met is False
         assert v.bound(AuxiliaryKind.QUADRATIC,
                        QuantumNumbers(0, 0))[0] is Bound.UPPER
+
+
+# Exp Coulomb states outside the proven condition n + l + 1 <= sqrt(k/(2e))
+# whose AFM energy lies above the converged one: the condition is needed
+_COULOMB_VIOLATIONS = [(1.938, QuantumNumbers(0, 0)), (7.600, QuantumNumbers(0, 1)),
+                       (29.80, QuantumNumbers(0, 3))]
+
+
+def _bracket_states():
+    """Seeded (model, q) with n, l <= 10: linear, log and exp, the exp depth
+    log-uniform within a factor e of 2e (n+l+1)^2, where the Coulomb
+    condition turns on, and every other exp draw an S-state."""
+    rng = np.random.default_rng(20261026)
+    draw = lambda: QuantumNumbers(*(int(x) for x in rng.integers(0, 11, 2)))
+    states = [(v, draw()) for v in (LINEAR, LOG) for _ in range(8)]
+    for i in range(20):
+        q = draw() if i % 2 else QuantumNumbers(int(rng.integers(0, 11)), 0)
+        k = 2.0 * math.e * (q.n + q.l + 1) ** 2 * math.exp(rng.uniform(-1.0, 1.0))
+        states.append((PotentialModel.exponential(k), q))
+    return states + [(PotentialModel.exponential(k), q) for k, q in _COULOMB_VIOLATIONS]
+
+
+def test_bound_labels_bracket_the_converged_energy():
+    # the smallest gap between an AFM bound and the converged energy is
+    # 0.8% of max(1, |E|), far above the oracle's error, so no slack is taken
+    from auxfield.tables import oracle_state
+    from reference import exp_s_energy
+    checked, unmet = {Bound.LOWER: 0, Bound.UPPER: 0, Bound.CONDITIONAL: 0}, {}
+    for v, q in _bracket_states():
+        try:
+            energy = oracle_state(v, q)[0].energy
+        except NoBoundState:
+            energy = 0.0    # the continuum edge: no upper bound may exist
+        if v.family == "exp" and q.l == 0 and energy < 0.0:
+            energy = exp_s_energy(v.k, q.n, 2.0 * math.sqrt(-energy))
+        for kind in AuxiliaryKind:
+            try:
+                afm = afm_solve(v, kind, q).energy
+            except NoBoundState:
+                continue
+            bound, met = v.bound(kind, q)
+            below = afm <= energy
+            if met is False:
+                unmet[(v, q)] = below
+                continue
+            assert below if bound is not Bound.UPPER else afm >= energy, (v, kind, q)
+            checked[bound] += 1
+    assert min(checked.values()) >= 8 and len(unmet) >= 8, (checked, len(unmet))
+    assert [(v.k, q) for (v, q), below in unmet.items() if not below] == _COULOMB_VIOLATIONS
 
 
 class TestConsistencyIdentities:
@@ -335,6 +379,35 @@ class TestWideSeededSet:
         assert sol.energy == pytest.approx(-1e308, rel=1e-12)
         with pytest.raises(NumericalFailure):
             afm_solve(v, AuxiliaryKind.QUADRATIC, q)
+
+
+class TestExtremeParameters:
+    _SCALES = [5e-324, 1e-310] + [10.0 ** e for e in range(-300, 301, 25)] + [1.7e308]
+
+    @pytest.mark.parametrize("m,a", [(1e-200, 1e-200), (1e200, 1e200)])
+    def test_radius_out_of_double_range_is_numerical_failure(self, m, a):
+        # m a under- or overflows, so N^2/(m a) is 0 or infinite
+        for kind in AuxiliaryKind:
+            with pytest.raises(NumericalFailure, match="radius"):
+                afm_solve(PotentialModel.linear(m, a), kind, QuantumNumbers(0, 0))
+
+    def test_smallest_depth_has_no_bound_state(self):
+        for kind in AuxiliaryKind:
+            with pytest.raises(NoBoundState) as exc:
+                afm_solve(PotentialModel.exponential(5e-324), kind, QuantumNumbers(0, 0))
+            assert exc.value.reason == "state-not-allowed"
+
+    def test_every_model_gives_a_finite_state_or_a_package_error(self):
+        # a package error maps to a CLI exit code; any other is an internal error
+        models = ([PotentialModel.linear(m, a) for m in self._SCALES for a in self._SCALES]
+                  + [PotentialModel.exponential(k) for k in self._SCALES])
+        for v, kind in itertools.product(models, AuxiliaryKind):
+            for q in (QuantumNumbers(0, 0), QuantumNumbers(7, 3)):
+                try:
+                    sol = afm_solve(v, kind, q)
+                except AuxFieldError:
+                    continue
+                assert math.isfinite(sol.energy) and 0.0 < sol.r0 < math.inf, (v, kind, q)
 
 
 class TestImprovedEnergy:

@@ -64,6 +64,54 @@ def test_no_module_imports_a_private_name_of_another(name):
     assert not private, f"auxfield.{name} imports private names: {private}"
 
 
+# Exported names no src/auxfield module reads, each with the reason it stays
+_UNREAD_BY_THE_PACKAGE = {
+    "energy_at_aux": "E(nu) off the extremum, which perfbench's sweep differentiates",
+    "tangent_check": "the AFM layer's own tangency and bound-sign check",
+}
+
+
+class _Reads(ast.NodeVisitor):
+    """Names read (Load context, as a Name or an Attribute) outside the
+    definition of the same name."""
+
+    def __init__(self):
+        self.reads, self._inside = set(), []
+
+    def _definition(self, node):
+        self._inside.append(node.name)
+        self.generic_visit(node)
+        self._inside.pop()
+
+    visit_FunctionDef = visit_ClassDef = _definition
+
+    def _read(self, name):
+        if name not in self._inside:
+            self.reads.add(name)
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self._read(node.id)
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self._read(node.attr)
+        self.generic_visit(node)
+
+
+def test_every_exported_name_is_read_by_the_package():
+    # one way in per capability: a public name only tests call is a wrapper
+    # or a test-only formula, which belongs in tests/reference.py
+    src = Path(auxfield.__file__).parent
+    reads = _Reads()
+    for path in sorted(src.glob("*.py")):
+        if path.name != "__init__.py":
+            reads.visit(ast.parse(path.read_text()))
+    exported = {n for m in _MODULES
+                for n in getattr(importlib.import_module(f"auxfield.{m}"), "__all__", [])}
+    assert sorted(exported - reads.reads) == sorted(_UNREAD_BY_THE_PACKAGE)
+
+
 def _polynomial_imports(source: str):
     """Imports of numpy.polynomial (or of a name from it) in ``source``."""
     found = []

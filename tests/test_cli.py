@@ -335,6 +335,16 @@ class TestBoundaries:
         assert out == ""
         assert "non-finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("solve", "exp", "coulomb", "0", "0"), ("solve", "exp", "quadratic", "0", "0"),
+        ("wavefunction", "exp", "quadratic", "0", "0", "--samples", "3"),
+        ("wavefunction", "exp", "coulomb", "0", "0", "--samples", "3")], ids=" ".join)
+    def test_smallest_depth_has_no_bound_state(self, argv, capsys):
+        # m k underflows to 0 at k = 5e-324: N^2/m/k overflows instead
+        code, out, err = _run(capsys, *argv, "--k", "5e-324")
+        assert (code, err) == (2, "")
+        assert json.loads(out) == {"error": "no-bound-state", "reason": "state-not-allowed"}
+
     @pytest.mark.parametrize("family", ["linear", "log"])
     def test_depth_for_non_exp_family_is_usage_error(self, family, capsys):
         code, out, err = _run(capsys, "solve", family, "coulomb", "0", "0",

@@ -6,9 +6,8 @@ from scipy import integrate
 
 from auxfield.errors import DomainError
 from auxfield.exact import (HydrogenScale, OscillatorScale, QuantumNumbers,
-                            hydrogen_observables, hydrogen_radial,
-                            linear_s_observables, linear_s_state,
-                            oscillator_observables, oscillator_radial)
+                            hydrogen_observables, linear_s_observables, linear_s_state,
+                            oscillator_observables)
 from auxfield.specfun import airy_zero
 from reference import hydrogen_r_moment, linear_s_psi_unclipped, oscillator_r_moment
 
@@ -109,7 +108,7 @@ class TestHydrogen:
         q = QuantumNumbers(n, l)
         sc = HydrogenScale(eta=1.0)
         r_hi = 3.0 * (n + l + 1) ** 2 / sc.gamma(q) / (n + l + 1)
-        assert _count_radial_nodes(hydrogen_radial(sc, q), r_hi) == n
+        assert _count_radial_nodes(sc.radial(q), r_hi) == n
 
     # at (0, 150) and (2, 300) norm underflows and x^l overflows on their own
     @pytest.mark.parametrize("n,l", [(0, 0), (2, 1), (5, 4), (3, 2),
@@ -119,7 +118,7 @@ class TestHydrogen:
         sc = HydrogenScale(eta=1.0)
         r_hi = (45.0 + 16.0 * n + 6.0 * l) / sc.gamma(q)
         grid = np.linspace(0.0, r_hi, 60001)
-        u = grid * hydrogen_radial(sc, q)(grid)
+        u = grid * sc.radial(q)(grid)
         assert integrate.simpson(u * u, x=grid) == pytest.approx(1.0, abs=1e-10)
 
     def test_textbook_moments(self):
@@ -153,7 +152,7 @@ class TestHydrogen:
     def test_moment_vs_quadrature_negative_k(self):
         sc = HydrogenScale(eta=1.0)
         q = QuantumNumbers(2, 1)
-        radial = hydrogen_radial(sc, q)
+        radial = sc.radial(q)
         for k in (-2, -1):
             val, _ = integrate.quad(lambda r: radial(r) ** 2 * r ** (2 + k),
                                     0.0, 200.0, limit=400)
@@ -170,7 +169,7 @@ class TestOscillator:
                                      (0, 150), (2, 300)])
     def test_node_count_and_norm(self, n, l):
         sc = OscillatorScale(lam=1.0)
-        radial = oscillator_radial(sc, QuantumNumbers(n, l))
+        radial = sc.radial(QuantumNumbers(n, l))
         r_hi = math.sqrt(40 + 22 * n + 8 * l) / sc.lam
         assert _count_radial_nodes(radial, r_hi) == n
         grid = np.linspace(0.0, r_hi, 40001)
@@ -209,7 +208,7 @@ class TestOscillator:
     def test_psi0(self):
         sc = OscillatorScale(lam=1.2)
         obs = oscillator_observables(sc, QuantumNumbers(1, 0))
-        radial = oscillator_radial(sc, QuantumNumbers(1, 0))
+        radial = sc.radial(QuantumNumbers(1, 0))
         assert obs.psi0_sq == pytest.approx(radial(0.0) ** 2 / (4 * math.pi),
                                             rel=1e-12)
 

@@ -80,7 +80,8 @@ class TestLinearFamily:
     def test_matches_airy_zeros(self, n):
         f, _ = oracle_state(LINEAR, QuantumNumbers(n, 0))
         exact = -airy_zero(n)
-        assert abs(f.energy - exact) / exact < 1e-7
+        # 10x the worst error, 1.84e-12 at n = 8
+        assert abs(f.energy - exact) / exact < 2e-11
 
     def test_node_counts(self):
         for n, l in [(0, 0), (3, 0), (2, 2), (5, 1)]:
@@ -95,10 +96,11 @@ class TestLinearFamily:
     def test_observables_vs_closed_forms(self):
         f, obs = oracle_state(LINEAR, QuantumNumbers(0, 0))
         a0 = abs(airy_zero(0))
-        assert obs.r_moments[2] == pytest.approx(8 * a0 ** 2 / 15, rel=1e-7)
-        assert obs.p2 == pytest.approx(a0 / 3, rel=1e-7)
-        assert obs.p4 == pytest.approx(a0 ** 2 / 5, rel=1e-7)
-        assert obs.psi0_sq == pytest.approx(1 / (4 * math.pi), rel=1e-6)
+        # 10x the measured errors: 3.0e-12, 4.4e-12, 4.1e-12 and 7.8e-12
+        assert obs.r_moments[2] == pytest.approx(8 * a0 ** 2 / 15, rel=3e-11)
+        assert obs.p2 == pytest.approx(a0 / 3, rel=4.4e-11)
+        assert obs.p4 == pytest.approx(a0 ** 2 / 5, rel=4.1e-11)
+        assert obs.psi0_sq == pytest.approx(1 / (4 * math.pi), rel=7.8e-11)
 
 
 class TestLogFamily:
@@ -219,8 +221,8 @@ class TestVariationalConsistency:
                 f, _ = oracle_state(LINEAR, QuantumNumbers(n, l))
                 lo = afm_solve(LINEAR, AuxiliaryKind.COULOMB, q).energy
                 hi = afm_solve(LINEAR, AuxiliaryKind.QUADRATIC, q).energy
-                assert lo <= f.energy + 1e-6
-                assert hi >= f.energy - 1e-6
+                assert lo <= f.energy
+                assert hi >= f.energy
 
 
 @pytest.mark.parametrize("family", ["linear", "log"])

@@ -6,62 +6,65 @@ import pytest
 
 from auxfield.afm import AuxiliaryKind
 from auxfield.errors import DomainError
-from auxfield.exact import (HydrogenScale, OscillatorScale, QuantumNumbers,
-                            hydrogen_radial, oscillator_radial)
-from auxfield.overlaps import (afm_pair_overlap, numeric_overlap,
-                               overlap_hydrogen_dilated,
-                               overlap_oscillator_dilated, sample_radial)
+from auxfield.exact import HydrogenScale, OscillatorScale, QuantumNumbers
+from auxfield.overlaps import afm_pair_overlap, numeric_overlap, sample_radial
 from reference import dilated_overlap_mp
 
 A_GRID = (0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0)
+
+
+def _dilated(basis, n, n_prime, l, a):
+    """F_{n,n',l}(a): the overlap of states (n,l) at scale 1 and (n',l) at
+    scale a of one basis."""
+    return basis(1.0).overlap(QuantumNumbers(n, l), basis(a), QuantumNumbers(n_prime, l))
 
 
 class TestAnalyticProperties:
     def test_identity_at_unit_dilation(self):
         for n, npr, l in itertools.product(range(21), range(21), range(3)):
             want = 1.0 if n == npr else 0.0
-            assert overlap_hydrogen_dilated(n, npr, l, 1.0) == pytest.approx(
+            assert _dilated(HydrogenScale, n, npr, l, 1.0) == pytest.approx(
                 want, abs=1e-12)
-            assert overlap_oscillator_dilated(n, npr, l, 1.0) == pytest.approx(
+            assert _dilated(OscillatorScale, n, npr, l, 1.0) == pytest.approx(
                 want, abs=1e-12)
 
     def test_bounded_and_symmetric(self):
         for n, npr, l in itertools.product(range(6), range(6), range(4)):
             for a in A_GRID:
-                for f in (overlap_hydrogen_dilated, overlap_oscillator_dilated):
-                    val = f(n, npr, l, a)
+                for basis in (HydrogenScale, OscillatorScale):
+                    val = _dilated(basis, n, npr, l, a)
                     assert abs(val) <= 1.0 + 1e-12
-                    swapped = f(npr, n, l, 1.0 / a)
+                    swapped = _dilated(basis, npr, n, l, 1.0 / a)
                     assert swapped == pytest.approx(val, abs=1e-10)
 
     def test_vanishing_at_extreme_dilation(self):
         for n, npr, l in itertools.product(range(6), range(6), range(4)):
             for a in (1e-4, 1e4):
-                assert abs(overlap_hydrogen_dilated(n, npr, l, a)) < 1e-3
-                assert abs(overlap_oscillator_dilated(n, npr, l, a)) < 1e-3
+                assert abs(_dilated(HydrogenScale, n, npr, l, a)) < 1e-3
+                assert abs(_dilated(OscillatorScale, n, npr, l, a)) < 1e-3
 
     def test_limit_toward_unit_dilation(self):
         for n, npr, l in [(0, 0, 0), (1, 1, 2), (0, 1, 0), (2, 3, 1)]:
             want = 1.0 if n == npr else 0.0
-            val = overlap_hydrogen_dilated(n, npr, l, 1.0 + 1e-8)
+            val = _dilated(HydrogenScale, n, npr, l, 1.0 + 1e-8)
             assert val == pytest.approx(want, abs=1e-6)
-            val = overlap_oscillator_dilated(n, npr, l, 1.0 - 1e-8)
+            val = _dilated(OscillatorScale, n, npr, l, 1.0 - 1e-8)
             assert val == pytest.approx(want, abs=1e-6)
 
     def test_removable_singularity(self):
         # Q(a) = 0 at a = N'/N must evaluate finitely and continuously
         for n, npr, l in [(0, 1, 0), (1, 3, 0), (2, 3, 1), (0, 2, 2)]:
             a0 = (npr + l + 1) / (n + l + 1)
-            center = overlap_hydrogen_dilated(n, npr, l, a0)
-            nearby = overlap_hydrogen_dilated(n, npr, l, a0 * (1 + 1e-9))
+            center = _dilated(HydrogenScale, n, npr, l, a0)
+            nearby = _dilated(HydrogenScale, n, npr, l, a0 * (1 + 1e-9))
             assert math.isfinite(center)
             assert center == pytest.approx(nearby, abs=1e-7)
 
     def test_squared_overlap_exchange_invariance(self):
         for n, npr, l in itertools.product(range(4), range(4), range(2)):
             for a in (0.7, 1.9):
-                f1 = overlap_hydrogen_dilated(n, npr, l, a) ** 2
-                f2 = overlap_hydrogen_dilated(npr, n, l, 1.0 / a) ** 2
+                f1 = _dilated(HydrogenScale, n, npr, l, a) ** 2
+                f2 = _dilated(HydrogenScale, npr, n, l, 1.0 / a) ** 2
                 assert f1 == pytest.approx(f2, rel=1e-9, abs=1e-14)
 
     def test_overlap_needs_one_l(self):
@@ -72,20 +75,20 @@ class TestAnalyticProperties:
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            overlap_hydrogen_dilated(0, 1, 0, -1.0)
+            _dilated(HydrogenScale, 0, 1, 0, -1.0)
         with pytest.raises(DomainError):
-            overlap_oscillator_dilated(0, 1, 0, 0.0)
+            _dilated(OscillatorScale, 0, 1, 0, 0.0)
 
 
 class TestPublishedValues:
     def test_hydrogen_entries(self):
-        val = overlap_hydrogen_dilated(0, 1, 0, 2.0 ** (4 / 3)) ** 2
+        val = _dilated(HydrogenScale, 0, 1, 0, 2.0 ** (4 / 3)) ** 2
         assert val == pytest.approx(0.43, abs=0.01)
-        val = overlap_hydrogen_dilated(0, 1, 5, (7 / 6) ** (4 / 3)) ** 2
+        val = _dilated(HydrogenScale, 0, 1, 5, (7 / 6) ** (4 / 3)) ** 2
         assert val == pytest.approx(0.13, abs=0.01)
 
     def test_oscillator_entries(self):
-        val = overlap_oscillator_dilated(0, 1, 0, (3 / 7) ** (1 / 6)) ** 2
+        val = _dilated(OscillatorScale, 0, 1, 0, (3 / 7) ** (1 / 6)) ** 2
         assert val == pytest.approx(0.029, abs=0.001)
         val = afm_pair_overlap(AuxiliaryKind.QUADRATIC, 1, 3, 0) ** 2
         assert val == pytest.approx(0.0031, abs=0.0001)
@@ -106,13 +109,13 @@ class TestNumericAgreement:
     def test_hydrogen_formula_vs_quadrature(self, n, npr, l, a):
         eta = 1.1
         q1, q2 = QuantumNumbers(n, l), QuantumNumbers(npr, l)
-        r1 = hydrogen_radial(HydrogenScale(eta), q1)
-        r2 = hydrogen_radial(HydrogenScale(eta * a), q2)
+        r1 = HydrogenScale(eta).radial(q1)
+        r2 = HydrogenScale(eta * a).radial(q2)
         gam_min = eta * min(1.0, a) / (max(n, npr) + l + 1)
         grid = np.linspace(0.0, (45 + 15 * max(n, npr)) / gam_min, 24001)
         num = numeric_overlap(sample_radial(r1, grid, q=q1),
                               sample_radial(r2, grid, q=q2))
-        assert num == pytest.approx(overlap_hydrogen_dilated(n, npr, l, a),
+        assert num == pytest.approx(_dilated(HydrogenScale, n, npr, l, a),
                                     abs=1e-7)
 
     @pytest.mark.parametrize("n,npr,l,a", [
@@ -120,12 +123,12 @@ class TestNumericAgreement:
     def test_oscillator_formula_vs_quadrature(self, n, npr, l, a):
         lam = 0.9
         q1, q2 = QuantumNumbers(n, l), QuantumNumbers(npr, l)
-        r1 = oscillator_radial(OscillatorScale(lam), q1)
-        r2 = oscillator_radial(OscillatorScale(lam * a), q2)
+        r1 = OscillatorScale(lam).radial(q1)
+        r2 = OscillatorScale(lam * a).radial(q2)
         grid = np.linspace(0.0, 15.0 / (lam * min(1.0, a)), 24001)
         num = numeric_overlap(sample_radial(r1, grid, q=q1),
                               sample_radial(r2, grid, q=q2))
-        assert num == pytest.approx(overlap_oscillator_dilated(n, npr, l, a),
+        assert num == pytest.approx(_dilated(OscillatorScale, n, npr, l, a),
                                     abs=1e-7)
 
 
@@ -142,28 +145,27 @@ def _dilations(seed, count):
     return out
 
 
-@pytest.mark.parametrize("hydrogen,formula", [(True, overlap_hydrogen_dilated),
-                                              (False, overlap_oscillator_dilated)],
+@pytest.mark.parametrize("hydrogen,basis", [(True, HydrogenScale), (False, OscillatorScale)],
                          ids=["hydrogen", "oscillator"])
-def test_dilated_overlap_matches_mpmath(hydrogen, formula):
+def test_dilated_overlap_matches_mpmath(hydrogen, basis):
     # 40-digit quadrature of the textbook radial functions.  This seed's
     # worst error is 6.4e-16; over seeds 1 to 40 of the same draw it was
     # 9.2e-15 (hydrogen) and 4.9e-15 (oscillator): the bound is about 2x that
     for n, npr, l, a in _dilations(20261018, 6):
         want = float(dilated_overlap_mp(hydrogen, n, npr, l, a))
-        assert abs(formula(n, npr, l, a) - want) <= 2e-14, (n, npr, l, a)
+        assert abs(_dilated(basis, n, npr, l, a) - want) <= 2e-14, (n, npr, l, a)
 
 
 class TestNumericOverlap:
     def test_self_overlap(self):
-        r1 = hydrogen_radial(HydrogenScale(1.0), QuantumNumbers(1, 0))
+        r1 = HydrogenScale(1.0).radial(QuantumNumbers(1, 0))
         grid = np.linspace(0.0, 80.0, 16001)
         f = sample_radial(r1, grid, q=QuantumNumbers(1, 0))
         assert numeric_overlap(f, f) == pytest.approx(1.0, abs=1e-8)
 
     def test_grid_mismatch(self):
         q = QuantumNumbers(0, 0)
-        r1 = hydrogen_radial(HydrogenScale(1.0), q)
+        r1 = HydrogenScale(1.0).radial(q)
         f = sample_radial(r1, np.linspace(0.0, 60.0, 9001), q=q)
         g = sample_radial(r1, np.linspace(0.0, 1.0, 101), q=q)
         with pytest.raises(DomainError):

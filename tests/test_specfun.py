@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from auxfield.errors import DomainError
-from auxfield.specfun import (WBranch, airy_ai, airy_zero, airy_zero_estimate,
-                              lambert_w, laguerre)
+from auxfield.specfun import airy_ai, airy_zero, airy_zero_estimate, lambert_w, laguerre
 from reference import solve_w_power
 
 
@@ -94,44 +93,42 @@ class TestAiry:
 
 class TestLambert:
     def test_trivials(self):
-        assert lambert_w(WBranch.PRINCIPAL, 0.0) == 0.0
-        assert lambert_w(WBranch.PRINCIPAL, -math.exp(-1.0)) == -1.0
-        assert lambert_w(WBranch.LOWER, -math.exp(-1.0)) == -1.0
+        assert lambert_w(0.0) == 0.0
+        assert lambert_w(-math.exp(-1.0)) == -1.0
 
     def test_omega_constant(self):
         # fixed-point oracle w <- (w^2 + exp(-w)) / (w + 1)
         w = 0.5
         for _ in range(60):
             w = (w * w + math.exp(-w)) / (w + 1.0)
-        assert lambert_w(WBranch.PRINCIPAL, 1.0) == pytest.approx(w, rel=1e-14)
-        assert lambert_w(WBranch.PRINCIPAL, 1.0) == pytest.approx(
-            0.5671432904, abs=1e-10)
+        assert lambert_w(1.0) == pytest.approx(w, rel=1e-14)
+        assert lambert_w(1.0) == pytest.approx(0.5671432904, abs=1e-10)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            lambert_w(WBranch.PRINCIPAL, -0.4)
+            lambert_w(-0.4)
         with pytest.raises(DomainError):
-            lambert_w(WBranch.LOWER, 0.5)
-        with pytest.raises(DomainError):
-            lambert_w(WBranch.LOWER, -0.5)
+            lambert_w(math.nan)
 
     @pytest.mark.parametrize("x", np.concatenate([
         np.linspace(-math.exp(-1) + 1e-12, 40.0, 301), [1e3, 1e6, 1e12]]))
     def test_residual_principal(self, x):
-        w = lambert_w(WBranch.PRINCIPAL, float(x))
+        w = lambert_w(float(x))
         assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
         assert w >= -1.0
 
     @pytest.mark.parametrize("x", np.linspace(-math.exp(-1) + 1e-12, -1e-8, 301))
     def test_residual_lower(self, x):
-        w = lambert_w(WBranch.LOWER, float(x))
+        # on (-1/e, 0) w e^w = x has a second root W_-1(x) < -1, the
+        # non-physical one for the exponential well: lambert_w is W_0
+        w = lambert_w(float(x))
         assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
-        assert w <= -1.0
+        assert w > -1.0
 
     @given(st.floats(min_value=-0.367879, max_value=100.0))
     @settings(max_examples=200, deadline=None)
     def test_residual_property(self, x):
-        w = lambert_w(WBranch.PRINCIPAL, x)
+        w = lambert_w(x)
         assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
 
 
@@ -185,30 +182,22 @@ class TestAgainstMpmath:
                 ref = float(mpmath.airyaizero(n + 1))
             assert abs(airy_zero(n) - ref) <= 1e-15 * abs(ref)
 
-    @pytest.mark.parametrize("branch, k, xs", [
-        (WBranch.PRINCIPAL, 0, np.concatenate([
-            -math.exp(-1) + np.logspace(-6, -0.44, 60), -np.logspace(-300, -1, 30),
-            np.logspace(-300, 300, 61)])),
-        (WBranch.LOWER, -1, np.concatenate([
-            -math.exp(-1) + np.logspace(-6, -0.44, 60),
-            -np.logspace(-280, -1, 60), -np.logspace(-323, -285, 12), [-5e-324]])),
-    ], ids=["W0", "W-1"])
-    def test_lambert_relative(self, branch, k, xs):
-        bound = 1e-13 if branch is WBranch.PRINCIPAL else 5e-13
+    @pytest.mark.parametrize("xs", [np.concatenate([
+        -math.exp(-1) + np.logspace(-6, -0.44, 60), -np.logspace(-300, -1, 30),
+        np.logspace(-300, 300, 61)])], ids=["W0"])
+    def test_lambert_relative(self, xs):
         for x in xs:
-            ref = _mp(mpmath.lambertw, x, k=k)
-            assert abs(lambert_w(branch, float(x)) - ref) <= bound * abs(ref)
+            ref = _mp(mpmath.lambertw, x)
+            assert abs(lambert_w(float(x)) - ref) <= 1e-13 * abs(ref)
 
-    @pytest.mark.parametrize("branch, k", [(WBranch.PRINCIPAL, 0),
-                                           (WBranch.LOWER, -1)],
-                             ids=["W0", "W-1"])
-    def test_lambert_near_branch_point_within_conditioning(self, branch, k):
+    @pytest.mark.parametrize("k", [0], ids=["W0"])
+    def test_lambert_near_branch_point_within_conditioning(self, k):
         # relative condition number 1/|1 + W| diverges at x = -1/e: the
         # error is bounded by a few ulps times it
         for d in np.logspace(-14, -6, 17):
             x = -math.exp(-1) + d
             ref = _mp(mpmath.lambertw, x, k=k)
-            err = abs(lambert_w(branch, x) - ref) / abs(ref)
+            err = abs(lambert_w(x) - ref) / abs(ref)
             assert err * abs(1.0 + ref) <= 1e-15
 
 
@@ -222,46 +211,30 @@ class TestSolveWPower:
     def test_alpha_minus_one(self):
         x = solve_w_power(2.0, -1.0)
         assert x == pytest.approx(0.5 * math.log(0.5), rel=1e-14)
-        w = lambert_w(WBranch.PRINCIPAL, x)
+        w = lambert_w(x)
         assert abs(w / x - 2.0) < 1e-12
 
     def test_simple_round_trip(self):
-        w = lambert_w(WBranch.PRINCIPAL, 1.0)
+        w = lambert_w(1.0)
         assert solve_w_power(w, 2.0) == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0, -2.0, -0.25])
     def test_round_trip_principal(self, alpha):
         for x in np.linspace(0.08, 25.0, 40):
-            y = lambert_w(WBranch.PRINCIPAL, float(x))
+            y = lambert_w(float(x))
             if alpha == -0.25 and y > 3.0:
                 continue  # outside the injective window of W(x) x^alpha
             z = y * x ** alpha
-            back = solve_w_power(z, alpha, WBranch.PRINCIPAL)
+            back = solve_w_power(z, alpha)
             assert abs(back - x) <= 1e-10 * x
 
     def test_round_trip_principal_negative_argument(self):
         # the branch used by the exponential-potential solver: alpha = 2, z < 0
         for x in np.linspace(-0.36, -0.01, 40):
-            y = lambert_w(WBranch.PRINCIPAL, float(x))
+            y = lambert_w(float(x))
             z = y * x ** 2
-            back = solve_w_power(z, 2.0, WBranch.PRINCIPAL)
+            back = solve_w_power(z, 2.0)
             assert abs(back - x) <= 1e-10 * abs(x)
-
-    def test_round_trip_lower_branch(self):
-        # W_-1(x) x^2 is two-to-one on the branch (extremum at W = -3/2);
-        # the solver deterministically resolves to the W <= -3/2 preimage
-        for x in np.linspace(-0.33, -0.02, 30):
-            y = lambert_w(WBranch.LOWER, float(x))
-            assert y <= -1.5
-            z = y * x ** 2
-            back = solve_w_power(z, 2.0, WBranch.LOWER)
-            assert abs(back - x) <= 1e-10 * abs(x)
-        # on the other fold the returned value still solves the equation
-        x = -0.36
-        z = lambert_w(WBranch.LOWER, x) * x ** 2
-        back = solve_w_power(z, 2.0, WBranch.LOWER)
-        w_back = lambert_w(WBranch.LOWER, back)
-        assert abs(w_back * back ** 2 - z) <= 1e-12 * abs(z)
 
     def test_returned_value_always_solves(self):
         # even where the inversion is ambiguous the defining relation holds
@@ -271,10 +244,10 @@ class TestSolveWPower:
             alpha = float(rng.uniform(-0.95, 3.0))
             if abs(alpha) < 0.02:
                 continue
-            y = lambert_w(WBranch.PRINCIPAL, x)
+            y = lambert_w(x)
             z = y * x ** alpha
-            back = solve_w_power(z, alpha, WBranch.PRINCIPAL)
-            w_back = lambert_w(WBranch.PRINCIPAL, back)
+            back = solve_w_power(z, alpha)
+            w_back = lambert_w(back)
             assert abs(w_back * back ** alpha - z) <= 1e-9 * max(1.0, abs(z))
 
     def test_no_solution_even_root(self):
