@@ -72,9 +72,14 @@ class AuxiliaryKind(Enum):
                 else self.basis_energy(m, big_n, nu) / (2.0 * nu))
 
     def scale(self, m: float, nu: float) -> Union[HydrogenScale, OscillatorScale]:
-        """Length scale of the eigenstates of p^2/(2m) + nu P(r)."""
-        return (HydrogenScale(eta=m * nu) if self is AuxiliaryKind.COULOMB
-                else OscillatorScale(lam=(2.0 * m * nu) ** 0.25))
+        """Length scale of the eigenstates of p^2/(2m) + nu P(r); one that
+        under- or overflows raises NumericalFailure."""
+        value = m * nu if self is AuxiliaryKind.COULOMB else (2.0 * m * nu) ** 0.25
+        if not 0.0 < value < math.inf:
+            raise NumericalFailure(f"the trial scale {value} at nu = {nu} "
+                                   "is outside double precision")
+        return (HydrogenScale(eta=value) if self is AuxiliaryKind.COULOMB
+                else OscillatorScale(lam=value))
 
 
 class Bound(Enum):

@@ -37,18 +37,13 @@ def afm_pair_overlap(kind: AuxiliaryKind, n: int, n_prime: int, l: int) -> float
 # ----------------------------------------------------------------------
 
 def sample_radial(radial: Callable, grid: np.ndarray, *, energy: float = math.nan,
-                  q: Optional[QuantumNumbers] = None,
-                  from_psi: bool = False) -> RadialFunction:
-    """Sample a radial evaluator into a reduced RadialFunction u = r R(r).
+                  q: Optional[QuantumNumbers] = None) -> RadialFunction:
+    """Sample a radial evaluator R(r) into a reduced RadialFunction u = r R(r).
 
-    ``from_psi`` interprets the callable as the full wavefunction psi(r)
-    (then u = sqrt(4 pi) r psi).  A non-uniform grid raises DomainError.
+    A non-uniform grid raises DomainError.
     """
     grid = np.asarray(grid, dtype=float)
-    vals = np.asarray(radial(grid), dtype=float)
-    u = grid * vals
-    if from_psi:
-        u = u * math.sqrt(4.0 * math.pi)
+    u = grid * np.asarray(radial(grid), dtype=float)
     return RadialFunction(grid=grid, values=u, energy=energy,
                           q=q if q is not None else QuantumNumbers(0, 0))
 

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 from ._numpy import np
 from . import observables, overlaps
 from .afm import AuxiliaryKind, PotentialModel, afm_solve
-from .errors import AuxFieldError, DomainError, NoBoundState, NumericalFailure
+from .errors import AuxFieldError, DomainError, NumericalFailure
 from .exact import QuantumNumbers, linear_s_observables, linear_s_state
 from .oracle import RadialFunction, SolverConfig, numeric_observables, solve_radial
 
@@ -82,10 +82,9 @@ def oracle_state(v: PotentialModel, q: QuantumNumbers) -> Tuple[RadialFunction, 
 def linear_exact_function(n: int) -> RadialFunction:
     """Exact linear-potential S state sampled as a reduced radial function."""
     state = linear_s_state(0.5, 1.0, n)
-    r_max = abs(state.alpha_n) + 16.0
-    grid = np.linspace(0.0, r_max, 12001)
-    return overlaps.sample_radial(state.wavefunction, grid, energy=state.energy,
-                                  q=QuantumNumbers(n, 0), from_psi=True)
+    grid = np.linspace(0.0, abs(state.alpha_n) + 16.0, 12001)
+    u = grid * np.asarray(state.wavefunction(grid), dtype=float) * math.sqrt(4.0 * math.pi)
+    return RadialFunction(grid=grid, values=u, energy=state.energy, q=QuantumNumbers(n, 0))
 
 
 def afm_trial_function(v: PotentialModel, kind: AuxiliaryKind,
@@ -98,10 +97,44 @@ def afm_trial_function(v: PotentialModel, kind: AuxiliaryKind,
 @lru_cache(maxsize=None)
 def linear_afm_overlap_sq(kind_key: str, n: int) -> float:
     """|<exact linear n | AFM trial n>|^2 (reduced units, l = 0)."""
-    exact_f = linear_exact_function(n)
-    trial = afm_trial_function(_LINEAR, _KINDS[kind_key],
-                               QuantumNumbers(n, 0), exact_f.grid)
-    return overlaps.numeric_overlap(exact_f, trial) ** 2
+    return _ratios(_LINEAR, _KINDS[kind_key], QuantumNumbers(n, 0),
+                   linear_s_observables(0.5, 1.0, n), linear_exact_function(n))["overlap"]
+
+
+def _ratios(v: PotentialModel, kind: AuxiliaryKind, q: QuantumNumbers,
+            ref, fn: Optional[RadialFunction] = None) -> Dict[str, float]:
+    """Every ratio a table prints of the AFM state (v, kind, q) over the
+    reference state whose ObservableSet is ``ref`` (``ref.mean_h`` its
+    energy): eps, mean_h, r1 .. r4, p2, p4, psi0 for l = 0 and, when the
+    sampled reference ``fn`` is given, the squared overlap with it."""
+    sol = afm_solve(v, kind, q)
+    obs = observables.afm_observable_set(v, sol, q)
+    out = {"eps": sol.energy / ref.mean_h,
+           "mean_h": observables.mean_hamiltonian(v, sol, q, obs) / ref.mean_h,
+           "p2": obs.p2 / ref.p2, "p4": obs.p4 / ref.p4}
+    out.update((f"r{k}", obs.r_moments[k] / ref.r_moments[k]) for k in range(1, 5))
+    if q.l == 0:
+        out["psi0"] = obs.psi0_sq / ref.psi0_sq
+    if fn is not None:
+        out["overlap"] = overlaps.numeric_overlap(fn, afm_trial_function(v, kind, q, fn.grid)) ** 2
+    return out
+
+
+def _vs_oracle(v: PotentialModel, kind: AuxiliaryKind, q: QuantumNumbers,
+               overlap: bool) -> Dict[str, float]:
+    """``_ratios`` over the oracle state of (v, q), with the overlap when
+    asked; {} when either side raises AuxFieldError, so that the row's
+    cells are None, the row is marked failed and the table goes on."""
+    try:
+        fn, ref = oracle_state(v, q)
+        return _ratios(v, kind, q, ref, fn if overlap else None)
+    except AuxFieldError:
+        return {}
+
+
+def _tol(kind_key: str, key: str) -> float:
+    """Tolerance of the obs-* and ratios-* rows."""
+    return 0.002 if kind_key == "ho" or key in ("eps", "p2") else 0.003
 
 
 # ----------------------------------------------------------------------
@@ -118,64 +151,23 @@ def _build_overlap(kind_key: str) -> Tuple[List[str], List[Row]]:
     return ["n", "n_prime", "l"], rows
 
 
-_OBS_KEYS = ("psi0", "r1", "r2", "r3", "r4", "p2", "p4", "mean_h", "eps")
-
-
-def _obs_ratios(kind: AuxiliaryKind, n: int) -> Dict[str, float]:
-    """AFM / exact observable ratios for the reduced linear potential."""
-    v = _LINEAR
-    q = QuantumNumbers(n, 0)
-    sol = afm_solve(v, kind, q)
-    obs = observables.afm_observable_set(v, sol, q)
-    ref = linear_s_observables(0.5, 1.0, n)
-    energy = ref.mean_h  # exact eigenvalue
-    return {
-        "psi0": obs.psi0_sq / ref.psi0_sq,
-        "r1": obs.r_moments[1] / ref.r_moments[1],
-        "r2": obs.r_moments[2] / ref.r_moments[2],
-        "r3": obs.r_moments[3] / ref.r_moments[3],
-        "r4": obs.r_moments[4] / ref.r_moments[4],
-        "p2": obs.p2 / ref.p2,
-        "p4": obs.p4 / ref.p4,
-        "mean_h": observables.mean_hamiltonian(v, sol, q, obs) / energy,
-        "eps": sol.energy / energy,
-    }
-
-
 def _build_obs(kind_key: str) -> Tuple[List[str], List[Row]]:
     gold = golden()[f"obs_{kind_key}"]
-    tol_for = (lambda key: 0.002) if kind_key == "ho" else (
-        lambda key: 0.002 if key in ("p2", "eps") else 0.003)
-    rows = []
-    ratios = {n: _obs_ratios(_KINDS[kind_key], n) for n in range(3)}
-    for key in _OBS_KEYS:
-        for n in range(3):
-            rows.append(Row({"observable": key, "n": n}, ratios[n][key],
-                            gold[key][n], tol_for(key)))
+    ratios = [_ratios(_LINEAR, _KINDS[kind_key], QuantumNumbers(n, 0),
+                      linear_s_observables(0.5, 1.0, n)) for n in range(3)]
+    rows = [Row({"observable": key, "n": n}, ratios[n][key], gold[key][n], _tol(kind_key, key))
+            for key in ("psi0", "r1", "r2", "r3", "r4", "p2", "p4", "mean_h", "eps")
+            for n in range(3)]
     return ["observable", "n"], rows
 
 
 def _build_ratios(kind_key: str) -> Tuple[List[str], List[Row]]:
     gold = golden()[f"ratios_{kind_key}"]
-    v = _LINEAR
-    rows = []
-    for quantity in ("eps", "r1"):
-        tol = 0.002 if (quantity == "eps" or kind_key == "ho") else 0.003
-        for l in range(3):
-            for n in range(6):
-                q = QuantumNumbers(n, l)
-                try:
-                    sol = afm_solve(v, _KINDS[kind_key], q)
-                    _, oobs = oracle_state(v, q)
-                    if quantity == "eps":
-                        val = sol.energy / oobs.mean_h
-                    else:
-                        obs = observables.afm_observable_set(v, sol, q)
-                        val = obs.r_moments[1] / oobs.r_moments[1]
-                except AuxFieldError:
-                    val = None  # row marked failed, table continues
-                rows.append(Row({"quantity": quantity, "l": l, "n": n}, val,
-                                gold[quantity][str(l)][n], tol))
+    states = [QuantumNumbers(n, l) for l in range(3) for n in range(6)]
+    ratios = {q: _vs_oracle(_LINEAR, _KINDS[kind_key], q, False) for q in states}
+    rows = [Row({"quantity": key, "l": q.l, "n": q.n}, ratios[q].get(key),
+                gold[key][str(q.l)][q.n], _tol(kind_key, key))
+            for key in ("eps", "r1") for q in states]
     return ["quantity", "l", "n"], rows
 
 
@@ -204,21 +196,8 @@ def _build_eckart() -> Tuple[List[str], List[Row]]:
     return ["trial", "column"], rows
 
 
-_RATIO_COLS = ("re", "rr2", "rp2", "overlap")
-
-
-def _afm_vs_oracle(v: PotentialModel, kind: AuxiliaryKind, q: QuantumNumbers,
-                   fn: RadialFunction, oobs) -> Dict[str, float]:
-    """AFM / oracle ratios of E, <r^2> and <p^2>, and the squared overlap."""
-    sol = afm_solve(v, kind, q)
-    obs = observables.afm_observable_set(v, sol, q)
-    trial = afm_trial_function(v, kind, q, fn.grid)
-    return {
-        "re": sol.energy / fn.energy,
-        "rr2": obs.r_moments[2] / oobs.r_moments[2],
-        "rp2": obs.p2 / oobs.p2,
-        "overlap": overlaps.numeric_overlap(fn, trial) ** 2,
-    }
+# the published columns of the log and exp tables, as keys of _ratios
+_RATIO_COLS = {"re": "eps", "rr2": "r2", "rp2": "p2", "overlap": "overlap"}
 
 
 def _build_log() -> Tuple[List[str], List[Row]]:
@@ -226,15 +205,10 @@ def _build_log() -> Tuple[List[str], List[Row]]:
     rows = []
     for rec in golden()["log_results"]:
         n, l, basis = rec["n"], rec["l"], rec["basis"]
-        q = QuantumNumbers(n, l)
-        try:
-            fn, oobs = oracle_state(v, q)
-            values = _afm_vs_oracle(v, _KINDS[basis], q, fn, oobs)
-        except AuxFieldError:
-            values = dict.fromkeys(_RATIO_COLS)
-        for col in _RATIO_COLS:
+        ratios = _vs_oracle(v, _KINDS[basis], QuantumNumbers(n, l), True)
+        for col, key in _RATIO_COLS.items():
             rows.append(Row({"l": l, "n": n, "basis": basis, "quantity": col},
-                            values[col], rec[col], 0.003))
+                            ratios.get(key), rec[col], 0.003))
     return ["l", "n", "basis", "quantity"], rows
 
 
@@ -255,27 +229,20 @@ def _build_exp() -> Tuple[List[str], List[Row]]:
         v = PotentialModel.exponential(float(rec["k"]))
         q = QuantumNumbers(n, l)
         try:
-            fn, oobs = oracle_state(v, q)
+            energy = oracle_state(v, q)[0].energy
         except AuxFieldError:
-            fn = oobs = None
+            energy = None
         e_tol = 0.001 if abs(float(rec["energy"])) < 0.1 else 0.002
         rows.append(Row({"k": rec["k"], "l": l, "n": n, "basis": "",
-                         "quantity": "energy"},
-                        fn.energy if fn is not None else None,
-                        rec["energy"], e_tol))
+                         "quantity": "energy"}, energy, rec["energy"], e_tol))
         for basis in ("ho", "hy"):
-            computed = dict.fromkeys(_RATIO_COLS)
-            if fn is not None:
-                try:
-                    computed = _afm_vs_oracle(v, _KINDS[basis], q, fn, oobs)
-                except NoBoundState:
-                    pass
+            ratios = _vs_oracle(v, _KINDS[basis], q, True) if energy is not None else {}
             gold_cols = rec[basis] or dict.fromkeys(_RATIO_COLS)
-            for col in _RATIO_COLS:
+            for col, key in _RATIO_COLS.items():
                 printed = gold_cols[col]
                 tol = _exp_tol(col, printed) if printed is not None else None
                 rows.append(Row({"k": rec["k"], "l": l, "n": n, "basis": basis,
-                                 "quantity": col}, computed[col], printed, tol))
+                                 "quantity": col}, ratios.get(key), printed, tol))
     return ["k", "l", "n", "basis", "quantity"], rows
 
 

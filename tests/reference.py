@@ -23,6 +23,9 @@ density cutoff ``trial_cutoff``; ``mean_exp_neg_r_mp`` is <e^-r> of a
 trial state by ``mpmath.quad``, and ``dilated_overlap_mp`` the overlap of
 two dilated states of one basis.  ``exp_s_energy`` is the exact energy of
 an S-state of the exponential well, from a zero of a Bessel function.
+``lagrange_mesh_level`` is a converged eigenvalue of any radial problem
+from a Lagrange-Laguerre mesh, which shares no grid, domain cut or
+corrector with the oracle.
 ``improved_linear_energy`` is the refined linear-potential energy formula
 and ``critical_coupling`` the depth at which an exponential-well AFM
 energy crosses zero.
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 import mpmath
 import numpy as np
@@ -533,6 +536,93 @@ def exp_s_energy(k: float, n: int, nu: float) -> float:
         raise NumericalFailure(f"J_nu(2 sqrt({k})) = 0 at nu = {root} is zero "
                                f"{changes + 1}, not {n + 1}")
     return float(-root * root / 4)
+
+
+class MeshLevel(NamedTuple):
+    """A Lagrange-mesh eigenvalue on N points, the same level on 1.25 N
+    points over the same domain, and that domain's radius."""
+
+    energy: float
+    finer: float
+    r_max: float
+
+    @property
+    def error(self) -> float:
+        """|E(N) - E(1.25 N)|, the estimate of the error of ``energy``."""
+        return abs(self.energy - self.finer)
+
+    def is_reference(self, threshold: Optional[float] = None) -> bool:
+        """Whether the level can judge another solver: N and 1.25 N agree
+        within 1e-12 relative to max(1, |E|), and both lie below the
+        continuum ``threshold`` (None for a confining potential).  Near
+        threshold both meshes can put a level in the continuum and agree."""
+        below = threshold is None or max(self.energy, self.finer) < threshold
+        return below and self.error <= 1e-12 * max(1.0, abs(self.energy))
+
+
+def _mesh_eigenvalues(potential, mass: float, l: int, points: int, r_max: float):
+    """Eigenvalues of p^2/(2m) + V on the x-regularized Lagrange-Laguerre mesh
+    (Baye, Phys. Rep. 565 (2015) 1) with its last point at r_max.
+
+    The mesh points x_i are the zeros of L_N, the eigenvalues of the Laguerre
+    Jacobi matrix (laggauss overflows its weights above N = 180, and the
+    weights are not needed), and r = h x with h = r_max / x_N.  The kinetic
+    matrix of -d^2/dx^2 is T_ii = -(x_i^2 - 2(2N+1) x_i - 4)/(12 x_i^2) and
+    T_ij = (-1)^(i-j) (x_i + x_j)/(sqrt(x_i x_j) (x_i - x_j)^2); the
+    potential is diagonal, so H = T/h^2 + l(l+1)/r_i^2 + 2m V(r_i) and E is
+    an eigenvalue of H over 2m."""
+    i = np.arange(points)
+    x = np.linalg.eigvalsh(np.diag(2.0 * i + 1.0) - np.diag(i[1:].astype(float), -1))
+    h = r_max / x[-1]
+    gap = x[:, None] - x[None, :]
+    np.fill_diagonal(gap, 1.0)
+    sign = 1.0 - 2.0 * (np.add.outer(i, i) % 2)
+    t = sign * (x[:, None] + x[None, :]) / (np.sqrt(np.outer(x, x)) * gap * gap)
+    np.fill_diagonal(t, -(x * x - 2.0 * (2 * points + 1) * x - 4.0) / (12.0 * x * x))
+    r = h * x
+    ham = t / (h * h)
+    ham[i, i] += l * (l + 1) / (r * r) + 2.0 * mass * np.asarray(potential(r), dtype=float)
+    return np.linalg.eigvalsh(ham) / (2.0 * mass)
+
+
+def _wkb_radius(potential, mass: float, l: int, energy: float, r_guess: float,
+                action: float = 36.0) -> float:
+    """The radius past the outer turning point at ``energy`` where the WKB
+    decay action, the integral of sqrt(2m (V - E) + l(l+1)/r^2), reaches
+    ``action`` (e^-36 = 2.3e-16, double rounding).  The turning point is the
+    last classically allowed point of a grid on (0, r_guess]; r_guess is
+    kept when the action never gets there, as at E >= 0 in a well."""
+    def w(r):
+        return 2.0 * mass * (np.asarray(potential(r), dtype=float) - energy) + l * (l + 1) / (r * r)
+
+    r = np.linspace(0.0, r_guess, 20001)[1:]
+    allowed = np.flatnonzero(w(r) < 0.0)
+    r_turn = float(r[allowed[-1]]) if allowed.size else r_guess
+    span = max(1.0, r_turn)
+    while span < 1e8:
+        r = np.linspace(r_turn, r_turn + span, 4001)
+        s = np.sqrt(np.maximum(w(r), 0.0))
+        walked = np.concatenate([[0.0], np.cumsum(0.5 * (s[1:] + s[:-1]) * np.diff(r))])
+        if walked[-1] >= action:
+            return float(np.interp(action, walked, r))
+        span *= 2.0
+    return r_guess
+
+
+def lagrange_mesh_level(potential, mass: float, q: QuantumNumbers, points: int,
+                        r_guess: float) -> MeshLevel:
+    """Level q.n of partial wave q.l of p^2/(2m) + V, V = ``potential(r)`` on
+    float arrays.  A first solve on (0, r_guess] gives the energy that sets
+    the domain by ``_wkb_radius``; the level is then solved on N = ``points``
+    and on 1.25 N mesh points over that domain.  The mesh converges
+    spectrally for smooth V but only algebraically where V is singular at
+    the origin (ln r at l = 0); near threshold it needs more points.  N must
+    grow like 2n + 60."""
+    first = _mesh_eigenvalues(potential, mass, q.l, points, r_guess)[q.n]
+    r_max = _wkb_radius(potential, mass, q.l, float(first), r_guess)
+    energy, finer = (float(_mesh_eigenvalues(potential, mass, q.l, size, r_max)[q.n])
+                     for size in (points, round(1.25 * points)))
+    return MeshLevel(energy, finer, r_max)
 
 
 def improved_linear_energy(q: QuantumNumbers) -> float:

@@ -16,7 +16,8 @@ from auxfield.afm import (AuxiliaryKind, PotentialModel, afm_solve,
                           tangent_check)
 from auxfield.errors import NoBoundState
 from auxfield.exact import (HydrogenScale, OscillatorScale, QuantumNumbers,
-                            hydrogen_observables, oscillator_observables)
+                            hydrogen_observables, linear_s_observables,
+                            oscillator_observables)
 from auxfield.overlaps import afm_pair_overlap
 from auxfield.specfun import airy_zero, airy_zero_estimate, lambert_w
 from auxfield.tables import linear_afm_overlap_sq, oracle_state
@@ -249,7 +250,8 @@ def test_criterion_9_property_suites():
 def test_criterion_10_large_n_asymptotics():
     n = 200
     gold = tables.golden()["obs_ho_large_n"]
-    ratios = tables._obs_ratios(AuxiliaryKind.QUADRATIC, n)
+    q, exact = QuantumNumbers(n, 0), linear_s_observables(0.5, 1.0, n)
+    ratios = tables._ratios(LINEAR, AuxiliaryKind.QUADRATIC, q, exact)
     ok = True
     details = []
     for key, constant in gold.items():
@@ -258,7 +260,7 @@ def test_criterion_10_large_n_asymptotics():
         ok &= diff <= 0.002
     # Coulomb-basis rows carry 1/n corrections quoted in the same table
     gold_hy = tables.golden()["obs_hy_large_n"]
-    ratios_hy = tables._obs_ratios(AuxiliaryKind.COULOMB, n)
+    ratios_hy = tables._ratios(LINEAR, AuxiliaryKind.COULOMB, q, exact)
     for key, (c0, c1) in gold_hy.items():
         ok &= abs(ratios_hy[key] - (c0 + c1 / n)) <= 0.002
     _report("10 (large-n asymptotics)", ok, " ".join(details))

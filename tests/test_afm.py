@@ -8,7 +8,7 @@ import pytest
 
 from auxfield.afm import (AuxiliaryKind, Bound, PotentialModel, _mean_point,
                           afm_solve, energy_at_aux, principal_number, tangent_check)
-from auxfield.errors import AuxFieldError, DomainError, NoBoundState, NumericalFailure
+from auxfield.errors import DomainError, NoBoundState, NumericalFailure
 from auxfield.exact import (HydrogenScale, OscillatorScale, QuantumNumbers,
                             hydrogen_observables, oscillator_observables)
 from reference import (critical_coupling, hydrogen_r_moment, improved_linear_energy,
@@ -391,6 +391,14 @@ class TestExtremeParameters:
             with pytest.raises(NumericalFailure, match="radius"):
                 afm_solve(PotentialModel.linear(m, a), kind, QuantumNumbers(0, 0))
 
+    @pytest.mark.parametrize("m,a", [(1e20, 1e220), (1e-300, 1.0)],
+                             ids=["scale-overflows", "scale-underflows"])
+    def test_trial_scale_out_of_double_range_is_numerical_failure(self, m, a):
+        # r0 is in range, but (2 m nu0)^(1/4) over- or underflows
+        with pytest.raises(NumericalFailure, match="trial scale"):
+            afm_solve(PotentialModel.linear(m, a), AuxiliaryKind.QUADRATIC,
+                      QuantumNumbers(0, 0))
+
     def test_smallest_depth_has_no_bound_state(self):
         for kind in AuxiliaryKind:
             with pytest.raises(NoBoundState) as exc:
@@ -405,9 +413,10 @@ class TestExtremeParameters:
             for q in (QuantumNumbers(0, 0), QuantumNumbers(7, 3)):
                 try:
                     sol = afm_solve(v, kind, q)
-                except AuxFieldError:
+                except (NumericalFailure, NoBoundState):
                     continue
                 assert math.isfinite(sol.energy) and 0.0 < sol.r0 < math.inf, (v, kind, q)
+                assert 0.0 < sol.scale.value < math.inf, (v, kind, q)
 
 
 class TestImprovedEnergy:

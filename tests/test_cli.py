@@ -610,6 +610,7 @@ print(json.dumps({"energy": energy,
 
 
 class TestColdStart:
+    @pytest.mark.pin
     def test_closed_form_commands_do_not_import_scipy(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         proc = subprocess.run([sys.executable, "-c", _COLD_SCRIPT], check=True,
@@ -649,6 +650,7 @@ class TestColdStart:
         assert rec["r1"][0] == pytest.approx(rec["r1"][1], rel=1e-10)
         assert rec["psi0"][0] == pytest.approx(rec["psi0"][1], rel=1e-7)
 
+    @pytest.mark.pin
     @pytest.mark.parametrize("order", ["oracle-first", "scipy-first"])
     def test_oracle_and_scipy_linalg_share_one_lapack_module(self, order):
         # the oracle's LAPACK extension is the one scipy.linalg uses, in

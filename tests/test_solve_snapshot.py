@@ -20,6 +20,8 @@ import pytest
 
 from auxfield.cli import main
 
+pytestmark = pytest.mark.pin
+
 SNAPSHOT = Path(__file__).resolve().parent / "snapshots" / "solve.json"
 
 FAMILIES = (("linear",), ("log",), ("exp", "--k", "20"), ("exp", "--k", "200"))

@@ -15,7 +15,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from auxfield import tables
+from auxfield.afm import PotentialModel
 from auxfield.errors import NumericalFailure
+from auxfield.exact import QuantumNumbers
 from auxfield.tables import TABLE_IDS, Row, build_table, format_rows
 
 SNAPSHOTS = Path(__file__).resolve().parent / "snapshots"
@@ -63,6 +65,44 @@ def test_non_finite_value_is_a_numeric_failure(monkeypatch):
             f"hy0,overlap,{bad},0.99,")
 
 
+def test_a_failing_state_fails_only_its_own_rows(monkeypatch):
+    # one error rule for the tables that compare against the oracle: a state
+    # or basis whose AFM or oracle side raises gets None cells, its rows are
+    # marked failed, and the table goes on
+    before = {table_id: build_table(table_id) for table_id in ("exp-results", "log-results")}
+    exp_state = (PotentialModel.exponential(10.0), QuantumNumbers(0, 0))
+    log_state = (PotentialModel.logarithmic(), QuantumNumbers(1, 1))
+    afm_solve, oracle_state = tables.afm_solve, tables.oracle_state
+
+    def afm_failing(v, kind, q):
+        if (v, q) == exp_state:
+            raise NumericalFailure("injected")
+        return afm_solve(v, kind, q)
+
+    def oracle_failing(v, q):
+        if (v, q) == log_state:
+            raise NumericalFailure("injected")
+        return oracle_state(v, q)
+
+    monkeypatch.setattr(tables, "afm_solve", afm_failing)
+    monkeypatch.setattr(tables, "oracle_state", oracle_failing)
+    failed = {"exp-results": lambda lab: (lab["k"], lab["n"], lab["l"]) == (10, 0, 0)
+              and lab["basis"] != "",
+              "log-results": lambda lab: (lab["n"], lab["l"]) == (1, 1)}
+    for table_id, (header, old_rows) in before.items():
+        _, rows = build_table(table_id)
+        assert [r.labels for r in rows] == [r.labels for r in old_rows]
+        hit = [failed[table_id](r.labels) for r in rows]
+        assert sum(hit) == 8, table_id
+        for row, old, is_hit in zip(rows, old_rows, hit):
+            if is_hit:
+                assert row.computed is None and row.ok is False, (table_id, row.labels)
+            else:
+                for fmt in ("csv", "json"):
+                    assert (format_rows(header, [row], fmt)
+                            == format_rows(header, [old], fmt)), (table_id, row.labels)
+
+
 def _cells(table_id):
     """The table's CSV without its diff column: every computed, published
     and ok cell, or the whole of a table with no published values."""
@@ -74,6 +114,7 @@ def _cells(table_id):
     return "".join(",".join(line) + "\n" for line in lines)
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("table_id", TABLE_IDS)
 def test_table_cells_match_the_snapshot(table_id):
     assert _cells(table_id) == (SNAPSHOTS / f"{table_id}.csv").read_text()
