@@ -189,7 +189,7 @@ def _build_parser() -> _Parser:
     p.add_argument("l", type=int)
     p.add_argument("--k", type=float, default=None)
     p.add_argument("--r-max", type=float, default=None)
-    p.add_argument("--grid-points", type=int, default=20000)
+    p.add_argument("--grid-points", type=int, default=SolverConfig.grid_points)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_oracle)
     return parser

@@ -48,7 +48,7 @@ from .observables import p2_p4_from_potential
 
 __all__ = ["RadialFunction", "SolverConfig", "solve_radial", "numeric_observables"]
 
-_CORRECTOR_TOL = 1e-12     # converged step, relative to |E| (to max(1, |E|) at the noise floor)
+_CORRECTOR_TOL = 1e-12     # converged step, relative to |E|
 _CORRECTOR_MAX_ITER = 20
 _GUESS_STRIDE = 10         # grid stride of the Sturm count that guesses the start
 _GUESS_RESOLVED = 0.1      # largest resolution number rho at which the guess is the start
@@ -94,6 +94,7 @@ class RadialFunction:
     values: np.ndarray = field(repr=False)
     energy: float
     q: QuantumNumbers
+    kappa: float = math.inf   # decay rate of the tail past the grid end; inf: no tail
 
     def __post_init__(self):
         g = self.grid
@@ -105,11 +106,21 @@ class RadialFunction:
         """Simpson weights of the grid: w @ y integrates samples y over it."""
         return _simpson(self.grid.shape[0], float(self.grid[1] - self.grid[0]))
 
-    def decay_rate(self, v: PotentialModel) -> float:
-        """kappa of the tail past the grid end, from w = 2m (V - E) + l(l+1)/r^2 there."""
-        r_end = float(self.grid[-1])
-        return _decay_rate(v.kinetic_2m * (float(v.v(r_end)) - self.energy)
-                           + self.q.big_l / r_end ** 2)
+    @property
+    def tail_mass(self) -> float:
+        """Mass of the tail u_end e^(-kappa (r - r_end)) past the grid end."""
+        return _tail_mass(float(self.values[-1]), self.kappa)
+
+    def psi(self, r: np.ndarray) -> np.ndarray:
+        """psi(r) = u(r) / (sqrt(4 pi) r) at radii r >= 0 (an array): u interpolated on the
+        grid, the tail past its end (0 for kappa = inf), and u'(0)/sqrt(4 pi) at r = 0 if l = 0."""
+        norm, r = math.sqrt(4.0 * math.pi), np.asarray(r, dtype=float)
+        u, past = np.interp(r, self.grid, self.values), r > self.grid[-1]
+        with np.errstate(over="ignore"):   # the tail factor, capped at e^-1000 = 0
+            u[past] *= np.exp(-np.minimum(self.kappa * (r[past] - self.grid[-1]), 1e3))
+        psi = np.divide(u / norm, r, out=np.zeros_like(u), where=r > 0.0)
+        psi[r == 0.0] = self.slope_at_origin() / norm if self.q.l == 0 else 0.0
+        return psi
 
     def slope_at_origin(self) -> float:
         """u'(0) from the one-sided 5-point formula."""
@@ -135,12 +146,12 @@ class SolverConfig:
 # Numerov kernel.  W is the full coefficient array of u'' = W u.
 # ----------------------------------------------------------------------
 
-def _decay_rate(w_end: float) -> float:
-    """kappa = sqrt(w_end), at least 1e-6, of the tail u_end e^(-kappa (r - r_end))."""
-    return math.sqrt(max(w_end, 1e-12))
+def _tail_mass(u_end: float, kappa: float) -> float:
+    """u_end^2/(2 kappa), the mass of the tail u_end e^(-kappa (r - r_end))."""
+    return u_end * u_end * (0.5 / kappa)
 
 
-def _numerov_assemble(w, h, l, m):
+def _numerov_assemble(w, h, l, m, kappa):
     """Matched solution (unnormalized): the solution of A(E) u = e_m.
 
     Row i of the tridiagonal A is a[i-1] u[i-1] - b[i] u[i] + a[i+1] u[i+1]
@@ -162,7 +173,7 @@ def _numerov_assemble(w, h, l, m):
     d = np.subtract(-2.0, np.multiply(10.0, cw, out=cw), out=cw)   # -b[i], in cw's buffer
     if start == 1 and l == 1:
         d[0] -= 1.0 / 6.0                # a[0] u[0] -> -u[1]/6 for u ~ C r^2
-    d[-1] = -math.exp(_decay_rate(w[n - 1]) * h)
+    d[-1] = -math.exp(kappa * h)
     dl[-1] = 1.0
     u = np.zeros(n)
     u[m] = 1.0                           # dgtsv overwrites the tail u[start:] with x
@@ -247,7 +258,7 @@ def _live_end(w: np.ndarray, h: float, m: int) -> int:
 
 
 def _solve_on_grid(w0, grid, q, c, energy):
-    """Cooley's corrector from the start energy, then the normalized vector and its energy.
+    """Cooley's corrector from the start energy: the energy, the normalized u and its tail's kappa.
 
     The corrector assembles only the rows up to the live end found at the
     start energy; u holds those rows and the first zero past them.
@@ -266,26 +277,28 @@ def _solve_on_grid(w0, grid, q, c, energy):
     w0 = w0[:live]
     for _ in range(_CORRECTOR_MAX_ITER):
         w = np.subtract(w0, c * energy, out=w[:live])
+        kappa = math.sqrt(max(w[-1], 1e-12))   # the tail's decay rate, at least 1e-6
         try:
-            u = _numerov_assemble(w, h, q.l, m)
+            u = _numerov_assemble(w, h, q.l, m, kappa)
         except NumericalFailure as exc:
             raise NumericalFailure(f"grid of {grid.shape[0]} points: {exc}") from None
         y = (1.0 - h * h * w[m - 1:m + 2] / 12.0) * u[m - 1:m + 2]
         resid = (y[2] - 2.0 * y[1] + y[0]) / (h * h) - w[m] * u[m]
-        tail = u[-1] * u[-1] / (2.0 * _decay_rate(w[-1]) * h)   # its mass, over h as the sum
-        step = u[m] * resid / (c * float(np.dot(u, u) + tail))
+        step = u[m] * resid / (c * float(np.dot(u, u) + _tail_mass(u[-1], kappa) / h))
+        noise = sys.float_info.epsilon / (c * h * h) * max(1.0, abs(energy))
         if abs(step) <= _CORRECTOR_TOL * abs(energy - step) or (
-                abs(step) <= _CORRECTOR_TOL and abs(step) >= abs(last)):
-            break  # the last step is rounding noise: keep u's own energy
+                abs(step) <= noise and abs(step) >= abs(last)):
+            break  # converged, or stalled at the grid's rounding scale: keep u's own energy
         energy, last = energy - step, step
     else:
         raise NumericalFailure("Cooley corrector did not converge")
     u = np.append(u, 0.0)[:grid.shape[0]]
-    norm = _simpson(u.shape[0], h) @ (u * u) + u[-1] * u[-1] / (2.0 * _decay_rate(w[-1]))
+    norm = _simpson(u.shape[0], h) @ (u * u) + _tail_mass(u[-1], kappa)
     if not norm > 0:
         raise NumericalFailure("degenerate norm after assembly")
     # the solve's sign is that of 1/(lambda - E); make u > 0 before its first node
-    return energy, np.divide(u, math.copysign(math.sqrt(norm), next(x for x in u if x)), out=u)
+    u /= math.copysign(math.sqrt(norm), next(x for x in u if x))
+    return energy, u, kappa
 
 
 def _interior_nodes(u: np.ndarray) -> int:
@@ -315,7 +328,7 @@ def solve_radial(v: PotentialModel, q: QuantumNumbers,
     start = _sturm_start(w0, float(grid[1] - grid[0]), q.n) / c
     if v.continuum_threshold is not None and not start < v.continuum_threshold:
         raise NoBoundState("not-supported", f"{v} has no bound state with n={q.n}, l={q.l}")
-    energy, u = _solve_on_grid(w0, grid, q, c, start)
+    energy, u, kappa = _solve_on_grid(w0, grid, q, c, start)
     if _interior_nodes(u) != q.n:
         raise NumericalFailure(
             f"converged solution has {_interior_nodes(u)} nodes, expected {q.n}, on "
@@ -323,7 +336,7 @@ def solve_radial(v: PotentialModel, q: QuantumNumbers,
             "too coarse for the state, and more points (--grid-points) may resolve it")
     # a copy: a view of the prefix would keep the whole grid alive in caches
     return RadialFunction(grid=grid[:u.shape[0]].copy(), values=u,
-                          energy=float(energy), q=q)
+                          energy=float(energy), q=q, kappa=kappa)
 
 
 # ----------------------------------------------------------------------
@@ -346,8 +359,7 @@ def numeric_observables(f: RadialFunction, v: PotentialModel) -> ObservableSet:
     np.multiply(rows[2], rows[2], out=rows[3])
     np.multiply(rows[3], rows[2:4], out=rows[4:6])
     np.multiply(rows[6], rows[6], out=rows[7])
-    r_end, s = float(grid[-1]), 0.5 / f.decay_rate(v)
-    tail = float(u[-1]) ** 2 * s                      # the mass of u_end e^(-(r - r_end)/(2 s))
+    r_end, s, tail = float(grid[-1]), 0.5 / f.kappa, f.tail_mass   # u_end e^(-(r - r_end)/(2 s))
     bound = v.continuum_threshold
     if tail > 1e-8 and not (bound is not None and abs(rows[6, -1]) <= -bound):
         raise QuadratureFailure(f"tail mass {tail:.2e} beyond r_max = {r_end:.6g}, where "

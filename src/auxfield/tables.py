@@ -81,7 +81,7 @@ def oracle_state(v: PotentialModel, q: QuantumNumbers) -> Tuple[RadialFunction, 
 @lru_cache(maxsize=None)
 def linear_exact_function(n: int) -> RadialFunction:
     """Exact linear-potential S state sampled as a reduced radial function."""
-    state = linear_s_state(0.5, 1.0, n)
+    state = linear_s_state(_LINEAR.m, _LINEAR.a, n)
     grid = np.linspace(0.0, abs(state.alpha_n) + 16.0, 12001)
     u = grid * np.asarray(state.wavefunction(grid), dtype=float) * math.sqrt(4.0 * math.pi)
     return RadialFunction(grid=grid, values=u, energy=state.energy, q=QuantumNumbers(n, 0))
@@ -98,7 +98,8 @@ def afm_trial_function(v: PotentialModel, kind: AuxiliaryKind,
 def linear_afm_overlap_sq(kind_key: str, n: int) -> float:
     """|<exact linear n | AFM trial n>|^2 (reduced units, l = 0)."""
     return _ratios(_LINEAR, _KINDS[kind_key], QuantumNumbers(n, 0),
-                   linear_s_observables(0.5, 1.0, n), linear_exact_function(n))["overlap"]
+                   linear_s_observables(_LINEAR.m, _LINEAR.a, n),
+                   linear_exact_function(n))["overlap"]
 
 
 def _ratios(v: PotentialModel, kind: AuxiliaryKind, q: QuantumNumbers,
@@ -154,7 +155,7 @@ def _build_overlap(kind_key: str) -> Tuple[List[str], List[Row]]:
 def _build_obs(kind_key: str) -> Tuple[List[str], List[Row]]:
     gold = golden()[f"obs_{kind_key}"]
     ratios = [_ratios(_LINEAR, _KINDS[kind_key], QuantumNumbers(n, 0),
-                      linear_s_observables(0.5, 1.0, n)) for n in range(3)]
+                      linear_s_observables(_LINEAR.m, _LINEAR.a, n)) for n in range(3)]
     rows = [Row({"observable": key, "n": n}, ratios[n][key], gold[key][n], _tol(kind_key, key))
             for key in ("psi0", "r1", "r2", "r3", "r4", "p2", "p4", "mean_h", "eps")
             for n in range(3)]
@@ -174,8 +175,7 @@ def _build_ratios(kind_key: str) -> Tuple[List[str], List[Row]]:
 def _build_eckart() -> Tuple[List[str], List[Row]]:
     gold = golden()["eckart"]
     v = _LINEAR
-    e0 = linear_s_observables(0.5, 1.0, 0).mean_h
-    e1 = linear_s_observables(0.5, 1.0, 1).mean_h
+    e0, e1 = (linear_s_observables(v.m, v.a, n).mean_h for n in (0, 1))
     q0 = QuantumNumbers(0, 0)
     eps0_hy = afm_solve(v, AuxiliaryKind.COULOMB, q0).energy
     eps1_hy = afm_solve(v, AuxiliaryKind.COULOMB, QuantumNumbers(1, 0)).energy
@@ -248,30 +248,18 @@ def _build_exp() -> Tuple[List[str], List[Row]]:
 
 def sample_psi(v: PotentialModel, aux: str, q: QuantumNumbers,
                grid: np.ndarray) -> np.ndarray:
-    """psi(r) on ``grid`` (from r = 0) of the AFM trial state (``aux``
-    'coulomb' or 'quadratic') or of the exact state ('exact'): the closed
-    form where one exists, else the oracle state interpolated and 0 past
-    its end.  Past the end of a state that reaches the end of its domain,
-    u continues as the decaying tail its last Numerov row assumes."""
-    norm = math.sqrt(4.0 * math.pi)
+    """psi(r) on ``grid`` of the AFM trial state (``aux`` 'coulomb' or
+    'quadratic') or of the exact state ('exact'): the closed form where one
+    exists, else the oracle state's own psi, its tail included."""
     if aux in ("coulomb", "quadratic"):
         sol = afm_solve(v, AuxiliaryKind(aux), q)
-        return np.asarray(sol.scale.radial(q)(grid)) / norm
+        return np.asarray(sol.scale.radial(q)(grid)) / math.sqrt(4.0 * math.pi)
     if aux != "exact":
         raise DomainError("aux must be 'coulomb', 'quadratic' or 'exact'")
     exact = v.exact_wavefunction(q)
     if exact is not None:
         return np.asarray(exact(grid))
-    f = solve_radial(v, q)
-    r_end, kappa = float(f.grid[-1]), f.decay_rate(v)
-    # e^-1000 is 0: the clip keeps kappa (r - r_end) finite at any r
-    past = np.clip(grid - r_end, 0.0, 1e3 / kappa)
-    u = np.interp(grid, f.grid, f.values) * np.exp(-kappa * past)
-    psi = np.empty_like(grid)
-    psi[1:] = u[1:] / norm / grid[1:]
-    # psi(0) = u'(0) / sqrt(4 pi) for l = 0 and vanishes for l > 0
-    psi[0] = f.slope_at_origin() / norm if q.l == 0 else 0.0
-    return psi
+    return solve_radial(v, q).psi(grid)
 
 
 def wavefunction_samples() -> Tuple[List[str], List[Row]]:

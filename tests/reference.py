@@ -187,13 +187,14 @@ def solve_w_power(z: float, alpha: float) -> float:
         f"no W_0 value solves z={z}, alpha={alpha}")
 
 
-def numerov_assemble_banded(w, h, l, m):
+def numerov_assemble_banded(w, h, l, m, kappa=None):
     """Solution of the oracle's Numerov system A(E) u = e_m on all rows of w.
 
     The rows are those of ``oracle._numerov_assemble``: a = 1 - h^2 w/12
     off the diagonal, -(2 + 10 h^2 w/12) on it, unknowns after the last
     index up to m where h^2 w/12 > 1/2, and the decaying tail
-    u[n-2] = exp(kappa h) u[n-1] as the last row.
+    u[n-2] = exp(kappa h) u[n-1] as the last row, with kappa taken from
+    w[n-1] here; the oracle's own ``kappa`` argument is not used.
     """
     n = w.shape[0]
     c = h * h / 12.0
@@ -301,7 +302,10 @@ def numeric_observables_per_moment(f, v) -> ObservableSet:
     mean_v = float(wts[1:] @ vu2)
     mean_v2 = float(wts[1:] @ (vu2 * vv))
     if u[-1]:
-        r_end, u2_end, kappa = float(grid[-1]), float(u[-1]) ** 2, f.decay_rate(v)
+        r_end, u2_end = float(grid[-1]), float(u[-1]) ** 2
+        # kappa from V at r_end, not the state's own: a check on f.kappa
+        kappa = math.sqrt(max(v.kinetic_2m * (float(v.v(r_end)) - f.energy)
+                              + f.q.big_l / r_end ** 2, 1e-12))
         for k in (1, 2, 3, 4):
             r_mom[k] += u2_end * float(mpmath.quad(
                 lambda x: (r_end + x) ** k * mpmath.exp(-2 * kappa * x), [0, mpmath.inf]))

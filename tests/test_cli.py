@@ -16,6 +16,8 @@ from auxfield.exact import QuantumNumbers
 from auxfield.oracle import solve_radial
 from auxfield.tables import TABLE_IDS, oracle_state
 
+import reference
+
 
 def _strict_loads(text):
     def reject(token):
@@ -311,7 +313,7 @@ class TestOracleCommand:
         assert code == 0
         rec = json.loads(out)
         assert rec["energy"] == pytest.approx(2.338107, abs=1e-5)
-        assert rec["p2"] == pytest.approx(rec["energy"] / 3, rel=1e-6)
+        assert rec["p2"] == pytest.approx(rec["energy"] / 3, rel=4e-11)   # measured 4.0e-12
 
     def test_exp_no_state_exit_2(self, capsys):
         code, out, _ = _run(capsys, "oracle", "exp", "1", "0", "--k", "5")
@@ -492,6 +494,31 @@ class TestBoundaries:
         f, _ = oracle_state(PotentialModel.exponential(20.0), QuantumNumbers(1, 1))
         default = f.energy
         assert abs(energy - default) <= 1e-9 * abs(default)
+
+    def test_fine_grids_stop_at_their_rounding_scale(self, capsys):
+        # on these grids the corrector's steps stall above 1e-12 |E| but
+        # below the rounding scale eps/(2m h^2) max(1, |E|), and stop there
+        def energy(*argv):
+            code, out, err = _run(capsys, "oracle", *argv)
+            assert code == 0, (argv, err)
+            return _strict_loads(out)["energy"]
+
+        for k, n, argv, bound in [(20.0, 2, ("--grid-points", "160000"), 5e-9),
+                                  (1.5, 0, (), 2e-7)]:
+            e = energy("exp", str(n), "0", "--k", str(k), *argv)
+            exact = reference.exp_s_energy(k, n, 2.0 * math.sqrt(-e))
+            assert abs(e - exact) <= bound * abs(exact), (k, n)
+        default = oracle_state(PotentialModel.exponential(20.0), QuantumNumbers(0, 2))[0].energy
+        e = energy("exp", "0", "2", "--k", "20", "--grid-points", "320000")
+        assert abs(e - default) <= 3e-10 * abs(default)
+        default = oracle_state(PotentialModel.logarithmic(), QuantumNumbers(0, 0))[0].energy
+        e20 = energy("log", "0", "0", "--r-max", "20", "--grid-points", "80000")
+        e8 = energy("log", "0", "0", "--r-max", "8", "--grid-points", "320000")
+        assert abs(e20 - e8) <= 2e-9 * e20
+        assert abs(e20 - default) <= 6e-8 * default and abs(e8 - default) <= 6e-8 * default
+        # a short domain now converges and is refused for the mass it leaves past r_max
+        code, out, err = _run(capsys, "oracle", "exp", "0", "0", "--k", "20", "--r-max", "4")
+        assert (code, out) == (70, "") and "tail mass 3.54e-07 beyond r_max = 4" in err
 
     @pytest.mark.parametrize("aux", ["coulomb", "quadratic"])
     @pytest.mark.parametrize("k", ["1e150", "1e200", "1e250", "1e308"])

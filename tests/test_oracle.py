@@ -226,7 +226,7 @@ class TestConvergenceAndConfig:
         v, q = PotentialModel.exponential(20.0), QuantumNumbers(2, 0)
         f, obs = oracle_state(v, q)
         cut = solve_radial(v, q, SolverConfig(r_max=60.0))
-        assert cut.grid[-1] == 60.0 and cut.values[-1] ** 2 / (2 * cut.decay_rate(v)) > 1e-5
+        assert cut.grid[-1] == 60.0 and cut.values[-1] ** 2 / (2 * cut.kappa) > 1e-5
         cut_obs = numeric_observables(cut, v)
         assert abs(cut.energy - f.energy) <= 2e-9 * abs(f.energy)
         for key in (1, 2, 3, 4):
@@ -352,12 +352,33 @@ def test_non_uniform_grid_is_refused(grid):
         sample_radial(np.exp, grid)
 
 
+def test_closed_form_sample_carries_no_tail():
+    # a sample has kappa = inf: no tail, so its r-moments are the Simpson
+    # sums, finite though it has no energy, and psi reads the closed form on
+    # the grid, u'(0)/sqrt(4 pi) at 0 and 0 past the end
+    from auxfield.exact import HydrogenScale, hydrogen_observables
+    from auxfield.overlaps import sample_radial
+    scale, q = HydrogenScale(1.0), QuantumNumbers(0, 0)
+    f = sample_radial(scale.radial(q), np.linspace(0.0, 40.0, 4001))
+    assert f.kappa == math.inf and f.tail_mass == 0.0
+    obs, exact = numeric_observables(f, LINEAR), hydrogen_observables(scale, q)
+    for k, value in exact.r_moments.items():     # measured worst 2.7e-9
+        assert abs(obs.r_moments[k] - value) <= 3e-8 * value, k
+    assert abs(obs.psi0_sq - exact.psi0_sq) <= 2e-7 * exact.psi0_sq   # measured 2.0e-8
+    norm = math.sqrt(4.0 * math.pi)
+    r = f.grid[1:]
+    assert np.allclose(f.psi(r), scale.radial(q)(r) / norm, rtol=1e-15, atol=0.0)
+    psi = f.psi(np.array([0.0, 40.0, 40.5, 1e300]))
+    assert psi[0] == f.slope_at_origin() / norm
+    assert psi[1] > 0.0 and psi[2] == psi[3] == 0.0
+
+
 def _padded(f, grid):
     """f zero-padded to the grid that its own grid is a prefix of."""
     assert np.array_equal(f.grid, grid[:f.grid.shape[0]])
     values = np.zeros(grid.shape[0])
     values[:f.values.shape[0]] = f.values
-    return RadialFunction(grid=grid, values=values, energy=f.energy, q=f.q)
+    return RadialFunction(grid=grid, values=values, energy=f.energy, q=f.q, kappa=f.kappa)
 
 
 def _assert_integrals_match_padded(v, q, f, grid):
@@ -676,8 +697,8 @@ def test_returned_vector_is_the_assembly_at_the_returned_energy(monkeypatch):
     assemble = oracle._numerov_assemble
     last = []
 
-    def recorded(w, h, l, m):
-        u = assemble(w, h, l, m)
+    def recorded(w, h, l, m, kappa):
+        u = assemble(w, h, l, m, kappa)
         last[:] = [w.copy(), m, u.copy()]
         return u
 
@@ -698,8 +719,8 @@ def test_assembly_solves_its_numerov_system_in_place(monkeypatch):
     assemble = oracle._numerov_assemble
     checked = []
 
-    def checked_assemble(w, h, l, m):
-        u = assemble(w, h, l, m)
+    def checked_assemble(w, h, l, m, kappa):
+        u = assemble(w, h, l, m, kappa)
         n, c = w.shape[0], h * h / 12.0
         coarse = np.nonzero(c * w[1:m + 1] > 0.5)[0]
         start = int(coarse[-1]) + 2 if coarse.size else 1
@@ -788,9 +809,9 @@ def test_table_assemblies_solve_only_live_rows(monkeypatch):
     assemble = oracle._numerov_assemble
     rows = []
 
-    def counted(w, h, l, m):
+    def counted(w, h, l, m, kappa):
         rows.append(w.shape[0])
-        return assemble(w, h, l, m)
+        return assemble(w, h, l, m, kappa)
 
     monkeypatch.setattr(oracle, "_numerov_assemble", counted)
     for family, k, n, l in TABLE_STATE_ENERGIES:

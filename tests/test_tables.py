@@ -71,7 +71,9 @@ def test_a_failing_state_fails_only_its_own_rows(monkeypatch):
     # marked failed, and the table goes on
     before = {table_id: build_table(table_id) for table_id in ("exp-results", "log-results")}
     exp_state = (PotentialModel.exponential(10.0), QuantumNumbers(0, 0))
-    log_state = (PotentialModel.logarithmic(), QuantumNumbers(1, 1))
+    # exp k = 20 (0, 0) loses its oracle side: its energy row fails too
+    oracle_failures = [(PotentialModel.exponential(20.0), QuantumNumbers(0, 0)),
+                       (PotentialModel.logarithmic(), QuantumNumbers(1, 1))]
     afm_solve, oracle_state = tables.afm_solve, tables.oracle_state
 
     def afm_failing(v, kind, q):
@@ -80,20 +82,20 @@ def test_a_failing_state_fails_only_its_own_rows(monkeypatch):
         return afm_solve(v, kind, q)
 
     def oracle_failing(v, q):
-        if (v, q) == log_state:
+        if (v, q) in oracle_failures:
             raise NumericalFailure("injected")
         return oracle_state(v, q)
 
     monkeypatch.setattr(tables, "afm_solve", afm_failing)
     monkeypatch.setattr(tables, "oracle_state", oracle_failing)
     failed = {"exp-results": lambda lab: (lab["k"], lab["n"], lab["l"]) == (10, 0, 0)
-              and lab["basis"] != "",
+              and lab["basis"] != "" or (lab["k"], lab["n"], lab["l"]) == (20, 0, 0),
               "log-results": lambda lab: (lab["n"], lab["l"]) == (1, 1)}
     for table_id, (header, old_rows) in before.items():
         _, rows = build_table(table_id)
         assert [r.labels for r in rows] == [r.labels for r in old_rows]
         hit = [failed[table_id](r.labels) for r in rows]
-        assert sum(hit) == 8, table_id
+        assert sum(hit) == {"exp-results": 8 + 9, "log-results": 8}[table_id]
         for row, old, is_hit in zip(rows, old_rows, hit):
             if is_hit:
                 assert row.computed is None and row.ok is False, (table_id, row.labels)
