@@ -9,8 +9,7 @@ from .afm import (AfmSolution, AuxiliaryKind, Bound, ExpPotential,
                   LinearPotential, LogPotential, PotentialModel,
                   TangentReport, afm_solve, energy_at_aux, principal_number,
                   tangent_check)
-from .errors import (AuxFieldError, DomainError, NoBoundState,
-                     NumericalFailure, QuadratureFailure)
+from .errors import AuxFieldError, DomainError, NoBoundState, NumericalFailure
 from .exact import (HydrogenScale, ObservableSet, OscillatorScale,
                     QuantumNumbers, hydrogen_observables, linear_s_observables,
                     linear_s_state, oscillator_observables)
@@ -26,8 +25,7 @@ __all__ = [
     "AfmSolution", "AuxiliaryKind", "Bound", "PotentialModel", "LinearPotential",
     "LogPotential", "ExpPotential", "TangentReport",
     "afm_solve", "energy_at_aux", "principal_number", "tangent_check",
-    "AuxFieldError", "DomainError", "NoBoundState",
-    "NumericalFailure", "QuadratureFailure",
+    "AuxFieldError", "DomainError", "NoBoundState", "NumericalFailure",
     "HydrogenScale", "ObservableSet", "OscillatorScale", "QuantumNumbers",
     "hydrogen_observables", "linear_s_observables", "linear_s_state",
     "oscillator_observables",

@@ -27,8 +27,4 @@ class NoBoundState(AuxFieldError):
 
 
 class NumericalFailure(AuxFieldError, RuntimeError):
-    """An iterative numeric procedure failed to converge."""
-
-
-class QuadratureFailure(NumericalFailure):
-    """A quadrature did not reach the requested accuracy."""
+    """A numeric procedure failed, or refused an under-resolved result."""

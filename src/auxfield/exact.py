@@ -41,13 +41,15 @@ _MAX_QUANTUM_NUMBER = 100_000
 
 @dataclass(frozen=True)
 class QuantumNumbers:
-    """Radial quantum number n and orbital angular momentum l, each from 0
-    to 100000; a larger one is refused (DomainError) before any work."""
+    """Radial quantum number n and orbital angular momentum l, integers from 0
+    to 100000; anything else is refused (DomainError) before any work."""
 
     n: int
     l: int = 0
 
     def __post_init__(self):
+        if not all(hasattr(type(x), "__index__") for x in (self.n, self.l)):
+            raise DomainError("quantum numbers must be integers")
         if self.n < 0 or self.l < 0:
             raise DomainError("quantum numbers must be non-negative")
         if max(self.n, self.l) > _MAX_QUANTUM_NUMBER:

@@ -23,7 +23,8 @@ its value at m, the vector's own rounding noise.  The state ends there:
 its grid holds the live rows and the first zero past them, or the whole
 grid when the live rows reach its end; past that end u continues as the
 decaying tail u_end e^(-kappa (r - r_end)) of the last Numerov row, whose
-mass u_end^2/(2 kappa) is part of the norm.  Its eight moments, the
+mass u_end^2/(2 kappa) is part of the norm; solve_radial refuses a tail
+above 1e-8 before the continuum.  Its eight moments, the
 reference side of each table comparison, are one product with the
 density wts u^2, wts = f.weights(), the state's uniform Simpson weights,
 plus the tail's share.  Both LAPACK routines, dstebz and dgtsv, are
@@ -42,7 +43,7 @@ from typing import Optional
 
 from ._numpy import np
 from .afm import PotentialModel
-from .errors import DomainError, NoBoundState, NumericalFailure, QuadratureFailure
+from .errors import DomainError, NoBoundState, NumericalFailure
 from .exact import ObservableSet, QuantumNumbers
 from .observables import p2_p4_from_potential
 
@@ -138,6 +139,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.r_max is not None and not (self.r_max > 0 and math.isfinite(self.r_max)):
             raise DomainError("r_max must be positive and finite")
+        if not hasattr(type(self.grid_points), "__index__"):   # operator.index's test
+            raise DomainError("grid_points must be an integer")
         if not 2000 <= self.grid_points <= 2_000_000:
             raise DomainError("grid_points must be between 2000 and 2000000")
 
@@ -201,7 +204,7 @@ def _base_w(v: PotentialModel, grid: np.ndarray, q: QuantumNumbers) -> np.ndarra
 def _match_index(w: np.ndarray) -> int:
     allowed = np.nonzero(w[1:] < 0.0)[0]
     if allowed.size == 0:
-        return -1
+        raise NumericalFailure("no classically allowed region at the start energy")
     return int(min(max(allowed[-1] + 1, 4), w.shape[0] - 5))
 
 
@@ -258,7 +261,7 @@ def _live_end(w: np.ndarray, h: float, m: int) -> int:
 
 
 def _solve_on_grid(w0, grid, q, c, energy):
-    """Cooley's corrector from the start energy: the energy, the normalized u and its tail's kappa.
+    """Cooley's corrector from the start energy: the normalized state, with its tail's kappa.
 
     The corrector assembles only the rows up to the live end found at the
     start energy; u holds those rows and the first zero past them.
@@ -271,8 +274,6 @@ def _solve_on_grid(w0, grid, q, c, energy):
             f"the outer turning point at the start energy {energy:.6g} lies "
             "beyond it")
     m = _match_index(w)
-    if m < 0:
-        raise NumericalFailure("no classically allowed region at the start energy")
     live, last = _live_end(w, h, m), math.inf
     w0 = w0[:live]
     for _ in range(_CORRECTOR_MAX_ITER):
@@ -298,7 +299,9 @@ def _solve_on_grid(w0, grid, q, c, energy):
         raise NumericalFailure("degenerate norm after assembly")
     # the solve's sign is that of 1/(lambda - E); make u > 0 before its first node
     u /= math.copysign(math.sqrt(norm), next(x for x in u if x))
-    return energy, u, kappa
+    # a copy: a view of the prefix would keep the whole grid alive in caches
+    return RadialFunction(grid=grid[:u.shape[0]].copy(), values=u,
+                          energy=float(energy), q=q, kappa=kappa)
 
 
 def _interior_nodes(u: np.ndarray) -> int:
@@ -315,7 +318,8 @@ def solve_radial(v: PotentialModel, q: QuantumNumbers,
     of the family's default domain, gives the start energy of level q.n;
     Cooley's corrector refines it to the Numerov eigenvalue.  A potential
     with a continuum requires that start below the model's continuum
-    threshold.  A state live up to the grid end carries its decaying tail.
+    threshold.  A state live up to the grid end carries its decaying tail, refused
+    (NumericalFailure) above 1e-8 mass unless |V(r_end)| <= -continuum_threshold.
     """
     r_max = cfg.r_max or v.default_r_max(q)
     grid = np.linspace(0.0, r_max, cfg.grid_points)
@@ -328,15 +332,18 @@ def solve_radial(v: PotentialModel, q: QuantumNumbers,
     start = _sturm_start(w0, float(grid[1] - grid[0]), q.n) / c
     if v.continuum_threshold is not None and not start < v.continuum_threshold:
         raise NoBoundState("not-supported", f"{v} has no bound state with n={q.n}, l={q.l}")
-    energy, u, kappa = _solve_on_grid(w0, grid, q, c, start)
-    if _interior_nodes(u) != q.n:
+    f = _solve_on_grid(w0, grid, q, c, start)
+    if _interior_nodes(f.values) != q.n:
         raise NumericalFailure(
-            f"converged solution has {_interior_nodes(u)} nodes, expected {q.n}, on "
+            f"converged solution has {_interior_nodes(f.values)} nodes, expected {q.n}, on "
             f"{cfg.grid_points} grid points up to r_max = {r_max:.6g}; the grid may be "
             "too coarse for the state, and more points (--grid-points) may resolve it")
-    # a copy: a view of the prefix would keep the whole grid alive in caches
-    return RadialFunction(grid=grid[:u.shape[0]].copy(), values=u,
-                          energy=float(energy), q=q, kappa=kappa)
+    r_end, bound = float(f.grid[-1]), v.continuum_threshold
+    v_end = (w0[f.grid.shape[0] - 1] - q.big_l / r_end ** 2) / c   # V(r_end), read off w0
+    if f.tail_mass > 1e-8 and not (bound is not None and abs(v_end) <= -bound):
+        raise NumericalFailure(f"tail mass {f.tail_mass:.2e} beyond r_max = {r_end:.6g}, where "
+                               "V has not reached the continuum: state under-resolved")
+    return f
 
 
 # ----------------------------------------------------------------------
@@ -347,7 +354,7 @@ def numeric_observables(f: RadialFunction, v: PotentialModel) -> ObservableSet:
     """Simpson moments, virial <p^2>/<p^4> and |psi(0)|^2 for an oracle state,
     the eight integrals one product with the density u^2 times Simpson weights,
     plus the tail's share: exact for r^1 .. r^4, the integrand at r_end times the
-    tail's mass for the others.  A tail of mass above 1e-8 must start in the continuum."""
+    tail's mass for the others (solve_radial refused any tail before the continuum)."""
     grid, u = f.grid, f.values
     wts = f.weights()
     r = grid[1:]
@@ -360,10 +367,6 @@ def numeric_observables(f: RadialFunction, v: PotentialModel) -> ObservableSet:
     np.multiply(rows[3], rows[2:4], out=rows[4:6])
     np.multiply(rows[6], rows[6], out=rows[7])
     r_end, s, tail = float(grid[-1]), 0.5 / f.kappa, f.tail_mass   # u_end e^(-(r - r_end)/(2 s))
-    bound = v.continuum_threshold
-    if tail > 1e-8 and not (bound is not None and abs(rows[6, -1]) <= -bound):
-        raise QuadratureFailure(f"tail mass {tail:.2e} beyond r_max = {r_end:.6g}, where "
-                                "V has not reached the continuum: state under-resolved")
     shares = rows[:, -1].tolist()
     for k in range(1, 5):   # int_0^inf (r_end + x)^k e^(-x/s) dx / s
         shares[k + 1] = sum(math.perm(k, j) * r_end ** (k - j) * s ** j for j in range(k + 1))

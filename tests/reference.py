@@ -44,7 +44,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import solve_banded
 
 from auxfield.afm import AuxiliaryKind, Bound, principal_number
-from auxfield.errors import DomainError, NumericalFailure, QuadratureFailure
+from auxfield.errors import DomainError, NumericalFailure
 from auxfield.exact import HydrogenScale, ObservableSet, OscillatorScale, QuantumNumbers
 from auxfield.observables import p2_p4_from_potential
 from auxfield.specfun import airy_ai, airy_zero, laguerre
@@ -407,7 +407,7 @@ def quadrature_mean_potential(v, sol, q: QuantumNumbers) -> float:
     quadrature in t, r = r_hi t^2 (nodes cluster at the origin, where
     ln r is singular); the error is the change from 32 ceil((n+1)/32)
     panels, 32 for n < 32, to twice that, accepted below 1e-9 relative
-    (1e-12 absolute) and raised as ``QuadratureFailure`` above."""
+    (1e-12 absolute) and raised as ``NumericalFailure`` above."""
     radial = sol.scale.radial(q)
     r_hi = trial_cutoff(sol.scale, q)
 
@@ -416,7 +416,7 @@ def quadrature_mean_potential(v, sol, q: QuantumNumbers) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
             f = v.v(r) * radial(r) ** 2 * r * r * (2.0 * r_hi * t)
         if not np.all(np.isfinite(f)):
-            raise QuadratureFailure("<V> integrand is non-finite")
+            raise NumericalFailure("<V> integrand is non-finite")
         return f
 
     panels = 32 * math.ceil((q.n + 1) / 32)
@@ -424,7 +424,7 @@ def quadrature_mean_potential(v, sol, q: QuantumNumbers) -> float:
     val = _composite_gauss_legendre(integrand, 2 * panels)
     err = abs(val - coarse)
     if err > max(1e-9 * abs(val), 1e-12):
-        raise QuadratureFailure(
+        raise NumericalFailure(
             f"<V> quadrature error {err:.2e} for value {val:.6e}")
     return val
 

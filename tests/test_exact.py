@@ -250,3 +250,21 @@ class TestMomentInequalities:
             QuantumNumbers(-1, 0)
         with pytest.raises(DomainError):
             HydrogenScale(eta=0.0)
+
+    def test_fractional_quantum_number_refused(self):
+        # afm_solve used to answer E = 3.481 for n = 1.5
+        for q in [(1.5, 0), (0, 2.0), (1, 0.5)]:
+            with pytest.raises(DomainError, match="must be integers"):
+                QuantumNumbers(*q)
+
+    def test_nan_quantum_number_refused(self):
+        # it used to reach the oracle's Sturm count, which failed in LAPACK
+        for q in [(float("nan"), 0), (0, float("nan")), (float("inf"), 0)]:
+            with pytest.raises(DomainError, match="must be integers"):
+                QuantumNumbers(*q)
+
+    def test_numpy_integer_quantum_numbers_accepted(self):
+        q = QuantumNumbers(np.int64(2), np.int32(1))
+        assert q == QuantumNumbers(2, 1) and q.big_l == 2.0
+        with pytest.raises(DomainError, match="non-negative"):
+            QuantumNumbers(np.int64(-1), 0)

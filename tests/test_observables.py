@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
 from auxfield.afm import AuxiliaryKind, PotentialModel, afm_solve
-from auxfield.errors import DomainError, NoBoundState, QuadratureFailure
+from auxfield.errors import DomainError, NoBoundState, NumericalFailure
 from auxfield.exact import (QuantumNumbers, hydrogen_observables,
                             linear_s_observables)
 from auxfield.observables import (afm_observable_set, eckart_bound,
@@ -136,7 +136,7 @@ class TestMeanPotential:
         monkeypatch.setattr(reference, "trial_cutoff", lambda scale, q: 1e6)
         q = QuantumNumbers(0, 0)
         sol = afm_solve(LOG, AuxiliaryKind.COULOMB, q)
-        with pytest.raises(QuadratureFailure):
+        with pytest.raises(NumericalFailure):
             quadrature_mean_potential(LOG, sol, q)
 
 

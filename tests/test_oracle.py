@@ -170,6 +170,16 @@ class TestConvergenceAndConfig:
                 SolverConfig(grid_points=points)
         assert SolverConfig(grid_points=2_000_000).grid_points == 2_000_000
 
+    def test_non_integer_grid_points_refused(self):
+        # np.linspace used to raise a bare TypeError for 3000.0 in the solve;
+        # a numpy integer is an integer
+        for points in (3000.0, float("nan"), "3000"):
+            with pytest.raises(DomainError, match="grid_points must be an integer"):
+                SolverConfig(grid_points=points)
+        f = solve_radial(LINEAR, QuantumNumbers(0, 0), SolverConfig(grid_points=np.int64(3000)))
+        assert f.energy == solve_radial(LINEAR, QuantumNumbers(0, 0),
+                                        SolverConfig(grid_points=3000)).energy
+
     def test_l1_origin_row_has_no_grid_error(self):
         # same r_max with a 4x finer step: the l = 1 row at the origin
         # (a[0] u[0] -> -u[1]/6) must not add an error beyond Numerov's
@@ -208,15 +218,22 @@ class TestConvergenceAndConfig:
             assert abs(f.energy - level.energy) <= bounds[key[0]] * max(1.0, abs(level.energy)), key
         assert no_reference == self._NOT_MESH_REFERENCES
 
-    def test_tail_mass_flagged(self):
-        # a domain cut where V has not vanished must be rejected by
-        # observables: exp k = 20 (0, 0) past its turning point r = 1.1, where
-        # V = -1.0 and the tail holds 5e-5, and linear (0, 0) at r = 5
-        from auxfield.errors import QuadratureFailure
-        for v, r_max in [(PotentialModel.exponential(20.0), 3.0), (LINEAR, 5.0)]:
-            f = solve_radial(v, QuantumNumbers(0, 0), SolverConfig(r_max=r_max))
-            with pytest.raises(QuadratureFailure, match="tail mass"):
-                numeric_observables(f, v)
+    def test_tail_mass_flagged(self, monkeypatch):
+        # a domain cut where V has not vanished is refused where the state
+        # is made: exp k = 20 (0, 0) past its turning point r = 1.1, at r = 3,
+        # where V = -1.0 and the tail holds 5e-5, and at r = 4, where
+        # V = -0.37 and it holds 3.5e-7, and linear (0, 0) and (0, 1) at r = 5.
+        # The rule reads V(r_end) off the solve's 2m V + l(l+1)/r^2, so each
+        # solve still evaluates V once
+        calls, v_of = [], PotentialModel.v
+        monkeypatch.setattr(PotentialModel, "v", lambda model, r: calls.append(r) or v_of(model, r))
+        exp20 = PotentialModel.exponential(20.0)
+        cases = [(exp20, 0, 3.0, ""), (exp20, 0, 4.0, "3.54e-07 "),
+                 (LINEAR, 0, 5.0, "9.39e-05 "), (LINEAR, 1, 5.0, "")]
+        for v, l, r_max, mass in cases:
+            with pytest.raises(NumericalFailure, match=f"tail mass {mass}"):
+                solve_radial(v, QuantumNumbers(0, l), SolverConfig(r_max=r_max))
+        assert len(calls) == len(cases)
 
     def test_state_cut_in_the_continuum_keeps_its_tail(self):
         # exp k = 20 (2, 0) cut at r = 60, where V = -1.7e-25, carries a tail
@@ -312,6 +329,51 @@ def test_exp_s_states_match_the_exact_energy():
     assert len(regimes[True]) >= 10 and len(regimes[False]) >= 10
     assert max(regimes[True]) <= (3e-8,), max(regimes[True])
     assert max(regimes[False]) <= (3e-5,), max(regimes[False])
+
+
+def test_table_states_converge_on_fine_grids():
+    # a seeded draw of table states (3 linear, 2 log, 3 exp) solved at
+    # 80000, 160000 and 320000 points: each converges, keeps its node count
+    # and agrees with the default solve.  Over all 37 states the worst
+    # differences, relative to max(1, |E|), at 80k / 160k / 320k points are
+    # linear 6.2e-12 / 2.2e-11 / 3.6e-11, exp 7.0e-11 / 8.2e-11 / 7.9e-11
+    # and log 2.3e-9 on every grid, the default log S state's own error; the
+    # bounds are about 10x those.  Linear moves away from the default as the
+    # grid gets finer: the residual's second difference rounds at
+    # eps/(2m h^2), which grows as h shrinks, so the 80k bound stays tight
+    bounds = {"linear": (6e-11, 2e-10, 4e-10), "log": (2e-8, 2e-8, 2e-8),
+              "exp": (7e-10, 8e-10, 8e-10)}
+    rng = np.random.default_rng(20261019)
+    for family, count in (("linear", 3), ("log", 2), ("exp", 3)):
+        keys = [key for key in TABLE_STATE_ENERGIES if key[0] == family]
+        for i in rng.choice(len(keys), count, replace=False):
+            v, q = _table_state(*keys[i])
+            default = oracle_state(v, q)[0].energy
+            for points, bound in zip((80000, 160000, 320000), bounds[family]):
+                f = solve_radial(v, q, SolverConfig(grid_points=points))
+                assert _nodes(f) == q.n, (keys[i], points)
+                assert abs(f.energy - default) <= bound * max(1.0, abs(default)), (keys[i], points)
+
+
+def test_exp_mean_potential_obeys_hellmann_feynman():
+    # dE/dk = <dH/dk> = -<e^-r> = <V>/k with <V> = E - <p^2> (2m = 1): the
+    # central difference of the solves at k (1 +- 1e-4) against the oracle's
+    # own <V>.  On the 15 bound states below the measured worst is 2.4e-8
+    # relative, at the near-threshold k = 20 (2, 0); all others are within 1.1e-8
+    errors = []
+    for k in (5.0, 20.0, 100.0, 1000.0):
+        for n, l in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 2)]:
+            v, q, delta = PotentialModel.exponential(k), QuantumNumbers(n, l), 1e-4 * k
+            try:
+                f = solve_radial(v, q)
+            except NoBoundState:
+                continue
+            up, down = (solve_radial(PotentialModel.exponential(k + s), q).energy
+                        for s in (delta, -delta))
+            mean_v = f.energy - numeric_observables(f, v).p2
+            errors.append((abs((up - down) / (2.0 * delta) - mean_v / k) * k / abs(mean_v), k, n, l))
+    assert len(errors) == 15
+    assert max(errors) <= (2.5e-7,), max(errors)
 
 
 def _sampled(grid):
