@@ -1,43 +1,36 @@
-"""Independent numeric radial eigensolver (Sturm count plus Cooley corrector).
+"""Independent numeric radial eigensolver (Lagrange-mesh start plus Cooley corrector).
 
-Solves -u'' + [2m (V(r) - E) + l(l+1)/r^2] u = 0 on a uniform grid for
-the three potential families.  The start value is the eigenvalue with
-index n of a 3-point Dirichlet Hamiltonian, found by LAPACK's
-Sturm-sequence bisection (Barth, Martin & Wilkinson, Numer. Math. 9
-(1967) 386), so its level is exact by construction.  The first count
-runs on every 10th grid point (step H), bisected only to 1e-10 of that
-grid's 3-point scale 4/H^2.  When that grid resolves the state, its
-eigenvalue is the start: it is then O(H^2) away from the Numerov
-eigenvalue, well within the corrector's reach, and the node check of the
-converged vector stays a hard failure.  Otherwise (deep wells) the count
-runs on the full grid, to machine precision.  Cooley's corrector (Math.
-Comp. 15 (1961) 363) then moves the start to the eigenvalue of the
+Solves -u'' + [2m (V(r) - E) + l(l+1)/r^2] u = 0 on a uniform grid for the
+three potential families.  The start is eigenvalue n of the x-regularized
+Lagrange-Laguerre mesh Hamiltonian (Baye, Phys. Rep. 565 (2015) 1), from two
+passes (_mesh_start), the first on the grid's [0, r_max], the second on the
+rows that carry the state at the first energy, where the WKB decay action
+beyond the turning points stays below _MESH_ACTION = 36; a mesh above
+_MESH_CAP points is refused before it is built.  Cooley's corrector (Math.
+Comp. 15 (1961) 363) takes one step at least from it to the eigenvalue of the
 4th-order Numerov equation, reading the residual at the outer classical
-turning point m of the vector that one LAPACK tridiagonal solve (dgtsv)
-of the Numerov system A(E) u = e_m returns (B. R. Johnson, J. Chem.
-Phys. 67 (1977) 4086); that vector is signed positive before its first
-node, like the closed forms.  The system holds only the live rows: those
-up to where the WKB decay action past m, at the start energy, reaches
-_LIVE_ACTION = 30, so that |u| has fallen below e^-30 (about 9e-14) of
-its value at m, the vector's own rounding noise.  The state ends there:
-its grid holds the live rows and the first zero past them, or the whole
-grid when the live rows reach its end; past that end u continues as the
-decaying tail u_end e^(-kappa (r - r_end)) of the last Numerov row, whose
-mass u_end^2/(2 kappa) is part of the norm; solve_radial refuses a tail
-above 1e-8 before the continuum.  Its eight moments, the
-reference side of each table comparison, are one product with the
-density wts u^2, wts = f.weights(), the state's uniform Simpson weights,
-plus the tail's share.  Both LAPACK routines, dstebz and dgtsv, are
-called directly from scipy's f2py extension, which _lapack loads without
-the import-heavy scipy.linalg package.
+turning point m of the vector that one LAPACK dgtsv solve of the Numerov
+system A(E) u = e_m returns (B. R. Johnson, J. Chem. Phys. 67 (1977) 4086),
+signed positive before its first node.  The system holds only the live rows,
+up to where the WKB decay action past m reaches _LIVE_ACTION = 30, so |u| is
+below e^-30 of u[m] there, rounding noise.  The state ends there, or at the
+grid end with the decaying tail u_end e^(-kappa (r - r_end)) of the last
+Numerov row, whose mass u_end^2/(2 kappa) is part of the norm; solve_radial
+refuses a tail above 1e-8 before the continuum.  Its moments, the reference
+side of each table comparison, are one product with the density wts u^2
+(f.weights(), uniform Simpson) plus the tail's share; |psi(0)|^2 of an S-state
+is the force identity m <V'>/(2 pi).  dsterf, dsyevr and dgtsv are called from
+scipy's f2py extension, which _lapack loads without the scipy.linalg package.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import machinery, util
 from typing import Optional
 
@@ -51,17 +44,15 @@ __all__ = ["RadialFunction", "SolverConfig", "solve_radial", "numeric_observable
 
 _CORRECTOR_TOL = 1e-12     # converged step, relative to |E|
 _CORRECTOR_MAX_ITER = 20
-_GUESS_STRIDE = 10         # grid stride of the Sturm count that guesses the start
-_GUESS_RESOLVED = 0.1      # largest resolution number rho at which the guess is the start
-_GUESS_TOL = 1e-10         # bisection tolerance of the guess, relative to its 3-point scale 4/H^2
 _LIVE_ACTION = 30.0        # WKB decay action past the matching point beyond which u is 0
+_MESH_ACTION = 36.0        # the same where the start's mesh ends, both sides: e^-36, rounding
+_MESH_CAP = 2000           # largest start mesh; its dsyevr takes about 0.5 s on 2 BLAS threads
 
 
 def _lapack():
-    """scipy's f2py LAPACK extension without scipy.linalg's __init__, whose
-    array-API layer imports numpy.f2py, numpy.testing and numpy's other lazy
-    submodules (about 0.1 s and 23 MB per process, none of it used here).
-    Registered under its own name, so a later `import scipy.linalg` reuses it."""
+    """scipy's f2py LAPACK extension without scipy.linalg's __init__, whose array-API layer
+    imports numpy.f2py, numpy.testing and numpy's other lazy submodules (about 0.1 s and
+    23 MB per process, none used here); registered so a later `import scipy.linalg` reuses it."""
     name = "scipy.linalg._flapack"
     if name not in sys.modules:
         import scipy  # cheap: scipy's own __init__ and distributor hook
@@ -84,12 +75,9 @@ def _simpson(n: int, h: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RadialFunction:
-    """Reduced radial function u(r) = r R(r) sampled on a uniform grid.
-
-    At least 3 points whose steps agree to 8 eps times the extent, as
-    np.linspace's do, else DomainError.  An oracle state's grid stops at
-    the first zero past its live rows.
-    """
+    """Reduced radial function u(r) = r R(r) sampled on a uniform grid of at least 3
+    points whose steps agree to 8 eps times the extent, as np.linspace's do, else
+    DomainError.  An oracle state's grid stops at the first zero past its live rows."""
 
     grid: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
@@ -112,23 +100,17 @@ class RadialFunction:
         """Mass of the tail u_end e^(-kappa (r - r_end)) past the grid end."""
         return _tail_mass(float(self.values[-1]), self.kappa)
 
-    def psi(self, r: np.ndarray) -> np.ndarray:
+    def psi(self, r: np.ndarray, psi0_sq: Optional[float] = None) -> np.ndarray:
         """psi(r) = u(r) / (sqrt(4 pi) r) at radii r >= 0 (an array): u interpolated on the
-        grid, the tail past its end (0 for kappa = inf), and u'(0)/sqrt(4 pi) at r = 0 if l = 0."""
+        grid, the tail past its end (0 for kappa = inf), and at r = 0 the root of psi0_sq,
+        numeric_observables' |psi(0)|^2 of an S-state (0 when None)."""
         norm, r = math.sqrt(4.0 * math.pi), np.asarray(r, dtype=float)
         u, past = np.interp(r, self.grid, self.values), r > self.grid[-1]
         with np.errstate(over="ignore"):   # the tail factor, capped at e^-1000 = 0
             u[past] *= np.exp(-np.minimum(self.kappa * (r[past] - self.grid[-1]), 1e3))
         psi = np.divide(u / norm, r, out=np.zeros_like(u), where=r > 0.0)
-        psi[r == 0.0] = self.slope_at_origin() / norm if self.q.l == 0 else 0.0
+        psi[r == 0.0] = math.sqrt(psi0_sq or 0.0)
         return psi
-
-    def slope_at_origin(self) -> float:
-        """u'(0) from the one-sided 5-point formula."""
-        u = self.values
-        h = float(self.grid[1] - self.grid[0])
-        return (-25.0 * u[0] + 48.0 * u[1] - 36.0 * u[2]
-                + 16.0 * u[3] - 3.0 * u[4]) / (12.0 * h)
 
 
 @dataclass(frozen=True)
@@ -137,17 +119,14 @@ class SolverConfig:
     grid_points: int = 20000
 
     def __post_init__(self):
-        if self.r_max is not None and not (self.r_max > 0 and math.isfinite(self.r_max)):
-            raise DomainError("r_max must be positive and finite")
+        if self.r_max is not None and not (isinstance(self.r_max, numbers.Real)
+                                           and self.r_max > 0 and math.isfinite(self.r_max)):
+            raise DomainError("r_max must be a positive and finite real number")
         if not hasattr(type(self.grid_points), "__index__"):   # operator.index's test
             raise DomainError("grid_points must be an integer")
         if not 2000 <= self.grid_points <= 2_000_000:
             raise DomainError("grid_points must be between 2000 and 2000000")
 
-
-# ----------------------------------------------------------------------
-# Numerov kernel.  W is the full coefficient array of u'' = W u.
-# ----------------------------------------------------------------------
 
 def _tail_mass(u_end: float, kappa: float) -> float:
     """u_end^2/(2 kappa), the mass of the tail u_end e^(-kappa (r - r_end))."""
@@ -187,16 +166,13 @@ def _numerov_assemble(w, h, l, m, kappa):
     return u
 
 
-# ----------------------------------------------------------------------
-# driver
-# ----------------------------------------------------------------------
-
 def _base_w(v: PotentialModel, grid: np.ndarray, q: QuantumNumbers) -> np.ndarray:
     """2m V + l(l+1)/r^2 on the grid, so that W(E) = w0 - 2m E off the origin."""
     w0 = np.empty_like(grid)
-    w0[1:] = v.kinetic_2m * v.v(grid[1:])
-    if q.l > 0:
-        w0[1:] += q.big_l / grid[1:] ** 2
+    with np.errstate(over="ignore", divide="ignore"):   # solve_radial refuses a non-finite w0
+        w0[1:] = v.kinetic_2m * v.v(grid[1:])
+        if q.l > 0:
+            w0[1:] += q.big_l / grid[1:] ** 2
     w0[0] = 0.0  # never used: u[0] = 0 by construction
     return w0
 
@@ -204,68 +180,93 @@ def _base_w(v: PotentialModel, grid: np.ndarray, q: QuantumNumbers) -> np.ndarra
 def _match_index(w: np.ndarray) -> int:
     allowed = np.nonzero(w[1:] < 0.0)[0]
     if allowed.size == 0:
-        raise NumericalFailure("no classically allowed region at the start energy")
+        raise NumericalFailure(f"no classically allowed row on the grid of {w.shape[0]} points at "
+                               "the start energy; more points (--grid-points) may resolve it")
     return int(min(max(allowed[-1] + 1, 4), w.shape[0] - 5))
 
 
-def _sturm_start(w0: np.ndarray, h: float, n: int) -> float:
-    """Eigenvalue n of a 3-point Dirichlet matrix -D2 + diag(w0), the start.
-
-    A Sturm count on every _GUESS_STRIDE-th grid point (step H), bisected
-    to _GUESS_TOL of its 3-point scale 4/H^2, gives a guess.  Its resolution
-    number rho = H^2 max(guess - w0) (n + 1) / 12 is the guess grid's
-    relative error in the largest local kinetic energy, scaled by the
-    level spacing (about 1/(n + 1)); when rho is at most _GUESS_RESOLVED
-    the guess is returned.  This assumes w0 smooth on the guess grid, as
-    the three families are.  Otherwise, and when the guess grid has no
-    row n, the count runs on the full grid, to machine precision.  Each
-    count is one direct LAPACK dstebz call (range 2, il = iu = n + 1, order
-    E); the overflow check, which also rejects non-finite w0, is its input check.
-    """
-    if w0.shape[0] < n + 3:  # one level per interior point: refused before any count
-        raise NumericalFailure(f"level n = {n} needs at least {n + 3} grid points (--grid-points)")
-    dstebz = _lapack().dstebz
-
-    def eigenvalue(diag_w, step, rel_tol=0.0):
-        # the Sturm count squares the entries; peak is the largest times step^2
-        peak = float(np.max(np.abs(diag_w))) * step * step + 2.0
-        if not peak < step * step * math.sqrt(sys.float_info.max):
-            raise NumericalFailure(
-                f"the 3-point matrix on the grid step {step:.3g} has entries up to "
-                f"{peak:.3g}/step^2, whose squares overflow in the Sturm count")
-        diag = diag_w + 2.0 / (step * step)
-        off = np.full(diag.shape[0] - 1, -1.0 / (step * step))
-        m, w, *_, info = dstebz(diag, off, 2, 0.0, 1.0, n + 1, n + 1,
-                                tol=4 * rel_tol / step**2, order="E")
-        if info != 0 or m != 1:
-            raise NumericalFailure(f"LAPACK dstebz failed (info = {info}, m = {m})")
-        return float(w[0])
-
-    coarse = w0[_GUESS_STRIDE:-1:_GUESS_STRIDE]
-    if coarse.shape[0] > n:
-        step = _GUESS_STRIDE * h
-        guess = eigenvalue(coarse, step, _GUESS_TOL)
-        if step * step * float(np.max(guess - w0[1:])) * (n + 1) / 12.0 <= _GUESS_RESOLVED:
-            return guess
-    return eigenvalue(w0[1:-1], h)
+@lru_cache(maxsize=8)
+def _mesh(points: int):
+    """Nodes x_i of the N-point mesh, the zeros of L_N (dsterf on the Laguerre
+    Jacobi matrix), its kinetic matrix T of -d^2/dx^2 (read-only), T_ii =
+    (4 + 2(2N+1) x_i - x_i^2)/(12 x_i^2), T_ij = (-1)^(i-j) (x_i + x_j)/(sqrt(x_i x_j)
+    (x_i - x_j)^2), and max |T_ij|."""
+    i = np.arange(points, dtype=float)
+    x, info = _lapack().dsterf(2.0 * i + 1.0, i[1:])
+    if info != 0:
+        raise NumericalFailure(f"LAPACK dsterf failed on the Laguerre nodes (info = {info})")
+    t = np.subtract.outer(x, x)
+    np.fill_diagonal(t, 1.0)
+    t *= t
+    t *= np.sqrt(np.multiply.outer(x, x))
+    np.divide(np.add.outer(x, x), t, out=t)
+    t[1::2, ::2] *= -1.0
+    t[::2, 1::2] *= -1.0
+    np.fill_diagonal(t, (4.0 + (4 * points + 2 - x) * x) / (12.0 * x * x))
+    t.flags.writeable = False
+    return x, t, float(np.max(np.abs(t)))
 
 
-def _live_end(w: np.ndarray, h: float, m: int) -> int:
-    """End of the rows that carry the state: 4 rows past the first row
-    beyond m where the WKB decay action of w reaches _LIVE_ACTION, capped
-    at the grid end.  There |u| < exp(-_LIVE_ACTION) of u[m], rounding noise."""
-    action = np.maximum(w[m:], 0.0)
-    np.cumsum(np.sqrt(action, out=action), out=action)
-    action *= h
-    return min(m + int(np.searchsorted(action, _LIVE_ACTION)) + 4, w.shape[0])
+def _mesh_level(v: PotentialModel, q: QuantumNumbers, r_start: float, r_end: float,
+                points: float) -> float:
+    """Eigenvalue q.n (2m E, the scale of w0) of T/h^2 + 2m V(r_i) + l(l+1)/r_i^2
+    on the mesh of ceil(``points``) nodes r_i = r_start + h x_i ending at r_end, the cap
+    checked first.  dsyevr's bisection squares the entries: the largest must stay below
+    the root of the largest double, which also rejects a non-finite V."""
+    if not points <= _MESH_CAP:   # inf too: an overflowing estimate
+        raise NumericalFailure(f"level n = {q.n}, l = {q.l} needs a Lagrange mesh of {points:.6g} "
+                               f"points on [{r_start:.6g}, {r_end:.6g}], above the cap of "
+                               f"{_MESH_CAP}")
+    x, t, peak = _mesh(points := math.ceil(points))
+    h = (r_end - r_start) / float(x[-1])
+    r, peak = r_start + h * x, peak / h / h   # Python floats: inf, not a warning, past the range
+    if peak < math.sqrt(sys.float_info.max):   # then r * r > 0
+        diag = v.kinetic_2m * v.v(r) + (q.big_l / r / r if q.l > 0 else 0.0)
+        peak += float(np.max(np.abs(diag)))
+    if not peak < math.sqrt(sys.float_info.max):
+        raise NumericalFailure(f"the Lagrange mesh on [{r_start:.3g}, {r_end:.3g}] (grid step "
+                               f"h = {h:.3g}) has entries up to {peak:.3g}, whose squares overflow")
+    ham = np.multiply(t, 1.0 / h / h)
+    ham.flat[::points + 1] += diag
+    w, _, m, _, info = _lapack().dsyevr(ham, compute_v=0, range="I", il=q.n + 1, iu=q.n + 1,
+                                        abstol=2.0 * sys.float_info.min, overwrite_a=1)
+    if info != 0 or m != 1:
+        raise NumericalFailure(f"LAPACK dsyevr failed on the mesh (info = {info}, m = {m})")
+    return float(w[0])
+
+
+def _mesh_start(v: PotentialModel, q: QuantumNumbers, w0: np.ndarray, grid: np.ndarray) -> float:
+    """Start 2m E of level q.n: N = 2n + 40 points on the grid's [0, r_max], then on
+    the rows that carry the state at that energy, from where the WKB decay action
+    inward of the inner turning point r_in reaches _MESH_ACTION (0 unless l is large)
+    to where it does outward of the outer one (_live_end).  There N is at least
+    max p sqrt((r - r_a)(r_b - r)) over the allowed rows, p the local wavenumber, as
+    the mesh on [r_a, r_b] has about (2N/(pi (r_b - r_a))) sqrt((r_b - r_a)/(r - r_a) - 1)
+    points per unit length (deep wells)."""
+    if w0.shape[0] < q.n + 3:  # one level per interior point: refused before any mesh
+        raise NumericalFailure(f"level n = {q.n} needs at least {q.n + 3} grid points (--grid-points)")
+    points, h, rows = 2 * q.n + 40, float(grid[1] - grid[0]), w0.shape[0]
+    w = w0 - _mesh_level(v, q, 0.0, float(grid[-1]), points)
+    m, first = _match_index(w), int(np.argmax(w[1:] < 0.0)) + 1   # first: the row of r_in
+    r_a = float(grid[rows - _live_end(w[::-1], h, rows - 1 - first, _MESH_ACTION)])
+    r_b = float(grid[_live_end(w, h, m, _MESH_ACTION) - 1])
+    r = grid[first:m]
+    with np.errstate(over="ignore"):   # an overflow is an infinite mesh, refused by the cap
+        phase = float(np.max(np.maximum(-w[first:m], 0.0) * (r - r_a) * (r_b - r), initial=0.0))
+    return _mesh_level(v, q, r_a, r_b, max(points, math.sqrt(phase)))
+
+
+def _live_end(w: np.ndarray, h: float, m: int, action: float) -> int:
+    """End of the rows that carry the state: 4 rows past the first row beyond m where
+    the WKB decay action of w reaches ``action`` (|u| < e^-action of u[m]), or the grid end."""
+    walked = np.maximum(w[m:], 0.0)
+    np.cumsum(np.sqrt(walked, out=walked), out=walked)   # the action over h: no overflow
+    return min(m + int(np.searchsorted(walked, action / h)) + 4, w.shape[0])
 
 
 def _solve_on_grid(w0, grid, q, c, energy):
-    """Cooley's corrector from the start energy: the normalized state, with its tail's kappa.
-
-    The corrector assembles only the rows up to the live end found at the
-    start energy; u holds those rows and the first zero past them.
-    """
+    """Cooley's corrector from the start energy, one step at least: the normalized
+    state on the rows up to the live end at the start energy and the first zero past them."""
     h = float(grid[1] - grid[0])
     w = w0 - c * energy
     if w[-1] < 0.0:
@@ -273,8 +274,12 @@ def _solve_on_grid(w0, grid, q, c, energy):
             f"r_max = {grid[-1]:.6g} ends inside the classically allowed region: "
             f"the outer turning point at the start energy {energy:.6g} lies "
             "beyond it")
+    if h * h * -float(np.min(w[1:])) >= 6.0:
+        raise NumericalFailure(
+            f"grid of {grid.shape[0]} points: h = {h:.3g} is too coarse: h^2 |W| reaches 6 in the "
+            "allowed region at the start energy, where Numerov's recursion no longer oscillates")
     m = _match_index(w)
-    live, last = _live_end(w, h, m), math.inf
+    live, last = _live_end(w, h, m, _LIVE_ACTION), math.inf
     w0 = w0[:live]
     for _ in range(_CORRECTOR_MAX_ITER):
         w = np.subtract(w0, c * energy, out=w[:live])
@@ -287,8 +292,9 @@ def _solve_on_grid(w0, grid, q, c, energy):
         resid = (y[2] - 2.0 * y[1] + y[0]) / (h * h) - w[m] * u[m]
         step = u[m] * resid / (c * float(np.dot(u, u) + _tail_mass(u[-1], kappa) / h))
         noise = sys.float_info.epsilon / (c * h * h) * max(1.0, abs(energy))
-        if abs(step) <= _CORRECTOR_TOL * abs(energy - step) or (
-                abs(step) <= noise and abs(step) >= abs(last)):
+        # one step at least: the mesh start is off the Numerov eigenvalue by the grid's error
+        if last < math.inf and (abs(step) <= _CORRECTOR_TOL * abs(energy - step) or (
+                abs(step) <= noise and abs(step) >= abs(last))):
             break  # converged, or stalled at the grid's rounding scale: keep u's own energy
         energy, last = energy - step, step
     else:
@@ -299,6 +305,7 @@ def _solve_on_grid(w0, grid, q, c, energy):
         raise NumericalFailure("degenerate norm after assembly")
     # the solve's sign is that of 1/(lambda - E); make u > 0 before its first node
     u /= math.copysign(math.sqrt(norm), next(x for x in u if x))
+    u += 0.0   # -0.0 + 0.0 = 0.0: no negative zeros outside the solved rows
     # a copy: a view of the prefix would keep the whole grid alive in caches
     return RadialFunction(grid=grid[:u.shape[0]].copy(), values=u,
                           energy=float(energy), q=q, kappa=kappa)
@@ -314,12 +321,11 @@ def solve_radial(v: PotentialModel, q: QuantumNumbers,
                  cfg: SolverConfig = SolverConfig()) -> RadialFunction:
     """Eigenpair with exactly q.n radial nodes for the given family.
 
-    The Sturm count of the 3-point Hamiltonian on the grid of cfg.r_max, or
-    of the family's default domain, gives the start energy of level q.n;
-    Cooley's corrector refines it to the Numerov eigenvalue.  A potential
-    with a continuum requires that start below the model's continuum
-    threshold.  A state live up to the grid end carries its decaying tail, refused
-    (NumericalFailure) above 1e-8 mass unless |V(r_end)| <= -continuum_threshold.
+    Two mesh passes over the domain of cfg.r_max, or of the family's default domain,
+    start level q.n, below the continuum threshold if the model has one; Cooley's
+    corrector refines it to the Numerov eigenvalue on that domain's grid.  A state live
+    up to the grid end carries its decaying tail, refused (NumericalFailure) above 1e-8
+    mass unless |V(r_end)| <= -continuum_threshold.
     """
     r_max = cfg.r_max or v.default_r_max(q)
     grid = np.linspace(0.0, r_max, cfg.grid_points)
@@ -329,7 +335,7 @@ def solve_radial(v: PotentialModel, q: QuantumNumbers,
         raise NumericalFailure(f"2m V + l(l+1)/r^2 is non-finite at r = "
                                f"{grid[np.argmin(finite)]:.6g}")
     c = v.kinetic_2m
-    start = _sturm_start(w0, float(grid[1] - grid[0]), q.n) / c
+    start = _mesh_start(v, q, w0, grid) / c
     if v.continuum_threshold is not None and not start < v.continuum_threshold:
         raise NoBoundState("not-supported", f"{v} has no bound state with n={q.n}, l={q.l}")
     f = _solve_on_grid(w0, grid, q, c, start)
@@ -346,22 +352,19 @@ def solve_radial(v: PotentialModel, q: QuantumNumbers,
     return f
 
 
-# ----------------------------------------------------------------------
-# observables by quadrature
-# ----------------------------------------------------------------------
-
 def numeric_observables(f: RadialFunction, v: PotentialModel) -> ObservableSet:
-    """Simpson moments, virial <p^2>/<p^4> and |psi(0)|^2 for an oracle state,
-    the eight integrals one product with the density u^2 times Simpson weights,
-    plus the tail's share: exact for r^1 .. r^4, the integrand at r_end times the
-    tail's mass for the others (solve_radial refused any tail before the continuum)."""
-    grid, u = f.grid, f.values
-    wts = f.weights()
+    """Simpson moments, virial <p^2>/<p^4> and |psi(0)|^2 for an oracle state: eight
+    integrals (nine with <V'> for l = 0), one product with the density wts u^2, plus the
+    tail's share, exact for r^1 .. r^4, else the integrand at r_end times the tail's mass.
+    |psi(0)|^2 of an S-state is m <V'>/(2 pi), exact for an eigenstate of v."""
+    grid, u, wts = f.grid, f.values, f.weights()
     r = grid[1:]
     density = u[1:] * u[1:]
     density *= wts[1:]            # wts u^2 off the origin, where u^2 V -> 0 for all three families
-    rows = np.empty((8, r.shape[0]))                  # r^-2, r^-1, r .. r^4, V, V^2
+    rows = np.empty((8 + (f.q.l == 0), r.shape[0]))   # r^-2, r^-1, r .. r^4, V, V^2, V'
     rows[1], rows[2], rows[6] = 1.0 / r, r, v.v(r)
+    if f.q.l == 0:
+        rows[8] = v.v_prime(r)
     np.multiply(rows[1], rows[1], out=rows[0])
     np.multiply(rows[2], rows[2], out=rows[3])
     np.multiply(rows[3], rows[2:4], out=rows[4:6])
@@ -372,13 +375,9 @@ def numeric_observables(f: RadialFunction, v: PotentialModel) -> ObservableSet:
         shares[k + 1] = sum(math.perm(k, j) * r_end ** (k - j) * s ** j for j in range(k + 1))
     moments = [x + tail * share for x, share in zip((rows @ density).tolist(), shares)]
     r_mom = dict(zip((-2, -1, 1, 2, 3, 4), moments[:6]))
-    psi0 = None
-    # every integrand vanishes at the origin but u^2/r^2 -> u'(0)^2 for l = 0
-    if f.q.l == 0:
-        slope_sq = f.slope_at_origin() ** 2
-        r_mom[-2] += float(wts[0]) * slope_sq
-        psi0 = slope_sq / (4.0 * math.pi)
-
+    psi0 = v.mass * moments[8] / (2.0 * math.pi) if f.q.l == 0 else None
+    if psi0 is not None:   # every integrand vanishes at 0 but u^2/r^2 -> u'(0)^2 = 4 pi psi0
+        r_mom[-2] += float(wts[0]) * 4.0 * math.pi * psi0
     p2, p4 = p2_p4_from_potential(f.energy, moments[6], moments[7], v.mass)
     return ObservableSet(r_moments=r_mom, p2=p2, p4=p4, psi0_sq=psi0,
                          mean_h=f.energy)

@@ -259,7 +259,8 @@ def sample_psi(v: PotentialModel, aux: str, q: QuantumNumbers,
     exact = v.exact_wavefunction(q)
     if exact is not None:
         return np.asarray(exact(grid))
-    return solve_radial(v, q).psi(grid)
+    f = solve_radial(v, q)
+    return f.psi(grid, numeric_observables(f, v).psi0_sq)
 
 
 def wavefunction_samples() -> Tuple[List[str], List[Row]]:

@@ -7,7 +7,8 @@ computes the same moments from one floating-point sum of positive terms
 for the Lambert round-trip checks, from both real branches of
 ``mpmath.lambertw``.  ``numerov_assemble_banded`` solves
 the oracle's Numerov system on every row it is given, through scipy's
-band-storage solver.  ``power_law_moments`` steps the generalized virial
+band-storage solver, and ``sturm_level`` counts its 3-point levels by
+bisection.  ``power_law_moments`` steps the generalized virial
 recurrence and ``psi0_from_force`` gives |psi(0)|^2 from the mean
 force, two relations the observables are checked against.
 ``tangent_sign_violations`` counts the AFM tangent's sign violations one
@@ -41,7 +42,7 @@ from typing import Dict, NamedTuple, Optional
 import mpmath
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from auxfield.afm import AuxiliaryKind, Bound, principal_number
 from auxfield.errors import DomainError, NumericalFailure
@@ -256,6 +257,18 @@ def power_law_moments(lambda_exp: float, a: float, m: float, energy: float,
     return {s: moments[s] for s in sorted(moments) if s <= s_max}
 
 
+def sturm_level(w0, h: float, n: int) -> float:
+    """Eigenvalue n of the 3-point Dirichlet matrix -D2 + diag(w0) on every
+    interior row of a uniform grid of step h: one LAPACK dstebz Sturm count
+    (scipy's eigh_tridiagonal, select "i"), to machine precision, so its
+    index is exactly the level n.  On a grid that resolves the state it lies
+    O(h^2) below the level's energy times 2m."""
+    diag = np.asarray(w0[1:-1], dtype=float) + 2.0 / (h * h)
+    off = np.full(diag.shape[0] - 1, -1.0 / (h * h))
+    return float(eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                  select_range=(n, n))[0])
+
+
 def psi0_from_force(m: float, mean_vprime: float) -> float:
     """|psi(0)|^2 of an l = 0 state from the mean force, m <V'> / (2 pi)."""
     return m * mean_vprime / (2.0 * math.pi)
@@ -278,11 +291,12 @@ def tangent_sign_violations(v, kind, sol, r_samples) -> Optional[int]:
 
 
 def numeric_observables_per_moment(f, v) -> ObservableSet:
-    """``oracle.numeric_observables`` with each moment, <V> and <V^2> its
-    own dot product of the Simpson weights with u^2 times the integrand
-    (no tail-mass check), plus the share of the tail past the grid end:
-    r^1 .. r^4 by ``mpmath.quad``, r^-2, r^-1, V and V^2 as their value at
-    the grid end times the tail's mass."""
+    """``oracle.numeric_observables`` with each moment, <V>, <V^2> and, for
+    l = 0, <V'> its own dot product of the Simpson weights with u^2 times the
+    integrand (no tail-mass check), plus the share of the tail past the grid
+    end: r^1 .. r^4 by ``mpmath.quad``, r^-2, r^-1, V, V^2 and V' as their
+    value at the grid end times the tail's mass; |psi(0)|^2 by
+    ``psi0_from_force``."""
     grid, u = f.grid, f.values
     wts = f.weights()
     r = grid[1:]
@@ -292,15 +306,11 @@ def numeric_observables_per_moment(f, v) -> ObservableSet:
     powers[3] = powers[2] * r
     powers[4] = powers[2] * powers[2]
     r_mom = {k: float(wts[1:] @ (u2 * rk)) for k, rk in powers.items()}
-    psi0 = None
-    if f.q.l == 0:
-        slope_sq = f.slope_at_origin() ** 2
-        r_mom[-2] += float(wts[0]) * slope_sq
-        psi0 = slope_sq / (4.0 * math.pi)
     vv = v.v(r)
     vu2 = u2 * vv
     mean_v = float(wts[1:] @ vu2)
     mean_v2 = float(wts[1:] @ (vu2 * vv))
+    mean_vp = float(wts[1:] @ (u2 * v.v_prime(r))) if f.q.l == 0 else None
     if u[-1]:
         r_end, u2_end = float(grid[-1]), float(u[-1]) ** 2
         # kappa from V at r_end, not the state's own: a check on f.kappa
@@ -314,6 +324,12 @@ def numeric_observables_per_moment(f, v) -> ObservableSet:
         r_mom[-1] += mass / r_end
         mean_v += mass * v_end
         mean_v2 += mass * v_end * v_end
+        if mean_vp is not None:
+            mean_vp += mass * float(v.v_prime(r_end))
+    psi0 = None
+    if mean_vp is not None:   # the force identity; u'(0)^2 = 4 pi |psi(0)|^2 at the origin of <r^-2>
+        psi0 = psi0_from_force(v.mass, mean_vp)
+        r_mom[-2] += float(wts[0]) * 4.0 * math.pi * psi0
     p2, p4 = p2_p4_from_potential(f.energy, mean_v, mean_v2, v.mass)
     return ObservableSet(r_moments=r_mom, p2=p2, p4=p4, psi0_sq=psi0,
                          mean_h=f.energy)

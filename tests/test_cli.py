@@ -247,10 +247,10 @@ class TestWavefunction:
         rows = [line.split(",") for line in out.splitlines()[1:]]
         r = np.array([float(a) for a, _ in rows])
         psi = np.array([float(b) for _, b in rows])
-        f = oracle_state(PotentialModel.exponential(20.0), QuantumNumbers(2, 0))[0]
+        f, obs = oracle_state(PotentialModel.exponential(20.0), QuantumNumbers(2, 0))
         ref = np.empty_like(r)
         ref[1:] = np.interp(r[1:], f.grid, f.values) / r[1:]
-        ref[0] = f.slope_at_origin()
+        ref[0] = math.sqrt(4.0 * math.pi * obs.psi0_sq)   # u'(0), by the force identity
         assert np.max(np.abs(psi - ref / math.sqrt(4.0 * math.pi))) <= 1e-6
         # an --r-max beyond the oracle's domain reads 0 past the state's end
         code, out, _ = _run(capsys, "wavefunction", "log", "exact", "0", "1",
@@ -279,7 +279,7 @@ class TestWavefunction:
         # [0, 300] it is that one solve, and past its end the decaying tail
         # u_end e^(-kappa (r - r_end)), kappa^2 = -20 e^(-r_end) - E
         v, q = PotentialModel.exponential(20.0), QuantumNumbers(2, 0)
-        g = oracle_state(v, q)[0]
+        g, g_obs = oracle_state(v, q)
         r_end = g.grid[-1]
         assert g.values[-1] != 0.0 and r_end < 300.0
         solves = []
@@ -294,7 +294,7 @@ class TestWavefunction:
                      g.values[-1] * np.exp(-kappa * np.maximum(r - r_end, 0.0)))
         want = np.empty_like(r)
         want[1:] = u[1:] / (r[1:] * norm)
-        want[0] = g.slope_at_origin() / norm
+        want[0] = math.sqrt(g_obs.psi0_sq)
         psi = np.array([float(line.split(",")[1]) for line in out.splitlines()[1:]])
         assert np.all(psi[r > r_end] > 0.0)
         assert np.allclose(psi, want, rtol=5e-6, atol=0.0)
@@ -462,13 +462,13 @@ class TestBoundaries:
         assert out == ""
         assert "numeric failure" in err
         assert "2000 points" in err
-        # 20000 points hold too few per half-wave for 2000 nodes: the node
-        # check names the grid, r_max and the option that may resolve it
+        # 2000 nodes need a start mesh of 2n + 40 = 4040 points, above its
+        # cap: refused before the solve, naming the cap (the solve on 20000
+        # points used to fail its node check with 1923 nodes)
         code, out, err = _run(capsys, "oracle", "linear", "2000", "0")
         assert (code, out) == (70, "")
-        assert ("converged solution has 1923 nodes, expected 2000, on 20000 grid points "
-                "up to r_max = 1164.74" in err)
-        assert "--grid-points" in err
+        assert ("level n = 2000, l = 0 needs a Lagrange mesh of 4040 points on "
+                "[0, 1164.74], above the cap of 2000" in err)
 
     def test_r_max_inside_allowed_region_is_numeric_failure(self, capsys):
         # the turning point of linear (0, 0) is near r = 2.3, beyond r_max

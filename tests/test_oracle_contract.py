@@ -1,0 +1,114 @@
+"""Seeded contract test of ``auxfield oracle``, in process through ``cli.main``.
+
+Commands are drawn from the command's grammar with its extremes: n and l
+up to 100000 (the cap), the exponential depth k from 1e-300 to 1e308,
+tiny and huge ``--r-max`` and ``--grid-points`` at 2000 and 2000000.
+Every command must exit 0, 2, 64 or 70, print stdout that parses as JSON
+with NaN and Infinity refused, leave no traceback and no RuntimeWarning,
+and finish within ``WALL_BUDGET_S``.  A state whose start mesh is above
+the cap is refused before the mesh is built.
+"""
+
+import contextlib
+import io
+import json
+import time
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+
+from auxfield.cli import main
+
+WALL_BUDGET_S = 10.0    # slowest drawn command measured at about 2 s on a 2-vCPU host
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-finite JSON number {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        wall = time.perf_counter() - start
+    return code, out.getvalue(), err.getvalue(), wall, [str(w.message) for w in caught]
+
+
+def _draws(seed, count):
+    """Seeded ``oracle`` argument lists over the grammar's extremes."""
+    rng = np.random.default_rng(seed)
+
+    def quantum():
+        # small numbers most of the time, then up to the cap of 100000
+        return str(int(rng.choice([rng.integers(0, 6), rng.integers(0, 41),
+                                   int(10 ** rng.uniform(2.0, 5.0))])))
+
+    commands = []
+    for i in range(count):
+        family = ("linear", "log", "exp")[i % 3]
+        argv = ["oracle", family, quantum(), quantum()]
+        if family == "exp":
+            argv += ["--k", repr(float(10 ** rng.uniform(-300.0, 308.0)))
+                     if rng.random() < 0.5 else repr(float(10 ** rng.uniform(0.0, 5.0)))]
+        draw = rng.random()
+        if draw < 0.2:
+            argv += ["--r-max", repr(float(10 ** rng.uniform(-300.0, -2.0)))]
+        elif draw < 0.4:
+            argv += ["--r-max", repr(float(10 ** rng.uniform(3.0, 308.0)))]
+        if i % 20 == 7:
+            argv += ["--grid-points", "2000000"]
+        elif rng.random() < 0.3:
+            argv += ["--grid-points", "2000"]
+        commands.append(argv)
+    return commands
+
+
+def _assert_contract(argv):
+    code, out, err, wall, caught = _run(argv)
+    case = (" ".join(argv), code, err)
+    assert code in (0, 2, 64, 70), case
+    if out:
+        _strict_json(out)
+    assert "Traceback" not in err and "RuntimeWarning" not in err, case
+    assert not caught, (case, caught)
+    assert wall <= WALL_BUDGET_S, (case, wall)
+    return code
+
+
+def test_drawn_oracle_commands_keep_the_contract():
+    codes = {_assert_contract(argv) for argv in _draws(20261031, 60)}
+    assert {0, 2, 70} <= codes
+
+
+@pytest.mark.parametrize("argv", [
+    "oracle linear 0 0", "oracle exp 0 0 --k 1e-300", "oracle exp 0 0 --k 1e308",
+    "oracle log 0 0 --r-max 1e-300", "oracle linear 0 0 --r-max 1e308",
+    "oracle exp 3 2 --k 5e4 --r-max 1e-3", "oracle linear 100000 100000",
+    "oracle log 3 100000 --grid-points 2000", "oracle exp 0 0 --k 1.47",
+])
+def test_extreme_oracle_commands_keep_the_contract(argv):
+    _assert_contract(argv.split())
+
+
+def test_state_above_the_mesh_cap_is_refused_before_the_mesh():
+    # n = 100000 needs a start mesh of 200040 points, a matrix of 320 GB;
+    # the refusal names the cap after the grid (16 MB) and 2m V + l(l+1)/r^2
+    # on it exist, before any mesh is built
+    tracemalloc.start()
+    try:
+        code, out, err, wall, caught = _run(["oracle", "linear", "100000", "0",
+                                             "--grid-points", "2000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, caught) == (70, "", [])
+    assert "needs a Lagrange mesh of 200040 points" in err and "above the cap of 2000" in err
+    assert wall <= WALL_BUDGET_S
+    assert peak <= 100e6, peak    # measured 48 MB
