@@ -18,8 +18,8 @@ grid end with the decaying tail u_end e^(-kappa (r - r_end)) of the last
 Numerov row, whose mass u_end^2/(2 kappa) is part of the norm; solve_radial
 refuses a tail above 1e-8 before the continuum.  Its moments, the reference
 side of each table comparison, are one product with the density wts u^2
-(f.weights(), uniform Simpson) plus the tail's share; |psi(0)|^2 of an S-state
-is the force identity m <V'>/(2 pi).  dsterf, dsyevr and dgtsv are called from
+(f.weights, the Simpson rule of its norm) plus the tail's share; |psi(0)|^2 of
+an S-state is the force identity m <V'>/(2 pi).  dsterf, dsyevr and dgtsv are called from
 scipy's f2py extension, which _lapack loads without the scipy.linalg package.
 """
 
@@ -39,8 +39,10 @@ from .afm import PotentialModel
 from .errors import DomainError, NoBoundState, NumericalFailure
 from .exact import ObservableSet, QuantumNumbers
 from .observables import p2_p4_from_potential
+from .specfun import laguerre
 
-__all__ = ["RadialFunction", "SolverConfig", "solve_radial", "numeric_observables"]
+__all__ = ["RadialFunction", "SolverConfig", "solve_radial", "numeric_observables",
+           "gauss_laguerre"]
 
 _CORRECTOR_TOL = 1e-12     # converged step, relative to |E|
 _CORRECTOR_MAX_ITER = 20
@@ -75,25 +77,23 @@ def _simpson(n: int, h: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RadialFunction:
-    """Reduced radial function u(r) = r R(r) sampled on a uniform grid of at least 3
-    points whose steps agree to 8 eps times the extent, as np.linspace's do, else
-    DomainError.  An oracle state's grid stops at the first zero past its live rows."""
+    """Reduced radial function u(r) = r R(r) at increasing nodes, with the weights of the
+    rule its sampler chose, weights @ y integrating samples y; nodes that do not increase,
+    or arrays that are not non-empty, 1-D and of one length, raise DomainError.  An oracle
+    state's grid stops at the first zero past its live rows."""
 
     grid: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
     energy: float
     q: QuantumNumbers
     kappa: float = math.inf   # decay rate of the tail past the grid end; inf: no tail
 
     def __post_init__(self):
         g = self.grid
-        if not (g.ndim == 1 and g.shape[0] >= 3 and g[1] > g[0] and np.ptp(g[1:] - g[:-1])
-                <= 8.0 * np.finfo(float).eps * max(abs(g[0]), abs(g[-1]))):
-            raise DomainError("RadialFunction needs a uniform increasing grid of >= 3 points")
-
-    def weights(self) -> np.ndarray:
-        """Simpson weights of the grid: w @ y integrates samples y over it."""
-        return _simpson(self.grid.shape[0], float(self.grid[1] - self.grid[0]))
+        if not (g.ndim == 1 and g.shape == self.values.shape == self.weights.shape and g.size
+                and np.all(g[1:] > g[:-1])):
+            raise DomainError("RadialFunction needs increasing nodes and 1-D arrays of one length")
 
     @property
     def tail_mass(self) -> float:
@@ -188,7 +188,7 @@ def _match_index(w: np.ndarray) -> int:
 @lru_cache(maxsize=8)
 def _mesh(points: int):
     """Nodes x_i of the N-point mesh, the zeros of L_N (dsterf on the Laguerre
-    Jacobi matrix), its kinetic matrix T of -d^2/dx^2 (read-only), T_ii =
+    Jacobi matrix), its kinetic matrix T of -d^2/dx^2 (both read-only), T_ii =
     (4 + 2(2N+1) x_i - x_i^2)/(12 x_i^2), T_ij = (-1)^(i-j) (x_i + x_j)/(sqrt(x_i x_j)
     (x_i - x_j)^2), and max |T_ij|."""
     i = np.arange(points, dtype=float)
@@ -203,8 +203,16 @@ def _mesh(points: int):
     t[1::2, ::2] *= -1.0
     t[::2, 1::2] *= -1.0
     np.fill_diagonal(t, (4.0 + (4 * points + 2 - x) * x) / (12.0 * x * x))
-    t.flags.writeable = False
+    t.flags.writeable = x.flags.writeable = False
     return x, t, float(np.max(np.abs(t)))
+
+
+def gauss_laguerre(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x_i (_mesh's) and weights w_i > 0 of the N-point Gauss-Laguerre rule sum_i
+    w_i g(x_i) ~ int_0^inf g(x) dx, exact for g e^x a polynomial of degree < 2N, with w_i =
+    x_i/((N+1) e^(-x_i/2) L_(N+1)(x_i))^2: e^x_i times the Jacobi weight fails above N ~ 80."""
+    x = _mesh(points)[0]
+    return x, x / ((points + 1) * laguerre(points + 1, 0.0, x, -0.5 * x)) ** 2
 
 
 def _mesh_level(v: PotentialModel, q: QuantumNumbers, r_start: float, r_end: float,
@@ -300,14 +308,14 @@ def _solve_on_grid(w0, grid, q, c, energy):
     else:
         raise NumericalFailure("Cooley corrector did not converge")
     u = np.append(u, 0.0)[:grid.shape[0]]
-    norm = _simpson(u.shape[0], h) @ (u * u) + _tail_mass(u[-1], kappa)
+    norm = (wts := _simpson(u.shape[0], h)) @ (u * u) + _tail_mass(u[-1], kappa)
     if not norm > 0:
         raise NumericalFailure("degenerate norm after assembly")
     # the solve's sign is that of 1/(lambda - E); make u > 0 before its first node
     u /= math.copysign(math.sqrt(norm), next(x for x in u if x))
     u += 0.0   # -0.0 + 0.0 = 0.0: no negative zeros outside the solved rows
     # a copy: a view of the prefix would keep the whole grid alive in caches
-    return RadialFunction(grid=grid[:u.shape[0]].copy(), values=u,
+    return RadialFunction(grid=grid[:u.shape[0]].copy(), values=u, weights=wts,
                           energy=float(energy), q=q, kappa=kappa)
 
 
@@ -353,14 +361,15 @@ def solve_radial(v: PotentialModel, q: QuantumNumbers,
 
 
 def numeric_observables(f: RadialFunction, v: PotentialModel) -> ObservableSet:
-    """Simpson moments, virial <p^2>/<p^4> and |psi(0)|^2 for an oracle state: eight
+    """Moments, virial <p^2>/<p^4> and |psi(0)|^2 of a state by its own rule: eight
     integrals (nine with <V'> for l = 0), one product with the density wts u^2, plus the
     tail's share, exact for r^1 .. r^4, else the integrand at r_end times the tail's mass.
     |psi(0)|^2 of an S-state is m <V'>/(2 pi), exact for an eigenstate of v."""
-    grid, u, wts = f.grid, f.values, f.weights()
-    r = grid[1:]
-    density = u[1:] * u[1:]
-    density *= wts[1:]            # wts u^2 off the origin, where u^2 V -> 0 for all three families
+    grid, u, wts = f.grid, f.values, f.weights
+    at0 = int(grid[0] == 0.0)     # a node at the origin is skipped, and its r^-2 term added
+    r = grid[at0:]
+    density = u[at0:] * u[at0:]
+    density *= wts[at0:]          # wts u^2 off the origin, where u^2 V -> 0 for all three families
     rows = np.empty((8 + (f.q.l == 0), r.shape[0]))   # r^-2, r^-1, r .. r^4, V, V^2, V'
     rows[1], rows[2], rows[6] = 1.0 / r, r, v.v(r)
     if f.q.l == 0:
@@ -376,7 +385,7 @@ def numeric_observables(f: RadialFunction, v: PotentialModel) -> ObservableSet:
     moments = [x + tail * share for x, share in zip((rows @ density).tolist(), shares)]
     r_mom = dict(zip((-2, -1, 1, 2, 3, 4), moments[:6]))
     psi0 = v.mass * moments[8] / (2.0 * math.pi) if f.q.l == 0 else None
-    if psi0 is not None:   # every integrand vanishes at 0 but u^2/r^2 -> u'(0)^2 = 4 pi psi0
+    if psi0 is not None and at0:   # every integrand vanishes at 0 but u^2/r^2 -> 4 pi psi0
         r_mom[-2] += float(wts[0]) * 4.0 * math.pi * psi0
     p2, p4 = p2_p4_from_potential(f.energy, moments[6], moments[7], v.mass)
     return ObservableSet(r_moments=r_mom, p2=p2, p4=p4, psi0_sq=psi0,

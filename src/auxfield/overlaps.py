@@ -36,23 +36,18 @@ def afm_pair_overlap(kind: AuxiliaryKind, n: int, n_prime: int, l: int) -> float
 # numeric overlap
 # ----------------------------------------------------------------------
 
-def sample_radial(radial: Callable, grid: np.ndarray, *, energy: float = math.nan,
-                  q: Optional[QuantumNumbers] = None) -> RadialFunction:
-    """Sample a radial evaluator R(r) into a reduced RadialFunction u = r R(r).
-
-    A non-uniform grid raises DomainError.
-    """
+def sample_radial(radial: Callable, grid: np.ndarray, weights: np.ndarray, *,
+                  energy: float = math.nan, q: Optional[QuantumNumbers] = None) -> RadialFunction:
+    """Sample a radial evaluator R(r) into a reduced RadialFunction u = r R(r) at the
+    nodes ``grid``, integrated by ``weights``: the rule of the state it will be dotted with."""
     grid = np.asarray(grid, dtype=float)
-    u = grid * np.asarray(radial(grid), dtype=float)
-    return RadialFunction(grid=grid, values=u, energy=energy,
-                          q=q if q is not None else QuantumNumbers(0, 0))
+    return RadialFunction(grid=grid, values=grid * np.asarray(radial(grid), dtype=float),
+                          weights=weights, energy=energy, q=q or QuantumNumbers(0, 0))
 
 
 def numeric_overlap(f: RadialFunction, g: RadialFunction) -> float:
-    """integral of u_f u_g dr (== integral R_f R_g r^2 dr), f.weights() @ (u_f u_g).
-
-    Both functions must be sampled on one grid; raises DomainError otherwise.
-    """
+    """integral of u_f u_g dr (== integral R_f R_g r^2 dr), f.weights @ (u_f u_g), for
+    two functions sampled on one grid; DomainError otherwise."""
     if f.grid is not g.grid and not np.array_equal(f.grid, g.grid):
         raise DomainError("numeric_overlap needs both functions on one grid")
-    return float(f.weights() @ (f.values * g.values))
+    return float(f.weights @ (f.values * g.values))

@@ -21,11 +21,10 @@ from . import observables, overlaps
 from .afm import AuxiliaryKind, PotentialModel, afm_solve
 from .errors import AuxFieldError, DomainError, NumericalFailure
 from .exact import QuantumNumbers, linear_s_observables, linear_s_state
-from .oracle import RadialFunction, SolverConfig, numeric_observables, solve_radial
+from .oracle import RadialFunction, SolverConfig, gauss_laguerre, numeric_observables, solve_radial
 
-__all__ = ["TABLE_IDS", "Row", "golden", "build_table", "format_rows",
-           "oracle_state", "linear_exact_function", "afm_trial_function",
-           "linear_afm_overlap_sq", "sample_psi", "wavefunction_samples"]
+__all__ = ["TABLE_IDS", "Row", "golden", "build_table", "format_rows", "oracle_state",
+           "linear_exact_function", "linear_afm_overlap_sq", "sample_psi", "wavefunction_samples"]
 
 _KINDS = {"hy": AuxiliaryKind.COULOMB, "ho": AuxiliaryKind.QUADRATIC}
 
@@ -80,18 +79,14 @@ def oracle_state(v: PotentialModel, q: QuantumNumbers) -> Tuple[RadialFunction, 
 
 @lru_cache(maxsize=None)
 def linear_exact_function(n: int) -> RadialFunction:
-    """Exact linear-potential S state sampled as a reduced radial function."""
+    """Exact linear-potential S state sampled for overlaps at the nodes of the
+    2n + 40 point Gauss-Laguerre rule on [0, |alpha_n| + 16], its last node at the
+    end; psi between the nodes is their linear interpolation, not the state."""
     state = linear_s_state(_LINEAR.m, _LINEAR.a, n)
-    grid = np.linspace(0.0, abs(state.alpha_n) + 16.0, 12001)
-    u = grid * np.asarray(state.wavefunction(grid), dtype=float) * math.sqrt(4.0 * math.pi)
-    return RadialFunction(grid=grid, values=u, energy=state.energy, q=QuantumNumbers(n, 0))
-
-
-def afm_trial_function(v: PotentialModel, kind: AuxiliaryKind,
-                       q: QuantumNumbers, grid: np.ndarray) -> RadialFunction:
-    """AFM trial state for (v, kind, q) sampled on the given grid."""
-    sol = afm_solve(v, kind, q)
-    return overlaps.sample_radial(sol.scale.radial(q), grid, energy=sol.energy, q=q)
+    x, wts = gauss_laguerre(2 * n + 40)
+    h = (abs(state.alpha_n) + 16.0) / float(x[-1])
+    return overlaps.sample_radial(lambda r: math.sqrt(4.0 * math.pi) * state.wavefunction(r),
+                                  h * x, h * wts, energy=state.energy, q=QuantumNumbers(n, 0))
 
 
 @lru_cache(maxsize=None)
@@ -117,7 +112,8 @@ def _ratios(v: PotentialModel, kind: AuxiliaryKind, q: QuantumNumbers,
     if q.l == 0:
         out["psi0"] = obs.psi0_sq / ref.psi0_sq
     if fn is not None:
-        out["overlap"] = overlaps.numeric_overlap(fn, afm_trial_function(v, kind, q, fn.grid)) ** 2
+        trial = overlaps.sample_radial(sol.scale.radial(q), fn.grid, fn.weights, q=q)
+        out["overlap"] = overlaps.numeric_overlap(fn, trial) ** 2
     return out
 
 

@@ -298,7 +298,7 @@ def numeric_observables_per_moment(f, v) -> ObservableSet:
     value at the grid end times the tail's mass; |psi(0)|^2 by
     ``psi0_from_force``."""
     grid, u = f.grid, f.values
-    wts = f.weights()
+    wts = f.weights
     r = grid[1:]
     u2 = u[1:] * u[1:]
     inv = 1.0 / r
@@ -546,6 +546,12 @@ def exp_s_energy(k: float, n: int, nu: float) -> float:
     consecutive zeros lie more than 3 apart, so a step of 1 from nu to
     2 sqrt(k) - 1 sees each zero below 2 sqrt(k) once.
     """
+    root = _exp_s_order(k, n, nu)
+    return float(-root * root / 4)
+
+
+def _exp_s_order(k: float, n: int, nu: float):
+    """The order nu of ``exp_s_energy``, an mpmath number of 30 digits."""
     with mpmath.workdps(30):
         x = 2 * mpmath.sqrt(mpmath.mpf(k))
         root = mpmath.findroot(lambda t: mpmath.besselj(t, x), mpmath.mpf(nu))
@@ -555,7 +561,24 @@ def exp_s_energy(k: float, n: int, nu: float) -> float:
     if not (root > 0 and changes == n):
         raise NumericalFailure(f"J_nu(2 sqrt({k})) = 0 at nu = {root} is zero "
                                f"{changes + 1}, not {n + 1}")
-    return float(-root * root / 4)
+    return root
+
+
+def exp_s_psi0_sq(k: float, n: int, nu: float) -> float:
+    """|psi(0)|^2 of the S-state of ``exp_s_energy``, whose reduced radial
+    function is u(r) = J_nu(2 sqrt(k) e^(-r/2)): with x = 2 sqrt(k) e^(-r/2),
+    dr = -2 dx/x, so |psi(0)|^2 = u'(0)^2/(4 pi int_0^inf u^2 dr)
+    = k J_nu'(2 sqrt(k))^2 / (4 pi int_0^(2 sqrt(k)) J_nu(x)^2 (2/x) dx).
+    The integral is mpmath's tanh-sinh rule at 30 digits on n + 2 equal
+    panels; the integrand goes as x^(2 nu - 1) at 0, singular for nu < 1/2
+    (k = 20, n = 2), where 20 digits or Gauss-Legendre lose 1e-9."""
+    root = _exp_s_order(k, n, nu)
+    with mpmath.workdps(30):
+        x = 2 * mpmath.sqrt(mpmath.mpf(k))
+        slope = mpmath.besselj(root, x, derivative=1)
+        norm = mpmath.quad(lambda t: 2 * mpmath.besselj(root, t) ** 2 / t,
+                           mpmath.linspace(0, x, n + 3))
+        return float(k * slope * slope / (4 * mpmath.pi * norm))
 
 
 class MeshLevel(NamedTuple):

@@ -597,7 +597,9 @@ v = auxfield.PotentialModel.linear()
 state = linear_s_state(v.m, v.a, 1)
 grid = np.linspace(0.0, 20.0, 4001)
 u = math.sqrt(4.0 * math.pi) * grid * state.wavefunction(grid)
-f = auxfield.RadialFunction(grid=grid, values=u, energy=state.energy,
+weights = np.full(4001, 0.005 / 3.0)   # composite Simpson, step 0.005
+weights[1:-1:2], weights[2:-1:2] = 4.0 * 0.005 / 3.0, 2.0 * 0.005 / 3.0
+f = auxfield.RadialFunction(grid=grid, values=u, weights=weights, energy=state.energy,
                             q=auxfield.QuantumNumbers(1, 0))
 obs = auxfield.numeric_observables(f, v)
 exact = linear_s_observables(v.m, v.a, 1)

@@ -377,8 +377,8 @@ def test_exp_mean_potential_obeys_hellmann_feynman():
     assert max(errors) <= (2.5e-7,), max(errors)
 
 
-def _sampled(grid):
-    return RadialFunction(grid=grid, values=grid, energy=math.nan, q=QuantumNumbers(0, 0))
+def _uniform_simpson(grid):
+    return oracle._simpson(grid.shape[0], float(grid[1] - grid[0]))
 
 
 @pytest.mark.parametrize("points", [3, 4, 5, 6, 2000, 2001, 12001, 20000],
@@ -389,7 +389,7 @@ def test_simpson_weights_match_scipy(points):
     x = np.linspace(0.0, 37.5, points)
     y = rng.random(points)
     ref = simpson(y, x=x)
-    assert abs(_sampled(x).weights() @ y - ref) <= 1e-14 * abs(ref)
+    assert abs(_uniform_simpson(x) @ y - ref) <= 1e-14 * abs(ref)
 
 
 @pytest.mark.parametrize("points", [3, 4, 5, 6, 7, 8, 2000, 2001])
@@ -399,20 +399,39 @@ def test_simpson_weights_exact_on_quadratics(points):
     x = np.linspace(0.0, 2.5, points)
     y = 1.5 - 0.75 * x + 2.0 * x * x
     exact = 1.5 * 2.5 - 0.375 * 2.5 ** 2 + 2.0 * 2.5 ** 3 / 3.0
-    assert abs(_sampled(x).weights() @ y - exact) <= 4e-15 * exact
+    assert abs(_uniform_simpson(x) @ y - exact) <= 4e-15 * exact
 
 
-@pytest.mark.parametrize("grid", [np.linspace(0.0, 6.0, 101) ** 2 / 6.0,
-                                  np.linspace(6.0, 0.0, 101),
-                                  np.array([0.0, 1.0, 2.0, 3.5]),
-                                  np.linspace(0.0, 1.0, 2),
-                                  np.array([0.0, 1.0, math.nan])])
-def test_non_uniform_grid_is_refused(grid):
+@pytest.mark.parametrize("grid, refused", [(np.linspace(0.0, 6.0, 101) ** 2 / 6.0, False),
+                                           (np.linspace(6.0, 0.0, 101), True),
+                                           (np.array([0.0, 1.0, 2.0, 3.5]), False),
+                                           (np.linspace(0.0, 1.0, 2), False),
+                                           (np.array([0.0, 1.0, math.nan]), True)],
+                         ids=[f"grid{i}" for i in range(5)])
+def test_non_uniform_grid_is_refused(grid, refused):
+    # a state's nodes need only increase, its sampler giving the weights:
+    # a decreasing or NaN grid is refused, directly and by sample_radial
     from auxfield.overlaps import sample_radial
+    weights = np.ones_like(grid)
+    for build in (lambda: RadialFunction(grid=grid, values=grid, weights=weights,
+                                         energy=math.nan, q=QuantumNumbers(0, 0)),
+                  lambda: sample_radial(np.exp, grid, weights)):
+        if refused:
+            with pytest.raises(DomainError):
+                build()
+        else:
+            f = build()
+            assert f.grid is grid and f.weights is weights
+
+
+@pytest.mark.parametrize("shape", ["short-weights", "short-values", "2-d", "empty"])
+def test_mismatched_state_arrays_are_refused(shape):
+    grid = np.linspace(0.0, 1.0, 5)
+    arrays = {"short-weights": (grid, grid, grid[:4]), "short-values": (grid, grid[1:], grid),
+              "2-d": (grid[None], grid[None], grid[None]), "empty": (grid[:0],) * 3}[shape]
     with pytest.raises(DomainError):
-        _sampled(grid)
-    with pytest.raises(DomainError):
-        sample_radial(np.exp, grid)
+        RadialFunction(grid=arrays[0], values=arrays[1], weights=arrays[2],
+                       energy=math.nan, q=QuantumNumbers(0, 0))
 
 
 def test_closed_form_sample_carries_no_tail():
@@ -424,7 +443,8 @@ def test_closed_form_sample_carries_no_tail():
     from auxfield.exact import linear_s_observables, linear_s_state
     from auxfield.overlaps import sample_radial
     state, norm = linear_s_state(LINEAR.m, LINEAR.a, 0), math.sqrt(4.0 * math.pi)
-    f = sample_radial(lambda r: norm * state.wavefunction(r), np.linspace(0.0, 20.0, 4001))
+    grid = np.linspace(0.0, 20.0, 4001)
+    f = sample_radial(lambda r: norm * state.wavefunction(r), grid, _uniform_simpson(grid))
     assert f.kappa == math.inf and f.tail_mass == 0.0
     obs, exact = numeric_observables(f, LINEAR), linear_s_observables(LINEAR.m, LINEAR.a, 0)
     for k, value in exact.r_moments.items():     # measured worst 1.3e-11
@@ -442,26 +462,26 @@ def _padded(f, grid):
     assert np.array_equal(f.grid, grid[:f.grid.shape[0]])
     values = np.zeros(grid.shape[0])
     values[:f.values.shape[0]] = f.values
-    return RadialFunction(grid=grid, values=values, energy=f.energy, q=f.q, kappa=f.kappa)
+    return RadialFunction(grid=grid, values=values, weights=_uniform_simpson(grid),
+                          energy=f.energy, q=f.q, kappa=f.kappa)
 
 
 def _assert_integrals_match_padded(v, q, f, grid):
     # norm, moments and the overlap with a trial state over the state's
     # own grid against the same integrals over the full grid
-    from auxfield.afm import AuxiliaryKind
-    from auxfield.overlaps import numeric_overlap
-    from auxfield.tables import afm_trial_function
+    from auxfield.afm import AuxiliaryKind, afm_solve
+    from auxfield.overlaps import numeric_overlap, sample_radial
     full = _padded(f, grid)
-    norm = f.weights() @ (f.values * f.values)
-    ref = full.weights() @ (full.values * full.values)
+    norm = f.weights @ (f.values * f.values)
+    ref = full.weights @ (full.values * full.values)
     assert abs(norm - ref) <= 1e-15 * ref
     obs, obs_ref = numeric_observables(f, v), numeric_observables(full, v)
     for key, value in obs_ref.r_moments.items():
         assert abs(obs.r_moments[key] - value) <= 1e-15 * abs(value), key
     assert abs(obs.p2 - obs_ref.p2) <= 1e-15 * abs(obs_ref.p2)
-    kind = AuxiliaryKind.COULOMB
-    got = numeric_overlap(f, afm_trial_function(v, kind, q, f.grid))
-    ref = numeric_overlap(full, afm_trial_function(v, kind, q, grid))
+    trial = afm_solve(v, AuxiliaryKind.COULOMB, q).scale.radial(q)
+    got = numeric_overlap(f, sample_radial(trial, f.grid, f.weights))
+    ref = numeric_overlap(full, sample_radial(trial, grid, full.weights))
     assert abs(got - ref) <= 1e-15 * abs(ref)
 
 
@@ -522,6 +542,48 @@ def test_s_state_psi0_is_the_force_identity():
         u, h = f.values, float(f.grid[1])
         slope = (-25.0 * u[0] + 48.0 * u[1] - 36.0 * u[2] + 16.0 * u[3] - 3.0 * u[4]) / (12.0 * h)
         assert abs(obs.psi0_sq - slope ** 2 / (4 * math.pi)) <= 1e-7 * obs.psi0_sq, n
+
+
+@pytest.mark.pin
+def test_exp_s_state_psi0_matches_the_bessel_solution():
+    # u(r) = J_nu(2 sqrt(k) e^(-r/2)) is the exact S-state (reference.exp_s_psi0_sq).
+    # Measured relative errors of m <V'>/(2 pi) on the default grid: k = 5 (0, 0)
+    # 3.7e-11; k = 20 (0, 0), (1, 0), (2, 0) 1.8e-10, 3.2e-10, 1.0e-9; k = 100 (0, 0)
+    # 1.0e-9; k = 1000 (3, 0) 8.0e-8.  Each k is held at 10x its worst
+    for k, levels, bound in [(5.0, [0], 4e-10), (20.0, [0, 1, 2], 1e-8),
+                             (100.0, [0], 1e-8), (1000.0, [3], 8e-7)]:
+        for n in levels:
+            f, obs = oracle_state(PotentialModel.exponential(k), QuantumNumbers(n, 0))
+            exact = reference.exp_s_psi0_sq(k, n, 2.0 * math.sqrt(-f.energy))
+            assert abs(obs.psi0_sq - exact) <= bound * exact, (k, n, obs.psi0_sq, exact)
+
+
+@pytest.mark.parametrize("points, bound", [(40, 3e-12), (200, 7e-11)])
+def test_gauss_laguerre_rule_integrates_x_to_the_k_e_to_the_minus_x(points, bound):
+    # sum w_i e^(-x_i) x_i^k = k! for k < 40, measured within 2.8e-13 (N = 40)
+    # and 7.2e-12 (N = 200) relative, bounded at 10x; every weight is positive
+    x, w = oracle.gauss_laguerre(points)
+    assert x.shape == w.shape == (points,) and np.all(np.diff(x) > 0.0)
+    assert np.all(w > 0.0)
+    for k in range(40):
+        got = float(np.sum(w * np.exp(-x) * x ** k))
+        assert abs(got - math.factorial(k)) <= bound * math.factorial(k), k
+
+
+def test_gauss_sampled_state_has_no_origin_node():
+    # the exact linear state sampled on Gauss-Laguerre nodes has no node at
+    # r = 0, so every node is integrated and no r^-2 origin term is added;
+    # its observables match the closed forms within 4.5e-14 (measured, n <= 20)
+    from auxfield.exact import linear_s_observables
+    from auxfield.tables import linear_exact_function
+    for n in (0, 1, 5, 14, 20):
+        f = linear_exact_function(n)
+        assert f.grid[0] > 0.0
+        obs, exact = numeric_observables(f, LINEAR), linear_s_observables(LINEAR.m, LINEAR.a, n)
+        for k, value in exact.r_moments.items():
+            assert abs(obs.r_moments[k] - value) <= 5e-13 * value, (n, k)
+        for got, value in ((obs.psi0_sq, exact.psi0_sq), (obs.p2, exact.p2), (obs.p4, exact.p4)):
+            assert abs(got - value) <= 5e-13 * value, n
 
 
 def test_non_real_r_max_is_refused():
@@ -728,24 +790,26 @@ def test_table_assemblies_solve_only_live_rows(monkeypatch):
 def test_table_states_store_only_live_rows(monkeypatch):
     # guards against a return to zero-padded full-grid states: the 37 table
     # states hold 0.541 of the grid points on average, and the trial states
-    # of the log and exp tables are sampled on the oracle state's own grid
-    from auxfield import tables
-    points = [oracle_state(*_table_state(*key))[0].grid.shape[0]
-              for key in TABLE_STATE_ENERGIES]
+    # of the log and exp tables are sampled on the oracle state's own nodes
+    # and weights
+    from auxfield import overlaps, tables
+    states = [oracle_state(*_table_state(*key))[0] for key in TABLE_STATE_ENERGIES]
+    points = [f.grid.shape[0] for f in states]
     assert sum(points) <= 0.6 * SolverConfig().grid_points * len(points)
-    shipped = tables.afm_trial_function
+    rules = {(id(f.grid), id(f.weights)) for f in states}
+    shipped = overlaps.sample_radial
     sampled = []
 
-    def trial(v, kind, q, grid):
-        sampled.append((v, q, grid))
-        return shipped(v, kind, q, grid)
+    def trial(radial, grid, weights, **kwargs):
+        sampled.append((grid, weights))
+        return shipped(radial, grid, weights, **kwargs)
 
-    monkeypatch.setattr(tables, "afm_trial_function", trial)
+    monkeypatch.setattr(overlaps, "sample_radial", trial)
     for table_id in ("log-results", "exp-results"):
         tables.build_table(table_id)
     assert len(sampled) >= 30
-    for v, q, grid in sampled:
-        assert grid is oracle_state(v, q)[0].grid, (v, q)
+    for grid, weights in sampled:
+        assert (id(grid), id(weights)) in rules
 
 
 def _state_outcome(v, q, cfg):

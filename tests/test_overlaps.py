@@ -7,10 +7,16 @@ import pytest
 from auxfield.afm import AuxiliaryKind
 from auxfield.errors import DomainError
 from auxfield.exact import HydrogenScale, OscillatorScale, QuantumNumbers
+from auxfield.oracle import _simpson
 from auxfield.overlaps import afm_pair_overlap, numeric_overlap, sample_radial
 from reference import dilated_overlap_mp
 
 A_GRID = (0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0)
+
+
+def _sampled(radial, grid, q):
+    """``radial`` sampled on a uniform grid, integrated by that grid's Simpson rule."""
+    return sample_radial(radial, grid, _simpson(grid.shape[0], float(grid[1] - grid[0])), q=q)
 
 
 def _dilated(basis, n, n_prime, l, a):
@@ -113,8 +119,8 @@ class TestNumericAgreement:
         r2 = HydrogenScale(eta * a).radial(q2)
         gam_min = eta * min(1.0, a) / (max(n, npr) + l + 1)
         grid = np.linspace(0.0, (45 + 15 * max(n, npr)) / gam_min, 24001)
-        num = numeric_overlap(sample_radial(r1, grid, q=q1),
-                              sample_radial(r2, grid, q=q2))
+        num = numeric_overlap(_sampled(r1, grid, q1),
+                              _sampled(r2, grid, q2))
         assert num == pytest.approx(_dilated(HydrogenScale, n, npr, l, a),
                                     abs=1e-7)
 
@@ -126,8 +132,8 @@ class TestNumericAgreement:
         r1 = OscillatorScale(lam).radial(q1)
         r2 = OscillatorScale(lam * a).radial(q2)
         grid = np.linspace(0.0, 15.0 / (lam * min(1.0, a)), 24001)
-        num = numeric_overlap(sample_radial(r1, grid, q=q1),
-                              sample_radial(r2, grid, q=q2))
+        num = numeric_overlap(_sampled(r1, grid, q1),
+                              _sampled(r2, grid, q2))
         assert num == pytest.approx(_dilated(OscillatorScale, n, npr, l, a),
                                     abs=1e-7)
 
@@ -160,13 +166,13 @@ class TestNumericOverlap:
     def test_self_overlap(self):
         r1 = HydrogenScale(1.0).radial(QuantumNumbers(1, 0))
         grid = np.linspace(0.0, 80.0, 16001)
-        f = sample_radial(r1, grid, q=QuantumNumbers(1, 0))
+        f = _sampled(r1, grid, QuantumNumbers(1, 0))
         assert numeric_overlap(f, f) == pytest.approx(1.0, abs=1e-8)
 
     def test_grid_mismatch(self):
         q = QuantumNumbers(0, 0)
         r1 = HydrogenScale(1.0).radial(q)
-        f = sample_radial(r1, np.linspace(0.0, 60.0, 9001), q=q)
-        g = sample_radial(r1, np.linspace(0.0, 1.0, 101), q=q)
+        f = _sampled(r1, np.linspace(0.0, 60.0, 9001), q)
+        g = _sampled(r1, np.linspace(0.0, 1.0, 101), q)
         with pytest.raises(DomainError):
             numeric_overlap(f, g)

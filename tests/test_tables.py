@@ -10,6 +10,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -122,6 +123,58 @@ def test_table_cells_match_the_snapshot(table_id):
     assert _cells(table_id) == (SNAPSHOTS / f"{table_id}.csv").read_text()
 
 
+def _numbers(table_id):
+    """The labels and the computed value of every row of the table, as JSON has them."""
+    return json.loads(json.dumps([{"labels": r.labels, "computed": r.computed}
+                                  for r in build_table(table_id)[1]]))
+
+
+def _numbers_text():
+    """tables.json: per table, one line per row."""
+    return "{\n" + ",\n".join(
+        f"{json.dumps(table_id)}: [\n" + ",\n".join(json.dumps(row, sort_keys=True)
+                                                    for row in _numbers(table_id)) + "\n]"
+        for table_id in TABLE_IDS) + "\n}\n"
+
+
+@pytest.mark.pin
+@pytest.mark.parametrize("table_id", TABLE_IDS)
+def test_table_numbers_match_the_snapshot(table_id):
+    # every computed value within 1e-12 relative of tables.json and None
+    # exactly, with the same labels; diff and ok follow from computed
+    ref = json.loads((SNAPSHOTS / "tables.json").read_text())[table_id]
+    got = _numbers(table_id)
+    assert [row["labels"] for row in got] == [row["labels"] for row in ref]
+    for row, old in zip(got, ref):
+        if old["computed"] is None:
+            assert row["computed"] is None, row["labels"]
+        else:
+            assert abs(row["computed"] - old["computed"]) <= 1e-12 * abs(old["computed"]), (
+                row["labels"], row["computed"], old["computed"])
+
+
+def test_linear_overlaps_match_a_fine_simpson_reference():
+    # the Gauss-Laguerre sample of the exact linear state against a
+    # 96001-point Simpson rule over [0, |alpha_n| + 16]: within 5e-14 for
+    # n <= 20 in both bases (measured); the 12001-point Simpson sample it
+    # replaced was up to 2.0e-10 off
+    from auxfield.afm import afm_solve
+    from auxfield.exact import linear_s_state
+    from auxfield.oracle import _simpson
+    from auxfield.overlaps import numeric_overlap, sample_radial
+    v = PotentialModel.linear()
+    for n in range(21):
+        state, q = linear_s_state(v.m, v.a, n), QuantumNumbers(n, 0)
+        grid = np.linspace(0.0, abs(state.alpha_n) + 16.0, 96001)
+        wts = _simpson(grid.shape[0], float(grid[1] - grid[0]))
+        exact = sample_radial(lambda r: math.sqrt(4.0 * math.pi) * state.wavefunction(r), grid, wts)
+        for key, kind in tables._KINDS.items():
+            trial = sample_radial(afm_solve(v, kind, q).scale.radial(q), grid, wts)
+            ref = numeric_overlap(exact, trial) ** 2
+            assert abs(tables.linear_afm_overlap_sq(key, n) - ref) <= 1e-13, (key, n)
+
+
 if __name__ == "__main__":
     for table_id in TABLE_IDS:
         (SNAPSHOTS / f"{table_id}.csv").write_text(_cells(table_id))
+    (SNAPSHOTS / "tables.json").write_text(_numbers_text())
