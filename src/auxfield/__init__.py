@@ -2,7 +2,7 @@
 
 Approximate closed-form eigenenergies, eigenstates and observables for
 linear, logarithmic and exponential potentials, validated against exact
-solutions and an independent Numerov eigensolver.
+solutions and an independent Lagrange-mesh eigensolver.
 """
 
 from .afm import (AfmSolution, AuxiliaryKind, Bound, ExpPotential,

@@ -189,7 +189,8 @@ def _build_parser() -> _Parser:
     p.add_argument("l", type=int)
     p.add_argument("--k", type=float, default=None)
     p.add_argument("--r-max", type=float, default=None)
-    p.add_argument("--grid-points", type=int, default=SolverConfig.grid_points)
+    p.add_argument("--grid-points", type=int, default=SolverConfig.grid_points,
+                   help="ignored (the mesh sets its own size), but must lie in [2000, 2000000]")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_oracle)
     return parser

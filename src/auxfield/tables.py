@@ -81,7 +81,7 @@ def oracle_state(v: PotentialModel, q: QuantumNumbers) -> Tuple[RadialFunction, 
 def linear_exact_function(n: int) -> RadialFunction:
     """Exact linear-potential S state sampled for overlaps at the nodes of the
     2n + 40 point Gauss-Laguerre rule on [0, |alpha_n| + 16], its last node at the
-    end; psi between the nodes is their linear interpolation, not the state."""
+    end; psi between the nodes is their Lagrange expansion."""
     state = linear_s_state(_LINEAR.m, _LINEAR.a, n)
     x, wts = gauss_laguerre(2 * n + 40)
     h = (abs(state.alpha_n) + 16.0) / float(x[-1])
@@ -246,7 +246,7 @@ def sample_psi(v: PotentialModel, aux: str, q: QuantumNumbers,
                grid: np.ndarray) -> np.ndarray:
     """psi(r) on ``grid`` of the AFM trial state (``aux`` 'coulomb' or
     'quadratic') or of the exact state ('exact'): the closed form where one
-    exists, else the oracle state's own psi, its tail included."""
+    exists, else the oracle state's own psi, its Lagrange expansion."""
     if aux in ("coulomb", "quadratic"):
         sol = afm_solve(v, AuxiliaryKind(aux), q)
         return np.asarray(sol.scale.radial(q)(grid)) / math.sqrt(4.0 * math.pi)

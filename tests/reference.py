@@ -5,15 +5,16 @@ expansion terms, evaluated in exact rational arithmetic; the package
 computes the same moments from one floating-point sum of positive terms
 (``exact._laguerre_moment``).  ``solve_w_power`` inverts z = W(x) x^alpha
 for the Lambert round-trip checks, from both real branches of
-``mpmath.lambertw``.  ``numerov_assemble_banded`` solves
-the oracle's Numerov system on every row it is given, through scipy's
-band-storage solver, and ``sturm_level`` counts its 3-point levels by
-bisection.  ``power_law_moments`` steps the generalized virial
+``mpmath.lambertw``.  ``numerov_state`` is a second numeric opinion
+on the oracle for the states without a closed form: the 4th-order Numerov
+eigenvalue on a uniform grid, started from ``sturm_level``'s 3-point level
+and refined by Cooley's corrector on ``numerov_assemble_banded``'s system,
+normalized by the Simpson weights of ``simpson_weights``.  ``power_law_moments`` steps the generalized virial
 recurrence and ``psi0_from_force`` gives |psi(0)|^2 from the mean
 force, two relations the observables are checked against.
 ``tangent_sign_violations`` counts the AFM tangent's sign violations one
-sample at a time.  ``numeric_observables_per_moment`` integrates an oracle
-state's moments one Simpson dot product at a time.
+sample at a time.  ``numeric_observables_per_moment`` integrates a state's
+moments one dot product with its weights at a time.
 ``hydrogen_radial_closure`` and ``oscillator_radial_closure`` are the two
 separate radial evaluators the scale classes' one weighted-Laguerre
 evaluator replaced, kept to hold it to them bit for bit.
@@ -188,14 +189,14 @@ def solve_w_power(z: float, alpha: float) -> float:
         f"no W_0 value solves z={z}, alpha={alpha}")
 
 
-def numerov_assemble_banded(w, h, l, m, kappa=None):
-    """Solution of the oracle's Numerov system A(E) u = e_m on all rows of w.
+def numerov_assemble_banded(w, h, l, m):
+    """Solution of the Numerov system A(E) u = e_m on all rows of w.
 
-    The rows are those of ``oracle._numerov_assemble``: a = 1 - h^2 w/12
-    off the diagonal, -(2 + 10 h^2 w/12) on it, unknowns after the last
-    index up to m where h^2 w/12 > 1/2, and the decaying tail
-    u[n-2] = exp(kappa h) u[n-1] as the last row, with kappa taken from
-    w[n-1] here; the oracle's own ``kappa`` argument is not used.
+    Row i of the tridiagonal A is a[i-1] u[i-1] - b[i] u[i] + a[i+1] u[i+1]
+    with a = 1 - h^2 w/12, b = 2 + 10 h^2 w/12 (and a[0] u[0] -> -u[1]/6
+    for u ~ C r^2 at l = 1); the unknowns start after the last index up to
+    m where h^2 w/12 > 1/2, and the last row is the decaying tail
+    u[n-2] = exp(kappa h) u[n-1], kappa^2 = w[n-1].
     """
     n = w.shape[0]
     c = h * h / 12.0
@@ -257,6 +258,51 @@ def power_law_moments(lambda_exp: float, a: float, m: float, energy: float,
     return {s: moments[s] for s in sorted(moments) if s <= s_max}
 
 
+def simpson_weights(points: int, h: float) -> np.ndarray:
+    """Weights of ``points`` >= 3 nodes spaced h, w @ y = scipy.integrate.simpson(y, dx=h):
+    composite Simpson, for an even count with Cartwright's correction on the last interval."""
+    wts = np.full(points, 2.0 * h / 3.0)
+    wts[1::2] = 4.0 * h / 3.0
+    wts[0] = wts[-1] = h / 3.0
+    if points % 2 == 0:
+        wts[-3:] = (5.0 * h / 4.0, h, 5.0 * h / 12.0)
+    return wts
+
+
+def numerov_state(v, q: QuantumNumbers, r_max: float, points: int):
+    """Level q.n of partial wave q.l of ``v`` on ``points`` uniform nodes over [0, r_max]:
+    the Numerov eigenvalue, from ``sturm_level`` by Cooley's corrector (Math. Comp. 15
+    (1961) 363), whose step u[m] R[m] / (2m sum u^2) reads the Numerov residual R at the
+    outer turning point m of the vector ``numerov_assemble_banded`` returns; it stops at
+    a step below 1e-12 |E| or, past the grid's rounding scale eps/(2m h^2), one that no
+    longer falls.  The state, a RadialFunction with the Simpson weights that normalize
+    it, is positive before its first node; nothing past r_max is kept."""
+    from auxfield.oracle import RadialFunction
+    grid = np.linspace(0.0, r_max, points)
+    h, c = float(grid[1]), v.kinetic_2m
+    w0 = np.zeros(points)
+    w0[1:] = c * np.asarray(v.v(grid[1:]), dtype=float) + q.big_l / grid[1:] ** 2
+    energy, last = sturm_level(w0, h, q.n) / c, math.inf
+    noise = np.finfo(float).eps / (c * h * h)
+    for _ in range(30):
+        w = w0 - c * energy
+        allowed = np.flatnonzero(w[1:] < 0.0)
+        m = int(min(max(allowed[-1] + 1, 4), points - 5))
+        u = numerov_assemble_banded(w, h, q.l, m)
+        y = (1.0 - h * h * w[m - 1:m + 2] / 12.0) * u[m - 1:m + 2]
+        resid = (y[2] - 2.0 * y[1] + y[0]) / (h * h) - w[m] * u[m]
+        step = u[m] * resid / (c * float(u @ u))
+        if abs(step) <= 1e-12 * abs(energy) or (
+                abs(step) <= noise * max(1.0, abs(energy)) and abs(step) >= abs(last)):
+            break
+        energy, last = energy - step, step
+    else:
+        raise NumericalFailure("Cooley's corrector did not converge")
+    wts = simpson_weights(points, h)
+    u /= math.copysign(math.sqrt(wts @ (u * u)), next(x for x in u if x))
+    return RadialFunction(grid=grid, values=u, weights=wts, energy=float(energy), q=q)
+
+
 def sturm_level(w0, h: float, n: int) -> float:
     """Eigenvalue n of the 3-point Dirichlet matrix -D2 + diag(w0) on every
     interior row of a uniform grid of step h: one LAPACK dstebz Sturm count
@@ -292,44 +338,26 @@ def tangent_sign_violations(v, kind, sol, r_samples) -> Optional[int]:
 
 def numeric_observables_per_moment(f, v) -> ObservableSet:
     """``oracle.numeric_observables`` with each moment, <V>, <V^2> and, for
-    l = 0, <V'> its own dot product of the Simpson weights with u^2 times the
-    integrand (no tail-mass check), plus the share of the tail past the grid
-    end: r^1 .. r^4 by ``mpmath.quad``, r^-2, r^-1, V, V^2 and V' as their
-    value at the grid end times the tail's mass; |psi(0)|^2 by
-    ``psi0_from_force``."""
-    grid, u = f.grid, f.values
-    wts = f.weights
-    r = grid[1:]
-    u2 = u[1:] * u[1:]
+    l = 0, <V'> its own dot product of the state's weights with u^2 times the
+    integrand, skipping a node at the origin, where the r^-2 term is
+    4 pi |psi(0)|^2 times its weight; |psi(0)|^2 by ``psi0_from_force``."""
+    grid, u, wts = f.grid, f.values, f.weights
+    at0 = int(grid[0] == 0.0)
+    r, u2, wts_r = grid[at0:], u[at0:] * u[at0:], wts[at0:]
     inv = 1.0 / r
     powers = {-2: inv * inv, -1: inv, 1: r, 2: r * r}
     powers[3] = powers[2] * r
     powers[4] = powers[2] * powers[2]
-    r_mom = {k: float(wts[1:] @ (u2 * rk)) for k, rk in powers.items()}
+    r_mom = {k: float(wts_r @ (u2 * rk)) for k, rk in powers.items()}
     vv = v.v(r)
     vu2 = u2 * vv
-    mean_v = float(wts[1:] @ vu2)
-    mean_v2 = float(wts[1:] @ (vu2 * vv))
-    mean_vp = float(wts[1:] @ (u2 * v.v_prime(r))) if f.q.l == 0 else None
-    if u[-1]:
-        r_end, u2_end = float(grid[-1]), float(u[-1]) ** 2
-        # kappa from V at r_end, not the state's own: a check on f.kappa
-        kappa = math.sqrt(max(v.kinetic_2m * (float(v.v(r_end)) - f.energy)
-                              + f.q.big_l / r_end ** 2, 1e-12))
-        for k in (1, 2, 3, 4):
-            r_mom[k] += u2_end * float(mpmath.quad(
-                lambda x: (r_end + x) ** k * mpmath.exp(-2 * kappa * x), [0, mpmath.inf]))
-        mass, v_end = u2_end / (2 * kappa), float(v.v(r_end))
-        r_mom[-2] += mass / r_end ** 2
-        r_mom[-1] += mass / r_end
-        mean_v += mass * v_end
-        mean_v2 += mass * v_end * v_end
-        if mean_vp is not None:
-            mean_vp += mass * float(v.v_prime(r_end))
+    mean_v = float(wts_r @ vu2)
+    mean_v2 = float(wts_r @ (vu2 * vv))
     psi0 = None
-    if mean_vp is not None:   # the force identity; u'(0)^2 = 4 pi |psi(0)|^2 at the origin of <r^-2>
-        psi0 = psi0_from_force(v.mass, mean_vp)
-        r_mom[-2] += float(wts[0]) * 4.0 * math.pi * psi0
+    if f.q.l == 0:   # the force identity; u'(0)^2 = 4 pi |psi(0)|^2 at the origin of <r^-2>
+        psi0 = psi0_from_force(v.mass, float(wts_r @ (u2 * v.v_prime(r))))
+        if at0:
+            r_mom[-2] += float(wts[0]) * 4.0 * math.pi * psi0
     p2, p4 = p2_p4_from_potential(f.energy, mean_v, mean_v2, v.mass)
     return ObservableSet(r_moments=r_mom, p2=p2, p4=p4, psi0_sq=psi0,
                          mean_h=f.energy)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from auxfield import cli, tables
+from auxfield import cli, oracle, tables
 from auxfield.afm import LinearPotential, PotentialModel
 from auxfield.cli import main
 from auxfield.exact import QuantumNumbers
@@ -239,8 +239,8 @@ class TestWavefunction:
         assert out.splitlines()[1] == "0,0"
 
     def test_exact_oracle_path_solves_on_the_oracle_domain(self, capsys):
-        # exp k = 20 (2, 0) is solved on [0, 80]; boxed at r = 30
-        # it loses 0.8% of its mass and u is 0.4% too large
+        # exp k = 20 (2, 0) is solved on the domain its decay action fits,
+        # [0, 394]; boxed at r = 30 it would lose 0.8% of its mass
         code, out, _ = _run(capsys, "wavefunction", "exp", "exact", "2", "0",
                             "--k", "20", "--samples", "4")
         assert code == 0
@@ -248,10 +248,9 @@ class TestWavefunction:
         r = np.array([float(a) for a, _ in rows])
         psi = np.array([float(b) for _, b in rows])
         f, obs = oracle_state(PotentialModel.exponential(20.0), QuantumNumbers(2, 0))
-        ref = np.empty_like(r)
-        ref[1:] = np.interp(r[1:], f.grid, f.values) / r[1:]
-        ref[0] = math.sqrt(4.0 * math.pi * obs.psi0_sq)   # u'(0), by the force identity
-        assert np.max(np.abs(psi - ref / math.sqrt(4.0 * math.pi))) <= 1e-6
+        assert f.grid[-1] > 300.0
+        # psi(0) is the root of |psi(0)|^2 by the force identity
+        assert np.max(np.abs(psi - f.psi(r, obs.psi0_sq))) <= 1e-6
         # an --r-max beyond the oracle's domain reads 0 past the state's end
         code, out, _ = _run(capsys, "wavefunction", "log", "exact", "0", "1",
                             "--r-max", "200", "--samples", "5")
@@ -260,44 +259,38 @@ class TestWavefunction:
 
     def test_exact_oracle_path_reads_zero_or_the_tail_past_the_state_end(
             self, monkeypatch, capsys):
-        # log (0, 0) ends well inside its default domain: ψ is that state,
-        # interpolated, and 0 past its end, not a solve on [0, 60]
-        norm = math.sqrt(4.0 * math.pi)
+        # log (0, 0) ends well inside its default domain: psi is that state's
+        # Lagrange expansion, below 3e-11 of its peak past the state's end
+        # (measured 3.5e-12), not a solve on [0, 60]
+        def samples(out):
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            return np.array([float(a) for a, _ in rows]), np.array([float(b) for _, b in rows])
+
         code, out, _ = _run(capsys, "wavefunction", "log", "exact", "0", "0",
                             "--r-max", "60")
         assert code == 0
-        rows = [line.split(",") for line in out.splitlines()[1:]]
-        r = np.array([float(a) for a, _ in rows])
-        psi = np.array([float(b) for _, b in rows])
-        f = oracle_state(PotentialModel.logarithmic(), QuantumNumbers(0, 0))[0]
-        assert f.values[-1] == 0.0 and f.grid[-1] < 60.0
+        r, psi = samples(out)
+        f, obs = oracle_state(PotentialModel.logarithmic(), QuantumNumbers(0, 0))
+        assert f.grid[-1] < 60.0
         past = r > f.grid[-1]
-        assert past.any() and np.all(psi[past] == 0.0)
-        ref = np.interp(r[1:], f.grid, f.values) / (r[1:] * norm)
-        assert np.max(np.abs(psi[1:] - ref)) <= 1e-6
-        # exp k = 20 (2, 0) is live up to the end of its domain (r = 80): on
-        # [0, 300] it is that one solve, and past its end the decaying tail
-        # u_end e^(-kappa (r - r_end)), kappa^2 = -20 e^(-r_end) - E
+        assert past.any() and np.max(np.abs(psi[past])) <= 3e-11 * np.max(psi)
+        assert np.allclose(psi, f.psi(r, obs.psi0_sq), rtol=1e-5, atol=0.0)   # 6 digits printed
+        # exp k = 20 (2, 0) reaches past its default domain (r = 80) to r = 394:
+        # on [0, 300] it is that one solve, whose decaying tail is positive up
+        # to r = 200, where psi is 1e-11, and then below 1e-13 (the zeroed nodes)
         v, q = PotentialModel.exponential(20.0), QuantumNumbers(2, 0)
         g, g_obs = oracle_state(v, q)
-        r_end = g.grid[-1]
-        assert g.values[-1] != 0.0 and r_end < 300.0
+        assert g.grid[-1] > 300.0
         solves = []
         monkeypatch.setattr(tables, "solve_radial",
                             lambda *a: solves.append(a) or solve_radial(*a))
         code, out, _ = _run(capsys, "wavefunction", "exp", "exact", "2", "0",
                             "--k", "20", "--r-max", "300")
         assert (code, len(solves)) == (0, 1)
-        r = np.linspace(0.0, 300.0, 601)
-        kappa = math.sqrt(-20.0 * math.exp(-r_end) - g.energy)
-        u = np.where(r <= r_end, np.interp(r, g.grid, g.values),
-                     g.values[-1] * np.exp(-kappa * np.maximum(r - r_end, 0.0)))
-        want = np.empty_like(r)
-        want[1:] = u[1:] / (r[1:] * norm)
-        want[0] = math.sqrt(g_obs.psi0_sq)
-        psi = np.array([float(line.split(",")[1]) for line in out.splitlines()[1:]])
-        assert np.all(psi[r > r_end] > 0.0)
-        assert np.allclose(psi, want, rtol=5e-6, atol=0.0)
+        r, psi = samples(out)
+        assert np.all(psi[(r > 80.0) & (r <= 200.0)] > 0.0)
+        assert np.max(np.abs(psi[r > 250.0])) <= 1e-13
+        assert np.allclose(psi, g.psi(r, g_obs.psi0_sq), rtol=1e-5, atol=0.0)
 
     def test_exact_oracle_path_positive_at_origin(self, capsys):
         # the oracle state has the sign of the closed forms: u > 0 before
@@ -423,8 +416,8 @@ class TestBoundaries:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_potential_is_numeric_failure(self, bad, monkeypatch, capsys):
-        # V is non-finite at grid row 14 alone, off the stride-10 rows of
-        # the Sturm guess: the oracle names that r instead of failing later
+        # V is non-finite at one node alone, node 14 of the first mesh pass's
+        # 40: the oracle names that r instead of failing later
         class Poisoned(LinearPotential):
             def _v(self, r):
                 out = self.a * r
@@ -436,32 +429,39 @@ class TestBoundaries:
         code, out, err = _run(capsys, "oracle", "linear", "0", "0",
                               "--grid-points", "2000")
         r_max = Poisoned().default_r_max(QuantumNumbers(0, 0))
+        x = oracle.gauss_laguerre(40)[0]
         assert code == 70
         assert out == ""
         assert "numeric failure" in err
-        assert f"non-finite at r = {np.linspace(0.0, r_max, 2000)[14]:.6g}" in err
+        assert f"non-finite at r = {r_max / x[-1] * x[13]:.6g}" in err
 
     @pytest.mark.parametrize("argv,points", [
-        (("linear", "2000", "0", "--grid-points", "2000"), 2003),
-        (("linear", "100000", "0"), 100003),
+        (("linear", "2000", "0", "--grid-points", "2000"), 4040),
+        (("linear", "100000", "0"), 200040),
     ])
-    def test_level_without_a_grid_row_is_refused_before_lapack(self, capfd, argv, points):
+    def test_level_above_the_mesh_cap_is_refused_before_lapack(self, capfd, argv, points):
         # LAPACK writes its own error text to the process's stdout, which
-        # capsys does not see; the refusal comes before any Sturm count
+        # capsys does not see; the refusal names the first pass's mesh of
+        # 2n + 40 points and comes before any LAPACK call
         code = main(["oracle", *argv])
         out, err = capfd.readouterr()
         assert (code, out) == (70, "")
-        assert f"needs at least {points} grid points (--grid-points)" in err
+        assert f"needs a Lagrange mesh of {points} points" in err and "above the cap" in err
         assert "DSTEBZ" not in err and "LAPACK" not in err
 
-    def test_grid_too_coarse_for_deep_well_is_numeric_failure(self, capsys):
-        # h^2 w/12 > 1/2 at every point up to the matching index
+    def test_deep_well_on_a_coarse_grid_is_answered(self, capsys):
+        # the Numerov grid of 2000 points had h^2 w/12 > 1/2 at every point up
+        # to the matching index; the mesh sets its own size and --grid-points
+        # is ignored: within 1e-12 of the exact energy -nu^2/4, J_nu(2000) = 0
+        # (measured 1.4e-15)
+        import mpmath
         code, out, err = _run(capsys, "oracle", "exp", "0", "0", "--k", "1e6",
                               "--grid-points", "2000")
-        assert code == 70
-        assert out == ""
-        assert "numeric failure" in err
-        assert "2000 points" in err
+        assert code == 0, err
+        energy = _strict_loads(out)["energy"]
+        with mpmath.workdps(30):
+            nu = mpmath.findroot(lambda t: mpmath.besselj(t, 2000), 2.0 * math.sqrt(-energy))
+        assert abs(energy + float(nu) ** 2 / 4.0) <= 1e-12 * abs(energy)
         # 2000 nodes need a start mesh of 2n + 40 = 4040 points, above its
         # cap: refused before the solve, naming the cap (the solve on 20000
         # points used to fail its node check with 1923 nodes)
@@ -496,29 +496,30 @@ class TestBoundaries:
         assert abs(energy - default) <= 1e-9 * abs(default)
 
     def test_fine_grids_stop_at_their_rounding_scale(self, capsys):
-        # on these grids the corrector's steps stall above 1e-12 |E| but
-        # below the rounding scale eps/(2m h^2) max(1, |E|), and stop there
+        # --grid-points is ignored, so the Numerov oracle's fine grids and
+        # their rounding scale eps/(2m h^2) are gone: these commands answer
+        # within 1e-13 of the exact energy (measured 9.5e-15 and 3.6e-14),
+        # exp 0 2 --k 20 at 320000 points is the default solve, and the log
+        # ground state on [0, 20] and [0, 8] agree within 3e-10 (measured 2.8e-11)
         def energy(*argv):
             code, out, err = _run(capsys, "oracle", *argv)
             assert code == 0, (argv, err)
             return _strict_loads(out)["energy"]
 
-        for k, n, argv, bound in [(20.0, 2, ("--grid-points", "160000"), 5e-9),
-                                  (1.5, 0, (), 2e-7)]:
+        for k, n, argv in [(20.0, 2, ("--grid-points", "160000")), (1.5, 0, ())]:
             e = energy("exp", str(n), "0", "--k", str(k), *argv)
             exact = reference.exp_s_energy(k, n, 2.0 * math.sqrt(-e))
-            assert abs(e - exact) <= bound * abs(exact), (k, n)
+            assert abs(e - exact) <= 1e-13, (k, n)
         default = oracle_state(PotentialModel.exponential(20.0), QuantumNumbers(0, 2))[0].energy
-        e = energy("exp", "0", "2", "--k", "20", "--grid-points", "320000")
-        assert abs(e - default) <= 3e-10 * abs(default)
+        assert energy("exp", "0", "2", "--k", "20", "--grid-points", "320000") == default
         default = oracle_state(PotentialModel.logarithmic(), QuantumNumbers(0, 0))[0].energy
         e20 = energy("log", "0", "0", "--r-max", "20", "--grid-points", "80000")
         e8 = energy("log", "0", "0", "--r-max", "8", "--grid-points", "320000")
-        assert abs(e20 - e8) <= 2e-9 * e20
-        assert abs(e20 - default) <= 6e-8 * default and abs(e8 - default) <= 6e-8 * default
-        # a short domain now converges and is refused for the mass it leaves past r_max
+        assert abs(e20 - e8) <= 3e-10 * e20
+        assert abs(e20 - default) <= 3e-10 * default and abs(e8 - default) <= 3e-10 * default
+        # a short domain is refused for the mass it leaves past r_max
         code, out, err = _run(capsys, "oracle", "exp", "0", "0", "--k", "20", "--r-max", "4")
-        assert (code, out) == (70, "") and "tail mass 3.54e-07 beyond r_max = 4" in err
+        assert (code, out) == (70, "") and "tail mass 2.86e-07 beyond r_max = 4" in err
 
     @pytest.mark.parametrize("aux", ["coulomb", "quadratic"])
     @pytest.mark.parametrize("k", ["1e150", "1e200", "1e250", "1e308"])
@@ -662,8 +663,8 @@ class TestColdStart:
         # the oracle and numeric_overlap integrate without scipy.integrate
         assert rec["integrate"] == []
         assert rec["overlap"] == pytest.approx(1.0, rel=1e-12)
-        # Numerov eigenvalue of linear (0, 0) on 2000 points
-        assert rec["energy"] == pytest.approx(2.3381074103757413, rel=1e-12)
+        # linear (0, 0) is -a_1, the first Airy zero, whatever --grid-points says
+        assert rec["energy"] == pytest.approx(2.338107410459767, rel=1e-12)
 
     def test_quadrature_of_a_given_state_does_not_import_scipy(self):
         # only solve_radial loads scipy.linalg: numeric_observables and
@@ -691,4 +692,4 @@ class TestColdStart:
         rec = json.loads(proc.stdout)
         assert rec["shared"] == [True, True, True]
         assert rec["dgtsv"] == [[1.0, 1.0, 1.0], 0]
-        assert rec["energy"] == pytest.approx(2.3381074103757413, rel=1e-12)
+        assert rec["energy"] == pytest.approx(2.338107410459767, rel=1e-12)

@@ -189,8 +189,11 @@ class TestP2P4:
         assert p2 == pytest.approx(-2 * m * e0, rel=1e-14)
 
     def test_exp_p4_against_direct_quadrature(self):
-        v = PotentialModel.exponential(5.0)
-        f, obs = oracle_state(PotentialModel.exponential(5.0), QuantumNumbers(0, 0))
+        # the oracle's p4, from E, <V> and <V^2> by the virial relations, against
+        # the integral of u''^2 of the reference Numerov state on 20000 points
+        v, q = PotentialModel.exponential(5.0), QuantumNumbers(0, 0)
+        obs = oracle_state(v, q)[1]
+        f = reference.numerov_state(v, q, v.default_r_max(q), 20000)
         grid, u = f.grid, f.values
         h = grid[1] - grid[0]
         upp = np.zeros_like(u)
@@ -204,6 +207,7 @@ class TestP2P4:
         mean_v2 = simpson(u * u * vv * vv, x=grid)
         _, p4 = p2_p4_from_potential(f.energy, mean_v, mean_v2, 0.5)
         assert p4 == pytest.approx(p4_direct, rel=1e-5)
+        assert obs.p4 == pytest.approx(p4_direct, rel=1e-5)
 
 
 class TestEckart:

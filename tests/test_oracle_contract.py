@@ -5,11 +5,12 @@ up to 100000 (the cap), the exponential depth k from 1e-300 to 1e308,
 tiny and huge ``--r-max`` and ``--grid-points`` at 2000 and 2000000.
 Every command must exit 0, 2, 64 or 70, print stdout that parses as JSON
 with NaN and Infinity refused, leave no traceback and no RuntimeWarning,
-and finish within ``WALL_BUDGET_S``.  A state whose start mesh is above
+and finish within ``WALL_BUDGET_S``.  A state whose first mesh is above
 the cap is refused before the mesh is built.  The baseline commands, a
-list of inputs that once failed, keep pinned exit codes; those that still
-fail are named in ``KNOWN_DEFECTS`` with the reason.  A few commands also
-run as ``python -m auxfield.cli`` subprocesses.
+list of inputs that once failed, keep pinned exit codes, and those that
+answer match an independent reference; any that still fail are named in
+``KNOWN_DEFECTS`` with the reason.  A few commands also run as
+``python -m auxfield.cli`` subprocesses.
 """
 
 import contextlib
@@ -23,37 +24,38 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import math
+
 import numpy as np
 import pytest
 
+import reference
 from auxfield import oracle
+from auxfield.afm import PotentialModel
 from auxfield.cli import main
+from auxfield.exact import QuantumNumbers
 
 WALL_BUDGET_S = 10.0    # slowest drawn command measured at about 2 s on a 2-vCPU host
 
 # the baseline commands and the exit code each gives
 BASELINE = {
     "oracle exp 13 24 --k 189407.0537243066": 0,
-    "oracle exp 0 0 --k 20000 --grid-points 2000": 70,
-    "oracle exp 0 20 --k 30000 --grid-points 2000": 70,
-    "oracle exp 0 0 --k 1.47": 2,
+    "oracle exp 0 0 --k 20000 --grid-points 2000": 0,
+    "oracle exp 0 20 --k 30000 --grid-points 2000": 0,
+    "oracle exp 2 15 --k 9228.103945268922 --grid-points 2000": 0,
+    "oracle exp 26 5 --k 10599.226324827208 --grid-points 2000": 0,
+    "oracle exp 0 0 --k 1.47": 0,
+    "oracle exp 0 0 --k 1.44": 2,
     "oracle linear 2000 0 --grid-points 200000": 70,
     "oracle log 1000 0 --grid-points 200000": 70,
 }
 
-# baseline commands whose exit code is a defect, and why
-KNOWN_DEFECTS = {
-    "oracle exp 0 0 --k 20000 --grid-points 2000":
-        "a deep well on a coarse grid: the converged state has 1 node, refused only by the "
-        "node check after the whole solve, as h^2 max(-W) stays below the up-front limit of 6",
-    "oracle exp 0 20 --k 30000 --grid-points 2000":
-        "the same with 6 nodes instead of 0",
-    "oracle exp 0 0 --k 1.47":
-        "no-bound-state, though the state exists: the default exp domain max(30 + 5(n + l), 80) "
-        "is too short near threshold, so the start lies above the continuum",
-}
+# baseline commands whose exit code is a defect, and why (none left: the deep
+# wells on coarse grids, which failed the Numerov oracle's node check, and the
+# near-threshold k = 1.47, whose default domain was too short, now answer)
+KNOWN_DEFECTS = {}
 
-# baseline commands refused by the start mesh's cap before any Numerov solve
+# baseline commands refused by the first mesh's cap before any mesh is built
 MESH_CAPPED = ("oracle linear 2000 0 --grid-points 200000", "oracle log 1000 0 --grid-points 200000")
 
 
@@ -149,27 +151,52 @@ def test_state_above_the_mesh_cap_is_refused_before_the_mesh():
 
 @pytest.mark.parametrize("command", BASELINE)
 def test_baseline_commands_keep_their_exit_codes(command, monkeypatch):
-    solve = oracle._solve_on_grid
-    solves = []
-
-    def counted(*args):
-        solves.append(args)
-        return solve(*args)
-
-    monkeypatch.setattr(oracle, "_solve_on_grid", counted)
+    build = oracle._mesh
+    meshes = []
+    monkeypatch.setattr(oracle, "_mesh", lambda points: meshes.append(points) or build(points))
     code, err = _assert_contract(command.split())
     assert code == BASELINE[command], err
     if command in MESH_CAPPED:
-        assert "above the cap of 2000" in err and not solves
-    elif command in KNOWN_DEFECTS and code == 70:
-        assert solves    # refused only after the solve
+        assert "above the cap of 2000" in err and not meshes
     # a command that fails is refused by the cap or is a named defect
-    assert (command in KNOWN_DEFECTS) == (code != 0 and command not in MESH_CAPPED)
+    assert (command in KNOWN_DEFECTS) == (code not in (0, 2) and command not in MESH_CAPPED)
+
+
+def _energy(command):
+    code, out, err, _, _ = _run(command.split())
+    assert code == 0, err
+    return _strict_json(out)["energy"]
+
+
+@pytest.mark.parametrize("k, n, l, bound", [(20000.0, 0, 0, 1e-12), (1.47, 0, 0, 1e-10),
+                                            (30000.0, 0, 20, 1e-11),
+                                            (9228.103945268922, 2, 15, 1e-10),
+                                            (10599.226324827208, 26, 5, 1e-10)])
+def test_baseline_energies_match_their_references(k, n, l, bound):
+    # S-states against the exact Bessel-zero energy: k = 20000 within 1e-12
+    # relative (measured 2.2e-15), k = 1.47 within 1e-10 absolute (the energy
+    # is -4.2e-5; measured 1.1e-14); l > 0 against the reference mesh on N
+    # and 1.25 N points: l = 20 within 1e-11, exp 2 15 and exp 26 5 within
+    # 1e-10 relative (measured 7.7e-15, 7.7e-15 and 1.5e-14; the Numerov
+    # oracle's 2000-point answer to exp 2 15 was 1.1e-3 off, and it refused
+    # exp 26 5, whose first mesh pass must be solved again at the phase bound)
+    command = f"oracle exp {n} {l} --k {k!r}" + (" --grid-points 2000" if k > 2 else "")
+    energy = _energy(command)
+    if l == 0:
+        exact = reference.exp_s_energy(k, n, 2.0 * math.sqrt(-energy))
+        error = abs(energy - exact) / (abs(exact) if k > 2 else 1.0)
+    else:
+        v, q = PotentialModel.exponential(k), QuantumNumbers(n, l)
+        level = reference.lagrange_mesh_level(v.v, v.mass, q, 2 * n + 120, v.default_r_max(q))
+        assert level.is_reference(0.0), level
+        error = abs(energy - level.energy) / abs(level.energy)
+    assert error <= bound, (command, energy, error)
 
 
 @pytest.mark.parametrize("command", ["oracle exp 13 24 --k 189407.0537243066",
                                      "oracle exp 0 0 --k 1.47",
-                                     "oracle linear 2000 0 --grid-points 200000"])
+                                     "oracle linear 2000 0 --grid-points 200000",
+                                     "oracle exp 0 0 --k 1.44"])
 def test_baseline_commands_keep_the_contract_as_subprocesses(command):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)

@@ -7,16 +7,16 @@ import pytest
 from auxfield.afm import AuxiliaryKind
 from auxfield.errors import DomainError
 from auxfield.exact import HydrogenScale, OscillatorScale, QuantumNumbers
-from auxfield.oracle import _simpson
 from auxfield.overlaps import afm_pair_overlap, numeric_overlap, sample_radial
-from reference import dilated_overlap_mp
+from reference import dilated_overlap_mp, simpson_weights
 
 A_GRID = (0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0)
 
 
 def _sampled(radial, grid, q):
     """``radial`` sampled on a uniform grid, integrated by that grid's Simpson rule."""
-    return sample_radial(radial, grid, _simpson(grid.shape[0], float(grid[1] - grid[0])), q=q)
+    return sample_radial(radial, grid, simpson_weights(grid.shape[0], float(grid[1] - grid[0])),
+                         q=q)
 
 
 def _dilated(basis, n, n_prime, l, a):

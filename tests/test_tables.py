@@ -2,8 +2,9 @@
 JSON, and a snapshot of every table cell but the ``diff`` column.
 
 A change that moves a 4-digit cell on purpose rewrites the snapshot with
-``PYTHONPATH=src python tests/test_tables.py`` and names the cell in
-CHANGES.md.
+``PYTHONPATH=src python tests/test_tables.py``, which first prints each
+CSV line and each computed value (more than 1e-12 relative) that moves,
+and names the cell in CHANGES.md.
 """
 
 import json
@@ -160,13 +161,13 @@ def test_linear_overlaps_match_a_fine_simpson_reference():
     # replaced was up to 2.0e-10 off
     from auxfield.afm import afm_solve
     from auxfield.exact import linear_s_state
-    from auxfield.oracle import _simpson
+    from reference import simpson_weights
     from auxfield.overlaps import numeric_overlap, sample_radial
     v = PotentialModel.linear()
     for n in range(21):
         state, q = linear_s_state(v.m, v.a, n), QuantumNumbers(n, 0)
         grid = np.linspace(0.0, abs(state.alpha_n) + 16.0, 96001)
-        wts = _simpson(grid.shape[0], float(grid[1] - grid[0]))
+        wts = simpson_weights(grid.shape[0], float(grid[1] - grid[0]))
         exact = sample_radial(lambda r: math.sqrt(4.0 * math.pi) * state.wavefunction(r), grid, wts)
         for key, kind in tables._KINDS.items():
             trial = sample_radial(afm_solve(v, kind, q).scale.radial(q), grid, wts)
@@ -174,7 +175,40 @@ def test_linear_overlaps_match_a_fine_simpson_reference():
             assert abs(tables.linear_afm_overlap_sq(key, n) - ref) <= 1e-13, (key, n)
 
 
+def _moved(old, new):
+    """Whether a computed value moved: None on one side only, or more than
+    1e-12 relative."""
+    if old is None or new is None:
+        return old is not new
+    return abs(new - old) > 1e-12 * abs(old)
+
+
+def test_gauss_sampled_linear_psi_is_the_airy_state():
+    # psi between the Gauss-Laguerre nodes of the exact linear sample is its
+    # Lagrange expansion: within 1e-11 of the Airy closed form (measured
+    # 1.1e-12), also below the first node, where interpolation held u at its
+    # first value and gave 1.298 for 0.282 at r = 1e-3
+    from auxfield.exact import linear_s_state
+    v = PotentialModel.linear()
+    r = np.array([1e-3, 0.01, 0.5, 1.0, 3.0, 7.0])
+    for n in (0, 1, 5):
+        exact = linear_s_state(v.m, v.a, n).wavefunction(r)
+        assert np.max(np.abs(tables.linear_exact_function(n).psi(r) - exact)) <= 1e-11, n
+
+
 if __name__ == "__main__":
+    # print each CSV line and each computed value that the rewrite moves
+    # (more than 1e-12 relative), then write the snapshots
+    old = json.loads((SNAPSHOTS / "tables.json").read_text())
     for table_id in TABLE_IDS:
-        (SNAPSHOTS / f"{table_id}.csv").write_text(_cells(table_id))
+        path = SNAPSHOTS / f"{table_id}.csv"
+        cells = _cells(table_id)
+        for before, after in zip(path.read_text().splitlines(), cells.splitlines()):
+            if before != after:
+                print(f"{table_id}.csv: {before} -> {after}")
+        path.write_text(cells)
+        for was, row in zip(old[table_id], _numbers(table_id)):
+            if _moved(was["computed"], row["computed"]):
+                print(f"{table_id} {json.dumps(row['labels'], sort_keys=True)}: "
+                      f"{was['computed']!r} -> {row['computed']!r}")
     (SNAPSHOTS / "tables.json").write_text(_numbers_text())
