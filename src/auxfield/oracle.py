@@ -15,8 +15,8 @@ the nodes, integrated by the Gauss weights h lambda_i, and the Lagrange function
 between them.  A mesh above _MESH_CAP nodes is refused before it is built.  Its
 moments, the reference side of each table comparison, are one product with the
 density h lambda_i u_i^2; |psi(0)|^2 of an S-state is the force identity
-m <V'>/(2 pi).  dsterf and dsyevd are called from scipy's f2py extension, which
-_lapack loads without the scipy.linalg package.
+m <V'>/(2 pi).  dsterf and dsyevr, one call per mesh pass, come from scipy's f2py
+extension, which _lapack loads without the scipy.linalg package.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ __all__ = ["RadialFunction", "SolverConfig", "solve_radial", "numeric_observable
            "gauss_laguerre"]
 
 _MESH_ACTION = 36.0    # WKB decay action where the domain ends, both sides: e^-36, rounding
-_MESH_CAP = 2000       # largest mesh; its dsyevd takes about 1 s on 2 BLAS threads
+_MESH_CAP = 2000       # largest mesh; its dsyevr takes about 0.5 s on 2 BLAS threads
 _MESH_TOL = 1e-10      # two rungs of the ladder agree within this, relative to max(1, |E|)
 _DOUBLINGS = 8         # a domain the action does not fit doubles at most this often
 _LADDER = tuple(round(40 * 1.25 ** k) for k in range(19))   # mesh sizes 40, 50, 62, .. 2220
@@ -167,15 +167,15 @@ def _rung(points: float) -> int:
 
 
 def _mesh_level(v: PotentialModel, q: QuantumNumbers, r_start: float, r_end: float,
-                points: float, vector: bool = False):
+                points: float):
     """Eigenvalue q.n (2m E, the scale of W) of T/h^2 + 2m V(r_i) + l(l+1)/r_i^2 on the
     mesh of the ladder's first size at or above ``points`` (at most _MESH_CAP, checked
-    first), nodes r_i = r_start + h x_i ending at r_end, and with ``vector`` also the
-    nodes, h and eigenvector q.n, zero where rounding is all it holds.  dsyevd solves the
-    whole matrix from its lower triangle: an eigenvalue picked by index reaches only
-    eps ||H||, and the upper triangle's vectors put the level up to 1e-11 off.  Entries
-    whose squares overflow (near 1e154: a domain far too short or long) are refused, and
-    so is a non-finite V."""
+    first), nodes r_i = r_start + h x_i ending at r_end, with the nodes, h and eigenvector
+    q.n, zero where rounding is all it holds.  dsyevr finds levels n - 1 .. n + 1 alone
+    from the lower triangle, bisecting to twice the smallest normal double (its default
+    abstol, eps ||H||_1, left Airy levels 1.6e-11 off) before inverse iteration.  Entries whose
+    squares overflow (near 1e154: a domain far too short or long) are refused, as is a
+    non-finite V."""
     if not points <= _MESH_CAP:   # inf too: an overflowing estimate
         raise NumericalFailure(f"level n = {q.n}, l = {q.l} needs a Lagrange mesh of {points:.6g} "
                                f"points on [{r_start:.6g}, {r_end:.6g}], above the cap of "
@@ -196,18 +196,18 @@ def _mesh_level(v: PotentialModel, q: QuantumNumbers, r_start: float, r_end: flo
                                f"h = {h:.3g}) has entries up to {peak:.3g}, whose squares overflow")
     ham = np.multiply(t, 1.0 / h / h)
     ham.flat[::points + 1] += diag
-    w, z, info = _lapack().dsyevd(ham, compute_v=int(vector), lower=1, overwrite_a=1)
+    below = min(q.n, 1)   # level n - 1, when there is one, comes first
+    w, z, _, _, info = _lapack().dsyevr(ham, range="I", il=q.n - below + 1, iu=q.n + 2,
+                                        abstol=2.0 * sys.float_info.min, lower=1, overwrite_a=1)
     if info != 0:
-        raise NumericalFailure(f"LAPACK dsyevd failed on the mesh (info = {info})")
-    if not vector:
-        return float(w[q.n])
+        raise NumericalFailure(f"LAPACK dsyevr failed on the mesh (info = {info})")
     # components below the vector's rounding error, 4 eps max|H| over the level's gap
-    # to the others, or below 1e-9 of its largest, the last nodes' e^-36 tail, are
+    # to its neighbours, or below 1e-9 of its largest, the last nodes' e^-36 tail, are
     # zeroed: noise flips their signs, and the state's signs are its nodes
-    vec, gap = z[:, q.n], float(np.min(np.abs(np.delete(w, q.n) - w[q.n])))
+    vec, gap = z[:, below], float(np.min(np.abs(np.delete(w[:below + 2], below) - w[below])))
     noise = 4.0 * sys.float_info.epsilon * peak / gap
     vec[np.abs(vec) <= max(1e-9 * np.max(np.abs(vec)), noise)] = 0.0
-    return float(w[q.n]), r, h, vec
+    return float(w[below]), r, h, vec
 
 
 def _domain(v: PotentialModel, q: QuantumNumbers, level: float, r_end: float):
@@ -249,7 +249,7 @@ def _fit_domain(v: PotentialModel, q: QuantumNumbers, r_max: Optional[float]):
     r_end, points, c = r_max or v.default_r_max(q), 2 * q.n + 40, v.kinetic_2m
     bound, doublings = v.continuum_threshold, 0
     while True:
-        level = _mesh_level(v, q, 0.0, r_end, points)
+        level = _mesh_level(v, q, 0.0, r_end, points)[0]
         below = bound is None or level < c * bound
         fit = _domain(v, q, level if below else c * bound, r_end)
         if fit is None and below:
@@ -275,29 +275,28 @@ def _fit_domain(v: PotentialModel, q: QuantumNumbers, r_max: Optional[float]):
 
 def solve_radial(v: PotentialModel, q: QuantumNumbers,
                  cfg: SolverConfig = SolverConfig()) -> RadialFunction:
-    """Level q.n of partial wave q.l: its eigenvalue on the Lagrange mesh over the domain
+    """Level q.n of partial wave q.l: its eigenpair on the Lagrange mesh over the domain
     that _fit_domain fits, climbed up the ladder until two rungs agree, below the continuum
     threshold if the model has one (else NoBoundState).  A domain that cfg.r_max caps is
-    refused (NumericalFailure) at the first rung whose state has a mass above 1e-8 past
-    r_max, u_end^2 over twice its WKB decay rate there: the mesh has no tail to carry it.
+    refused (NumericalFailure) at a rung past the first whose state has a mass above 1e-8
+    past r_max, u_end^2 over twice its WKB decay rate there: the mesh has no tail for it.
     cfg.grid_points is ignored."""
     c, bound = v.kinetic_2m, v.continuum_threshold
     r_a, r_b, phase = _fit_domain(v, q, cfg.r_max)
-    start = max(2 * q.n + 40, math.sqrt(phase))
-    coarse, size = _mesh_level(v, q, r_a, r_b, start), min(_rung(start), _MESH_CAP)
+    size, coarse = max(2 * q.n + 40, math.sqrt(phase)), None
     w_end = c * float(v.v(r_b)) + q.big_l / r_b ** 2
     while True:
-        size = _rung(size + 1)
-        level, r, h, vec = _mesh_level(v, q, r_a, r_b, size, vector=True)
-        wts = h * gauss_laguerre(size)[1]
+        level, r, h, vec = _mesh_level(v, q, r_a, r_b, size)
+        wts = h * gauss_laguerre(r.shape[0])[1]
         u = vec / np.sqrt(wts)
-        mass = float(u[-1]) ** 2 * (0.5 / math.sqrt(max(w_end - level, 1e-12)))
-        if r_b == cfg.r_max and mass > 1e-8:
-            raise NumericalFailure(f"tail mass {mass:.2e} beyond r_max = {r_b:.6g}: state "
-                                   "under-resolved")
-        if abs(level - coarse) <= _MESH_TOL * max(c, abs(level)):
-            break
-        coarse = level
+        if coarse is not None:   # the first rung only starts the comparison
+            mass = float(u[-1]) ** 2 * (0.5 / math.sqrt(max(w_end - level, 1e-12)))
+            if r_b == cfg.r_max and mass > 1e-8:
+                raise NumericalFailure(f"tail mass {mass:.2e} beyond r_max = {r_b:.6g}: state "
+                                       "under-resolved")
+            if abs(level - coarse) <= _MESH_TOL * max(c, abs(level)):
+                break
+        coarse, size = level, _rung(r.shape[0] + 1)
     if bound is not None and not level < c * bound:
         raise NoBoundState("not-supported", f"{v} has no bound state with n={q.n}, l={q.l}")
     u *= math.copysign(1.0, u[np.argmax(u != 0.0)])   # u > 0 before its first node

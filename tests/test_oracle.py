@@ -286,23 +286,38 @@ def test_high_l_bracketed_by_afm_bounds(family, n, l):
     assert f.energy <= afm_solve(v, AuxiliaryKind.QUADRATIC, q).energy
 
 
+def _trace_mesh(monkeypatch):
+    """Every mesh pass of the solves that follow, as (first, q, r_start, r_end), where
+    first marks the passes _fit_domain makes before the ladder."""
+    level, fit, passes, fitting = oracle._mesh_level, oracle._fit_domain, [], []
+
+    def traced_level(v, q, r_start, r_end, points):
+        passes.append((bool(fitting), q, r_start, r_end))
+        return level(v, q, r_start, r_end, points)
+
+    def traced_fit(*args):
+        fitting.append(None)
+        try:
+            return fit(*args)
+        finally:
+            fitting.clear()
+
+    monkeypatch.setattr(oracle, "_mesh_level", traced_level)
+    monkeypatch.setattr(oracle, "_fit_domain", traced_fit)
+    return passes
+
+
 @pytest.mark.parametrize("k,n", [(20.0, 2), (35.403505370140465, 3)])
 def test_near_threshold_state_is_solved_once(monkeypatch, k, n):
     # the default domain [0, 80] is too short for these states: the first passes
     # double it until the decay action fits, and the ladder climbs on that one
     # domain, which the state ends at; it matches the exact energy within 10x
     # the worst measured error, 3.7e-14 at k = 35.4 (3, 0)
-    shipped, domains = oracle._mesh_level, []
-
-    def traced(v, q, r_start, r_end, points, vector=False):
-        if vector:
-            domains.append((r_start, r_end))
-        return shipped(v, q, r_start, r_end, points, vector)
-
-    monkeypatch.setattr(oracle, "_mesh_level", traced)
+    passes = _trace_mesh(monkeypatch)
     v, q = PotentialModel.exponential(k), QuantumNumbers(n, 0)
     f = solve_radial(v, q)
-    assert len(set(domains)) == 1 and f.grid[-1] == domains[0][1] > v.default_r_max(q)
+    domains = {(r_start, r_end) for first, _, r_start, r_end in passes if not first}
+    assert len(domains) == 1 and f.grid[-1] == domains.pop()[1] > v.default_r_max(q)
     exact = reference.exp_s_energy(k, n, 2.0 * math.sqrt(-f.energy))
     assert abs(f.energy - exact) <= 4e-13
 
@@ -356,7 +371,7 @@ def test_table_states_converge_on_fine_grids():
         f = oracle_state(v, q)[0]
         r_a = _mesh_frame(f)[0]
         finer = oracle._mesh_level(v, q, r_a, float(f.grid[-1]),
-                                   oracle._rung(f.grid.shape[0] + 1)) / v.kinetic_2m
+                                   oracle._rung(f.grid.shape[0] + 1))[0] / v.kinetic_2m
         error = abs(finer - f.energy) / max(1.0, abs(f.energy))
         assert error <= oracle._MESH_TOL, (key, error)
         kind = "log S" if key[0] == "log" and q.l == 0 else "other"
@@ -629,7 +644,7 @@ def _level_states():
     return states
 
 
-def test_oracle_returns_level_n_from_a_start_below_level_n_plus_1():
+def test_oracle_energy_lies_between_sturm_levels_n_minus_1_and_n_plus_1():
     # the Sturm count of the 3-point matrix on 20000 points of the state's own
     # domain is the level reference: the returned energy, level n of the mesh,
     # lies strictly between its levels n - 1 and n + 1, whatever the first pass
@@ -648,17 +663,16 @@ def test_oracle_returns_level_n_from_a_start_below_level_n_plus_1():
         assert _nodes(f) == n and below < v.kinetic_2m * f.energy < above, case
 
 
-def test_corrector_assemblies_on_table_states(monkeypatch):
+def test_mesh_calls_on_table_states(monkeypatch):
     # a domain or ladder that wanders shows as a repeatable count of mesh
-    # solves, not as timing noise: the 37 table states take 130 (42 first
-    # passes, 5 of them for exp k = 20 (2, 0)'s doubled domains, 37 values on
-    # the ladder's first rung and 51 rungs with vectors)
-    shipped, calls = oracle._mesh_level, []
-    monkeypatch.setattr(oracle, "_mesh_level",
-                        lambda *args, **kwargs: calls.append(None) or shipped(*args, **kwargs))
+    # solves, not as timing noise: the 37 table states take 130, 42 first
+    # passes (5 of them for exp k = 20 (2, 0)'s doubled domains) and 88 rungs,
+    # each with its eigenvector
+    passes = _trace_mesh(monkeypatch)
     for family, k, n, l in TABLE_STATE_ENERGIES:
         solve_radial(*_table_state(family, k, n, l))
-    assert len(calls) <= 140
+    first = sum(first for first, *_ in passes)
+    assert (first, len(passes) - first) == (42, 88)
 
 
 @pytest.mark.pin
@@ -778,38 +792,30 @@ def test_fused_moments_match_per_moment_on_drawn_states(monkeypatch):
     assert families == {"linear", "log", "exp"}
 
 
-def test_table_assemblies_solve_only_live_rows(monkeypatch):
-    # guards against meshes on more than the state: every eigenvector of a
-    # table state is solved on its own domain [r_a, r_b], where the decay
+def test_table_ladders_climb_on_the_state_domain(monkeypatch):
+    # guards against meshes on more than the state: every rung of a table
+    # state's ladder is solved on its own domain [r_a, r_b], where the decay
     # action ends, so the last node holds a zeroed tail, and the zeroed tail
     # is at most a sixth of the nodes (measured 0.065 to 0.16)
-    shipped, domains = oracle._mesh_level, []
-
-    def traced(v, q, r_start, r_end, points, vector=False):
-        if vector:
-            domains.append((q, r_start, r_end))
-        return shipped(v, q, r_start, r_end, points, vector)
-
-    monkeypatch.setattr(oracle, "_mesh_level", traced)
+    passes = _trace_mesh(monkeypatch)
     for key in TABLE_STATE_ENERGIES:
         v, q = _table_state(*key)
         f = solve_radial(v, q)
-        (_, r_a, r_b), = set(domains)
+        (_, r_a, r_b), = {(q, r_start, r_end) for first, q, r_start, r_end in passes if not first}
         assert abs(r_b - f.grid[-1]) <= 1e-12 * r_b, key
         assert abs(r_a - _mesh_frame(f)[0]) <= 1e-12 * r_b, key
         assert f.values[-1] == 0.0 and np.mean(f.values == 0.0) <= 1.0 / 6.0, key
-        domains.clear()
+        passes.clear()
 
 
 def test_table_states_store_only_live_rows(monkeypatch):
     # guards against a return to zero-padded full-grid states: the 37 table
-    # states hold 0.541 of the grid points on average, and the trial states
-    # of the log and exp tables are sampled on the oracle state's own nodes
-    # and weights
+    # states hold the 50 to 153 nodes of the ladder rungs they stop at, and
+    # the trial states of the log and exp tables are sampled on the oracle
+    # state's own nodes and weights
     from auxfield import overlaps, tables
     states = [oracle_state(*_table_state(*key))[0] for key in TABLE_STATE_ENERGIES]
-    points = [f.grid.shape[0] for f in states]
-    assert sum(points) <= 0.6 * SolverConfig().grid_points * len(points)
+    assert max(f.grid.shape[0] for f in states) <= 153
     rules = {(id(f.grid), id(f.weights)) for f in states}
     shipped = overlaps.sample_radial
     sampled = []
@@ -826,7 +832,7 @@ def test_table_states_store_only_live_rows(monkeypatch):
         assert (id(grid), id(weights)) in rules
 
 
-def test_live_window_matches_full_system():
+def test_level_holds_on_a_longer_finer_mesh():
     # past the domain's end, where the decay action reaches 36, u is below
     # e^-36 of its turning-point value, rounding: the level on a domain half as
     # long again, two rungs finer, agrees within 1e-9 max(1, |E|) over a seeded
@@ -841,7 +847,7 @@ def test_live_window_matches_full_system():
             continue
         r_a = _mesh_frame(f)[0]
         longer = oracle._mesh_level(v, q, r_a, r_a + 1.5 * (float(f.grid[-1]) - r_a),
-                                    oracle._rung(oracle._rung(f.grid.shape[0] + 1) + 1))
+                                    oracle._rung(oracle._rung(f.grid.shape[0] + 1) + 1))[0]
         assert abs(longer / v.kinetic_2m - f.energy) <= 1e-9 * max(1.0, abs(f.energy)), (
             family, k, n, l)
         solved += 1
@@ -850,13 +856,14 @@ def test_live_window_matches_full_system():
 
 @pytest.mark.parametrize("k,l", [(70076.0, 36), (52978.0, 39)])
 def test_deep_well_ignores_tail_oscillation(k, l):
-    # at 8000 points h^2 W/12 > 1 past the live window of these ground
-    # states; the full system oscillates there and fails the node check
+    # deep exp wells at high l: the ground state has no node and matches the
+    # reference mesh of 120 points on the domain the state ends at, measured
+    # 1.5e-15 (l = 36) and 3.0e-15 (l = 39) relative, rounding; bound 10x
     v, q = PotentialModel.exponential(k), QuantumNumbers(0, l)
-    f = solve_radial(v, q, SolverConfig(grid_points=8000))
-    fine = solve_radial(v, q, SolverConfig(r_max=v.default_r_max(q), grid_points=160000))
-    assert _nodes(f) == 0
-    assert abs(f.energy - fine.energy) <= 1e-5 * abs(fine.energy)
+    f = solve_radial(v, q)
+    level = reference.lagrange_mesh_level(v.v, v.mass, q, 2 * q.n + 120, float(f.grid[-1]))
+    assert _nodes(f) == 0 and level.is_reference(0.0)
+    assert abs(f.energy - level.energy) <= 3e-14 * abs(level.energy)
 
 
 def _positive_before_first_node(u):
