@@ -99,8 +99,9 @@ class PotentialModel:
     ``mean_point(kind, nu)`` = I(nu), the radius where V'/P' equals nu > 0,
     ``trial_mean_v(scale, q, obs)``, the closed-form <V> of trial state q
     (moment set ``obs``), the bound direction, and the oracle's
-    ``default_r_max(q)`` and ``continuum_threshold``: None when V confines, else the largest
-    energy below E = 0 the oracle accepts as a bound state.
+    ``continuum_threshold``: None when V confines, else the largest energy
+    below E = 0 the oracle accepts as a bound state.  The oracle fits its
+    domain from V and V' alone.
 
     ``LinearPotential(m, a)``:  H = p^2/(2m) + a r   (m, a configurable)
     ``LogPotential()``:         H = p^2/4 + ln r     (no parameters)
@@ -198,12 +199,6 @@ class LinearPotential(PotentialModel):
             return math.sqrt(nu / self.a)
         return self.a / (2.0 * nu)
 
-    def default_r_max(self, q: QuantumNumbers) -> float:
-        big_n = 2 * q.n + q.l + 1.5
-        sigma_r = (2.0 * self.m * self.a) ** (-1.0 / 3.0)
-        e_red = 3.0 * (big_n / 2.0) ** (2.0 / 3.0) * 1.1
-        return sigma_r * max(30.0, 2.2 * e_red + 12.0)
-
     def trial_mean_v(self, scale, q: QuantumNumbers, obs) -> float:
         return self.a * obs.r_moments[1]
 
@@ -233,10 +228,6 @@ class LogPotential(PotentialModel):
         if kind is AuxiliaryKind.COULOMB:
             return nu
         return 1.0 / math.sqrt(2.0 * nu)
-
-    def default_r_max(self, q: QuantumNumbers) -> float:
-        r_turn = 1.2 * math.sqrt(math.e / 2.0) * (2 * q.n + q.l + 1.5)
-        return max(30.0, 1.3 * r_turn + 45.0)
 
     def trial_mean_v(self, scale, q: QuantumNumbers, obs) -> float:
         return scale.mean_log_r(q)
@@ -297,9 +288,6 @@ class ExpPotential(PotentialModel):
         if kind is AuxiliaryKind.COULOMB:
             return 4.0 * self.k / math.e ** 2
         return math.inf
-
-    def default_r_max(self, q: QuantumNumbers) -> float:
-        return max(30.0 + 5.0 * (q.n + q.l), 80.0)
 
     def trial_mean_v(self, scale, q: QuantumNumbers, obs) -> float:
         return -self.k * scale.mean_exp_neg_r(q)

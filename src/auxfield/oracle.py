@@ -4,19 +4,21 @@ Solves -u'' + [2m (V(r) - E) + l(l+1)/r^2] u = 0 for the three potential familie
 on the mesh of N nodes r_i = r_a + h x_i, x_i the zeros of L_N, whose Hamiltonian
 T/h^2 + 2m V(r_i) + l(l+1)/r_i^2 (Baye, Phys. Rep. 565 (2015) 1) has level n as
 its eigenvalue n.  Every mesh size is a rung of the ladder round(40 * 1.25^k), so
-that the cached meshes and Gauss weights serve many states.  A first pass of at
-least 2n + 40 nodes on [0, r_max] gives the energy at which the domain [r_a, r_b]
-is set, where the WKB decay action beyond the turning points reaches
-_MESH_ACTION = 36 (e^-36: rounding); a domain the action does not fit doubles, at
-most _DOUBLINGS times, unless r_max is given.  N then climbs the ladder from the
-phase bound until two rungs agree within _MESH_TOL relative to max(1, |E|), and
-the finer rung's eigenvector c_i is the state: u(r_i) = c_i / sqrt(h lambda_i) at
-the nodes, integrated by the Gauss weights h lambda_i, and the Lagrange functions
-between them.  A mesh above _MESH_CAP nodes is refused before it is built.  Its
-moments, the reference side of each table comparison, are one product with the
-density h lambda_i u_i^2; |psi(0)|^2 of an S-state is the force identity
-m <V'>/(2 pi).  dsterf and dsyevr, one call per mesh pass, come from scipy's f2py
-extension, which _lapack loads without the scipy.linalg package.
+that the cached meshes and Gauss weights serve many states.  The domain comes from V
+alone: level n of the Langer-WKB rule (1/pi) int sqrt(max(0, 2m (E - V) -
+(l + 1/2)^2/r^2)) dr = n + 1/2 (Langer, Phys. Rev. 51 (1937) 669) on rows around
+the bottom of that well, and [r_a, r_b] where the WKB decay action beyond the turning
+points of W = 2m V + l(l+1)/r^2 reaches _MESH_ACTION = 36 (e^-36: rounding).  The
+first rung solves it and fits it once more at its own level; N then climbs the ladder
+from the phase bound until two rungs agree within _MESH_TOL relative to max(1, |E|),
+and the finer rung's eigenvector c_i is the state: u(r_i) = c_i / sqrt(h lambda_i)
+at the nodes, integrated by the Gauss weights h lambda_i, and the Lagrange functions
+between them.  A state the WKB count at the continuum threshold rules out, or whose
+first two rungs would pass _MESH_CAP nodes, is refused before any mesh.  Its moments,
+the reference side of each table comparison, are one product with the density
+h lambda_i u_i^2; |psi(0)|^2 of an S-state is the force identity m <V'>/(2 pi).
+dsterf and dsyevr, one call per mesh pass, come from scipy's f2py extension, which
+_lapack loads without the scipy.linalg package.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ __all__ = ["RadialFunction", "SolverConfig", "solve_radial", "numeric_observable
 _MESH_ACTION = 36.0    # WKB decay action where the domain ends, both sides: e^-36, rounding
 _MESH_CAP = 2000       # largest mesh; its dsyevr takes about 0.5 s on 2 BLAS threads
 _MESH_TOL = 1e-10      # two rungs of the ladder agree within this, relative to max(1, |E|)
-_DOUBLINGS = 8         # a domain the action does not fit doubles at most this often
+_ROWS = 512            # rows over a well for its WKB integral
 _LADDER = tuple(round(40 * 1.25 ** k) for k in range(19))   # mesh sizes 40, 50, 62, .. 2220
 
 
@@ -113,7 +115,7 @@ class RadialFunction:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    r_max: Optional[float] = None     # None: the family's default domain, doubled as needed
+    r_max: Optional[float] = None     # None: the domain ends where the WKB decay action does
     # accepted and range-checked but ignored: the mesh sets its own size; the benchmark's
     # cold commands still pass --grid-points 2000 and expect --grid-points 100 refused
     grid_points: int = 20000
@@ -166,6 +168,13 @@ def _rung(points: float) -> int:
     return next(size for size in _LADDER if size >= points)
 
 
+def _refuse_above_cap(q: QuantumNumbers, points: float, r_start: float, r_end: float):
+    if not points <= _MESH_CAP:   # inf too: an overflowing estimate
+        raise NumericalFailure(f"level n = {q.n}, l = {q.l} needs a Lagrange mesh of {points:.6g} "
+                               f"points on [{r_start:.6g}, {r_end:.6g}], above the cap of "
+                               f"{_MESH_CAP}")
+
+
 def _mesh_level(v: PotentialModel, q: QuantumNumbers, r_start: float, r_end: float,
                 points: float):
     """Eigenvalue q.n (2m E, the scale of W) of T/h^2 + 2m V(r_i) + l(l+1)/r_i^2 on the
@@ -176,10 +185,7 @@ def _mesh_level(v: PotentialModel, q: QuantumNumbers, r_start: float, r_end: flo
     abstol, eps ||H||_1, left Airy levels 1.6e-11 off) before inverse iteration.  Entries whose
     squares overflow (near 1e154: a domain far too short or long) are refused, as is a
     non-finite V."""
-    if not points <= _MESH_CAP:   # inf too: an overflowing estimate
-        raise NumericalFailure(f"level n = {q.n}, l = {q.l} needs a Lagrange mesh of {points:.6g} "
-                               f"points on [{r_start:.6g}, {r_end:.6g}], above the cap of "
-                               f"{_MESH_CAP}")
+    _refuse_above_cap(q, points, r_start, r_end)
     points = min(_rung(points), _MESH_CAP)
     x, (t, peak) = gauss_laguerre(points)[0], _mesh(points)
     h = (r_end - r_start) / float(x[-1])
@@ -210,95 +216,138 @@ def _mesh_level(v: PotentialModel, q: QuantumNumbers, r_start: float, r_end: flo
     return float(w[below]), r, h, vec
 
 
-def _domain(v: PotentialModel, q: QuantumNumbers, level: float, r_end: float):
-    """[r_a, r_b] of the state at 2m E = ``level`` and the phase bound of its mesh, on
-    4000 rows over (0, r_end]: from where the WKB decay action inward of the inner
-    turning point reaches _MESH_ACTION (0 unless l is large) to where it does outward of
-    the outer one (r_end when it does not, None when r_end is classically allowed), and
-    max p^2 (r - r_a)(r_b - r) over the allowed rows, p the local wavenumber, as the mesh
+def _unbound(v: PotentialModel, q: QuantumNumbers) -> NoBoundState:
+    return NoBoundState("not-supported", f"{v} has no bound state with n={q.n}, l={q.l}")
+
+
+def _domain(v: PotentialModel, q: QuantumNumbers, level: float, r0: float,
+            r_max: Optional[float]):
+    """(r_a, r_b, phase, r_turn) at 2m E = ``level``, None if no row or the last is
+    allowed, on rows r0 + r0 2^t (t = -30, -29.875, .. 30) and r0 e^-2^t: the turning
+    points of W (chords), where the decay action beyond them reaches _MESH_ACTION
+    (trapezoids; r_a = 0 where it never does; r_max caps r_b), and the phase bound
+    max p^2 (r - r_a)(r_b - r) on the allowed rows, p the local wavenumber, as the mesh
     on [r_a, r_b] has about (2N/(pi (r_b - r_a))) sqrt((r_b - r_a)/(r - r_a) - 1) nodes
-    per unit length (deep wells); None when no row is classically allowed."""
-    r = np.linspace(0.0, r_end, 4000)[1:]
-    with np.errstate(over="ignore", invalid="ignore"):   # an inf is a row far from the state
-        w = v.kinetic_2m * v.v(r) - level
-        if q.l > 0:
-            w += q.big_l / r / r
-        allowed = np.flatnonzero(w < 0.0)
-        if allowed.size == 0:
-            return None
-        first, last = int(allowed[0]), int(allowed[-1])
-        walked = [np.cumsum(np.sqrt(np.maximum(side, 0.0))) * float(r[0])
-                  for side in (w[first::-1], w[last:])]   # the action over each row, inward and out
-        ends = [int(np.searchsorted(s, _MESH_ACTION)) for s in walked]
-        r_a = float(r[first - ends[0]]) if ends[0] < walked[0].shape[0] else 0.0
-        r_b = float(r[last + ends[1]]) if ends[1] < walked[1].shape[0] else r_end
-        live = r[first:last + 1]
-        phase = float(np.max(-w[first:last + 1] * (live - r_a) * (r_b - live)))
-    return r_a, (None if last == r.shape[0] - 1 else r_b), phase
+    per unit length."""
+    t = 2.0 ** np.arange(-30.0, 30.0, 0.125)
+    rows = np.concatenate((r0 * np.exp(-t[t < 64.0][::-1]), r0 + r0 * t))
+    gap = v.kinetic_2m * v.v(rows) + q.big_l / rows / rows - level
+    allowed = np.flatnonzero(gap < 0.0)
+    if not allowed.size or allowed[-1] == rows.shape[0] - 1:
+        return None
+
+    def walk(k, step):   # the turning point before row k, and the action's end past it
+        r, s = rows[k::step], np.sqrt(gap[k::step])
+        edge = r[0] - (r[0] - rows[k - step]) * gap[k] / (gap[k] - gap[k - step])
+        walked = np.cumsum(0.5 * (s[1:] + s[:-1]) * np.abs(np.diff(r)))
+        walked += 0.5 * s[0] * abs(r[0] - edge)
+        return edge, np.interp(_MESH_ACTION, walked, r[1:]) if walked[-1] > _MESH_ACTION else 0.0
+
+    i, j = allowed[0], allowed[-1] + 1
+    (r_turn, r_b), (_, r_a) = walk(j, 1), walk(i - 1, -1) if i else (0.0, 0.0)
+    r_b, live = min(r_b or math.inf, r_max or math.inf), rows[i:j]
+    phase = np.max(-gap[i:j] * (live - r_a) * (r_b - live)) if r_b < math.inf else r_b
+    return r_a, r_b, max(float(phase), 0.0), r_turn
 
 
 def _fit_domain(v: PotentialModel, q: QuantumNumbers, r_max: Optional[float]):
-    """[r_a, r_b] and phase bound (_domain) of level q.n at the energy of a first mesh of
-    2n + 40 nodes on [0, r_max], or on the family's default domain.  A first mesh coarser
-    than the phase bound at its energy (at the continuum threshold, if above it) is solved
-    again that fine; the domain doubles, with sqrt(2) times the nodes (as many near the
-    origin), while the decay action does not fit it or the level is not below the
-    threshold.  NoBoundState once that fails _DOUBLINGS times, the next mesh would pass
-    _MESH_CAP or nothing is classically allowed at the threshold, or at once for a given
-    r_max, whose end may also be capped."""
-    r_end, points, c = r_max or v.default_r_max(q), 2 * q.n + 40, v.kinetic_2m
-    bound, doublings = v.continuum_threshold, 0
-    while True:
-        level = _mesh_level(v, q, 0.0, r_end, points)[0]
-        below = bound is None or level < c * bound
-        fit = _domain(v, q, level if below else c * bound, r_end)
-        if fit is None and below:
-            raise NumericalFailure(f"no classically allowed row on [0, {r_end:.6g}] at the "
-                                   f"energy {level / c:.6g}")
-        if fit is None:
-            break
-        r_a, r_b, phase = fit
-        if math.sqrt(phase) > min(_rung(points), _MESH_CAP):   # a first mesh too coarse
-            points = math.sqrt(phase)
-            continue
-        if below and r_max is not None and r_b is None:
-            raise NumericalFailure(
-                f"r_max = {r_end:.6g} ends inside the classically allowed region: the outer "
-                f"turning point at the energy {level / c:.6g} lies beyond it")
-        if below and (r_max is not None or (r_b is not None and r_b < r_end)):
-            return r_a, r_b, phase
-        if r_max is not None or doublings == _DOUBLINGS or math.sqrt(2.0) * points > _MESH_CAP:
-            break
-        r_end, points, doublings = 2.0 * r_end, math.sqrt(2.0) * points, doublings + 1
-    raise NoBoundState("not-supported", f"{v} has no bound state with n={q.n}, l={q.l}")
+    """(r_a, r_b, phase, r0) of the first rung: _domain at the Langer-WKB level, solved
+    on _ROWS + 1 rows over [r0 - d, r0 + d] around the bottom r0 of W_L = 2m V +
+    (l + 1/2)^2/r^2, exactly on the chords of W_L and bisected to 1e-2 of the level's
+    height above r0 or depth below the threshold.  Where the rule puts level n at or
+    above the threshold, the threshold stands in, doubled in depth until 2n + 40
+    nodes are twice the phase bound's.  NoBoundState, before any mesh, when no row is
+    allowed at the threshold or n exceeds the count there, less 1/2, by more than 1;
+    NumericalFailure where the well is below the rounding of 2m V.  [0, r_max] stands
+    in for a domain whose outer turning point lies at or past r_max."""
+    c, lg, target = v.kinetic_2m, (q.l + 0.5) ** 2, q.n + 0.5
+    top = math.inf if v.continuum_threshold is None else c * v.continuum_threshold
+    rounding = f"the well of level n = {q.n}, l = {q.l} is below the rounding of 2m V"
+
+    def well(r):
+        return c * v.v(r) + lg / r / r
+
+    with np.errstate(all="ignore"):   # rows far from the well overflow harmlessly
+        grid = 2.0 ** np.arange(-400.0, 400.0)
+        for _ in range(2):   # W_L' r^3 = 2m V' r^3 - 2 (l + 1/2)^2 turns positive at r0
+            if not (up := int(np.argmax(c * v.v_prime(grid) * grid * grid * grid > 2.0 * lg))):
+                raise _unbound(v, q)
+            grid = grid[up - 1] * (grid[up] / grid[up - 1]) ** (np.arange(257) / 256.0)
+        if not (floor := well(r0 := grid[-1])) < top:
+            raise _unbound(v, q)
+        d = r0 * 2.0 ** np.arange(-40.0, 41.0)
+        levels = np.fmin(np.fmin(np.where(d < r0, well(r0 - d), math.inf), well(r0 + d)), top)
+        # the rows over [r0 - d, r0 + d] hold the well up to the lower of W_L(r0 -+ d), where
+        # the count is at least d_(j-1) sqrt(level_j - level_(j-1)) / pi: the first row set
+        # that bound takes to n + 1/2, or the threshold
+        j = int(np.argmax((d[:-1] * np.sqrt(levels[1:] - levels[:-1]) >= math.pi * target)
+                          | (levels[1:] == top))) + 1
+        rows = np.linspace(max(r0 - d[j], r0 * 2.0 ** -40), r0 + d[j], _ROWS + 1)
+        wl, span = well(rows), (2.0 / 3.0 / math.pi) * (rows[1] - rows[0])
+        dw = np.diff(wl)
+        dw[dw == 0.0] = math.inf
+
+        def count(level):   # sqrt(2m E - W_L) integrated exactly on each chord, less n + 1/2
+            g = np.fmax(level - wl, 0.0)
+            return span * float(np.sum(np.diff(g * np.sqrt(g)) / -dw)) - target
+
+        if (reached := count(levels[j])) < 0.0 and levels[j] < top:
+            raise NumericalFailure(rounding)
+        if q.n > reached + target + 0.5:   # levels[j] is the threshold
+            raise _unbound(v, q)
+        lo, level, above = floor, levels[j], reached < 0.0
+        while (not above and level - lo > 1e-2 * min(level - floor, top - lo)
+               and lo < (mid := 0.5 * (lo + level)) < level):
+            lo, level = (mid, level) if count(mid) < 0.0 else (lo, mid)
+        fit = _domain(v, q, level, r0, r_max)
+        while (above and fit and 4.0 * fit[2] > (2 * q.n + 40) ** 2
+               and (deeper := _domain(v, q, 2.0 * level, r0, r_max))):
+            level, fit = 2.0 * level, deeper
+    if not fit:   # at the WKB level below the threshold, no row is allowed
+        raise _unbound(v, q) if above else NumericalFailure(rounding)
+    return (0.0 if r_max and fit[3] >= r_max else fit[0]), fit[1], fit[2], r0
 
 
 def solve_radial(v: PotentialModel, q: QuantumNumbers,
                  cfg: SolverConfig = SolverConfig()) -> RadialFunction:
-    """Level q.n of partial wave q.l: its eigenpair on the Lagrange mesh over the domain
-    that _fit_domain fits, climbed up the ladder until two rungs agree, below the continuum
-    threshold if the model has one (else NoBoundState).  A domain that cfg.r_max caps is
-    refused (NumericalFailure) at a rung past the first whose state has a mass above 1e-8
-    past r_max, u_end^2 over twice its WKB decay rate there: the mesh has no tail for it.
-    cfg.grid_points is ignored."""
-    c, bound = v.kinetic_2m, v.continuum_threshold
-    r_a, r_b, phase = _fit_domain(v, q, cfg.r_max)
-    size, coarse = max(2 * q.n + 40, math.sqrt(phase)), None
-    w_end = c * float(v.v(r_b)) + q.big_l / r_b ** 2
+    """Level q.n of partial wave q.l: its eigenpair on the Lagrange mesh (see the module
+    docstring), the first rung starting the comparison only where the refitted domain's
+    ladder starts at its size; a level at or above the continuum threshold is
+    NoBoundState.  cfg.r_max caps the domain: a turning point past it at the first
+    rung's level is refused, as is a mass above 1e-8 past it, u_end^2 over twice the
+    WKB decay rate there, at a later rung.  cfg.grid_points is ignored."""
+    c, bound, r_max = v.kinetic_2m, v.continuum_threshold, cfg.r_max
+    r_a, r_b, phase, r0 = _fit_domain(v, q, r_max)
+    size, coarse, fitted = max(2 * q.n + 40, math.sqrt(phase)), None, False
+    _refuse_above_cap(q, size if size > _MESH_CAP else _rung(min(_rung(size), _MESH_CAP) + 1),
+                      r_a, r_b)
     while True:
         level, r, h, vec = _mesh_level(v, q, r_a, r_b, size)
         wts = h * gauss_laguerre(r.shape[0])[1]
         u = vec / np.sqrt(wts)
-        if coarse is not None:   # the first rung only starts the comparison
+        if fitted:
             mass = float(u[-1]) ** 2 * (0.5 / math.sqrt(max(w_end - level, 1e-12)))
-            if r_b == cfg.r_max and mass > 1e-8:
+            if r_b == r_max and mass > 1e-8:
                 raise NumericalFailure(f"tail mass {mass:.2e} beyond r_max = {r_b:.6g}: state "
                                        "under-resolved")
-            if abs(level - coarse) <= _MESH_TOL * max(c, abs(level)):
+            if coarse is not None and abs(level - coarse) <= _MESH_TOL * max(c, abs(level)):
                 break
-        coarse, size = level, _rung(r.shape[0] + 1)
+            coarse, size = level, _rung(r.shape[0] + 1)
+            continue
+        if bound is not None and not level < c * bound:
+            raise _unbound(v, q)
+        with np.errstate(all="ignore"):
+            fit = _domain(v, q, level, r0, r_max)
+        if not fit or fit[3] > (r_max or math.inf):
+            raise NumericalFailure(
+                f"r_max = {r_max or math.inf:.6g} ends inside the classically allowed region: "
+                f"the outer turning point at the energy {level / c:.6g} lies beyond it")
+        r_a, r_b, phase, _ = fit
+        w_end, size = c * float(v.v(r_b)) + q.big_l / r_b ** 2, max(2 * q.n + 40, math.sqrt(phase))
+        fitted, coarse = True, level if _rung(min(size, _MESH_CAP)) == r.shape[0] else None
+        size = size if coarse is None else _rung(r.shape[0] + 1)
     if bound is not None and not level < c * bound:
-        raise NoBoundState("not-supported", f"{v} has no bound state with n={q.n}, l={q.l}")
+        raise _unbound(v, q)
     u *= math.copysign(1.0, u[np.argmax(u != 0.0)])   # u > 0 before its first node
     return RadialFunction(grid=r, values=u, weights=wts, energy=level / c, q=q)
 

@@ -27,7 +27,8 @@ two dilated states of one basis.  ``exp_s_energy`` is the exact energy of
 an S-state of the exponential well, from a zero of a Bessel function.
 ``lagrange_mesh_level`` is a converged eigenvalue of any radial problem
 from a Lagrange-Laguerre mesh, which shares no grid, domain cut or
-corrector with the oracle.
+corrector with the oracle, and ``reference_r_max`` the end of a domain that
+holds a state for these references.
 ``improved_linear_energy`` is the refined linear-potential energy formula
 and ``critical_coupling`` the depth at which an exponential-well AFM
 energy crosses zero.
@@ -694,6 +695,21 @@ def lagrange_mesh_level(potential, mass: float, q: QuantumNumbers, points: int,
     energy, finer = (float(_mesh_eigenvalues(potential, mass, q.l, size, r_max)[q.n])
                      for size in (points, round(1.25 * points)))
     return MeshLevel(energy, finer, r_max)
+
+
+def reference_r_max(v, q: QuantumNumbers) -> float:
+    """An end r_max of a reference domain [0, r_max] that holds state q of ``v`` and its
+    tail: for the linear family max(30, 2.2 E + 12) in units of (2ma)^(-1/3), E = 3.3
+    (N/2)^(2/3), N = 2n + l + 3/2; for log max(30, 1.3 r_t + 45), r_t = 1.2 sqrt(e/2) N;
+    for exp max(30 + 5(n + l), 80).  These were the oracle's own default domains, so
+    the references keep the domains they were measured on."""
+    big_n = 2 * q.n + q.l + 1.5
+    if v.family == "linear":
+        e_red = 3.0 * (big_n / 2.0) ** (2.0 / 3.0) * 1.1
+        return (2.0 * v.m * v.a) ** (-1.0 / 3.0) * max(30.0, 2.2 * e_red + 12.0)
+    if v.family == "log":
+        return max(30.0, 1.3 * (1.2 * math.sqrt(math.e / 2.0) * big_n) + 45.0)
+    return max(30.0 + 5.0 * (q.n + q.l), 80.0)
 
 
 def improved_linear_energy(q: QuantumNumbers) -> float:

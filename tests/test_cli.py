@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -259,7 +260,7 @@ class TestWavefunction:
 
     def test_exact_oracle_path_reads_zero_or_the_tail_past_the_state_end(
             self, monkeypatch, capsys):
-        # log (0, 0) ends well inside its default domain: psi is that state's
+        # log (0, 0) ends well before r = 60: psi is that state's
         # Lagrange expansion, below 3e-11 of its peak past the state's end
         # (measured 3.5e-12), not a solve on [0, 60]
         def samples(out):
@@ -275,7 +276,7 @@ class TestWavefunction:
         past = r > f.grid[-1]
         assert past.any() and np.max(np.abs(psi[past])) <= 3e-11 * np.max(psi)
         assert np.allclose(psi, f.psi(r, obs.psi0_sq), rtol=1e-5, atol=0.0)   # 6 digits printed
-        # exp k = 20 (2, 0) reaches past its default domain (r = 80) to r = 394:
+        # exp k = 20 (2, 0) reaches to r = 394:
         # on [0, 300] it is that one solve, whose decaying tail is positive up
         # to r = 200, where psi is 1e-11, and then below 1e-13 (the zeroed nodes)
         v, q = PotentialModel.exponential(20.0), QuantumNumbers(2, 0)
@@ -416,24 +417,26 @@ class TestBoundaries:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_potential_is_numeric_failure(self, bad, monkeypatch, capsys):
-        # V is non-finite at one node alone, node 14 of the first mesh pass's
-        # 40: the oracle names that r instead of failing later
+        # V is non-finite at one node alone, node 14 of the first rung's 40,
+        # on the domain fitted from the sound V: the oracle names that r
+        # instead of failing later
         class Poisoned(LinearPotential):
             def _v(self, r):
                 out = self.a * r
-                out[13] = bad
+                if np.ndim(out) and out.shape[0] == 40:   # the first rung's nodes
+                    out[13] = bad
                 return out
 
         monkeypatch.setattr(PotentialModel, "from_name",
                             staticmethod(lambda name, k=None: Poisoned()))
         code, out, err = _run(capsys, "oracle", "linear", "0", "0",
                               "--grid-points", "2000")
-        r_max = Poisoned().default_r_max(QuantumNumbers(0, 0))
+        r_a, r_b = oracle._fit_domain(LinearPotential(), QuantumNumbers(0, 0), None)[:2]
         x = oracle.gauss_laguerre(40)[0]
         assert code == 70
         assert out == ""
         assert "numeric failure" in err
-        assert f"non-finite at r = {r_max / x[-1] * x[13]:.6g}" in err
+        assert f"non-finite at r = {r_a + (r_b - r_a) / x[-1] * x[13]:.6g}" in err
 
     @pytest.mark.parametrize("argv,points", [
         (("linear", "2000", "0", "--grid-points", "2000"), 4040),
@@ -441,12 +444,14 @@ class TestBoundaries:
     ])
     def test_level_above_the_mesh_cap_is_refused_before_lapack(self, capfd, argv, points):
         # LAPACK writes its own error text to the process's stdout, which
-        # capsys does not see; the refusal names the first pass's mesh of
-        # 2n + 40 points and comes before any LAPACK call
+        # capsys does not see; the refusal names the first rung's mesh, at
+        # least 2n + 40 points (more where the phase bound of the domain
+        # fitted at the WKB level asks for more), before any mesh is built
         code = main(["oracle", *argv])
         out, err = capfd.readouterr()
         assert (code, out) == (70, "")
-        assert f"needs a Lagrange mesh of {points} points" in err and "above the cap" in err
+        named = re.search(r"needs a Lagrange mesh of (\S+) points", err)
+        assert named and float(named.group(1)) >= points and "above the cap" in err
         assert "DSTEBZ" not in err and "LAPACK" not in err
 
     def test_deep_well_on_a_coarse_grid_is_answered(self, capsys):
@@ -462,13 +467,14 @@ class TestBoundaries:
         with mpmath.workdps(30):
             nu = mpmath.findroot(lambda t: mpmath.besselj(t, 2000), 2.0 * math.sqrt(-energy))
         assert abs(energy + float(nu) ** 2 / 4.0) <= 1e-12 * abs(energy)
-        # 2000 nodes need a start mesh of 2n + 40 = 4040 points, above its
-        # cap: refused before the solve, naming the cap (the solve on 20000
-        # points used to fail its node check with 1923 nodes)
+        # 2000 nodes need a first rung of at least 2n + 40 = 4040 points, above
+        # its cap: refused before the solve, naming the cap and the domain
+        # fitted at the WKB level (the solve on 20000 points used to fail its
+        # node check with 1923 nodes)
         code, out, err = _run(capsys, "oracle", "linear", "2000", "0")
         assert (code, out) == (70, "")
-        assert ("level n = 2000, l = 0 needs a Lagrange mesh of 4040 points on "
-                "[0, 1164.74], above the cap of 2000" in err)
+        assert re.search(r"level n = 2000, l = 0 needs a Lagrange mesh of \S+ points on "
+                         r"\[0, \S+\], above the cap of 2000", err), err
 
     def test_r_max_inside_allowed_region_is_numeric_failure(self, capsys):
         # the turning point of linear (0, 0) is near r = 2.3, beyond r_max

@@ -11,7 +11,7 @@ import pytest
 from auxfield.afm import PotentialModel
 from auxfield.exact import QuantumNumbers
 from auxfield.specfun import airy_zero
-from reference import exp_s_energy, lagrange_mesh_level
+from reference import exp_s_energy, lagrange_mesh_level, reference_r_max
 
 
 def _rel(a, b):
@@ -37,7 +37,7 @@ def test_hydrogen_s_levels():
 def test_linear_s_levels_are_the_airy_zeros(n):
     # worst 2.3e-14 on N = 2n + 60 points
     v, q = PotentialModel.linear(), QuantumNumbers(n, 0)
-    level = lagrange_mesh_level(v.v, v.mass, q, 2 * n + 60, v.default_r_max(q))
+    level = lagrange_mesh_level(v.v, v.mass, q, 2 * n + 60, reference_r_max(v, q))
     assert _rel(level.energy, -airy_zero(n)) <= 2.4e-13
 
 
@@ -46,7 +46,7 @@ def test_linear_s_levels_are_the_airy_zeros(n):
 def test_exp_s_levels_away_from_threshold(k, n):
     # worst 1.4e-13, at k = 5 (0, 0), on N = 2n + 120 points
     v, q = PotentialModel.exponential(k), QuantumNumbers(n, 0)
-    level = lagrange_mesh_level(v.v, v.mass, q, 2 * n + 120, v.default_r_max(q))
+    level = lagrange_mesh_level(v.v, v.mass, q, 2 * n + 120, reference_r_max(v, q))
     assert level.is_reference(0.0)
     exact = exp_s_energy(k, n, 2.0 * math.sqrt(-level.energy))
     assert _rel(level.energy, exact) <= 1.4e-12
@@ -57,5 +57,5 @@ def test_near_threshold_levels_are_flagged(k, n):
     # N and 1.25 N disagree (8.8e-7 and 1.9e-8 relative), or the level lies
     # in the continuum (k = 1.47), so none of them serves as a reference
     v, q = PotentialModel.exponential(k), QuantumNumbers(n, 0)
-    level = lagrange_mesh_level(v.v, v.mass, q, 2 * n + 120, v.default_r_max(q))
+    level = lagrange_mesh_level(v.v, v.mass, q, 2 * n + 120, reference_r_max(v, q))
     assert not level.is_reference(0.0)

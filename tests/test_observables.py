@@ -193,7 +193,7 @@ class TestP2P4:
         # the integral of u''^2 of the reference Numerov state on 20000 points
         v, q = PotentialModel.exponential(5.0), QuantumNumbers(0, 0)
         obs = oracle_state(v, q)[1]
-        f = reference.numerov_state(v, q, v.default_r_max(q), 20000)
+        f = reference.numerov_state(v, q, reference.reference_r_max(v, q), 20000)
         grid, u = f.grid, f.values
         h = grid[1] - grid[0]
         upp = np.zeros_like(u)

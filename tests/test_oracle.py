@@ -154,7 +154,7 @@ class TestConvergenceAndConfig:
         for model, q in [(LINEAR, QuantumNumbers(0, 0)),
                          (PotentialModel.exponential(5.0), QuantumNumbers(0, 0))]:
             f1 = solve_radial(model, q)
-            cfg = SolverConfig(r_max=2 * model.default_r_max(q), grid_points=40000)
+            cfg = SolverConfig(r_max=2 * reference.reference_r_max(model, q), grid_points=40000)
             f2 = solve_radial(model, q, cfg)
             assert abs(f2.energy - f1.energy) < 1e-10
 
@@ -186,7 +186,7 @@ class TestConvergenceAndConfig:
         v = PotentialModel.exponential(20.0)
         q = QuantumNumbers(0, 1)
         f1 = solve_radial(v, q)
-        f2 = solve_radial(v, q, SolverConfig(r_max=v.default_r_max(q),
+        f2 = solve_radial(v, q, SolverConfig(r_max=reference.reference_r_max(v, q),
                                              grid_points=80000))
         assert abs(f2.energy - f1.energy) <= 1e-9 * abs(f1.energy)
 
@@ -210,7 +210,7 @@ class TestConvergenceAndConfig:
         for key in TABLE_STATE_ENERGIES:
             v, q = _table_state(*key)
             level = reference.lagrange_mesh_level(v.v, v.mass, q, 2 * q.n + 120,
-                                                  v.default_r_max(q))
+                                                  reference.reference_r_max(v, q))
             if not level.is_reference(None if v.continuum_threshold is None else 0.0):
                 no_reference.add(key)
                 continue
@@ -287,13 +287,15 @@ def test_high_l_bracketed_by_afm_bounds(family, n, l):
 
 
 def _trace_mesh(monkeypatch):
-    """Every mesh pass of the solves that follow, as (first, q, r_start, r_end), where
-    first marks the passes _fit_domain makes before the ladder."""
+    """Every mesh pass of the solves that follow, as (q, r_start, r_end, N); a pass made
+    while _fit_domain fits the first rung's domain fails the test: that fit reads V alone."""
     level, fit, passes, fitting = oracle._mesh_level, oracle._fit_domain, [], []
 
     def traced_level(v, q, r_start, r_end, points):
-        passes.append((bool(fitting), q, r_start, r_end))
-        return level(v, q, r_start, r_end, points)
+        assert not fitting, "_fit_domain solved a mesh"
+        out = level(v, q, r_start, r_end, points)
+        passes.append((q, r_start, r_end, out[1].shape[0]))
+        return out
 
     def traced_fit(*args):
         fitting.append(None)
@@ -309,17 +311,44 @@ def _trace_mesh(monkeypatch):
 
 @pytest.mark.parametrize("k,n", [(20.0, 2), (35.403505370140465, 3)])
 def test_near_threshold_state_is_solved_once(monkeypatch, k, n):
-    # the default domain [0, 80] is too short for these states: the first passes
-    # double it until the decay action fits, and the ladder climbs on that one
-    # domain, which the state ends at; it matches the exact energy within 10x
-    # the worst measured error, 3.7e-14 at k = 35.4 (3, 0)
+    # the WKB level lies far above these states (-9.9e-4 against -8.7e-3 at
+    # k = 20), so the first rung's level fits the domain once more: every
+    # later rung climbs on that one domain, which the state ends at, past
+    # r = 300; it matches the exact energy within 10x the worst measured
+    # error, 3.7e-14 at k = 35.4 (3, 0)
     passes = _trace_mesh(monkeypatch)
     v, q = PotentialModel.exponential(k), QuantumNumbers(n, 0)
     f = solve_radial(v, q)
-    domains = {(r_start, r_end) for first, _, r_start, r_end in passes if not first}
-    assert len(domains) == 1 and f.grid[-1] == domains.pop()[1] > v.default_r_max(q)
+    domains = {(r_start, r_end) for _, r_start, r_end, _ in passes[1:]}
+    assert len(domains) == 1 and f.grid[-1] == domains.pop()[1] > 300.0
+    assert passes[0][2] != f.grid[-1]
     exact = reference.exp_s_energy(k, n, 2.0 * math.sqrt(-f.energy))
     assert abs(f.energy - exact) <= 4e-13
+
+
+@pytest.mark.parametrize("family,k,n,l,error", [
+    ("exp", 100.0, 50, 0, NoBoundState), ("exp", 100.0, 7, 0, NoBoundState),
+    ("exp", 5.0, 0, 40, NoBoundState), ("linear", None, 691, 0, NumericalFailure),
+    ("log", None, 700, 0, NumericalFailure), ("linear", None, 100000, 0, NumericalFailure)])
+def test_refused_before_any_mesh(monkeypatch, family, k, n, l, error):
+    # the Langer-WKB count at the threshold refuses exp k = 100 S-levels above
+    # it, less 1/2, plus 1 (the count is 5.55, the last bound level n = 5), and
+    # exp k = 5 at l = 40 has no row below the threshold; the cap refuses a
+    # state whose first two rungs would pass 2000 points (1776 and 2220 for
+    # linear (691, 0)): each with no mesh solved
+    passes = _trace_mesh(monkeypatch)
+    with pytest.raises(error):
+        solve_radial(PotentialModel.from_name(family, k), QuantumNumbers(n, l))
+    assert passes == []
+
+
+def test_level_above_the_count_but_within_one_is_left_to_the_mesh(monkeypatch):
+    # exp k = 100 (6, 0) lies within 1 of the WKB count, 5.55: the mesh decides,
+    # and its level lies above the threshold
+    passes = _trace_mesh(monkeypatch)
+    with pytest.raises(NoBoundState):
+        solve_radial(PotentialModel.exponential(100.0), QuantumNumbers(6, 0))
+    assert passes
 
 
 def _exp_s_states():
@@ -398,30 +427,6 @@ def test_exp_mean_potential_obeys_hellmann_feynman():
             errors.append((abs((up - down) / (2.0 * delta) - mean_v / k) * k / abs(mean_v), k, n, l))
     assert len(errors) == 15
     assert max(errors) <= (2.5e-7,), max(errors)
-
-
-
-
-
-@pytest.mark.parametrize("points", [3, 4, 5, 6, 2000, 2001, 12001, 20000],
-                         ids="uniform-{}".format)
-def test_simpson_weights_match_scipy(points):
-    from scipy.integrate import simpson
-    rng = np.random.default_rng(points)
-    x = np.linspace(0.0, 37.5, points)
-    y = rng.random(points)
-    ref = simpson(y, x=x)
-    assert abs(_uniform_simpson(x) @ y - ref) <= 1e-14 * abs(ref)
-
-
-@pytest.mark.parametrize("points", [3, 4, 5, 6, 7, 8, 2000, 2001])
-def test_simpson_weights_exact_on_quadratics(points):
-    # Simpson is exact on cubics; Cartwright's last interval, for an even
-    # count, on quadratics
-    x = np.linspace(0.0, 2.5, points)
-    y = 1.5 - 0.75 * x + 2.0 * x * x
-    exact = 1.5 * 2.5 - 0.375 * 2.5 ** 2 + 2.0 * 2.5 ** 3 / 3.0
-    assert abs(_uniform_simpson(x) @ y - exact) <= 4e-15 * exact
 
 
 @pytest.mark.parametrize("grid, refused", [(np.linspace(0.0, 6.0, 101) ** 2 / 6.0, False),
@@ -507,7 +512,7 @@ def _assert_integrals_match_the_sampled_psi(v, q, f, grid):
 @pytest.mark.parametrize("points", [2000, 2001, 20000])
 def test_state_integrals_match_the_zero_padded_full_grid(points):
     # a state's integrals by its own Gauss rule are those of its Lagrange
-    # functions over the full uniform grid of the family's default domain,
+    # functions over the full uniform grid of the reference domain,
     # Simpson's rule, also for an even count (Cartwright's last interval): the
     # worst relative difference is Simpson's own error, 6.2e-6 at 2000 and 2001
     # points and 6.1e-9 at 20000 (log (0, 0), whose u'' is singular at the
@@ -517,19 +522,19 @@ def test_state_integrals_match_the_zero_padded_full_grid(points):
                             ("exp", 20.0, 0, 1), ("exp", 20.0, 1, 0)]:
         v, q = PotentialModel.from_name(family, k), QuantumNumbers(n, l)
         f = solve_radial(v, q, SolverConfig(grid_points=points))
-        grid = np.linspace(0.0, v.default_r_max(q), points)
+        grid = np.linspace(0.0, reference.reference_r_max(v, q), points)
         assert f.grid[-1] < grid[-1]
         worst = _assert_integrals_match_the_sampled_psi(v, q, f, grid)
         assert worst <= bound, (family, n, l, worst)
 
 
 def test_state_reaching_the_grid_end_keeps_the_whole_grid():
-    # exp k = 20 (2, 0) reaches past the default domain, r = 80, to r = 394:
+    # exp k = 20 (2, 0) reaches to r = 394, past the reference domain (80):
     # the state keeps its whole domain, whose integrals match its Lagrange
     # functions on 20001 points over it (measured 3.1e-7: Simpson's error)
     v, q = PotentialModel.exponential(20.0), QuantumNumbers(2, 0)
     f = solve_radial(v, q)
-    assert f.grid[-1] > v.default_r_max(q)
+    assert f.grid[-1] > reference.reference_r_max(v, q)
     grid = np.linspace(0.0, float(f.grid[-1]), 20001)
     assert _assert_integrals_match_the_sampled_psi(v, q, f, grid) <= 4e-6
 
@@ -554,7 +559,7 @@ def test_s_state_psi0_is_the_force_identity():
     # |psi(0)|^2 = m <V'>/(2 pi), u^2 V' -> 0 at the origin: linear S-states are
     # m a/(2 pi) (measured within 8.9e-16), and the log S-states agree with the
     # 5-point slope u'(0)^2/(4 pi) of the reference Numerov state on 320000
-    # points of the default domain within 2.2e-8, the slope's own O(h^2) error
+    # points of the reference domain within 2.2e-8, the slope's own O(h^2) error
     for n in range(9):
         obs = oracle_state(LINEAR, QuantumNumbers(n, 0))[1]
         assert abs(obs.psi0_sq - LINEAR.m * LINEAR.a / (2 * math.pi)) <= 1e-11 * obs.psi0_sq, n
@@ -562,7 +567,7 @@ def test_s_state_psi0_is_the_force_identity():
     for n in range(3):
         obs = oracle_state(log, QuantumNumbers(n, 0))[1]
         q = QuantumNumbers(n, 0)
-        f = reference.numerov_state(log, q, log.default_r_max(q), 320000)
+        f = reference.numerov_state(log, q, reference.reference_r_max(log, q), 320000)
         u, h = f.values, float(f.grid[1])
         slope = (-25.0 * u[0] + 48.0 * u[1] - 36.0 * u[2] + 16.0 * u[3] - 3.0 * u[4]) / (12.0 * h)
         assert abs(obs.psi0_sq - slope ** 2 / (4 * math.pi)) <= 1e-7 * obs.psi0_sq, n
@@ -647,8 +652,8 @@ def _level_states():
 def test_oracle_energy_lies_between_sturm_levels_n_minus_1_and_n_plus_1():
     # the Sturm count of the 3-point matrix on 20000 points of the state's own
     # domain is the level reference: the returned energy, level n of the mesh,
-    # lies strictly between its levels n - 1 and n + 1, whatever the first pass
-    # that set the domain gave (above level n + 1 in some deep wells)
+    # lies strictly between its levels n - 1 and n + 1, whatever the WKB level
+    # that started the domain gave (far above level n in near-threshold wells)
     states = _level_states()
     assert len(states) >= 100
     for family, k, n, l, points in states:
@@ -665,14 +670,14 @@ def test_oracle_energy_lies_between_sturm_levels_n_minus_1_and_n_plus_1():
 
 def test_mesh_calls_on_table_states(monkeypatch):
     # a domain or ladder that wanders shows as a repeatable count of mesh
-    # solves, not as timing noise: the 37 table states take 130, 42 first
-    # passes (5 of them for exp k = 20 (2, 0)'s doubled domains) and 88 rungs,
-    # each with its eigenvector
+    # solves, not as timing noise: the 37 table states take 89, each with its
+    # eigenvector, one first rung apiece on the domain fitted from V alone, and
+    # sum N^3 over them, the dsyevr work, is 32.5e6
     passes = _trace_mesh(monkeypatch)
     for family, k, n, l in TABLE_STATE_ENERGIES:
         solve_radial(*_table_state(family, k, n, l))
-    first = sum(first for first, *_ in passes)
-    assert (first, len(passes) - first) == (42, 88)
+    assert len(passes) == 89
+    assert sum(points ** 3 for *_, points in passes) == 32_495_242
 
 
 @pytest.mark.pin
@@ -697,38 +702,6 @@ def test_returned_vector_is_the_assembly_at_the_returned_energy():
         noise = 4.0 * np.finfo(float).eps * np.max(np.abs(ham)) / gap
         noise = max(noise, 1e-9 * np.max(np.abs(c)))
         assert np.max(np.abs(c - ref)) <= 2.0 * noise, (family, k, n, l)
-
-
-def test_assembly_solves_its_numerov_system_in_place():
-    # the reference Numerov assembly (tests/reference.py, the oracle's second
-    # opinion) solves its system: every row of the banded solution satisfies
-    # the Numerov recurrence and the tail row, at each table state's reference
-    # energy on 20000 points of the state's domain
-    checked = []
-    for family, k, n, l in TABLE_STATE_ENERGIES:
-        v, q = _table_state(family, k, n, l)
-        ref = reference.numerov_state(v, q, float(oracle_state(v, q)[0].grid[-1]), 20000)
-        w = np.zeros_like(ref.grid)
-        w[1:] = v.kinetic_2m * (v.v(ref.grid[1:]) - ref.energy) + q.big_l / ref.grid[1:] ** 2
-        h, points = float(ref.grid[1]), w.shape[0]
-        m = int(min(max(np.flatnonzero(w[1:] < 0.0)[-1] + 1, 4), points - 5))
-        u = reference.numerov_assemble_banded(w, h, l, m)
-        c = h * h / 12.0
-        coarse = np.nonzero(c * w[1:m + 1] > 0.5)[0]
-        start = int(coarse[-1]) + 2 if coarse.size else 1
-        assert not u[:start].any(), (family, k, n, l)
-        a, b = 1.0 - c * w, 2.0 + 10.0 * c * w
-        if start == 1 and l == 1:
-            b[1] += 1.0 / 6.0
-        i = np.arange(start, points - 1)
-        terms = np.stack((a[i - 1] * u[i - 1], -b[i] * u[i], a[i + 1] * u[i + 1]))
-        delta = (i == m).astype(float)
-        scale = np.abs(terms).sum(axis=0) + delta
-        assert np.all(np.abs(terms.sum(axis=0) - delta) <= 1e-12 * scale), (family, k, n, l)
-        tail = (u[points - 2], -math.exp(math.sqrt(max(w[-1], 1e-30)) * h) * u[points - 1])
-        assert abs(sum(tail)) <= 1e-12 * sum(map(abs, tail)), (family, k, n, l)
-        checked.append(m)
-    assert len(checked) == len(TABLE_STATE_ENERGIES)
 
 
 def _moment_sets(monkeypatch, f, v):
@@ -794,14 +767,15 @@ def test_fused_moments_match_per_moment_on_drawn_states(monkeypatch):
 
 def test_table_ladders_climb_on_the_state_domain(monkeypatch):
     # guards against meshes on more than the state: every rung of a table
-    # state's ladder is solved on its own domain [r_a, r_b], where the decay
+    # state's ladder after the first, whose level fits it, is solved on its
+    # own domain [r_a, r_b], where the decay
     # action ends, so the last node holds a zeroed tail, and the zeroed tail
     # is at most a sixth of the nodes (measured 0.065 to 0.16)
     passes = _trace_mesh(monkeypatch)
     for key in TABLE_STATE_ENERGIES:
         v, q = _table_state(*key)
         f = solve_radial(v, q)
-        (_, r_a, r_b), = {(q, r_start, r_end) for first, q, r_start, r_end in passes if not first}
+        (_, r_a, r_b), = {(q, r_start, r_end) for q, r_start, r_end, _ in passes[1:]}
         assert abs(r_b - f.grid[-1]) <= 1e-12 * r_b, key
         assert abs(r_a - _mesh_frame(f)[0]) <= 1e-12 * r_b, key
         assert f.values[-1] == 0.0 and np.mean(f.values == 0.0) <= 1.0 / 6.0, key
@@ -855,7 +829,7 @@ def test_level_holds_on_a_longer_finer_mesh():
 
 
 @pytest.mark.parametrize("k,l", [(70076.0, 36), (52978.0, 39)])
-def test_deep_well_ignores_tail_oscillation(k, l):
+def test_deep_high_l_well_matches_the_reference_mesh(k, l):
     # deep exp wells at high l: the ground state has no node and matches the
     # reference mesh of 120 points on the domain the state ends at, measured
     # 1.5e-15 (l = 36) and 3.0e-15 (l = 39) relative, rounding; bound 10x
@@ -905,7 +879,8 @@ def test_log_s_states_approach_the_converged_mesh():
     log = PotentialModel.logarithmic()
     for n, parent in enumerate((2.3e-9, 1.4e-9, 1.2e-9)):
         q = QuantumNumbers(n, 0)
-        level = reference.lagrange_mesh_level(log.v, log.mass, q, 400, log.default_r_max(q))
+        level = reference.lagrange_mesh_level(log.v, log.mass, q, 400,
+                                              reference.reference_r_max(log, q))
         assert level.error <= 2e-12, (n, level)
         assert abs(oracle_state(log, q)[0].energy - level.finer) <= parent / 10.0, n
 
@@ -916,12 +891,12 @@ def test_log_s_states_approach_the_converged_mesh():
 def test_oracle_u_matches_the_numerov_reference(family, k, n, l, bound):
     # u(r) = sqrt(4 pi) r psi(r) of the oracle state, its Lagrange functions
     # between the nodes, against the reference Numerov state on 320000 points
-    # of the default domain, on (0, 12]: measured 7.2e-9, 2.4e-10 and 4.1e-11,
+    # of the reference domain, on (0, 12]: measured 7.2e-9, 2.4e-10 and 4.1e-11,
     # bounded at about 10x; linear interpolation on the nodes is 4e-4, 8.8e-3
     # and 1.4e-2 off
     v, q = PotentialModel.from_name(family, k), QuantumNumbers(n, l)
     f = oracle_state(v, q)[0]
-    ref = reference.numerov_state(v, q, v.default_r_max(q), 320000)
+    ref = reference.numerov_state(v, q, reference.reference_r_max(v, q), 320000)
     near = (ref.grid > 0.0) & (ref.grid <= 12.0)
     r = ref.grid[near]
     u = f.psi(r) * math.sqrt(4.0 * math.pi) * r

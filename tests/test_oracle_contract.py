@@ -5,18 +5,22 @@ up to 100000 (the cap), the exponential depth k from 1e-300 to 1e308,
 tiny and huge ``--r-max`` and ``--grid-points`` at 2000 and 2000000.
 Every command must exit 0, 2, 64 or 70, print stdout that parses as JSON
 with NaN and Infinity refused, leave no traceback and no RuntimeWarning,
-and finish within ``WALL_BUDGET_S``.  A state whose first mesh is above
-the cap is refused before the mesh is built.  The baseline commands, a
+and finish within ``WALL_BUDGET_S``.  A state whose first two rungs would
+pass the cap is refused before any mesh is built.  The baseline commands, a
 list of inputs that once failed, keep pinned exit codes, and those that
 answer match an independent reference; any that still fail are named in
 ``KNOWN_DEFECTS`` with the reason.  A few commands also run as
-``python -m auxfield.cli`` subprocesses.
+``python -m auxfield.cli`` subprocesses.  Deep exponential wells (l up to
+100000, S-states up to k = 1e14) are drawn too: an exit 2 where the
+quadratic AFM energy, a proven upper bound, lies below the continuum
+threshold fails, as does an energy above that bound.
 """
 
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -31,8 +35,9 @@ import pytest
 
 import reference
 from auxfield import oracle
-from auxfield.afm import PotentialModel
+from auxfield.afm import AuxiliaryKind, PotentialModel, afm_solve
 from auxfield.cli import main
+from auxfield.errors import NoBoundState
 from auxfield.exact import QuantumNumbers
 
 WALL_BUDGET_S = 10.0    # slowest drawn command measured at about 2 s on a 2-vCPU host
@@ -52,7 +57,7 @@ BASELINE = {
 
 # baseline commands whose exit code is a defect, and why (none left: the deep
 # wells on coarse grids, which failed the Numerov oracle's node check, and the
-# near-threshold k = 1.47, whose default domain was too short, now answer)
+# near-threshold k = 1.47, whose domain was once too short, now answer)
 KNOWN_DEFECTS = {}
 
 # baseline commands refused by the first mesh's cap before any mesh is built
@@ -114,12 +119,52 @@ def _assert_contract(argv):
     assert "Traceback" not in err and "RuntimeWarning" not in err, case
     assert not caught, (case, caught)
     assert wall <= WALL_BUDGET_S, (case, wall)
-    return code, err
+    return code, err, out
 
 
 def test_drawn_oracle_commands_keep_the_contract():
     codes = {_assert_contract(argv)[0] for argv in _draws(20261031, 60)}
     assert {0, 2, 70} <= codes
+
+
+def _deep_wells(seed):
+    """Seeded exp states (k, n, l): 24 with l <= 100000 (log-uniform), k = c (l + 1.5)^2
+    for c log-uniform on [2, 1e4] and n <= 5, and 16 S-states with k log-uniform on
+    [2, 1e14] and n <= 50."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(24):
+        l = int(10 ** rng.uniform(0.0, 5.0))
+        c = 10 ** rng.uniform(math.log10(2.0), 4.0)
+        states.append((float(c * (l + 1.5) ** 2), int(rng.integers(0, 6)), l))
+    for _ in range(16):
+        k = float(10 ** rng.uniform(math.log10(2.0), 14.0))
+        states.append((k, int(rng.integers(0, 51)), 0))
+    return states
+
+
+def test_deep_wells_are_never_denied_a_proven_state():
+    # the quadratic AFM energy is a proven upper bound (-k e^(-sqrt P) is
+    # concave in P = r^2): where it lies below the continuum threshold the
+    # state exists, so exit 2 contradicts it, and an energy the oracle returns
+    # lies at or below it, and at or above the Coulomb AFM energy where that
+    # lower bound's condition holds
+    answered = 0
+    for k, n, l in _deep_wells(20261046):
+        v, q = PotentialModel.exponential(k), QuantumNumbers(n, l)
+        case = f"oracle exp {n} {l} --k {k!r}"
+        try:
+            upper = afm_solve(v, AuxiliaryKind.QUADRATIC, q).energy
+        except NoBoundState:
+            upper = math.inf
+        code, err, out = _assert_contract(case.split())
+        assert not (code == 2 and upper < v.continuum_threshold), (case, upper)
+        if code == 0:
+            energy, lower = _strict_json(out)["energy"], afm_solve(v, AuxiliaryKind.COULOMB, q)
+            assert energy <= upper, (case, energy, upper)
+            assert not lower.condition_met or energy >= lower.energy, (case, energy, lower)
+            answered += 1
+    assert answered >= 36
 
 
 @pytest.mark.parametrize("argv", [
@@ -133,9 +178,9 @@ def test_extreme_oracle_commands_keep_the_contract(argv):
 
 
 def test_state_above_the_mesh_cap_is_refused_before_the_mesh():
-    # n = 100000 needs a start mesh of 200040 points, a matrix of 320 GB;
-    # the refusal names the cap after the grid (16 MB) and 2m V + l(l+1)/r^2
-    # on it exist, before any mesh is built
+    # n = 100000 needs a first rung of at least 2n + 40 = 200040 points, a
+    # matrix of 320 GB; the refusal names the cap after the WKB rows and
+    # 2m V + l(l+1)/r^2 on them exist, before any mesh is built
     tracemalloc.start()
     try:
         code, out, err, wall, caught = _run(["oracle", "linear", "100000", "0",
@@ -144,7 +189,8 @@ def test_state_above_the_mesh_cap_is_refused_before_the_mesh():
     finally:
         tracemalloc.stop()
     assert (code, out, caught) == (70, "", [])
-    assert "needs a Lagrange mesh of 200040 points" in err and "above the cap of 2000" in err
+    named = re.search(r"needs a Lagrange mesh of (\S+) points", err)
+    assert named and float(named.group(1)) >= 200040 and "above the cap of 2000" in err
     assert wall <= WALL_BUDGET_S
     assert peak <= 100e6, peak    # measured 48 MB
 
@@ -154,7 +200,7 @@ def test_baseline_commands_keep_their_exit_codes(command, monkeypatch):
     build = oracle._mesh
     meshes = []
     monkeypatch.setattr(oracle, "_mesh", lambda points: meshes.append(points) or build(points))
-    code, err = _assert_contract(command.split())
+    code, err, _ = _assert_contract(command.split())
     assert code == BASELINE[command], err
     if command in MESH_CAPPED:
         assert "above the cap of 2000" in err and not meshes
@@ -179,7 +225,7 @@ def test_baseline_energies_match_their_references(k, n, l, bound):
     # and 1.25 N points: l = 20 within 1e-11, exp 2 15 and exp 26 5 within
     # 1e-10 relative (measured 7.7e-15, 7.7e-15 and 1.5e-14; the Numerov
     # oracle's 2000-point answer to exp 2 15 was 1.1e-3 off, and it refused
-    # exp 26 5, whose first mesh pass must be solved again at the phase bound)
+    # exp 26 5)
     command = f"oracle exp {n} {l} --k {k!r}" + (" --grid-points 2000" if k > 2 else "")
     energy = _energy(command)
     if l == 0:
@@ -187,7 +233,8 @@ def test_baseline_energies_match_their_references(k, n, l, bound):
         error = abs(energy - exact) / (abs(exact) if k > 2 else 1.0)
     else:
         v, q = PotentialModel.exponential(k), QuantumNumbers(n, l)
-        level = reference.lagrange_mesh_level(v.v, v.mass, q, 2 * n + 120, v.default_r_max(q))
+        level = reference.lagrange_mesh_level(v.v, v.mass, q, 2 * n + 120,
+                                              reference.reference_r_max(v, q))
         assert level.is_reference(0.0), level
         error = abs(energy - level.energy) / abs(level.energy)
     assert error <= bound, (command, energy, error)

@@ -2,8 +2,8 @@
 
 ``tests/snapshots/oracle.json`` holds the exit code, stderr and stdout of
 ``auxfield oracle`` for each family at a few states, the near-threshold
-exp k = 1.5 (0, 0), exp k = 20 (2, 0), whose state reaches past the
-default domain r = 80, the two domains cut short enough that the mass
+exp k = 1.5 (0, 0), exp k = 20 (2, 0), whose state reaches to
+r = 394, the two domains cut short enough that the mass
 past r_max is refused (exit 70), an exit-2 and an exit-64 payload.  Exit
 codes, stderr and stdout's keys must match exactly; its numbers agree
 within 1e-12 relative, so that the last bits of the LAPACK build do not
