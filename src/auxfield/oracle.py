@@ -1,24 +1,19 @@
 """Independent numeric radial eigensolver: the x-regularized Lagrange-Laguerre mesh.
 
-Solves -u'' + [2m (V(r) - E) + l(l+1)/r^2] u = 0 for the three potential families
-on the mesh of N nodes r_i = r_a + h x_i, x_i the zeros of L_N, whose Hamiltonian
-T/h^2 + 2m V(r_i) + l(l+1)/r_i^2 (Baye, Phys. Rep. 565 (2015) 1) has level n as
-its eigenvalue n.  Every mesh size is a rung of the ladder round(40 * 1.25^k), so
-that the cached meshes and Gauss weights serve many states.  The domain comes from V
-alone: level n of the Langer-WKB rule (1/pi) int sqrt(max(0, 2m (E - V) -
-(l + 1/2)^2/r^2)) dr = n + 1/2 (Langer, Phys. Rev. 51 (1937) 669) on rows around
-the bottom of that well, and [r_a, r_b] where the WKB decay action beyond the turning
-points of W = 2m V + l(l+1)/r^2 reaches _MESH_ACTION = 36 (e^-36: rounding).  The
-first rung solves it and fits it once more at its own level; N then climbs the ladder
-from the phase bound until two rungs agree within _MESH_TOL relative to max(1, |E|),
-and the finer rung's eigenvector c_i is the state: u(r_i) = c_i / sqrt(h lambda_i)
-at the nodes, integrated by the Gauss weights h lambda_i, and the Lagrange functions
-between them.  A state the WKB count at the continuum threshold rules out, or whose
-first two rungs would pass _MESH_CAP nodes, is refused before any mesh.  Its moments,
-the reference side of each table comparison, are one product with the density
-h lambda_i u_i^2; |psi(0)|^2 of an S-state is the force identity m <V'>/(2 pi).
-dsterf and dsyevr, one call per mesh pass, come from scipy's f2py extension, which
-_lapack loads without the scipy.linalg package.
+Solves -u'' + [2m (V(r) - E) + l(l+1)/r^2] u = 0 on the mesh of N nodes r_i = r_a + h x_i,
+x_i the zeros of L_N, whose Hamiltonian T/h^2 + 2m V(r_i) + l(l+1)/r_i^2 (Baye, Phys. Rep.
+565 (2015) 1) has level n as its eigenvalue n; N is a rung of the ladder round(40 * 1.25^k),
+so that the cached meshes and Gauss weights serve many states.  The domain comes from V
+alone: [r_a, r_b] where the WKB decay action beyond the turning points reaches _MESH_ACTION
+= 36 (e^-36: rounding) at level n of the Langer-WKB rule (1/pi) int sqrt(max(0, 2m (E - V)
+- (l + 1/2)^2/r^2)) dr = n + 1/2 (Langer, Phys. Rev. 51 (1937) 669), fitted once more at
+the first rung's level.  N climbs from the phase bound until two rungs agree within
+_MESH_TOL relative to max(1, |E|), and the finer rung's eigenvector c_i is the state:
+u(r_i) = c_i / sqrt(h lambda_i) at the nodes, integrated by the Gauss weights h lambda_i,
+and the Lagrange functions between them.  Its moments, the reference side of each table
+comparison, are one product with the density h lambda_i u_i^2; |psi(0)|^2 of an S-state is
+the force identity m <V'>/(2 pi).  dsterf and dsyevr, one call per mesh, come from scipy's
+f2py extension, which _lapack loads without the scipy.linalg package.
 """
 
 from __future__ import annotations
@@ -45,7 +40,6 @@ __all__ = ["RadialFunction", "SolverConfig", "solve_radial", "numeric_observable
 _MESH_ACTION = 36.0    # WKB decay action where the domain ends, both sides: e^-36, rounding
 _MESH_CAP = 2000       # largest mesh; its dsyevr takes about 0.5 s on 2 BLAS threads
 _MESH_TOL = 1e-10      # two rungs of the ladder agree within this, relative to max(1, |E|)
-_ROWS = 512            # rows over a well for its WKB integral
 _LADDER = tuple(round(40 * 1.25 ** k) for k in range(19))   # mesh sizes 40, 50, 62, .. 2220
 
 
@@ -164,28 +158,24 @@ def _mesh(points: int):
 
 
 def _rung(points: float) -> int:
-    """The first size round(40 * 1.25^k) of the ladder at or above ``points`` <= 2220."""
-    return next(size for size in _LADDER if size >= points)
-
-
-def _refuse_above_cap(q: QuantumNumbers, points: float, r_start: float, r_end: float):
-    if not points <= _MESH_CAP:   # inf too: an overflowing estimate
-        raise NumericalFailure(f"level n = {q.n}, l = {q.l} needs a Lagrange mesh of {points:.6g} "
-                               f"points on [{r_start:.6g}, {r_end:.6g}], above the cap of "
-                               f"{_MESH_CAP}")
+    """The first size round(40 * 1.25^k) of the ladder at or above ``points`` <= 2220, less
+    its rounding."""
+    return next(size for size in _LADDER if size >= points * (1.0 - 1e-12))
 
 
 def _mesh_level(v: PotentialModel, q: QuantumNumbers, r_start: float, r_end: float,
                 points: float):
-    """Eigenvalue q.n (2m E, the scale of W) of T/h^2 + 2m V(r_i) + l(l+1)/r_i^2 on the
-    mesh of the ladder's first size at or above ``points`` (at most _MESH_CAP, checked
-    first), nodes r_i = r_start + h x_i ending at r_end, with the nodes, h and eigenvector
-    q.n, zero where rounding is all it holds.  dsyevr finds levels n - 1 .. n + 1 alone
-    from the lower triangle, bisecting to twice the smallest normal double (its default
-    abstol, eps ||H||_1, left Airy levels 1.6e-11 off) before inverse iteration.  Entries whose
-    squares overflow (near 1e154: a domain far too short or long) are refused, as is a
-    non-finite V."""
-    _refuse_above_cap(q, points, r_start, r_end)
+    """Eigenvalue q.n (2m E) of T/h^2 + 2m V(r_i) + l(l+1)/r_i^2 on the ladder's first
+    size at or above ``points`` (at most _MESH_CAP, checked first), nodes r_i = r_start +
+    h x_i ending at r_end, with the nodes, h and eigenvector q.n, zero where rounding is all
+    it holds.  dsyevr finds levels n - 1 .. n + 1 from the lower triangle, bisecting to
+    twice the smallest normal double (its default abstol, eps ||H||_1, left Airy levels
+    1.6e-11 off).  Entries whose squares overflow (near 1e154: a domain far too short or
+    long) are refused, as is a non-finite V."""
+    if not points <= _MESH_CAP:   # inf too: an overflowing estimate
+        raise NumericalFailure(f"level n = {q.n}, l = {q.l} needs a Lagrange mesh of {points:.6g} "
+                               f"points on [{r_start:.6g}, {r_end:.6g}], above the cap of "
+                               f"{_MESH_CAP}")
     points = min(_rung(points), _MESH_CAP)
     x, (t, peak) = gauss_laguerre(points)[0], _mesh(points)
     h = (r_end - r_start) / float(x[-1])
@@ -220,17 +210,14 @@ def _unbound(v: PotentialModel, q: QuantumNumbers) -> NoBoundState:
     return NoBoundState("not-supported", f"{v} has no bound state with n={q.n}, l={q.l}")
 
 
-def _domain(v: PotentialModel, q: QuantumNumbers, level: float, r0: float,
-            r_max: Optional[float]):
+def _domain(v: PotentialModel, q: QuantumNumbers, level: float, rows: np.ndarray,
+            r_max: Optional[float], cap: float = math.inf):
     """(r_a, r_b, phase, r_turn) at 2m E = ``level``, None if no row or the last is
-    allowed, on rows r0 + r0 2^t (t = -30, -29.875, .. 30) and r0 e^-2^t: the turning
-    points of W (chords), where the decay action beyond them reaches _MESH_ACTION
-    (trapezoids; r_a = 0 where it never does; r_max caps r_b), and the phase bound
-    max p^2 (r - r_a)(r_b - r) on the allowed rows, p the local wavenumber, as the mesh
-    on [r_a, r_b] has about (2N/(pi (r_b - r_a))) sqrt((r_b - r_a)/(r - r_a) - 1) nodes
-    per unit length."""
-    t = 2.0 ** np.arange(-30.0, 30.0, 0.125)
-    rows = np.concatenate((r0 * np.exp(-t[t < 64.0][::-1]), r0 + r0 * t))
+    allowed: the turning points of W = 2m V + l(l+1)/r^2 (chords), where the decay action
+    beyond them reaches _MESH_ACTION (trapezoids; r_a = 0 where it never does; r_max and a
+    phase bound of ``cap`` cap r_b), and the phase bound max p^2 (r - r_a)(r_b - r) on the
+    allowed rows, p the local wavenumber, as the mesh on [r_a, r_b] has about (2N/(pi
+    (r_b - r_a))) sqrt((r_b - r_a)/(r - r_a) - 1) nodes per unit length."""
     gap = v.kinetic_2m * v.v(rows) + q.big_l / rows / rows - level
     allowed = np.flatnonzero(gap < 0.0)
     if not allowed.size or allowed[-1] == rows.shape[0] - 1:
@@ -245,108 +232,103 @@ def _domain(v: PotentialModel, q: QuantumNumbers, level: float, r0: float,
 
     i, j = allowed[0], allowed[-1] + 1
     (r_turn, r_b), (_, r_a) = walk(j, 1), walk(i - 1, -1) if i else (0.0, 0.0)
-    r_b, live = min(r_b or math.inf, r_max or math.inf), rows[i:j]
-    phase = np.max(-gap[i:j] * (live - r_a) * (r_b - live)) if r_b < math.inf else r_b
+    live, p2 = rows[i:j], -gap[i:j]
+    r_b = min(r_b or math.inf, r_max or math.inf, float(np.min(live + cap / p2 / (live - r_a))))
+    phase = np.max(p2 * (live - r_a) * (r_b - live)) if r_b < math.inf else r_b
     return r_a, r_b, max(float(phase), 0.0), r_turn
 
 
 def _fit_domain(v: PotentialModel, q: QuantumNumbers, r_max: Optional[float]):
-    """(r_a, r_b, phase, r0) of the first rung: _domain at the Langer-WKB level, solved
-    on _ROWS + 1 rows over [r0 - d, r0 + d] around the bottom r0 of W_L = 2m V +
-    (l + 1/2)^2/r^2, exactly on the chords of W_L and bisected to 1e-2 of the level's
-    height above r0 or depth below the threshold.  Where the rule puts level n at or
-    above the threshold, the threshold stands in, doubled in depth until 2n + 40
-    nodes are twice the phase bound's.  NoBoundState, before any mesh, when no row is
-    allowed at the threshold or n exceeds the count there, less 1/2, by more than 1;
-    NumericalFailure where the well is below the rounding of 2m V.  [0, r_max] stands
-    in for a domain whose outer turning point lies at or past r_max."""
+    """(r_a, r_b, phase, rows, top) of the first rung, top = 2m times the continuum
+    threshold: _domain at the Langer-WKB level, bisected to 1e-2 of its height above or
+    depth below top, on rows r0 e^-2^t (t = 6, 5.875, .. -30) and r0 + r0 2^t (t = -30,
+    .. 29.875) around the bottom r0 of W_L = 2m V + (l + 1/2)^2/r^2, exact on its chords.
+    Where the rule puts level n at or above top, top stands in on the domain whose phase
+    bound is (n + 20)^2, half the first rung's nodes: the phase bound misses most of a
+    well that holds part of a half-wave.  NoBoundState, before any mesh, when no row is
+    allowed at top or n exceeds the count there, less 1/2, by more than 1.  [0, r_max]
+    stands in for a domain whose outer turning point lies at or past r_max."""
     c, lg, target = v.kinetic_2m, (q.l + 0.5) ** 2, q.n + 0.5
     top = math.inf if v.continuum_threshold is None else c * v.continuum_threshold
-    rounding = f"the well of level n = {q.n}, l = {q.l} is below the rounding of 2m V"
-
-    def well(r):
-        return c * v.v(r) + lg / r / r
-
     with np.errstate(all="ignore"):   # rows far from the well overflow harmlessly
         grid = 2.0 ** np.arange(-400.0, 400.0)
         for _ in range(2):   # W_L' r^3 = 2m V' r^3 - 2 (l + 1/2)^2 turns positive at r0
             if not (up := int(np.argmax(c * v.v_prime(grid) * grid * grid * grid > 2.0 * lg))):
                 raise _unbound(v, q)
             grid = grid[up - 1] * (grid[up] / grid[up - 1]) ** (np.arange(257) / 256.0)
-        if not (floor := well(r0 := grid[-1])) < top:
+        t, r0 = 2.0 ** np.arange(-30.0, 30.0, 0.125), grid[-1]
+        rows = np.concatenate((r0 * np.exp(-t[t < 64.0][::-1]), r0 + r0 * t))
+        wl = c * v.v(rows) + lg / rows / rows
+        slope, floor = np.diff(rows) / np.diff(wl), float(np.min(wl))
+        rims = np.fmin(np.fmax.accumulate(wl[rows > r0]), top)   # the well's rim past each row
+        if not floor < top:
             raise _unbound(v, q)
-        d = r0 * 2.0 ** np.arange(-40.0, 41.0)
-        levels = np.fmin(np.fmin(np.where(d < r0, well(r0 - d), math.inf), well(r0 + d)), top)
-        # the rows over [r0 - d, r0 + d] hold the well up to the lower of W_L(r0 -+ d), where
-        # the count is at least d_(j-1) sqrt(level_j - level_(j-1)) / pi: the first row set
-        # that bound takes to n + 1/2, or the threshold
-        j = int(np.argmax((d[:-1] * np.sqrt(levels[1:] - levels[:-1]) >= math.pi * target)
-                          | (levels[1:] == top))) + 1
-        rows = np.linspace(max(r0 - d[j], r0 * 2.0 ** -40), r0 + d[j], _ROWS + 1)
-        wl, span = well(rows), (2.0 / 3.0 / math.pi) * (rows[1] - rows[0])
-        dw = np.diff(wl)
-        dw[dw == 0.0] = math.inf
 
         def count(level):   # sqrt(2m E - W_L) integrated exactly on each chord, less n + 1/2
             g = np.fmax(level - wl, 0.0)
-            return span * float(np.sum(np.diff(g * np.sqrt(g)) / -dw)) - target
+            return float(np.nansum(np.diff(g * np.sqrt(g)) * slope)) / (-1.5 * math.pi) - target
 
-        if (reached := count(levels[j])) < 0.0 and levels[j] < top:
-            raise NumericalFailure(rounding)
-        if q.n > reached + target + 0.5:   # levels[j] is the threshold
+        if rims[-1] == top and q.n > count(top) + target + 0.5:
             raise _unbound(v, q)
-        lo, level, above = floor, levels[j], reached < 0.0
-        while (not above and level - lo > 1e-2 * min(level - floor, top - lo)
+        lo, hi = -1, rims.shape[0]   # hi: the first rim whose count reaches n + 1/2, if one does
+        while hi - lo > 1:
+            lo, hi = (mid, hi) if count(rims[mid := (lo + hi) // 2]) < 0.0 else (lo, mid)
+        near, level = hi == rims.shape[0], rims[min(hi, rims.shape[0] - 1)]
+        lo = rims[lo] if lo >= 0 else floor
+        while (not near and level - lo > 1e-2 * min(level - floor, top - lo)
                and lo < (mid := 0.5 * (lo + level)) < level):
             lo, level = (mid, level) if count(mid) < 0.0 else (lo, mid)
-        fit = _domain(v, q, level, r0, r_max)
-        while (above and fit and 4.0 * fit[2] > (2 * q.n + 40) ** 2
-               and (deeper := _domain(v, q, 2.0 * level, r0, r_max))):
-            level, fit = 2.0 * level, deeper
-    if not fit:   # at the WKB level below the threshold, no row is allowed
-        raise _unbound(v, q) if above else NumericalFailure(rounding)
-    return (0.0 if r_max and fit[3] >= r_max else fit[0]), fit[1], fit[2], r0
+        fit = _domain(v, q, level, rows, r_max, (q.n + 20.0) ** 2 if near else math.inf)
+    if not fit or near and level < top:
+        raise NumericalFailure(f"the well of level n = {q.n}, l = {q.l} is below the "
+                               "rounding of 2m V")
+    return (0.0 if r_max and fit[3] >= r_max else fit[0]), fit[1], fit[2], rows, top
 
 
 def solve_radial(v: PotentialModel, q: QuantumNumbers,
                  cfg: SolverConfig = SolverConfig()) -> RadialFunction:
-    """Level q.n of partial wave q.l: its eigenpair on the Lagrange mesh (see the module
-    docstring), the first rung starting the comparison only where the refitted domain's
-    ladder starts at its size; a level at or above the continuum threshold is
-    NoBoundState.  cfg.r_max caps the domain: a turning point past it at the first
-    rung's level is refused, as is a mass above 1e-8 past it, u_end^2 over twice the
-    WKB decay rate there, at a later rung.  cfg.grid_points is ignored."""
-    c, bound, r_max = v.kinetic_2m, v.continuum_threshold, cfg.r_max
-    r_a, r_b, phase, r0 = _fit_domain(v, q, r_max)
-    size, coarse, fitted = max(2 * q.n + 40, math.sqrt(phase)), None, False
-    _refuse_above_cap(q, size if size > _MESH_CAP else _rung(min(_rung(size), _MESH_CAP) + 1),
-                      r_a, r_b)
+    """Level q.n of partial wave q.l on the Lagrange mesh (see the module docstring).  The
+    first rung's level fits the domain once more, and joins the ladder where that domain's
+    starts at its size.  A first rung at or above the continuum threshold widens its domain
+    at the threshold instead, at its own node density near r_a, for a ladder from
+    _LADDER[-3] nodes: NoBoundState where that ladder ends at or above the threshold.
+    cfg.r_max caps the domain: a turning point past it at the first rung's level is
+    refused, as is a mass above 1e-8 past it, u_end^2 over twice the WKB decay rate there,
+    at a later rung.  cfg.grid_points is ignored."""
+    c, r_max = v.kinetic_2m, cfg.r_max
+    r_a, r_b, phase, rows, top = _fit_domain(v, q, r_max)
+    size = max(2 * q.n + 40, math.sqrt(phase))
+    size = _LADDER[-1] if _LADDER[-3] < size <= _MESH_CAP else size   # its next rung passes the cap
+    level, first, span = _mesh_level(v, q, r_a, r_b, size)[0], _rung(size), r_b - r_a
+    wide = span * (_LADDER[-3] / first) ** 2 if level >= top else math.inf
+    with np.errstate(all="ignore"):
+        fit = _domain(v, q, min(level, top), rows, min(r_max or math.inf, r_a + wide))
+    if not fit or fit[3] > (r_max or math.inf):
+        raise NumericalFailure(f"r_max = {r_max or math.inf:.6g} ends inside the classically "
+                               f"allowed region: the outer turning point at the energy "
+                               f"{level / c:.6g} lies beyond it")
+    r_a, r_b, phase, _ = fit
+    w_end = c * float(v.v(r_b)) + q.big_l / r_b ** 2
+    size = max(2 * q.n + 40, math.sqrt(phase), _LADDER[-3] if wide < math.inf else 0.0)
+    coarse = level if level < top and _rung(min(size, _MESH_CAP)) <= first else None
+    size = size if coarse is None else _rung(first + 1)
     while True:
         level, r, h, vec = _mesh_level(v, q, r_a, r_b, size)
         wts = h * gauss_laguerre(r.shape[0])[1]
         u = vec / np.sqrt(wts)
-        if fitted:
-            mass = float(u[-1]) ** 2 * (0.5 / math.sqrt(max(w_end - level, 1e-12)))
-            if r_b == r_max and mass > 1e-8:
-                raise NumericalFailure(f"tail mass {mass:.2e} beyond r_max = {r_b:.6g}: state "
-                                       "under-resolved")
-            if coarse is not None and abs(level - coarse) <= _MESH_TOL * max(c, abs(level)):
-                break
-            coarse, size = level, _rung(r.shape[0] + 1)
-            continue
-        if bound is not None and not level < c * bound:
-            raise _unbound(v, q)
-        with np.errstate(all="ignore"):
-            fit = _domain(v, q, level, r0, r_max)
-        if not fit or fit[3] > (r_max or math.inf):
-            raise NumericalFailure(
-                f"r_max = {r_max or math.inf:.6g} ends inside the classically allowed region: "
-                f"the outer turning point at the energy {level / c:.6g} lies beyond it")
-        r_a, r_b, phase, _ = fit
-        w_end, size = c * float(v.v(r_b)) + q.big_l / r_b ** 2, max(2 * q.n + 40, math.sqrt(phase))
-        fitted, coarse = True, level if _rung(min(size, _MESH_CAP)) == r.shape[0] else None
-        size = size if coarse is None else _rung(r.shape[0] + 1)
-    if bound is not None and not level < c * bound:
+        mass = float(u[-1]) ** 2 * (0.5 / math.sqrt(max(w_end - level, 1e-12)))
+        if r_b == r_max and mass > 1e-8:
+            raise NumericalFailure(f"tail mass {mass:.2e} beyond r_max = {r_b:.6g}: state "
+                                   "under-resolved")
+        # rungs above the threshold whose first rung lay below it missed the well: they
+        # climb on; above it on the widened domain, the cap's finest rung ends the ladder
+        if (coarse is not None and abs(level - coarse) <= _MESH_TOL * max(c, abs(level))
+                and (level < top or wide < math.inf)):
+            break
+        coarse, size = level, _rung(r.shape[0] + 1)
+        if size > _MESH_CAP and not level < top and wide < math.inf:
+            break
+    if not level < top:
         raise _unbound(v, q)
     u *= math.copysign(1.0, u[np.argmax(u != 0.0)])   # u > 0 before its first node
     return RadialFunction(grid=r, values=u, weights=wts, energy=level / c, q=q)

@@ -2,7 +2,6 @@ import itertools
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -444,14 +443,15 @@ class TestBoundaries:
     ])
     def test_level_above_the_mesh_cap_is_refused_before_lapack(self, capfd, argv, points):
         # LAPACK writes its own error text to the process's stdout, which
-        # capsys does not see; the refusal names the first rung's mesh, at
-        # least 2n + 40 points (more where the phase bound of the domain
-        # fitted at the WKB level asks for more), before any mesh is built
+        # capsys does not see; the refusal names the first rung's mesh, the
+        # phase bound of the domain fitted at the WKB level (above 2n + 40 =
+        # points), and that domain, before any mesh is built
+        named = {4040: "4110.71 points on [0, 528.273]",
+                 200040: "204141 points on [0, 7097.67]"}[points]
         code = main(["oracle", *argv])
         out, err = capfd.readouterr()
         assert (code, out) == (70, "")
-        named = re.search(r"needs a Lagrange mesh of (\S+) points", err)
-        assert named and float(named.group(1)) >= points and "above the cap" in err
+        assert f"needs a Lagrange mesh of {named}, above the cap of 2000" in err
         assert "DSTEBZ" not in err and "LAPACK" not in err
 
     def test_deep_well_on_a_coarse_grid_is_answered(self, capsys):
@@ -467,14 +467,14 @@ class TestBoundaries:
         with mpmath.workdps(30):
             nu = mpmath.findroot(lambda t: mpmath.besselj(t, 2000), 2.0 * math.sqrt(-energy))
         assert abs(energy + float(nu) ** 2 / 4.0) <= 1e-12 * abs(energy)
-        # 2000 nodes need a first rung of at least 2n + 40 = 4040 points, above
+        # 2000 nodes need a first rung of the phase bound's 4110.71 points, above
         # its cap: refused before the solve, naming the cap and the domain
         # fitted at the WKB level (the solve on 20000 points used to fail its
         # node check with 1923 nodes)
         code, out, err = _run(capsys, "oracle", "linear", "2000", "0")
         assert (code, out) == (70, "")
-        assert re.search(r"level n = 2000, l = 0 needs a Lagrange mesh of \S+ points on "
-                         r"\[0, \S+\], above the cap of 2000", err), err
+        assert ("level n = 2000, l = 0 needs a Lagrange mesh of 4110.71 points on "
+                "[0, 528.273], above the cap of 2000" in err), err
 
     def test_r_max_inside_allowed_region_is_numeric_failure(self, capsys):
         # the turning point of linear (0, 0) is near r = 2.3, beyond r_max

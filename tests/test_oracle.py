@@ -311,11 +311,12 @@ def _trace_mesh(monkeypatch):
 
 @pytest.mark.parametrize("k,n", [(20.0, 2), (35.403505370140465, 3)])
 def test_near_threshold_state_is_solved_once(monkeypatch, k, n):
-    # the WKB level lies far above these states (-9.9e-4 against -8.7e-3 at
-    # k = 20), so the first rung's level fits the domain once more: every
-    # later rung climbs on that one domain, which the state ends at, past
-    # r = 300; it matches the exact energy within 10x the worst measured
-    # error, 3.7e-14 at k = 35.4 (3, 0)
+    # the WKB level lies far from these states (-1.7e-3 against -8.7e-3 at
+    # k = 20; at k = 35.4 the rule puts it above the threshold, which stands
+    # in), so the first rung's level fits the domain once more: every later
+    # rung climbs on that one domain, which the state ends at, past r = 300;
+    # it matches the exact energy within 10x the worst measured error,
+    # 3.7e-14 at k = 35.4 (3, 0)
     passes = _trace_mesh(monkeypatch)
     v, q = PotentialModel.exponential(k), QuantumNumbers(n, 0)
     f = solve_radial(v, q)
@@ -332,7 +333,7 @@ def test_near_threshold_state_is_solved_once(monkeypatch, k, n):
     ("log", None, 700, 0, NumericalFailure), ("linear", None, 100000, 0, NumericalFailure)])
 def test_refused_before_any_mesh(monkeypatch, family, k, n, l, error):
     # the Langer-WKB count at the threshold refuses exp k = 100 S-levels above
-    # it, less 1/2, plus 1 (the count is 5.55, the last bound level n = 5), and
+    # it, less 1/2, plus 1 (the count is 5.56, the last bound level n = 5), and
     # exp k = 5 at l = 40 has no row below the threshold; the cap refuses a
     # state whose first two rungs would pass 2000 points (1776 and 2220 for
     # linear (691, 0)): each with no mesh solved
@@ -343,12 +344,39 @@ def test_refused_before_any_mesh(monkeypatch, family, k, n, l, error):
 
 
 def test_level_above_the_count_but_within_one_is_left_to_the_mesh(monkeypatch):
-    # exp k = 100 (6, 0) lies within 1 of the WKB count, 5.55: the mesh decides,
-    # and its level lies above the threshold
+    # exp k = 100 (6, 0) lies within 1 of the WKB count, 5.56: the mesh decides.
+    # Its first rung lies above the threshold, so the domain widens at the
+    # threshold as far as the cap allows, and the cap's finest rung, 1776
+    # nodes, still lies above it
     passes = _trace_mesh(monkeypatch)
     with pytest.raises(NoBoundState):
         solve_radial(PotentialModel.exponential(100.0), QuantumNumbers(6, 0))
-    assert passes
+    assert [points for *_, points in passes] == [62, 1421, 1776]
+
+
+@pytest.mark.parametrize("k,n,widened", [
+    (1.45, 0, False), (1.455, 0, False), (7.6185773674741135, 1, True),
+    (81.64900231690542, 5, True)])
+def test_near_threshold_s_state_is_never_denied(monkeypatch, k, n, widened):
+    # bound S-states within 3e-3 of their threshold k (E = -1.3e-6 to -8e-8).
+    # k = 1.45 and 1.455 solve their first rung below the threshold, and the
+    # first rungs of the refitted ladder on [0, 5.5e4], which miss the well
+    # (+3e-9 at 191 and 238 nodes), climb on until it shows; the other two
+    # solve it above the threshold and widen their domain.  Each matches the
+    # exact energy within the ladder's 1e-10 (measured 1.2e-11 at most)
+    passes = _trace_mesh(monkeypatch)
+    f = solve_radial(PotentialModel.exponential(k), QuantumNumbers(n, 0))
+    exact = reference.exp_s_energy(k, n, 2.0 * math.sqrt(-f.energy))
+    assert abs(f.energy - exact) <= 1e-10
+    assert (passes[1][3] == 1421) == widened
+
+
+def test_state_nearer_the_threshold_than_the_cap_resolves_is_refused(monkeypatch):
+    # exp k = 1.4472, 1.001 times the first threshold 1.4458, has E = -1.05e-7;
+    # the widened domain's ladder passes the cap below the threshold: a numeric
+    # failure, not "no bound state"
+    with pytest.raises(NumericalFailure, match="above the cap of 2000"):
+        solve_radial(PotentialModel.exponential(1.4472422872274329), QuantumNumbers(0, 0))
 
 
 def _exp_s_states():
@@ -670,14 +698,14 @@ def test_oracle_energy_lies_between_sturm_levels_n_minus_1_and_n_plus_1():
 
 def test_mesh_calls_on_table_states(monkeypatch):
     # a domain or ladder that wanders shows as a repeatable count of mesh
-    # solves, not as timing noise: the 37 table states take 89, each with its
+    # solves, not as timing noise: the 37 table states take 87, each with its
     # eigenvector, one first rung apiece on the domain fitted from V alone, and
-    # sum N^3 over them, the dsyevr work, is 32.5e6
+    # sum N^3 over them, the dsyevr work, is 34.4e6
     passes = _trace_mesh(monkeypatch)
     for family, k, n, l in TABLE_STATE_ENERGIES:
         solve_radial(*_table_state(family, k, n, l))
-    assert len(passes) == 89
-    assert sum(points ** 3 for *_, points in passes) == 32_495_242
+    assert len(passes) == 87
+    assert sum(points ** 3 for *_, points in passes) == 34_422_747
 
 
 @pytest.mark.pin

@@ -20,7 +20,6 @@ import contextlib
 import io
 import json
 import os
-import re
 import subprocess
 import sys
 import time
@@ -178,9 +177,9 @@ def test_extreme_oracle_commands_keep_the_contract(argv):
 
 
 def test_state_above_the_mesh_cap_is_refused_before_the_mesh():
-    # n = 100000 needs a first rung of at least 2n + 40 = 200040 points, a
-    # matrix of 320 GB; the refusal names the cap after the WKB rows and
-    # 2m V + l(l+1)/r^2 on them exist, before any mesh is built
+    # n = 100000 needs a first rung of the phase bound's 204141 points (above
+    # 2n + 40 = 200040), a matrix of 333 GB; the refusal names the cap after
+    # the WKB rows and 2m V + l(l+1)/r^2 on them exist, before any mesh is built
     tracemalloc.start()
     try:
         code, out, err, wall, caught = _run(["oracle", "linear", "100000", "0",
@@ -189,10 +188,10 @@ def test_state_above_the_mesh_cap_is_refused_before_the_mesh():
     finally:
         tracemalloc.stop()
     assert (code, out, caught) == (70, "", [])
-    named = re.search(r"needs a Lagrange mesh of (\S+) points", err)
-    assert named and float(named.group(1)) >= 200040 and "above the cap of 2000" in err
+    assert ("needs a Lagrange mesh of 204141 points on [0, 7097.67], above the cap of 2000"
+            in err), err
     assert wall <= WALL_BUDGET_S
-    assert peak <= 100e6, peak    # measured 48 MB
+    assert peak <= 100e6, peak    # measured 0.11 MB
 
 
 @pytest.mark.parametrize("command", BASELINE)
