@@ -183,7 +183,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_wavefunction)
 
-    p = sub.add_parser("oracle", help="numeric eigensolver result as JSON")
+    p = sub.add_parser("oracle", help="numeric eigensolver result as JSON", description=(
+        "Lagrange-mesh eigenstate as JSON.  At l = 0 linear and log answer every n <= 690; a level "
+        "whose first mesh rung needs more than 1421 points is refused at once (exit 70)."))
     p.add_argument("family")
     p.add_argument("n", type=int)
     p.add_argument("l", type=int)

@@ -34,13 +34,15 @@ from .exact import ObservableSet, QuantumNumbers
 from .observables import p2_p4_from_potential
 from .specfun import laguerre
 
-__all__ = ["RadialFunction", "SolverConfig", "solve_radial", "numeric_observables",
+__all__ = ["RadialFunction", "SolverConfig", "solve_radial", "solve_wave", "numeric_observables",
            "gauss_laguerre"]
 
 _MESH_ACTION = 36.0    # WKB decay action where the domain ends, both sides: e^-36, rounding
 _MESH_CAP = 2000       # largest mesh; its dsyevr takes about 0.5 s on 2 BLAS threads
 _MESH_TOL = 1e-10      # two rungs of the ladder agree within this, relative to max(1, |E|)
 _LADDER = tuple(round(40 * 1.25 ** k) for k in range(19))   # mesh sizes 40, 50, 62, .. 2220
+_BLAS_SERIAL = 373     # dsyevr below this size on one OpenBLAS thread; two win from 373 nodes
+#   (3 levels, 2-vCPU Xeon, 1 against 2 threads: 1.9/1.9 ms at 298, 3.2/3.0 at 373, 5.2/4.8 at 466)
 
 
 def _lapack():
@@ -54,6 +56,20 @@ def _lapack():
         sys.modules[name] = util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules[name])
     return sys.modules[name]
+
+
+@lru_cache(maxsize=1)
+def _blas_threads():
+    """(get, set) of the thread count of the OpenBLAS that _lapack's extension links (its idle
+    worker spins on a vCPU, and sharing the main thread's stalls small dsyevr calls 30-45x), or
+    of a pool of one that ignores setting where it exports neither API."""
+    import ctypes   # kept out of `import auxfield`
+    lib = ctypes.CDLL(_lapack().__file__)   # dlsym searches the libraries it links
+    for api in ("scipy_openblas_", "openblas_"):
+        if hasattr(lib, api + "get_num_threads") and hasattr(lib, api + "set_num_threads"):
+            getattr(lib, api + "set_num_threads").argtypes = (ctypes.c_int,)
+            return getattr(lib, api + "get_num_threads"), getattr(lib, api + "set_num_threads")
+    return (lambda: 1), (lambda count: None)
 
 
 @dataclass(frozen=True)
@@ -164,14 +180,14 @@ def _rung(points: float) -> int:
 
 
 def _mesh_level(v: PotentialModel, q: QuantumNumbers, r_start: float, r_end: float,
-                points: float):
-    """Eigenvalue q.n (2m E) of T/h^2 + 2m V(r_i) + l(l+1)/r_i^2 on the ladder's first
-    size at or above ``points`` (at most _MESH_CAP, checked first), nodes r_i = r_start +
-    h x_i ending at r_end, with the nodes, h and eigenvector q.n, zero where rounding is all
-    it holds.  dsyevr finds levels n - 1 .. n + 1 from the lower triangle, bisecting to
-    twice the smallest normal double (its default abstol, eps ||H||_1, left Airy levels
-    1.6e-11 off).  Entries whose squares overflow (near 1e154: a domain far too short or
-    long) are refused, as is a non-finite V."""
+                points: float, lo: int):
+    """Eigenvalues lo .. q.n (2m E) of T/h^2 + 2m V(r_i) + l(l+1)/r_i^2 on the ladder's first
+    size at or above ``points`` (at most _MESH_CAP, checked first), nodes r_i = r_start + h x_i
+    ending at r_end, with the nodes, h and eigenvectors (rows), zero where rounding is all
+    they hold.  dsyevr finds levels lo - 1 .. n + 1 from the lower triangle, on one OpenBLAS
+    thread below _BLAS_SERIAL nodes, bisecting to twice the smallest normal double (its
+    default abstol, eps ||H||_1, left Airy levels 1.6e-11 off).  Entries whose squares
+    overflow (near 1e154: a domain far too short or long) are refused, as is a non-finite V."""
     if not points <= _MESH_CAP:   # inf too: an overflowing estimate
         raise NumericalFailure(f"level n = {q.n}, l = {q.l} needs a Lagrange mesh of {points:.6g} "
                                f"points on [{r_start:.6g}, {r_end:.6g}], above the cap of "
@@ -192,18 +208,25 @@ def _mesh_level(v: PotentialModel, q: QuantumNumbers, r_start: float, r_end: flo
                                f"h = {h:.3g}) has entries up to {peak:.3g}, whose squares overflow")
     ham = np.multiply(t, 1.0 / h / h)
     ham.flat[::points + 1] += diag
-    below = min(q.n, 1)   # level n - 1, when there is one, comes first
-    w, z, _, _, info = _lapack().dsyevr(ham, range="I", il=q.n - below + 1, iu=q.n + 2,
-                                        abstol=2.0 * sys.float_info.min, lower=1, overwrite_a=1)
+    below = min(lo, 1)   # level lo - 1, when there is one, comes first
+    get, put = _blas_threads()
+    pool = get()
+    put(1 if points < _BLAS_SERIAL else pool)
+    try:
+        w, z, _, _, info = _lapack().dsyevr(ham, range="I", il=lo - below + 1, iu=q.n + 2,
+                                            abstol=2 * sys.float_info.min, lower=1, overwrite_a=1)
+    finally:
+        put(pool)
     if info != 0:
         raise NumericalFailure(f"LAPACK dsyevr failed on the mesh (info = {info})")
-    # components below the vector's rounding error, 4 eps max|H| over the level's gap
-    # to its neighbours, or below 1e-9 of its largest, the last nodes' e^-36 tail, are
-    # zeroed: noise flips their signs, and the state's signs are its nodes
-    vec, gap = z[:, below], float(np.min(np.abs(np.delete(w[:below + 2], below) - w[below])))
-    noise = 4.0 * sys.float_info.epsilon * peak / gap
-    vec[np.abs(vec) <= max(1e-9 * np.max(np.abs(vec)), noise)] = 0.0
-    return float(w[below]), r, h, vec
+    # components below a vector's rounding error, 4 eps max|H| over its level's gap to
+    # the neighbours, or below 1e-9 of its largest, the last nodes' e^-36 tail, are
+    # zeroed: noise flips their signs, and a state's signs are its nodes
+    levels, gaps = slice(below, below + q.n + 1 - lo), np.diff(w, prepend=-np.inf, append=np.inf)
+    vec, gap = z[:, levels].T, np.fmin(gaps[:-1], gaps[1:])[levels]
+    noise = np.fmax(1e-9 * np.max(np.abs(vec), axis=1), 4.0 * sys.float_info.epsilon * peak / gap)
+    vec[np.abs(vec) <= noise[:, None]] = 0.0
+    return w[levels], r, h, vec
 
 
 def _unbound(v: PotentialModel, q: QuantumNumbers) -> NoBoundState:
@@ -285,53 +308,65 @@ def _fit_domain(v: PotentialModel, q: QuantumNumbers, r_max: Optional[float]):
     return (0.0 if r_max and fit[3] >= r_max else fit[0]), fit[1], fit[2], rows, top
 
 
-def solve_radial(v: PotentialModel, q: QuantumNumbers,
-                 cfg: SolverConfig = SolverConfig()) -> RadialFunction:
-    """Level q.n of partial wave q.l on the Lagrange mesh (see the module docstring).  The
-    first rung's level fits the domain once more, and joins the ladder where that domain's
-    starts at its size.  A first rung at or above the continuum threshold widens its domain
-    at the threshold instead, at its own node density near r_a, for a ladder from
-    _LADDER[-3] nodes: NoBoundState where that ladder ends at or above the threshold.
+def solve_wave(v: PotentialModel, q: QuantumNumbers, lo: int,
+               cfg: SolverConfig = SolverConfig()) -> tuple[RadialFunction, ...]:
+    """Levels lo .. q.n of partial wave q.l on one ladder of the Lagrange mesh (see the module
+    docstring), fitted at level q.n, until every level meets _MESH_TOL.  The first rung's
+    level q.n fits the domain once more, and joins the ladder where that domain's starts at
+    its size.  A first rung at or above the continuum threshold widens its domain at the
+    threshold instead, at its own node density near r_a, for a ladder from _LADDER[-3]
+    nodes: NoBoundState where that ladder ends with level q.n at or above the threshold.
     cfg.r_max caps the domain: a turning point past it at the first rung's level is
     refused, as is a mass above 1e-8 past it, u_end^2 over twice the WKB decay rate there,
     at a later rung.  cfg.grid_points is ignored."""
+    if not (hasattr(type(lo), "__index__") and 0 <= lo <= q.n):
+        raise DomainError(f"the lowest level must be an integer from 0 to n = {q.n}")
     c, r_max = v.kinetic_2m, cfg.r_max
     r_a, r_b, phase, rows, top = _fit_domain(v, q, r_max)
     size = max(2 * q.n + 40, math.sqrt(phase))
     size = _LADDER[-1] if _LADDER[-3] < size <= _MESH_CAP else size   # its next rung passes the cap
-    level, first, span = _mesh_level(v, q, r_a, r_b, size)[0], _rung(size), r_b - r_a
-    wide = span * (_LADDER[-3] / first) ** 2 if level >= top else math.inf
+    level, first, span = _mesh_level(v, q, r_a, r_b, size, lo)[0], _rung(size), r_b - r_a
+    wide = span * (_LADDER[-3] / first) ** 2 if level[-1] >= top else math.inf
     with np.errstate(all="ignore"):
-        fit = _domain(v, q, min(level, top), rows, min(r_max or math.inf, r_a + wide))
+        fit = _domain(v, q, min(level[-1], top), rows, min(r_max or math.inf, r_a + wide))
     if not fit or fit[3] > (r_max or math.inf):
         raise NumericalFailure(f"r_max = {r_max or math.inf:.6g} ends inside the classically "
                                f"allowed region: the outer turning point at the energy "
-                               f"{level / c:.6g} lies beyond it")
+                               f"{level[-1] / c:.6g} lies beyond it")
     r_a, r_b, phase, _ = fit
     w_end = c * float(v.v(r_b)) + q.big_l / r_b ** 2
     size = max(2 * q.n + 40, math.sqrt(phase), _LADDER[-3] if wide < math.inf else 0.0)
-    coarse = level if level < top and _rung(min(size, _MESH_CAP)) <= first else None
+    coarse = level if level[-1] < top and _rung(min(size, _MESH_CAP)) <= first else None
     size = size if coarse is None else _rung(first + 1)
     while True:
-        level, r, h, vec = _mesh_level(v, q, r_a, r_b, size)
+        level, r, h, vec = _mesh_level(v, q, r_a, r_b, size, lo)
         wts = h * gauss_laguerre(r.shape[0])[1]
         u = vec / np.sqrt(wts)
-        mass = float(u[-1]) ** 2 * (0.5 / math.sqrt(max(w_end - level, 1e-12)))
+        mass = float(np.max(u[:, -1] ** 2 * (0.5 / np.sqrt(np.fmax(w_end - level, 1e-12)))))
         if r_b == r_max and mass > 1e-8:
             raise NumericalFailure(f"tail mass {mass:.2e} beyond r_max = {r_b:.6g}: state "
                                    "under-resolved")
         # rungs above the threshold whose first rung lay below it missed the well: they
         # climb on; above it on the widened domain, the cap's finest rung ends the ladder
-        if (coarse is not None and abs(level - coarse) <= _MESH_TOL * max(c, abs(level))
-                and (level < top or wide < math.inf)):
+        if (coarse is not None and (level[-1] < top or wide < math.inf)
+                and np.all(np.abs(level - coarse) <= _MESH_TOL * np.fmax(c, np.abs(level)))):
             break
         coarse, size = level, _rung(r.shape[0] + 1)
-        if size > _MESH_CAP and not level < top and wide < math.inf:
+        if size > _MESH_CAP and not level[-1] < top and wide < math.inf:
             break
-    if not level < top:
+    if not level[-1] < top:
         raise _unbound(v, q)
-    u *= math.copysign(1.0, u[np.argmax(u != 0.0)])   # u > 0 before its first node
-    return RadialFunction(grid=r, values=u, weights=wts, energy=level / c, q=q)
+    # each state u > 0 before its first node
+    u *= np.copysign(1.0, u[np.arange(u.shape[0]), np.argmax(u != 0.0, axis=1)])[:, None]
+    return tuple(RadialFunction(grid=r, values=row, weights=wts, energy=e / c,
+                                q=QuantumNumbers(n, q.l))
+                 for n, row, e in zip(range(lo, q.n + 1), u, level.tolist()))
+
+
+def solve_radial(v: PotentialModel, q: QuantumNumbers,
+                 cfg: SolverConfig = SolverConfig()) -> RadialFunction:
+    """Level q.n of partial wave q.l: ``solve_wave`` from q.n, each rung solving n - 1 .. n + 1."""
+    return solve_wave(v, q, q.n, cfg)[0]
 
 
 def numeric_observables(f: RadialFunction, v: PotentialModel) -> ObservableSet:

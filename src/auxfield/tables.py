@@ -3,8 +3,8 @@
 Every builder returns (header, rows) where each row carries the computed
 value, the embedded published value, their absolute difference and a
 per-row pass flag at the table's tolerance.  Rows are generated in a
-fixed order and formatted to 4 significant digits, so repeated runs are
-byte-identical.
+fixed order and formatted to 4 significant digits (a CSV diff below 1e-9,
+the oracle's rounding, as 0), so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from . import observables, overlaps
 from .afm import AuxiliaryKind, PotentialModel, afm_solve
 from .errors import AuxFieldError, DomainError, NumericalFailure
 from .exact import QuantumNumbers, linear_s_observables, linear_s_state
-from .oracle import RadialFunction, SolverConfig, gauss_laguerre, numeric_observables, solve_radial
+from .oracle import RadialFunction, gauss_laguerre, numeric_observables, solve_radial, solve_wave
 
 __all__ = ["TABLE_IDS", "Row", "golden", "build_table", "format_rows", "oracle_state",
            "linear_exact_function", "linear_afm_overlap_sq", "sample_psi", "wavefunction_samples"]
@@ -70,10 +70,35 @@ class Row:
 _LINEAR = PotentialModel.linear()
 
 
+@lru_cache(maxsize=1)
+def _wave_tops() -> Dict[Tuple[PotentialModel, int], int]:
+    """The top level the tables read of each oracle partial wave (v, l) but the log S-wave,
+    which converges only algebraically: one ladder would move its lower levels by 1e-10."""
+    gold, log = golden(), PotentialModel.logarithmic()
+    states = [(_LINEAR, int(l), len(ns) - 1) for l, ns in gold["ratios_hy"]["eps"].items()]
+    states += [(log, rec["l"], rec["n"]) for rec in gold["log_results"] if rec["l"]]
+    states += [(PotentialModel.exponential(float(rec["k"])), rec["l"], rec["n"])
+               for rec in gold["exp_results"]]
+    return {(v, l): n for v, l, n in sorted(states, key=lambda state: state[2])}
+
+
+@lru_cache(maxsize=None)
+def _wave(v: PotentialModel, q: QuantumNumbers) -> Tuple[RadialFunction, ...]:
+    """Levels 0 .. q.n of partial wave q.l from one oracle ladder, () where that ladder fails."""
+    try:
+        return solve_wave(v, q, 0)
+    except AuxFieldError:
+        return ()
+
+
 @lru_cache(maxsize=None)
 def oracle_state(v: PotentialModel, q: QuantumNumbers) -> Tuple[RadialFunction, object]:
-    """Converged oracle eigenstate of ``v`` and its quadrature observables."""
-    f = solve_radial(v, q, SolverConfig())
+    """Converged oracle eigenstate of ``v`` and its quadrature observables: level q.n of its
+    wave's ladder, on the domain fitted at the wave's top level, or its own ladder above that
+    level, outside the declared waves or where the wave's ladder fails."""
+    top = _wave_tops().get((v, q.l), -1)
+    wave = _wave(v, QuantumNumbers(top, q.l)) if q.n <= top else ()
+    f = wave[q.n] if wave else solve_radial(v, q)
     return f, numeric_observables(f, v)
 
 
@@ -319,7 +344,8 @@ def format_rows(header: List[str], rows: List[Row], fmt: str) -> str:
                 lines.append(",".join(
                     [_fmt(r.labels[h]) for h in header]
                     + [_fmt(r.computed), r.published if r.published is not None else "-",
-                       _fmt(r.diff), str(r.ok).lower()]))
+                       _fmt(0.0 if r.diff is not None and r.diff < 1e-9 else r.diff),
+                       str(r.ok).lower()]))
         else:
             lines.append(",".join(header))
             for r in rows:

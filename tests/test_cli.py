@@ -313,6 +313,16 @@ class TestOracleCommand:
         assert code == 2
         assert json.loads(out)["error"] == "no-bound-state"
 
+    def test_help_states_the_measured_range(self, capsys):
+        # the l = 0 limit README measured, and the first rung above which a
+        # level is refused at once, the last below the cap but one
+        code, out, _ = _run(capsys, "oracle", "--help")
+        text = " ".join(out.split())
+        assert code == 0
+        assert "At l = 0 linear and log answer every n <= 690" in text
+        assert f"first mesh rung needs more than {oracle._LADDER[-3]} points" in text
+        assert "refused at once (exit 70)" in text
+
 
 class TestBoundaries:
     def test_infinite_depth_is_usage_error(self, capsys):

@@ -4,12 +4,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from auxfield import oracle
+from auxfield import oracle, tables
 from auxfield.afm import PotentialModel
 from auxfield.errors import AuxFieldError, DomainError, NoBoundState, NumericalFailure
 from auxfield.exact import QuantumNumbers
 from auxfield.oracle import (RadialFunction, SolverConfig, numeric_observables,
-                             solve_radial)
+                             solve_radial, solve_wave)
 from auxfield.specfun import airy_zero
 from auxfield.tables import oracle_state
 import reference
@@ -291,9 +291,9 @@ def _trace_mesh(monkeypatch):
     while _fit_domain fits the first rung's domain fails the test: that fit reads V alone."""
     level, fit, passes, fitting = oracle._mesh_level, oracle._fit_domain, [], []
 
-    def traced_level(v, q, r_start, r_end, points):
+    def traced_level(v, q, r_start, r_end, points, lo):
         assert not fitting, "_fit_domain solved a mesh"
-        out = level(v, q, r_start, r_end, points)
+        out = level(v, q, r_start, r_end, points, lo)
         passes.append((q, r_start, r_end, out[1].shape[0]))
         return out
 
@@ -428,7 +428,7 @@ def test_table_states_converge_on_fine_grids():
         f = oracle_state(v, q)[0]
         r_a = _mesh_frame(f)[0]
         finer = oracle._mesh_level(v, q, r_a, float(f.grid[-1]),
-                                   oracle._rung(f.grid.shape[0] + 1))[0] / v.kinetic_2m
+                                   oracle._rung(f.grid.shape[0] + 1), q.n)[0][0] / v.kinetic_2m
         error = abs(finer - f.energy) / max(1.0, abs(f.energy))
         assert error <= oracle._MESH_TOL, (key, error)
         kind = "log S" if key[0] == "log" and q.l == 0 else "other"
@@ -698,14 +698,134 @@ def test_oracle_energy_lies_between_sturm_levels_n_minus_1_and_n_plus_1():
 
 def test_mesh_calls_on_table_states(monkeypatch):
     # a domain or ladder that wanders shows as a repeatable count of mesh
-    # solves, not as timing noise: the 37 table states take 87, each with its
-    # eigenvector, one first rung apiece on the domain fitted from V alone, and
-    # sum N^3 over them, the dsyevr work, is 34.4e6
-    passes = _trace_mesh(monkeypatch)
+    # solves, not as timing noise.  One ladder per state (solve_radial, the CLI
+    # path) takes 87 solves and 37 domain fits, sum N^3 (the dsyevr work)
+    # 34.4e6.  The tables read 11 partial waves from one ladder each, fitted
+    # at the wave's top level, and the three log S-states from their own
+    # ladders: 42 solves, each rung giving every level of its wave, 14 fits and
+    # sum N^3 27.9e6, 19% less
+    passes, fits, fit = _trace_mesh(monkeypatch), [], oracle._fit_domain
+    monkeypatch.setattr(oracle, "_fit_domain", lambda *args: fits.append(args[1]) or fit(*args))
     for family, k, n, l in TABLE_STATE_ENERGIES:
         solve_radial(*_table_state(family, k, n, l))
-    assert len(passes) == 87
+    assert (len(passes), len(fits)) == (87, 37)
     assert sum(points ** 3 for *_, points in passes) == 34_422_747
+    passes.clear(), fits.clear(), tables._wave.cache_clear(), oracle_state.cache_clear()
+    for family, k, n, l in TABLE_STATE_ENERGIES:
+        oracle_state(*_table_state(family, k, n, l))
+    assert (len(passes), len(fits)) == (42, 14)
+    assert sum(points ** 3 for *_, points in passes) == 27_935_379
+
+
+def test_table_states_from_their_wave_match_their_own_ladders():
+    # a level read from its partial wave's ladder, on the domain fitted at the
+    # wave's top level, is its own ladder's state within 1e-12 relative in E
+    # and <r^2> (measured 2.2e-13 and 3.8e-13); the log S-states are their own
+    # ladders' states
+    for key in TABLE_STATE_ENERGIES:
+        v, q = _table_state(*key)
+        (f, obs), own = oracle_state(v, q), solve_radial(v, q)
+        r2 = numeric_observables(own, v).r_moments[2]
+        assert f.q == q and abs(f.energy - own.energy) <= 1e-12 * abs(own.energy), key
+        assert abs(obs.r_moments[2] - r2) <= 1e-12 * r2, key
+
+
+def test_levels_of_a_failing_wave_take_their_own_ladders(monkeypatch):
+    # a wave whose ladder fails at its top level empties no lower level's rows:
+    # each takes its own ladder, as outside the declared waves
+    def failing(*args, **kwargs):
+        raise NumericalFailure("injected")
+
+    monkeypatch.setattr(tables, "solve_wave", failing)
+    tables._wave.cache_clear(), oracle_state.cache_clear()
+    try:
+        v, q = _table_state("exp", 20.0, 0, 0)
+        assert oracle_state(v, q)[0].energy == solve_radial(v, q).energy
+    finally:
+        tables._wave.cache_clear(), oracle_state.cache_clear()
+
+
+def test_wave_returns_its_levels_in_order():
+    # levels lo .. n, each with its quantum numbers and n of them its nodes
+    wave = solve_wave(LINEAR, QuantumNumbers(4, 1), 2)
+    assert [f.q for f in wave] == [QuantumNumbers(n, 1) for n in (2, 3, 4)]
+    assert [_nodes(f) for f in wave] == [2, 3, 4]
+    assert all(a.energy < b.energy for a, b in zip(wave, wave[1:]))
+    for lo in (-1, 5, 1.0):
+        with pytest.raises(DomainError, match="lowest level"):
+            solve_wave(LINEAR, QuantumNumbers(4, 1), lo)
+
+
+def _blas_threads():
+    """The (get, set) thread count of scipy's OpenBLAS, skipping where it exposes none."""
+    get, put = oracle._blas_threads()
+    if not hasattr(get, "argtypes"):   # the oracle's pool-of-one stand-in, not a C function
+        pytest.skip("this LAPACK build exposes no OpenBLAS thread count")
+    return get, put
+
+
+def test_blas_pool_is_restored_after_each_solve(monkeypatch):
+    # a small mesh runs dsyevr on one OpenBLAS thread, and the pool is given
+    # back after a table-state solve, after one refused past a mesh (a tail
+    # beyond r_max) and after one whose dsyevr raises
+    get, put = _blas_threads()
+    pool, lapack, seen = get(), oracle._lapack(), []
+    try:
+        put(2)   # a pool to hold on any host
+        oracle_state.cache_clear()
+        oracle_state(*_table_state("exp", 20.0, 2, 0))
+        assert get() == 2
+        with pytest.raises(NumericalFailure, match="tail mass"):
+            solve_radial(PotentialModel.exponential(20.0), QuantumNumbers(0, 0),
+                         SolverConfig(r_max=3.0))
+        assert get() == 2
+
+        def failing(*args, **kwargs):
+            seen.append(get())
+            raise NumericalFailure("injected")
+
+        monkeypatch.setattr(lapack, "dsyevr", failing)
+        with pytest.raises(NumericalFailure, match="injected"):
+            solve_radial(LINEAR, QuantumNumbers(0, 0))
+        assert seen == [1] and get() == 2
+    finally:
+        put(pool)
+
+
+def test_oracle_solves_without_a_blas_thread_api(monkeypatch):
+    # where the LAPACK build exports neither thread-count API, the pool is
+    # taken as one thread that no call changes
+    import ctypes
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
+    oracle._blas_threads.cache_clear()
+    try:
+        get, put = oracle._blas_threads()
+        assert not hasattr(get, "argtypes") and get() == 1 and put(2) is None and get() == 1
+        f = solve_radial(LINEAR, QuantumNumbers(1, 0))
+        assert abs(f.energy + airy_zero(1)) <= 3e-13 * f.energy
+    finally:
+        oracle._blas_threads.cache_clear()
+
+
+def test_large_rung_is_not_held(monkeypatch):
+    # from 373 nodes up dsyevr keeps the whole pool, where two threads win:
+    # the 298-node rung runs on one thread, the 373-node rung on two
+    get, put = _blas_threads()
+    pool, lapack, seen = get(), oracle._lapack(), []
+    dsyevr = lapack.dsyevr
+
+    def traced(ham, **kwargs):
+        seen.append((ham.shape[0], get()))
+        return dsyevr(ham, **kwargs)
+
+    monkeypatch.setattr(lapack, "dsyevr", traced)
+    try:
+        put(2)
+        for points in (298, 300):
+            oracle._mesh_level(LINEAR, QuantumNumbers(0, 0), 0.0, 20.0, points, 0)
+        assert seen == [(298, 1), (373, 2)] and get() == 2
+    finally:
+        put(pool)
 
 
 @pytest.mark.pin
@@ -849,7 +969,7 @@ def test_level_holds_on_a_longer_finer_mesh():
             continue
         r_a = _mesh_frame(f)[0]
         longer = oracle._mesh_level(v, q, r_a, r_a + 1.5 * (float(f.grid[-1]) - r_a),
-                                    oracle._rung(oracle._rung(f.grid.shape[0] + 1) + 1))[0]
+                                    oracle._rung(oracle._rung(f.grid.shape[0] + 1) + 1), q.n)[0][0]
         assert abs(longer / v.kinetic_2m - f.energy) <= 1e-9 * max(1.0, abs(f.energy)), (
             family, k, n, l)
         solved += 1

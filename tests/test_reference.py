@@ -4,13 +4,14 @@ them.  The oracle tests lean on both as a second opinion."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import reference
 from auxfield.afm import PotentialModel
 from auxfield.exact import QuantumNumbers
-from auxfield.tables import oracle_state
+from auxfield.oracle import solve_radial
 
 # the 37 states the tables solve: linear n <= 5 and log n <= 2, each with l <= 2, and 10 exp wells
 TABLE_STATES = ([("linear", None, n, l) for l in range(3) for n in range(6)]
@@ -54,7 +55,7 @@ def test_assembly_solves_its_numerov_system_in_place():
     checked = []
     for family, k, n, l in TABLE_STATES:
         v, q = PotentialModel.from_name(family, k), QuantumNumbers(n, l)
-        ref = reference.numerov_state(v, q, float(oracle_state(v, q)[0].grid[-1]), 20000)
+        ref = reference.numerov_state(v, q, float(solve_radial(v, q).grid[-1]), 20000)
         w = np.zeros_like(ref.grid)
         w[1:] = v.kinetic_2m * (v.v(ref.grid[1:]) - ref.energy) + q.big_l / ref.grid[1:] ** 2
         h, points = float(ref.grid[1]), w.shape[0]
@@ -76,3 +77,19 @@ def test_assembly_solves_its_numerov_system_in_place():
         assert abs(sum(tail)) <= 1e-12 * sum(map(abs, tail)), (family, k, n, l)
         checked.append(m)
     assert len(checked) == len(TABLE_STATES) == 37
+
+
+@pytest.mark.parametrize("nu", [0.029, 0.3, 1.2])
+def test_exp_s_psi0_sq_is_the_force_identity(nu):
+    # |psi(0)|^2 of the exact exp S-state u = J_nu(2 sqrt(k) e^(-r/2)), from
+    # its slope at the origin, is the force identity m <V'>/(2 pi) (2m = 1),
+    # both integrated by mpmath, the second in r: within 1e-8 down to
+    # nu = 0.029, one part in 1e-3 of the well's depth below the threshold,
+    # where the integrand's x^(2 nu - 1) had cost the first 1%
+    with mpmath.workdps(30):
+        k = (mpmath.besseljzero(nu, 1) / 2) ** 2
+        u2 = lambda r: mpmath.besselj(nu, 2 * mpmath.sqrt(k) * mpmath.exp(-r / 2)) ** 2
+        edges = [0, 10, 100, 1000, mpmath.inf]
+        force = mpmath.quad(lambda r: u2(r) * k * mpmath.exp(-r), edges) / mpmath.quad(u2, edges)
+        force = float(force / (4 * mpmath.pi))
+    assert abs(reference.exp_s_psi0_sq(float(k), 0, nu) - force) <= 1e-8 * force
