@@ -5,7 +5,7 @@ Subcommands::
     auxfield solve <family> <aux> <n> <l> [--k K]
     auxfield table <id> [--format csv|json] [--strict] [--out PATH]
     auxfield wavefunction <family> <aux|exact> <n> <l> [--r-max R] [--samples N]
-    auxfield oracle <family> <n> <l> [--k K] [--r-max R] [--grid-points N]
+    auxfield oracle <family> <n> <l> [--k K] [--grid-points N]
 
 Exit codes: 0 success, 1 a row missed its tolerance under ``table
 --strict`` (the table is still written), 2 no bound state
@@ -135,7 +135,7 @@ def _cmd_oracle(args) -> int:
     v = PotentialModel.from_name(args.family, args.k)
     if not 2000 <= args.grid_points <= 2_000_000:
         raise DomainError("grid_points must be between 2000 and 2000000")
-    f = solve_radial(v, QuantumNumbers(args.n, args.l), r_max=args.r_max)
+    f = solve_radial(v, QuantumNumbers(args.n, args.l))
     obs = numeric_observables(f, v)
     record = {
         "family": v.family,
@@ -191,7 +191,6 @@ def _build_parser() -> _Parser:
     p.add_argument("n", type=int)
     p.add_argument("l", type=int)
     p.add_argument("--k", type=float, default=None)
-    p.add_argument("--r-max", type=float, default=None)
     p.add_argument("--grid-points", type=int, default=20000,
                    help="ignored (the mesh sets its own size), but must lie in [2000, 2000000]")
     p.add_argument("--out", default=None)

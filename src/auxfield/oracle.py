@@ -19,7 +19,6 @@ f2py extension, which _lapack loads without the scipy.linalg package.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -216,13 +215,13 @@ def _unbound(v: PotentialModel, q: QuantumNumbers) -> NoBoundState:
 
 
 def _domain(v: PotentialModel, q: QuantumNumbers, level: float, rows: np.ndarray,
-            r_max: Optional[float], cap: float = math.inf):
+            r_wide: float = math.inf, cap: float = math.inf):
     """(r_a, r_b, phase, r_turn) at 2m E = ``level``, None if no row or the last is
     allowed: the turning points of W = 2m V + l(l+1)/r^2 (chords), where the decay action
-    beyond them reaches _MESH_ACTION (trapezoids; r_a = 0 where it never does; r_max and a
-    phase bound of ``cap`` cap r_b), and the phase bound max p^2 (r - r_a)(r_b - r) on the
-    allowed rows, p the local wavenumber, as the mesh on [r_a, r_b] has about (2N/(pi
-    (r_b - r_a))) sqrt((r_b - r_a)/(r - r_a) - 1) nodes per unit length."""
+    beyond them reaches _MESH_ACTION (trapezoids; r_a = 0 where it never does; the widened
+    end r_wide and a phase bound of ``cap`` cap r_b), and the phase bound max p^2 (r - r_a)
+    (r_b - r) on the allowed rows, p the local wavenumber, as the mesh on [r_a, r_b] has
+    about (2N/(pi (r_b - r_a))) sqrt((r_b - r_a)/(r - r_a) - 1) nodes per unit length."""
     gap = v.kinetic_2m * v.v(rows) + q.big_l / rows / rows - level
     allowed = np.flatnonzero(gap < 0.0)
     if not allowed.size or allowed[-1] == rows.shape[0] - 1:
@@ -238,12 +237,12 @@ def _domain(v: PotentialModel, q: QuantumNumbers, level: float, rows: np.ndarray
     i, j = allowed[0], allowed[-1] + 1
     (r_turn, r_b), (_, r_a) = walk(j, 1), walk(i - 1, -1) if i else (0.0, 0.0)
     live, p2 = rows[i:j], -gap[i:j]
-    r_b = min(r_b or math.inf, r_max or math.inf, float(np.min(live + cap / p2 / (live - r_a))))
+    r_b = min(r_b or math.inf, r_wide, float(np.min(live + cap / p2 / (live - r_a))))
     phase = np.max(p2 * (live - r_a) * (r_b - live)) if r_b < math.inf else r_b
     return r_a, r_b, max(float(phase), 0.0), r_turn
 
 
-def _fit_domain(v: PotentialModel, q: QuantumNumbers, r_max: Optional[float]):
+def _fit_domain(v: PotentialModel, q: QuantumNumbers):
     """(r_a, r_b, phase, rows, top) of the first rung, top = 2m times the continuum
     threshold: _domain at the Langer-WKB level, bisected to 1e-2 of its height above or
     depth below top, on rows r0 e^-2^t (t = 6, 5.875, .. -30) and r0 + r0 2^t (t = -30,
@@ -251,8 +250,7 @@ def _fit_domain(v: PotentialModel, q: QuantumNumbers, r_max: Optional[float]):
     Where the rule puts level n at or above top, top stands in on the domain whose phase
     bound is (n + 20)^2, half the first rung's nodes: the phase bound misses most of a
     well that holds part of a half-wave.  NoBoundState, before any mesh, when no row is
-    allowed at top or n exceeds the count there, less 1/2, by more than 1.  [0, r_max]
-    stands in for a domain whose outer turning point lies at or past r_max."""
+    allowed at top or n exceeds the count there, less 1/2, by more than 1."""
     c, lg, target = v.kinetic_2m, (q.l + 0.5) ** 2, q.n + 0.5
     top = math.inf if v.continuum_threshold is None else c * v.continuum_threshold
     with np.errstate(all="ignore"):   # rows far from the well overflow harmlessly
@@ -283,54 +281,39 @@ def _fit_domain(v: PotentialModel, q: QuantumNumbers, r_max: Optional[float]):
         while (not near and level - lo > 1e-2 * min(level - floor, top - lo)
                and lo < (mid := 0.5 * (lo + level)) < level):
             lo, level = (mid, level) if count(mid) < 0.0 else (lo, mid)
-        fit = _domain(v, q, level, rows, r_max, (q.n + 20.0) ** 2 if near else math.inf)
+        fit = _domain(v, q, level, rows, cap=(q.n + 20.0) ** 2 if near else math.inf)
     if not fit or near and level < top:
         raise NumericalFailure(f"the well of level n = {q.n}, l = {q.l} is below the "
                                "rounding of 2m V")
-    return (0.0 if r_max and fit[3] >= r_max else fit[0]), fit[1], fit[2], rows, top
+    return *fit[:3], rows, top
 
 
-def solve_wave(v: PotentialModel, q: QuantumNumbers, lo: int, *,
-               r_max: Optional[float] = None) -> tuple[RadialFunction, ...]:
+def solve_wave(v: PotentialModel, q: QuantumNumbers, lo: int) -> tuple[RadialFunction, ...]:
     """Levels lo .. q.n of partial wave q.l on one ladder of the Lagrange mesh (see the module
     docstring), fitted at level q.n, until every level meets _MESH_TOL.  The first rung's
     level q.n fits the domain once more, and joins the ladder where that domain's starts at
     its size.  A first rung at or above the continuum threshold widens its domain at the
     threshold instead, at its own node density near r_a, for a ladder from _LADDER[-3]
-    nodes: NoBoundState where that ladder ends with level q.n at or above the threshold.
-    r_max, a positive and finite real number, caps the domain: a turning point past it at
-    the first rung's level is refused, as is a mass above 1e-8 past it, u_end^2 over twice
-    the WKB decay rate there, at a later rung."""
-    if r_max is not None and not (isinstance(r_max, numbers.Real) and r_max > 0
-                                  and math.isfinite(r_max)):
-        raise DomainError("r_max must be a positive and finite real number")
+    nodes: NoBoundState where that ladder ends with level q.n at or above the threshold."""
     if not (hasattr(type(lo), "__index__") and 0 <= lo <= q.n):
         raise DomainError(f"the lowest level must be an integer from 0 to n = {q.n}")
     c = v.kinetic_2m
-    r_a, r_b, phase, rows, top = _fit_domain(v, q, r_max)
+    r_a, r_b, phase, rows, top = _fit_domain(v, q)
     size = max(2 * q.n + 40, math.sqrt(phase))
     size = _LADDER[-1] if _LADDER[-3] < size <= _MESH_CAP else size   # its next rung passes the cap
     level, first, span = _mesh_level(v, q, r_a, r_b, size, lo)[0], _rung(size), r_b - r_a
     wide = span * (_LADDER[-3] / first) ** 2 if level[-1] >= top else math.inf
     with np.errstate(all="ignore"):
-        fit = _domain(v, q, min(level[-1], top), rows, min(r_max or math.inf, r_a + wide))
-    if not fit or fit[3] > (r_max or math.inf):
-        raise NumericalFailure(f"r_max = {r_max or math.inf:.6g} ends inside the classically "
-                               f"allowed region: the outer turning point at the energy "
-                               f"{level[-1] / c:.6g} lies beyond it")
+        fit = _domain(v, q, min(level[-1], top), rows, r_a + wide)
+    if not fit:
+        raise NumericalFailure(f"the first rung's level n = {q.n}, l = {q.l}, at the energy "
+                               f"{level[-1] / c:.6g}, is nowhere above 2m V + l(l+1)/r^2")
     r_a, r_b, phase, _ = fit
-    w_end = c * float(v.v(r_b)) + q.big_l / r_b ** 2
     size = max(2 * q.n + 40, math.sqrt(phase), _LADDER[-3] if wide < math.inf else 0.0)
     coarse = level if level[-1] < top and _rung(min(size, _MESH_CAP)) <= first else None
     size = size if coarse is None else _rung(first + 1)
     while True:
         level, r, h, vec = _mesh_level(v, q, r_a, r_b, size, lo)
-        wts = h * gauss_laguerre(r.shape[0])[1]
-        u = vec / np.sqrt(wts)
-        mass = float(np.max(u[:, -1] ** 2 * (0.5 / np.sqrt(np.fmax(w_end - level, 1e-12)))))
-        if r_b == r_max and mass > 1e-8:
-            raise NumericalFailure(f"tail mass {mass:.2e} beyond r_max = {r_b:.6g}: state "
-                                   "under-resolved")
         # rungs above the threshold whose first rung lay below it missed the well: they
         # climb on; above it on the widened domain, the cap's finest rung ends the ladder
         if (coarse is not None and (level[-1] < top or wide < math.inf)
@@ -341,6 +324,8 @@ def solve_wave(v: PotentialModel, q: QuantumNumbers, lo: int, *,
             break
     if not level[-1] < top:
         raise _unbound(v, q)
+    wts = h * gauss_laguerre(r.shape[0])[1]
+    u = vec / np.sqrt(wts)
     # each state u > 0 before its first node
     u *= np.copysign(1.0, u[np.arange(u.shape[0]), np.argmax(u != 0.0, axis=1)])[:, None]
     return tuple(RadialFunction(grid=r, values=row, weights=wts, energy=e / c,
@@ -348,10 +333,9 @@ def solve_wave(v: PotentialModel, q: QuantumNumbers, lo: int, *,
                  for n, row, e in zip(range(lo, q.n + 1), u, level.tolist()))
 
 
-def solve_radial(v: PotentialModel, q: QuantumNumbers, *,
-                 r_max: Optional[float] = None) -> RadialFunction:
+def solve_radial(v: PotentialModel, q: QuantumNumbers) -> RadialFunction:
     """Level q.n of partial wave q.l: ``solve_wave`` from q.n, each rung solving n - 1 .. n + 1."""
-    return solve_wave(v, q, q.n, r_max=r_max)[0]
+    return solve_wave(v, q, q.n)[0]
 
 
 def numeric_observables(f: RadialFunction, v: PotentialModel) -> ObservableSet:

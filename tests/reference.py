@@ -22,8 +22,9 @@ evaluator replaced, kept to hold it to them bit for bit.
 clipped where Ai underflows.  ``quadrature_mean_potential`` is the composite Gauss-Legendre rule that
 gave the trial <V> before every family had it in closed form, on the
 density cutoff ``trial_cutoff``; ``mean_exp_neg_r_mp`` is <e^-r> of a
-trial state by ``mpmath.quad``, and ``dilated_overlap_mp`` the overlap of
-two dilated states of one basis.  ``exp_s_energy`` is the exact energy of
+trial state by ``mpmath.quad``, ``trial_r2_p2_mp`` its <r^2> and <p^2>
+the same way, and ``dilated_overlap_mp`` the overlap of two dilated states
+of one basis.  ``exp_s_energy`` is the exact energy of
 an S-state of the exponential well, from a zero of a Bessel function.
 ``lagrange_mesh_level`` is a converged eigenvalue of any radial problem
 from a Lagrange-Laguerre mesh, which shares no grid, domain cut or
@@ -569,6 +570,46 @@ def dilated_overlap_mp(hydrogen: bool, n: int, n_prime: int, l: int, a: float,
         pieces = (n + n_prime) // 4 + 4
         pts = [y_top / s * j / pieces for j in range(pieces + 1)]
         return mpmath.quad(lambda r: r * r * f(r) * g(r), pts, method="gauss-legendre")
+
+
+def trial_r2_p2_mp(scale, q: QuantumNumbers, dps: int = 20):
+    """<r^2> and <p^2> = int (u'^2 + l(l+1) u^2/r^2) dr of a hydrogen-like or
+    oscillator trial state by Gauss-Legendre ``mpmath.quad`` at ``dps`` digits,
+    u = r R from the textbook forms of ``dilated_overlap_mp`` and u' from them
+    term by term, L and L' from L's power series (``mpmath.polyval``), on
+    n + 8 equal pieces of [0, y_top / s], y = s r, as there."""
+    n, l = q.n, q.l
+    hydrogen = isinstance(scale, HydrogenScale)
+    with mpmath.workdps(dps):
+        alpha = mpmath.mpf(2 * l + 1) if hydrogen else l + mpmath.mpf(1) / 2
+        coef = [(-1) ** j * mpmath.binomial(n + alpha, n - j) / mpmath.factorial(j)
+                for j in range(n, -1, -1)]
+        if hydrogen:   # exponent e(r) = gamma r, argument x(r) = 2 gamma r of L
+            gam = mpmath.mpf(scale.gamma(q))
+            c, top = 2 * gam, (4 * n + 2 * alpha + 200) / (2 * gam)
+            norm = mpmath.sqrt(c ** 3 * mpmath.factorial(n)
+                               / (2 * (n + l + 1) * mpmath.gamma(n + 2 * l + 2)))
+            parts = lambda r: (gam * r, gam, c * r, c)
+        else:          # e(r) = (lambda r)^2 / 2, x(r) = (lambda r)^2
+            c = lam = mpmath.mpf(scale.lam)
+            top = mpmath.sqrt(4 * n + 2 * alpha + 200) / lam
+            norm = mpmath.sqrt(2 * lam ** 3 * mpmath.factorial(n)
+                               / mpmath.gamma(n + l + mpmath.mpf(3) / 2))
+            parts = lambda r: ((lam * r) ** 2 / 2, lam * lam * r, (lam * r) ** 2, 2 * lam * lam * r)
+
+        def u_du(r):   # u = N c^l r^(l+1) e^-e(r) L(x(r)) and its derivative
+            e, de, x, dx = parts(r)
+            lag, dlag = mpmath.polyval(coef, x, derivative=True)
+            w = norm * c ** l * r ** l * mpmath.exp(-e)
+            return w * r * lag, w * ((l + 1) * lag + r * (dlag * dx - de * lag))
+
+        def kinetic(r):
+            u, du = u_du(r)
+            return du * du + (l * (l + 1) * u * u / (r * r) if l else 0)
+
+        pts = [top * j / (n + 8) for j in range(n + 9)]
+        r2 = mpmath.quad(lambda r: (r * u_du(r)[0]) ** 2, pts, method="gauss-legendre")
+        return float(r2), float(mpmath.quad(kinetic, pts, method="gauss-legendre"))
 
 
 def exp_s_energy(k: float, n: int, nu: float) -> float:

@@ -323,6 +323,16 @@ class TestOracleCommand:
         assert f"first mesh rung needs more than {oracle._LADDER[-3]} points" in text
         assert "refused at once (exit 70)" in text
 
+    def test_readme_states_the_ladder_the_help_does(self):
+        # README's mentions of that first rung, of the rung after it and of
+        # the last rung, which passes the cap, follow the ladder as the help does
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = " ".join(readme.read_text().split())
+        first, second, last = oracle._LADDER[-3:]
+        assert f"as far as a ladder from {first} nodes allows (ΣN³ of {first} and {second}," in text
+        assert f"the phase bound), lies above {first} points is refused at once" in text
+        assert f"`oracle linear 691 0` names {last} points" in text
+
 
 class TestBoundaries:
     def test_infinite_depth_is_usage_error(self, capsys):
@@ -376,7 +386,7 @@ class TestBoundaries:
         assert "--samples" in err and "2000000" in err
 
     @pytest.mark.parametrize("argv", [
-        ("oracle", "linear", "0", "0", "--r-max", "inf", "--grid-points", "2000"),
+        ("wavefunction", "exp", "quadratic", "0", "0", "--k", "20", "--r-max=-inf"),
         ("wavefunction", "linear", "coulomb", "0", "0", "--r-max", "inf"),
         ("wavefunction", "log", "exact", "0", "0", "--r-max", "nan"),
     ])
@@ -384,7 +394,7 @@ class TestBoundaries:
         code, out, err = _run(capsys, *argv)
         assert code == 64
         assert out == ""
-        assert "finite" in err
+        assert "auxfield: error: --r-max must be positive and finite" in err
 
     @pytest.mark.parametrize("argv", [
         ("solve", "linear", "coulomb", "99999999999999999999", "0"),
@@ -440,7 +450,7 @@ class TestBoundaries:
                             staticmethod(lambda name, k=None: Poisoned()))
         code, out, err = _run(capsys, "oracle", "linear", "0", "0",
                               "--grid-points", "2000")
-        r_a, r_b = oracle._fit_domain(LinearPotential(), QuantumNumbers(0, 0), None)[:2]
+        r_a, r_b = oracle._fit_domain(LinearPotential(), QuantumNumbers(0, 0))[:2]
         x = oracle.gauss_laguerre(40)[0]
         assert code == 70
         assert out == ""
@@ -486,21 +496,25 @@ class TestBoundaries:
         assert ("level n = 2000, l = 0 needs a Lagrange mesh of 4110.71 points on "
                 "[0, 528.273], above the cap of 2000" in err), err
 
-    def test_r_max_inside_allowed_region_is_numeric_failure(self, capsys):
-        # the turning point of linear (0, 0) is near r = 2.3, beyond r_max
-        code, out, err = _run(capsys, "oracle", "linear", "0", "0", "--r-max", "1")
-        assert code == 70
-        assert out == ""
-        assert "r_max = 1 ends inside the classically allowed region" in err
-        assert "turning point" in err
-        # grid steps whose 3-point matrix leaves the float range of the
-        # Sturm count, down to one whose 1/h^2 divides by zero
-        for r_max in ("1e-100", "1e-155", "1e-160"):
-            code, out, err = _run(capsys, "oracle", "linear", "0", "0", "--r-max", r_max)
-            assert code == 70, (r_max, err)
-            assert out == ""
-            assert "numeric failure" in err and "grid step" in err, (r_max, err)
-            assert "internal error" not in err, (r_max, err)
+    def test_oracle_r_max_is_an_unknown_flag(self, capsys):
+        # the oracle fits its domain from V alone: the library keyword and the
+        # oracle flag are gone, while wavefunction keeps --r-max, its sampling range
+        with pytest.raises(TypeError, match="r_max"):
+            solve_radial(LinearPotential(), QuantumNumbers(0, 0), r_max=1.0)
+        code, out, err = _run(capsys, "oracle", "linear", "0", "0", "--r-max", "5")
+        assert (code, out) == (64, "")
+        assert "auxfield: error: unrecognized arguments: --r-max 5" in err
+        assert "Traceback" not in err
+        assert "--r-max" not in _run(capsys, "oracle", "--help")[1]
+        assert "--r-max" in _run(capsys, "wavefunction", "--help")[1]
+
+    def test_well_below_the_first_rung_is_numeric_failure(self, capsys):
+        # at k = 1e48 the first rung's level, -k to rounding, lies nowhere above
+        # 2m V on the WKB rows, so no domain can be fitted at it
+        code, out, err = _run(capsys, "oracle", "exp", "0", "0", "--k", "1e48")
+        assert (code, out) == (70, "")
+        assert err == ("auxfield: numeric failure: the first rung's level n = 0, l = 0, at the "
+                       "energy -1e+48, is nowhere above 2m V + l(l+1)/r^2\n")
 
     def test_fine_grid_oracle_converges(self, capsys):
         code, out, err = _run(capsys, "oracle", "exp", "1", "1", "--k", "20",
@@ -514,9 +528,9 @@ class TestBoundaries:
     def test_fine_grids_stop_at_their_rounding_scale(self, capsys):
         # --grid-points is ignored, so the Numerov oracle's fine grids and
         # their rounding scale eps/(2m h^2) are gone: these commands answer
-        # within 1e-13 of the exact energy (measured 9.5e-15 and 3.6e-14),
-        # exp 0 2 --k 20 at 320000 points is the default solve, and the log
-        # ground state on [0, 20] and [0, 8] agree within 3e-10 (measured 2.8e-11)
+        # within 1e-13 of the exact energy (measured 9.5e-15 and 3.6e-14), and
+        # exp 0 2 --k 20 and the log ground state at 320000 points are the
+        # default solves
         def energy(*argv):
             code, out, err = _run(capsys, "oracle", *argv)
             assert code == 0, (argv, err)
@@ -529,13 +543,7 @@ class TestBoundaries:
         default = oracle_state(PotentialModel.exponential(20.0), QuantumNumbers(0, 2))[0].energy
         assert energy("exp", "0", "2", "--k", "20", "--grid-points", "320000") == default
         default = oracle_state(PotentialModel.logarithmic(), QuantumNumbers(0, 0))[0].energy
-        e20 = energy("log", "0", "0", "--r-max", "20", "--grid-points", "80000")
-        e8 = energy("log", "0", "0", "--r-max", "8", "--grid-points", "320000")
-        assert abs(e20 - e8) <= 3e-10 * e20
-        assert abs(e20 - default) <= 3e-10 * default and abs(e8 - default) <= 3e-10 * default
-        # a short domain is refused for the mass it leaves past r_max
-        code, out, err = _run(capsys, "oracle", "exp", "0", "0", "--k", "20", "--r-max", "4")
-        assert (code, out) == (70, "") and "tail mass 2.86e-07 beyond r_max = 4" in err
+        assert energy("log", "0", "0", "--grid-points", "320000") == default
 
     @pytest.mark.parametrize("aux", ["coulomb", "quadratic"])
     @pytest.mark.parametrize("k", ["1e150", "1e200", "1e250", "1e308"])
@@ -554,11 +562,12 @@ class TestBoundaries:
             assert "numeric failure" in err
 
     def test_nonpositive_r_max_is_usage_error(self, capsys):
+        # wavefunction's sampling range, refused by the command, not by argparse
         code, out, err = _run(capsys, "wavefunction", "linear", "coulomb", "0",
                               "0", "--r-max", "-1")
         assert code == 64
         assert out == ""
-        assert "--r-max" in err
+        assert err == "auxfield: error: --r-max must be positive and finite\n"
 
 
 _COLD_SCRIPT = """

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -150,30 +151,31 @@ class TestExponentialFamily:
 
 class TestConvergenceAndConfig:
     def test_grid_convergence(self):
-        # the level does not hang on where the mesh ends: an r_max past the
-        # fitted domain leaves the solve as it is, and one that cuts the
-        # decaying tail short moves the energy by at most 1e-12 max(1, |E|)
-        # (measured 1.6e-13 for linear (0, 0) cut at r = 10, 3.4e-14 for exp
-        # k = 5 (0, 0) at 20 and 2.5e-13 for exp k = 20 (0, 1) at 10)
+        # the level does not hang on where the mesh ends: the state's own rung
+        # on its domain cut short inside the decaying tail moves the energy by
+        # at most 1e-12 max(1, |E|) (measured 6.8e-14 for linear (0, 0) cut at
+        # r = 10, 3.4e-14 for exp k = 5 (0, 0) at 20 and 9.4e-14 for exp
+        # k = 20 (0, 1) at 10); a longer domain is test_level_holds_on_a_longer_finer_mesh
         for model, q, cut in [(LINEAR, QuantumNumbers(0, 0), 10.0),
                               (PotentialModel.exponential(5.0), QuantumNumbers(0, 0), 20.0),
                               (PotentialModel.exponential(20.0), QuantumNumbers(0, 1), 10.0)]:
             f = solve_radial(model, q)
             assert cut < f.grid[-1]
-            assert solve_radial(model, q, r_max=2.0 * float(f.grid[-1])).energy == f.energy
-            short = solve_radial(model, q, r_max=cut)
-            assert short.grid[-1] == pytest.approx(cut, rel=1e-15)
-            assert abs(short.energy - f.energy) <= 1e-12 * max(1.0, abs(f.energy)), (model, q)
+            short = oracle._mesh_level(model, q, _mesh_frame(f)[0], cut, f.grid.shape[0], q.n)
+            assert short[1][-1] == pytest.approx(cut, rel=1e-15)
+            energy = float(short[0][0]) / model.kinetic_2m
+            assert abs(energy - f.energy) <= 1e-12 * max(1.0, abs(f.energy)), (model, q)
 
     def test_config_validation(self):
-        # r_max, the one setting, must be a positive and finite real number,
-        # for a single level and for a partial wave alike
-        for r_max in (-1.0, 0.0, 0, math.inf, math.nan):
-            with pytest.raises(DomainError, match="r_max must be a positive and finite"):
+        # the oracle fits its domain from V alone and takes no setting: the
+        # r_max keyword is gone, real or not, for a single level and for a
+        # partial wave alike, and no third positional argument stands in for it
+        for r_max in (1.0, 10, np.float64(10.0), -1.0, math.inf, math.nan, "5", 1j):
+            with pytest.raises(TypeError, match="r_max"):
                 solve_radial(LINEAR, QuantumNumbers(0, 0), r_max=r_max)
-            with pytest.raises(DomainError, match="r_max must be a positive and finite"):
+            with pytest.raises(TypeError, match="r_max"):
                 solve_wave(LINEAR, QuantumNumbers(2, 0), 0, r_max=r_max)
-        with pytest.raises(TypeError):   # a keyword, never the third positional argument
+        with pytest.raises(TypeError):
             solve_radial(LINEAR, QuantumNumbers(0, 0), 20.0)
 
     @pytest.mark.pin
@@ -204,35 +206,10 @@ class TestConvergenceAndConfig:
             assert abs(f.energy - level.energy) <= bounds[key[0]] * max(1.0, abs(level.energy)), key
         assert no_reference == self._NOT_MESH_REFERENCES
 
-    def test_tail_mass_flagged(self):
-        # a domain cut short by r_max is refused where the state is made, by the
-        # mass past r_max that the mesh's last node gives, u_end^2 over twice the
-        # WKB decay rate: exp k = 20 (0, 0) past its turning point r = 1.1, at
-        # r = 3 and r = 4, linear (0, 0) and (0, 1) at r = 5, and exp k = 20
-        # (2, 0) at r = 60, where V has reached the continuum but the mesh has no
-        # tail to carry the rest.  Each estimate lies within a factor of 3 of the
-        # mass past r_max of the reference Numerov state on a long domain
-        # (measured 0.44 to 0.82 of it)
-        import re
-        exp20 = PotentialModel.exponential(20.0)
-        cases = [(exp20, 0, 0, 3.0, 40.0), (exp20, 0, 0, 4.0, 40.0), (LINEAR, 0, 0, 5.0, 30.0),
-                 (LINEAR, 0, 1, 5.0, 30.0), (exp20, 2, 0, 60.0, 600.0)]
-        for v, n, l, r_max, long in cases:
-            q = QuantumNumbers(n, l)
-            match = f"tail mass .* beyond r_max = {r_max:g}"
-            with pytest.raises(NumericalFailure, match=match) as info:
-                solve_radial(v, q, r_max=r_max)
-            estimate = float(re.search(r"tail mass (\S+)", str(info.value)).group(1))
-            ref = reference.numerov_state(v, q, long, 200001)
-            past = ref.grid >= r_max
-            mass = float(ref.weights[past] @ ref.values[past] ** 2)
-            assert mass / 3.0 <= estimate <= 3.0 * mass, (v, q, r_max, estimate, mass)
-
-
     def test_state_cut_in_the_continuum_keeps_its_tail(self):
-        # exp k = 20 (2, 0) cut at r = 60, where V = -1.7e-25, is refused for the
-        # mass past 60 (test_tail_mass_flagged); solved on the domain the decay
-        # action fits, [0, 394], the state keeps that tail: the mass of its
+        # exp k = 20 (2, 0) holds mass past r = 60, where V = -1.7e-25 has
+        # reached the continuum; solved on the domain the decay action fits,
+        # [0, 394], the state keeps that tail: the mass of its
         # Lagrange functions past r = 60, 2.88e-5 by Simpson's rule, is within
         # 1.8e-13 of the reference Numerov state's on [0, 600] (bound 10x)
         v, q = PotentialModel.exponential(20.0), QuantumNumbers(2, 0)
@@ -630,19 +607,6 @@ def test_gauss_sampled_state_has_no_origin_node():
             assert abs(got - value) <= 5e-13 * value, n
 
 
-def test_non_real_r_max_is_refused():
-    # "5" used to raise a bare TypeError from the comparison with 0; a numpy
-    # float and an int are real numbers, and cap the domain as the float does
-    q = QuantumNumbers(0, 0)
-    for r_max in ("5", 1j, [5.0]):
-        with pytest.raises(DomainError, match="r_max"):
-            solve_radial(LINEAR, q, r_max=r_max)
-    capped = solve_radial(LINEAR, q, r_max=10.0)
-    for r_max in (np.float64(10.0), 10):
-        f = solve_radial(LINEAR, q, r_max=r_max)
-        assert f.grid[-1] == capped.grid[-1] and f.energy == capped.energy
-
-
 def _level_states():
     """Seeded (family, k, n, l): 40 linear and log states with n, l <= 40, 30 exp
     wells up to k = 7e4 with l <= 40, 15 near-threshold exp S-states 5-50% deeper
@@ -756,18 +720,22 @@ def _blas_threads():
 
 def test_blas_pool_is_restored_after_each_solve(monkeypatch):
     # a small mesh runs dsyevr on one OpenBLAS thread, and the pool is given
-    # back after a table-state solve, after one refused past a mesh (a tail
-    # beyond r_max) and after one whose dsyevr raises
+    # back after a table-state solve, after one refused past its meshes (exp
+    # k = 100 (6, 0), which its widened ladder puts above the threshold) and
+    # after one whose dsyevr raises
     get, put = _blas_threads()
     pool, lapack, seen = get(), oracle._lapack(), []
+    dsyevr = lapack.dsyevr
     try:
         put(2)   # a pool to hold on any host
         oracle_state.cache_clear()
         oracle_state(*_table_state("exp", 20.0, 2, 0))
         assert get() == 2
-        with pytest.raises(NumericalFailure, match="tail mass"):
-            solve_radial(PotentialModel.exponential(20.0), QuantumNumbers(0, 0), r_max=3.0)
-        assert get() == 2
+        meshes = []
+        monkeypatch.setattr(lapack, "dsyevr", lambda *a, **kw: meshes.append(1) or dsyevr(*a, **kw))
+        with pytest.raises(NoBoundState):
+            solve_radial(PotentialModel.exponential(100.0), QuantumNumbers(6, 0))
+        assert meshes and get() == 2
 
         def failing(*args, **kwargs):
             seen.append(get())
@@ -815,6 +783,20 @@ def test_large_rung_is_not_held(monkeypatch):
         assert seen == [(298, 1), (373, 2)] and get() == 2
     finally:
         put(pool)
+
+
+def test_mesh_entries_whose_squares_overflow_are_refused():
+    # no CLI input reaches this refusal: linear and log have fixed scales, and
+    # an exp well deep enough for it is refused first, below the rounding of
+    # 2m V.  A library slope of 1e250 does, on the domain [0, 6.1e-83] fitted
+    # from V; domains shorter still, down to one whose 1/h^2 is infinite, are
+    # refused by the mesh itself, never as an internal error
+    with pytest.raises(NumericalFailure, match=r"\[0, 6.13e-83\] \(grid step h = 4.31e-85\) "
+                       r"has entries up to 3.45e\+171, whose squares overflow"):
+        solve_radial(PotentialModel.linear(1.0, 1e250), QuantumNumbers(0, 0))
+    for r_end, peak in ((1e-100, "1.29e+207"), (1e-155, "inf"), (1e-160, "inf")):
+        with pytest.raises(NumericalFailure, match=rf"entries up to {re.escape(peak)}, whose "):
+            oracle._mesh_level(LINEAR, QuantumNumbers(0, 0), 0.0, r_end, 40, 0)
 
 
 @pytest.mark.pin

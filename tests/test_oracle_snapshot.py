@@ -2,12 +2,13 @@
 
 ``tests/snapshots/oracle.json`` holds the exit code, stderr and stdout of
 ``auxfield oracle`` for each family at a few states, the near-threshold
-exp k = 1.5 (0, 0), exp k = 20 (2, 0), whose state reaches to
-r = 394, the two domains cut short enough that the mass
-past r_max is refused (exit 70), an exit-2 and an exit-64 payload.  Exit
-codes, stderr and stdout's keys must match exactly; its numbers agree
-within 1e-12 relative, so that the last bits of the LAPACK build do not
-count.  ``--grid-points`` is accepted, range-checked by the CLI and ignored.
+exp k = 1.5 (0, 0), exp k = 20 (2, 0), whose state reaches to r = 394,
+two commands passing the ``--r-max`` the oracle no longer has (exit 64),
+a level refused by the mesh cap (exit 70), an exit-2 and an exit-64
+payload.  Exit codes, stderr and stdout's keys must match exactly; its
+numbers agree within 1e-12 relative, so that the last bits of the LAPACK
+build do not count.  ``--grid-points`` is accepted, range-checked by the
+CLI and ignored.
 
 A change that moves an entry on purpose rewrites the snapshot with
 ``PYTHONPATH=src python tests/test_oracle_snapshot.py``, which first
@@ -44,6 +45,7 @@ COMMANDS = [argv.split() for argv in (
     "oracle linear 0 0 --r-max 5",
     "oracle exp 1 0 --k 5",
     "oracle log 0 0 --grid-points 100",
+    "oracle log 691 0",
 )]
 
 
