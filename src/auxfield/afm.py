@@ -101,7 +101,7 @@ class PotentialModel:
     (moment set ``obs``), the bound direction, and the oracle's
     ``continuum_threshold``: None when V confines, else the largest energy
     below E = 0 the oracle accepts as a bound state.  The oracle fits its
-    domain from V and V' alone.
+    domain from V, centred on the Langer well's bottom ``afm_radius(l + 1/2)``.
 
     ``LinearPotential(m, a)``:  H = p^2/(2m) + a r   (m, a configurable)
     ``LogPotential()``:         H = p^2/4 + ln r     (no parameters)

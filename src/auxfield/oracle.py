@@ -202,10 +202,11 @@ def _mesh_level(v: PotentialModel, q: QuantumNumbers, r_start: float, r_end: flo
         raise NumericalFailure(f"LAPACK dsyevr failed on the mesh (info = {info})")
     # components below a vector's rounding error, 4 eps max|H| over its level's gap to
     # the neighbours, or below 1e-9 of its largest, the last nodes' e^-36 tail, are
-    # zeroed: noise flips their signs, and a state's signs are its nodes
+    # zeroed: noise flips their signs, and a state's signs are its nodes (all, at a zero gap)
     levels, gaps = slice(below, below + q.n + 1 - lo), np.diff(w, prepend=-np.inf, append=np.inf)
     vec, gap = z[:, levels].T, np.fmin(gaps[:-1], gaps[1:])[levels]
-    noise = np.fmax(1e-9 * np.max(np.abs(vec), axis=1), 4.0 * sys.float_info.epsilon * peak / gap)
+    with np.errstate(divide="ignore"):
+        noise = np.fmax(1e-9 * np.abs(vec).max(axis=1), 4.0 * sys.float_info.epsilon * peak / gap)
     vec[np.abs(vec) <= noise[:, None]] = 0.0
     return w[levels], r, h, vec
 
@@ -216,7 +217,7 @@ def _unbound(v: PotentialModel, q: QuantumNumbers) -> NoBoundState:
 
 def _domain(v: PotentialModel, q: QuantumNumbers, level: float, rows: np.ndarray,
             r_wide: float = math.inf, cap: float = math.inf):
-    """(r_a, r_b, phase, r_turn) at 2m E = ``level``, None if no row or the last is
+    """(r_a, r_b, phase) at 2m E = ``level``, None if no row or the last is
     allowed: the turning points of W = 2m V + l(l+1)/r^2 (chords), where the decay action
     beyond them reaches _MESH_ACTION (trapezoids; r_a = 0 where it never does; the widened
     end r_wide and a phase bound of ``cap`` cap r_b), and the phase bound max p^2 (r - r_a)
@@ -227,39 +228,38 @@ def _domain(v: PotentialModel, q: QuantumNumbers, level: float, rows: np.ndarray
     if not allowed.size or allowed[-1] == rows.shape[0] - 1:
         return None
 
-    def walk(k, step):   # the turning point before row k, and the action's end past it
+    def walk(k, step):   # where the decay action past the turning point before row k ends
         r, s = rows[k::step], np.sqrt(gap[k::step])
         edge = r[0] - (r[0] - rows[k - step]) * gap[k] / (gap[k] - gap[k - step])
         walked = np.cumsum(0.5 * (s[1:] + s[:-1]) * np.abs(np.diff(r)))
         walked += 0.5 * s[0] * abs(r[0] - edge)
-        return edge, np.interp(_MESH_ACTION, walked, r[1:]) if walked[-1] > _MESH_ACTION else 0.0
+        return np.interp(_MESH_ACTION, walked, r[1:]) if walked[-1] > _MESH_ACTION else 0.0
 
     i, j = allowed[0], allowed[-1] + 1
-    (r_turn, r_b), (_, r_a) = walk(j, 1), walk(i - 1, -1) if i else (0.0, 0.0)
+    r_b, r_a = walk(j, 1), walk(i - 1, -1) if i else 0.0
     live, p2 = rows[i:j], -gap[i:j]
     r_b = min(r_b or math.inf, r_wide, float(np.min(live + cap / p2 / (live - r_a))))
     phase = np.max(p2 * (live - r_a) * (r_b - live)) if r_b < math.inf else r_b
-    return r_a, r_b, max(float(phase), 0.0), r_turn
+    return r_a, r_b, max(float(phase), 0.0)
 
 
 def _fit_domain(v: PotentialModel, q: QuantumNumbers):
-    """(r_a, r_b, phase, rows, top) of the first rung, top = 2m times the continuum
-    threshold: _domain at the Langer-WKB level, bisected to 1e-2 of its height above or
-    depth below top, on rows r0 e^-2^t (t = 6, 5.875, .. -30) and r0 + r0 2^t (t = -30,
-    .. 29.875) around the bottom r0 of W_L = 2m V + (l + 1/2)^2/r^2, exact on its chords.
-    Where the rule puts level n at or above top, top stands in on the domain whose phase
-    bound is (n + 20)^2, half the first rung's nodes: the phase bound misses most of a
-    well that holds part of a half-wave.  NoBoundState, before any mesh, when no row is
+    """(r_a, r_b, phase, rows, top) of the first rung, top = 2m times the continuum threshold:
+    _domain at the Langer-WKB level, bisected to 1e-2 of its height above or depth below top, on
+    rows r0 e^-2^t (t = 6, 5.875, .. -30) and r0 + r0 2^t (t = -30, .. 29.875) around the bottom
+    r0 = afm_radius(l + 1/2) of W_L = 2m V + (l + 1/2)^2/r^2, exact on its chords.  Where the
+    rule puts level n at or above top, top stands in on the domain whose phase bound is
+    (n + 20)^2, half the first rung's nodes: the phase bound misses most of a well that holds
+    part of a half-wave.  NoBoundState, before any mesh, where afm_radius refuses, no row is
     allowed at top or n exceeds the count there, less 1/2, by more than 1."""
     c, lg, target = v.kinetic_2m, (q.l + 0.5) ** 2, q.n + 0.5
     top = math.inf if v.continuum_threshold is None else c * v.continuum_threshold
+    try:   # W_L' = 0 where m r^3 V' = (l + 1/2)^2
+        r0 = v.afm_radius(q.l + 0.5)
+    except NoBoundState:
+        raise _unbound(v, q) from None
     with np.errstate(all="ignore"):   # rows far from the well overflow harmlessly
-        grid = 2.0 ** np.arange(-400.0, 400.0)
-        for _ in range(2):   # W_L' r^3 = 2m V' r^3 - 2 (l + 1/2)^2 turns positive at r0
-            if not (up := int(np.argmax(c * v.v_prime(grid) * grid * grid * grid > 2.0 * lg))):
-                raise _unbound(v, q)
-            grid = grid[up - 1] * (grid[up] / grid[up - 1]) ** (np.arange(257) / 256.0)
-        t, r0 = 2.0 ** np.arange(-30.0, 30.0, 0.125), grid[-1]
+        t = 2.0 ** np.arange(-30.0, 30.0, 0.125)
         rows = np.concatenate((r0 * np.exp(-t[t < 64.0][::-1]), r0 + r0 * t))
         wl = c * v.v(rows) + lg / rows / rows
         slope, floor = np.diff(rows) / np.diff(wl), float(np.min(wl))
@@ -285,7 +285,7 @@ def _fit_domain(v: PotentialModel, q: QuantumNumbers):
     if not fit or near and level < top:
         raise NumericalFailure(f"the well of level n = {q.n}, l = {q.l} is below the "
                                "rounding of 2m V")
-    return *fit[:3], rows, top
+    return *fit, rows, top
 
 
 def solve_wave(v: PotentialModel, q: QuantumNumbers, lo: int) -> tuple[RadialFunction, ...]:
@@ -308,7 +308,7 @@ def solve_wave(v: PotentialModel, q: QuantumNumbers, lo: int) -> tuple[RadialFun
     if not fit:
         raise NumericalFailure(f"the first rung's level n = {q.n}, l = {q.l}, at the energy "
                                f"{level[-1] / c:.6g}, is nowhere above 2m V + l(l+1)/r^2")
-    r_a, r_b, phase, _ = fit
+    r_a, r_b, phase = fit
     size = max(2 * q.n + 40, math.sqrt(phase), _LADDER[-3] if wide < math.inf else 0.0)
     coarse = level if level[-1] < top and _rung(min(size, _MESH_CAP)) <= first else None
     size = size if coarse is None else _rung(first + 1)
@@ -324,6 +324,8 @@ def solve_wave(v: PotentialModel, q: QuantumNumbers, lo: int) -> tuple[RadialFun
             break
     if not level[-1] < top:
         raise _unbound(v, q)
+    if not np.any(vec, axis=1).all():   # the noise rule zeroed a whole eigenvector
+        raise NumericalFailure(f"a level up to n = {q.n}, l = {q.l} is lost in the mesh's rounding")
     wts = h * gauss_laguerre(r.shape[0])[1]
     u = vec / np.sqrt(wts)
     # each state u > 0 before its first node

@@ -810,6 +810,16 @@ def test_mesh_entries_whose_squares_overflow_are_refused():
 
 
 @pytest.mark.pin
+def test_zero_level_gap_zeroes_the_vectors_without_a_warning():
+    # exp k = 1e48 on [0, 1.78e-14]: levels 0 and 1 round to one double near -1e48, and
+    # their zero gap makes the noise rule's bound infinite, not a divide-by-zero warning
+    # (an error under filterwarnings): both vectors are noise, which solve_wave refuses
+    level, _, _, vec = oracle._mesh_level(PotentialModel.exponential(1e48), QuantumNumbers(1, 0),
+                                          0.0, 1.78e-14, 40, 0)
+    assert level[0] == level[1] and not vec.any()
+
+
+@pytest.mark.pin
 def test_returned_vector_is_the_assembly_at_the_returned_energy():
     # the returned state is eigenvector n of the mesh Hamiltonian assembled on
     # its own nodes, T/h^2 + 2m V(r_i) + l(l+1)/r_i^2, at the returned energy:

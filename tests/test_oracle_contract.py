@@ -29,6 +29,7 @@ import warnings
 from pathlib import Path
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -212,8 +213,9 @@ def test_extreme_oracle_commands_keep_the_contract(argv):
     assert unknown == ("--r-max" in argv), (argv, code, err)
 
 
+@pytest.mark.pin
 def test_state_above_the_mesh_cap_is_refused_before_the_mesh():
-    # n = 100000 needs a first rung of the phase bound's 204141 points (above
+    # n = 100000 needs a first rung of the phase bound's 203865 points (above
     # 2n + 40 = 200040), a matrix of 333 GB; the refusal names the cap after
     # the WKB rows and 2m V + l(l+1)/r^2 on them exist, before any mesh is built
     tracemalloc.start()
@@ -224,10 +226,59 @@ def test_state_above_the_mesh_cap_is_refused_before_the_mesh():
     finally:
         tracemalloc.stop()
     assert (code, out, caught) == (70, "", [])
-    assert ("needs a Lagrange mesh of 204141 points on [0, 7097.67], above the cap of 2000"
+    assert ("needs a Lagrange mesh of 203865 points on [0, 7091.27], above the cap of 2000"
             in err), err
     assert wall <= WALL_BUDGET_S
     assert peak <= 100e6, peak    # measured 0.11 MB
+
+
+@pytest.mark.parametrize("argv,named", [
+    ("oracle exp 0 0 --k 1e45", "level up to n = 0, l = 0 is lost in the mesh's rounding"),
+    ("oracle exp 0 1000 --k 1e45", "numeric failure: ")])
+def test_deep_wells_lost_in_the_mesh_rounding_are_refused(argv, named):
+    # the l = 0 state's every component is rounding noise on each rung, so no vector is
+    # left to return (returning it gave p2 < 0); l = 1000 has a zero level gap, where the
+    # noise rule must not warn, and fails earlier, on its re-fitted domain
+    code, err, out = _assert_contract(argv.split())
+    assert (code, out) == (70, ""), (argv, err)
+    assert named in err, err
+
+
+def _afm_radius_models(big_n):
+    """Linear, log, and exp with k from 1e-9 below the edge N^2 = 27 m k/e^3, where the
+    well loses its bottom, through 1e-12 .. 1e-1 above it, then log-spaced up to 1e300."""
+    edge = big_n * big_n * math.e ** 3 / (27.0 * 0.5)
+    ks = [edge * (1.0 - 1e-9), edge] + [edge * (1.0 + 10.0 ** -p) for p in range(12, 0, -1)]
+    ks += np.geomspace(1.2 * edge, 1e300, 24).tolist()
+    return [PotentialModel.linear(), PotentialModel.logarithmic()] + [
+        PotentialModel.exponential(k) for k in ks]
+
+
+@pytest.mark.parametrize("l", [0, 1, 10, 1000, 100000])
+def test_oracle_well_bottom_is_the_afm_radius(l):
+    # the oracle centres its rows on r0 = afm_radius(l + 1/2), the bottom of the Langer
+    # well, where m r0^3 V'(r0) = N^2.  That holds within 12 ulp (measured 8.0) beyond
+    # the rounding of the exponent 1/3 in x^(1/3), x = N^2/m/a or N^2/m/k:
+    # x^fl(1/3) = x^(1/3) (1 - (1/3 - fl(1/3)) ln x), tripled in r0^3, which alone
+    # makes 321 ulp at exp k = 1e300, l = 1000.  Where afm_radius refuses, so does
+    # the oracle, as not supported
+    big_n, third = l + 0.5, float(Fraction(1, 3) - Fraction(1.0 / 3.0))
+    refused = 0
+    for v in _afm_radius_models(big_n):
+        try:
+            r0 = v.afm_radius(big_n)
+        except NoBoundState:
+            argv = ["oracle", "exp", "0", str(l), "--k", repr(v.k)]
+            code, err, out = _assert_contract(argv)
+            assert (code, _strict_json(out)) == (
+                2, {"error": "no-bound-state", "reason": "not-supported"}), (argv, err)
+            refused += 1
+            continue
+        scale = getattr(v, "k", getattr(v, "a", None))   # the log family takes no cube root
+        power = 0.0 if scale is None else 3.0 * third * abs(math.log(big_n ** 2 / v.mass / scale))
+        residual = abs(v.mass * r0 ** 3 * v.v_prime(r0) - big_n ** 2)
+        assert residual <= 12 * math.ulp(big_n ** 2) + power * big_n ** 2, (v, l, r0, residual)
+    assert refused == 15   # below and near the edge, up to r0 = 2, where E = 0
 
 
 @pytest.mark.parametrize("command", BASELINE)
