@@ -194,7 +194,7 @@ def lambert_w(x: float) -> float:
     """Principal branch W_0 of the real Lambert W function: the root
     w >= -1 of w*exp(w) = x, for x >= -1/e."""
     x = float(x)
-    if math.isnan(x):
+    if not math.isfinite(x):
         raise DomainError("lambert_w requires a finite argument")
     # tolerate arguments a few ulp below the branch point
     if x < _NEG_INV_E:

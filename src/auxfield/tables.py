@@ -72,11 +72,10 @@ _LINEAR = PotentialModel.linear()
 
 @lru_cache(maxsize=1)
 def _wave_tops() -> Dict[Tuple[PotentialModel, int], int]:
-    """The top level the tables read of each oracle partial wave (v, l) but the log S-wave,
-    which converges only algebraically: one ladder would move its lower levels by 1e-10."""
+    """The top level the tables read of each oracle partial wave (v, l)."""
     gold, log = golden(), PotentialModel.logarithmic()
     states = [(_LINEAR, int(l), len(ns) - 1) for l, ns in gold["ratios_hy"]["eps"].items()]
-    states += [(log, rec["l"], rec["n"]) for rec in gold["log_results"] if rec["l"]]
+    states += [(log, rec["l"], rec["n"]) for rec in gold["log_results"]]
     states += [(PotentialModel.exponential(float(rec["k"])), rec["l"], rec["n"])
                for rec in gold["exp_results"]]
     return {(v, l): n for v, l, n in sorted(states, key=lambda state: state[2])}
@@ -84,21 +83,17 @@ def _wave_tops() -> Dict[Tuple[PotentialModel, int], int]:
 
 @lru_cache(maxsize=None)
 def _wave(v: PotentialModel, q: QuantumNumbers) -> Tuple[RadialFunction, ...]:
-    """Levels 0 .. q.n of partial wave q.l from one oracle ladder, () where that ladder fails."""
-    try:
-        return solve_wave(v, q, 0)
-    except AuxFieldError:
-        return ()
+    """Levels 0 .. q.n of partial wave q.l from one oracle ladder."""
+    return solve_wave(v, q, 0)
 
 
 @lru_cache(maxsize=None)
 def oracle_state(v: PotentialModel, q: QuantumNumbers) -> Tuple[RadialFunction, object]:
     """Converged oracle eigenstate of ``v`` and its quadrature observables: level q.n of its
-    wave's ladder, on the domain fitted at the wave's top level, or its own ladder above that
-    level, outside the declared waves or where the wave's ladder fails."""
+    wave's ladder, on the domain fitted at the wave's top level, or its own ladder outside
+    the declared waves."""
     top = _wave_tops().get((v, q.l), -1)
-    wave = _wave(v, QuantumNumbers(top, q.l)) if q.n <= top else ()
-    f = wave[q.n] if wave else solve_radial(v, q)
+    f = _wave(v, QuantumNumbers(top, q.l))[q.n] if q.n <= top else solve_radial(v, q)
     return f, numeric_observables(f, v)
 
 

@@ -15,7 +15,10 @@ from pathlib import Path
 import pytest
 
 import auxfield
-from auxfield import cli
+from auxfield import _numpy, cli, exact, specfun, tables
+from auxfield.afm import PotentialModel
+from auxfield.errors import DomainError
+from auxfield.exact import QuantumNumbers
 
 _MODULES = sorted(m.name for m in pkgutil.iter_modules(auxfield.__path__)
                   if not m.ispkg)
@@ -141,6 +144,33 @@ def test_every_family_owns_its_trial_mean_v():
     assert not hasattr(PotentialModel, "trial_mean_v")
     for name, family in _FAMILIES.items():
         assert "trial_mean_v" in vars(family), name
+
+
+_LINEAR = PotentialModel.linear()
+_REFUSALS = {   # each names what is wrong, before any work on the input
+    "linear_s_state m = 0": (lambda: exact.linear_s_state(0.0, 1.0, 0), DomainError, "positive"),
+    "linear_s_state a < 0": (lambda: exact.linear_s_state(1.0, -1.0, 0), DomainError, "positive"),
+    "linear_s_observables m < 0": (lambda: exact.linear_s_observables(-1.0, 1.0, 0),
+                                   DomainError, "positive"),
+    "linear_s_observables a = 0": (lambda: exact.linear_s_observables(1.0, 0.0, 0),
+                                   DomainError, "positive"),
+    "airy_ai nan": (lambda: specfun.airy_ai(math.nan), DomainError, "finite"),
+    "airy_zero_estimate -1": (lambda: specfun.airy_zero_estimate(-1), DomainError, "index"),
+    "laguerre -1": (lambda: specfun.laguerre(-1, 0.0, 1.0), DomainError, "degree"),
+    "sample_psi bogus": (lambda: tables.sample_psi(_LINEAR, "bogus", QuantumNumbers(0, 0), [1.0]),
+                         DomainError, "aux must be"),
+    "build_table nope": (lambda: tables.build_table("nope"), ValueError, "unknown table id"),
+    "format_rows xml": (lambda: tables.format_rows([], [], "xml"), ValueError, "unknown format"),
+    # the lazy numpy handle answers a dunder probe without importing numpy
+    "np.__wrapped__": (lambda: _numpy.np.__wrapped__, AttributeError, "__wrapped__"),
+}
+
+
+@pytest.mark.parametrize("case", _REFUSALS)
+def test_bad_inputs_are_refused(case):
+    call, error, match = _REFUSALS[case]
+    with pytest.raises(error, match=re.escape(match)):
+        call()
 
 
 def test_readme_library_example_runs(capsys):

@@ -13,7 +13,7 @@ from auxfield import cli, oracle, tables
 from auxfield.afm import LinearPotential, PotentialModel
 from auxfield.cli import main
 from auxfield.exact import QuantumNumbers
-from auxfield.oracle import solve_radial
+from auxfield.oracle import numeric_observables, solve_radial
 from auxfield.tables import TABLE_IDS, oracle_state
 
 import reference
@@ -259,8 +259,9 @@ class TestWavefunction:
 
     def test_exact_oracle_path_reads_zero_or_the_tail_past_the_state_end(
             self, monkeypatch, capsys):
-        # log (0, 0) ends well before r = 60: psi is that state's
-        # Lagrange expansion, below 3e-11 of its peak past the state's end
+        # log (0, 0) ends well before r = 60: psi is the Lagrange expansion of
+        # its own ladder's state, solve_radial (the CLI's path, not the table
+        # state's wave), below 3e-11 of its peak past the state's end
         # (measured 3.5e-12), not a solve on [0, 60]
         def samples(out):
             rows = [line.split(",") for line in out.splitlines()[1:]]
@@ -270,7 +271,9 @@ class TestWavefunction:
                             "--r-max", "60")
         assert code == 0
         r, psi = samples(out)
-        f, obs = oracle_state(PotentialModel.logarithmic(), QuantumNumbers(0, 0))
+        log = PotentialModel.logarithmic()
+        f = solve_radial(log, QuantumNumbers(0, 0))
+        obs = numeric_observables(f, log)
         assert f.grid[-1] < 60.0
         past = r > f.grid[-1]
         assert past.any() and np.max(np.abs(psi[past])) <= 3e-11 * np.max(psi)
@@ -279,7 +282,8 @@ class TestWavefunction:
         # on [0, 300] it is that one solve, whose decaying tail is positive up
         # to r = 200, where psi is 1e-11, and then below 1e-13 (the zeroed nodes)
         v, q = PotentialModel.exponential(20.0), QuantumNumbers(2, 0)
-        g, g_obs = oracle_state(v, q)
+        g = solve_radial(v, q)
+        g_obs = numeric_observables(g, v)
         assert g.grid[-1] > 300.0
         solves = []
         monkeypatch.setattr(tables, "solve_radial",
@@ -523,7 +527,7 @@ class TestBoundaries:
         # their rounding scale eps/(2m h^2) are gone: these commands answer
         # within 1e-13 of the exact energy (measured 9.5e-15 and 3.6e-14), and
         # exp 0 2 --k 20 and the log ground state at 320000 points are the
-        # default solves
+        # CLI's default solves, solve_radial
         def energy(*argv):
             code, out, err = _run(capsys, "oracle", *argv)
             assert code == 0, (argv, err)
@@ -533,9 +537,9 @@ class TestBoundaries:
             e = energy("exp", str(n), "0", "--k", str(k), *argv)
             exact = reference.exp_s_energy(k, n, 2.0 * math.sqrt(-e))
             assert abs(e - exact) <= 1e-13, (k, n)
-        default = oracle_state(PotentialModel.exponential(20.0), QuantumNumbers(0, 2))[0].energy
+        default = solve_radial(PotentialModel.exponential(20.0), QuantumNumbers(0, 2)).energy
         assert energy("exp", "0", "2", "--k", "20", "--grid-points", "320000") == default
-        default = oracle_state(PotentialModel.logarithmic(), QuantumNumbers(0, 0))[0].energy
+        default = solve_radial(PotentialModel.logarithmic(), QuantumNumbers(0, 0)).energy
         assert energy("log", "0", "0", "--grid-points", "320000") == default
 
     @pytest.mark.parametrize("aux", ["coulomb", "quadratic"])

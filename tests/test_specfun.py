@@ -107,8 +107,9 @@ class TestLambert:
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             lambert_w(-0.4)
-        with pytest.raises(DomainError):
-            lambert_w(math.nan)
+        for x in (math.nan, math.inf, -math.inf):   # refused before any Halley step
+            with pytest.raises(DomainError, match="finite argument"):
+                lambert_w(x)
 
     @pytest.mark.parametrize("x", np.concatenate([
         np.linspace(-math.exp(-1) + 1e-12, 40.0, 301), [1e3, 1e6, 1e12]]))
